@@ -8,7 +8,7 @@ direct-truck baseline.
 """
 
 from .backends import ScipyHighsBackend, SubprocessBackend, get_backend, solve
-from .bruteforce import BruteForceOutcome, OracleSizeError, brute_force_optimum
+from .bruteforce import BruteForceOutcome, OracleSizeError, brute_force_optimum, brute_force_vrptw
 from .compat import Compatibility, derive_compatibility
 from .generate import GenParams, generate_instance
 from .instance import (

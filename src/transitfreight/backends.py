@@ -4,8 +4,8 @@ Two adapters satisfy the same contract: an in-process one built on
 scipy's HiGHS interface (the default), and a subprocess one that writes an
 LP file, invokes an external solver binary, and parses its solution file.
 The subprocess command comes from the TRANSITFREIGHT_SOLVER environment
-variable or an explicit path; solution parsing tolerates both plain
-``name value`` listings and structured solver reports.
+variable or an explicit path; solution parsing reads CBC and HiGHS reports
+and plain ``name value`` listings, and reports any other status as an error.
 """
 
 from __future__ import annotations
@@ -129,35 +129,49 @@ class ScipyHighsBackend:
 
 _NUMBER = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 _OBJECTIVE_LINE = re.compile(r"objective(?:\s+value)?\s*[:=]?\s*([+-]?[0-9.eE+-]+)", re.IGNORECASE)
+# CBC states the outcome at the start of the report's first line
+_CBC_STATUS = (("Optimal -", "optimal"), ("Infeasible -", "infeasible"),
+               ("Stopped on time", "limit"), ("Stopped on iterations", "limit"))
+# HiGHS states it on the line after a "Model status" header
+_HIGHS_STATUS = {"Optimal": "optimal", "Infeasible": "infeasible", "Time limit reached": "limit"}
+
+
+def _report_status(lines: list[str]) -> str | None:
+    """The status a report declares, from its first lines.
+
+    One of optimal, infeasible, limit (the solve stopped early), None for a
+    bare ``name value`` listing, or error for any other text.
+    """
+    first = lines[0]
+    for prefix, status in _CBC_STATUS:
+        if first.startswith(prefix):
+            return status
+    if first == "Model status":
+        return _HIGHS_STATUS.get(lines[1] if len(lines) > 1 else "", "error")
+    tokens = first.split()
+    if len(tokens) == 2 and _NUMBER.match(tokens[1]):
+        return None
+    return "error"
 
 
 def parse_solution_text(text: str, model: MilpModel) -> tuple[str, dict[str, float], float | None]:
     """Extract (status, values, objective) from a solver's solution report.
 
-    Accepts structured documents (status header plus column sections) and
-    bare ``name value`` pair listings; variable names are matched through the
-    same sanitization used by write_lp. Missing variables default to zero.
+    Reads CBC and HiGHS solution reports, whose status is recognised exactly,
+    and bare ``name value`` pair listings, which count as feasible; any other
+    status is an error. Variable names are matched through the same
+    sanitization used by write_lp. Missing variables default to zero.
     """
     sanitized = _sanitize_names(model.variables)
     back = {v: k for k, v in sanitized.items()}
-    status = ""
+    lines = [raw.strip() for raw in text.splitlines() if raw.strip()]
+    if not lines:
+        return "error", {}, None
+    status = _report_status(lines)
     objective: float | None = None
     values: dict[str, float] = {}
 
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        lowered = line.lower()
-        if not status:
-            if "infeasible" in lowered:
-                status = "infeasible"
-            elif "unbounded" in lowered:
-                status = "error"
-            elif "optimal" in lowered:
-                status = "optimal"
-            elif "time" in lowered and ("limit" in lowered or "stopped" in lowered):
-                status = "feasible"
+    for line in lines:
         if objective is None:
             match = _OBJECTIVE_LINE.search(line)
             if match:
@@ -175,13 +189,12 @@ def parse_solution_text(text: str, model: MilpModel) -> tuple[str, dict[str, flo
 
     if status == "infeasible":
         return "infeasible", {}, None
-    if values:
-        full = {v.name: values.get(v.name, 0.0) for v in model.variables}
-        return (status or "feasible"), full, objective
-    if status == "optimal":
-        # status line without values is a malformed report
-        return "error", {}, objective
-    return (status or "error"), {}, objective
+    if status == "error" or not values:
+        # an unknown status, or a known one without values, is a malformed
+        # report; only a limit hit before any incumbent has no values
+        return ("timeout" if status == "limit" else "error"), {}, objective
+    full = {v.name: values.get(v.name, 0.0) for v in model.variables}
+    return ("optimal" if status == "optimal" else "feasible"), full, objective
 
 
 class SubprocessBackend:

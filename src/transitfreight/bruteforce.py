@@ -3,7 +3,8 @@
 Independent ground truth for the solver paths: enumerates every per-customer
 itinerary (trip, drop-in, drop-out), every truck assignment and stop order,
 and every freighter assignment and visit order, with greedy-earliest timing
-clamped up to window openings. No model-building code is reused here.
+clamped up to window openings; ``brute_force_vrptw`` does the same for the
+direct-truck baseline. No model-building code is reused here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .plan import (
     FreighterRoute,
     Plan,
     TruckRoute,
+    VrptwPlan,
+    VrptwRoute,
 )
 
 GUARD_CUSTOMERS = 4
@@ -100,6 +103,43 @@ def _trip_loads_ok(instance: Instance, combo: dict[str, TransitOption]) -> bool:
     return True
 
 
+def _best_order(instance: Instance, home, start: float, visits: dict,
+                cost_per_distance: float):
+    """Cheapest feasible round trip from ``home`` through every visit.
+
+    ``visits`` maps a key to (location, service time, earliest, latest); the
+    route leaves ``home`` at minute ``start`` and each visit ends at the
+    earliest minute travel, service and its window allow. Returns (cost,
+    visiting order, times) or None when no order meets every window.
+    """
+    params = instance.cost_params
+    best = None
+    for perm in itertools.permutations(sorted(visits)):
+        t_prev, loc_prev, times = start, home, []
+        for key in perm:
+            location, service, lo, hi = visits[key]
+            arrival = t_prev + travel_time(euclidean_distance(loc_prev, location), params) + service
+            t_here = max(arrival, lo)
+            if t_here > hi + 1e-9:
+                break
+            times.append(t_here)
+            t_prev, loc_prev = t_here, location
+        else:
+            points = [home] + [visits[key][0] for key in perm] + [home]
+            dist = 0.0
+            for a, b in zip(points, points[1:]):
+                dist += euclidean_distance(a, b)
+            cost = cost_per_distance * dist
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, perm, tuple(times))
+    return best
+
+
+def _door_visit(cust) -> tuple:
+    """A customer as a ``_best_order`` visit."""
+    return cust.location, cust.service_time, cust.window_lo, cust.window_hi
+
+
 def _best_truck_layer(instance: Instance, demands: dict[str, float],
                       pickup: dict[str, tuple[str, float]], memo: dict):
     """Cheapest feasible trucking of packages to their drop-in stops.
@@ -134,34 +174,10 @@ def _best_truck_layer(instance: Instance, demands: dict[str, float],
                 dwell = instance.stop(stop_id).max_dwell
                 lo, hi = window.get(stop_id, (-1e18, 1e18))
                 window[stop_id] = (max(lo, t_pick - dwell), min(hi, t_pick))
-            stops = sorted(window)
-            route_best = None
-            for perm in itertools.permutations(stops):
-                t_prev = 0.0
-                loc_prev = cdc
-                times = []
-                ok = True
-                for stop_id in perm:
-                    stop = instance.stop(stop_id)
-                    arrival = t_prev + travel_time(
-                        euclidean_distance(loc_prev, stop.location), params) + stop.service_time
-                    t_here = max(arrival, window[stop_id][0])
-                    if t_here > window[stop_id][1] + 1e-9:
-                        ok = False
-                        break
-                    times.append(t_here)
-                    t_prev, loc_prev = t_here, stop.location
-                if not ok:
-                    continue
-                dist = 0.0
-                loc = cdc
-                for stop_id in perm:
-                    dist += euclidean_distance(loc, instance.stop(stop_id).location)
-                    loc = instance.stop(stop_id).location
-                dist += euclidean_distance(loc, cdc)  # return to the CDC copy
-                cost = params.truck_cost_per_distance * dist
-                if route_best is None or cost < route_best[0] - 1e-12:
-                    route_best = (cost, perm, tuple(times))
+            visits = {sid: (instance.stop(sid).location, instance.stop(sid).service_time,
+                            *window[sid]) for sid in window}
+            route_best = _best_order(instance, cdc, 0.0, visits,
+                                     params.truck_cost_per_distance)
             if route_best is None:
                 feasible = False
                 break
@@ -212,33 +228,10 @@ def _best_freighter_layer(instance: Instance, demands: dict[str, float],
                 if departure > min(drop_times) + stop.max_dwell + 1e-9:
                     feasible = False
                     break
-                route_best = None
-                for perm in itertools.permutations(group):
-                    t_prev = departure
-                    loc_prev = stop.location
-                    times = []
-                    ok = True
-                    for cust_id in perm:
-                        cust = instance.customer(cust_id)
-                        arrival = t_prev + travel_time(
-                            euclidean_distance(loc_prev, cust.location), params) + cust.service_time
-                        t_here = max(arrival, cust.window_lo)
-                        if t_here > cust.window_hi + 1e-9:
-                            ok = False
-                            break
-                        times.append(t_here)
-                        t_prev, loc_prev = t_here, cust.location
-                    if not ok:
-                        continue
-                    dist = 0.0
-                    loc = stop.location
-                    for cust_id in perm:
-                        dist += euclidean_distance(loc, instance.customer(cust_id).location)
-                        loc = instance.customer(cust_id).location
-                    dist += euclidean_distance(loc, stop.location)
-                    cost = params.freighter_cost_scale * params.truck_cost_per_distance * dist
-                    if route_best is None or cost < route_best[0] - 1e-12:
-                        route_best = (cost, perm, tuple(times))
+                visits = {c: _door_visit(instance.customer(c)) for c in group}
+                route_best = _best_order(
+                    instance, stop.location, departure, visits,
+                    params.freighter_cost_scale * params.truck_cost_per_distance)
                 if route_best is None:
                     feasible = False
                     break
@@ -331,3 +324,39 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
         costs=CostBreakdown(t1_cost=truck_side[0], t3_cost=t3_cost),
     )
     return BruteForceOutcome(feasible=True, cost=cost, plan=plan)
+
+
+def brute_force_vrptw(instance: Instance) -> VrptwPlan | None:
+    """Exact direct-truck (VRPTW) optimum by exhaustive enumeration.
+
+    Every labelling of the customers by truck is a partition into at most
+    one route per truck; each route is capacity-checked and takes its
+    cheapest visiting order whose earliest times, leaving the CDC at minute
+    0, meet every window. Returns None when no partition is feasible.
+    """
+    if len(instance.customers) > GUARD_CUSTOMERS or len(instance.trucks) > GUARD_TRUCKS:
+        raise OracleSizeError(
+            f"instance exceeds enumeration guard: customers={len(instance.customers)} "
+            f"(max {GUARD_CUSTOMERS}), trucks={len(instance.trucks)} (max {GUARD_TRUCKS})")
+    per_distance = instance.cost_params.truck_cost_per_distance
+    customers = sorted(instance.customers, key=lambda c: c.id)
+    best = None
+    for labels in itertools.product(range(len(instance.trucks)), repeat=len(customers)):
+        cost, routes = 0.0, []
+        for label, truck in enumerate(instance.trucks):
+            group = [c for c, k in zip(customers, labels) if k == label]
+            if not group:
+                continue
+            if sum(c.demand for c in group) > truck.capacity + 1e-9:
+                break
+            route = _best_order(instance, instance.cdc, 0.0,
+                                {c.id: _door_visit(c) for c in group}, per_distance)
+            if route is None:
+                break
+            cost += route[0]
+            routes.append(VrptwRoute(truck=truck.id, departure=0.0,
+                                     customers=route[1], times=route[2]))
+        else:
+            if best is None or cost < best.total_cost - 1e-12:
+                best = VrptwPlan(routes=tuple(routes), total_cost=cost)
+    return best

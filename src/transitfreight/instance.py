@@ -162,10 +162,6 @@ class Instance:
     def freighters_of_stop(self, stop_id: str) -> list[Freighter]:
         return [k for k in self.freighters if k.home_stop == stop_id]
 
-    def stop_position(self, line_id: str, stop_id: str) -> int:
-        """Index of a stop along a line's traversal order."""
-        return self.line(line_id).ordered_stops.index(stop_id)
-
     def distance(self, a: Point, b: Point) -> float:
         return euclidean_distance(a, b)
 
@@ -445,11 +441,6 @@ def parse_instance(text: str) -> Instance:
 def with_beta(instance: Instance, beta: float) -> Instance:
     """Copy of the instance with a different freighter cost scale."""
     return replace(instance, cost_params=replace(instance.cost_params, freighter_cost_scale=beta))
-
-
-def with_mu(instance: Instance, mu: float) -> Instance:
-    """Copy of the instance with a different service-cost scale."""
-    return replace(instance, cost_params=replace(instance.cost_params, service_cost_mu=mu))
 
 
 def with_freighter_capacity(instance: Instance, capacity: float) -> Instance:

@@ -10,7 +10,7 @@ Variable families (structured names carry the index tuples):
   y2[i,s,p]  trip p drops package i at drop-out stop s
   l2[u,p]    load of trip p leaving stop u
   z[i,g]     a freighter of class g delivers package i; a class is a set of
-             interchangeable freighters of one stop (``freighter_classes``)
+             interchangeable freighters of one stop (``vehicle_classes``)
   x[i,j,g]   a freighter of class g traverses arc (i,j); idle freighters
              stay home, at most the class size of routes leave the stop
   l3[i,g]    load delivered by the route through i, up to and including i
@@ -163,15 +163,16 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
     return {"dropins": dropins, "tails": tails, "heads": heads, "loc": loc}
 
 
-def freighter_classes(instance: Instance, stop_id: str) -> list[tuple[str, tuple]]:
-    """A stop's freighters grouped into classes of interchangeable vehicles.
+def vehicle_classes(vehicles) -> list[tuple[str, tuple]]:
+    """Vehicles grouped into classes of interchangeable vehicles.
 
-    Freighters of one stop that share a capacity are interchangeable; each
-    class is named by its first freighter's id and keeps its members in
-    instance order, which is the order decoded routes are handed out in.
+    Vehicles of one fleet (the trucks, or the freighters of one stop) that
+    share a capacity are interchangeable; each class is named by its first
+    vehicle's id and keeps its members in instance order, which is the order
+    decoded routes are handed out in.
     """
     by_capacity: dict[float, list] = {}
-    for k in instance.freighters_of_stop(stop_id):
+    for k in vehicles:
         by_capacity.setdefault(k.capacity, []).append(k)
     return [(fleet[0].id, tuple(fleet)) for fleet in by_capacity.values()]
 
@@ -179,7 +180,8 @@ def freighter_classes(instance: Instance, stop_id: str) -> list[tuple[str, tuple
 def class_assignments(mb: ModelBuilder, instance: Instance, customer_id: str,
                       stop_id: str) -> list[tuple[str, object]]:
     """(class, z variable) for each class of the stop that may serve the customer."""
-    pairs = [(g, mb.get("z", customer_id, g)) for g, _ in freighter_classes(instance, stop_id)]
+    pairs = [(g, mb.get("z", customer_id, g))
+             for g, _ in vehicle_classes(instance.freighters_of_stop(stop_id))]
     return [(g, z) for g, z in pairs if z is not None]
 
 
@@ -196,7 +198,7 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     serving that customer from that stop.
 
     Arcs, loads and times are shared by all freighters of one class (see
-    ``freighter_classes``): routes out of the stop are capped by the class
+    ``vehicle_classes``): routes out of the stop are capped by the class
     size, load labels (capacity, Miller-Tucker-Zemlin style) and time labels
     cut subtours, and the route's departure is carried along its arcs so
     callers can bound it per package (loading and dwell rows). A customer is
@@ -206,7 +208,7 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     served_by: dict[str, list] = {}
     for stop_id in sorted(customers_of_stop):
         stop = instance.stop(stop_id)
-        for g, fleet in freighter_classes(instance, stop_id):
+        for g, fleet in vehicle_classes(instance.freighters_of_stop(stop_id)):
             capacity = fleet[0].capacity
             members, depart = [], {}
             for cid in customers_of_stop[stop_id]:
@@ -631,7 +633,7 @@ def decode_freighter_routes(instance: Instance, model: MilpModel,
     t3, td = model.family("t3"), model.family("td")
     routes = []
     for stop in instance.stops:
-        for g, fleet in freighter_classes(instance, stop.id):
+        for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
             firsts = starts.get(g, [])
             if len(firsts) > len(fleet):
                 raise DecodeError(f"class {g}: {len(firsts)} routes for {len(fleet)} freighters")

@@ -112,6 +112,11 @@ class StageMetrics:
     status: str
     objective: float | None
     wall_time: float
+    best_bound: float | None
+    message: str          # the solver's own account of how the solve ended
+    vars: int             # model size: variables, constraints, nonzeros
+    cons: int
+    nnz: int
 
 
 @dataclass
@@ -167,7 +172,9 @@ def _solve_stage(stage: str, model, backend: Backend, seconds: float,
     result = backend.solve(model, SolveLimits(seconds, rel_gap))
     metrics.stages.append(StageMetrics(
         stage=stage, status=result.status, objective=result.objective,
-        wall_time=result.wall_time))
+        wall_time=result.wall_time, best_bound=result.best_bound, message=result.message,
+        vars=len(model.variables), cons=len(model.constraints),
+        nnz=sum(len(con.terms) for con in model.constraints)))
     if result.status == "infeasible":
         raise PipelineError(stage, "model infeasible")
     if result.status == "timeout":

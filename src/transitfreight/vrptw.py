@@ -3,125 +3,124 @@
 Trucks leave the CDC, serve customers inside their windows, and return.
 The transit network plays no part; this exists to quantify what the
 three-tier system saves in dedicated-vehicle distance.
+
+The model is the two-index VRPTW, indexed by truck class instead of truck
+(``vehicle_classes``: trucks that share a capacity are interchangeable):
+  x[u,v,g]  a truck of class g traverses arc (u,v); the CDC is ``o`` and its
+            route-sink copy ``o~``; the (o,o~) arc is free and always built
+  z[i,g]    a truck of class g serves customer i
+  l[i,g]    load delivered by the route through i, up to and including i
+  t[i,g]    minute service at i ends, no sooner than the direct ride allows
+At most the class size of routes leave the CDC. Load labels are
+Miller-Tucker-Zemlin rows lifted as Desrochers and Laporte (1991) describe;
+with the time labels they cut subtours. Arcs the windows rule out are not
+built, and each time row has its own big-M.
 """
 
 from __future__ import annotations
 
 from .instance import Instance
-from .milp import MilpModel, ModelBuilder, SolveResult, big_M
-from .model_full import CDC_NODE, CDC_SINK, _binary_value, truck_cost
+from .milp import MilpModel, ModelBuilder, SolveResult
+from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, truck_cost,
+                         vehicle_classes)
 from .plan import VrptwPlan, VrptwRoute
 
 
+def _hop(instance: Instance, a, cust) -> float:
+    """Minutes from leaving point ``a`` to the end of service at ``cust``."""
+    return instance.travel_minutes(a, cust.location) + cust.service_time
+
+
 def build_vrptw(instance: Instance) -> MilpModel:
-    params = instance.cost_params
-    max_hop = max((instance.travel_minutes(instance.cdc, c.location)
-                   for c in instance.customers), default=0.0) * 2
-    M = big_M(params, extra_time=max_hop)
     mb = ModelBuilder("vrptw")
+    served_by: dict[str, list] = {}
+    objective: list = []
+    where = {CDC_NODE: instance.cdc, CDC_SINK: instance.cdc}
+    where.update((c.id, c.location) for c in instance.customers)
 
-    customers = [c.id for c in instance.customers]
-    tails = [CDC_NODE] + customers
-    heads = customers + [CDC_SINK]
+    for g, fleet in vehicle_classes(instance.trucks):
+        capacity = fleet[0].capacity
+        members, lb = [], {}
+        for c in instance.customers:
+            lb[c.id] = max(c.window_lo, _hop(instance, instance.cdc, c))
+            if c.demand <= capacity and lb[c.id] <= c.window_hi + 1e-9:
+                members.append(c)
+                served_by.setdefault(c.id, []).append(mb.binary("z", c.id, g))
+                mb.continuous("l", c.id, g, lb=c.demand, ub=capacity)
+                mb.continuous("t", c.id, g, lb=lb[c.id], ub=max(lb[c.id], c.window_hi))
 
-    def loc(node: str):
-        if node in (CDC_NODE, CDC_SINK):
-            return instance.cdc
-        return instance.customer(node).location
+        arcs = [(CDC_NODE, CDC_SINK)]
+        for j in members:
+            arcs += [(CDC_NODE, j.id), (j.id, CDC_SINK)]
+            arcs += [(i.id, j.id) for i in members
+                     if i is not j and lb[i.id] + _hop(instance, i.location, j) <= j.window_hi + 1e-9]
+        for u, v in arcs:
+            x = mb.binary("x", u, v, g)
+            objective.append((x, truck_cost(instance, where[u], where[v])))
+        if not members:
+            continue
 
-    for d in instance.trucks:
-        for i in customers:
-            mb.binary("r", i, d.id)
-        for u in tails:
-            for v in heads:
-                if u != v:
-                    mb.binary("w", u, v, d.id)
-        for u in tails:
-            mb.continuous("t", u, d.id, lb=0.0, ub=M)
+        mb.add([(mb.get("x", CDC_NODE, j.id, g), 1.0) for j in members],
+               "<=", float(len(fleet)), f"fleet[{g}]")
+        for c in members:
+            z = mb.get("z", c.id, g)
+            mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if v == c.id] + [(z, -1.0)],
+                   "=", 0.0, f"in[{c.id},{g}]")
+            mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if u == c.id] + [(z, -1.0)],
+                   "=", 0.0, f"out[{c.id},{g}]")
+        by_id = {c.id: c for c in members}
+        for u, v in arcs:
+            if u == CDC_NODE or v == CDC_SINK:
+                continue
+            i, j = by_id[u], by_id[v]
+            x, back = mb.get("x", u, v, g), mb.get("x", v, u, g)
+            lifted = [] if back is None else [(back, i.demand + j.demand - capacity)]
+            mb.add([(mb.get("l", v, g), 1.0), (mb.get("l", u, g), -1.0), (x, -capacity)]
+                   + lifted, ">=", j.demand - capacity, f"load[{u},{v},{g}]")
+            if back is not None and u < v:
+                mb.add([(x, 1.0), (back, 1.0)], "<=", 1.0, f"two_cycle[{u},{v},{g}]")
+            hop = _hop(instance, i.location, j)
+            big = i.window_hi + hop - lb[v]
+            if big > 0:
+                mb.add([(mb.get("t", v, g), 1.0), (mb.get("t", u, g), -1.0), (x, -big)],
+                       ">=", hop - big, f"time[{u},{v},{g}]")
 
-    for i in customers:
-        mb.add([(mb.get("r", i, d.id), 1.0) for d in instance.trucks],
-               "=", 1.0, f"assign[{i}]")
-    for d in instance.trucks:
-        mb.add([(mb.get("r", c.id, d.id), c.demand) for c in instance.customers],
-               "<=", d.capacity, f"cap[{d.id}]")
-        mb.add([(mb.get("w", CDC_NODE, v, d.id), 1.0) for v in heads],
-               "=", 1.0, f"start[{d.id}]")
-        mb.add([(mb.get("w", u, CDC_SINK, d.id), 1.0) for u in tails],
-               "=", 1.0, f"end[{d.id}]")
-        for u in customers:
-            mb.add([(mb.get("w", u, v, d.id), 1.0) for v in heads if v != u]
-                   + [(mb.get("w", v, u, d.id), -1.0) for v in tails if v != u],
-                   "=", 0.0, f"balance[{u},{d.id}]")
-            # visited exactly when assigned
-            mb.add([(mb.get("w", v, u, d.id), 1.0) for v in tails if v != u]
-                   + [(mb.get("r", u, d.id), -1.0)],
-                   "=", 0.0, f"visit[{u},{d.id}]")
-        for u in tails:
-            for v in customers:
-                if u == v:
-                    continue
-                cust = instance.customer(v)
-                hop = instance.travel_minutes(loc(u), loc(v)) + cust.service_time
-                mb.add([(mb.get("t", v, d.id), 1.0), (mb.get("t", u, d.id), -1.0),
-                        (mb.get("w", u, v, d.id), -M)],
-                       ">=", hop - M, f"time[{u},{v},{d.id}]")
-        for i in customers:
-            cust = instance.customer(i)
-            mb.add([(mb.get("t", i, d.id), 1.0), (mb.get("r", i, d.id), -M)],
-                   ">=", cust.window_lo - M, f"window_lo[{i},{d.id}]")
-            mb.add([(mb.get("t", i, d.id), 1.0), (mb.get("r", i, d.id), M)],
-                   "<=", cust.window_hi + M, f"window_hi[{i},{d.id}]")
-
-    trucks = instance.trucks
-    if len({d.capacity for d in trucks}) <= 1:
-        for a, b in zip(trucks, trucks[1:]):
-            mb.add([(mb.get("w", CDC_NODE, v, a.id), 1.0) for v in customers]
-                   + [(mb.get("w", CDC_NODE, v, b.id), -1.0) for v in customers],
-                   ">=", 0.0, f"sym_first[{a.id}]")
-            terms = []
-            for u in tails:
-                for v in heads:
-                    if u == v:
-                        continue
-                    terms.append((mb.get("w", u, v, a.id), 1.0))
-                    terms.append((mb.get("w", u, v, b.id), -1.0))
-            mb.add(terms, ">=", 0.0, f"sym_size[{a.id}]")
-
-    terms = []
-    for (u, v, _d), var in mb.family_items("w"):
-        cost = truck_cost(instance, loc(u), loc(v))
-        if cost:
-            terms.append((var, cost))
-    mb.set_objective(terms)
+    # a customer no class can serve leaves an empty row: the model is infeasible
+    for c in instance.customers:
+        mb.add([(z, 1.0) for z in served_by.get(c.id, [])], "=", 1.0, f"customer_once[{c.id}]")
+    mb.set_objective(objective)
     return mb.build()
 
 
 def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> VrptwPlan:
-    routes = []
-    total = 0.0
-    for d in instance.trucks:
-        succ: dict[str, str] = {}
-        for (u, v, dd), var in model.family("w").items():
-            if dd == d.id and _binary_value(result.values, var):
-                succ[u] = v
-        order: list[str] = []
-        node = CDC_NODE
-        for _ in range(len(succ) + 1):
-            node = succ.get(node)
-            if node is None or node == CDC_SINK:
-                break
-            order.append(node)
-        if not order:
-            continue
-        t = model.family("t")
-        times = [result.values[t[(c, d.id)].name] for c in order]
-        departure = result.values[t[(CDC_NODE, d.id)].name]
-        routes.append(VrptwRoute(truck=d.id, departure=departure,
-                                 customers=tuple(order), times=tuple(times)))
-        loc = instance.cdc
-        for c in order:
-            total += truck_cost(instance, loc, instance.customer(c).location)
-            loc = instance.customer(c).location
-        total += truck_cost(instance, loc, instance.cdc)
+    """Routes per truck class, handed to the class's trucks in instance order."""
+    if not result.has_solution():
+        raise DecodeError(f"no solution to decode (status {result.status})")
+    starts: dict[str, list[str]] = {}
+    succ: dict[tuple[str, str], str] = {}
+    for (u, v, g), var in model.family("x").items():
+        if (u, v) != (CDC_NODE, CDC_SINK) and _binary_value(result.values, var):
+            if u == CDC_NODE:
+                starts.setdefault(g, []).append(v)
+            else:
+                succ[(u, g)] = v
+    t = model.family("t")
+    routes, total = [], 0.0
+    for g, fleet in vehicle_classes(instance.trucks):
+        firsts = starts.get(g, [])
+        if len(firsts) > len(fleet):
+            raise DecodeError(f"class {g}: {len(firsts)} routes for {len(fleet)} trucks")
+        for truck, node in zip(fleet, firsts):
+            order: list[str] = []
+            while node != CDC_SINK:
+                if node in order:
+                    raise DecodeError(f"class {g}: route through {node} does not close")
+                order.append(node)
+                node = succ[(node, g)]
+            times = tuple(result.values[t[(c, g)].name] for c in order)
+            departure = times[0] - _hop(instance, instance.cdc, instance.customer(order[0]))
+            routes.append(VrptwRoute(truck=truck.id, departure=departure,
+                                     customers=tuple(order), times=times))
+            stops = [instance.cdc] + [instance.customer(c).location for c in order] + [instance.cdc]
+            total += sum(truck_cost(instance, a, b) for a, b in zip(stops, stops[1:]))
     return VrptwPlan(routes=tuple(routes), total_cost=total)

@@ -187,6 +187,39 @@ def test_parse_infeasible_report():
     assert values == {}
 
 
+def test_parse_cbc_time_limit_report():
+    model = tiny_model()
+    stopped = "Stopped on time - objective value 1.00000000\n"
+    status, values, objective = parse_solution_text(
+        stopped + "      0 x                     1                      0\n", model)
+    assert status == "feasible"
+    assert values["x"] == pytest.approx(1.0)
+    assert objective == pytest.approx(1.0)
+    status, values, _ = parse_solution_text(stopped, model)
+    assert (status, values) == ("timeout", {})
+
+
+def test_parse_highs_time_limit_report():
+    model = tiny_model()
+    header = "Model status\nTime limit reached\n\n# Primal solution values\n"
+    status, values, objective = parse_solution_text(
+        header + "Feasible\nObjective 1\n# Columns 1\nx 1\n", model)
+    assert status == "feasible"
+    assert values["x"] == pytest.approx(1.0)
+    assert objective == pytest.approx(1.0)
+    status, values, _ = parse_solution_text(header + "None\n", model)
+    assert (status, values) == ("timeout", {})
+
+
+def test_parse_unknown_status_is_an_error():
+    model = tiny_model()
+    # an unrecognised status line is not guessed at, even with values after it
+    for report in ("Time limit hit, no proof of optimality\nx 1\n",
+                   "Model status\nUnbounded\nx 1\n"):
+        status, values, _ = parse_solution_text(report, model)
+        assert (status, values) == ("error", {}), report
+
+
 STUB_SOLVER = """\
 import sys
 from transitfreight.backends import ScipyHighsBackend

@@ -101,6 +101,20 @@ def test_artifacts_written(backend, micro1, tmp_path):
     assert metrics_doc["method"] == "d2"
 
 
+def test_metrics_record_stage_model_size_and_bound(backend, micro1, tmp_path):
+    for config, stages in ((RunConfig(method="vrptw"), ["vrptw"]),
+                           (RunConfig(method="d2", t2_obj="obj2"), ["t2", "t1", "t3[B]"])):
+        art = tmp_path / config.label()
+        run_method(micro1, config, backend, artifacts_dir=art)
+        doc = json.loads((art / "metrics.json").read_text())
+        assert [s["stage"] for s in doc["stages"]] == stages
+        for stage in doc["stages"]:
+            assert stage["status"] == "optimal"
+            assert stage["vars"] > 0 and stage["cons"] > 0 and stage["nnz"] >= stage["cons"]
+            assert stage["best_bound"] == pytest.approx(stage["objective"], rel=1e-5, abs=1e-6)
+            assert stage["message"]
+
+
 def test_beta_override_scales_freighter_cost(backend, micro1):
     _plan, base = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), backend)
     _plan, scaled = run_method(
