@@ -105,9 +105,8 @@ class MilpModel:
 class ModelBuilder:
     """Incrementally builds a MilpModel with structured variable names."""
 
-    def __init__(self, tag: str, instance_id: str = "") -> None:
+    def __init__(self, tag: str) -> None:
         self._tag = tag
-        self._instance_id = instance_id
         self._variables: list[VarRef] = []
         self._names: set[str] = set()
         self._constraints: list[LinConstraint] = []
@@ -147,13 +146,11 @@ class ModelBuilder:
         return list(self._registry.get(family, {}).items())
 
     def build(self, **metadata) -> MilpModel:
-        meta = {"formulation": self._tag, "instance_id": self._instance_id}
-        meta.update(metadata)
         return MilpModel(
             variables=self._variables,
             constraints=self._constraints,
             objective=self._objective,
-            metadata=meta,
+            metadata={"formulation": self._tag, **metadata},
             registry=self._registry,
         )
 

@@ -1,4 +1,5 @@
-"""Monolithic MILP over all three delivery tiers.
+"""Monolithic MILP over all three delivery tiers, and the model fragments
+that it and every decomposition stage in ``tiers`` share.
 
 Variable families (structured names carry the index tuples):
   r[i,s,d]   package i brought to drop-in stop s by truck d
@@ -20,16 +21,28 @@ Variable families (structured names carry the index tuples):
 Conditional constraints bracketed by data (line order, candidate sets) are
 expanded at build time: variables exist only for index tuples the data
 allows, and load propagation is generated per consecutive stop pair.
+
+Each fragment has one copy, used by every model that needs it:
+  add_transit_flow       y1/y2 domains, pick/drop once, same trip, order
+  add_trip_loads         l2 along every trip, from the y1/y2 on the builder;
+                         the d1-t2 and d3-t2 stages keep their fixed pickup
+                         or drop stop in y1[i,b_in,p] or y2[i,b_out,p]
+  add_truck_routing      w/t1 arcs, degree balance and times per truck
+  add_stop_assignments   r[i,s,d] with truck capacity and stop visits
+  add_freighter_routing  class-indexed freighter arcs, loads and times
+  arc_costs              distance-priced objective terms of an arc family
+Plans are priced by ``validate.recompute_costs``, as every pipeline does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .plan import CostBreakdown, CustomerItinerary, FreighterRoute, Plan, TruckRoute
+from .validate import recompute_costs
 
 CDC_NODE = "o"
 CDC_SINK = "o~"
@@ -84,14 +97,19 @@ def transit_pairs(instance: Instance, compat: Compatibility, customer_id: str,
         ins, outs = ins2, outs2
 
 
-def truck_cost(instance: Instance, a, b) -> float:
-    return instance.cost_params.truck_cost_per_distance * euclidean_distance(a, b)
+def arc_costs(mb: ModelBuilder, instance: Instance, family: str,
+              per_distance: float) -> list:
+    """Objective terms pricing every arc of ``family`` at its length times ``per_distance``.
 
-
-def freighter_cost(instance: Instance, a, b) -> float:
-    return (instance.cost_params.freighter_cost_scale
-            * instance.cost_params.truck_cost_per_distance
-            * euclidean_distance(a, b))
+    The first two indices of each arc variable are its tail and head: the
+    CDC (``o`` or ``o~``), a stop or a customer; an id naming both a stop
+    and a customer is the stop.
+    """
+    where = {c.id: c.location for c in instance.customers}
+    where.update((s.id, s.location) for s in instance.stops)
+    where.update({CDC_NODE: instance.cdc, CDC_SINK: instance.cdc})
+    return [(var, per_distance * euclidean_distance(where[u], where[v]))
+            for (u, v, *_), var in mb.family_items(family)]
 
 
 def _homogeneous(capacities: list[float]) -> bool:
@@ -102,8 +120,8 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
                       symmetry: bool) -> dict:
     """Shared tier-1 structure: arc variables, degree balance, times.
 
-    Returns the node list and helpers used by callers to attach their own
-    linking constraints.
+    Returns the drop-in stops and the arc tails (the CDC and the drop-in
+    stops) callers attach their own linking constraints to.
     """
     dropins = [s.id for s in instance.drop_in_stops()]
     tails = [CDC_NODE] + dropins
@@ -160,7 +178,7 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
                     terms.append((mb.get("w", u, v, b.id), -1.0))
             mb.add(terms, ">=", 0.0, f"truck_sym_size[{a.id}]")
 
-    return {"dropins": dropins, "tails": tails, "heads": heads, "loc": loc}
+    return {"dropins": dropins, "tails": tails}
 
 
 def vehicle_classes(vehicles) -> list[tuple[str, tuple]]:
@@ -340,51 +358,41 @@ def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility
                             (mb.get("y2", cust.id, v, p), M - trip.stop_times[v])],
                            "<=", M, f"pick_before_drop[{cust.id},{u},{v},{p}]")
 
-    # load propagation per consecutive stop pair, seeded empty
-    for trip in instance.trips:
-        order = instance.line(trip.line).ordered_stops
-        relevant = False
-        for cust_id, per_trip in domains.items():
-            if trip.id in per_trip:
-                relevant = True
-        if not relevant:
-            continue
-        for sid in order:
-            mb.continuous("l2", sid, trip.id, lb=0.0, ub=trip.capacity)
-        prev: str | None = None
-        for sid in order:
-            terms = [(mb.get("l2", sid, trip.id), 1.0)]
-            if prev is not None:
-                terms.append((mb.get("l2", prev, trip.id), -1.0))
-            for cust_id, per_trip in domains.items():
-                if trip.id not in per_trip:
-                    continue
-                ins, outs = per_trip[trip.id]
-                q = instance.customer(cust_id).demand
-                if sid in ins:
-                    terms.append((mb.get("y1", cust_id, sid, trip.id), -q))
-                if sid in outs:
-                    terms.append((mb.get("y2", cust_id, sid, trip.id), q))
-            mb.add(terms, "=", 0.0, f"load[{sid},{trip.id}]")
-            prev = sid
+    add_trip_loads(mb, instance)
     return domains
 
 
-def build_full(instance: Instance, compat: Compatibility,
-               options: FullOptions | None = None) -> MilpModel:
-    """Complete three-tier model; minimizes truck plus freighter routing cost."""
-    options = options or FullOptions()
-    params = instance.cost_params
-    max_hop = max((instance.travel_minutes(instance.cdc, s.location)
-                   for s in instance.stops), default=0.0) * 2
-    M = big_M(params, extra_time=max_hop)
-    mb = ModelBuilder("full")
+def add_trip_loads(mb: ModelBuilder, instance: Instance) -> None:
+    """Load propagation per consecutive stop pair of every trip a package may ride.
 
-    domains = add_transit_flow(mb, instance, compat, M)
-    ctx = add_truck_routing(mb, instance, M, options.symmetry_breaking)
-    dropins, tails = ctx["dropins"], ctx["tails"]
+    Reads the y1 (pickup) and y2 (drop) variables already on the builder;
+    each trip's load starts empty and stays within its capacity.
+    """
+    moves: dict[tuple[str, str], list] = {}  # (trip, stop) -> load change terms
+    for family, sign in (("y1", -1.0), ("y2", 1.0)):
+        for (cid, sid, pid), var in mb.family_items(family):
+            moves.setdefault((pid, sid), []).append((var, sign * instance.customer(cid).demand))
+    ridden = {pid for pid, _ in moves}
+    for trip in instance.trips:
+        if trip.id not in ridden:
+            continue
+        order = instance.line(trip.line).ordered_stops
+        for sid in order:
+            mb.continuous("l2", sid, trip.id, lb=0.0, ub=trip.capacity)
+        for k, sid in enumerate(order):
+            terms = [(mb.get("l2", sid, trip.id), 1.0)]
+            if k > 0:
+                terms.append((mb.get("l2", order[k - 1], trip.id), -1.0))
+            mb.add(terms + moves.get((trip.id, sid), []), "=", 0.0, f"load[{sid},{trip.id}]")
 
-    # r: assignment of packages to trucks and drop-in stops
+
+def add_stop_assignments(mb: ModelBuilder, instance: Instance, compat: Compatibility,
+                         M: float, ctx: dict) -> None:
+    """r[i,s,d]: each package goes to one drop-in stop on one truck.
+
+    Trucks carry no more than their capacity, and a truck that carries a
+    package to a stop routes through it (``ctx`` from ``add_truck_routing``).
+    """
     for cust in instance.customers:
         for s in sorted(compat.s_in_of_customer[cust.id]):
             for d in instance.trucks:
@@ -400,17 +408,30 @@ def build_full(instance: Instance, compat: Compatibility,
             for s in sorted(compat.s_in_of_customer[cust.id]):
                 terms.append((mb.get("r", cust.id, s, d.id), cust.demand))
         mb.add(terms, "<=", d.capacity, f"truck_cap[{d.id}]")
-
-    # if a truck carries a package to a stop it must route through the stop
     for d in instance.trucks:
-        for v in dropins:
+        for v in ctx["dropins"]:
             carried = [(mb.get("r", c.id, v, d.id), -1.0 / M)
                        for c in instance.customers
                        if mb.get("r", c.id, v, d.id) is not None]
             if not carried:
                 continue
-            mb.add([(mb.get("w", u, v, d.id), 1.0) for u in tails if u != v] + carried,
+            mb.add([(mb.get("w", u, v, d.id), 1.0) for u in ctx["tails"] if u != v] + carried,
                    ">=", 0.0, f"visit_if_assigned[{v},{d.id}]")
+
+
+def build_full(instance: Instance, compat: Compatibility,
+               options: FullOptions | None = None) -> MilpModel:
+    """Complete three-tier model; minimizes truck plus freighter routing cost."""
+    options = options or FullOptions()
+    params = instance.cost_params
+    max_hop = max((instance.travel_minutes(instance.cdc, s.location)
+                   for s in instance.stops), default=0.0) * 2
+    M = big_M(params, extra_time=max_hop)
+    mb = ModelBuilder("full")
+
+    domains = add_transit_flow(mb, instance, compat, M)
+    ctx = add_truck_routing(mb, instance, M, options.symmetry_breaking)
+    add_stop_assignments(mb, instance, compat, M, ctx)
 
     # drop-off by the truck pairs with pickup by a transit vehicle at that stop
     for cust in instance.customers:
@@ -471,38 +492,23 @@ def build_full(instance: Instance, compat: Compatibility,
             mb.add([(z, 1.0) for _, z in assigned] + [(v, -1.0) for v, _ in drop_terms],
                    "=", 0.0, f"freighter_handover[{cust.id},{s}]")
 
-    mb.set_objective(_routing_objective(mb, instance, options))
+    objective = (arc_costs(mb, instance, "w", params.truck_cost_per_distance)
+                 + arc_costs(mb, instance, "x",
+                             params.freighter_cost_scale * params.truck_cost_per_distance))
+    if options.service_cost_mu > 0:
+        # per-visit service costs: a truck arc into a drop-in stop, a freighter leaving its stop
+        stop_ids = {s.id for s in instance.stops}
+        objective += [(var, options.lambda1)
+                      for (_u, v, _d), var in mb.family_items("w") if v != CDC_SINK]
+        objective += [(var, options.lambda3) for (i, j, _g), var in mb.family_items("x")
+                      if i in stop_ids and j not in stop_ids]
+    mb.set_objective(objective)
     return mb.build(
         mu=options.service_cost_mu,
         lambda1=options.lambda1,
         lambda3=options.lambda3,
         symmetry_breaking=options.symmetry_breaking,
     )
-
-
-def _routing_objective(mb: ModelBuilder, instance: Instance,
-                       options: FullOptions) -> list:
-    """Arc costs, with per-visit service costs folded in when mu > 0."""
-    terms = []
-    use_service = options.service_cost_mu > 0
-    stop_ids = {s.id for s in instance.stops}
-    for (u, v, _d), var in mb.family_items("w"):
-        a = instance.cdc if u in (CDC_NODE, CDC_SINK) else instance.stop(u).location
-        b = instance.cdc if v in (CDC_NODE, CDC_SINK) else instance.stop(v).location
-        cost = truck_cost(instance, a, b)
-        if use_service and v not in (CDC_NODE, CDC_SINK):
-            cost += options.lambda1
-        if cost:
-            terms.append((var, cost))
-    for (i, j, _g), var in mb.family_items("x"):
-        loc_i = instance.stop(i).location if i in stop_ids else instance.customer(i).location
-        loc_j = instance.stop(j).location if j in stop_ids else instance.customer(j).location
-        cost = freighter_cost(instance, loc_i, loc_j)
-        if use_service and i in stop_ids and j not in stop_ids:
-            cost += options.lambda3
-        if cost:
-            terms.append((var, cost))
-    return terms
 
 
 def _binary_value(values: dict[str, float], var) -> bool:
@@ -555,43 +561,16 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
             delivery_time=t_delivery,
         ))
 
-    plan = Plan(
+    service = bool(model.metadata.get("mu"))
+    draft = Plan(
         itineraries=tuple(itineraries),
         truck_routes=tuple(truck_routes),
         freighter_routes=tuple(freighter_routes),
-        costs=_decoded_costs(instance, model, truck_routes, freighter_routes),
-        service_lambda1=float(model.metadata.get("lambda1", 0.0)) if model.metadata.get("mu") else 0.0,
-        service_lambda3=float(model.metadata.get("lambda3", 0.0)) if model.metadata.get("mu") else 0.0,
+        costs=CostBreakdown(0.0, 0.0),
+        service_lambda1=float(model.metadata.get("lambda1", 0.0)) if service else 0.0,
+        service_lambda3=float(model.metadata.get("lambda3", 0.0)) if service else 0.0,
     )
-    return plan
-
-
-def _decoded_costs(instance: Instance, model: MilpModel, truck_routes, freighter_routes) -> CostBreakdown:
-    t1 = 0.0
-    for route in truck_routes:
-        loc = instance.cdc
-        for sid in route.stops:
-            t1 += truck_cost(instance, loc, instance.stop(sid).location)
-            loc = instance.stop(sid).location
-        t1 += truck_cost(instance, loc, instance.cdc)
-    t3 = 0.0
-    for route in freighter_routes:
-        home = instance.stop(route.home_stop).location
-        loc = home
-        for cid in route.customers:
-            t3 += freighter_cost(instance, loc, instance.customer(cid).location)
-            loc = instance.customer(cid).location
-        if route.customers:
-            t3 += freighter_cost(instance, loc, home)
-    mu = float(model.metadata.get("mu", 0.0) or 0.0)
-    service = 0.0
-    if mu > 0:
-        lam1 = float(model.metadata.get("lambda1", 0.0))
-        lam3 = float(model.metadata.get("lambda3", 0.0))
-        visits = sum(len(r.stops) for r in truck_routes)
-        departures = sum(1 for r in freighter_routes if r.customers)
-        service = lam1 * visits + lam3 * departures
-    return CostBreakdown(t1_cost=t1, t3_cost=t3, service_cost=service)
+    return replace(draft, costs=recompute_costs(instance, draft))
 
 
 def decode_truck_routes(instance: Instance, model: MilpModel,

@@ -40,8 +40,6 @@ from .tiers import (
     build_t1_from_handoff,
     build_t3_stopwise,
     decode_d1_t1,
-    decode_d1_t2,
-    decode_d3_t2,
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
@@ -137,6 +135,7 @@ class RunMetrics:
     packages_per_freighter: float = 0.0
     packages_per_trip: float = 0.0
     wall_time: float = 0.0
+    warnings: list[str] = field(default_factory=list)  # from d3's backward time repair
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -272,6 +271,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
     result = _solve_stage("full", model, backend, config.seconds("full"),
                           config.rel_gap, metrics)
     plan = decode_full(instance, model, result)
+    _check_objective(plan.costs.total, result)
     if mu == 0 and result.status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
         _reference_cache.setdefault(
@@ -284,7 +284,16 @@ def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
     model = _build_stage("vrptw", build_vrptw, instance)
     result = _solve_stage("vrptw", model, backend, config.seconds("full"),
                           config.rel_gap, metrics)
-    return decode_vrptw(instance, model, result)
+    plan = decode_vrptw(instance, model, result)
+    _check_objective(plan.total_cost, result)
+    return plan
+
+
+def _check_objective(total: float, result: SolveResult) -> None:
+    """The plan's recomputed cost must be the objective the solver reported."""
+    if abs(total - result.objective) > 1e-6 * max(1.0, abs(total)):
+        raise PipelineError(
+            "validate", f"plan cost {total!r} differs from the solver objective {result.objective!r}")
 
 
 def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
@@ -365,7 +374,7 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     t2_model = _build_stage("t2", build_d1_t2, instance, compat, handoff, objective)
     t2_result = _solve_stage("t2", t2_model, backend, config.seconds("other"),
                              config.rel_gap, metrics)
-    choices = decode_d1_t2(instance, t2_model, t2_result, handoff)
+    choices = decode_transit(instance, t2_model, t2_result)
     full_handoff = handoff_from_transit(choices)
     full_handoff.tau = tau
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(full_handoff))
@@ -388,7 +397,8 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     t3_result = _solve_stage("t3", t3_model, backend, config.seconds("first"),
                              config.rel_gap, metrics)
     b_out, raw_routes = decode_d3_t3(instance, t3_model, t3_result)
-    t_visit, _warnings = repair_d3_times(raw_routes, instance)
+    t_visit, warnings = repair_d3_times(raw_routes, instance)
+    metrics.warnings.extend(warnings)
     handoff = TierHandoff(b_out=b_out, t_first=t_first,
                           t_depart_max=latest_departures(raw_routes, instance, t_visit))
     _dump(artifacts_dir, "handoff-t3.json", serialize_handoff(handoff))
@@ -396,7 +406,7 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     t2_model = _build_stage("t2", build_d3_t2, instance, compat, handoff, objective)
     t2_result = _solve_stage("t2", t2_model, backend, config.seconds("other"),
                              config.rel_gap, metrics)
-    choices = decode_d3_t2(instance, t2_model, t2_result, handoff)
+    choices = decode_transit(instance, t2_model, t2_result)
     t1_handoff = handoff_from_transit(choices)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(t1_handoff))
 

@@ -14,6 +14,14 @@ Pipelines differ in which tier commits first:
 
 The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period.
+
+Every stage is built from the fragments ``model_full`` shares with the
+monolithic model: ``add_transit_flow`` and ``add_trip_loads`` for transit,
+``add_truck_routing`` and ``add_stop_assignments`` for trucks,
+``add_freighter_routing`` for freighters, and ``arc_costs`` for routing
+objectives. The transit stages that follow a fixed stop keep it in the
+shared families, ``y1[i,b_in,p]`` in d1-t2 and ``y2[i,b_out,p]`` in d3-t2,
+so ``add_trip_loads`` and ``decode_transit`` serve all three.
 """
 
 from __future__ import annotations
@@ -25,13 +33,16 @@ from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
-    CDC_NODE,
+    DecodeError,
     add_freighter_routing,
+    add_stop_assignments,
     add_transit_flow,
+    add_trip_loads,
     add_truck_routing,
+    arc_costs,
     class_assignments,
-    freighter_cost,
-    truck_cost,
+    decode_freighter_routes,
+    decode_truck_routes,
     _binary_value,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
@@ -47,10 +58,6 @@ class ModelBuildError(ModelError):
 @dataclass(frozen=True)
 class T2Objective:
     tag: str
-    # resolved lazily for the freighter-count estimate
-    mean_freighter_capacity: float | None = None
-    period_length: float | None = None
-    period_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.tag not in (OBJ1, OBJ2, OBJ3):
@@ -100,15 +107,11 @@ def _attach_used_stop_flags(mb: ModelBuilder, M: float,
     return terms
 
 
-def _attach_freighter_estimate(mb: ModelBuilder, instance: Instance,
-                               objective: T2Objective) -> list:
+def _attach_freighter_estimate(mb: ModelBuilder, instance: Instance) -> list:
     """Integer per-period freighter counts covering dropped volume."""
     params = instance.cost_params
-    qf = objective.mean_freighter_capacity
-    if qf is None:
-        qf = sum(k.capacity for k in instance.freighters) / len(instance.freighters)
-    length = objective.period_length or params.period_length
-    count = objective.period_count or params.period_count
+    qf = sum(k.capacity for k in instance.freighters) / len(instance.freighters)
+    length, count = params.period_length, params.period_count
     total_demand = sum(c.demand for c in instance.customers)
     h_ub = math.ceil(total_demand / qf) + 1
 
@@ -166,7 +169,7 @@ def _set_transit_objective(mb: ModelBuilder, instance: Instance, objective: T2Ob
     elif objective.tag == OBJ2:
         mb.set_objective(_distance_proxy_terms(mb, instance, pickup_side, drop_side))
     else:
-        mb.set_objective(_attach_freighter_estimate(mb, instance, objective))
+        mb.set_objective(_attach_freighter_estimate(mb, instance))
 
 
 # ---- transit-first: the transit model ----------------------------------
@@ -200,6 +203,7 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
 
 def decode_transit(instance: Instance, model: MilpModel,
                    result: SolveResult) -> dict[str, TransitChoice]:
+    """The trip, stops and times each package rides, from any transit stage."""
     picked: dict[str, tuple[str, str]] = {}
     dropped: dict[str, tuple[str, str]] = {}
     for (i, s, p), var in model.family("y1").items():
@@ -210,6 +214,8 @@ def decode_transit(instance: Instance, model: MilpModel,
             dropped[i] = (s, p)
     choices = {}
     for cust in instance.customers:
+        if cust.id not in picked or cust.id not in dropped:
+            raise DecodeError(f"customer {cust.id}: no trip decoded")
         s_in, p_in = picked[cust.id]
         s_out, p_out = dropped[cust.id]
         trip = instance.trip(p_in)
@@ -280,38 +286,13 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
                     (mb.get("r", cust.id, d.id), M)],
                    "<=", dwell + M, f"dwell_in[{cust.id},{d.id}]")
 
-    mb.set_objective(_truck_arc_costs(mb, instance))
+    mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
     return mb.build()
-
-
-def _truck_arc_costs(mb: ModelBuilder, instance: Instance) -> list:
-    from .model_full import CDC_SINK
-    terms = []
-    for (u, v, _d), var in mb.family_items("w"):
-        a = instance.cdc if u in (CDC_NODE, CDC_SINK) else instance.stop(u).location
-        b = instance.cdc if v in (CDC_NODE, CDC_SINK) else instance.stop(v).location
-        cost = truck_cost(instance, a, b)
-        if cost:
-            terms.append((var, cost))
-    return terms
-
-
-def _freighter_arc_costs(mb: ModelBuilder, instance: Instance) -> list:
-    stop_ids = {s.id for s in instance.stops}
-    terms = []
-    for (i, j, _g), var in mb.family_items("x"):
-        loc_i = instance.stop(i).location if i in stop_ids else instance.customer(i).location
-        loc_j = instance.stop(j).location if j in stop_ids else instance.customer(j).location
-        cost = freighter_cost(instance, loc_i, loc_j)
-        if cost:
-            terms.append((var, cost))
-    return terms
 
 
 def decode_t1(instance: Instance, model: MilpModel, result: SolveResult,
               handoff: TierHandoff) -> tuple[list[TruckRoute], dict[str, str], dict[str, float]]:
     """Returns (routes, customer->truck, customer->time at its drop-in stop)."""
-    from .model_full import decode_truck_routes
     routes = decode_truck_routes(instance, model, result.values)
     truck_of: dict[str, str] = {}
     family = model.family("r")
@@ -358,13 +339,14 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
             raise ModelBuildError(
                 f"stop {stop_id}: no freighter can carry customer {cid} within the dwell cap")
 
-    mb.set_objective(_freighter_arc_costs(mb, instance))
+    params = instance.cost_params
+    mb.set_objective(arc_costs(mb, instance, "x",
+                               params.freighter_cost_scale * params.truck_cost_per_distance))
     return mb.build(stop=stop_id)
 
 
 def decode_t3_stopwise(instance: Instance, model: MilpModel,
                        result: SolveResult) -> list[FreighterRoute]:
-    from .model_full import decode_freighter_routes
     return decode_freighter_routes(instance, model, result.values)
 
 
@@ -396,7 +378,6 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
     M = big_M(params)
     mb = ModelBuilder("d1-t1")
     ctx = add_truck_routing(mb, instance, M, symmetry=True)
-    dropins, tails = ctx["dropins"], ctx["tails"]
 
     cut_bound: dict[tuple[str, str], float] = {}
     for cust in instance.customers:
@@ -415,30 +396,7 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
             raise ModelBuildError(
                 f"customer {cust.id}: every drop-in stop misses the deadline cut")
 
-    for cust in instance.customers:
-        for sid in sorted(compat.s_in_of_customer[cust.id]):
-            for d in instance.trucks:
-                mb.binary("r", cust.id, sid, d.id)
-    for cust in instance.customers:
-        mb.add([(mb.get("r", cust.id, s, d.id), 1.0)
-                for s in sorted(compat.s_in_of_customer[cust.id])
-                for d in instance.trucks],
-               "=", 1.0, f"assign[{cust.id}]")
-    for d in instance.trucks:
-        terms = []
-        for cust in instance.customers:
-            for s in sorted(compat.s_in_of_customer[cust.id]):
-                terms.append((mb.get("r", cust.id, s, d.id), cust.demand))
-        mb.add(terms, "<=", d.capacity, f"truck_cap[{d.id}]")
-    for d in instance.trucks:
-        for v in dropins:
-            carried = [(mb.get("r", c.id, v, d.id), -1.0 / M)
-                       for c in instance.customers
-                       if mb.get("r", c.id, v, d.id) is not None]
-            if not carried:
-                continue
-            mb.add([(mb.get("w", u, v, d.id), 1.0) for u in tails if u != v] + carried,
-                   ">=", 0.0, f"visit_if_assigned[{v},{d.id}]")
+    add_stop_assignments(mb, instance, compat, M, ctx)
 
     for cust in instance.customers:
         for sid in sorted(compat.s_in_of_customer[cust.id]):
@@ -454,14 +412,13 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
                     mb.add([(mb.get("t1", sid, d.id), 1.0), (r_var, -M)],
                            ">=", params.t_mid_day - M, f"second_half[{cust.id},{sid},{d.id}]")
 
-    mb.set_objective(_truck_arc_costs(mb, instance))
+    mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
     return mb.build()
 
 
 def decode_d1_t1(instance: Instance, model: MilpModel,
                  result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
     """Returns (routes, handoff with b_in/t_in, customer->truck)."""
-    from .model_full import decode_truck_routes
     routes = decode_truck_routes(instance, model, result.values)
     stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
     handoff = TierHandoff()
@@ -513,81 +470,26 @@ def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
         usable_trips[cust.id] = feasible
 
     for cust in instance.customers:
+        s_in = handoff.b_in[cust.id]
         for pid in usable_trips[cust.id]:
-            mb.binary("gamma1", cust.id, pid)
+            mb.binary("y1", cust.id, s_in, pid)
             for v in drops[(cust.id, pid)]:
-                if mb.get("y2", cust.id, v, pid) is None:
-                    mb.binary("y2", cust.id, v, pid)
+                mb.binary("y2", cust.id, v, pid)
     for cust in instance.customers:
-        mb.add([(mb.get("gamma1", cust.id, pid), 1.0) for pid in usable_trips[cust.id]],
+        s_in = handoff.b_in[cust.id]
+        mb.add([(mb.get("y1", cust.id, s_in, pid), 1.0) for pid in usable_trips[cust.id]],
                "=", 1.0, f"ride_once[{cust.id}]")
         drop_terms = []
         for pid in usable_trips[cust.id]:
             terms = [(mb.get("y2", cust.id, v, pid), 1.0) for v in drops[(cust.id, pid)]]
-            mb.add(terms + [(mb.get("gamma1", cust.id, pid), -1.0)],
+            mb.add(terms + [(mb.get("y1", cust.id, s_in, pid), -1.0)],
                    "=", 0.0, f"drop_with_ride[{cust.id},{pid}]")
             drop_terms.extend(terms)
         mb.add(drop_terms, "=", 1.0, f"drop_once[{cust.id}]")
 
-    _add_assigned_loads(mb, instance,
-                        pickups={c.id: (handoff.b_in[c.id], usable_trips[c.id])
-                                 for c in instance.customers},
-                        pickup_family="gamma1")
-
+    add_trip_loads(mb, instance)
     _set_transit_objective(mb, instance, objective, M, pickup_side=False, drop_side=True)
     return mb.build(objective_tag=objective.tag)
-
-
-def _add_assigned_loads(mb: ModelBuilder, instance: Instance,
-                        pickups: dict[str, tuple[str, list[str]]],
-                        pickup_family: str) -> None:
-    """Load propagation when the pickup stop is fixed per customer.
-
-    pickups: customer -> (fixed pickup stop, trips it may ride). Drops come
-    from the y2 family already present on the builder.
-    """
-    pick_at: dict[tuple[str, str], list[tuple[str, object]]] = {}
-    for cid, (stop_id, trips) in pickups.items():
-        for pid in trips:
-            var = mb.get(pickup_family, cid, pid)
-            pick_at.setdefault((pid, stop_id), []).append((cid, var))
-    drop_at: dict[tuple[str, str], list[tuple[str, object]]] = {}
-    for (cid, v, pid), var in mb.family_items("y2"):
-        drop_at.setdefault((pid, v), []).append((cid, var))
-
-    trips_used = {pid for pid, _ in pick_at} | {pid for pid, _ in drop_at}
-    for pid in sorted(trips_used):
-        trip = instance.trip(pid)
-        order = instance.line(trip.line).ordered_stops
-        prev = None
-        for sid in order:
-            mb.continuous("l2", sid, pid, lb=0.0, ub=trip.capacity)
-        for sid in order:
-            terms = [(mb.get("l2", sid, pid), 1.0)]
-            if prev is not None:
-                terms.append((mb.get("l2", prev, pid), -1.0))
-            for cid, var in pick_at.get((pid, sid), []):
-                terms.append((var, -instance.customer(cid).demand))
-            for cid, var in drop_at.get((pid, sid), []):
-                terms.append((var, instance.customer(cid).demand))
-            mb.add(terms, "=", 0.0, f"load[{sid},{pid}]")
-            prev = sid
-
-
-def decode_d1_t2(instance: Instance, model: MilpModel, result: SolveResult,
-                 handoff: TierHandoff) -> dict[str, TransitChoice]:
-    choices = {}
-    for (i, v, pid), var in model.family("y2").items():
-        if _binary_value(result.values, var):
-            trip = instance.trip(pid)
-            s_in = handoff.b_in[i]
-            choices[i] = TransitChoice(
-                trip=pid, drop_in=s_in, pickup_time=trip.stop_times[s_in],
-                drop_out=v, drop_time=trip.stop_times[v])
-    for cust in instance.customers:
-        if cust.id not in choices:
-            raise ModelError(f"customer {cust.id}: no drop decoded")
-    return choices
 
 
 # ---- freighter-first pipeline -------------------------------------------
@@ -633,13 +535,14 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
                    + [(mb.get("gamma2", cust.id, sid), -1.0)],
                    "=", 0.0, f"stop_serve[{cust.id},{sid}]")
 
-    mb.set_objective(_freighter_arc_costs(mb, instance))
+    params = instance.cost_params
+    mb.set_objective(arc_costs(mb, instance, "x",
+                               params.freighter_cost_scale * params.truck_cost_per_distance))
     return mb.build()
 
 
 def decode_d3_t3(instance: Instance, model: MilpModel,
                  result: SolveResult) -> tuple[dict[str, str], list[FreighterRoute]]:
-    from .model_full import decode_freighter_routes
     b_out: dict[str, str] = {}
     for (i, sid), var in model.family("gamma2").items():
         if _binary_value(result.values, var):
@@ -752,72 +655,24 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
         usable_trips[cust.id] = feasible
 
     for cust in instance.customers:
+        s_out = handoff.b_out[cust.id]
         for pid in usable_trips[cust.id]:
-            mb.binary("gamma2p", cust.id, pid)
+            mb.binary("y2", cust.id, s_out, pid)
             for u in pickup_stops[(cust.id, pid)]:
-                if mb.get("y1", cust.id, u, pid) is None:
-                    mb.binary("y1", cust.id, u, pid)
+                mb.binary("y1", cust.id, u, pid)
     for cust in instance.customers:
-        mb.add([(mb.get("gamma2p", cust.id, pid), 1.0) for pid in usable_trips[cust.id]],
+        s_out = handoff.b_out[cust.id]
+        mb.add([(mb.get("y2", cust.id, s_out, pid), 1.0) for pid in usable_trips[cust.id]],
                "=", 1.0, f"ride_once[{cust.id}]")
         pick_terms = []
         for pid in usable_trips[cust.id]:
             terms = [(mb.get("y1", cust.id, u, pid), 1.0)
                      for u in pickup_stops[(cust.id, pid)]]
-            mb.add(terms + [(mb.get("gamma2p", cust.id, pid), -1.0)],
+            mb.add(terms + [(mb.get("y2", cust.id, s_out, pid), -1.0)],
                    "=", 0.0, f"pick_with_ride[{cust.id},{pid}]")
             pick_terms.extend(terms)
         mb.add(pick_terms, "=", 1.0, f"pick_once[{cust.id}]")
 
-    _add_assigned_drops_loads(mb, instance, handoff, usable_trips)
-
+    add_trip_loads(mb, instance)
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=False)
     return mb.build(objective_tag=objective.tag)
-
-
-def _add_assigned_drops_loads(mb: ModelBuilder, instance: Instance,
-                              handoff: TierHandoff,
-                              usable_trips: dict[str, list[str]]) -> None:
-    pick_at: dict[tuple[str, str], list[tuple[str, object]]] = {}
-    for (cid, u, pid), var in mb.family_items("y1"):
-        pick_at.setdefault((pid, u), []).append((cid, var))
-    drop_at: dict[tuple[str, str], list[tuple[str, object]]] = {}
-    for cid, trips in usable_trips.items():
-        s_out = handoff.b_out[cid]
-        for pid in trips:
-            drop_at.setdefault((pid, s_out), []).append(
-                (cid, mb.get("gamma2p", cid, pid)))
-
-    trips_used = {pid for pid, _ in pick_at} | {pid for pid, _ in drop_at}
-    for pid in sorted(trips_used):
-        trip = instance.trip(pid)
-        order = instance.line(trip.line).ordered_stops
-        for sid in order:
-            mb.continuous("l2", sid, pid, lb=0.0, ub=trip.capacity)
-        prev = None
-        for sid in order:
-            terms = [(mb.get("l2", sid, pid), 1.0)]
-            if prev is not None:
-                terms.append((mb.get("l2", prev, pid), -1.0))
-            for cid, var in pick_at.get((pid, sid), []):
-                terms.append((var, -instance.customer(cid).demand))
-            for cid, var in drop_at.get((pid, sid), []):
-                terms.append((var, instance.customer(cid).demand))
-            mb.add(terms, "=", 0.0, f"load[{sid},{pid}]")
-            prev = sid
-
-
-def decode_d3_t2(instance: Instance, model: MilpModel, result: SolveResult,
-                 handoff: TierHandoff) -> dict[str, TransitChoice]:
-    choices = {}
-    for (i, u, pid), var in model.family("y1").items():
-        if _binary_value(result.values, var):
-            trip = instance.trip(pid)
-            s_out = handoff.b_out[i]
-            choices[i] = TransitChoice(
-                trip=pid, drop_in=u, pickup_time=trip.stop_times[u],
-                drop_out=s_out, drop_time=trip.stop_times[s_out])
-    for cust in instance.customers:
-        if cust.id not in choices:
-            raise ModelError(f"customer {cust.id}: no pickup decoded")
-    return choices

@@ -19,11 +19,14 @@ built, and each time row has its own big-M.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .instance import Instance
 from .milp import MilpModel, ModelBuilder, SolveResult
-from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, truck_cost,
+from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, arc_costs,
                          vehicle_classes)
 from .plan import VrptwPlan, VrptwRoute
+from .validate import recompute_vrptw_cost
 
 
 def _hop(instance: Instance, a, cust) -> float:
@@ -34,9 +37,6 @@ def _hop(instance: Instance, a, cust) -> float:
 def build_vrptw(instance: Instance) -> MilpModel:
     mb = ModelBuilder("vrptw")
     served_by: dict[str, list] = {}
-    objective: list = []
-    where = {CDC_NODE: instance.cdc, CDC_SINK: instance.cdc}
-    where.update((c.id, c.location) for c in instance.customers)
 
     for g, fleet in vehicle_classes(instance.trucks):
         capacity = fleet[0].capacity
@@ -55,8 +55,7 @@ def build_vrptw(instance: Instance) -> MilpModel:
             arcs += [(i.id, j.id) for i in members
                      if i is not j and lb[i.id] + _hop(instance, i.location, j) <= j.window_hi + 1e-9]
         for u, v in arcs:
-            x = mb.binary("x", u, v, g)
-            objective.append((x, truck_cost(instance, where[u], where[v])))
+            mb.binary("x", u, v, g)
         if not members:
             continue
 
@@ -88,7 +87,7 @@ def build_vrptw(instance: Instance) -> MilpModel:
     # a customer no class can serve leaves an empty row: the model is infeasible
     for c in instance.customers:
         mb.add([(z, 1.0) for z in served_by.get(c.id, [])], "=", 1.0, f"customer_once[{c.id}]")
-    mb.set_objective(objective)
+    mb.set_objective(arc_costs(mb, instance, "x", instance.cost_params.truck_cost_per_distance))
     return mb.build()
 
 
@@ -105,7 +104,7 @@ def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> V
             else:
                 succ[(u, g)] = v
     t = model.family("t")
-    routes, total = [], 0.0
+    routes = []
     for g, fleet in vehicle_classes(instance.trucks):
         firsts = starts.get(g, [])
         if len(firsts) > len(fleet):
@@ -121,6 +120,5 @@ def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> V
             departure = times[0] - _hop(instance, instance.cdc, instance.customer(order[0]))
             routes.append(VrptwRoute(truck=truck.id, departure=departure,
                                      customers=tuple(order), times=times))
-            stops = [instance.cdc] + [instance.customer(c).location for c in order] + [instance.cdc]
-            total += sum(truck_cost(instance, a, b) for a, b in zip(stops, stops[1:]))
-    return VrptwPlan(routes=tuple(routes), total_cost=total)
+    draft = VrptwPlan(routes=tuple(routes), total_cost=0.0)
+    return replace(draft, total_cost=recompute_vrptw_cost(instance, draft))

@@ -1,7 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
+from transitfreight import pipeline
 from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck
 from transitfreight.milp import ModelError
@@ -227,3 +229,38 @@ def test_d3_never_fails_at_stitching(backend, seed):
             assert exc.stage != "d3-stitch", str(exc)
             continue
         assert validate_plan(instance, plan) == []
+
+
+class _MisreportingBackend:
+    """Solves correctly but reports an objective one unit too high."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def solve(self, model, limits):
+        result = self._backend.solve(model, limits)
+        return replace(result, objective=result.objective + 1.0)
+
+
+@pytest.mark.parametrize("method", ["full", "vrptw"])
+def test_solver_objective_must_match_the_plan_cost(backend, micro1, method):
+    with pytest.raises(PipelineError) as exc:
+        run_method(micro1, RunConfig(method=method), _MisreportingBackend(backend))
+    assert exc.value.stage == "validate"
+    assert "solver objective" in exc.value.cause
+
+
+def test_d3_repair_warnings_reach_metrics(backend, monkeypatch, tmp_path):
+    real_repair = pipeline.repair_d3_times
+
+    def repair_with_warning(routes, instance):
+        t_visit, warnings = real_repair(routes, instance)
+        return t_visit, warnings + ["customer c1: repaired time 1 is before its window opens"]
+
+    monkeypatch.setattr(pipeline, "repair_d3_times", repair_with_warning)
+    late = make_micro1(extra_trip_time=550.0)
+    _plan, metrics = run_method(late, RunConfig(method="d3", t2_obj="obj2"), backend,
+                                artifacts_dir=tmp_path)
+    expected = ["customer c1: repaired time 1 is before its window opens"]
+    assert metrics.warnings == expected
+    assert json.loads((tmp_path / "metrics.json").read_text())["warnings"] == expected

@@ -17,6 +17,7 @@ from transitfreight.instance import (
     travel_time,
 )
 from transitfreight.milp import ModelError
+from transitfreight.model_full import DecodeError
 from transitfreight.plan import FreighterRoute, TierHandoff
 from transitfreight.tiers import (
     ModelBuildError,
@@ -29,8 +30,6 @@ from transitfreight.tiers import (
     build_t1_from_handoff,
     build_t3_stopwise,
     decode_d1_t1,
-    decode_d1_t2,
-    decode_d3_t2,
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
@@ -247,7 +246,7 @@ def test_d1_t2_dwell_arithmetic(backend, micro1):
     model = build_d1_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
-    choices = decode_d1_t2(micro1, model, result, handoff)
+    choices = decode_transit(micro1, model, result)
     assert choices["c1"].trip in ("p1", "p2")  # 150-12=138 <= 300 keeps p1 in play
     # objective carries only the drop-side distance proxy
     assert result.objective == pytest.approx(SQRT8, abs=1e-6)
@@ -355,7 +354,7 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
     model = build_d3_t2(late, compat_late, handoff, T2Objective.parse("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
-    choices = decode_d3_t2(late, model, result, handoff)
+    choices = decode_transit(late, model, result)
     assert choices["c1"].trip == "p3"
     # pickup-side distance proxy only
     assert result.objective == pytest.approx(10.0, abs=1e-6)
@@ -367,7 +366,7 @@ def test_d3_t2_dwell_window_intersection(backend, micro1):
     model = build_d3_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
-    choices = decode_d3_t2(micro1, model, result, handoff)
+    choices = decode_transit(micro1, model, result)
     # the 180..470 window admits the 188 arrival but not the 158 one
     assert choices["c1"].trip == "p2"
 
@@ -494,7 +493,7 @@ def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
     model = build_d3_t2(both, derive_compatibility(both), handoff, T2Objective.parse("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
-    assert decode_d3_t2(both, model, result, handoff)["c1"].trip == "p1"
+    assert decode_transit(both, model, result)["c1"].trip == "p1"
 
 
 def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
@@ -522,10 +521,10 @@ def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
                           t_depart_max={"u": 600.0, "v": 600.0})
     model = build_d3_t2(instance, derive_compatibility(instance), handoff,
                         T2Objective.parse("obj1"))
-    assert {pid for (_c, pid) in model.family("gamma2p")} == {"p2", "p3"}
+    assert {pid for (_c, _s, pid) in model.family("y2")} == {"p2", "p3"}
     result = solve(model, backend)
     assert result.status == "optimal"
-    drops = [ch.drop_time for ch in decode_d3_t2(instance, model, result, handoff).values()]
+    drops = [ch.drop_time for ch in decode_transit(instance, model, result).values()]
     departure = max(drops) + 10.0
     assert departure <= 600.0 + 1e-9
     assert departure - min(drops) <= 300.0 + 1e-9
@@ -571,3 +570,64 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
     t1 = build_t1_from_handoff(instance, handoff)
     routes, _, _ = decode_t1(instance, t1, solve(t1, backend), handoff)
     assert sum(len(r.stops) for r in routes) == 1
+
+
+# ---- trip capacity in every transit stage ---------------------------------
+
+
+def shared_trip_fixture() -> Instance:
+    """Two packages that each fill a trip, and would be cheaper on one.
+
+    p1 and p2 leave A 100 minutes apart, so they fall in different pickup
+    buckets of A's 120-minute dwell (obj2 prices one truck visit per bucket)
+    and drop at B in different 30-minute periods (obj3 counts freighters of
+    capacity 20 per period). Only the trip loads keep the packages apart.
+    """
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(10, 0), True, False, 10.0, 120.0),
+               Stop("B", Point(50, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "B")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 158.0}, 10.0),
+               Trip("p2", "L1", {"A": 250.0, "B": 258.0}, 10.0)),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("f1", "B", 20.0),),
+        customers=(
+            Customer("u", Point(52, 2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"})),
+            Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"})),
+        ),
+    )
+    instance.validate()
+    return instance
+
+
+@pytest.mark.parametrize("stage", ["d2-t2", "d1-t2", "d3-t2"])
+def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
+    instance = shared_trip_fixture()
+    compat = derive_compatibility(instance)
+    if stage == "d2-t2":
+        model = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
+        split_cost = 2 * 10.0 + 2 * SQRT8  # two truck visits at A, two drop distances
+    elif stage == "d1-t2":
+        handoff = TierHandoff(b_in={"u": "A", "v": "A"}, t_in={"u": 140.0, "v": 140.0})
+        model = build_d1_t2(instance, compat, handoff, T2Objective.parse("obj3"))
+        split_cost = 2.0  # one freighter in each drop period
+    else:
+        handoff = TierHandoff(b_out={"u": "B", "v": "B"},
+                              t_depart_max={"u": 300.0, "v": 300.0})
+        model = build_d3_t2(instance, compat, handoff, T2Objective.parse("obj2"))
+        split_cost = 2 * 10.0
+    result = solve(model, backend)
+    assert result.status == "optimal"
+    choices = decode_transit(instance, model, result)
+    assert {choices["u"].trip, choices["v"].trip} == {"p1", "p2"}
+    assert result.objective == pytest.approx(split_cost, abs=1e-6)
+
+
+def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
+    model = build_d2_t2(micro1, derive_compatibility(micro1), T2Objective.parse("obj2"))
+    result = solve(model, backend)
+    for var in model.family("y1").values():
+        result.values[var.name] = 0.0
+    with pytest.raises(DecodeError, match="c1"):
+        decode_transit(micro1, model, result)
