@@ -162,9 +162,6 @@ class Instance:
     def freighters_of_stop(self, stop_id: str) -> list[Freighter]:
         return [k for k in self.freighters if k.home_stop == stop_id]
 
-    def distance(self, a: Point, b: Point) -> float:
-        return euclidean_distance(a, b)
-
     def travel_minutes(self, a: Point, b: Point) -> float:
         return travel_time(euclidean_distance(a, b), self.cost_params)
 

@@ -92,9 +92,6 @@ class MilpModel:
     # family name -> index tuple -> variable, for decoding solutions
     registry: dict[str, dict[tuple, VarRef]] = field(default_factory=dict)
 
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
     def family(self, name: str) -> dict[tuple, VarRef]:
         return self.registry.get(name, {})
 
@@ -166,9 +163,6 @@ class SolveResult:
 
     def has_solution(self) -> bool:
         return self.status in ("optimal", "feasible")
-
-    def value(self, var: VarRef) -> float:
-        return self.values[var.name]
 
 
 @dataclass(frozen=True)

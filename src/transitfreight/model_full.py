@@ -23,14 +23,19 @@ expanded at build time: variables exist only for index tuples the data
 allows, and load propagation is generated per consecutive stop pair.
 
 Each fragment has one copy, used by every model that needs it:
-  add_transit_flow       y1/y2 domains, pick/drop once, same trip, order
-  add_trip_loads         l2 along every trip, from the y1/y2 on the builder;
-                         the d1-t2 and d3-t2 stages keep their fixed pickup
-                         or drop stop in y1[i,b_in,p] or y2[i,b_out,p]
+  add_transit_flow       y1/y2 domains, pick/drop once, same trip, forward
+                         rides and trip loads, for the monolithic model and
+                         all three transit stages; d1-t2 and d3-t2 narrow one
+                         end to their fixed stop b_in or b_out by predicate.
+                         A ride runs forward: where a trip calls at pickup u
+                         no earlier than at drop v (u == v included), one
+                         row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
+  add_trip_loads         l2 along every trip, from the y1/y2 on the builder
   add_truck_routing      w/t1 arcs, degree balance and times per truck
   add_stop_assignments   r[i,s,d] with truck capacity and stop visits
   add_freighter_routing  class-indexed freighter arcs, loads and times
   arc_costs              distance-priced objective terms of an arc family
+  class_routes           the routes of one vehicle class, from its arcs
 Plans are priced by ``validate.recompute_costs``, as every pipeline does.
 """
 
@@ -52,6 +57,10 @@ INTEGRALITY_TOL = 1e-6
 
 class DecodeError(ValueError):
     pass
+
+
+class ModelBuildError(ModelError):
+    """A model cannot be built because its inputs admit no solution."""
 
 
 @dataclass(frozen=True)
@@ -306,10 +315,16 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
 
 
 def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility,
-                     M: float, in_ok=None, out_ok=None,
-                     infeasible_tag: str = "no carrying trip",
+                     unserved, in_ok=None, out_ok=None,
                      ) -> dict[str, dict[str, tuple[list[str], list[str]]]]:
-    """Shared tier-2 structure: y1/y2 domains, same-vehicle link, order, loads.
+    """Shared tier-2 structure: y1/y2 domains, same trip, forward rides, loads.
+
+    ``in_ok``/``out_ok`` narrow the pickup and drop stops (``transit_pairs``);
+    a package no trip can carry raises ``ModelBuildError(unserved(cust))``.
+    Rides run forward: a pickup at ``u`` and a drop at ``v`` on one trip
+    exclude each other unless the trip calls at ``u`` before ``v``. Stop
+    times rise strictly along a line, so only pairs with ``t(u) >= t(v)``,
+    a dual-role stop among them, need the row ``y1 + y2 <= 1``.
 
     Returns per-customer, per-trip usable (pickup, drop) stop lists.
     """
@@ -326,7 +341,7 @@ def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility
                 for s in outs:
                     mb.binary("y2", cust.id, s, trip.id)
         if not per_trip:
-            raise ModelError(f"{infeasible_tag}: customer {cust.id}")
+            raise ModelBuildError(unserved(cust))
         domains[cust.id] = per_trip
 
     for cust in instance.customers:
@@ -339,24 +354,17 @@ def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility
                 for p, (_, outs) in per_trip.items() for s in outs],
                "=", 1.0, f"drop_once[{cust.id}]")
         for p, (ins, outs) in per_trip.items():
-            trip = instance.trip(p)
+            times = instance.trip(p).stop_times
             # same vehicle picks and drops
             mb.add([(mb.get("y1", cust.id, s, p), 1.0) for s in ins]
                    + [(mb.get("y2", cust.id, s, p), -1.0) for s in outs],
                    "=", 0.0, f"same_vehicle[{cust.id},{p}]")
-            # a dual-role stop cannot serve both ends for one package
-            for s in set(ins) & set(outs):
-                mb.add([(mb.get("y1", cust.id, s, p), 1.0),
-                        (mb.get("y2", cust.id, s, p), 1.0)],
-                       "<=", 1.0, f"distinct_stop[{cust.id},{s},{p}]")
-            # pickup no later than the drop-off it pairs with
             for u in ins:
                 for v in outs:
-                    if u == v:
-                        continue
-                    mb.add([(mb.get("y1", cust.id, u, p), trip.stop_times[u]),
-                            (mb.get("y2", cust.id, v, p), M - trip.stop_times[v])],
-                           "<=", M, f"pick_before_drop[{cust.id},{u},{v},{p}]")
+                    if times[u] >= times[v]:
+                        mb.add([(mb.get("y1", cust.id, u, p), 1.0),
+                                (mb.get("y2", cust.id, v, p), 1.0)],
+                               "<=", 1.0, f"ride_order[{cust.id},{u},{v},{p}]")
 
     add_trip_loads(mb, instance)
     return domains
@@ -429,7 +437,8 @@ def build_full(instance: Instance, compat: Compatibility,
     M = big_M(params, extra_time=max_hop)
     mb = ModelBuilder("full")
 
-    domains = add_transit_flow(mb, instance, compat, M)
+    domains = add_transit_flow(mb, instance, compat,
+                               lambda cust: f"no carrying trip: customer {cust.id}")
     ctx = add_truck_routing(mb, instance, M, options.symmetry_breaking)
     add_stop_assignments(mb, instance, compat, M, ctx)
 
@@ -597,32 +606,43 @@ def decode_truck_routes(instance: Instance, model: MilpModel,
     return routes
 
 
+def class_routes(model: MilpModel, values: dict[str, float], family: str,
+                 depot: str, sink: str, g: str, fleet) -> list[tuple[object, list[str]]]:
+    """(vehicle, nodes visited) per route of class ``g``, handed to ``fleet`` in order.
+
+    A route leaves ``depot`` on an arc of ``family`` and follows the chosen
+    arcs until ``sink``; the (depot, sink) arc of an idle vehicle is skipped.
+    """
+    starts: list[str] = []
+    succ: dict[str, str] = {}
+    for (u, v, gg), var in model.family(family).items():
+        if gg == g and (u, v) != (depot, sink) and _binary_value(values, var):
+            if u == depot:
+                starts.append(v)
+            else:
+                succ[u] = v
+    if len(starts) > len(fleet):
+        raise DecodeError(f"class {g}: {len(starts)} routes for {len(fleet)} vehicles")
+    routes = []
+    for vehicle, node in zip(fleet, starts):
+        nodes: list[str] = []
+        while node != sink:
+            if node in nodes:
+                raise DecodeError(f"class {g}: route through {node} does not close")
+            nodes.append(node)
+            node = succ[node]
+        routes.append((vehicle, nodes))
+    return routes
+
+
 def decode_freighter_routes(instance: Instance, model: MilpModel,
                             values: dict[str, float]) -> list[FreighterRoute]:
     """Routes per freighter class, handed to the class's freighters in order."""
-    succ: dict[str, dict[str, str]] = {}
-    starts: dict[str, list[str]] = {}
-    stop_ids = {s.id for s in instance.stops}
-    for (i, j, g), var in model.family("x").items():
-        if _binary_value(values, var):
-            if i in stop_ids:
-                starts.setdefault(g, []).append(j)
-            else:
-                succ.setdefault(g, {})[i] = j
     t3, td = model.family("t3"), model.family("td")
     routes = []
     for stop in instance.stops:
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
-            firsts = starts.get(g, [])
-            if len(firsts) > len(fleet):
-                raise DecodeError(f"class {g}: {len(firsts)} routes for {len(fleet)} freighters")
-            for k, node in zip(fleet, firsts):
-                customers: list[str] = []
-                while node != stop.id:
-                    if node in customers:
-                        raise DecodeError(f"class {g}: route through {node} does not close")
-                    customers.append(node)
-                    node = succ[g][node]
+            for k, customers in class_routes(model, values, "x", stop.id, stop.id, g, fleet):
                 routes.append(FreighterRoute(
                     freighter=k.id, home_stop=stop.id,
                     departure=values[td[(customers[0], g)].name],

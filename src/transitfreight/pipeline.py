@@ -166,9 +166,14 @@ def reference_routing_costs(instance: Instance, backend: Backend,
     return costs
 
 
-def _solve_stage(stage: str, model, backend: Backend, seconds: float,
-                 rel_gap: float, metrics: RunMetrics) -> SolveResult:
-    result = backend.solve(model, SolveLimits(seconds, rel_gap))
+def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
+           metrics: RunMetrics, build, *args) -> tuple:
+    """Build one stage's model and solve it; returns (model, result) with an incumbent."""
+    try:
+        model = build(*args)
+    except ModelError as exc:
+        raise PipelineError(stage, str(exc)) from exc
+    result = backend.solve(model, SolveLimits(seconds, config.rel_gap))
     metrics.stages.append(StageMetrics(
         stage=stage, status=result.status, objective=result.objective,
         wall_time=result.wall_time, best_bound=result.best_bound, message=result.message,
@@ -180,14 +185,7 @@ def _solve_stage(stage: str, model, backend: Backend, seconds: float,
         raise PipelineError(stage, "stage timeout, no incumbent")
     if result.status == "error":
         raise PipelineError(stage, f"backend error: {result.message}")
-    return result
-
-
-def _build_stage(stage: str, build, *args, **kwargs):
-    try:
-        return build(*args, **kwargs)
-    except ModelError as exc:
-        raise PipelineError(stage, str(exc)) from exc
+    return model, result
 
 
 def _dump(artifacts_dir: Path | None, name: str, text: str) -> None:
@@ -267,9 +265,8 @@ def _run_full(instance, config, backend, metrics) -> Plan:
         options = FullOptions(
             symmetry_breaking=config.symmetry_breaking, service_cost_mu=mu,
             lambda1=mu * t1_ref, lambda3=mu * t3_ref)
-    model = _build_stage("full", build_full, instance, compat, options)
-    result = _solve_stage("full", model, backend, config.seconds("full"),
-                          config.rel_gap, metrics)
+    model, result = _stage("full", config.seconds("full"), config, backend, metrics,
+                           build_full, instance, compat, options)
     plan = decode_full(instance, model, result)
     _check_objective(plan.costs.total, result)
     if mu == 0 and result.status == "optimal":
@@ -281,9 +278,8 @@ def _run_full(instance, config, backend, metrics) -> Plan:
 
 def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
     from .vrptw import build_vrptw, decode_vrptw
-    model = _build_stage("vrptw", build_vrptw, instance)
-    result = _solve_stage("vrptw", model, backend, config.seconds("full"),
-                          config.rel_gap, metrics)
+    model, result = _stage("vrptw", config.seconds("full"), config, backend, metrics,
+                           build_vrptw, instance)
     plan = decode_vrptw(instance, model, result)
     _check_objective(plan.total_cost, result)
     return plan
@@ -297,16 +293,16 @@ def _check_objective(total: float, result: SolveResult) -> None:
 
 
 def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
-                       customers_by_stop) -> list[FreighterRoute]:
+                       choices: dict[str, TransitChoice]) -> list[FreighterRoute]:
+    """One freighter model per drop-out stop, for the packages dropped there."""
+    customers_by_stop: dict[str, list[str]] = {}
+    for cid, ch in choices.items():
+        customers_by_stop.setdefault(ch.drop_out, []).append(cid)
     routes: list[FreighterRoute] = []
     for stop_id in sorted(customers_by_stop):
-        members = customers_by_stop[stop_id]
-        if not members:
-            continue
-        model = _build_stage(f"t3[{stop_id}]", build_t3_stopwise,
-                             instance, stop_id, members, handoff)
-        result = _solve_stage(f"t3[{stop_id}]", model, backend,
-                              config.seconds("per_stop"), config.rel_gap, metrics)
+        model, result = _stage(f"t3[{stop_id}]", config.seconds("per_stop"), config, backend,
+                               metrics, build_t3_stopwise, instance, stop_id,
+                               customers_by_stop[stop_id], handoff)
         routes.extend(decode_t3_stopwise(instance, model, result))
     return routes
 
@@ -339,23 +335,17 @@ def _assemble(instance, choices: dict[str, TransitChoice],
 def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
     objective = T2Objective.parse(config.t2_obj)
-    t2_model = _build_stage("t2", build_d2_t2, instance, compat, objective)
-    t2_result = _solve_stage("t2", t2_model, backend, config.seconds("other"),
-                             config.rel_gap, metrics)
+    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
+                                 build_d2_t2, instance, compat, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     handoff = handoff_from_transit(choices)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(handoff))
 
-    t1_model = _build_stage("t1", build_t1_from_handoff, instance, handoff)
-    t1_result = _solve_stage("t1", t1_model, backend, config.seconds("other"),
-                             config.rel_gap, metrics)
+    t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
+                                 build_t1_from_handoff, instance, handoff)
     truck_routes, truck_of, stop_time = decode_t1(instance, t1_model, t1_result, handoff)
 
-    customers_by_stop: dict[str, list[str]] = {}
-    for cid, ch in choices.items():
-        customers_by_stop.setdefault(ch.drop_out, []).append(cid)
-    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
-                                          handoff, customers_by_stop)
+    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
     return _assemble(instance, choices, truck_of, stop_time,
                      truck_routes, freighter_routes)
 
@@ -364,27 +354,22 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
     objective = T2Objective.parse(config.t2_obj)
     tau = preprocess_midday(instance, compat)
-    t1_model = _build_stage("t1", build_d1_t1, instance, compat, tau)
-    t1_result = _solve_stage("t1", t1_model, backend, config.seconds("first"),
-                             config.rel_gap, metrics)
+    t1_model, t1_result = _stage("t1", config.seconds("first"), config, backend, metrics,
+                                 build_d1_t1, instance, compat, tau)
     truck_routes, handoff, truck_of = decode_d1_t1(instance, t1_model, t1_result)
     handoff.tau = tau
     _dump(artifacts_dir, "handoff-t1.json", serialize_handoff(handoff))
 
-    t2_model = _build_stage("t2", build_d1_t2, instance, compat, handoff, objective)
-    t2_result = _solve_stage("t2", t2_model, backend, config.seconds("other"),
-                             config.rel_gap, metrics)
+    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
+                                 build_d1_t2, instance, compat, handoff, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     full_handoff = handoff_from_transit(choices)
     full_handoff.tau = tau
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(full_handoff))
 
     stop_time = {cid: handoff.t_in[cid] for cid in handoff.t_in}
-    customers_by_stop: dict[str, list[str]] = {}
-    for cid, ch in choices.items():
-        customers_by_stop.setdefault(ch.drop_out, []).append(cid)
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
-                                          full_handoff, customers_by_stop)
+                                          full_handoff, choices)
     return _assemble(instance, choices, truck_of, stop_time,
                      truck_routes, freighter_routes)
 
@@ -393,9 +378,8 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
     objective = T2Objective.parse(config.t2_obj)
     t_first = first_trip_times(instance)
-    t3_model = _build_stage("t3", build_d3_t3, instance, compat, t_first)
-    t3_result = _solve_stage("t3", t3_model, backend, config.seconds("first"),
-                             config.rel_gap, metrics)
+    t3_model, t3_result = _stage("t3", config.seconds("first"), config, backend, metrics,
+                                 build_d3_t3, instance, compat, t_first)
     b_out, raw_routes = decode_d3_t3(instance, t3_model, t3_result)
     t_visit, warnings = repair_d3_times(raw_routes, instance)
     metrics.warnings.extend(warnings)
@@ -403,16 +387,14 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
                           t_depart_max=latest_departures(raw_routes, instance, t_visit))
     _dump(artifacts_dir, "handoff-t3.json", serialize_handoff(handoff))
 
-    t2_model = _build_stage("t2", build_d3_t2, instance, compat, handoff, objective)
-    t2_result = _solve_stage("t2", t2_model, backend, config.seconds("other"),
-                             config.rel_gap, metrics)
+    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
+                                 build_d3_t2, instance, compat, handoff, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     t1_handoff = handoff_from_transit(choices)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(t1_handoff))
 
-    t1_model = _build_stage("t1", build_t1_from_handoff, instance, t1_handoff)
-    t1_result = _solve_stage("t1", t1_model, backend, config.seconds("other"),
-                             config.rel_gap, metrics)
+    t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
+                                 build_t1_from_handoff, instance, t1_handoff)
     truck_routes, truck_of, stop_time = decode_t1(instance, t1_model, t1_result, t1_handoff)
 
     freighter_routes = _retime_d3_routes(instance, raw_routes, choices)

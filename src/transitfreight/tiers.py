@@ -16,12 +16,14 @@ The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period.
 
 Every stage is built from the fragments ``model_full`` shares with the
-monolithic model: ``add_transit_flow`` and ``add_trip_loads`` for transit,
-``add_truck_routing`` and ``add_stop_assignments`` for trucks,
-``add_freighter_routing`` for freighters, and ``arc_costs`` for routing
-objectives. The transit stages that follow a fixed stop keep it in the
-shared families, ``y1[i,b_in,p]`` in d1-t2 and ``y2[i,b_out,p]`` in d3-t2,
-so ``add_trip_loads`` and ``decode_transit`` serve all three.
+monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``
+and ``add_stop_assignments`` for trucks, ``add_freighter_routing`` for
+freighters, and ``arc_costs`` for routing objectives. The three transit
+stages differ only in the stop predicates they pass: d2-t2 keeps pickups a
+truck can feed and drops a freighter can still serve in time; d1-t2 pins the
+pickup to ``b_in`` within the dwell cap after the truck's arrival, and d3-t2
+pins the drop to ``b_out`` within the dwell cap before the freighter's
+latest departure. ``decode_transit`` reads all three.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
     DecodeError,
+    ModelBuildError,
     add_freighter_routing,
     add_stop_assignments,
     add_transit_flow,
-    add_trip_loads,
     add_truck_routing,
     arc_costs,
     class_assignments,
@@ -49,10 +51,6 @@ from .plan import FreighterRoute, TierHandoff, TruckRoute
 
 OBJ1, OBJ2, OBJ3 = "obj1", "obj2", "obj3"
 DEADLINE_SLACK_FACTOR = 1.3  # stretches the direct-access time estimate into a journey estimate
-
-
-class ModelBuildError(ModelError):
-    """A tier model cannot be built because its inputs admit no solution."""
 
 
 @dataclass(frozen=True)
@@ -86,23 +84,16 @@ def _attach_used_stop_flags(mb: ModelBuilder, M: float,
                             pickup_side: bool, drop_side: bool) -> list:
     """Binary flags that switch on when any package touches a stop."""
     terms = []
-    if pickup_side:
+    for used, family, flags, row in ((pickup_side, "y1", "phi1", "used_in"),
+                                     (drop_side, "y2", "phi2", "used_out")):
+        if not used:
+            continue
         by_stop: dict[str, list] = {}
-        for (i, s, p), var in mb.family_items("y1"):
+        for (i, s, p), var in mb.family_items(family):
             by_stop.setdefault(s, []).append(var)
         for s in sorted(by_stop):
-            flag = mb.binary("phi1", s)
-            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -M)],
-                   "<=", 0.0, f"used_in[{s}]")
-            terms.append((flag, 1.0))
-    if drop_side:
-        by_stop = {}
-        for (i, s, p), var in mb.family_items("y2"):
-            by_stop.setdefault(s, []).append(var)
-        for s in sorted(by_stop):
-            flag = mb.binary("phi2", s)
-            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -M)],
-                   "<=", 0.0, f"used_out[{s}]")
+            flag = mb.binary(flags, s)
+            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -M)], "<=", 0.0, f"{row}[{s}]")
             terms.append((flag, 1.0))
     return terms
 
@@ -175,6 +166,31 @@ def _set_transit_objective(mb: ModelBuilder, instance: Instance, objective: T2Ob
 # ---- transit-first: the transit model ----------------------------------
 
 
+def _truck_can_feed(compat: Compatibility):
+    """Pickup predicate: a truck from the CDC reaches the stop before the trip calls."""
+    def in_ok(cust, stop, trip) -> bool:
+        lead = compat.avg_truck_time[stop.id] + stop.service_time
+        return trip.stop_times[stop.id] >= lead - 1e-9
+    return in_ok
+
+
+def _freighter_can_meet(compat: Compatibility):
+    """Drop predicate: a freighter leaving after the drop still meets the window's closing."""
+    def out_ok(cust, stop, trip) -> bool:
+        eta = (trip.stop_times[stop.id] + compat.avg_freighter_time[(stop.id, cust.id)]
+               + stop.service_time + cust.service_time)
+        return eta <= cust.window_hi + 1e-9
+    return out_ok
+
+
+def _at_fixed_stop(stop_of: dict[str, str], window):
+    """Stop predicate: the package's fixed stop, on a trip calling there within ``window(cust)``."""
+    def ok(cust, stop, trip) -> bool:
+        lo, hi = window(cust)
+        return stop.id == stop_of[cust.id] and lo - 1e-9 <= trip.stop_times[stop.id] <= hi + 1e-9
+    return ok
+
+
 def build_d2_t2(instance: Instance, compat: Compatibility,
                 objective: T2Objective) -> MilpModel:
     """Assign stops/trips to every package before either road tier is solved.
@@ -182,21 +198,10 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
     Pickups are restricted to trips a truck could feed in time; drops are
     restricted so a freighter can still meet the window's closing.
     """
-    params = instance.cost_params
-    M = big_M(params)
+    M = big_M(instance.cost_params)
     mb = ModelBuilder("d2-t2")
-
-    def in_ok(cust, stop, trip) -> bool:
-        lead = compat.avg_truck_time[stop.id] + stop.service_time
-        return trip.stop_times[stop.id] >= lead - 1e-9
-
-    def out_ok(cust, stop, trip) -> bool:
-        eta = (trip.stop_times[stop.id] + compat.avg_freighter_time[(stop.id, cust.id)]
-               + stop.service_time + cust.service_time)
-        return eta <= cust.window_hi + 1e-9
-
-    add_transit_flow(mb, instance, compat, M, in_ok=in_ok, out_ok=out_ok,
-                     infeasible_tag="T2 infeasible")
+    add_transit_flow(mb, instance, compat, lambda cust: f"T2 infeasible: customer {cust.id}",
+                     in_ok=_truck_can_feed(compat), out_ok=_freighter_can_meet(compat))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
@@ -433,61 +438,26 @@ def decode_d1_t1(instance: Instance, model: MilpModel,
 
 def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
                 objective: T2Objective) -> MilpModel:
-    """Pick a trip through each package's fixed drop-in stop, and a drop-out."""
-    params = instance.cost_params
-    M = big_M(params)
+    """Pick a trip through each package's fixed drop-in stop, and a drop-out.
+
+    The pickup is at ``b_in``, on a trip that calls there after the truck's
+    arrival ``t_in`` and within the dwell cap of it.
+    """
+    M = big_M(instance.cost_params)
     mb = ModelBuilder("d1-t2")
 
-    usable_trips: dict[str, list[str]] = {}
-    drops: dict[tuple[str, str], list[str]] = {}
-    for cust in instance.customers:
-        s_in = handoff.b_in[cust.id]
+    def pickup_window(cust) -> tuple[float, float]:
         t_in = handoff.t_in[cust.id]
-        dwell = instance.stop(s_in).max_dwell
-        feasible = []
-        for pid in compat.trips_of_stop.get(s_in, ()):
-            trip = instance.trip(pid)
-            t_pick = trip.stop_times[s_in]
-            if not (t_in - 1e-9 <= t_pick <= t_in + dwell + 1e-9):
-                continue
-            order = instance.line(trip.line).ordered_stops
-            pos_in = order.index(s_in)
-            outs = []
-            for v in order[pos_in + 1:]:
-                if v not in cust.dropout_candidates:
-                    continue
-                eta = (trip.stop_times[v] + compat.avg_freighter_time[(v, cust.id)]
-                       + instance.stop(v).service_time + cust.service_time)
-                if eta <= cust.window_hi + 1e-9:
-                    outs.append(v)
-            if outs:
-                feasible.append(pid)
-                drops[(cust.id, pid)] = outs
-        if not feasible:
-            raise ModelBuildError(
-                f"stranded package: customer {cust.id} has no trip through stop {s_in} "
-                f"within [{t_in:g}, {t_in + dwell:g}] that can still meet its window")
-        usable_trips[cust.id] = feasible
+        return t_in, t_in + instance.stop(handoff.b_in[cust.id]).max_dwell
 
-    for cust in instance.customers:
-        s_in = handoff.b_in[cust.id]
-        for pid in usable_trips[cust.id]:
-            mb.binary("y1", cust.id, s_in, pid)
-            for v in drops[(cust.id, pid)]:
-                mb.binary("y2", cust.id, v, pid)
-    for cust in instance.customers:
-        s_in = handoff.b_in[cust.id]
-        mb.add([(mb.get("y1", cust.id, s_in, pid), 1.0) for pid in usable_trips[cust.id]],
-               "=", 1.0, f"ride_once[{cust.id}]")
-        drop_terms = []
-        for pid in usable_trips[cust.id]:
-            terms = [(mb.get("y2", cust.id, v, pid), 1.0) for v in drops[(cust.id, pid)]]
-            mb.add(terms + [(mb.get("y1", cust.id, s_in, pid), -1.0)],
-                   "=", 0.0, f"drop_with_ride[{cust.id},{pid}]")
-            drop_terms.extend(terms)
-        mb.add(drop_terms, "=", 1.0, f"drop_once[{cust.id}]")
+    def unserved(cust) -> str:
+        lo, hi = pickup_window(cust)
+        return (f"stranded package: customer {cust.id} has no trip through stop "
+                f"{handoff.b_in[cust.id]} within [{lo:g}, {hi:g}] that can still meet its window")
 
-    add_trip_loads(mb, instance)
+    add_transit_flow(mb, instance, compat, unserved,
+                     in_ok=_at_fixed_stop(handoff.b_in, pickup_window),
+                     out_ok=_freighter_can_meet(compat))
     _set_transit_objective(mb, instance, objective, M, pickup_side=False, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
@@ -618,61 +588,20 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
     """
     if objective.tag == OBJ3:
         raise ModelError("the freighter-count objective is moot once freighters are fixed")
-    params = instance.cost_params
-    M = big_M(params)
+    M = big_M(instance.cost_params)
     mb = ModelBuilder("d3-t2")
 
-    usable_trips: dict[str, list[str]] = {}
-    pickup_stops: dict[tuple[str, str], list[str]] = {}
-    for cust in instance.customers:
-        s_out = handoff.b_out[cust.id]
-        stop = instance.stop(s_out)
+    def drop_window(cust) -> tuple[float, float]:
+        stop = instance.stop(handoff.b_out[cust.id])
         latest = handoff.t_depart_max[cust.id]
-        lo, hi = latest - stop.max_dwell, latest - stop.service_time
-        feasible = []
-        for pid in compat.trips_of_stop.get(s_out, ()):
-            trip = instance.trip(pid)
-            t_drop = trip.stop_times[s_out]
-            # loaded before the latest departure, not staler than the dwell cap at it
-            if not (lo - 1e-9 <= t_drop <= hi + 1e-9):
-                continue
-            order = instance.line(trip.line).ordered_stops
-            pos_out = order.index(s_out)
-            ins = []
-            for u in order[:pos_out]:
-                if u not in compat.s_in_of_customer[cust.id]:
-                    continue
-                lead = compat.avg_truck_time[u] + instance.stop(u).service_time
-                if trip.stop_times[u] >= lead - 1e-9:
-                    ins.append(u)
-            if ins:
-                feasible.append(pid)
-                pickup_stops[(cust.id, pid)] = ins
-        if not feasible:
-            raise ModelBuildError(
-                f"customer {cust.id}: no trip reaches stop {s_out} within "
+        return latest - stop.max_dwell, latest - stop.service_time
+
+    def unserved(cust) -> str:
+        lo, hi = drop_window(cust)
+        return (f"customer {cust.id}: no trip reaches stop {handoff.b_out[cust.id]} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
-        usable_trips[cust.id] = feasible
 
-    for cust in instance.customers:
-        s_out = handoff.b_out[cust.id]
-        for pid in usable_trips[cust.id]:
-            mb.binary("y2", cust.id, s_out, pid)
-            for u in pickup_stops[(cust.id, pid)]:
-                mb.binary("y1", cust.id, u, pid)
-    for cust in instance.customers:
-        s_out = handoff.b_out[cust.id]
-        mb.add([(mb.get("y2", cust.id, s_out, pid), 1.0) for pid in usable_trips[cust.id]],
-               "=", 1.0, f"ride_once[{cust.id}]")
-        pick_terms = []
-        for pid in usable_trips[cust.id]:
-            terms = [(mb.get("y1", cust.id, u, pid), 1.0)
-                     for u in pickup_stops[(cust.id, pid)]]
-            mb.add(terms + [(mb.get("y2", cust.id, s_out, pid), -1.0)],
-                   "=", 0.0, f"pick_with_ride[{cust.id},{pid}]")
-            pick_terms.extend(terms)
-        mb.add(pick_terms, "=", 1.0, f"pick_once[{cust.id}]")
-
-    add_trip_loads(mb, instance)
+    add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(compat),
+                     out_ok=_at_fixed_stop(handoff.b_out, drop_window))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=False)
     return mb.build(objective_tag=objective.tag)

@@ -23,8 +23,7 @@ from dataclasses import replace
 
 from .instance import Instance
 from .milp import MilpModel, ModelBuilder, SolveResult
-from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, arc_costs,
-                         vehicle_classes)
+from .model_full import CDC_NODE, CDC_SINK, DecodeError, arc_costs, class_routes, vehicle_classes
 from .plan import VrptwPlan, VrptwRoute
 from .validate import recompute_vrptw_cost
 
@@ -95,27 +94,10 @@ def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> V
     """Routes per truck class, handed to the class's trucks in instance order."""
     if not result.has_solution():
         raise DecodeError(f"no solution to decode (status {result.status})")
-    starts: dict[str, list[str]] = {}
-    succ: dict[tuple[str, str], str] = {}
-    for (u, v, g), var in model.family("x").items():
-        if (u, v) != (CDC_NODE, CDC_SINK) and _binary_value(result.values, var):
-            if u == CDC_NODE:
-                starts.setdefault(g, []).append(v)
-            else:
-                succ[(u, g)] = v
     t = model.family("t")
     routes = []
     for g, fleet in vehicle_classes(instance.trucks):
-        firsts = starts.get(g, [])
-        if len(firsts) > len(fleet):
-            raise DecodeError(f"class {g}: {len(firsts)} routes for {len(fleet)} trucks")
-        for truck, node in zip(fleet, firsts):
-            order: list[str] = []
-            while node != CDC_SINK:
-                if node in order:
-                    raise DecodeError(f"class {g}: route through {node} does not close")
-                order.append(node)
-                node = succ[(node, g)]
+        for truck, order in class_routes(model, result.values, "x", CDC_NODE, CDC_SINK, g, fleet):
             times = tuple(result.values[t[(c, g)].name] for c in order)
             departure = times[0] - _hop(instance, instance.cdc, instance.customer(order[0]))
             routes.append(VrptwRoute(truck=truck.id, departure=departure,

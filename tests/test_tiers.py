@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,7 +18,7 @@ from transitfreight.instance import (
     travel_time,
 )
 from transitfreight.milp import ModelError
-from transitfreight.model_full import DecodeError
+from transitfreight.model_full import DecodeError, build_full, decode_full
 from transitfreight.plan import FreighterRoute, TierHandoff
 from transitfreight.tiers import (
     ModelBuildError,
@@ -40,6 +41,7 @@ from transitfreight.tiers import (
     preprocess_midday,
     repair_d3_times,
 )
+from transitfreight.validate import validate_plan
 
 from conftest import make_micro1
 
@@ -631,3 +633,75 @@ def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
         result.values[var.name] = 0.0
     with pytest.raises(DecodeError, match="c1"):
         decode_transit(micro1, model, result)
+
+
+# ---- rides run forward in every model with a transit flow -----------------
+
+
+def backward_ride_fixture() -> Instance:
+    """One trip A(in) -> B(out) -> C(in) -> D(out); u may ride C -> B.
+
+    v rides A -> D, so the trip carries v's load past B and the trip loads
+    alone would let u be dropped at B before it is picked up at C.
+    """
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(10, 0), True, False, 10.0, 300.0),
+               Stop("B", Point(30, 0), False, True, 10.0, 300.0),
+               Stop("C", Point(50, 0), True, False, 10.0, 300.0),
+               Stop("D", Point(70, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "B", "C", "D")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 160.0, "C": 170.0, "D": 180.0}, 60.0),),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("fB", "B", 20.0), Freighter("fD", "D", 20.0)),
+        customers=(
+            Customer("u", Point(40, 5), 10.0, 200.0, 800.0, 0.0, frozenset({"B", "D"})),
+            Customer("v", Point(72, 2), 10.0, 200.0, 800.0, 0.0, frozenset({"D"})),
+        ),
+    )
+    instance.validate()
+    return instance
+
+
+def dual_role_fixture() -> Instance:
+    """One trip A(in) -> S(in, out) -> D(out); u may be picked up and dropped at S."""
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(10, 0), True, False, 10.0, 300.0),
+               Stop("S", Point(30, 0), True, True, 10.0, 300.0),
+               Stop("D", Point(50, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "S", "D")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "S": 160.0, "D": 170.0}, 60.0),),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("fS", "S", 20.0), Freighter("fD", "D", 20.0)),
+        customers=(
+            Customer("u", Point(32, 5), 10.0, 200.0, 800.0, 0.0, frozenset({"S", "D"})),
+        ),
+    )
+    instance.validate()
+    return instance
+
+
+@pytest.mark.parametrize("model_kind", ["d2-t2", "full"])
+@pytest.mark.parametrize("fixture, pickup, drop", [
+    (backward_ride_fixture, "C", "B"),
+    (dual_role_fixture, "S", "S"),
+])
+def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
+    """A -1000 lure on each end of a backward ride takes one end at most."""
+    instance = fixture()
+    compat = derive_compatibility(instance)
+    if model_kind == "d2-t2":
+        model = build_d2_t2(instance, compat, T2Objective.parse("obj1"))
+    else:
+        model = build_full(instance, compat)
+    ends = (model.family("y1")[("u", pickup, "p1")], model.family("y2")[("u", drop, "p1")])
+    lured = dataclasses.replace(model, objective=model.objective + [(var, -1000.0) for var in ends])
+    result = solve(lured, backend)
+    assert result.status == "optimal"
+    assert sum(round(result.values[var.name]) for var in ends) == 1
+    if model_kind == "d2-t2":
+        choice = decode_transit(instance, lured, result)["u"]
+        assert choice.pickup_time < choice.drop_time
+    else:
+        assert validate_plan(instance, decode_full(instance, lured, result)) == []
