@@ -7,6 +7,7 @@ Variable families (structured names carry the index tuples):
              route-sink copy ``o~``; the (o,o~) arc is free so idle trucks
              satisfy the departure constraints at no cost
   t1[u,d]    minute truck d leaves node u
+  g[d,v]     truck d visits drop-in stop v (the sum of its arcs into v)
   y1[i,s,p]  trip p picks package i up at drop-in stop s
   y2[i,s,p]  trip p drops package i at drop-out stop s
   l2[u,p]    load of trip p leaving stop u
@@ -32,7 +33,13 @@ Each fragment has one copy, used by every model that needs it:
                          row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
   add_trip_loads         l2 along every trip, from the y1/y2 on the builder
   add_truck_routing      w/t1 arcs, degree balance and times per truck
-  add_stop_assignments   r[i,s,d] with truck capacity and stop visits
+  add_stop_assignments   r[i,s,d] over given drop-in stops, with truck capacity,
+                         the g visits and one g[d,s] >= r[i,s,d] row per
+                         assignment
+  add_arrival_window     big-M rows that hold lo <= t1[s,d] <= hi for the truck
+                         carrying the package; full, d1-t1 and t1-handoff
+                         differ only in the stops and windows they pass
+  truck_assignments      customer -> (drop-in stop, truck), the one reader of r
   add_freighter_routing  class-indexed freighter arcs, loads and times
   arc_costs              distance-priced objective terms of an arc family
   class_routes           the routes of one vehicle class, from its arcs
@@ -130,7 +137,7 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
     """Shared tier-1 structure: arc variables, degree balance, times.
 
     Returns the drop-in stops and the arc tails (the CDC and the drop-in
-    stops) callers attach their own linking constraints to.
+    stops) that ``add_stop_assignments`` links its visits to.
     """
     dropins = [s.id for s in instance.drop_in_stops()]
     tails = [CDC_NODE] + dropins
@@ -394,37 +401,59 @@ def add_trip_loads(mb: ModelBuilder, instance: Instance) -> None:
             mb.add(terms + moves.get((trip.id, sid), []), "=", 0.0, f"load[{sid},{trip.id}]")
 
 
-def add_stop_assignments(mb: ModelBuilder, instance: Instance, compat: Compatibility,
-                         M: float, ctx: dict) -> None:
-    """r[i,s,d]: each package goes to one drop-in stop on one truck.
+def add_stop_assignments(mb: ModelBuilder, instance: Instance,
+                         stops_of: dict[str, list[str]], ctx: dict) -> None:
+    """r[i,s,d]: each package goes to one of ``stops_of[i]`` on one truck.
 
-    Trucks carry no more than their capacity, and a truck that carries a
-    package to a stop routes through it (``ctx`` from ``add_truck_routing``).
+    Trucks carry no more than their capacity. ``g[d,v]`` marks a visit of
+    truck ``d`` to drop-in stop ``v``: it equals the truck's arcs into ``v``
+    (``ctx`` from ``add_truck_routing``) and is 1 wherever the truck carries
+    a package to ``v``.
     """
     for cust in instance.customers:
-        for s in sorted(compat.s_in_of_customer[cust.id]):
+        for s in stops_of[cust.id]:
             for d in instance.trucks:
                 mb.binary("r", cust.id, s, d.id)
-    for cust in instance.customers:
-        stops_in = sorted(compat.s_in_of_customer[cust.id])
-        mb.add([(mb.get("r", cust.id, s, d.id), 1.0)
-                for s in stops_in for d in instance.trucks],
-               "=", 1.0, f"assign[{cust.id}]")
-    for d in instance.trucks:
-        terms = []
-        for cust in instance.customers:
-            for s in sorted(compat.s_in_of_customer[cust.id]):
-                terms.append((mb.get("r", cust.id, s, d.id), cust.demand))
-        mb.add(terms, "<=", d.capacity, f"truck_cap[{d.id}]")
     for d in instance.trucks:
         for v in ctx["dropins"]:
-            carried = [(mb.get("r", c.id, v, d.id), -1.0 / M)
-                       for c in instance.customers
-                       if mb.get("r", c.id, v, d.id) is not None]
-            if not carried:
-                continue
-            mb.add([(mb.get("w", u, v, d.id), 1.0) for u in ctx["tails"] if u != v] + carried,
-                   ">=", 0.0, f"visit_if_assigned[{v},{d.id}]")
+            mb.binary("g", d.id, v)
+    for cust in instance.customers:
+        mb.add([(mb.get("r", cust.id, s, d.id), 1.0)
+                for s in stops_of[cust.id] for d in instance.trucks],
+               "=", 1.0, f"assign[{cust.id}]")
+    for d in instance.trucks:
+        mb.add([(mb.get("r", c.id, s, d.id), c.demand)
+                for c in instance.customers for s in stops_of[c.id]],
+               "<=", d.capacity, f"truck_cap[{d.id}]")
+        for v in ctx["dropins"]:
+            mb.add([(mb.get("g", d.id, v), 1.0)]
+                   + [(mb.get("w", u, v, d.id), -1.0) for u in ctx["tails"] if u != v],
+                   "=", 0.0, f"visit_link[{v},{d.id}]")
+    for cust in instance.customers:
+        for s in stops_of[cust.id]:
+            for d in instance.trucks:
+                mb.add([(mb.get("g", d.id, s), 1.0), (mb.get("r", cust.id, s, d.id), -1.0)],
+                       ">=", 0.0, f"visit_if_carrying[{cust.id},{s},{d.id}]")
+
+
+def add_arrival_window(mb: ModelBuilder, instance: Instance, cust: str, stop: str,
+                       M: float, lo=None, hi=None) -> None:
+    """The truck carrying ``cust`` to ``stop`` arrives within ``[lo, hi]``.
+
+    ``lo`` and ``hi`` are ``(terms, constant)`` expressions; either may be
+    left open. Per truck, big-M rows on ``r[cust,stop,d]`` hold them only
+    for the truck that carries the package.
+    """
+    for d in instance.trucks:
+        t1, r_var = mb.get("t1", stop, d.id), mb.get("r", cust, stop, d.id)
+        if hi is not None:
+            terms, constant = hi
+            mb.add([(t1, 1.0), (r_var, M)] + [(v, -c) for v, c in terms],
+                   "<=", constant + M, f"arrive_by[{cust},{stop},{d.id}]")
+        if lo is not None:
+            terms, constant = lo
+            mb.add([*terms, (t1, -1.0), (r_var, M)],
+                   "<=", M - constant, f"arrive_after[{cust},{stop},{d.id}]")
 
 
 def build_full(instance: Instance, compat: Compatibility,
@@ -440,30 +469,20 @@ def build_full(instance: Instance, compat: Compatibility,
     domains = add_transit_flow(mb, instance, compat,
                                lambda cust: f"no carrying trip: customer {cust.id}")
     ctx = add_truck_routing(mb, instance, M, options.symmetry_breaking)
-    add_stop_assignments(mb, instance, compat, M, ctx)
+    stops_of = {c.id: sorted(compat.s_in_of_customer[c.id]) for c in instance.customers}
+    add_stop_assignments(mb, instance, stops_of, ctx)
 
+    pickups = {(c.id, s): [(mb.get("y1", c.id, s, p), instance.trip(p).stop_times[s])
+                           for p, (ins, _) in domains[c.id].items() if s in ins]
+               for c in instance.customers for s in stops_of[c.id]}
     # drop-off by the truck pairs with pickup by a transit vehicle at that stop
-    for cust in instance.customers:
-        for s in sorted(compat.s_in_of_customer[cust.id]):
-            y_terms = [(mb.get("y1", cust.id, s, p), -1.0)
-                       for p, (ins, _) in domains[cust.id].items() if s in ins]
-            mb.add([(mb.get("r", cust.id, s, d.id), 1.0) for d in instance.trucks] + y_terms,
-                   "=", 0.0, f"handover[{cust.id},{s}]")
-
+    for (cid, s), terms in pickups.items():
+        mb.add([(mb.get("r", cid, s, d.id), 1.0) for d in instance.trucks]
+               + [(v, -1.0) for v, _ in terms], "=", 0.0, f"handover[{cid},{s}]")
     # truck reaches the stop before the scheduled pickup, and within the dwell cap
-    for cust in instance.customers:
-        for s in sorted(compat.s_in_of_customer[cust.id]):
-            pickup_terms = [(mb.get("y1", cust.id, s, p), instance.trip(p).stop_times[s])
-                            for p, (ins, _) in domains[cust.id].items() if s in ins]
-            dwell = instance.stop(s).max_dwell
-            for d in instance.trucks:
-                r_var = mb.get("r", cust.id, s, d.id)
-                mb.add([(mb.get("t1", s, d.id), 1.0), (r_var, M)]
-                       + [(v, -c) for v, c in pickup_terms],
-                       "<=", M, f"truck_before_pickup[{cust.id},{s},{d.id}]")
-                mb.add([(v, c) for v, c in pickup_terms]
-                       + [(mb.get("t1", s, d.id), -1.0), (r_var, M)],
-                       "<=", dwell + M, f"dwell_in[{cust.id},{s},{d.id}]")
+    for (cid, s), terms in pickups.items():
+        add_arrival_window(mb, instance, cid, s, M,
+                           lo=(terms, -instance.stop(s).max_dwell), hi=(terms, 0.0))
 
     drops_at = {}  # (customer, drop-out stop) -> [(y2, scheduled drop time)]
     for cust in instance.customers:
@@ -545,18 +564,15 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
         for c, t in zip(route.customers, route.times):
             delivery[c] = (route.freighter, t)
 
+    carried = truck_assignments(model, values)
+    dropped = {i: (s, p) for (i, s, p), var in model.family("y2").items()
+               if _binary_value(values, var)}
     itineraries = []
     for cust in instance.customers:
-        truck_id, stop_in = None, None
-        for (i, s, d), var in model.family("r").items():
-            if i == cust.id and _binary_value(values, var):
-                truck_id, stop_in = d, s
-        trip_id, stop_out = None, None
-        for (i, s, p), var in model.family("y2").items():
-            if i == cust.id and _binary_value(values, var):
-                trip_id, stop_out = p, s
-        if truck_id is None or trip_id is None or cust.id not in delivery:
+        if cust.id not in carried or cust.id not in dropped or cust.id not in delivery:
             raise DecodeError(f"customer {cust.id}: incomplete assignment in solution")
+        stop_in, truck_id = carried[cust.id]
+        stop_out, trip_id = dropped[cust.id]
         freighter_id, t_delivery = delivery[cust.id]
         itineraries.append(CustomerItinerary(
             customer=cust.id,
@@ -580,6 +596,12 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
         service_lambda3=float(model.metadata.get("lambda3", 0.0)) if service else 0.0,
     )
     return replace(draft, costs=recompute_costs(instance, draft))
+
+
+def truck_assignments(model: MilpModel, values: dict[str, float]) -> dict[str, tuple[str, str]]:
+    """Customer -> (drop-in stop, truck) from the ``r`` family of any truck model."""
+    return {i: (s, d) for (i, s, d), var in model.family("r").items()
+            if _binary_value(values, var)}
 
 
 def decode_truck_routes(instance: Instance, model: MilpModel,

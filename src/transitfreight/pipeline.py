@@ -39,7 +39,6 @@ from .tiers import (
     build_d3_t3,
     build_t1_from_handoff,
     build_t3_stopwise,
-    decode_d1_t1,
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
@@ -111,10 +110,12 @@ class StageMetrics:
     objective: float | None
     wall_time: float
     best_bound: float | None
+    gap: float | None     # (objective - best_bound) / max(1, |objective|), None without both
     message: str          # the solver's own account of how the solve ended
     vars: int             # model size: variables, constraints, nonzeros
     cons: int
     nnz: int
+    build_time: float     # seconds spent building the model
 
 
 @dataclass
@@ -169,16 +170,21 @@ def reference_routing_costs(instance: Instance, backend: Backend,
 def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
            metrics: RunMetrics, build, *args) -> tuple:
     """Build one stage's model and solve it; returns (model, result) with an incumbent."""
+    started = time.perf_counter()
     try:
         model = build(*args)
     except ModelError as exc:
         raise PipelineError(stage, str(exc)) from exc
+    build_time = time.perf_counter() - started
     result = backend.solve(model, SolveLimits(seconds, config.rel_gap))
+    gap = None
+    if result.objective is not None and result.best_bound is not None:
+        gap = (result.objective - result.best_bound) / max(1.0, abs(result.objective))
     metrics.stages.append(StageMetrics(
         stage=stage, status=result.status, objective=result.objective,
-        wall_time=result.wall_time, best_bound=result.best_bound, message=result.message,
-        vars=len(model.variables), cons=len(model.constraints),
-        nnz=sum(len(con.terms) for con in model.constraints)))
+        wall_time=result.wall_time, best_bound=result.best_bound, gap=gap,
+        message=result.message, vars=len(model.variables), cons=len(model.constraints),
+        nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time))
     if result.status == "infeasible":
         raise PipelineError(stage, "model infeasible")
     if result.status == "timeout":
@@ -343,10 +349,10 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, handoff)
-    truck_routes, truck_of, stop_time = decode_t1(instance, t1_model, t1_result, handoff)
+    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
-    return _assemble(instance, choices, truck_of, stop_time,
+    return _assemble(instance, choices, truck_of, arrivals.t_in,
                      truck_routes, freighter_routes)
 
 
@@ -356,7 +362,7 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     tau = preprocess_midday(instance, compat)
     t1_model, t1_result = _stage("t1", config.seconds("first"), config, backend, metrics,
                                  build_d1_t1, instance, compat, tau)
-    truck_routes, handoff, truck_of = decode_d1_t1(instance, t1_model, t1_result)
+    truck_routes, handoff, truck_of = decode_t1(instance, t1_model, t1_result)
     handoff.tau = tau
     _dump(artifacts_dir, "handoff-t1.json", serialize_handoff(handoff))
 
@@ -367,10 +373,9 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     full_handoff.tau = tau
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(full_handoff))
 
-    stop_time = {cid: handoff.t_in[cid] for cid in handoff.t_in}
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
                                           full_handoff, choices)
-    return _assemble(instance, choices, truck_of, stop_time,
+    return _assemble(instance, choices, truck_of, handoff.t_in,
                      truck_routes, freighter_routes)
 
 
@@ -395,10 +400,10 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, t1_handoff)
-    truck_routes, truck_of, stop_time = decode_t1(instance, t1_model, t1_result, t1_handoff)
+    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
-    return _assemble(instance, choices, truck_of, stop_time,
+    return _assemble(instance, choices, truck_of, arrivals.t_in,
                      truck_routes, freighter_routes)
 
 
@@ -462,7 +467,8 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
                 _plan, metrics = run_method(instance, config, backend, art)
                 rows.append(ReportRow(
                     instance=name, method=config.method, t2_obj=config.t2_obj or "",
-                    status="ok", t1_cost=metrics.t1_cost, t3_cost=metrics.t3_cost,
+                    status="ok", proven=all(s.status == "optimal" for s in metrics.stages),
+                    t1_cost=metrics.t1_cost, t3_cost=metrics.t3_cost,
                     service_cost=metrics.service_cost, total=metrics.total,
                     runtime=metrics.wall_time,
                     stops_in_used=metrics.stops_in_used,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROW_COLUMNS = [
-    "instance", "method", "t2_obj", "status", "t1_cost", "t3_cost",
+    "instance", "method", "t2_obj", "status", "proven", "t1_cost", "t3_cost",
     "service_cost", "total", "runtime", "stops_in_used", "stops_out_used",
     "trucks_used", "freighters_used", "trips_used", "packages_per_truck",
     "packages_per_freighter", "packages_per_trip", "deviation_pct", "error",
@@ -31,6 +31,7 @@ class ReportRow:
     method: str
     t2_obj: str = ""
     status: str = "ok"
+    proven: bool = False  # every stage of the run ended optimal
     t1_cost: float = float("nan")
     t3_cost: float = float("nan")
     service_cost: float = float("nan")
@@ -68,9 +69,9 @@ def rows_from_csv(text: str) -> list[ReportRow]:
     for rec in csv.DictReader(io.StringIO(text)):
         row = ReportRow(instance=rec["instance"], method=rec["method"],
                         t2_obj=rec.get("t2_obj", ""), status=rec.get("status", "ok"),
-                        error=rec.get("error", ""))
+                        proven=rec.get("proven") == "True", error=rec.get("error", ""))
         for name in ROW_COLUMNS:
-            if name in ("instance", "method", "t2_obj", "status", "error"):
+            if name in ("instance", "method", "t2_obj", "status", "proven", "error"):
                 continue
             value = rec.get(name, "")
             if value == "":

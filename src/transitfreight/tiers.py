@@ -16,14 +16,18 @@ The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period.
 
 Every stage is built from the fragments ``model_full`` shares with the
-monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``
-and ``add_stop_assignments`` for trucks, ``add_freighter_routing`` for
-freighters, and ``arc_costs`` for routing objectives. The three transit
-stages differ only in the stop predicates they pass: d2-t2 keeps pickups a
-truck can feed and drops a freighter can still serve in time; d1-t2 pins the
-pickup to ``b_in`` within the dwell cap after the truck's arrival, and d3-t2
-pins the drop to ``b_out`` within the dwell cap before the freighter's
-latest departure. ``decode_transit`` reads all three.
+monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``,
+``add_stop_assignments`` and ``add_arrival_window`` for trucks,
+``add_freighter_routing`` for freighters, and ``arc_costs`` for routing
+objectives. The three transit stages differ only in the stop predicates they
+pass: d2-t2 keeps pickups a truck can feed and drops a freighter can still
+serve in time; d1-t2 pins the pickup to ``b_in`` within the dwell cap after
+the truck's arrival, and d3-t2 pins the drop to ``b_out`` within the dwell
+cap before the freighter's latest departure. ``decode_transit`` reads all
+three. The two truck stages differ only in the stops and arrival windows
+they pass: d1-t1 offers every drop-in stop whose window under the deadline
+cut and the half-day split is not empty, t1-handoff the fixed stop ``b_in``
+within the dwell cap before ``t_in``. ``decode_t1`` reads both.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
     DecodeError,
     ModelBuildError,
+    add_arrival_window,
     add_freighter_routing,
     add_stop_assignments,
     add_transit_flow,
@@ -45,6 +50,7 @@ from .model_full import (
     class_assignments,
     decode_freighter_routes,
     decode_truck_routes,
+    truck_assignments,
     _binary_value,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
@@ -257,58 +263,29 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
 
     mb = ModelBuilder("t1-handoff")
     ctx = add_truck_routing(mb, instance, M, symmetry=True)
-    dropins, tails = ctx["dropins"], ctx["tails"]
-
+    add_stop_assignments(mb, instance, {c.id: [handoff.b_in[c.id]] for c in instance.customers},
+                         ctx)
     for cust in instance.customers:
-        for d in instance.trucks:
-            mb.binary("r", cust.id, d.id)
-    for d in instance.trucks:
-        for v in dropins:
-            mb.binary("g", d.id, v)
-
-    for cust in instance.customers:
-        mb.add([(mb.get("r", cust.id, d.id), 1.0) for d in instance.trucks],
-               "=", 1.0, f"assign[{cust.id}]")
-    for d in instance.trucks:
-        mb.add([(mb.get("r", c.id, d.id), c.demand) for c in instance.customers],
-               "<=", d.capacity, f"truck_cap[{d.id}]")
-        for v in dropins:
-            # g mirrors the incoming arcs and dominates the assignments
-            mb.add([(mb.get("g", d.id, v), 1.0)]
-                   + [(mb.get("w", u, v, d.id), -1.0) for u in tails if u != v],
-                   "=", 0.0, f"visit_link[{v},{d.id}]")
-    for cust in instance.customers:
-        v = handoff.b_in[cust.id]
-        t_in = handoff.t_in[cust.id]
-        dwell = instance.stop(v).max_dwell
-        for d in instance.trucks:
-            mb.add([(mb.get("g", d.id, v), 1.0), (mb.get("r", cust.id, d.id), -1.0)],
-                   ">=", 0.0, f"visit_if_carrying[{cust.id},{d.id}]")
-            # arrive before the pickup, and not more than the dwell cap earlier
-            mb.add([(mb.get("t1", v, d.id), 1.0), (mb.get("r", cust.id, d.id), M)],
-                   "<=", t_in + M, f"before_pickup[{cust.id},{d.id}]")
-            mb.add([(mb.get("g", d.id, v), t_in), (mb.get("t1", v, d.id), -1.0),
-                    (mb.get("r", cust.id, d.id), M)],
-                   "<=", dwell + M, f"dwell_in[{cust.id},{d.id}]")
-
+        stop, t_in = handoff.b_in[cust.id], handoff.t_in[cust.id]
+        # arrive before the pickup, and not more than the dwell cap earlier
+        add_arrival_window(mb, instance, cust.id, stop, M,
+                           lo=([], t_in - instance.stop(stop).max_dwell), hi=([], t_in))
     mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
     return mb.build()
 
 
-def decode_t1(instance: Instance, model: MilpModel, result: SolveResult,
-              handoff: TierHandoff) -> tuple[list[TruckRoute], dict[str, str], dict[str, float]]:
-    """Returns (routes, customer->truck, customer->time at its drop-in stop)."""
+def decode_t1(instance: Instance, model: MilpModel,
+              result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
+    """Returns (routes, handoff with b_in/t_in, customer->truck) of any truck stage.
+
+    ``t_in`` is the minute the package's truck is at its drop-in stop.
+    """
     routes = decode_truck_routes(instance, model, result.values)
-    truck_of: dict[str, str] = {}
-    family = model.family("r")
-    for (i, d), var in family.items():
-        if _binary_value(result.values, var):
-            truck_of[i] = d
     stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
-    time_at_stop = {
-        i: stop_time[(truck_of[i], handoff.b_in[i])] for i in truck_of
-    }
-    return routes, truck_of, time_at_stop
+    carried = truck_assignments(model, result.values)
+    handoff = TierHandoff(b_in={i: s for i, (s, _) in carried.items()},
+                          t_in={i: stop_time[(d, s)] for i, (s, d) in carried.items()})
+    return routes, handoff, {i: d for i, (_, d) in carried.items()}
 
 
 # ---- per-stop freighter model fed by a handoff --------------------------
@@ -384,56 +361,34 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
     mb = ModelBuilder("d1-t1")
     ctx = add_truck_routing(mb, instance, M, symmetry=True)
 
-    cut_bound: dict[tuple[str, str], float] = {}
+    windows: dict[tuple[str, str], tuple[float | None, float]] = {}
+    stops_of: dict[str, list[str]] = {}
     for cust in instance.customers:
         t_avg = (cust.window_lo + cust.window_hi) / 2.0
-        any_usable = False
+        stops_of[cust.id] = []
         for sid in sorted(compat.s_in_of_customer[cust.id]):
             stop = instance.stop(sid)
-            bound = t_avg - DEADLINE_SLACK_FACTOR * instance.travel_minutes(
+            cut = t_avg - DEADLINE_SLACK_FACTOR * instance.travel_minutes(
                 stop.location, cust.location)
-            cut_bound[(cust.id, sid)] = bound
+            if tau[(cust.id, sid)] == 1:
+                lo, hi = None, min(cut, params.t_mid_day)
+            else:
+                lo, hi = params.t_mid_day, cut
             earliest = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
-            lo = params.t_mid_day if tau[(cust.id, sid)] == 2 else earliest
-            if bound >= lo - 1e-9:
-                any_usable = True
-        if not any_usable:
+            if hi < earliest - 1e-9 or (lo is not None and hi < lo - 1e-9):
+                continue  # empty window: no truck brings the package here
+            windows[(cust.id, sid)] = (lo, hi)
+            stops_of[cust.id].append(sid)
+        if not stops_of[cust.id]:
             raise ModelBuildError(
                 f"customer {cust.id}: every drop-in stop misses the deadline cut")
 
-    add_stop_assignments(mb, instance, compat, M, ctx)
-
-    for cust in instance.customers:
-        for sid in sorted(compat.s_in_of_customer[cust.id]):
-            bound = cut_bound[(cust.id, sid)]
-            for d in instance.trucks:
-                r_var = mb.get("r", cust.id, sid, d.id)
-                mb.add([(mb.get("t1", sid, d.id), 1.0), (r_var, M)],
-                       "<=", bound + M, f"deadline_cut[{cust.id},{sid},{d.id}]")
-                if tau[(cust.id, sid)] == 1:
-                    mb.add([(mb.get("t1", sid, d.id), 1.0), (r_var, M)],
-                           "<=", params.t_mid_day + M, f"first_half[{cust.id},{sid},{d.id}]")
-                else:
-                    mb.add([(mb.get("t1", sid, d.id), 1.0), (r_var, -M)],
-                           ">=", params.t_mid_day - M, f"second_half[{cust.id},{sid},{d.id}]")
-
+    add_stop_assignments(mb, instance, stops_of, ctx)
+    for (cid, sid), (lo, hi) in windows.items():
+        add_arrival_window(mb, instance, cid, sid, M,
+                           lo=None if lo is None else ([], lo), hi=([], hi))
     mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
     return mb.build()
-
-
-def decode_d1_t1(instance: Instance, model: MilpModel,
-                 result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_in, customer->truck)."""
-    routes = decode_truck_routes(instance, model, result.values)
-    stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
-    handoff = TierHandoff()
-    truck_of: dict[str, str] = {}
-    for (i, s, d), var in model.family("r").items():
-        if _binary_value(result.values, var):
-            handoff.b_in[i] = s
-            handoff.t_in[i] = stop_time[(d, s)]
-            truck_of[i] = d
-    return routes, handoff, truck_of
 
 
 def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,

@@ -117,6 +117,34 @@ def test_metrics_record_stage_model_size_and_bound(backend, micro1, tmp_path):
             assert stage["message"]
 
 
+def test_metrics_record_stage_build_time_and_gap(backend, micro1, tmp_path):
+    art = tmp_path / "d2"
+    _plan, metrics = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), backend,
+                                artifacts_dir=art)
+    doc = json.loads((art / "metrics.json").read_text())
+    assert [s["stage"] for s in doc["stages"]] == ["t2", "t1", "t3[B]"]
+    for stage, recorded in zip(metrics.stages, doc["stages"]):
+        assert recorded["build_time"] == stage.build_time > 0.0
+        assert recorded["gap"] == stage.gap
+        expected = (stage.objective - stage.best_bound) / max(1.0, abs(stage.objective))
+        assert stage.gap == pytest.approx(expected, abs=1e-12)
+        assert -1e-9 <= stage.gap <= 1e-5
+
+    _plan, unbounded = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"),
+                                  _BoundlessBackend(backend))
+    assert [s.gap for s in unbounded.stages] == [None, None, None]
+
+
+class _BoundlessBackend:
+    """Solves correctly but reports no best bound."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def solve(self, model, limits):
+        return replace(self._backend.solve(model, limits), best_bound=None)
+
+
 def test_beta_override_scales_freighter_cost(backend, micro1):
     _plan, base = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), backend)
     _plan, scaled = run_method(

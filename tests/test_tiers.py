@@ -30,7 +30,6 @@ from transitfreight.tiers import (
     build_d3_t3,
     build_t1_from_handoff,
     build_t3_stopwise,
-    decode_d1_t1,
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
@@ -43,7 +42,7 @@ from transitfreight.tiers import (
 )
 from transitfreight.validate import validate_plan
 
-from conftest import make_micro1
+from conftest import generate_micro_instances, make_micro1
 
 SQRT8 = math.sqrt(8.0)
 
@@ -95,7 +94,8 @@ def test_t1_from_handoff_micro1(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, truck_of, time_at = decode_t1(micro1, model, result, handoff)
+    routes, decoded, truck_of = decode_t1(micro1, model, result)
+    time_at = decoded.t_in
     assert truck_of["c1"] == "d1"
     assert routes[0].stops == ("A",)
     assert time_at["c1"] <= 150.0 + 1e-6
@@ -106,6 +106,24 @@ def test_t1_handoff_too_early_raises(micro1):
     handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 1.0})
     with pytest.raises(ModelBuildError, match="c1"):
         build_t1_from_handoff(micro1, handoff)
+
+
+def test_t1_handoff_recovers_the_truck_cost_of_a_full_optimum(backend, micro1):
+    # fed the stops and pickup times of a full optimum, the truck stage can do
+    # no better (full would use it) and no worse (full's routes are feasible)
+    for instance in [micro1] + generate_micro_instances(12, start_seed=1000):
+        model = build_full(instance, derive_compatibility(instance))
+        result = solve(model, backend)
+        assert result.status == "optimal"
+        plan = decode_full(instance, model, result)
+        assert validate_plan(instance, plan) == []
+        handoff = TierHandoff(
+            b_in={it.customer: it.drop_in_stop for it in plan.itineraries},
+            t_in={it.customer: instance.trip(it.trip).stop_times[it.drop_in_stop]
+                  for it in plan.itineraries})
+        t1 = solve(build_t1_from_handoff(instance, handoff), backend)
+        assert t1.status == "optimal"
+        assert t1.objective == pytest.approx(plan.costs.t1_cost, rel=1e-6)
 
 
 def test_t1_two_stops_one_truck_if_capacity(backend):
@@ -221,7 +239,7 @@ def test_d1_t1_micro1_cut_and_half(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, handoff, truck_of = decode_d1_t1(micro1, model, result)
+    routes, handoff, truck_of = decode_t1(micro1, model, result)
     assert handoff.b_in["c1"] == "A"
     journey = 1.3 * travel_time(
         euclidean_distance(Point(10, 0), Point(52, 2)), micro1.cost_params)
@@ -238,8 +256,36 @@ def test_d1_t1_first_half_pinning(backend):
     model = build_d1_t1(instance, compat, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
-    _routes, handoff, _ = decode_d1_t1(instance, model, result)
+    _routes, handoff, _ = decode_t1(instance, model, result)
     assert handoff.t_in["c1"] <= 400.0 + 1e-6
+
+
+def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend):
+    # window midpoint 400 minus the stretched ride (about 11 minutes) puts both
+    # deadline cuts before the midday split: a second-half pair has no window
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A1", Point(10, 3), True, False, 10.0, 300.0),
+               Stop("A2", Point(10, -3), True, False, 10.0, 300.0),
+               Stop("B", Point(50, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A1", "B")), Line("L2", ("A2", "B"))),
+        trips=(Trip("p1", "L1", {"A1": 150.0, "B": 159.0}, 60.0),
+               Trip("p2", "L2", {"A2": 150.0, "B": 159.5}, 60.0)),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("f1", "B", 40.0),),
+        customers=(Customer("u", Point(52, 2), 10.0, 200.0, 600.0, 0.0, frozenset({"B"})),),
+    )
+    instance.validate()
+    compat = derive_compatibility(instance)
+    assert compat.s_in_of_customer["u"] == {"A1", "A2"}
+    model = build_d1_t1(instance, compat, {("u", "A1"): 1, ("u", "A2"): 2})
+    assert sorted(model.family("r")) == [("u", "A1", "d1")]
+    result = solve(model, backend)
+    assert result.status == "optimal"
+    _routes, handoff, _ = decode_t1(instance, model, result)
+    assert handoff.b_in == {"u": "A1"}
+    with pytest.raises(ModelBuildError, match="every drop-in stop misses the deadline cut"):
+        build_d1_t1(instance, compat, {("u", "A1"): 2, ("u", "A2"): 2})
 
 
 def test_d1_t2_dwell_arithmetic(backend, micro1):
@@ -570,7 +616,7 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
 
     handoff = handoff_from_transit(choices)
     t1 = build_t1_from_handoff(instance, handoff)
-    routes, _, _ = decode_t1(instance, t1, solve(t1, backend), handoff)
+    routes, _, _ = decode_t1(instance, t1, solve(t1, backend))
     assert sum(len(r.stops) for r in routes) == 1
 
 
