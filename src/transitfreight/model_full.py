@@ -15,9 +15,11 @@ Variable families (structured names carry the index tuples):
              interchangeable freighters of one stop (``vehicle_classes``)
   x[i,j,g]   a freighter of class g traverses arc (i,j); idle freighters
              stay home, at most the class size of routes leave the stop
-  l3[i,g]    load delivered by the route through i, up to and including i
-  t3[i,g]    minute package i is delivered
+  l[i,g]     load delivered by the route through i, up to and including i
+  t[i,g]     minute package i is delivered
   td[i,g]    minute the route through i leaves its home stop
+The z/x/l/t families are those of ``add_class_routing``, which also builds
+the ``vrptw`` baseline with trucks in place of freighters.
 
 Conditional constraints bracketed by data (line order, candidate sets) are
 expanded at build time: variables exist only for index tuples the data
@@ -40,9 +42,12 @@ Each fragment has one copy, used by every model that needs it:
                          carrying the package; full, d1-t1 and t1-handoff
                          differ only in the stops and windows they pass
   truck_assignments      customer -> (drop-in stop, truck), the one reader of r
-  add_freighter_routing  class-indexed freighter arcs, loads and times
+  add_class_routing      one vehicle class's two-index routing, for freighters
+                         and the vrptw baseline: they differ only in the
+                         depot, the customers and their earliest service
+  add_freighter_routing  add_class_routing per freighter class, with departures
   arc_costs              distance-priced objective terms of an arc family
-  class_routes           the routes of one vehicle class, from its arcs
+  class_routes           routes and times of one vehicle class, the one walker
 Plans are priced by ``validate.recompute_costs``, as every pipeline does.
 """
 
@@ -219,10 +224,77 @@ def class_assignments(mb: ModelBuilder, instance: Instance, customer_id: str,
     return [(g, z) for g, z in pairs if z is not None]
 
 
+def ride_minutes(instance: Instance, a, cust) -> float:
+    """Minutes from leaving point ``a`` to the end of service at ``cust``."""
+    return instance.travel_minutes(a, cust.location) + cust.service_time
+
+
+def add_class_routing(mb: ModelBuilder, instance: Instance, g: str, depot: str, sink: str,
+                      fleet, earliest: dict[str, float]) -> list[tuple[str, str]]:
+    """Two-index routing of one vehicle class; returns its arcs as (tail, head).
+
+    The class (see ``vehicle_classes``) serves the customers keyed in
+    ``earliest``, each no sooner than ``earliest[i]``: routes leave
+    ``depot`` and end at ``sink``, at most the class size of them, and
+    enough to carry what the class delivers. ``z[i,g]`` marks the customers
+    served; ``l[i,g]`` is the load delivered up to and including ``i`` and
+    ``t[i,g]`` the minute service at ``i`` ends. Load labels are
+    Miller-Tucker-Zemlin rows lifted as Desrochers and Laporte (1991)
+    describe, with a two-cycle row per pair of opposite arcs; with the time
+    labels they cut subtours. Arcs the windows rule out are not built, and
+    each time row has its own big-M. A class with no customer adds nothing.
+    """
+    if not earliest:
+        return []
+    capacity = fleet[0].capacity
+    members = [instance.customer(cid) for cid in earliest]
+    for c in members:
+        mb.binary("z", c.id, g)
+        mb.continuous("l", c.id, g, lb=c.demand, ub=capacity)
+        mb.continuous("t", c.id, g, lb=earliest[c.id], ub=max(earliest[c.id], c.window_hi))
+
+    arcs = []
+    for j in members:
+        arcs += [(depot, j.id), (j.id, sink)]
+        arcs += [(i.id, j.id) for i in members if i is not j
+                 and earliest[i.id] + ride_minutes(instance, i.location, j) <= j.window_hi + 1e-9]
+    for u, v in arcs:
+        mb.binary("x", u, v, g)
+
+    leaving = [(mb.get("x", depot, c.id, g), 1.0) for c in members]
+    mb.add(leaving, "<=", float(len(fleet)), f"fleet[{g}]")
+    mb.add([(x, capacity) for x, _ in leaving]
+           + [(mb.get("z", c.id, g), -c.demand) for c in members],
+           ">=", 0.0, f"volume[{g}]")
+    for c in members:
+        z = mb.get("z", c.id, g)
+        mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if v == c.id] + [(z, -1.0)],
+               "=", 0.0, f"in[{c.id},{g}]")
+        mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if u == c.id] + [(z, -1.0)],
+               "=", 0.0, f"out[{c.id},{g}]")
+    by_id = {c.id: c for c in members}
+    for u, v in arcs:
+        if u == depot or v == sink:
+            continue
+        i, j = by_id[u], by_id[v]
+        x, back = mb.get("x", u, v, g), mb.get("x", v, u, g)
+        lifted = [] if back is None else [(back, i.demand + j.demand - capacity)]
+        mb.add([(mb.get("l", v, g), 1.0), (mb.get("l", u, g), -1.0), (x, -capacity)]
+               + lifted, ">=", j.demand - capacity, f"load[{u},{v},{g}]")
+        if back is not None and u < v:
+            mb.add([(x, 1.0), (back, 1.0)], "<=", 1.0, f"two_cycle[{u},{v},{g}]")
+        hop = ride_minutes(instance, i.location, j)
+        big = i.window_hi + hop - earliest[v]
+        if big > 0:
+            mb.add([(mb.get("t", v, g), 1.0), (mb.get("t", u, g), -1.0), (x, -big)],
+                   ">=", hop - big, f"time[{u},{v},{g}]")
+    return arcs
+
+
 def add_freighter_routing(mb: ModelBuilder, instance: Instance,
                           customers_of_stop: dict[str, list[str]],
                           departure_bounds) -> None:
-    """Shared tier-3 structure, indexed by freighter class instead of vehicle.
+    """Shared tier-3 structure: ``add_class_routing`` per freighter class of each stop.
 
     ``customers_of_stop`` lists, per drop-out stop, the customers its
     freighters may serve; a customer may be listed at several stops, in
@@ -231,83 +303,44 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     stop)`` gives (earliest, latest) bounds on the departure of the route
     serving that customer from that stop.
 
-    Arcs, loads and times are shared by all freighters of one class (see
-    ``vehicle_classes``): routes out of the stop are capped by the class
-    size, load labels (capacity, Miller-Tucker-Zemlin style) and time labels
-    cut subtours, and the route's departure is carried along its arcs so
-    callers can bound it per package (loading and dwell rows). A customer is
-    left out of a class it cannot be served by: demand above the capacity,
-    or no departure that still meets its window.
+    Routes leave the stop and return to it, and serve a customer no sooner
+    than the earliest departure plus the ride. The departure ``td[i,g]`` is
+    carried along the arcs so callers can bound it per package (loading and
+    dwell rows). A class leaves out a customer whose demand exceeds its
+    capacity or whom no departure still reaches within the window.
     """
     served_by: dict[str, list] = {}
     for stop_id in sorted(customers_of_stop):
         stop = instance.stop(stop_id)
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop_id)):
-            capacity = fleet[0].capacity
-            members, depart = [], {}
+            earliest, depart = {}, {}
             for cid in customers_of_stop[stop_id]:
                 cust = instance.customer(cid)
+                ride = ride_minutes(instance, stop.location, cust)
                 lo, hi = departure_bounds(cid, stop_id)
                 # the route reaches cid no sooner than the direct ride
-                hi = min(hi, cust.window_hi - cust.service_time
-                         - instance.travel_minutes(stop.location, cust.location))
-                if cust.demand <= capacity and lo <= hi + 1e-9:
-                    members.append(cust)
+                hi = min(hi, cust.window_hi - ride)
+                if cust.demand <= fleet[0].capacity and lo <= hi + 1e-9:
+                    earliest[cid] = max(cust.window_lo, lo + ride)
                     depart[cid] = (lo, max(lo, hi))
-            if not members:
-                continue
-            for cust in members:
-                served_by.setdefault(cust.id, []).append(mb.binary("z", cust.id, g))
-                mb.continuous("l3", cust.id, g, lb=cust.demand, ub=capacity)
-                mb.continuous("t3", cust.id, g, lb=cust.window_lo, ub=cust.window_hi)
-                mb.continuous("td", cust.id, g, lb=depart[cust.id][0], ub=depart[cust.id][1])
-
-            def hop(a, b):
-                return instance.travel_minutes(a, b.location) + b.service_time
-
-            arcs = []  # (tail, head); the stop is the tail or head of the outer arcs
-            for j in members:
-                arcs += [(stop_id, j.id), (j.id, stop_id)]
-                for i in members:
-                    if i is not j and i.window_lo + hop(i.location, j) <= j.window_hi + 1e-9:
-                        arcs.append((i.id, j.id))
-            for i, j in arcs:
-                mb.binary("x", i, j, g)
-
-            leaving = [(mb.get("x", stop_id, j.id, g), 1.0) for j in members]
-            mb.add(leaving, "<=", float(len(fleet)), f"freighter_fleet[{g}]")
-            # enough routes leave to carry what the class delivers
-            mb.add([(x, capacity) for x, _ in leaving]
-                   + [(mb.get("z", c.id, g), -c.demand) for c in members],
-                   ">=", 0.0, f"freighter_volume[{g}]")
-            for c in members:
-                z = mb.get("z", c.id, g)
-                mb.add([(mb.get("x", i, j, g), 1.0) for i, j in arcs if j == c.id]
-                       + [(z, -1.0)], "=", 0.0, f"freighter_in[{c.id},{g}]")
-                mb.add([(mb.get("x", i, j, g), 1.0) for i, j in arcs if i == c.id]
-                       + [(z, -1.0)], "=", 0.0, f"freighter_out[{c.id},{g}]")
-            by_id = {c.id: c for c in members}
+            arcs = add_class_routing(mb, instance, g, stop_id, stop_id, fleet, earliest)
+            for cid, (lo, hi) in depart.items():
+                served_by.setdefault(cid, []).append(mb.get("z", cid, g))
+                mb.continuous("td", cid, g, lb=lo, ub=hi)
             for i, j in arcs:
                 if j == stop_id:
                     continue
-                x, head = mb.get("x", i, j, g), by_id[j]
+                x = mb.get("x", i, j, g)
                 if i == stop_id:
-                    # first visit: no sooner than the route's departure plus the ride
-                    t_min = hop(stop.location, head)
+                    # first visit: no sooner than the route's departure plus the ride;
+                    # a big-M from earliest[j] instead of window_lo took more nodes
+                    head = instance.customer(j)
+                    t_min = ride_minutes(instance, stop.location, head)
                     big = depart[j][1] + t_min - head.window_lo
                     if big > 0:
-                        mb.add([(mb.get("t3", j, g), 1.0), (mb.get("td", j, g), -1.0),
+                        mb.add([(mb.get("t", j, g), 1.0), (mb.get("td", j, g), -1.0),
                                 (x, -big)], ">=", t_min - big, f"freighter_first[{j},{g}]")
                     continue
-                tail = by_id[i]
-                mb.add([(mb.get("l3", j, g), 1.0), (mb.get("l3", i, g), -1.0),
-                        (x, -capacity)], ">=", head.demand - capacity,
-                       f"freighter_load[{i},{j},{g}]")
-                t_min = hop(tail.location, head)
-                big = tail.window_hi + t_min - head.window_lo
-                if big > 0:
-                    mb.add([(mb.get("t3", j, g), 1.0), (mb.get("t3", i, g), -1.0),
-                            (x, -big)], ">=", t_min - big, f"freighter_time[{i},{j},{g}]")
                 # one departure per route: the label is equal along every arc
                 spread = max(depart[j][1] - depart[i][0], depart[i][1] - depart[j][0])
                 if spread > 0:
@@ -628,16 +661,17 @@ def decode_truck_routes(instance: Instance, model: MilpModel,
     return routes
 
 
-def class_routes(model: MilpModel, values: dict[str, float], family: str,
-                 depot: str, sink: str, g: str, fleet) -> list[tuple[object, list[str]]]:
-    """(vehicle, nodes visited) per route of class ``g``, handed to ``fleet`` in order.
+def class_routes(model: MilpModel, values: dict[str, float], depot: str, sink: str, g: str,
+                 fleet) -> list[tuple[object, tuple[str, ...], tuple[float, ...]]]:
+    """(vehicle, customers, times) per route of class ``g``, handed to ``fleet`` in order.
 
-    A route leaves ``depot`` on an arc of ``family`` and follows the chosen
-    arcs until ``sink``; the (depot, sink) arc of an idle vehicle is skipped.
+    A route of ``add_class_routing`` leaves ``depot`` on an ``x`` arc and
+    follows the chosen arcs until ``sink``; the (depot, sink) arc of an idle
+    vehicle is skipped. Times are the ``t`` labels of the customers.
     """
     starts: list[str] = []
     succ: dict[str, str] = {}
-    for (u, v, gg), var in model.family(family).items():
+    for (u, v, gg), var in model.family("x").items():
         if gg == g and (u, v) != (depot, sink) and _binary_value(values, var):
             if u == depot:
                 starts.append(v)
@@ -645,6 +679,7 @@ def class_routes(model: MilpModel, values: dict[str, float], family: str,
                 succ[u] = v
     if len(starts) > len(fleet):
         raise DecodeError(f"class {g}: {len(starts)} routes for {len(fleet)} vehicles")
+    t = model.family("t")
     routes = []
     for vehicle, node in zip(fleet, starts):
         nodes: list[str] = []
@@ -653,21 +688,20 @@ def class_routes(model: MilpModel, values: dict[str, float], family: str,
                 raise DecodeError(f"class {g}: route through {node} does not close")
             nodes.append(node)
             node = succ[node]
-        routes.append((vehicle, nodes))
+        routes.append((vehicle, tuple(nodes), tuple(values[t[(c, g)].name] for c in nodes)))
     return routes
 
 
 def decode_freighter_routes(instance: Instance, model: MilpModel,
                             values: dict[str, float]) -> list[FreighterRoute]:
     """Routes per freighter class, handed to the class's freighters in order."""
-    t3, td = model.family("t3"), model.family("td")
+    td = model.family("td")
     routes = []
     for stop in instance.stops:
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
-            for k, customers in class_routes(model, values, "x", stop.id, stop.id, g, fleet):
+            for k, customers, times in class_routes(model, values, stop.id, stop.id, g, fleet):
                 routes.append(FreighterRoute(
                     freighter=k.id, home_stop=stop.id,
                     departure=values[td[(customers[0], g)].name],
-                    customers=tuple(customers),
-                    times=tuple(values[t3[(c, g)].name] for c in customers)))
+                    customers=customers, times=times))
     return routes

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .backends import Backend, ScipyHighsBackend
-from .compat import derive_compatibility
+from .compat import Compatibility, derive_compatibility
 from .instance import Instance, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits, SolveResult
 from .model_full import FullOptions, build_full, decode_full
@@ -149,22 +149,20 @@ def _instance_key(instance: Instance) -> str:
     return hashlib.sha1(serialize_instance(instance).encode()).hexdigest()
 
 
-def reference_routing_costs(instance: Instance, backend: Backend,
-                            config: RunConfig) -> tuple[float, float]:
-    """Tier-1/tier-3 routing costs of the plain-objective solve, cached."""
+def reference_routing_costs(instance: Instance, compat: Compatibility, backend: Backend,
+                            config: RunConfig, metrics: RunMetrics) -> tuple[float, float]:
+    """Tier-1/tier-3 routing costs of the plain-objective solve, cached.
+
+    On a cache miss the plain solve is the run's ``reference`` stage.
+    """
     key = _instance_key(instance)
-    if key in _reference_cache:
-        return _reference_cache[key]
-    compat = derive_compatibility(instance)
-    model = build_full(instance, compat,
-                       FullOptions(symmetry_breaking=config.symmetry_breaking))
-    result = backend.solve(model, SolveLimits(config.seconds("full"), config.rel_gap))
-    if not result.has_solution():
-        raise PipelineError("reference", f"plain-objective solve ended {result.status}")
-    plan = decode_full(instance, model, result)
-    costs = (plan.costs.t1_cost, plan.costs.t3_cost)
-    _reference_cache[key] = costs
-    return costs
+    if key not in _reference_cache:
+        model, result = _stage("reference", config.seconds("full"), config, backend, metrics,
+                               build_full, instance, compat,
+                               FullOptions(symmetry_breaking=config.symmetry_breaking))
+        plan = decode_full(instance, model, result)
+        _reference_cache[key] = (plan.costs.t1_cost, plan.costs.t3_cost)
+    return _reference_cache[key]
 
 
 def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
@@ -267,7 +265,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
     mu = config.mu or instance.cost_params.service_cost_mu
     options = FullOptions(symmetry_breaking=config.symmetry_breaking)
     if mu > 0:
-        t1_ref, t3_ref = reference_routing_costs(instance, backend, config)
+        t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
         options = FullOptions(
             symmetry_breaking=config.symmetry_breaking, service_cost_mu=mu,
             lambda1=mu * t1_ref, lambda3=mu * t3_ref)
@@ -352,7 +350,7 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
-    return _assemble(instance, choices, truck_of, arrivals.t_in,
+    return _assemble(instance, choices, truck_of, arrivals.t_truck,
                      truck_routes, freighter_routes)
 
 
@@ -375,7 +373,7 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
                                           full_handoff, choices)
-    return _assemble(instance, choices, truck_of, handoff.t_in,
+    return _assemble(instance, choices, truck_of, handoff.t_truck,
                      truck_routes, freighter_routes)
 
 
@@ -403,7 +401,7 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
-    return _assemble(instance, choices, truck_of, arrivals.t_in,
+    return _assemble(instance, choices, truck_of, arrivals.t_truck,
                      truck_routes, freighter_routes)
 
 

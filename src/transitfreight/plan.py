@@ -202,6 +202,7 @@ class TierHandoff:
 
     b_in: dict[str, str] = field(default_factory=dict)    # customer -> drop-in stop
     t_in: dict[str, float] = field(default_factory=dict)  # customer -> scheduled pickup at b_in
+    t_truck: dict[str, float] = field(default_factory=dict)  # customer -> minute its truck is at b_in
     b_out: dict[str, str] = field(default_factory=dict)   # customer -> drop-out stop
     t_out: dict[str, float] = field(default_factory=dict)  # customer -> scheduled drop at b_out
     # customer -> latest minute its freighter may leave b_out (freighter-first
@@ -216,6 +217,7 @@ def serialize_handoff(handoff: TierHandoff) -> str:
         "schema": HANDOFF_SCHEMA,
         "b_in": dict(sorted(handoff.b_in.items())),
         "t_in": dict(sorted(handoff.t_in.items())),
+        "t_truck": dict(sorted(handoff.t_truck.items())),
         "b_out": dict(sorted(handoff.b_out.items())),
         "t_out": dict(sorted(handoff.t_out.items())),
         "t_depart_max": dict(sorted(handoff.t_depart_max.items())),
@@ -235,6 +237,7 @@ def parse_handoff(text: str) -> TierHandoff:
     return TierHandoff(
         b_in={k: str(v) for k, v in doc.get("b_in", {}).items()},
         t_in={k: float(v) for k, v in doc.get("t_in", {}).items()},
+        t_truck={k: float(v) for k, v in doc.get("t_truck", {}).items()},
         b_out={k: str(v) for k, v in doc.get("b_out", {}).items()},
         t_out={k: float(v) for k, v in doc.get("t_out", {}).items()},
         t_depart_max={k: float(v) for k, v in doc.get("t_depart_max", {}).items()},

@@ -2,7 +2,8 @@
 
 Emitted files (deterministic row and column order):
   rows.csv                     one row per (instance, method) run
-  best_counts.csv              how often each method found the best cost
+  best_counts.csv              how often each method found the best cost, and
+                               how many of its runs were proven optimal
   deviations.csv               average percentage gap to the best per method
   series_total_cost.csv        instance x method matrix of totals
   series_t1_cost.csv           same for first-leg routing cost
@@ -120,7 +121,8 @@ def _aggregates(rows: list[ReportRow]) -> tuple[str, str]:
     }
     counts_buf = io.StringIO()
     writer = csv.writer(counts_buf, lineterminator="\n")
-    writer.writerow(["method", "best_t1", "best_t3", "best_total", "solved", "attempted"])
+    writer.writerow(["method", "best_t1", "best_t3", "best_total", "solved", "attempted",
+                     "proven"])
     for lbl in labels:
         mine = [r for r in ok if r.label() == lbl]
         row_out = [lbl]
@@ -131,6 +133,7 @@ def _aggregates(rows: list[ReportRow]) -> tuple[str, str]:
                 if r.instance in best and metric(r) <= best[r.instance] + 1e-6))
         row_out.append(len(mine))
         row_out.append(sum(1 for r in rows if r.label() == lbl))
+        row_out.append(sum(1 for r in mine if r.proven))
         writer.writerow(row_out)
 
     dev_buf = io.StringIO()

@@ -27,7 +27,8 @@ cap before the freighter's latest departure. ``decode_transit`` reads all
 three. The two truck stages differ only in the stops and arrival windows
 they pass: d1-t1 offers every drop-in stop whose window under the deadline
 cut and the half-day split is not empty, t1-handoff the fixed stop ``b_in``
-within the dwell cap before ``t_in``. ``decode_t1`` reads both.
+within the dwell cap before ``t_in``. ``decode_t1`` reads both and hands
+on each truck's arrival at the package's stop as ``t_truck``.
 """
 
 from __future__ import annotations
@@ -276,15 +277,12 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
 
 def decode_t1(instance: Instance, model: MilpModel,
               result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_in, customer->truck) of any truck stage.
-
-    ``t_in`` is the minute the package's truck is at its drop-in stop.
-    """
+    """Returns (routes, handoff with b_in/t_truck, customer->truck) of any truck stage."""
     routes = decode_truck_routes(instance, model, result.values)
     stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
     carried = truck_assignments(model, result.values)
     handoff = TierHandoff(b_in={i: s for i, (s, _) in carried.items()},
-                          t_in={i: stop_time[(d, s)] for i, (s, d) in carried.items()})
+                          t_truck={i: stop_time[(d, s)] for i, (s, d) in carried.items()})
     return routes, handoff, {i: d for i, (_, d) in carried.items()}
 
 
@@ -396,14 +394,14 @@ def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
     """Pick a trip through each package's fixed drop-in stop, and a drop-out.
 
     The pickup is at ``b_in``, on a trip that calls there after the truck's
-    arrival ``t_in`` and within the dwell cap of it.
+    arrival ``t_truck`` and within the dwell cap of it.
     """
     M = big_M(instance.cost_params)
     mb = ModelBuilder("d1-t2")
 
     def pickup_window(cust) -> tuple[float, float]:
-        t_in = handoff.t_in[cust.id]
-        return t_in, t_in + instance.stop(handoff.b_in[cust.id]).max_dwell
+        t_truck = handoff.t_truck[cust.id]
+        return t_truck, t_truck + instance.stop(handoff.b_in[cust.id]).max_dwell
 
     def unserved(cust) -> str:
         lo, hi = pickup_window(cust)

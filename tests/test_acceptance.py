@@ -119,6 +119,7 @@ def test_criterion_2_worked_micro_values(backend, micro1):
 _collected_plans: list = []
 
 
+@pytest.mark.slow
 def test_criterion_3_dominance(backend):
     """FULL (proven optimal) never loses to a decomposition pipeline."""
     results = []
@@ -148,6 +149,7 @@ def test_criterion_3_dominance(backend):
           f"monolithic model never beaten")
 
 
+@pytest.mark.slow
 def test_criterion_4_validator_completeness(backend):
     # every plan produced along the way is violation-free
     if not _collected_plans:
@@ -288,6 +290,7 @@ def test_criterion_6_pipeline_structural_properties(backend):
           f"order-preservation verified over {cases} randomized cases each")
 
 
+@pytest.mark.slow
 def test_criterion_7_dedicated_vehicle_reduction(backend):
     """Mean first-leg cost of the three-tier system beats direct trucking.
 
@@ -368,6 +371,7 @@ def test_criterion_8_generator_conformance():
           f"coverage); generation is deterministic per seed")
 
 
+@pytest.mark.slow
 def test_criterion_9_service_cost_trend(backend):
     mus = (0.0, 0.1, 0.25, 0.5, 2.0)
     lines = []

@@ -81,6 +81,18 @@ def test_d1_succeeds_with_a_late_trip(backend):
     assert metrics.total == pytest.approx(MICRO1_TOTAL, abs=1e-6)
 
 
+def test_d1_truck_handoff_carries_truck_times(backend, tmp_path):
+    late = make_micro1(extra_trip_time=550.0)
+    plan, _metrics = run_method(late, RunConfig(method="d1", t2_obj="obj2"), backend,
+                                artifacts_dir=tmp_path)
+    handoff = parse_handoff((tmp_path / "handoff-t1.json").read_text())
+    assert handoff.t_in == {}  # no trip is chosen before the transit stage
+    at_stop = {(r.truck, s): t for r in plan.truck_routes for s, t in zip(r.stops, r.times)}
+    assert handoff.t_truck == {it.customer: at_stop[(it.truck, it.drop_in_stop)]
+                               for it in plan.itineraries}
+    assert parse_handoff(serialize_handoff(handoff)) == handoff
+
+
 def test_determinism(backend, micro1):
     _p1, m1 = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), backend)
     _p2, m2 = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), backend)
@@ -188,6 +200,19 @@ def test_full_service_cost_reference_cached(backend, micro1):
     assert metrics.service_cost > 0
     assert metrics.total == pytest.approx(
         metrics.t1_cost + metrics.t3_cost + metrics.service_cost, abs=1e-9)
+
+
+def test_service_cost_reference_is_a_recorded_stage(backend, micro1, monkeypatch, tmp_path):
+    monkeypatch.setattr(pipeline, "_reference_cache", {})
+    _plan, metrics = run_method(micro1, RunConfig(method="full", mu=0.5), backend,
+                                artifacts_dir=tmp_path)
+    assert [(s.stage, s.status) for s in metrics.stages] == [
+        ("reference", "optimal"), ("full", "optimal")]
+    doc = json.loads((tmp_path / "metrics.json").read_text())
+    assert [s["stage"] for s in doc["stages"]] == ["reference", "full"]
+    # the second run reads the cached reference
+    _plan, again = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
+    assert [(s.stage, s.status) for s in again.stages] == [("full", "optimal")]
 
 
 def test_stitching_matches_stage_handoff(backend, micro1, tmp_path):

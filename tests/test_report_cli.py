@@ -46,7 +46,11 @@ def test_emit_report_files(tmp_path):
 
 
 def test_best_counts_equal_argmin(tmp_path):
-    emit_report(sample_rows(), tmp_path)
+    rows = sample_rows()
+    for row in rows:
+        row.proven = row.method == "full" or (row.method == "d2" and row.instance == "i1")
+    rows.append(ReportRow(instance="i3", method="full", status="failed", error="[full] timeout"))
+    emit_report(rows, tmp_path)
     table = {row["method"]: row for row in
              csv.DictReader(io.StringIO((tmp_path / "best_counts.csv").read_text()))}
     # i1's best total is full (15), i2's is d2 (15): one win each
@@ -54,6 +58,9 @@ def test_best_counts_equal_argmin(tmp_path):
     assert int(table["d2-obj2"]["best_total"]) == 1
     assert int(table["d1-obj2"]["best_total"]) == 0
     assert int(table["full"]["solved"]) == 2
+    assert int(table["full"]["attempted"]) == 3
+    # runs whose every stage ended optimal, per method
+    assert [int(table[m]["proven"]) for m in ("full", "d2-obj2", "d1-obj2")] == [2, 1, 0]
 
 
 def test_deviations_nonnegative(tmp_path):

@@ -41,6 +41,7 @@ from transitfreight.tiers import (
     repair_d3_times,
 )
 from transitfreight.validate import validate_plan
+from transitfreight.vrptw import build_vrptw
 
 from conftest import generate_micro_instances, make_micro1
 
@@ -95,7 +96,7 @@ def test_t1_from_handoff_micro1(backend, micro1):
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
     routes, decoded, truck_of = decode_t1(micro1, model, result)
-    time_at = decoded.t_in
+    time_at = decoded.t_truck
     assert truck_of["c1"] == "d1"
     assert routes[0].stops == ("A",)
     assert time_at["c1"] <= 150.0 + 1e-6
@@ -195,6 +196,42 @@ def test_t3_stopwise_unreachable_window(micro1):
         build_t3_stopwise(micro1, "B", ["c1"], handoff)
 
 
+def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
+    """Freighters and the vrptw baseline share one routing fragment.
+
+    Stop B is 10 minutes from u and from v, and u and v are 14.1 minutes
+    apart. Both packages are dropped at 158 and loaded by 168, so neither is
+    served before 178; v's window closes at 191, before u can be served and
+    v then reached (192.1). Trucks from the CDC reach u at 180.3 and v at 190.
+    """
+    far = 900.0
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(far - 40, 0), True, False, 10.0, 300.0),
+               Stop("B", Point(far, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "B")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 158.0}, 60.0),),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("f1", "B", 20.0),),
+        customers=(Customer("u", Point(far, 50), 10.0, 60.0, 800.0, 0.0, frozenset({"B"})),
+                   Customer("v", Point(far + 50, 0), 10.0, 60.0, 191.0, 0.0, frozenset({"B"}))),
+    )
+    instance.validate()
+    handoff = TierHandoff(b_out={"u": "B", "v": "B"}, t_out={"u": 158.0, "v": 158.0})
+    model = build_t3_stopwise(instance, "B", ["u", "v"], handoff)
+    arcs = {(i, j) for i, j, _g in model.family("x")}
+    assert ("u", "v") not in arcs and ("v", "u") in arcs
+    for cid in ("u", "v"):
+        ride = instance.travel_minutes(Point(far, 0), instance.customer(cid).location)
+        assert model.family("t")[(cid, "f1")].lb == pytest.approx(max(60.0, 158.0 + 10.0 + ride))
+    routes = decode_t3_stopwise(instance, model, solve(model, backend))
+    assert [r.customers for r in routes] == [("v", "u")]
+
+    baseline = build_vrptw(instance)
+    arcs = {(i, j) for i, j, _g in baseline.family("x")}
+    assert ("u", "v") not in arcs and ("v", "u") in arcs
+
+
 # ---- half-day preprocessing ----------------------------------------------
 
 
@@ -243,8 +280,8 @@ def test_d1_t1_micro1_cut_and_half(backend, micro1):
     assert handoff.b_in["c1"] == "A"
     journey = 1.3 * travel_time(
         euclidean_distance(Point(10, 0), Point(52, 2)), micro1.cost_params)
-    assert handoff.t_in["c1"] <= 500.0 - journey + 1e-6  # deadline cut
-    assert handoff.t_in["c1"] >= 400.0 - 1e-6            # second-half pinning
+    assert handoff.t_truck["c1"] <= 500.0 - journey + 1e-6  # deadline cut
+    assert handoff.t_truck["c1"] >= 400.0 - 1e-6            # second-half pinning
 
 
 def test_d1_t1_first_half_pinning(backend):
@@ -257,7 +294,7 @@ def test_d1_t1_first_half_pinning(backend):
     result = solve(model, backend)
     assert result.status == "optimal"
     _routes, handoff, _ = decode_t1(instance, model, result)
-    assert handoff.t_in["c1"] <= 400.0 + 1e-6
+    assert handoff.t_truck["c1"] <= 400.0 + 1e-6
 
 
 def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend):
@@ -290,7 +327,7 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend):
 
 def test_d1_t2_dwell_arithmetic(backend, micro1):
     compat = derive_compatibility(micro1)
-    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 12.0})
+    handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
     model = build_d1_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -306,7 +343,7 @@ def test_d1_t2_stranded_when_dwell_small():
     short_dwell = replace(micro, stops=(
         replace(micro.stops[0], max_dwell=100.0), micro.stops[1]))
     compat = derive_compatibility(short_dwell)
-    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 12.0})
+    handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
     with pytest.raises(ModelBuildError, match="stranded package"):
         build_d1_t2(short_dwell, compat, handoff, T2Objective.parse("obj2"))
 
@@ -657,7 +694,7 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
         model = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
         split_cost = 2 * 10.0 + 2 * SQRT8  # two truck visits at A, two drop distances
     elif stage == "d1-t2":
-        handoff = TierHandoff(b_in={"u": "A", "v": "A"}, t_in={"u": 140.0, "v": 140.0})
+        handoff = TierHandoff(b_in={"u": "A", "v": "A"}, t_truck={"u": 140.0, "v": 140.0})
         model = build_d1_t2(instance, compat, handoff, T2Objective.parse("obj3"))
         split_cost = 2.0  # one freighter in each drop period
     else:
