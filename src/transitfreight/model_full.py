@@ -11,15 +11,10 @@ Variable families (structured names carry the index tuples):
   y1[i,s,p]  trip p picks package i up at drop-in stop s
   y2[i,s,p]  trip p drops package i at drop-out stop s
   l2[u,p]    load of trip p leaving stop u
-  z[i,g]     a freighter of class g delivers package i; a class is a set of
-             interchangeable freighters of one stop (``vehicle_classes``)
-  x[i,j,g]   a freighter of class g traverses arc (i,j); idle freighters
-             stay home, at most the class size of routes leave the stop
-  l[i,g]     load delivered by the route through i, up to and including i
-  t[i,g]     minute package i is delivered
-  td[i,g]    minute the route through i leaves its home stop
-The z/x/l/t families are those of ``add_class_routing``, which also builds
-the ``vrptw`` baseline with trucks in place of freighters.
+  q[g,i1,..,ik]   freighter class g drives the route that leaves its home stop
+                  and serves i1, ..., ik in that order; a class is a set of
+                  interchangeable freighters of one stop (``vehicle_classes``)
+  dep[g,i1,..,ik] minute that route leaves its home stop, 0 when not driven
 
 Conditional constraints bracketed by data (line order, candidate sets) are
 expanded at build time: variables exist only for index tuples the data
@@ -42,12 +37,19 @@ Each fragment has one copy, used by every model that needs it:
                          carrying the package; full, d1-t1 and t1-handoff
                          differ only in the stops and windows they pass
   truck_assignments      customer -> (drop-in stop, truck), the one reader of r
-  add_class_routing      one vehicle class's two-index routing, for freighters
-                         and the vrptw baseline: they differ only in the
-                         depot, the customers and their earliest service
-  add_freighter_routing  add_class_routing per freighter class, with departures
+  enumerate_routes       the routes one freighter class may drive: a label-setting
+                         DP over capacity and windows that keeps, per customer
+                         set, the orders no other order beats on length and
+                         latest departure
+  add_freighter_routing  one q/dep column per enumerated route, with fleet rows,
+                         for full, t3-stopwise and d3-t3; they differ only in
+                         the departure bounds they pass
+  class_assignments      (q, dep) of the columns that serve a customer at a stop,
+                         which callers link to drops (full), the chosen stop
+                         (d3-t3) or 1 (t3-stopwise)
   arc_costs              distance-priced objective terms of an arc family
-  class_routes           routes and times of one vehicle class, the one walker
+  route_costs            the freighter-rate price of every route column
+  decode_freighter_routes  the chosen columns, timed by ``visit_times``
 Plans are priced by ``validate.recompute_costs``, as every pipeline does.
 """
 
@@ -216,85 +218,102 @@ def vehicle_classes(vehicles) -> list[tuple[str, tuple]]:
     return [(fleet[0].id, tuple(fleet)) for fleet in by_capacity.values()]
 
 
-def class_assignments(mb: ModelBuilder, instance: Instance, customer_id: str,
-                      stop_id: str) -> list[tuple[str, object]]:
-    """(class, z variable) for each class of the stop that may serve the customer."""
-    pairs = [(g, mb.get("z", customer_id, g))
-             for g, _ in vehicle_classes(instance.freighters_of_stop(stop_id))]
-    return [(g, z) for g, z in pairs if z is not None]
-
-
 def ride_minutes(instance: Instance, a, cust) -> float:
     """Minutes from leaving point ``a`` to the end of service at ``cust``."""
     return instance.travel_minutes(a, cust.location) + cust.service_time
 
 
-def add_class_routing(mb: ModelBuilder, instance: Instance, g: str, depot: str, sink: str,
-                      fleet, earliest: dict[str, float]) -> list[tuple[str, str]]:
-    """Two-index routing of one vehicle class; returns its arcs as (tail, head).
+def visit_times(instance: Instance, home, departure: float,
+                customers: tuple[str, ...]) -> tuple[float, ...]:
+    """Minute service ends at each customer of a route leaving ``home`` at ``departure``.
 
-    The class (see ``vehicle_classes``) serves the customers keyed in
-    ``earliest``, each no sooner than ``earliest[i]``: routes leave
-    ``depot`` and end at ``sink``, at most the class size of them, and
-    enough to carry what the class delivers. ``z[i,g]`` marks the customers
-    served; ``l[i,g]`` is the load delivered up to and including ``i`` and
-    ``t[i,g]`` the minute service at ``i`` ends. Load labels are
-    Miller-Tucker-Zemlin rows lifted as Desrochers and Laporte (1991)
-    describe, with a two-cycle row per pair of opposite arcs; with the time
-    labels they cut subtours. Arcs the windows rule out are not built, and
-    each time row has its own big-M. A class with no customer adds nothing.
+    Each visit ends at the earliest minute the ride from the previous point
+    allows, or when the customer's window opens if that is later.
     """
-    if not earliest:
-        return []
-    capacity = fleet[0].capacity
-    members = [instance.customer(cid) for cid in earliest]
-    for c in members:
-        mb.binary("z", c.id, g)
-        mb.continuous("l", c.id, g, lb=c.demand, ub=capacity)
-        mb.continuous("t", c.id, g, lb=earliest[c.id], ub=max(earliest[c.id], c.window_hi))
+    t, loc, times = departure, home, []
+    for cid in customers:
+        cust = instance.customer(cid)
+        t = max(cust.window_lo, t + ride_minutes(instance, loc, cust))
+        times.append(t)
+        loc = cust.location
+    return tuple(times)
 
-    arcs = []
-    for j in members:
-        arcs += [(depot, j.id), (j.id, sink)]
-        arcs += [(i.id, j.id) for i in members if i is not j
-                 and earliest[i.id] + ride_minutes(instance, i.location, j) <= j.window_hi + 1e-9]
-    for u, v in arcs:
-        mb.binary("x", u, v, g)
 
-    leaving = [(mb.get("x", depot, c.id, g), 1.0) for c in members]
-    mb.add(leaving, "<=", float(len(fleet)), f"fleet[{g}]")
-    mb.add([(x, capacity) for x, _ in leaving]
-           + [(mb.get("z", c.id, g), -c.demand) for c in members],
-           ">=", 0.0, f"volume[{g}]")
-    for c in members:
-        z = mb.get("z", c.id, g)
-        mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if v == c.id] + [(z, -1.0)],
-               "=", 0.0, f"in[{c.id},{g}]")
-        mb.add([(mb.get("x", u, v, g), 1.0) for u, v in arcs if u == c.id] + [(z, -1.0)],
-               "=", 0.0, f"out[{c.id},{g}]")
-    by_id = {c.id: c for c in members}
-    for u, v in arcs:
-        if u == depot or v == sink:
-            continue
-        i, j = by_id[u], by_id[v]
-        x, back = mb.get("x", u, v, g), mb.get("x", v, u, g)
-        lifted = [] if back is None else [(back, i.demand + j.demand - capacity)]
-        mb.add([(mb.get("l", v, g), 1.0), (mb.get("l", u, g), -1.0), (x, -capacity)]
-               + lifted, ">=", j.demand - capacity, f"load[{u},{v},{g}]")
-        if back is not None and u < v:
-            mb.add([(x, 1.0), (back, 1.0)], "<=", 1.0, f"two_cycle[{u},{v},{g}]")
-        hop = ride_minutes(instance, i.location, j)
-        big = i.window_hi + hop - earliest[v]
-        if big > 0:
-            mb.add([(mb.get("t", v, g), 1.0), (mb.get("t", u, g), -1.0), (x, -big)],
-                   ">=", hop - big, f"time[{u},{v},{g}]")
-    return arcs
+def _pareto(labels: list[tuple]) -> list[tuple]:
+    """Labels (distance, latest, ...) that no other label beats on both.
+
+    Of labels of equal distance only the one with the latest minute survives.
+    """
+    kept: list[tuple] = []
+    for label in sorted(labels, key=lambda lab: (lab[0], -lab[1])):
+        if kept and label[0] <= kept[-1][0] + 1e-9:
+            if label[1] > kept[-1][1]:
+                kept[-1] = label
+        elif not kept or label[1] > kept[-1][1]:
+            kept.append(label)
+    return kept
+
+
+def enumerate_routes(instance: Instance, home, capacity: float,
+                     bounds: dict[str, tuple[float, float]]
+                     ) -> list[tuple[tuple[str, ...], float]]:
+    """Feasible routes from ``home`` over the customers keyed in ``bounds``.
+
+    ``bounds[i]`` is the (earliest, latest) departure of a route that carries
+    ``i``. A label-setting DP extends visit orders backward from their last
+    customer: a label is an order with its distance back home, its load and
+    the latest minute service at its first customer may end. A label dies
+    when its load exceeds ``capacity``, when that latest end falls before the
+    first customer's window opens or before the ride from the latest
+    earliest departure of its customers, or when its departure bounds do not
+    meet. Of the orders of one customer set only the Pareto orders survive:
+    shorter, or leaving later; of orders of equal length only the one that
+    may leave latest.
+
+    Returns (visit order, latest departure L) per route, shortest orders first.
+    """
+    custs = {cid: instance.customer(cid) for cid in sorted(bounds)}
+    pairs = [(a, b) for a in custs for b in custs if a != b]
+    gap = {(a, b): euclidean_distance(custs[a].location, custs[b].location) for a, b in pairs}
+    hop = {(a, b): ride_minutes(instance, custs[a].location, custs[b]) for a, b in pairs}
+    back = {cid: euclidean_distance(c.location, home) for cid, c in custs.items()}
+    reach = {cid: ride_minutes(instance, home, c) for cid, c in custs.items()}
+
+    def alive(first: str, latest: float, lo: float, hi: float) -> bool:
+        start = max(custs[first].window_lo, lo + reach[first])
+        return latest >= start - 1e-9 and lo <= hi + 1e-9
+
+    # (customers, first) -> labels (distance, latest end at first, order, load, lo, hi)
+    labels: dict[tuple[frozenset, str], list[tuple]] = {}
+    for cid, c in custs.items():
+        lo, hi = bounds[cid]
+        if c.demand <= capacity + 1e-9 and alive(cid, c.window_hi, lo, hi):
+            labels[(frozenset((cid,)), cid)] = [(back[cid], c.window_hi, (cid,), c.demand, lo, hi)]
+    done: dict[frozenset, list[tuple]] = {}
+    while labels:
+        grown: dict[tuple[frozenset, str], list[tuple]] = {}
+        for (members, first), front in labels.items():
+            for dist, latest, order, load, lo, hi in front:
+                done.setdefault(members, []).append(
+                    (dist + back[first], latest - reach[first], order))
+                for cid, c in custs.items():
+                    if cid in members or load + c.demand > capacity + 1e-9:
+                        continue
+                    t = min(c.window_hi, latest - hop[(cid, first)])
+                    lo2, hi2 = max(lo, bounds[cid][0]), min(hi, bounds[cid][1])
+                    if alive(cid, t, lo2, hi2):
+                        grown.setdefault((members | {cid}, cid), []).append(
+                            (dist + gap[(cid, first)], t, (cid,) + order,
+                             load + c.demand, lo2, hi2))
+        labels = {key: _pareto(front) for key, front in grown.items()}
+    routes = [(order, latest) for orders in done.values() for _, latest, order in _pareto(orders)]
+    return sorted(routes, key=lambda route: (len(route[0]), route[0]))
 
 
 def add_freighter_routing(mb: ModelBuilder, instance: Instance,
                           customers_of_stop: dict[str, list[str]],
                           departure_bounds) -> None:
-    """Shared tier-3 structure: ``add_class_routing`` per freighter class of each stop.
+    """Shared tier-3 structure: one route column per route a freighter class may drive.
 
     ``customers_of_stop`` lists, per drop-out stop, the customers its
     freighters may serve; a customer may be listed at several stops, in
@@ -303,55 +322,53 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     stop)`` gives (earliest, latest) bounds on the departure of the route
     serving that customer from that stop.
 
-    Routes leave the stop and return to it, and serve a customer no sooner
-    than the earliest departure plus the ride. The departure ``td[i,g]`` is
-    carried along the arcs so callers can bound it per package (loading and
-    dwell rows). A class leaves out a customer whose demand exceeds its
-    capacity or whom no departure still reaches within the window.
+    Per class (``vehicle_classes``) the routes come from
+    ``enumerate_routes``. Route ``r`` is a binary ``q[g,i1,...,ik]`` indexed
+    by the class and its customers in visit order, with a departure
+    ``dep[g,i1,...,ik]`` held within ``[lo_r, hi_r]`` while the route is
+    driven and 0 otherwise: ``lo_r`` is the latest earliest departure of its
+    customers, ``hi_r`` the earlier of its latest departure and their latest
+    departures. At most the class size of routes are driven. Callers tie
+    the columns that serve a customer at a stop (``class_assignments``) to
+    their own decision: ``full`` to the drop there, which also bounds their
+    ``dep``, d3-t3 to the stop it picks, t3-stopwise to 1.
     """
-    served_by: dict[str, list] = {}
     for stop_id in sorted(customers_of_stop):
-        stop = instance.stop(stop_id)
+        home = instance.stop(stop_id).location
+        bounds = {cid: departure_bounds(cid, stop_id) for cid in customers_of_stop[stop_id]}
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop_id)):
-            earliest, depart = {}, {}
-            for cid in customers_of_stop[stop_id]:
-                cust = instance.customer(cid)
-                ride = ride_minutes(instance, stop.location, cust)
-                lo, hi = departure_bounds(cid, stop_id)
-                # the route reaches cid no sooner than the direct ride
-                hi = min(hi, cust.window_hi - ride)
-                if cust.demand <= fleet[0].capacity and lo <= hi + 1e-9:
-                    earliest[cid] = max(cust.window_lo, lo + ride)
-                    depart[cid] = (lo, max(lo, hi))
-            arcs = add_class_routing(mb, instance, g, stop_id, stop_id, fleet, earliest)
-            for cid, (lo, hi) in depart.items():
-                served_by.setdefault(cid, []).append(mb.get("z", cid, g))
-                mb.continuous("td", cid, g, lb=lo, ub=hi)
-            for i, j in arcs:
-                if j == stop_id:
-                    continue
-                x = mb.get("x", i, j, g)
-                if i == stop_id:
-                    # first visit: no sooner than the route's departure plus the ride;
-                    # a big-M from earliest[j] instead of window_lo took more nodes
-                    head = instance.customer(j)
-                    t_min = ride_minutes(instance, stop.location, head)
-                    big = depart[j][1] + t_min - head.window_lo
-                    if big > 0:
-                        mb.add([(mb.get("t", j, g), 1.0), (mb.get("td", j, g), -1.0),
-                                (x, -big)], ">=", t_min - big, f"freighter_first[{j},{g}]")
-                    continue
-                # one departure per route: the label is equal along every arc
-                spread = max(depart[j][1] - depart[i][0], depart[i][1] - depart[j][0])
-                if spread > 0:
-                    mb.add([(mb.get("td", j, g), 1.0), (mb.get("td", i, g), -1.0),
-                            (x, spread)], "<=", spread, f"departure_fwd[{i},{j},{g}]")
-                    mb.add([(mb.get("td", i, g), 1.0), (mb.get("td", j, g), -1.0),
-                            (x, spread)], "<=", spread, f"departure_bwd[{i},{j},{g}]")
+            driven = []
+            for order, latest in enumerate_routes(instance, home, fleet[0].capacity, bounds):
+                q, dep = mb.binary("q", g, *order), mb.continuous("dep", g, *order)
+                lo = max(bounds[cid][0] for cid in order)
+                hi = min([latest] + [bounds[cid][1] for cid in order])
+                route = ",".join((g, *order))
+                mb.add([(dep, 1.0), (q, -lo)], ">=", 0.0, f"dep_lo[{route}]")
+                mb.add([(dep, 1.0), (q, -hi)], "<=", 0.0, f"dep_hi[{route}]")
+                driven.append((q, 1.0))
+            if driven:
+                mb.add(driven, "<=", float(len(fleet)), f"fleet[{g}]")
 
-    # every listed customer is served exactly once, across all stops
-    for cid, zs in sorted(served_by.items()):
-        mb.add([(z, 1.0) for z in zs], "=", 1.0, f"customer_once[{cid}]")
+
+def class_assignments(mb: ModelBuilder, instance: Instance, customer_id: str,
+                      stop_id: str) -> list[tuple[object, object]]:
+    """(q, dep) of every route column of the stop's freighter classes that serves the customer."""
+    classes = {g for g, _ in vehicle_classes(instance.freighters_of_stop(stop_id))}
+    return [(q, mb.get("dep", *idx)) for idx, q in mb.family_items("q")
+            if idx[0] in classes and customer_id in idx[1:]]
+
+
+def route_costs(mb: ModelBuilder, instance: Instance) -> list:
+    """Objective terms pricing every route column at its length at the freighter rate."""
+    params = instance.cost_params
+    per_distance = params.freighter_cost_scale * params.truck_cost_per_distance
+    terms = []
+    for (g, *order), q in mb.family_items("q"):
+        home = instance.stop(instance.freighter(g).home_stop).location
+        points = [home] + [instance.customer(cid).location for cid in order] + [home]
+        terms.append((q, per_distance * sum(euclidean_distance(a, b)
+                                            for a, b in zip(points, points[1:]))))
+    return terms
 
 
 def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility,
@@ -541,28 +558,25 @@ def build_full(instance: Instance, compat: Compatibility,
             if (cust.id, s) not in drops_at:
                 continue
             drop_terms, stop = drops_at[(cust.id, s)], instance.stop(s)
-            assigned = class_assignments(mb, instance, cust.id, s)
-            for g, z_var in assigned:
-                td = mb.get("td", cust.id, g)
-                # leave only after the package is loaded, and within the dwell cap
-                mb.add([(td, 1.0), (z_var, -M)] + [(v, -t) for v, t in drop_terms],
-                       ">=", stop.service_time - M, f"load_first[{cust.id},{g}]")
-                mb.add([(td, 1.0), (z_var, M)] + [(v, -t) for v, t in drop_terms],
-                       "<=", stop.max_dwell + M, f"dwell_out[{cust.id},{g}]")
+            columns = class_assignments(mb, instance, cust.id, s)
+            departs = [(dep, 1.0) for _, dep in columns]
+            # the route leaves only after the package is loaded, and within the dwell cap;
+            # dep is 0 off the one column that serves the package, so no big-M is needed
+            mb.add(departs + [(v, -(t + stop.service_time)) for v, t in drop_terms],
+                   ">=", 0.0, f"load_first[{cust.id},{s}]")
+            mb.add(departs + [(v, -(t + stop.max_dwell)) for v, t in drop_terms],
+                   "<=", 0.0, f"dwell_out[{cust.id},{s}]")
             # handover to freighters: served from a stop exactly when dropped there
-            mb.add([(z, 1.0) for _, z in assigned] + [(v, -1.0) for v, _ in drop_terms],
+            mb.add([(q, 1.0) for q, _ in columns] + [(v, -1.0) for v, _ in drop_terms],
                    "=", 0.0, f"freighter_handover[{cust.id},{s}]")
 
     objective = (arc_costs(mb, instance, "w", params.truck_cost_per_distance)
-                 + arc_costs(mb, instance, "x",
-                             params.freighter_cost_scale * params.truck_cost_per_distance))
+                 + route_costs(mb, instance))
     if options.service_cost_mu > 0:
-        # per-visit service costs: a truck arc into a drop-in stop, a freighter leaving its stop
-        stop_ids = {s.id for s in instance.stops}
+        # per-visit service costs: a truck arc into a drop-in stop, a freighter route
         objective += [(var, options.lambda1)
                       for (_u, v, _d), var in mb.family_items("w") if v != CDC_SINK]
-        objective += [(var, options.lambda3) for (i, j, _g), var in mb.family_items("x")
-                      if i in stop_ids and j not in stop_ids]
+        objective += [(q, options.lambda3) for _, q in mb.family_items("q")]
     mb.set_objective(objective)
     return mb.build(
         mu=options.service_cost_mu,
@@ -661,47 +675,28 @@ def decode_truck_routes(instance: Instance, model: MilpModel,
     return routes
 
 
-def class_routes(model: MilpModel, values: dict[str, float], depot: str, sink: str, g: str,
-                 fleet) -> list[tuple[object, tuple[str, ...], tuple[float, ...]]]:
-    """(vehicle, customers, times) per route of class ``g``, handed to ``fleet`` in order.
-
-    A route of ``add_class_routing`` leaves ``depot`` on an ``x`` arc and
-    follows the chosen arcs until ``sink``; the (depot, sink) arc of an idle
-    vehicle is skipped. Times are the ``t`` labels of the customers.
-    """
-    starts: list[str] = []
-    succ: dict[str, str] = {}
-    for (u, v, gg), var in model.family("x").items():
-        if gg == g and (u, v) != (depot, sink) and _binary_value(values, var):
-            if u == depot:
-                starts.append(v)
-            else:
-                succ[u] = v
-    if len(starts) > len(fleet):
-        raise DecodeError(f"class {g}: {len(starts)} routes for {len(fleet)} vehicles")
-    t = model.family("t")
-    routes = []
-    for vehicle, node in zip(fleet, starts):
-        nodes: list[str] = []
-        while node != sink:
-            if node in nodes:
-                raise DecodeError(f"class {g}: route through {node} does not close")
-            nodes.append(node)
-            node = succ[node]
-        routes.append((vehicle, tuple(nodes), tuple(values[t[(c, g)].name] for c in nodes)))
-    return routes
-
-
 def decode_freighter_routes(instance: Instance, model: MilpModel,
                             values: dict[str, float]) -> list[FreighterRoute]:
-    """Routes per freighter class, handed to the class's freighters in order."""
-    td = model.family("td")
+    """The chosen route columns per freighter class, handed to the class's freighters in order.
+
+    A route leaves at its ``dep`` value and serves its customers in the
+    order its index tuple lists them, each at the earliest minute
+    (``visit_times``).
+    """
+    chosen: dict[str, list[tuple]] = {}
+    for idx, q in model.family("q").items():
+        if _binary_value(values, q):
+            chosen.setdefault(idx[0], []).append(idx)
+    dep = model.family("dep")
     routes = []
     for stop in instance.stops:
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
-            for k, customers, times in class_routes(model, values, stop.id, stop.id, g, fleet):
+            columns = chosen.get(g, [])
+            if len(columns) > len(fleet):
+                raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} vehicles")
+            for k, idx in zip(fleet, columns):
+                departure = values[dep[idx].name]
                 routes.append(FreighterRoute(
-                    freighter=k.id, home_stop=stop.id,
-                    departure=values[td[(customers[0], g)].name],
-                    customers=customers, times=times))
+                    freighter=k.id, home_stop=stop.id, departure=departure, customers=idx[1:],
+                    times=visit_times(instance, stop.location, departure, idx[1:])))
     return routes

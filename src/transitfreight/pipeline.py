@@ -18,7 +18,7 @@ from .backends import Backend, ScipyHighsBackend
 from .compat import Compatibility, derive_compatibility
 from .instance import Instance, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits, SolveResult
-from .model_full import FullOptions, build_full, decode_full
+from .model_full import FullOptions, ModelBuildError, build_full, decode_full, visit_times
 from .plan import (
     CostBreakdown,
     CustomerItinerary,
@@ -62,10 +62,23 @@ DEFAULT_STAGE_SECONDS = {
 
 
 class PipelineError(RuntimeError):
-    def __init__(self, stage: str, cause: str):
+    """A run stopped at ``stage``; ``status`` is that stage's solver status, or
+    ``infeasible`` for a model whose inputs admit no solution, or ``error``."""
+
+    def __init__(self, stage: str, cause: str, status: str = "error"):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+        self.status = status
+
+
+# statuses from most to least proven; timeout, infeasible and error prove nothing
+_STATUS_RANK = {"optimal": 0, "feasible": 1}
+
+
+def worst_stage_status(statuses) -> str:
+    """The least-proven of the stage statuses: optimal > feasible > the rest."""
+    return max(statuses, key=lambda status: _STATUS_RANK.get(status, 2), default="optimal")
 
 
 @dataclass(frozen=True)
@@ -172,7 +185,8 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
     try:
         model = build(*args)
     except ModelError as exc:
-        raise PipelineError(stage, str(exc)) from exc
+        status = "infeasible" if isinstance(exc, ModelBuildError) else "error"
+        raise PipelineError(stage, str(exc), status) from exc
     build_time = time.perf_counter() - started
     result = backend.solve(model, SolveLimits(seconds, config.rel_gap))
     gap = None
@@ -184,11 +198,11 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
         message=result.message, vars=len(model.variables), cons=len(model.constraints),
         nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time))
     if result.status == "infeasible":
-        raise PipelineError(stage, "model infeasible")
+        raise PipelineError(stage, "model infeasible", result.status)
     if result.status == "timeout":
-        raise PipelineError(stage, "stage timeout, no incumbent")
+        raise PipelineError(stage, "stage timeout, no incumbent", result.status)
     if result.status == "error":
-        raise PipelineError(stage, f"backend error: {result.message}")
+        raise PipelineError(stage, f"backend error: {result.message}", result.status)
     return model, result
 
 
@@ -427,24 +441,17 @@ def _retime_d3_routes(instance, raw_routes, choices) -> list[FreighterRoute]:
                 "d3-stitch",
                 f"freighter {route.freighter}: packages arrive too far apart "
                 f"({min(drops):g} vs {max(drops):g}) for the dwell cap")
-        t_prev = departure
-        loc_prev = stop.location
-        times = []
-        for cid in route.customers:
+        times = visit_times(instance, stop.location, departure, route.customers)
+        for cid, t_here in zip(route.customers, times):
             cust = instance.customer(cid)
-            arrival = (t_prev + instance.travel_minutes(loc_prev, cust.location)
-                       + cust.service_time)
-            t_here = max(arrival, cust.window_lo)
             if t_here > cust.window_hi + 1e-9:
                 raise PipelineError(
                     "d3-stitch",
                     f"customer {cid}: retimed delivery {t_here:g} misses the window "
                     f"closing {cust.window_hi:g}")
-            times.append(t_here)
-            t_prev, loc_prev = t_here, cust.location
         out.append(FreighterRoute(
             freighter=route.freighter, home_stop=route.home_stop,
-            departure=departure, customers=route.customers, times=tuple(times)))
+            departure=departure, customers=route.customers, times=times))
     return out
 
 
@@ -463,9 +470,10 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
                 art = Path(artifacts_root) / f"{name}__{config.label()}"
             try:
                 _plan, metrics = run_method(instance, config, backend, art)
+                worst = worst_stage_status(s.status for s in metrics.stages)
                 rows.append(ReportRow(
                     instance=name, method=config.method, t2_obj=config.t2_obj or "",
-                    status="ok", proven=all(s.status == "optimal" for s in metrics.stages),
+                    status="ok", proven=worst == "optimal", worst_stage_status=worst,
                     t1_cost=metrics.t1_cost, t3_cost=metrics.t3_cost,
                     service_cost=metrics.service_cost, total=metrics.total,
                     runtime=metrics.wall_time,
@@ -481,7 +489,9 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
             except (PipelineError, ModelError) as exc:
                 rows.append(ReportRow(
                     instance=name, method=config.method, t2_obj=config.t2_obj or "",
-                    status="failed", error=str(exc)))
+                    status="failed", error=str(exc),
+                    worst_stage_status=(exc.status if isinstance(exc, PipelineError)
+                                        else "error")))
     _fill_deviations(rows)
     return rows
 

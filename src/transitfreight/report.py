@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROW_COLUMNS = [
-    "instance", "method", "t2_obj", "status", "proven", "t1_cost", "t3_cost",
-    "service_cost", "total", "runtime", "stops_in_used", "stops_out_used",
+    "instance", "method", "t2_obj", "status", "proven", "worst_stage_status", "t1_cost",
+    "t3_cost", "service_cost", "total", "runtime", "stops_in_used", "stops_out_used",
     "trucks_used", "freighters_used", "trips_used", "packages_per_truck",
     "packages_per_freighter", "packages_per_trip", "deviation_pct", "error",
 ]
@@ -33,6 +33,9 @@ class ReportRow:
     t2_obj: str = ""
     status: str = "ok"
     proven: bool = False  # every stage of the run ended optimal
+    # least-proven stage status (optimal > feasible > timeout/infeasible/error);
+    # a failed run's is the status of the stage it failed at
+    worst_stage_status: str = ""
     t1_cost: float = float("nan")
     t3_cost: float = float("nan")
     service_cost: float = float("nan")
@@ -70,9 +73,12 @@ def rows_from_csv(text: str) -> list[ReportRow]:
     for rec in csv.DictReader(io.StringIO(text)):
         row = ReportRow(instance=rec["instance"], method=rec["method"],
                         t2_obj=rec.get("t2_obj", ""), status=rec.get("status", "ok"),
-                        proven=rec.get("proven") == "True", error=rec.get("error", ""))
+                        proven=rec.get("proven") == "True",
+                        worst_stage_status=rec.get("worst_stage_status", ""),
+                        error=rec.get("error", ""))
         for name in ROW_COLUMNS:
-            if name in ("instance", "method", "t2_obj", "status", "proven", "error"):
+            if name in ("instance", "method", "t2_obj", "status", "proven",
+                        "worst_stage_status", "error"):
                 continue
             value = rec.get(name, "")
             if value == "":

@@ -17,18 +17,22 @@ distance proxies, and an estimated freighter count per period.
 
 Every stage is built from the fragments ``model_full`` shares with the
 monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``,
-``add_stop_assignments`` and ``add_arrival_window`` for trucks,
-``add_freighter_routing`` for freighters, and ``arc_costs`` for routing
-objectives. The three transit stages differ only in the stop predicates they
-pass: d2-t2 keeps pickups a truck can feed and drops a freighter can still
-serve in time; d1-t2 pins the pickup to ``b_in`` within the dwell cap after
-the truck's arrival, and d3-t2 pins the drop to ``b_out`` within the dwell
-cap before the freighter's latest departure. ``decode_transit`` reads all
-three. The two truck stages differ only in the stops and arrival windows
-they pass: d1-t1 offers every drop-in stop whose window under the deadline
-cut and the half-day split is not empty, t1-handoff the fixed stop ``b_in``
-within the dwell cap before ``t_in``. ``decode_t1`` reads both and hands
-on each truck's arrival at the package's stop as ``t_truck``.
+``add_stop_assignments`` and ``add_arrival_window`` for trucks, and
+``add_freighter_routing`` for freighters, which chooses among enumerated
+route columns; ``arc_costs`` and ``route_costs`` price them. The two
+freighter stages pass departure bounds that are data: t3-stopwise from the
+fixed drops and the dwell cap, d3-t3 from each stop's first trip arrival;
+``decode_freighter_routes`` reads both. The three transit stages differ
+only in the stop predicates they pass: d2-t2 keeps pickups a truck can feed
+and drops a freighter can still serve in time; d1-t2 pins the pickup to
+``b_in`` within the dwell cap after the truck's arrival, and d3-t2 pins the
+drop to ``b_out`` within the dwell cap before the freighter's latest
+departure. ``decode_transit`` reads all three. The two truck stages differ
+only in the stops and arrival windows they pass: d1-t1 offers every drop-in
+stop whose window under the deadline cut and the half-day split is not
+empty, t1-handoff the fixed stop ``b_in`` within the dwell cap before
+``t_in``. ``decode_t1`` reads both and hands on each truck's arrival at the
+package's stop as ``t_truck``.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .model_full import (
     class_assignments,
     decode_freighter_routes,
     decode_truck_routes,
+    route_costs,
     truck_assignments,
     _binary_value,
 )
@@ -315,13 +320,13 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
     add_freighter_routing(mb, instance, {stop_id: sorted(customers_of_stop)},
                           departure_bounds)
     for cid in sorted(customers_of_stop):
-        if not class_assignments(mb, instance, cid, stop_id):
+        columns = class_assignments(mb, instance, cid, stop_id)
+        if not columns:
             raise ModelBuildError(
                 f"stop {stop_id}: no freighter can carry customer {cid} within the dwell cap")
+        mb.add([(q, 1.0) for q, _ in columns], "=", 1.0, f"customer_once[{cid}]")
 
-    params = instance.cost_params
-    mb.set_objective(arc_costs(mb, instance, "x",
-                               params.freighter_cost_scale * params.truck_cost_per_distance))
+    mb.set_objective(route_costs(mb, instance))
     return mb.build(stop=stop_id)
 
 
@@ -454,13 +459,11 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
                 for sid in sorted(cust.dropout_candidates)],
                "=", 1.0, f"dropout_once[{cust.id}]")
         for sid in sorted(cust.dropout_candidates):
-            mb.add([(z, 1.0) for _, z in class_assignments(mb, instance, cust.id, sid)]
+            mb.add([(q, 1.0) for q, _ in class_assignments(mb, instance, cust.id, sid)]
                    + [(mb.get("gamma2", cust.id, sid), -1.0)],
                    "=", 0.0, f"stop_serve[{cust.id},{sid}]")
 
-    params = instance.cost_params
-    mb.set_objective(arc_costs(mb, instance, "x",
-                               params.freighter_cost_scale * params.truck_cost_per_distance))
+    mb.set_objective(route_costs(mb, instance))
     return mb.build()
 
 

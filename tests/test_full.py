@@ -211,7 +211,7 @@ def test_mixed_capacity_freighters_form_separate_classes(backend):
     )
     instance.validate()
     model = build_full(instance, derive_compatibility(instance))
-    assert {g for (_i, _j, g) in model.family("x")} == {"f1", "f2"}
+    assert {g for (g, *_order) in model.family("q")} == {"f1", "f2"}
     result = solve(model, backend)
     assert result.status == "optimal"
     plan = decode_full(instance, model, result)

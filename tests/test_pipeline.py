@@ -185,6 +185,16 @@ def test_compare_methods_records_failures(backend, micro1):
     assert all(r.deviation_pct >= -1e-9 for r in ok_rows)
 
 
+def test_compare_methods_records_the_worst_stage_status(backend, micro1):
+    rows = compare_methods(
+        [("micro1", micro1)],
+        [RunConfig(method="full"), RunConfig(method="d3", t2_obj="obj2")], backend)
+    by_label = {r.label(): r for r in rows}
+    assert by_label["full"].worst_stage_status == "optimal" and by_label["full"].proven
+    # d3's transit stage cannot be built: no trip reaches the stop in time
+    assert by_label["d3-obj2"].worst_stage_status == "infeasible"
+
+
 def test_compare_methods_artifacts_layout(backend, micro1, tmp_path):
     compare_methods(
         [("m1", micro1)], [RunConfig(method="d2", t2_obj="obj2")], backend,

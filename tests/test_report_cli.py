@@ -79,12 +79,16 @@ def test_single_method_degenerates(tmp_path):
 def test_rows_csv_round_trip():
     rows = sample_rows()
     rows[0].proven = True
+    for row, status in zip(rows, ("optimal", "feasible", "timeout")):
+        row.worst_stage_status = status
     rows.append(ReportRow(instance="i1", method="d3", t2_obj="obj2", status="failed",
-                          error="[t2] model infeasible"))
+                          worst_stage_status="infeasible", error="[t2] model infeasible"))
     text = rows_to_csv(rows)
     again = rows_from_csv(text)
     assert rows_to_csv(again) == text
     assert [r.proven for r in again] == [True] + [False] * 6
+    assert [r.worst_stage_status for r in again] == (
+        ["optimal", "feasible", "timeout"] + [""] * 3 + ["infeasible"])
 
 
 def test_emit_report_rejects_empty(tmp_path):

@@ -197,7 +197,7 @@ def test_t3_stopwise_unreachable_window(micro1):
 
 
 def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
-    """Freighters and the vrptw baseline share one routing fragment.
+    """Freighter route columns and the vrptw baseline's arcs respect the earliest service.
 
     Stop B is 10 minutes from u and from v, and u and v are 14.1 minutes
     apart. Both packages are dropped at 158 and loaded by 168, so neither is
@@ -219,11 +219,9 @@ def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
     instance.validate()
     handoff = TierHandoff(b_out={"u": "B", "v": "B"}, t_out={"u": 158.0, "v": 158.0})
     model = build_t3_stopwise(instance, "B", ["u", "v"], handoff)
-    arcs = {(i, j) for i, j, _g in model.family("x")}
-    assert ("u", "v") not in arcs and ("v", "u") in arcs
-    for cid in ("u", "v"):
-        ride = instance.travel_minutes(Point(far, 0), instance.customer(cid).location)
-        assert model.family("t")[(cid, "f1")].lb == pytest.approx(max(60.0, 158.0 + 10.0 + ride))
+    orders = [order for _g, *order in model.family("q")]
+    assert ["v", "u"] in orders
+    assert not any({"u", "v"} <= set(o) and o.index("u") < o.index("v") for o in orders)
     routes = decode_t3_stopwise(instance, model, solve(model, backend))
     assert [r.customers for r in routes] == [("v", "u")]
 
@@ -788,3 +786,111 @@ def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
         assert choice.pickup_time < choice.drop_time
     else:
         assert validate_plan(instance, decode_full(instance, lured, result)) == []
+
+
+# ---- route columns ---------------------------------------------------------
+
+
+def _stopwise_total(instance, handoff, backend) -> float | None:
+    """Summed t3-stopwise optima over the handoff's drop-out stops; None if one has no plan."""
+    by_stop: dict[str, list[str]] = {}
+    for cid, sid in handoff.b_out.items():
+        by_stop.setdefault(sid, []).append(cid)
+    total = 0.0
+    for sid, members in sorted(by_stop.items()):
+        try:
+            result = solve(build_t3_stopwise(instance, sid, members, handoff), backend)
+        except ModelBuildError:
+            return None
+        if result.status == "infeasible":
+            return None
+        assert result.status == "optimal"
+        total += result.objective
+    return total
+
+
+def _narrowed_windows(instance, handoff, width: float):
+    """Windows ``width`` minutes long that open 0-59 minutes after the earliest direct delivery."""
+    customers = []
+    for k, cust in enumerate(instance.customers):
+        stop = instance.stop(handoff.b_out[cust.id])
+        earliest = (handoff.t_out[cust.id] + stop.service_time
+                    + instance.travel_minutes(stop.location, cust.location) + cust.service_time)
+        lo = earliest + (23 * k) % 60
+        customers.append(dataclasses.replace(cust, window_lo=lo, window_hi=lo + width))
+    return dataclasses.replace(instance, customers=tuple(customers))
+
+
+def test_route_columns_match_the_oracle_on_micro_instances(backend):
+    """Per-stop column optima sum to the brute-force freighter layer on every d2 handoff
+    of the micro instances, as drawn and with narrow windows that make the order matter."""
+    from transitfreight.bruteforce import _best_freighter_layer
+
+    checked = 0
+    for instance in generate_micro_instances(20):
+        compat = derive_compatibility(instance)
+        demands = {c.id: c.demand for c in instance.customers}
+        for tag in ("obj1", "obj2", "obj3"):
+            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            result = solve(t2, backend)
+            assert result.status == "optimal"
+            handoff = handoff_from_transit(decode_transit(instance, t2, result))
+            drops = {c: (handoff.b_out[c], handoff.t_out[c]) for c in handoff.b_out}
+            for variant in (instance, _narrowed_windows(instance, handoff, 25.0)):
+                total = _stopwise_total(variant, handoff, backend)
+                merged = _best_freighter_layer(variant, demands, drops, {})
+                if merged is None:
+                    assert total is None
+                else:
+                    assert total == pytest.approx(merged[0], abs=1e-4)
+                    checked += 1
+    assert checked >= 60
+
+
+def test_d3_t3_drives_the_later_leaving_direction_of_a_tie(backend):
+    """Both directions of a two-customer route cost the same, but u closes first:
+    served first, it lets the route leave later, and only that direction is a column."""
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(10, 0), True, False, 10.0, 300.0),
+               Stop("B", Point(50, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "B")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 158.0}, 60.0),),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("f1", "B", 20.0),),
+        customers=(Customer("u", Point(52, 2), 10.0, 200.0, 300.0, 0.0, frozenset({"B"})),
+                   Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
+    )
+    instance.validate()
+    model = build_d3_t3(instance, derive_compatibility(instance), first_trip_times(instance))
+    assert ("f1", "v", "u") not in model.family("q")
+    _b_out, routes = decode_d3_t3(instance, model, solve(model, backend))
+    assert [r.customers for r in routes] == [("u", "v")]
+    t_visit, _ = repair_d3_times(routes, instance)
+    ride = instance.travel_minutes(Point(50, 0), Point(52, 2))
+    assert latest_departures(routes, instance, t_visit) == {
+        "u": pytest.approx(300.0 - ride), "v": pytest.approx(300.0 - ride)}
+
+
+def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
+    """On the dominance seeds, the handoff's latest departure of every d3-t3 route
+    is the latest departure its column was built with."""
+    from transitfreight.generate import generate_instance
+    from test_acceptance import DOMINANCE_SEEDS, _dominance_params
+
+    for seed in DOMINANCE_SEEDS:
+        instance = generate_instance(_dominance_params(seed))
+        model = build_d3_t3(instance, derive_compatibility(instance), first_trip_times(instance))
+        result = solve(model, backend)
+        assert result.status == "optimal"
+        _b_out, routes = decode_d3_t3(instance, model, result)
+        t_visit, _ = repair_d3_times(routes, instance)
+        latest = latest_departures(routes, instance, t_visit)
+        # the dep_hi row of a column holds dep <= L * q (d3-t3 bounds departures by the horizon)
+        bound = {con.name: -con.terms[1][1] for con in model.constraints
+                 if con.name.startswith("dep_hi[")}
+        chosen = [idx for idx, q in model.family("q").items() if result.values[q.name] > 0.5]
+        assert [r.customers for r in routes] == [idx[1:] for idx in chosen]
+        for idx in chosen:
+            for cid in idx[1:]:
+                assert latest[cid] == pytest.approx(bound[f"dep_hi[{','.join(idx)}]"], abs=1e-6)
