@@ -29,13 +29,16 @@ Each fragment has one copy, used by every model that needs it:
                          no earlier than at drop v (u == v included), one
                          row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
   add_trip_loads         l2 along every trip, from the y1/y2 on the builder
-  add_truck_routing      w/t1 arcs, degree balance and times per truck
+  add_truck_routing      w/t1 arcs, degree balance and times per truck, for full,
+                         d1-t1 and a t1-handoff too large for route columns
   add_stop_assignments   r[i,s,d] over given drop-in stops, with truck capacity,
                          the g visits and one g[d,s] >= r[i,s,d] row per
-                         assignment
+                         assignment, for the same three
   add_arrival_window     big-M rows that hold lo <= t1[s,d] <= hi for the truck
-                         carrying the package; full, d1-t1 and t1-handoff
-                         differ only in the stops and windows they pass
+                         carrying the package; full, d1-t1 and that t1-handoff
+                         differ only in the stops and windows they pass (a
+                         t1-handoff within ``tiers.ROUTE_LABEL_LIMIT`` chooses
+                         enumerated routes in ``tiers`` instead)
   truck_assignments      customer -> (drop-in stop, truck), the one reader of r
   enumerate_routes       the routes one freighter class may drive: a label-setting
                          DP over capacity and windows that keeps, per customer
@@ -43,10 +46,9 @@ Each fragment has one copy, used by every model that needs it:
                          latest departure
   add_freighter_routing  one q/dep column per enumerated route, with fleet rows,
                          for full, t3-stopwise and d3-t3; they differ only in
-                         the departure bounds they pass
-  class_assignments      (q, dep) of the columns that serve a customer at a stop,
-                         which callers link to drops (full), the chosen stop
-                         (d3-t3) or 1 (t3-stopwise)
+                         the departure bounds they pass, and link the (q, dep)
+                         it returns per (customer, stop) to drops (full), the
+                         chosen stop (d3-t3) or 1 (t3-stopwise)
   arc_costs              distance-priced objective terms of an arc family
   route_costs            the freighter-rate price of every route column
   decode_freighter_routes  the chosen columns, timed by ``visit_times``
@@ -312,7 +314,7 @@ def enumerate_routes(instance: Instance, home, capacity: float,
 
 def add_freighter_routing(mb: ModelBuilder, instance: Instance,
                           customers_of_stop: dict[str, list[str]],
-                          departure_bounds) -> None:
+                          departure_bounds) -> dict[tuple[str, str], list[tuple]]:
     """Shared tier-3 structure: one route column per route a freighter class may drive.
 
     ``customers_of_stop`` lists, per drop-out stop, the customers its
@@ -328,11 +330,14 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     ``dep[g,i1,...,ik]`` held within ``[lo_r, hi_r]`` while the route is
     driven and 0 otherwise: ``lo_r`` is the latest earliest departure of its
     customers, ``hi_r`` the earlier of its latest departure and their latest
-    departures. At most the class size of routes are driven. Callers tie
-    the columns that serve a customer at a stop (``class_assignments``) to
-    their own decision: ``full`` to the drop there, which also bounds their
-    ``dep``, d3-t3 to the stop it picks, t3-stopwise to 1.
+    departures. At most the class size of routes are driven.
+
+    Returns, per (customer, stop), the ``(q, dep)`` of the columns that serve
+    the customer from that stop, in the order they were made. Callers tie
+    them to their own decision: ``full`` to the drop there, which also bounds
+    their ``dep``, d3-t3 to the stop it picks, t3-stopwise to 1.
     """
+    serving: dict[tuple[str, str], list[tuple]] = {}
     for stop_id in sorted(customers_of_stop):
         home = instance.stop(stop_id).location
         bounds = {cid: departure_bounds(cid, stop_id) for cid in customers_of_stop[stop_id]}
@@ -346,16 +351,11 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
                 mb.add([(dep, 1.0), (q, -lo)], ">=", 0.0, f"dep_lo[{route}]")
                 mb.add([(dep, 1.0), (q, -hi)], "<=", 0.0, f"dep_hi[{route}]")
                 driven.append((q, 1.0))
+                for cid in order:
+                    serving.setdefault((cid, stop_id), []).append((q, dep))
             if driven:
                 mb.add(driven, "<=", float(len(fleet)), f"fleet[{g}]")
-
-
-def class_assignments(mb: ModelBuilder, instance: Instance, customer_id: str,
-                      stop_id: str) -> list[tuple[object, object]]:
-    """(q, dep) of every route column of the stop's freighter classes that serves the customer."""
-    classes = {g for g, _ in vehicle_classes(instance.freighters_of_stop(stop_id))}
-    return [(q, mb.get("dep", *idx)) for idx, q in mb.family_items("q")
-            if idx[0] in classes and customer_id in idx[1:]]
+    return serving
 
 
 def route_costs(mb: ModelBuilder, instance: Instance) -> list:
@@ -551,14 +551,14 @@ def build_full(instance: Instance, compat: Compatibility,
         stop = instance.stop(sid)
         return min(times) + stop.service_time, max(times) + stop.max_dwell
 
-    add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
+    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
 
     for cust in instance.customers:
         for s in sorted(cust.dropout_candidates):
             if (cust.id, s) not in drops_at:
                 continue
             drop_terms, stop = drops_at[(cust.id, s)], instance.stop(s)
-            columns = class_assignments(mb, instance, cust.id, s)
+            columns = serving.get((cust.id, s), [])
             departs = [(dep, 1.0) for _, dep in columns]
             # the route leaves only after the package is loaded, and within the dwell cap;
             # dep is 0 off the one column that serves the package, so no big-M is needed

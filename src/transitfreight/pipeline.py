@@ -41,6 +41,7 @@ from .tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
+    decode_t1_from_handoff,
     decode_t3_stopwise,
     decode_transit,
     first_trip_times,
@@ -206,10 +207,11 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
     return model, result
 
 
-def _dump(artifacts_dir: Path | None, name: str, text: str) -> None:
+def _dump(artifacts_dir: Path | None, name: str, serialize, document) -> None:
+    """Write ``serialize(document)``; without an artifacts directory nothing is serialized."""
     if artifacts_dir is not None:
         artifacts_dir.mkdir(parents=True, exist_ok=True)
-        (artifacts_dir / name).write_text(text, encoding="utf-8")
+        (artifacts_dir / name).write_text(serialize(document), encoding="utf-8")
 
 
 def run_method(instance: Instance, config: RunConfig, backend: Backend | None = None,
@@ -219,7 +221,7 @@ def run_method(instance: Instance, config: RunConfig, backend: Backend | None = 
         instance = with_beta(instance, config.beta)
     metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj)
     started = time.perf_counter()
-    _dump(artifacts_dir, "instance.json", serialize_instance(instance))
+    _dump(artifacts_dir, "instance.json", serialize_instance, instance)
 
     if config.method == "vrptw":
         plan = _run_vrptw(instance, config, backend, metrics)
@@ -234,8 +236,8 @@ def run_method(instance: Instance, config: RunConfig, backend: Backend | None = 
 
     metrics.wall_time = time.perf_counter() - started
     _fill_plan_metrics(instance, plan, metrics)
-    _dump(artifacts_dir, "plan.json", serialize_plan(plan))
-    _dump(artifacts_dir, "metrics.json", metrics.to_json())
+    _dump(artifacts_dir, "plan.json", serialize_plan, plan)
+    _dump(artifacts_dir, "metrics.json", RunMetrics.to_json, metrics)
     return plan, metrics
 
 
@@ -357,11 +359,12 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
                                  build_d2_t2, instance, compat, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     handoff = handoff_from_transit(choices)
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(handoff))
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, handoff)
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, handoff)
-    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
+    truck_routes, arrivals, truck_of = decode_t1_from_handoff(instance, handoff, t1_model,
+                                                              t1_result)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
     return _assemble(instance, choices, truck_of, arrivals.t_truck,
@@ -376,14 +379,14 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
                                  build_d1_t1, instance, compat, tau)
     truck_routes, handoff, truck_of = decode_t1(instance, t1_model, t1_result)
     handoff.tau = tau
-    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff(handoff))
+    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, handoff)
 
     t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
                                  build_d1_t2, instance, compat, handoff, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     full_handoff = handoff_from_transit(choices)
     full_handoff.tau = tau
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(full_handoff))
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, full_handoff)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
                                           full_handoff, choices)
@@ -402,17 +405,18 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     metrics.warnings.extend(warnings)
     handoff = TierHandoff(b_out=b_out, t_first=t_first,
                           t_depart_max=latest_departures(raw_routes, instance, t_visit))
-    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff(handoff))
+    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, handoff)
 
     t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
                                  build_d3_t2, instance, compat, handoff, objective)
     choices = decode_transit(instance, t2_model, t2_result)
     t1_handoff = handoff_from_transit(choices)
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff(t1_handoff))
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, t1_handoff)
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, t1_handoff)
-    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
+    truck_routes, arrivals, truck_of = decode_t1_from_handoff(instance, t1_handoff, t1_model,
+                                                              t1_result)
 
     freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
     return _assemble(instance, choices, truck_of, arrivals.t_truck,

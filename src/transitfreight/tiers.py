@@ -17,26 +17,37 @@ distance proxies, and an estimated freighter count per period.
 
 Every stage is built from the fragments ``model_full`` shares with the
 monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``,
-``add_stop_assignments`` and ``add_arrival_window`` for trucks, and
-``add_freighter_routing`` for freighters, which chooses among enumerated
-route columns; ``arc_costs`` and ``route_costs`` price them. The two
-freighter stages pass departure bounds that are data: t3-stopwise from the
-fixed drops and the dwell cap, d3-t3 from each stop's first trip arrival;
-``decode_freighter_routes`` reads both. The three transit stages differ
-only in the stop predicates they pass: d2-t2 keeps pickups a truck can feed
-and drops a freighter can still serve in time; d1-t2 pins the pickup to
-``b_in`` within the dwell cap after the truck's arrival, and d3-t2 pins the
-drop to ``b_out`` within the dwell cap before the freighter's latest
-departure. ``decode_transit`` reads all three. The two truck stages differ
-only in the stops and arrival windows they pass: d1-t1 offers every drop-in
-stop whose window under the deadline cut and the half-day split is not
-empty, t1-handoff the fixed stop ``b_in`` within the dwell cap before
-``t_in``. ``decode_t1`` reads both and hands on each truck's arrival at the
-package's stop as ``t_truck``.
+``add_stop_assignments`` and ``add_arrival_window`` for trucks chosen per
+vehicle, and ``add_freighter_routing`` for freighters, which chooses among
+enumerated route columns; ``arc_costs`` and ``route_costs`` price them.
+The two freighter stages pass departure bounds that are data: t3-stopwise
+from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
+arrival; ``decode_freighter_routes`` reads both. The three transit stages
+differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
+can feed and drops a freighter can still serve in time; d1-t2 pins the
+pickup to ``b_in`` within the dwell cap after the truck's arrival, and
+d3-t2 pins the drop to ``b_out`` within the dwell cap before the
+freighter's latest departure. ``decode_transit`` reads all three.
+
+The two truck stages differ in what is fixed when they run. d1-t1 still
+picks each package's stop among the drop-in stops whose window under the
+deadline cut and the half-day split is not empty, so it keeps the shared
+per-truck rows, read by ``decode_t1``. t1-handoff gets each package's stop
+``b_in`` and pickup ``t_in``; its truck must arrive within the dwell cap
+before ``t_in``. It chooses, under covering rows, among the routes a
+label-setting DP (``enumerate_truck_routes``) lists per truck class, and
+``decode_t1_from_handoff`` puts each package on one chosen route. The
+number of routes grows combinatorially with the packages one truck can
+carry, so past ``ROUTE_LABEL_LIMIT`` labels the stage is built from
+d1-t1's per-truck rows instead, with each package's stop and window fixed;
+``decode_t1_from_handoff`` hands such a model to ``decode_t1``. Both
+decoders hand on each truck's arrival at the package's stop as
+``t_truck``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +55,7 @@ from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
+    CDC_NODE,
     DecodeError,
     ModelBuildError,
     add_arrival_window,
@@ -52,12 +64,13 @@ from .model_full import (
     add_transit_flow,
     add_truck_routing,
     arc_costs,
-    class_assignments,
     decode_freighter_routes,
     decode_truck_routes,
     route_costs,
     truck_assignments,
+    vehicle_classes,
     _binary_value,
+    _pareto,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
 
@@ -254,10 +267,139 @@ def handoff_from_transit(choices: dict[str, TransitChoice]) -> TierHandoff:
 # ---- truck model fed by a handoff --------------------------------------
 
 
+ROUTE_LABEL_LIMIT = 20_000  # stop visits and labels the truck route DP may make per class
+
+
+def _pickup_windows(instance: Instance, handoff: TierHandoff) -> dict[str, tuple[float, float]]:
+    """Per customer, the minutes its truck may be at ``b_in``: within the dwell cap before ``t_in``."""
+    return {c.id: (handoff.t_in[c.id] - instance.stop(handoff.b_in[c.id]).max_dwell,
+                   handoff.t_in[c.id])
+            for c in instance.customers}
+
+
+def _truck_hops(instance: Instance, stop_ids) -> dict[tuple[str, str], float]:
+    """Minutes from the CDC or a stop to another stop, its service included."""
+    where = {CDC_NODE: instance.cdc, **{sid: instance.stop(sid).location for sid in stop_ids}}
+    return {(u, v): instance.travel_minutes(where[u], where[v]) + instance.stop(v).service_time
+            for u in where for v in stop_ids if u != v}
+
+
+def _truck_visit_time(leave: float, hop: float, lo: float) -> float:
+    """A truck leaving at ``leave`` is done at the next stop ``hop`` later, or waits for ``lo``."""
+    return max(lo, leave + hop)
+
+
+def _stop_visits(members: list[str], window, demand, capacity: float, bit,
+                 limit: int) -> list[tuple] | None:
+    """(bits, packages, load, lo, hi) of every nonempty set of one stop's packages whose
+    load fits ``capacity`` and whose pickup windows meet, in ``itertools.combinations``
+    order; None once there are more than ``limit``. Sets grow package by package, and
+    one that fails either test is not grown further."""
+    visits: list[tuple] = []
+
+    def grow(start: int, group: tuple, load: float, lo: float, hi: float) -> bool:
+        for k in range(start, len(members)):
+            c = members[k]
+            c_load, c_lo, c_hi = load + demand[c], max(lo, window[c][0]), min(hi, window[c][1])
+            if c_lo <= c_hi + 1e-9 and c_load <= capacity + 1e-9:
+                visits.append((group + (c,), c_load, c_lo, c_hi))
+                if len(visits) > limit or not grow(k + 1, group + (c,), c_load, c_lo, c_hi):
+                    return False
+        return True
+
+    if not grow(0, (), 0.0, -math.inf, math.inf):
+        return None
+    position = {c: k for k, c in enumerate(members)}
+    visits.sort(key=lambda v: (len(v[0]), [position[c] for c in v[0]]))
+    return [(sum(bit[c] for c in group), group, load, lo, hi) for group, load, lo, hi in visits]
+
+
+def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: float
+                           ) -> list[tuple[tuple[str, ...], float]] | None:
+    """The routes a truck of ``capacity`` may drive to the handoff's fixed stops and times.
+
+    Package ``i`` is served at ``b_in[i]`` within ``[t_in[i] - max_dwell, t_in[i]]``.
+    A forward label-setting DP leaves the CDC at minute 0. A label is a
+    customer set, its last stop, its distance, the earliest minute ``t`` it
+    leaves that stop, and its load. It extends to an unvisited stop ``v``
+    with a nonempty set ``C`` of ``v``'s packages whose windows meet and
+    whose load fits, at ``t' = max(lo_C, t + travel + service(v))``, which
+    must not pass ``hi_C``. Per (customer set, last stop) only the labels no
+    other beats on both distance and ``t`` survive; per customer set, the
+    shortest closed route.
+
+    Removing a package never lengthens a route or delays a visit (travel is
+    Euclidean and trucks may wait), so a set is dropped when one more
+    package gives a route no longer: that route covers it for no more.
+
+    Returns (customers in visit order, grouped by stop; distance) per kept set,
+    or None once the stop visits and grown labels pass ``ROUTE_LABEL_LIMIT``:
+    the number of customer sets grows combinatorially with the packages one
+    truck can carry.
+    """
+    window = _pickup_windows(instance, handoff)
+    bit = {c.id: 1 << k for k, c in enumerate(instance.customers)}
+    demand = {c.id: c.demand for c in instance.customers}
+    at_stop: dict[str, list[str]] = {}
+    for c in instance.customers:
+        at_stop.setdefault(handoff.b_in[c.id], []).append(c.id)
+    where = {CDC_NODE: instance.cdc, **{sid: instance.stop(sid).location for sid in at_stop}}
+    gap = {(u, v): euclidean_distance(where[u], where[v]) for u in where for v in at_stop if u != v}
+    hop = _truck_hops(instance, at_stop)
+    stop_bits = {sid: sum(bit[c] for c in members) for sid, members in at_stop.items()}
+    visits: dict[str, list[tuple]] = {}
+    made = 0  # stop visits and labels grown so far
+    for sid, members in at_stop.items():
+        visits[sid] = _stop_visits(members, window, demand, capacity, bit,
+                                   ROUTE_LABEL_LIMIT - made)
+        if visits[sid] is None:
+            return None
+        made += len(visits[sid])
+
+    # (customer set, last stop) -> labels (distance, -t, order, load); an earlier t is better
+    labels: dict[tuple[int, str], list[tuple]] = {(0, CDC_NODE): [(0.0, 0.0, (), 0.0)]}
+    shortest: dict[int, tuple[float, tuple[str, ...]]] = {}
+    while labels:
+        grown: dict[tuple[int, str], list[tuple]] = {}
+        for (served, last), front in labels.items():
+            for dist, neg_t, order, load in front:
+                if served:
+                    closed = dist + gap[(CDC_NODE, last)]
+                    if served not in shortest or closed < shortest[served][0]:
+                        shortest[served] = (closed, order)
+                for sid, options in visits.items():
+                    if served & stop_bits[sid]:
+                        continue
+                    for members, group, extra, lo, hi in options:
+                        t = _truck_visit_time(-neg_t, hop[(last, sid)], lo)
+                        if t <= hi + 1e-9 and load + extra <= capacity + 1e-9:
+                            made += 1
+                            grown.setdefault((served | members, sid), []).append(
+                                (dist + gap[(last, sid)], -t, order + group, load + extra))
+                if made > ROUTE_LABEL_LIMIT:
+                    return None
+        labels = {key: _pareto(front) for key, front in grown.items()}
+    routes = [(order, dist) for served, (dist, order) in shortest.items()
+              if not any(served | b in shortest and shortest[served | b][0] <= dist + 1e-9
+                         for b in bit.values() if not served & b)]
+    return sorted(routes, key=lambda route: (len(route[0]), route[0]))
+
+
 def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel:
-    """Route trucks so every package reaches its fixed stop by its fixed time."""
-    params = instance.cost_params
-    M = big_M(params)
+    """Route trucks so every package reaches its fixed stop by its fixed time.
+
+    A covering model over ``enumerate_truck_routes``: per truck class
+    (``vehicle_classes``) one binary ``x1[g,i1,...,ik]`` per route, indexed
+    by the class and its customers in visit order, priced at its length;
+    at most the class size of routes are driven (``fleet[g]``), and every
+    customer is on at least one (``cover[i]``). Covering loses nothing: a
+    package served twice leaves one route early, which never costs more
+    (``decode_t1_from_handoff``).
+
+    When a class has more routes than the DP lists within
+    ``ROUTE_LABEL_LIMIT``, the stage is built from the per-truck rows d1-t1
+    uses instead (``_build_t1_rows``), whose size grows polynomially.
+    """
     for cust in instance.customers:
         stop = instance.stop(handoff.b_in[cust.id])
         earliest = (instance.travel_minutes(instance.cdc, stop.location)
@@ -267,6 +409,40 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
                 f"customer {cust.id}: pickup at {handoff.t_in[cust.id]:g} precedes the "
                 f"earliest truck arrival {earliest:g} at stop {stop.id}")
 
+    columns = {}
+    for g, fleet in vehicle_classes(instance.trucks):
+        columns[g] = enumerate_truck_routes(instance, handoff, fleet[0].capacity)
+        if columns[g] is None:
+            return _build_t1_rows(instance, handoff)
+
+    per_distance = instance.cost_params.truck_cost_per_distance
+    mb = ModelBuilder("t1-handoff")
+    objective = []
+    covering: dict[str, list] = {c.id: [] for c in instance.customers}
+    for g, fleet in vehicle_classes(instance.trucks):
+        driven = []
+        for order, dist in columns[g]:
+            x = mb.binary("x1", g, *order)
+            objective.append((x, per_distance * dist))
+            driven.append((x, 1.0))
+            for cid in order:
+                covering[cid].append((x, 1.0))
+        if driven:
+            mb.add(driven, "<=", float(len(fleet)), f"fleet[{g}]")
+    window = _pickup_windows(instance, handoff)
+    for cid, covers in covering.items():
+        if not covers:
+            raise ModelBuildError(
+                f"customer {cid}: no truck can bring it to stop {handoff.b_in[cid]} "
+                f"within [{window[cid][0]:g}, {window[cid][1]:g}]")
+        mb.add(covers, ">=", 1.0, f"cover[{cid}]")
+    mb.set_objective(objective)
+    return mb.build()
+
+
+def _build_t1_rows(instance: Instance, handoff: TierHandoff) -> MilpModel:
+    """t1-handoff from d1-t1's truck rows, with each package's stop fixed to ``b_in``."""
+    M = big_M(instance.cost_params)
     mb = ModelBuilder("t1-handoff")
     ctx = add_truck_routing(mb, instance, M, symmetry=True)
     add_stop_assignments(mb, instance, {c.id: [handoff.b_in[c.id]] for c in instance.customers},
@@ -276,13 +452,58 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
         # arrive before the pickup, and not more than the dwell cap earlier
         add_arrival_window(mb, instance, cust.id, stop, M,
                            lo=([], t_in - instance.stop(stop).max_dwell), hi=([], t_in))
-    mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
+    mb.set_objective(arc_costs(mb, instance, "w", instance.cost_params.truck_cost_per_distance))
     return mb.build()
+
+
+def decode_t1_from_handoff(instance: Instance, handoff: TierHandoff, model: MilpModel,
+                           result: SolveResult
+                           ) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
+    """Returns (routes, handoff with b_in/t_truck, customer->truck) of t1-handoff.
+
+    A model built from rows is read by ``decode_t1``. Of a column model, the
+    chosen columns go to their class's trucks in instance order. Each
+    customer rides the first chosen column that covers it, in class order
+    and then column order; a route skips the stops left without packages and
+    is timed forward from the CDC at minute 0 by the DP's rule.
+    """
+    if model.family("w"):
+        return decode_t1(instance, model, result)
+    chosen: dict[str, list[tuple[str, ...]]] = {}
+    for (g, *order), x in model.family("x1").items():
+        if _binary_value(result.values, x):
+            chosen.setdefault(g, []).append(tuple(order))
+    window = _pickup_windows(instance, handoff)
+    hop = _truck_hops(instance, set(handoff.b_in.values()))
+    routes, truck_of, t_truck = [], {}, {}
+    for g, fleet in vehicle_classes(instance.trucks):
+        columns = chosen.get(g, [])
+        if len(columns) > len(fleet):
+            raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
+        for truck, order in zip(fleet, columns):
+            carried = [cid for cid in order if cid not in truck_of]
+            t, here, stops, times = 0.0, CDC_NODE, [], []
+            for sid, group in itertools.groupby(carried, key=handoff.b_in.__getitem__):
+                group = list(group)
+                t = _truck_visit_time(t, hop[(here, sid)], max(window[cid][0] for cid in group))
+                here = sid
+                stops.append(sid)
+                times.append(t)
+                for cid in group:
+                    truck_of[cid], t_truck[cid] = truck.id, t
+            if stops:
+                routes.append(TruckRoute(truck=truck.id, departure=0.0,
+                                         stops=tuple(stops), times=tuple(times)))
+    for cust in instance.customers:
+        if cust.id not in truck_of:
+            raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
+    return routes, TierHandoff(b_in=dict(handoff.b_in), t_truck=t_truck), truck_of
 
 
 def decode_t1(instance: Instance, model: MilpModel,
               result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_truck, customer->truck) of any truck stage."""
+    """Returns (routes, handoff with b_in/t_truck, customer->truck) of d1-t1, and of a
+    t1-handoff built from rows."""
     routes = decode_truck_routes(instance, model, result.values)
     stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
     carried = truck_assignments(model, result.values)
@@ -317,10 +538,10 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
         return t_out + stop.service_time, t_out + stop.max_dwell
 
     # only this stop's freighters take part
-    add_freighter_routing(mb, instance, {stop_id: sorted(customers_of_stop)},
-                          departure_bounds)
+    serving = add_freighter_routing(mb, instance, {stop_id: sorted(customers_of_stop)},
+                                    departure_bounds)
     for cid in sorted(customers_of_stop):
-        columns = class_assignments(mb, instance, cid, stop_id)
+        columns = serving.get((cid, stop_id))
         if not columns:
             raise ModelBuildError(
                 f"stop {stop_id}: no freighter can carry customer {cid} within the dwell cap")
@@ -450,7 +671,7 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
     def departure_bounds(_cid: str, sid: str) -> tuple[float, float]:
         return t_first[sid] + instance.stop(sid).service_time, instance.cost_params.horizon
 
-    add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
+    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
 
     for cust in instance.customers:
         for sid in sorted(cust.dropout_candidates):
@@ -459,7 +680,7 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
                 for sid in sorted(cust.dropout_candidates)],
                "=", 1.0, f"dropout_once[{cust.id}]")
         for sid in sorted(cust.dropout_candidates):
-            mb.add([(q, 1.0) for q, _ in class_assignments(mb, instance, cust.id, sid)]
+            mb.add([(q, 1.0) for q, _ in serving.get((cust.id, sid), [])]
                    + [(mb.get("gamma2", cust.id, sid), -1.0)],
                    "=", 0.0, f"stop_serve[{cust.id},{sid}]")
 

@@ -115,26 +115,33 @@ def test_criterion_2_worked_micro_values(backend, micro1):
           f"direct trucking={vmetrics.total:.4f}")
 
 
-# collected during criterion 3, reused by criterion 4
-_collected_plans: list = []
-
-
-@pytest.mark.slow
-def test_criterion_3_dominance(backend):
-    """FULL (proven optimal) never loses to a decomposition pipeline."""
-    results = []
+@pytest.fixture(scope="module")
+def dominance_runs(backend):
+    """(seed, instance, method, plan, metrics) of every criterion-3 run, shared with
+    criterion 4 so that either runs them once, alone or together."""
+    runs = []
     for seed in DOMINANCE_SEEDS:
         instance = generate_instance(_dominance_params(seed))
-        totals = {}
         for method, obj in (("full", None), ("d1", "obj2"), ("d2", "obj2"),
                             ("d3", "obj2")):
             plan, metrics = run_method(
                 instance, RunConfig(method=method, t2_obj=obj), backend)
+            runs.append((seed, instance, method, plan, metrics))
+    return runs
+
+
+@pytest.mark.slow
+def test_criterion_3_dominance(dominance_runs):
+    """FULL (proven optimal) never loses to a decomposition pipeline."""
+    results = []
+    for seed in DOMINANCE_SEEDS:
+        totals = {}
+        for _seed, instance, method, _plan, metrics in (
+                run for run in dominance_runs if run[0] == seed):
             if method == "full":
                 assert metrics.stages[-1].status == "optimal", \
                     f"seed {seed}: full not proven optimal"
             totals[method] = metrics.total
-            _collected_plans.append((instance, plan))
         for method, total in totals.items():
             assert totals["full"] <= total + 1e-6, \
                 f"seed {seed}: full {totals['full']} > {method} {total}"
@@ -150,11 +157,9 @@ def test_criterion_3_dominance(backend):
 
 
 @pytest.mark.slow
-def test_criterion_4_validator_completeness(backend):
+def test_criterion_4_validator_completeness(dominance_runs):
     # every plan produced along the way is violation-free
-    if not _collected_plans:
-        test_criterion_3_dominance(backend)
-    for instance, plan in _collected_plans:
+    for _seed, instance, _method, plan, _metrics in dominance_runs:
         assert validate_plan(instance, plan) == []
     # and single-edit corruptions per constraint family are all caught
     per_family = {family: 0 for family in FAMILIES}
@@ -169,7 +174,7 @@ def test_criterion_4_validator_completeness(backend):
                 f"variant {variant}: {family} mutation flagged as {codes}"
             per_family[family] += 1
     assert all(n >= 10 for n in per_family.values())
-    print(f"ACCEPTANCE 4: PASS - {len(_collected_plans)} method plans clean; "
+    print(f"ACCEPTANCE 4: PASS - {len(dominance_runs)} method plans clean; "
           f"{sum(per_family.values())} corruptions "
           f"({min(per_family.values())}+ per family) all detected")
 

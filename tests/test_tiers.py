@@ -17,9 +17,11 @@ from transitfreight.instance import (
     euclidean_distance,
     travel_time,
 )
-from transitfreight.milp import ModelError
+from transitfreight.milp import ModelError, SolveResult
 from transitfreight.model_full import DecodeError, build_full, decode_full
+from transitfreight.pipeline import PipelineError, RunConfig, run_method
 from transitfreight.plan import FreighterRoute, TierHandoff
+from transitfreight import tiers
 from transitfreight.tiers import (
     ModelBuildError,
     T2Objective,
@@ -32,8 +34,10 @@ from transitfreight.tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
+    decode_t1_from_handoff,
     decode_t3_stopwise,
     decode_transit,
+    enumerate_truck_routes,
     first_trip_times,
     handoff_from_transit,
     latest_departures,
@@ -95,7 +99,7 @@ def test_t1_from_handoff_micro1(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, decoded, truck_of = decode_t1(micro1, model, result)
+    routes, decoded, truck_of = decode_t1_from_handoff(micro1, handoff, model, result)
     time_at = decoded.t_truck
     assert truck_of["c1"] == "d1"
     assert routes[0].stops == ("A",)
@@ -651,7 +655,7 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
 
     handoff = handoff_from_transit(choices)
     t1 = build_t1_from_handoff(instance, handoff)
-    routes, _, _ = decode_t1(instance, t1, solve(t1, backend))
+    routes, _, _ = decode_t1_from_handoff(instance, handoff, t1, solve(t1, backend))
     assert sum(len(r.stops) for r in routes) == 1
 
 
@@ -894,3 +898,208 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
         for idx in chosen:
             for cid in idx[1:]:
                 assert latest[cid] == pytest.approx(bound[f"dep_hi[{','.join(idx)}]"], abs=1e-6)
+
+
+# ---- truck route columns ---------------------------------------------------
+
+
+def _t1_optimum(instance, handoff, backend) -> float | None:
+    """The t1-handoff optimum; None when no covering of the routes exists."""
+    try:
+        result = solve(build_t1_from_handoff(instance, handoff), backend)
+    except ModelBuildError:
+        return None
+    if result.status == "infeasible":
+        return None
+    assert result.status == "optimal"
+    return result.objective
+
+
+def _disjoint_pickups(instance, handoff) -> TierHandoff:
+    """The handoff with each later package at a stop picked up one dwell cap (plus a minute)
+    after the one before it, so no two packages at one stop share a truck visit."""
+    t_in, seen = dict(handoff.t_in), {}
+    for cust in instance.customers:
+        sid = handoff.b_in[cust.id]
+        if sid in seen:
+            t_in[cust.id] = t_in[seen[sid]] + instance.stop(sid).max_dwell + 1.0
+        seen[sid] = cust.id
+    return TierHandoff(b_in=handoff.b_in, t_in=t_in)
+
+
+def _tight_trucks(instance):
+    """Two trucks of 70% and 50% of the total demand: neither carries every package."""
+    total = sum(c.demand for c in instance.customers)
+    return dataclasses.replace(instance, trucks=(Truck("d1", 0.7 * total),
+                                                 Truck("d2", 0.5 * total)))
+
+
+def _short_dwell(instance):
+    """Every stop holds a package at most 5 minutes, less than any hop between stops."""
+    return dataclasses.replace(instance, stops=tuple(
+        dataclasses.replace(stop, max_dwell=5.0) for stop in instance.stops))
+
+
+def _spread_pickups(instance, handoff) -> TierHandoff:
+    """The handoff with the packages dealt round the drop-in stops and picked up at one
+    minute: under a short dwell cap, one truck bound for a second stop comes too late."""
+    stops = instance.drop_in_stops()
+    latest = max(handoff.t_in.values())
+    b_in = {c.id: stops[k % len(stops)].id for k, c in enumerate(instance.customers)}
+    return TierHandoff(b_in=b_in, t_in={c: latest for c in b_in})
+
+
+@pytest.mark.parametrize("label_limit,family,count", [(tiers.ROUTE_LABEL_LIMIT, "x1", 20),
+                                                      (0, "w", 8)])
+def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
+                                                           label_limit, family, count):
+    """The t1-handoff optimum equals the brute-force truck layer on every d2 handoff of
+    the micro instances: as drawn, with the packages of one stop in disjoint pickup
+    windows, with trucks too small to carry every package, and with the packages
+    spread over the drop-in stops at one minute under a 5-minute dwell cap. With no
+    label budget the stage is built from rows, and must agree all the same (on fewer
+    instances: the rows take longer to solve)."""
+    from transitfreight.bruteforce import _best_truck_layer
+
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
+    assert build_t1_from_handoff(make_micro1(), TierHandoff(
+        b_in={"c1": "A"}, t_in={"c1": 150.0})).family(family)
+    checked = infeasible = 0
+    for instance in generate_micro_instances(count):
+        compat = derive_compatibility(instance)
+        demands = {c.id: c.demand for c in instance.customers}
+        for tag in ("obj1", "obj2", "obj3"):
+            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            result = solve(t2, backend)
+            assert result.status == "optimal"
+            handoff = handoff_from_transit(decode_transit(instance, t2, result))
+            for variant, fixed in ((instance, handoff),
+                                   (instance, _disjoint_pickups(instance, handoff)),
+                                   (_tight_trucks(instance), handoff),
+                                   (_short_dwell(instance), _spread_pickups(instance, handoff))):
+                pickup = {c: (fixed.b_in[c], fixed.t_in[c]) for c in fixed.b_in}
+                oracle = _best_truck_layer(variant, demands, pickup, {})
+                optimum = _t1_optimum(variant, fixed, backend)
+                if oracle is None:
+                    assert optimum is None
+                    infeasible += 1
+                else:
+                    assert optimum == pytest.approx(oracle[0], rel=1e-6)
+                    checked += 1
+    assert checked >= 5 * count and infeasible >= count // 2
+
+
+def two_stop_two_truck_fixture() -> Instance:
+    """u can only be picked up at A1 and v only at A2; two trucks of ample capacity."""
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A1", Point(10, 3), True, False, 10.0, 300.0),
+               Stop("A2", Point(10, -3), True, False, 10.0, 300.0),
+               Stop("B1", Point(50, 5), False, True, 10.0, 300.0),
+               Stop("B2", Point(50, -5), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A1", "B1")), Line("L2", ("A2", "B2"))),
+        trips=(Trip("p1", "L1", {"A1": 150.0, "B1": 159.0}, 60.0),
+               Trip("p2", "L2", {"A2": 150.0, "B2": 159.0}, 60.0)),
+        trucks=(Truck("d1", 160.0), Truck("d2", 160.0)),
+        freighters=(Freighter("f1", "B1", 20.0), Freighter("f2", "B2", 20.0)),
+        customers=(Customer("u", Point(52, 7), 10.0, 200.0, 800.0, 0.0, frozenset({"B1"})),
+                   Customer("v", Point(52, -7), 10.0, 200.0, 800.0, 0.0, frozenset({"B2"}))),
+    )
+    instance.validate()
+    return instance
+
+
+def _cover_u_twice(model):
+    """A t1-handoff solution driving the route of u alone and the route of both."""
+    columns = model.family("x1")
+    pair = next(idx for idx in columns if len(idx) == 3)
+    chosen = {columns[("d1", "u")], columns[pair]}
+    values = {var.name: float(var in chosen) for var in model.variables}
+    return SolveResult("optimal", values, model.objective_value(values), None, 0.0)
+
+
+def test_decoder_serves_a_customer_covered_twice_once(backend):
+    instance = two_stop_two_truck_fixture()
+    handoff = TierHandoff(b_in={"u": "A1", "v": "A2"}, t_in={"u": 150.0, "v": 150.0})
+    model = build_t1_from_handoff(instance, handoff)
+    routes, arrivals, truck_of = decode_t1_from_handoff(instance, handoff, model,
+                                                        _cover_u_twice(model))
+    # u rides the first chosen column (its own), so the second route skips A1
+    assert truck_of == {"u": "d1", "v": "d2"}
+    for cid in ("u", "v"):
+        assert sum(handoff.b_in[cid] in route.stops for route in routes) == 1
+    assert sorted(route.stops for route in routes) == [("A1",), ("A2",)]
+    reach = {sid: instance.travel_minutes(instance.cdc, instance.stop(sid).location) + 10.0
+             for sid in ("A1", "A2")}
+    assert arrivals.t_truck == {"u": pytest.approx(reach["A1"]), "v": pytest.approx(reach["A2"])}
+
+    class CoverTwice(type(backend)):
+        def solve(self, model, limits):
+            if model.metadata["formulation"] == "t1-handoff":
+                return _cover_u_twice(model)
+            return super().solve(model, limits)
+
+    plan, _metrics = run_method(instance, RunConfig(method="d2", t2_obj="obj2"), CoverTwice())
+    assert validate_plan(instance, plan) == []
+    assert sorted(route.stops for route in plan.truck_routes) == [("A1",), ("A2",)]
+
+
+def test_one_truck_cannot_serve_disjoint_pickup_windows_at_one_stop(backend):
+    """Trip capacity puts u and v on trips 150 minutes apart at A, beyond A's 120-minute
+    dwell cap; the one truck visits A once, so the truck stage has no plan."""
+    instance = dataclasses.replace(
+        shared_trip_fixture(),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 158.0}, 10.0),
+               Trip("p2", "L1", {"A": 300.0, "B": 308.0}, 10.0)))
+    instance.validate()
+    with pytest.raises(PipelineError) as failure:
+        run_method(instance, RunConfig(method="d2", t2_obj="obj2"), backend)
+    assert (failure.value.stage, failure.value.status) == ("t1", "infeasible")
+
+
+def test_t1_handoff_names_a_customer_no_truck_can_carry(micro1):
+    heavy = dataclasses.replace(micro1, trucks=(Truck("d1", 5.0),))
+    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 150.0})
+    with pytest.raises(ModelBuildError, match="customer c1: no truck can bring it to stop A"):
+        build_t1_from_handoff(heavy, handoff)
+
+
+@pytest.mark.parametrize("method,seed,tag", [("d2", 205, "obj3"), ("d2", 217, "obj1"),
+                                             ("d2", 217, "obj3"), ("d3", 217, "obj1")])
+def test_baseline_truck_stages_are_proven(backend, method, seed, tag):
+    """The truck stages that used to stop at the 30 s stage limit end proven optimal."""
+    from transitfreight.generate import generate_instance
+    from test_acceptance import _baseline_params
+
+    instance = generate_instance(_baseline_params(seed))
+    _plan, metrics = run_method(instance, RunConfig(method=method, t2_obj=tag), backend)
+    assert [s.status for s in metrics.stages if s.stage == "t1"] == ["optimal"]
+
+
+def test_truck_stage_builds_rows_when_the_routes_outgrow_the_label_limit():
+    """Forty light packages at one stop and one time fit one truck in 2^40 ways: the DP
+    gives up within its label budget and the stage is built from per-truck rows."""
+    from transitfreight.generate import GenParams, generate_instance
+
+    instance = generate_instance(GenParams(n_customers=40, n_lines=2, seed=1))
+    stop = instance.drop_in_stops()[0]
+    t_in = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
+    handoff = TierHandoff(b_in={c.id: stop.id for c in instance.customers},
+                          t_in={c.id: t_in for c in instance.customers})
+    assert enumerate_truck_routes(instance, handoff, instance.trucks[0].capacity) is None
+    model = build_t1_from_handoff(instance, handoff)
+    assert model.metadata["formulation"] == "t1-handoff"
+    assert model.family("w") and not model.family("x1")
+
+
+def test_row_and_column_truck_stages_agree_in_d2(backend, monkeypatch):
+    """On micro instances the truck stage built from rows and from route columns reaches
+    the same optimum, and either decoded plan is valid."""
+    for instance in generate_micro_instances(8):
+        costs = []
+        for label_limit in (tiers.ROUTE_LABEL_LIMIT, 0):
+            monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
+            plan, metrics = run_method(instance, RunConfig(method="d2", t2_obj="obj2"), backend)
+            assert validate_plan(instance, plan) == []
+            costs.append(metrics.t1_cost)
+        assert costs[1] == pytest.approx(costs[0], rel=1e-6)
