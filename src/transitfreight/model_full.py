@@ -40,10 +40,12 @@ Each fragment has one copy, used by every model that needs it:
                          t1-handoff within ``tiers.ROUTE_LABEL_LIMIT`` chooses
                          enumerated routes in ``tiers`` instead)
   truck_assignments      customer -> (drop-in stop, truck), the one reader of r
-  enumerate_routes       the routes one freighter class may drive: a label-setting
-                         DP over capacity and windows that keeps, per customer
-                         set, the orders no other order beats on length and
-                         latest departure
+  enumerate_routes       the routes one vehicle class may drive through timed
+                         visits: the one label-setting DP, over capacity and
+                         windows, that keeps per customer set the orders no
+                         other order beats on length and latest departure; a
+                         freighter visit serves one customer, a truck visit
+                         (``tiers.enumerate_truck_routes``) one stop's packages
   add_freighter_routing  one q/dep column per enumerated route, with fleet rows,
                          for full, t3-stopwise and d3-t3; they differ only in
                          the departure bounds they pass, and link the (q, dep)
@@ -57,6 +59,7 @@ Plans are priced by ``validate.recompute_costs``, as every pipeline does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .compat import Compatibility
@@ -256,60 +259,81 @@ def _pareto(labels: list[tuple]) -> list[tuple]:
     return kept
 
 
-def enumerate_routes(instance: Instance, home, capacity: float,
-                     bounds: dict[str, tuple[float, float]]
-                     ) -> list[tuple[tuple[str, ...], float]]:
-    """Feasible routes from ``home`` over the customers keyed in ``bounds``.
+def enumerate_routes(instance: Instance, home, places: dict, visits: list[tuple],
+                     capacity: float, budget: float = math.inf
+                     ) -> dict[frozenset, list[tuple]] | None:
+    """Elementary routes from ``home`` through ``visits``: a label-setting DP.
 
-    ``bounds[i]`` is the (earliest, latest) departure of a route that carries
-    ``i``. A label-setting DP extends visit orders backward from their last
-    customer: a label is an order with its distance back home, its load and
-    the latest minute service at its first customer may end. A label dies
-    when its load exceeds ``capacity``, when that latest end falls before the
-    first customer's window opens or before the ride from the latest
-    earliest departure of its customers, or when its departure bounds do not
-    meet. Of the orders of one customer set only the Pareto orders survive:
-    shorter, or leaving later; of orders of equal length only the one that
-    may leave latest.
+    A visit is ``(place, customers, load, lo, hi, (dep_lo, dep_hi))``: it
+    serves ``customers`` with ``load`` at ``place``, its service ends within
+    ``[lo, hi]``, and the route that makes it leaves ``home`` within
+    ``[dep_lo, dep_hi]``; ``places[p]`` is ``(location, service minutes)``.
+    Every customer is served at one place, and (place, customers) names one
+    visit. The DP extends visit orders backward from their last visit: a
+    label is an order with its distance back home, its load, the latest
+    minute service at its first visit may end and its departure bounds. A
+    label dies when its load exceeds ``capacity``, when that latest end falls
+    before its first visit's window opens or before the ride from its
+    earliest departure, or when its departure bounds do not meet. A route
+    visits each place at most once. Of the labels of one customer set and
+    first place only the Pareto labels survive: shorter, or leaving later;
+    of labels of equal length only the one that may leave latest.
 
-    Returns (visit order, latest departure L) per route, shortest orders first.
+    Returns, per customer set, its Pareto (distance, latest departure L,
+    customers in visit order), shortest first; or None once more than
+    ``budget`` labels have grown.
     """
-    custs = {cid: instance.customer(cid) for cid in sorted(bounds)}
-    pairs = [(a, b) for a in custs for b in custs if a != b]
-    gap = {(a, b): euclidean_distance(custs[a].location, custs[b].location) for a, b in pairs}
-    hop = {(a, b): ride_minutes(instance, custs[a].location, custs[b]) for a, b in pairs}
-    back = {cid: euclidean_distance(c.location, home) for cid, c in custs.items()}
-    reach = {cid: ride_minutes(instance, home, c) for cid, c in custs.items()}
+    pairs = [(a, b) for a in places for b in places if a != b]
+    gap = {(a, b): euclidean_distance(places[a][0], places[b][0]) for a, b in pairs}
+    hop = {(a, b): instance.travel_minutes(places[a][0], places[b][0]) + places[b][1]
+           for a, b in pairs}
+    back = {p: euclidean_distance(loc, home) for p, (loc, _) in places.items()}
+    reach = {p: instance.travel_minutes(home, loc) + service for p, (loc, service) in places.items()}
+    bit: dict[str, int] = {}
+    taken: dict = {}  # place -> bits of every customer served there
+    by_place: dict = {}  # place -> its visits, each with the bits of its customers
+    for place, customers, *rest in visits:
+        for cid in customers:
+            bit.setdefault(cid, 1 << len(bit))
+        bits = sum(bit[cid] for cid in customers)
+        taken[place] = taken.get(place, 0) | bits
+        by_place.setdefault(place, []).append((bits, customers, *rest))
 
-    def alive(first: str, latest: float, lo: float, hi: float) -> bool:
-        start = max(custs[first].window_lo, lo + reach[first])
-        return latest >= start - 1e-9 and lo <= hi + 1e-9
+    def alive(first, latest: float, lo: float, dep_lo: float, dep_hi: float) -> bool:
+        return latest >= max(lo, dep_lo + reach[first]) - 1e-9 and dep_lo <= dep_hi + 1e-9
 
-    # (customers, first) -> labels (distance, latest end at first, order, load, lo, hi)
-    labels: dict[tuple[frozenset, str], list[tuple]] = {}
-    for cid, c in custs.items():
-        lo, hi = bounds[cid]
-        if c.demand <= capacity + 1e-9 and alive(cid, c.window_hi, lo, hi):
-            labels[(frozenset((cid,)), cid)] = [(back[cid], c.window_hi, (cid,), c.demand, lo, hi)]
-    done: dict[frozenset, list[tuple]] = {}
+    # (customer bits, first place) -> labels (distance, latest end at first, order, load,
+    # dep_lo, dep_hi)
+    labels: dict[tuple[int, str], list[tuple]] = {}
+    for place, options in by_place.items():
+        for bits, customers, load, lo, hi, (dep_lo, dep_hi) in options:
+            if load <= capacity + 1e-9 and alive(place, hi, lo, dep_lo, dep_hi):
+                labels[(bits, place)] = [(back[place], hi, customers, load, dep_lo, dep_hi)]
+    done: dict[int, list[tuple]] = {}
+    grown_count = 0
     while labels:
-        grown: dict[tuple[frozenset, str], list[tuple]] = {}
-        for (members, first), front in labels.items():
-            for dist, latest, order, load, lo, hi in front:
-                done.setdefault(members, []).append(
+        grown: dict[tuple[int, str], list[tuple]] = {}
+        for (served, first), front in labels.items():
+            for dist, latest, order, load, dep_lo, dep_hi in front:
+                done.setdefault(served, []).append(
                     (dist + back[first], latest - reach[first], order))
-                for cid, c in custs.items():
-                    if cid in members or load + c.demand > capacity + 1e-9:
+                for place, options in by_place.items():
+                    if served & taken[place]:
                         continue
-                    t = min(c.window_hi, latest - hop[(cid, first)])
-                    lo2, hi2 = max(lo, bounds[cid][0]), min(hi, bounds[cid][1])
-                    if alive(cid, t, lo2, hi2):
-                        grown.setdefault((members | {cid}, cid), []).append(
-                            (dist + gap[(cid, first)], t, (cid,) + order,
-                             load + c.demand, lo2, hi2))
+                    for bits, customers, extra, lo, hi, (v_lo, v_hi) in options:
+                        if load + extra > capacity + 1e-9:
+                            continue
+                        t = min(hi, latest - hop[(place, first)])
+                        lo2, hi2 = max(dep_lo, v_lo), min(dep_hi, v_hi)
+                        if alive(place, t, lo, lo2, hi2):
+                            grown_count += 1
+                            grown.setdefault((served | bits, place), []).append(
+                                (dist + gap[(place, first)], t, customers + order,
+                                 load + extra, lo2, hi2))
+                if grown_count > budget:
+                    return None
         labels = {key: _pareto(front) for key, front in grown.items()}
-    routes = [(order, latest) for orders in done.values() for _, latest, order in _pareto(orders)]
-    return sorted(routes, key=lambda route: (len(route[0]), route[0]))
+    return {frozenset(orders[0][2]): _pareto(orders) for orders in done.values()}
 
 
 def add_freighter_routing(mb: ModelBuilder, instance: Instance,
@@ -325,7 +349,7 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     serving that customer from that stop.
 
     Per class (``vehicle_classes``) the routes come from
-    ``enumerate_routes``. Route ``r`` is a binary ``q[g,i1,...,ik]`` indexed
+    ``enumerate_routes``, one visit per customer. Route ``r`` is a binary ``q[g,i1,...,ik]`` indexed
     by the class and its customers in visit order, with a departure
     ``dep[g,i1,...,ik]`` held within ``[lo_r, hi_r]`` while the route is
     driven and 0 otherwise: ``lo_r`` is the latest earliest departure of its
@@ -341,9 +365,14 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     for stop_id in sorted(customers_of_stop):
         home = instance.stop(stop_id).location
         bounds = {cid: departure_bounds(cid, stop_id) for cid in customers_of_stop[stop_id]}
+        custs = [instance.customer(cid) for cid in sorted(bounds)]
+        places = {c.id: (c.location, c.service_time) for c in custs}
+        visits = [(c.id, (c.id,), c.demand, c.window_lo, c.window_hi, bounds[c.id]) for c in custs]
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop_id)):
             driven = []
-            for order, latest in enumerate_routes(instance, home, fleet[0].capacity, bounds):
+            found = enumerate_routes(instance, home, places, visits, fleet[0].capacity)
+            labels = [label for front in found.values() for label in front]
+            for _, latest, order in sorted(labels, key=lambda lab: (len(lab[2]), lab[2])):
                 q, dep = mb.binary("q", g, *order), mb.continuous("dep", g, *order)
                 lo = max(bounds[cid][0] for cid in order)
                 hi = min([latest] + [bounds[cid][1] for cid in order])

@@ -34,9 +34,12 @@ picks each package's stop among the drop-in stops whose window under the
 deadline cut and the half-day split is not empty, so it keeps the shared
 per-truck rows, read by ``decode_t1``. t1-handoff gets each package's stop
 ``b_in`` and pickup ``t_in``; its truck must arrive within the dwell cap
-before ``t_in``. It chooses, under covering rows, among the routes a
-label-setting DP (``enumerate_truck_routes``) lists per truck class, and
-``decode_t1_from_handoff`` puts each package on one chosen route. The
+before ``t_in``. It chooses, under covering rows, among the routes
+``enumerate_truck_routes`` lists per truck class, and
+``decode_t1_from_handoff`` puts each package on one chosen route. Both
+route tiers are listed by the one label-setting DP,
+``model_full.enumerate_routes``: a freighter visit serves one customer, a
+truck visit one stop's packages whose pickup windows meet. The
 number of routes grows combinatorially with the packages one truck can
 carry, so past ``ROUTE_LABEL_LIMIT`` labels the stage is built from
 d1-t1's per-truck rows instead, with each package's stop and window fixed;
@@ -55,7 +58,6 @@ from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
-    CDC_NODE,
     DecodeError,
     ModelBuildError,
     add_arrival_window,
@@ -66,11 +68,11 @@ from .model_full import (
     arc_costs,
     decode_freighter_routes,
     decode_truck_routes,
+    enumerate_routes,
     route_costs,
     truck_assignments,
     vehicle_classes,
     _binary_value,
-    _pareto,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
 
@@ -277,24 +279,13 @@ def _pickup_windows(instance: Instance, handoff: TierHandoff) -> dict[str, tuple
             for c in instance.customers}
 
 
-def _truck_hops(instance: Instance, stop_ids) -> dict[tuple[str, str], float]:
-    """Minutes from the CDC or a stop to another stop, its service included."""
-    where = {CDC_NODE: instance.cdc, **{sid: instance.stop(sid).location for sid in stop_ids}}
-    return {(u, v): instance.travel_minutes(where[u], where[v]) + instance.stop(v).service_time
-            for u in where for v in stop_ids if u != v}
-
-
-def _truck_visit_time(leave: float, hop: float, lo: float) -> float:
-    """A truck leaving at ``leave`` is done at the next stop ``hop`` later, or waits for ``lo``."""
-    return max(lo, leave + hop)
-
-
-def _stop_visits(members: list[str], window, demand, capacity: float, bit,
+def _stop_visits(stop: str, members: list[str], window, demand, capacity: float,
                  limit: int) -> list[tuple] | None:
-    """(bits, packages, load, lo, hi) of every nonempty set of one stop's packages whose
-    load fits ``capacity`` and whose pickup windows meet, in ``itertools.combinations``
-    order; None once there are more than ``limit``. Sets grow package by package, and
-    one that fails either test is not grown further."""
+    """Every visit (``enumerate_routes``) to ``stop`` that serves a nonempty set of its
+    packages whose load fits ``capacity`` and whose pickup windows meet, leaving the
+    CDC from minute 0, in ``itertools.combinations`` order; None once there are more
+    than ``limit``. Sets grow package by package, and one that fails either test is
+    not grown further."""
     visits: list[tuple] = []
 
     def grow(start: int, group: tuple, load: float, lo: float, hi: float) -> bool:
@@ -302,7 +293,7 @@ def _stop_visits(members: list[str], window, demand, capacity: float, bit,
             c = members[k]
             c_load, c_lo, c_hi = load + demand[c], max(lo, window[c][0]), min(hi, window[c][1])
             if c_lo <= c_hi + 1e-9 and c_load <= capacity + 1e-9:
-                visits.append((group + (c,), c_load, c_lo, c_hi))
+                visits.append((stop, group + (c,), c_load, c_lo, c_hi, (0.0, math.inf)))
                 if len(visits) > limit or not grow(k + 1, group + (c,), c_load, c_lo, c_hi):
                     return False
         return True
@@ -310,8 +301,7 @@ def _stop_visits(members: list[str], window, demand, capacity: float, bit,
     if not grow(0, (), 0.0, -math.inf, math.inf):
         return None
     position = {c: k for k, c in enumerate(members)}
-    visits.sort(key=lambda v: (len(v[0]), [position[c] for c in v[0]]))
-    return [(sum(bit[c] for c in group), group, load, lo, hi) for group, load, lo, hi in visits]
+    return sorted(visits, key=lambda v: (len(v[1]), [position[c] for c in v[1]]))
 
 
 def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: float
@@ -319,14 +309,9 @@ def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: f
     """The routes a truck of ``capacity`` may drive to the handoff's fixed stops and times.
 
     Package ``i`` is served at ``b_in[i]`` within ``[t_in[i] - max_dwell, t_in[i]]``.
-    A forward label-setting DP leaves the CDC at minute 0. A label is a
-    customer set, its last stop, its distance, the earliest minute ``t`` it
-    leaves that stop, and its load. It extends to an unvisited stop ``v``
-    with a nonempty set ``C`` of ``v``'s packages whose windows meet and
-    whose load fits, at ``t' = max(lo_C, t + travel + service(v))``, which
-    must not pass ``hi_C``. Per (customer set, last stop) only the labels no
-    other beats on both distance and ``t`` survive; per customer set, the
-    shortest closed route.
+    ``enumerate_routes`` lists the routes from the CDC whose visits each serve,
+    at one stop, a set of that stop's packages whose windows meet
+    (``_stop_visits``); per customer set the shortest is kept.
 
     Removing a package never lengthens a route or delays a visit (travel is
     Euclidean and trucks may wait), so a set is dropped when one more
@@ -338,50 +323,27 @@ def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: f
     truck can carry.
     """
     window = _pickup_windows(instance, handoff)
-    bit = {c.id: 1 << k for k, c in enumerate(instance.customers)}
     demand = {c.id: c.demand for c in instance.customers}
     at_stop: dict[str, list[str]] = {}
     for c in instance.customers:
         at_stop.setdefault(handoff.b_in[c.id], []).append(c.id)
-    where = {CDC_NODE: instance.cdc, **{sid: instance.stop(sid).location for sid in at_stop}}
-    gap = {(u, v): euclidean_distance(where[u], where[v]) for u in where for v in at_stop if u != v}
-    hop = _truck_hops(instance, at_stop)
-    stop_bits = {sid: sum(bit[c] for c in members) for sid, members in at_stop.items()}
-    visits: dict[str, list[tuple]] = {}
-    made = 0  # stop visits and labels grown so far
+    visits: list[tuple] = []
     for sid, members in at_stop.items():
-        visits[sid] = _stop_visits(members, window, demand, capacity, bit,
-                                   ROUTE_LABEL_LIMIT - made)
-        if visits[sid] is None:
+        found = _stop_visits(sid, members, window, demand, capacity,
+                             ROUTE_LABEL_LIMIT - len(visits))
+        if found is None:
             return None
-        made += len(visits[sid])
-
-    # (customer set, last stop) -> labels (distance, -t, order, load); an earlier t is better
-    labels: dict[tuple[int, str], list[tuple]] = {(0, CDC_NODE): [(0.0, 0.0, (), 0.0)]}
-    shortest: dict[int, tuple[float, tuple[str, ...]]] = {}
-    while labels:
-        grown: dict[tuple[int, str], list[tuple]] = {}
-        for (served, last), front in labels.items():
-            for dist, neg_t, order, load in front:
-                if served:
-                    closed = dist + gap[(CDC_NODE, last)]
-                    if served not in shortest or closed < shortest[served][0]:
-                        shortest[served] = (closed, order)
-                for sid, options in visits.items():
-                    if served & stop_bits[sid]:
-                        continue
-                    for members, group, extra, lo, hi in options:
-                        t = _truck_visit_time(-neg_t, hop[(last, sid)], lo)
-                        if t <= hi + 1e-9 and load + extra <= capacity + 1e-9:
-                            made += 1
-                            grown.setdefault((served | members, sid), []).append(
-                                (dist + gap[(last, sid)], -t, order + group, load + extra))
-                if made > ROUTE_LABEL_LIMIT:
-                    return None
-        labels = {key: _pareto(front) for key, front in grown.items()}
-    routes = [(order, dist) for served, (dist, order) in shortest.items()
-              if not any(served | b in shortest and shortest[served | b][0] <= dist + 1e-9
-                         for b in bit.values() if not served & b)]
+        visits += found
+    places = {sid: (instance.stop(sid).location, instance.stop(sid).service_time)
+              for sid in at_stop}
+    found = enumerate_routes(instance, instance.cdc, places, visits, capacity,
+                             ROUTE_LABEL_LIMIT - len(visits))
+    if found is None:
+        return None
+    length = {served: front[0][0] for served, front in found.items()}
+    routes = [(front[0][2], length[served]) for served, front in found.items()
+              if not any(length.get(served | {c}, math.inf) <= length[served] + 1e-9
+                         for c in demand if c not in served)]
     return sorted(routes, key=lambda route: (len(route[0]), route[0]))
 
 
@@ -465,7 +427,9 @@ def decode_t1_from_handoff(instance: Instance, handoff: TierHandoff, model: Milp
     chosen columns go to their class's trucks in instance order. Each
     customer rides the first chosen column that covers it, in class order
     and then column order; a route skips the stops left without packages and
-    is timed forward from the CDC at minute 0 by the DP's rule.
+    is timed forward from the CDC at minute 0: service at a stop ends one
+    ride and its service time after the truck left the last, or when the
+    pickup windows of its packages open if that is later.
     """
     if model.family("w"):
         return decode_t1(instance, model, result)
@@ -474,7 +438,6 @@ def decode_t1_from_handoff(instance: Instance, handoff: TierHandoff, model: Milp
         if _binary_value(result.values, x):
             chosen.setdefault(g, []).append(tuple(order))
     window = _pickup_windows(instance, handoff)
-    hop = _truck_hops(instance, set(handoff.b_in.values()))
     routes, truck_of, t_truck = [], {}, {}
     for g, fleet in vehicle_classes(instance.trucks):
         columns = chosen.get(g, [])
@@ -482,11 +445,12 @@ def decode_t1_from_handoff(instance: Instance, handoff: TierHandoff, model: Milp
             raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
         for truck, order in zip(fleet, columns):
             carried = [cid for cid in order if cid not in truck_of]
-            t, here, stops, times = 0.0, CDC_NODE, [], []
+            t, here, stops, times = 0.0, instance.cdc, [], []
             for sid, group in itertools.groupby(carried, key=handoff.b_in.__getitem__):
-                group = list(group)
-                t = _truck_visit_time(t, hop[(here, sid)], max(window[cid][0] for cid in group))
-                here = sid
+                group, stop = list(group), instance.stop(sid)
+                hop = instance.travel_minutes(here, stop.location) + stop.service_time
+                t = max(max(window[cid][0] for cid in group), t + hop)
+                here = stop.location
                 stops.append(sid)
                 times.append(t)
                 for cid in group:

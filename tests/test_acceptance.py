@@ -54,7 +54,6 @@ from mutations import FAMILIES, mutate, tight_fixture
 # every one of full/d1/d2/d3 reaches a proven solution within the stage caps.
 DOMINANCE_SEEDS = (1, 2, 3, 8, 10, 14, 16, 17, 18, 20, 21)
 # 8-12 customer instances for the dedicated-vehicle comparison
-BASELINE_SEEDS = ()  # filled below once scanned
 BASELINE_SEEDS = (200, 202, 205, 206, 208, 210, 212, 213, 215, 217)
 # 10-customer instances for the service-cost sweep
 SERVICE_COST_SEEDS = (300, 301)

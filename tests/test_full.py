@@ -1,9 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
 from transitfreight.backends import solve
-from transitfreight.bruteforce import brute_force_optimum
+from transitfreight.bruteforce import _best_order, brute_force_optimum
 from transitfreight.compat import derive_compatibility
 from transitfreight.instance import (
     Customer,
@@ -21,10 +22,14 @@ from transitfreight.model_full import (
     FullOptions,
     build_full,
     decode_full,
+    enumerate_routes,
 )
+from transitfreight.plan import TierHandoff
+from transitfreight.tiers import _pickup_windows, _stop_visits
 from transitfreight.validate import validate_plan
 
-from conftest import MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, make_micro1
+from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instances,
+                      make_micro1)
 
 
 def test_full_micro1_optimum(backend, micro1):
@@ -219,3 +224,86 @@ def test_mixed_capacity_freighters_form_separate_classes(backend):
     assert plan.itinerary_of("v").freighter == "f2"
     assert plan.itinerary_of("u").freighter == "f1"
     assert plan.costs.total == pytest.approx(brute_force_optimum(instance).cost, abs=1e-4)
+
+
+def _oracle_routes(instance, home, places, visits, capacity):
+    """Per customer set a route can serve, its shortest length by ``_best_order``.
+
+    The route makes, at each place holding some of the set, the one visit that
+    serves exactly those customers; it leaves home at the latest earliest
+    departure of its visits, which must not pass their earliest latest one.
+    """
+    at: dict = {}
+    for place, customers, *_ in visits:
+        at[place] = at.get(place, frozenset()) | set(customers)
+    everyone = sorted(set().union(*at.values()))
+    shortest = {}
+    for size in range(1, len(everyone) + 1):
+        for chosen in map(frozenset, itertools.combinations(everyone, size)):
+            wanted = {p: chosen & served for p, served in at.items() if chosen & served}
+            parts = [v for v in visits if wanted.get(v[0]) == frozenset(v[1])]
+            if len(parts) < len(wanted) or sum(v[2] for v in parts) > capacity + 1e-9:
+                continue
+            start = max(v[5][0] for v in parts)
+            if start > min(v[5][1] for v in parts) + 1e-9:
+                continue
+            best = _best_order(instance, home, start,
+                               {v[0]: (*places[v[0]], v[3], v[4]) for v in parts}, 1.0)
+            if best is not None:
+                shortest[chosen] = best[0]
+    return shortest
+
+
+def _freighter_visits(instance):
+    """One visit per customer from the first drop-out stop, the route leaving within
+    20 minutes of one trip's call there, trips taken in turn: the micro trips call
+    30 minutes apart, so some departure bounds do not meet."""
+    stop = instance.drop_out_stops()[0]
+    places, visits = {}, []
+    for k, c in enumerate(instance.customers):
+        t = instance.trips[k % len(instance.trips)].stop_times[stop.id]
+        places[c.id] = (c.location, c.service_time)
+        visits.append((c.id, (c.id,), c.demand, c.window_lo, c.window_hi,
+                       (t + stop.service_time, t + 20.0)))
+    return stop.location, places, visits
+
+
+def _truck_visits(instance, dwell):
+    """Stop visits (``tiers._stop_visits``) of a handoff dealing the packages round the
+    drop-in stops, picked up by the trips in turn, under a dwell cap of ``dwell``; the
+    visits are listed at the total demand, so only the DP holds a smaller capacity."""
+    instance = replace(instance, stops=tuple(replace(s, max_dwell=dwell) for s in instance.stops))
+    stops = instance.drop_in_stops()
+    b_in = {c.id: stops[k % len(stops)].id for k, c in enumerate(instance.customers)}
+    t_in = {cid: instance.trips[k % len(instance.trips)].stop_times[sid]
+            for k, (cid, sid) in enumerate(sorted(b_in.items()))}
+    window = _pickup_windows(instance, TierHandoff(b_in=b_in, t_in=t_in))
+    demand = {c.id: c.demand for c in instance.customers}
+    places, visits = {}, []
+    for stop in stops:
+        members = [cid for cid in b_in if b_in[cid] == stop.id]
+        places[stop.id] = (stop.location, stop.service_time)
+        visits += _stop_visits(stop.id, members, window, demand, sum(demand.values()), 1 << 20)
+    return instance.cdc, places, visits
+
+
+def test_route_dp_matches_the_oracle_on_micro_instances():
+    """Of visits of either shape, one customer each with departure bounds (freighters)
+    or several packages of one stop leaving the CDC from minute 0 (trucks), the DP
+    lists the customer sets the oracle finds a route for, each at its shortest
+    length, at an ample capacity and at one that holds about two packages."""
+    checked = refused = 0
+    for instance in generate_micro_instances(12):
+        demands = sorted(c.demand for c in instance.customers)
+        for home, places, visits in (_freighter_visits(instance),
+                                     _truck_visits(instance, 120.0),
+                                     _truck_visits(instance, 5.0)):
+            for capacity in (sum(demands), sum(demands[:2])):
+                found = enumerate_routes(instance, home, places, visits, capacity)
+                oracle = _oracle_routes(instance, home, places, visits, capacity)
+                assert found.keys() == oracle.keys()
+                for served, length in oracle.items():
+                    assert found[served][0][0] == pytest.approx(length, rel=1e-9)
+                checked += len(oracle)
+                refused += 2 ** len(instance.customers) - 1 - len(oracle)
+    assert checked >= 100 and refused >= 100
