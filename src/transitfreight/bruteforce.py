@@ -1,10 +1,14 @@
 """Exhaustive optimum for guarded micro instances.
 
 Independent ground truth for the solver paths: enumerates every per-customer
-itinerary (trip, drop-in, drop-out), every truck assignment and stop order,
-and every freighter assignment and visit order, with greedy-earliest timing
-clamped up to window openings; ``brute_force_vrptw`` does the same for the
-direct-truck baseline. No model-building code is reused here.
+itinerary (trip, drop-in, drop-out), every labelling of the packages by truck
+and, per drop-out stop, by freighter, and every visit order of each group,
+with greedy-earliest timing clamped up to window openings;
+``brute_force_vrptw`` does the same for the direct-truck baseline. Within one
+call each group's cheapest route is computed once: truck routes are cached by
+their stops' visit windows, truck layers by pickup pattern, and each stop's
+freighter routing by its packages and their drop minutes. Nothing is cached
+across calls, and no model-building code is reused here.
 """
 
 from __future__ import annotations
@@ -83,17 +87,16 @@ def _transit_options(instance: Instance, customer) -> list[TransitOption]:
     return options
 
 
-def _trip_loads_ok(instance: Instance, combo: dict[str, TransitOption]) -> bool:
-    by_trip: dict[str, list[tuple[str, TransitOption]]] = {}
+def _trip_loads_ok(instance: Instance, demands: dict[str, float],
+                   combo: dict[str, TransitOption]) -> bool:
+    by_trip: dict[str, list[tuple[float, TransitOption]]] = {}
     for cust_id, opt in combo.items():
-        by_trip.setdefault(opt.trip, []).append((cust_id, opt))
+        by_trip.setdefault(opt.trip, []).append((demands[cust_id], opt))
     for trip_id, assigned in by_trip.items():
         trip = instance.trip(trip_id)
-        order = instance.line(trip.line).ordered_stops
         load = 0.0
-        for stop in order:
-            for cust_id, opt in assigned:
-                q = instance.customer(cust_id).demand
+        for stop in instance.line(trip.line).ordered_stops:
+            for q, opt in assigned:
                 if opt.drop_in == stop:
                     load += q
                 if opt.drop_out == stop:
@@ -135,6 +138,40 @@ def _best_order(instance: Instance, home, start: float, visits: dict,
     return best
 
 
+def _best_partition(capacities: list[float], members: list[str],
+                    demands: dict[str, float], route_of):
+    """Cheapest split of ``members`` over vehicles of the given capacities.
+
+    Tries every labelling of the members by vehicle index, in
+    ``itertools.product`` order. A labelling counts when each vehicle's group
+    fits that vehicle's capacity and ``route_of(group)`` returns a route whose
+    first entry is its cost, not None; the first labelling of least cost wins.
+    ``route_of`` is asked at most once per group. Returns (cost, [(vehicle
+    index, group, route), ...] in vehicle order) or None.
+    """
+    routes, best = {}, None
+    for labels in itertools.product(range(len(capacities)), repeat=len(members)):
+        groups: dict[int, list[str]] = {}
+        for member, label in zip(members, labels):
+            groups.setdefault(label, []).append(member)
+        cost, chosen = 0.0, []
+        for label in sorted(groups):
+            group = tuple(groups[label])
+            if sum(demands[m] for m in group) > capacities[label] + 1e-9:
+                break
+            if group not in routes:
+                routes[group] = route_of(group)
+            route = routes[group]
+            if route is None:
+                break
+            cost += route[0]
+            chosen.append((label, group, route))
+        else:
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, chosen)
+    return best
+
+
 def _door_visit(cust) -> tuple:
     """A customer as a ``_best_order`` visit."""
     return cust.location, cust.service_time, cust.window_lo, cust.window_hi
@@ -146,110 +183,85 @@ def _best_truck_layer(instance: Instance, demands: dict[str, float],
 
     pickup maps customer -> (drop-in stop, scheduled pickup minute). Returns
     (cost, assignment customer->truck, routes truck->(stops, times)) or None.
+    ``memo`` keeps layers by pickup pattern and "routes" by stop windows.
     """
     key = tuple(sorted((c, s, t) for c, (s, t) in pickup.items()))
     if key in memo:
         return memo[key]
-    params = instance.cost_params
-    cdc = instance.cdc
-    customers = sorted(pickup)
-    best = None
-    for labels in itertools.product(range(len(instance.trucks)), repeat=len(customers)):
-        groups: dict[int, list[str]] = {}
-        for cust, label in zip(customers, labels):
-            groups.setdefault(label, []).append(cust)
-        total_cost = 0.0
-        assignment: dict[str, str] = {}
-        routes: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {}
-        feasible = True
-        for label, members in groups.items():
-            truck = instance.trucks[label]
-            if sum(demands[c] for c in members) > truck.capacity + 1e-9:
-                feasible = False
-                break
-            # per-stop visit window from the packages routed through it
-            window: dict[str, tuple[float, float]] = {}
-            for c in members:
-                stop_id, t_pick = pickup[c]
-                dwell = instance.stop(stop_id).max_dwell
-                lo, hi = window.get(stop_id, (-1e18, 1e18))
-                window[stop_id] = (max(lo, t_pick - dwell), min(hi, t_pick))
-            visits = {sid: (instance.stop(sid).location, instance.stop(sid).service_time,
-                            *window[sid]) for sid in window}
-            route_best = _best_order(instance, cdc, 0.0, visits,
-                                     params.truck_cost_per_distance)
-            if route_best is None:
-                feasible = False
-                break
-            total_cost += route_best[0]
-            routes[truck.id] = (route_best[1], route_best[2])
-            for c in members:
-                assignment[c] = truck.id
-        if feasible and (best is None or total_cost < best[0] - 1e-12):
-            best = (total_cost, assignment, routes)
+    routes = memo.setdefault("routes", {})
+    stops = {sid: instance.stop(sid) for sid, _ in pickup.values()}
+    per_distance = instance.cost_params.truck_cost_per_distance
+
+    def route_of(group):
+        # per-stop visit window from the packages routed through it
+        window: dict[str, tuple[float, float]] = {}
+        for c in group:
+            stop_id, t_pick = pickup[c]
+            lo, hi = window.get(stop_id, (-1e18, 1e18))
+            window[stop_id] = (max(lo, t_pick - stops[stop_id].max_dwell), min(hi, t_pick))
+        windows = tuple(sorted((sid, lo, hi) for sid, (lo, hi) in window.items()))
+        if windows not in routes:
+            visits = {sid: (stops[sid].location, stops[sid].service_time, lo, hi)
+                      for sid, lo, hi in windows}
+            routes[windows] = _best_order(instance, instance.cdc, 0.0, visits, per_distance)
+        return routes[windows]
+
+    best = _best_partition([d.capacity for d in instance.trucks], sorted(pickup),
+                           demands, route_of)
+    if best is not None:
+        cost, chosen = best
+        best = (cost, {c: instance.trucks[k].id for k, group, _ in chosen for c in group},
+                {instance.trucks[k].id: route[1:] for k, _, route in chosen})
     memo[key] = best
     return best
 
 
+def _best_stop_delivery(instance: Instance, demands: dict[str, float], stop_id: str,
+                        drop_time: dict[str, float]):
+    """Cheapest routing of one stop's freighters over the packages dropped there."""
+    params = instance.cost_params
+    stop = instance.stop(stop_id)
+    fleet = instance.freighters_of_stop(stop_id)
+    doors = {c: _door_visit(instance.customer(c)) for c in drop_time}
+
+    def route_of(group):
+        times = [drop_time[c] for c in group]
+        departure = max(times) + stop.service_time
+        if departure > min(times) + stop.max_dwell + 1e-9:
+            return None
+        route = _best_order(instance, stop.location, departure, {c: doors[c] for c in group},
+                            params.freighter_cost_scale * params.truck_cost_per_distance)
+        return None if route is None else (route[0], departure, *route[1:])
+
+    best = _best_partition([k.capacity for k in fleet], sorted(drop_time), demands, route_of)
+    if best is None:
+        return None
+    cost, chosen = best
+    return (cost, {c: fleet[k].id for k, group, _ in chosen for c in group},
+            {fleet[k].id: route[1:] for k, _, route in chosen})
+
+
 def _best_freighter_layer(instance: Instance, demands: dict[str, float],
                           drops: dict[str, tuple[str, float]], memo: dict):
-    """Cheapest feasible last-leg delivery given per-customer drop stop/time."""
-    key = tuple(sorted((c, s, t) for c, (s, t) in drops.items()))
-    if key in memo:
-        return memo[key]
-    params = instance.cost_params
-    by_stop: dict[str, list[str]] = {}
-    for cust, (stop_id, _) in drops.items():
-        by_stop.setdefault(stop_id, []).append(cust)
+    """Cheapest feasible last-leg delivery given per-customer drop stop/time.
 
-    total_cost = 0.0
-    assignment: dict[str, str] = {}
-    routes: dict[str, tuple[float, tuple[str, ...], tuple[float, ...]]] = {}
+    Returns (cost, assignment customer->freighter, routes freighter->(departure,
+    customers, times)) or None; ``memo`` keeps each stop's routing per packages.
+    """
+    by_stop: dict[str, list[tuple[str, float]]] = {}
+    for cust, (stop_id, t_drop) in drops.items():
+        by_stop.setdefault(stop_id, []).append((cust, t_drop))
+    total_cost, assignment, routes = 0.0, {}, {}
     for stop_id, members in sorted(by_stop.items()):
-        stop = instance.stop(stop_id)
-        fleet = instance.freighters_of_stop(stop_id)
-        members = sorted(members)
-        stop_best = None
-        for labels in itertools.product(range(len(fleet)), repeat=len(members)):
-            groups: dict[int, list[str]] = {}
-            for cust, label in zip(members, labels):
-                groups.setdefault(label, []).append(cust)
-            cost_here = 0.0
-            assign_here: dict[str, str] = {}
-            routes_here: dict[str, tuple[float, tuple[str, ...], tuple[float, ...]]] = {}
-            feasible = True
-            for label, group in groups.items():
-                freighter = fleet[label]
-                if sum(demands[c] for c in group) > freighter.capacity + 1e-9:
-                    feasible = False
-                    break
-                drop_times = [drops[c][1] for c in group]
-                departure = max(drop_times) + stop.service_time
-                if departure > min(drop_times) + stop.max_dwell + 1e-9:
-                    feasible = False
-                    break
-                visits = {c: _door_visit(instance.customer(c)) for c in group}
-                route_best = _best_order(
-                    instance, stop.location, departure, visits,
-                    params.freighter_cost_scale * params.truck_cost_per_distance)
-                if route_best is None:
-                    feasible = False
-                    break
-                cost_here += route_best[0]
-                routes_here[freighter.id] = (departure, route_best[1], route_best[2])
-                for c in group:
-                    assign_here[c] = freighter.id
-            if feasible and (stop_best is None or cost_here < stop_best[0] - 1e-12):
-                stop_best = (cost_here, assign_here, routes_here)
-        if stop_best is None:
-            memo[key] = None
+        key = (stop_id, tuple(sorted(members)))
+        if key not in memo:
+            memo[key] = _best_stop_delivery(instance, demands, stop_id, dict(members))
+        if memo[key] is None:
             return None
-        total_cost += stop_best[0]
-        assignment.update(stop_best[1])
-        routes.update(stop_best[2])
-    result = (total_cost, assignment, routes)
-    memo[key] = result
-    return result
+        total_cost += memo[key][0]
+        assignment.update(memo[key][1])
+        routes.update(memo[key][2])
+    return total_cost, assignment, routes
 
 
 def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
@@ -261,26 +273,25 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     if any(not opts for opts in options.values()):
         return BruteForceOutcome(feasible=False, cost=None, plan=None)
 
-    truck_memo: dict = {}
-    freighter_memo: dict = {}
-    accepted_patterns: set = set()
+    truck_memo, freighter_memo, accepted_patterns = {}, {}, set()
     best: tuple[float, dict[str, TransitOption], tuple, tuple] | None = None
 
     ids = [c.id for c in customers]
     for picks in itertools.product(*(options[i] for i in ids)):
         combo = dict(zip(ids, picks))
-        if not _trip_loads_ok(instance, combo):
+        if not _trip_loads_ok(instance, demands, combo):
             continue
         pickup = {c: (opt.drop_in, opt.pickup_time) for c, opt in combo.items()}
         drops = {c: (opt.drop_out, opt.drop_time) for c, opt in combo.items()}
         pattern = (tuple(sorted(pickup.items())), tuple(sorted(drops.items())))
         if pattern in accepted_patterns:
             continue  # same stops and times: identical cost already scored
-        truck_side = _best_truck_layer(instance, demands, pickup, truck_memo)
-        if truck_side is None:
-            continue
+        # a pattern counts only when both sides are feasible, so the order is free
         freighter_side = _best_freighter_layer(instance, demands, drops, freighter_memo)
         if freighter_side is None:
+            continue
+        truck_side = _best_truck_layer(instance, demands, pickup, truck_memo)
+        if truck_side is None:
             continue
         accepted_patterns.add(pattern)
         cost = truck_side[0] + freighter_side[0]
@@ -294,23 +305,19 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     _, truck_assign, truck_routes = truck_side
     t3_cost, freighter_assign, freighter_routes = freighter_side
 
-    stop_times: dict[tuple[str, str], float] = {}
-    for truck_id, (stops, times) in truck_routes.items():
-        for s, t in zip(stops, times):
-            stop_times[(truck_id, s)] = t
+    stop_times = {(truck_id, s): t for truck_id, (stops, times) in truck_routes.items()
+                  for s, t in zip(stops, times)}
 
     itineraries = []
     for cust_id in ids:
-        opt = combo[cust_id]
-        truck_id = truck_assign[cust_id]
+        opt, truck_id = combo[cust_id], truck_assign[cust_id]
         freighter_id = freighter_assign[cust_id]
-        dep, order, times = freighter_routes[freighter_id]
-        delivery = times[order.index(cust_id)]
+        _, order, times = freighter_routes[freighter_id]
         itineraries.append(CustomerItinerary(
             customer=cust_id, truck=truck_id,
             drop_in_stop=opt.drop_in, drop_in_time=stop_times[(truck_id, opt.drop_in)],
             trip=opt.trip, drop_out_stop=opt.drop_out, drop_out_time=opt.drop_time,
-            freighter=freighter_id, delivery_time=delivery))
+            freighter=freighter_id, delivery_time=times[order.index(cust_id)]))
 
     plan = Plan(
         itineraries=tuple(itineraries),
@@ -338,25 +345,16 @@ def brute_force_vrptw(instance: Instance) -> VrptwPlan | None:
         raise OracleSizeError(
             f"instance exceeds enumeration guard: customers={len(instance.customers)} "
             f"(max {GUARD_CUSTOMERS}), trucks={len(instance.trucks)} (max {GUARD_TRUCKS})")
+    customers = {c.id: c for c in instance.customers}
     per_distance = instance.cost_params.truck_cost_per_distance
-    customers = sorted(instance.customers, key=lambda c: c.id)
-    best = None
-    for labels in itertools.product(range(len(instance.trucks)), repeat=len(customers)):
-        cost, routes = 0.0, []
-        for label, truck in enumerate(instance.trucks):
-            group = [c for c, k in zip(customers, labels) if k == label]
-            if not group:
-                continue
-            if sum(c.demand for c in group) > truck.capacity + 1e-9:
-                break
-            route = _best_order(instance, instance.cdc, 0.0,
-                                {c.id: _door_visit(c) for c in group}, per_distance)
-            if route is None:
-                break
-            cost += route[0]
-            routes.append(VrptwRoute(truck=truck.id, departure=0.0,
-                                     customers=route[1], times=route[2]))
-        else:
-            if best is None or cost < best.total_cost - 1e-12:
-                best = VrptwPlan(routes=tuple(routes), total_cost=cost)
-    return best
+    best = _best_partition(
+        [d.capacity for d in instance.trucks], sorted(customers),
+        {c.id: c.demand for c in instance.customers},
+        lambda group: _best_order(instance, instance.cdc, 0.0,
+                                  {c: _door_visit(customers[c]) for c in group}, per_distance))
+    if best is None:
+        return None
+    cost, chosen = best
+    return VrptwPlan(routes=tuple(
+        VrptwRoute(truck=instance.trucks[k].id, departure=0.0, customers=route[1], times=route[2])
+        for k, _, route in chosen), total_cost=cost)

@@ -989,6 +989,42 @@ def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
     assert checked >= 5 * count and infeasible >= count // 2
 
 
+def _moved(stops, placed):
+    """Each package at the next of ``stops`` (cyclically) at its unchanged minute."""
+    ids = [stop.id for stop in stops]
+    return {c: (ids[(ids.index(s) + 1) % len(ids)], t) for c, (s, t) in placed.items()}
+
+
+def test_oracle_layer_memos_are_safe_to_share(backend):
+    """One memo shared by the d2 handoffs of an instance gives what a fresh memo gives.
+    Each handoff also comes with its packages at the next stop at unchanged minutes and
+    with disjoint pickup windows, so a key that forgets the stop, the drop minutes or the
+    truck windows hands back another handoff's result."""
+    from transitfreight.bruteforce import _best_freighter_layer, _best_truck_layer
+
+    checked = 0
+    for instance in generate_micro_instances(20):
+        compat = derive_compatibility(instance)
+        demands = {c.id: c.demand for c in instance.customers}
+        truck_memo, freighter_memo = {}, {}
+        for tag in ("obj1", "obj2", "obj3"):
+            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
+            disjoint = _disjoint_pickups(instance, handoff)
+            pickup = {c: (handoff.b_in[c], handoff.t_in[c]) for c in handoff.b_in}
+            drops = {c: (handoff.b_out[c], handoff.t_out[c]) for c in handoff.b_out}
+            for fixed in (pickup, _moved(instance.drop_in_stops(), pickup),
+                          {c: (disjoint.b_in[c], disjoint.t_in[c]) for c in disjoint.b_in}):
+                shared = _best_truck_layer(instance, demands, fixed, truck_memo)
+                assert shared == _best_truck_layer(instance, demands, fixed, {})
+                checked += shared is not None
+            for fixed in (drops, _moved(instance.drop_out_stops(), drops)):
+                shared = _best_freighter_layer(instance, demands, fixed, freighter_memo)
+                assert shared == _best_freighter_layer(instance, demands, fixed, {})
+                checked += shared is not None
+    assert checked >= 250
+
+
 def two_stop_two_truck_fixture() -> Instance:
     """u can only be picked up at A1 and v only at A2; two trucks of ample capacity."""
     instance = Instance(

@@ -27,7 +27,13 @@ from transitfreight.validate import (
     validate_plan,
 )
 
-from conftest import MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, make_micro1
+from conftest import (
+    MICRO1_T1,
+    MICRO1_T3,
+    MICRO1_TOTAL,
+    generate_micro_instances,
+    make_micro1,
+)
 
 
 def micro1_plan() -> Plan:
@@ -186,6 +192,60 @@ def test_oracle_symmetric_tie_has_unique_cost():
     # one tour over both (10+10 fits one freighter): 5 + 10 + 5 at half cost
     assert outcome.cost == pytest.approx(0.5 * (5 + 10 + 5) + 20.0)
     assert validate_plan(instance, outcome.plan) == []
+
+
+def _heavy_pair_instance(trucks, freighters) -> Instance:
+    """h1 and h2 (8 each) and l (6) ride one trip from A to B."""
+    instance = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A", Point(10, 0), True, False, 10.0, 300.0),
+               Stop("B", Point(50, 0), False, True, 10.0, 300.0)),
+        lines=(Line("L1", ("A", "B")),),
+        trips=(Trip("p1", "L1", {"A": 150.0, "B": 158.0}, 60.0),),
+        trucks=trucks,
+        freighters=freighters,
+        customers=(
+            Customer("h1", Point(52, 3), 8.0, 200.0, 800.0, 0.0, frozenset({"B"})),
+            Customer("h2", Point(52, -3), 8.0, 200.0, 800.0, 0.0, frozenset({"B"})),
+            Customer("l", Point(47, 0), 6.0, 200.0, 800.0, 0.0, frozenset({"B"})),
+        ),
+    )
+    instance.validate()
+    return instance
+
+
+@pytest.mark.parametrize("tier", ["truck", "freighter"])
+def test_oracle_puts_the_heavy_pair_on_the_larger_vehicle(tier):
+    """Vehicles of capacity 7 and 16 carry packages of 8, 8 and 6 only as l on the
+    smaller one and the pair of 8 on the larger one."""
+    small, large = 7.0, 16.0
+    if tier == "truck":
+        instance = _heavy_pair_instance(
+            (Truck("d1", small), Truck("d2", large)), (Freighter("f1", "B", 30.0),))
+    else:
+        instance = _heavy_pair_instance(
+            (Truck("d1", 30.0),), (Freighter("f1", "B", small), Freighter("f2", "B", large)))
+    outcome = brute_force_optimum(instance)
+    assert outcome.feasible
+    assert validate_plan(instance, outcome.plan) == []
+    vehicle = {it.customer: getattr(it, tier) for it in outcome.plan.itineraries}
+    assert vehicle == ({"h1": "d2", "h2": "d2", "l": "d1"} if tier == "truck"
+                       else {"h1": "f2", "h2": "f2", "l": "f1"})
+
+
+def test_oracle_plans_validate_and_recompute_to_their_cost():
+    """Every feasible oracle plan on criterion 1's micro instances is valid and its
+    routes recompute to the oracle's cost."""
+    feasible = 0
+    for instance in generate_micro_instances(20, start_seed=1000):
+        outcome = brute_force_optimum(instance)
+        if not outcome.feasible:
+            continue
+        assert validate_plan(instance, outcome.plan) == []
+        assert recompute_costs(instance, outcome.plan).total == pytest.approx(
+            outcome.cost, abs=1e-9)
+        feasible += 1
+    assert feasible >= 15
 
 
 def test_oracle_guard_refuses_large(micro1):
