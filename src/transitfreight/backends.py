@@ -6,6 +6,11 @@ LP file, invokes an external solver binary, and parses its solution file.
 The subprocess command comes from the TRANSITFREIGHT_SOLVER environment
 variable or an explicit path; solution parsing reads CBC and HiGHS reports
 and plain ``name value`` listings, and reports any other status as an error.
+
+Both HiGHS paths solve under the same fixed settings (``HIGHS_SETTINGS``)
+besides the stage's time limit and relative gap. The feasibility-jump
+primal heuristic is off: on models of a few dozen variables its start-up
+cost was most of each solve, and switching it off changed no optimum.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import re
 import subprocess
 import tempfile
 import time
+import warnings
 from pathlib import Path
 from typing import Protocol
 
@@ -38,6 +44,14 @@ from .milp import (
 )
 
 SOLVER_ENV_VAR = "TRANSITFREIGHT_SOLVER"
+
+HIGHS_SETTINGS = {"mip_heuristic_run_feasibility_jump": False}
+
+# scipy's milp warns with a RuntimeWarning before it passes a key it does not
+# list itself (any of HIGHS_SETTINGS) to HiGHS verbatim. Only that notice is
+# silenced: HiGHS rejecting a name raises scipy's OptimizeWarning instead,
+# which stays visible.
+_VERBATIM_NOTICE = "Unrecognized options detected"
 
 
 class BackendError(RuntimeError):
@@ -86,18 +100,21 @@ class ScipyHighsBackend:
             constraints = [LinearConstraint(matrix, lo, hi)]
 
         started = time.perf_counter()
-        res = scipy_milp(
-            c=c,
-            constraints=constraints,
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options={
-                "time_limit": limits.time_limit,
-                "mip_rel_gap": limits.rel_gap,
-                "presolve": True,
-                "disp": False,
-            },
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _VERBATIM_NOTICE, RuntimeWarning)
+            res = scipy_milp(
+                c=c,
+                constraints=constraints,
+                integrality=integrality,
+                bounds=Bounds(lb, ub),
+                options={
+                    "time_limit": limits.time_limit,
+                    "mip_rel_gap": limits.rel_gap,
+                    "presolve": True,
+                    "disp": False,
+                    **HIGHS_SETTINGS,
+                },
+            )
         wall = time.perf_counter() - started
 
         values: dict[str, float] = {}
@@ -210,6 +227,8 @@ class SubprocessBackend:
         self.command = command
 
     def _argv(self, lp_path: str, sol_path: str, limits: SolveLimits) -> list[str]:
+        """The solver's command line; for HiGHS, also writes its options file
+        next to the LP file."""
         stem = Path(self.command.split()[0]).name.lower()
         head = self.command.split()
         if "cbc" in stem:
@@ -217,8 +236,13 @@ class SubprocessBackend:
                            "-ratioGap", str(limits.rel_gap), "-solve",
                            "-solution", sol_path]
         if "highs" in stem:
+            options_path = os.path.join(os.path.dirname(lp_path), "highs.opt")
+            settings = {"mip_rel_gap": limits.rel_gap, **HIGHS_SETTINGS}
+            Path(options_path).write_text(
+                "".join(f"{name} = {str(value).lower()}\n" for name, value in settings.items()),
+                encoding="utf-8")
             return head + [lp_path, "--time_limit", str(limits.time_limit),
-                           "--solution_file", sol_path]
+                           "--options_file", options_path, "--solution_file", sol_path]
         return head + [lp_path, sol_path]
 
     def solve(self, model: MilpModel, limits: SolveLimits) -> SolveResult:

@@ -8,7 +8,6 @@ never poison a comparison sweep.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -130,6 +129,7 @@ class StageMetrics:
     cons: int
     nnz: int
     build_time: float     # seconds spent building the model
+    time_limit: float     # the stage's limit as handed to the backend; a solve may overrun it
 
 
 @dataclass
@@ -156,11 +156,9 @@ class RunMetrics:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-_reference_cache: dict[str, tuple[float, float]] = {}
-
-
-def _instance_key(instance: Instance) -> str:
-    return hashlib.sha1(serialize_instance(instance).encode()).hexdigest()
+# keyed by the instance itself: it is a frozen dataclass, so equal instances
+# share an entry, and hashing one is far cheaper than serializing it
+_reference_cache: dict[Instance, tuple[float, float]] = {}
 
 
 def reference_routing_costs(instance: Instance, compat: Compatibility, backend: Backend,
@@ -169,14 +167,13 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
 
     On a cache miss the plain solve is the run's ``reference`` stage.
     """
-    key = _instance_key(instance)
-    if key not in _reference_cache:
+    if instance not in _reference_cache:
         model, result = _stage("reference", config.seconds("full"), config, backend, metrics,
                                build_full, instance, compat,
                                FullOptions(symmetry_breaking=config.symmetry_breaking))
         plan = decode_full(instance, model, result)
-        _reference_cache[key] = (plan.costs.t1_cost, plan.costs.t3_cost)
-    return _reference_cache[key]
+        _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
+    return _reference_cache[instance]
 
 
 def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
@@ -197,7 +194,8 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
         stage=stage, status=result.status, objective=result.objective,
         wall_time=result.wall_time, best_bound=result.best_bound, gap=gap,
         message=result.message, vars=len(model.variables), cons=len(model.constraints),
-        nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time))
+        nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time,
+        time_limit=seconds))
     if result.status == "infeasible":
         raise PipelineError(stage, "model infeasible", result.status)
     if result.status == "timeout":
@@ -291,8 +289,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
     _check_objective(plan.costs.total, result)
     if mu == 0 and result.status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
-        _reference_cache.setdefault(
-            _instance_key(instance), (plan.costs.t1_cost, plan.costs.t3_cost))
+        _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
     return plan
 
 

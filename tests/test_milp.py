@@ -1,9 +1,13 @@
 import sys
 import textwrap
+import warnings
 
 import pytest
+from scipy.optimize import OptimizeWarning
 
+from transitfreight import backends
 from transitfreight.backends import (
+    HIGHS_SETTINGS,
     ScipyHighsBackend,
     SubprocessBackend,
     get_backend,
@@ -22,8 +26,9 @@ from transitfreight.milp import (
     write_lp,
 )
 from transitfreight.model_full import build_full
+from transitfreight.pipeline import RunConfig, run_method
 
-from conftest import MICRO1_TOTAL
+from conftest import MICRO1_TOTAL, generate_micro_instances
 
 
 def tiny_model(lb=1.0):
@@ -266,3 +271,80 @@ def test_backend_resolution(monkeypatch, tmp_path):
     assert isinstance(get_backend("subprocess"), SubprocessBackend)
     with pytest.raises(Exception):
         get_backend("nonsense")
+
+
+def test_subprocess_highs_gets_the_gap_and_settings_in_an_options_file(tmp_path):
+    backend = SubprocessBackend(command="highs --random_seed 0")
+    lp_path, sol_path = str(tmp_path / "model.lp"), str(tmp_path / "model.sol")
+    argv = backend._argv(lp_path, sol_path, SolveLimits(30.0, 1e-6))
+    options_path = str(tmp_path / "highs.opt")
+    assert argv == ["highs", "--random_seed", "0", lp_path, "--time_limit", "30.0",
+                    "--options_file", options_path, "--solution_file", sol_path]
+    assert (tmp_path / "highs.opt").read_text(encoding="utf-8") == (
+        "mip_rel_gap = 1e-06\n"
+        "mip_heuristic_run_feasibility_jump = false\n")
+
+
+def test_highs_backend_switches_off_feasibility_jump(monkeypatch):
+    seen = []
+    real_milp = backends.scipy_milp
+
+    def recording_milp(**kwargs):
+        seen.append(kwargs["options"])
+        return real_milp(**kwargs)
+
+    monkeypatch.setattr(backends, "scipy_milp", recording_milp)
+    ScipyHighsBackend().solve(tiny_model(), SolveLimits(10.0, 1e-6))
+    assert seen and seen[0]["mip_heuristic_run_feasibility_jump"] is False
+    monkeypatch.undo()
+
+    # scipy's notice that it passes the key on verbatim is filtered, and the
+    # bundled HiGHS knows the name: an unknown one raises OptimizeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = ScipyHighsBackend().solve(tiny_model(), SolveLimits(10.0, 1e-6))
+    assert result.status == "optimal"
+    monkeypatch.setitem(backends.HIGHS_SETTINGS, "no_such_highs_option", True)
+    with pytest.warns(OptimizeWarning):
+        ScipyHighsBackend().solve(tiny_model(), SolveLimits(10.0, 1e-6))
+
+
+class _RecordingBackend:
+    """Solves through the in-process backend and keeps every model and result."""
+
+    def __init__(self):
+        self.solves = []
+
+    def solve(self, model, limits):
+        result = ScipyHighsBackend().solve(model, limits)
+        self.solves.append((model, limits, result))
+        return result
+
+
+def test_highs_settings_change_no_optimum(monkeypatch):
+    """d2-t2 under obj1-3, t1-handoff, t3-stopwise, full and vrptw models keep
+    their status and optimum under HiGHS's default settings."""
+    recorder = _RecordingBackend()
+    configs = [RunConfig(method="d2", t2_obj=obj) for obj in ("obj1", "obj2", "obj3")]
+    configs += [RunConfig(method="full"), RunConfig(method="vrptw")]
+    labels = []
+    for n, instance in enumerate(generate_micro_instances(10)):
+        for config in configs:
+            _plan, metrics = run_method(instance, config, recorder)
+            labels += [f"micro{n} {config.label()} {s.stage}" for s in metrics.stages]
+    assert len(labels) == len(recorder.solves)
+    assert {label.split()[-1].split("[")[0] for label in labels} == {
+        "t2", "t1", "t3", "full", "vrptw"}
+
+    real_milp = backends.scipy_milp
+
+    def highs_defaults(**kwargs):
+        options = {k: v for k, v in kwargs.pop("options").items() if k not in HIGHS_SETTINGS}
+        return real_milp(options=options, **kwargs)
+
+    monkeypatch.setattr(backends, "scipy_milp", highs_defaults)
+    for label, (model, limits, result) in zip(labels, recorder.solves):
+        reference = ScipyHighsBackend().solve(model, limits)
+        assert result.status == reference.status, label
+        if reference.objective is not None:
+            assert result.objective == pytest.approx(reference.objective, abs=1e-6), label

@@ -5,7 +5,9 @@ import pytest
 
 from transitfreight import pipeline
 from transitfreight.generate import GenParams, generate_instance
-from transitfreight.instance import Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck
+from transitfreight.instance import (
+    Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
+    serialize_instance, with_beta)
 from transitfreight.milp import ModelError
 from transitfreight.pipeline import (
     PipelineError,
@@ -147,6 +149,32 @@ def test_metrics_record_stage_build_time_and_gap(backend, micro1, tmp_path):
     assert [s.gap for s in unbounded.stages] == [None, None, None]
 
 
+class _LimitRecordingBackend:
+    """Solves through another backend and keeps the limits each solve was given."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.limits = []
+
+    def solve(self, model, limits):
+        self.limits.append(limits)
+        return self._backend.solve(model, limits)
+
+
+def test_metrics_record_the_time_limit_handed_to_the_backend(backend, micro1, tmp_path):
+    seconds = {"full": 41.0, "first": 42.0, "other": 43.0, "per_stop": 44.0}
+    for config, expected in (
+            (RunConfig(method="d2", t2_obj="obj2", stage_seconds=seconds), [43.0, 43.0, 44.0]),
+            (RunConfig(method="vrptw", stage_seconds=seconds), [41.0])):
+        recorder = _LimitRecordingBackend(backend)
+        art = tmp_path / config.label()
+        _plan, metrics = run_method(micro1, config, recorder, artifacts_dir=art)
+        assert [limits.time_limit for limits in recorder.limits] == expected
+        assert [stage.time_limit for stage in metrics.stages] == expected
+        doc = json.loads((art / "metrics.json").read_text())
+        assert [stage["time_limit"] for stage in doc["stages"]] == expected
+
+
 class _BoundlessBackend:
     """Solves correctly but reports no best bound."""
 
@@ -223,6 +251,12 @@ def test_service_cost_reference_is_a_recorded_stage(backend, micro1, monkeypatch
     # the second run reads the cached reference
     _plan, again = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
     assert [(s.stage, s.status) for s in again.stages] == [("full", "optimal")]
+    # so does an equal instance read back from its JSON; a changed one misses
+    reread = parse_instance(serialize_instance(micro1))
+    _plan, equal = run_method(reread, RunConfig(method="full", mu=0.5), backend)
+    assert [s.stage for s in equal.stages] == ["full"]
+    _plan, other = run_method(with_beta(micro1, 0.75), RunConfig(method="full", mu=0.5), backend)
+    assert [s.stage for s in other.stages] == ["reference", "full"]
 
 
 def test_stitching_matches_stage_handoff(backend, micro1, tmp_path):
