@@ -19,33 +19,17 @@ class UnreachableCustomerError(InstanceError):
 @dataclass(frozen=True)
 class Compatibility:
     s_in_of_customer: dict[str, frozenset[str]]       # customer -> usable drop-in stops
-    customers_of_dropin: dict[str, frozenset[str]]    # drop-in stop -> customers
     customers_of_dropout: dict[str, frozenset[str]]   # drop-out stop -> customers
-    trips_of_stop: dict[str, tuple[str, ...]]         # stop -> trips whose line contains it
     avg_truck_time: dict[str, float]                  # drop-in stop -> CDC access minutes
     avg_freighter_time: dict[tuple[str, str], float]  # (drop-out stop, customer) -> minutes
 
 
-def stop_precedes(instance: Instance, line_id: str, first: str, second: str) -> bool:
-    """True when `first` comes strictly before `second` on the line."""
-    order = instance.line(line_id).ordered_stops
-    if first not in order or second not in order:
-        return False
-    return order.index(first) < order.index(second)
-
-
 def derive_compatibility(instance: Instance) -> Compatibility:
-    trips_of_stop: dict[str, list[str]] = {s.id: [] for s in instance.stops}
-    for trip in instance.trips:
-        for sid in instance.line(trip.line).ordered_stops:
-            trips_of_stop[sid].append(trip.id)
-
     # drop-in stops reachable per line position, keyed by line
     line_order = {ln.id: ln.ordered_stops for ln in instance.lines}
     lines_with_trips = {trip.line for trip in instance.trips}
 
     s_in_of_customer: dict[str, frozenset[str]] = {}
-    customers_of_dropin: dict[str, set[str]] = {s.id: set() for s in instance.stops if s.is_drop_in}
     customers_of_dropout: dict[str, set[str]] = {s.id: set() for s in instance.stops if s.is_drop_out}
 
     for cust in instance.customers:
@@ -68,8 +52,6 @@ def derive_compatibility(instance: Instance) -> Compatibility:
                 f"customer {cust.id} unreachable by transit: no drop-in stop precedes "
                 f"any of its candidate drop-out stops on a served line")
         s_in_of_customer[cust.id] = frozenset(usable)
-        for sid in usable:
-            customers_of_dropin[sid].add(cust.id)
         for sid in cust.dropout_candidates:
             customers_of_dropout[sid].add(cust.id)
 
@@ -87,9 +69,7 @@ def derive_compatibility(instance: Instance) -> Compatibility:
 
     return Compatibility(
         s_in_of_customer=s_in_of_customer,
-        customers_of_dropin={k: frozenset(v) for k, v in customers_of_dropin.items()},
         customers_of_dropout={k: frozenset(v) for k, v in customers_of_dropout.items()},
-        trips_of_stop={k: tuple(v) for k, v in trips_of_stop.items()},
         avg_truck_time=avg_truck_time,
         avg_freighter_time=avg_freighter_time,
     )

@@ -194,13 +194,17 @@ class Instance:
 
     def validate(self) -> None:
         """Raise InstanceError naming the first violated invariant."""
-        seen_ids: set[str] = set()
+        for kind, items in (("stop", self.stops), ("customer", self.customers),
+                            ("line", self.lines), ("trip", self.trips),
+                            ("truck", self.trucks), ("freighter", self.freighters)):
+            seen: set[str] = set()
+            for item in items:
+                if item.id in seen:
+                    raise InstanceError(f"duplicate {kind} id {item.id}")
+                seen.add(item.id)
         for s in self.stops:
-            if s.id in seen_ids:
-                raise InstanceError(f"duplicate stop id {s.id}")
             if s.id in ("o", "o~"):
                 raise InstanceError(f"stop id {s.id!r} is reserved for the CDC nodes")
-            seen_ids.add(s.id)
             if not (s.is_drop_in or s.is_drop_out):
                 raise InstanceError(f"stop {s.id} is neither drop-in nor drop-out")
             if s.service_time < 0:
@@ -247,6 +251,8 @@ class Instance:
             raise InstanceError(f"drop-out stop {sid} has no freighter")
 
         for c in self.customers:
+            if c.id in stop_ids or c.id in ("o", "o~"):
+                raise InstanceError(f"customer id {c.id!r} names a stop or a CDC node")
             if c.demand <= 0:
                 raise InstanceError(f"customer {c.id}: demand not positive")
             if not c.window_lo < c.window_hi:

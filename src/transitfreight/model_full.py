@@ -29,23 +29,25 @@ Each fragment has one copy, used by every model that needs it:
                          no earlier than at drop v (u == v included), one
                          row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
   add_trip_loads         l2 along every trip, from the y1/y2 on the builder
-  add_truck_routing      w/t1 arcs, degree balance and times per truck, for full,
-                         d1-t1 and a t1-handoff too large for route columns
+  add_truck_routing      w/t1 arcs, degree balance and times per truck, for full
+                         and a truck stage too large for route columns
+                         (past ``tiers.ROUTE_LABEL_LIMIT``)
   add_stop_assignments   r[i,s,d] over given drop-in stops, with truck capacity,
                          the g visits and one g[d,s] >= r[i,s,d] row per
-                         assignment, for the same three
+                         assignment, for the same two
   add_arrival_window     big-M rows that hold lo <= t1[s,d] <= hi for the truck
-                         carrying the package; full, d1-t1 and that t1-handoff
-                         differ only in the stops and windows they pass (a
-                         t1-handoff within ``tiers.ROUTE_LABEL_LIMIT`` chooses
-                         enumerated routes in ``tiers`` instead)
+                         carrying the package; full and that truck stage
+                         differ only in the stops and windows they pass (within
+                         the budget the truck stage chooses enumerated routes
+                         in ``tiers`` instead)
   truck_assignments      customer -> (drop-in stop, truck), the one reader of r
   enumerate_routes       the routes one vehicle class may drive through timed
                          visits: the one label-setting DP, over capacity and
                          windows, that keeps per customer set the orders no
                          other order beats on length and latest departure; a
                          freighter visit serves one customer, a truck visit
-                         (``tiers.enumerate_truck_routes``) one stop's packages
+                         (``tiers.enumerate_truck_routes``) packages at one
+                         stop, and a package may have visits at several stops
   add_freighter_routing  one q/dep column per enumerated route, with fleet rows,
                          for full, t3-stopwise and d3-t3; they differ only in
                          the departure bounds they pass, and link the (q, dep)
@@ -130,8 +132,7 @@ def arc_costs(mb: ModelBuilder, instance: Instance, family: str,
     """Objective terms pricing every arc of ``family`` at its length times ``per_distance``.
 
     The first two indices of each arc variable are its tail and head: the
-    CDC (``o`` or ``o~``), a stop or a customer; an id naming both a stop
-    and a customer is the stop.
+    CDC (``o`` or ``o~``), a stop or a customer.
     """
     where = {c.id: c.location for c in instance.customers}
     where.update((s.id, s.location) for s in instance.stops)
@@ -268,20 +269,22 @@ def enumerate_routes(instance: Instance, home, places: dict, visits: list[tuple]
     serves ``customers`` with ``load`` at ``place``, its service ends within
     ``[lo, hi]``, and the route that makes it leaves ``home`` within
     ``[dep_lo, dep_hi]``; ``places[p]`` is ``(location, service minutes)``.
-    Every customer is served at one place, and (place, customers) names one
-    visit. The DP extends visit orders backward from their last visit: a
+    A customer may be served at several places, and (place, customers) names
+    one visit. The DP extends visit orders backward from their last visit: a
     label is an order with its distance back home, its load, the latest
     minute service at its first visit may end and its departure bounds. A
     label dies when its load exceeds ``capacity``, when that latest end falls
     before its first visit's window opens or before the ride from its
     earliest departure, or when its departure bounds do not meet. A route
-    visits each place at most once. Of the labels of one customer set and
-    first place only the Pareto labels survive: shorter, or leaving later;
-    of labels of equal length only the one that may leave latest.
+    visits each place at most once and serves each customer once. Of the
+    labels of one customer set, set of visited places and first place only
+    the Pareto labels survive: shorter, or leaving later; of labels of equal
+    length only the one that may leave latest. Where every customer has one
+    place, the customers served fix the places visited.
 
     Returns, per customer set, its Pareto (distance, latest departure L,
-    customers in visit order), shortest first; or None once more than
-    ``budget`` labels have grown.
+    customers in visit order, the place of each), shortest first; or None
+    once more than ``budget`` labels have grown.
     """
     pairs = [(a, b) for a in places for b in places if a != b]
     gap = {(a, b): euclidean_distance(places[a][0], places[b][0]) for a, b in pairs}
@@ -290,45 +293,46 @@ def enumerate_routes(instance: Instance, home, places: dict, visits: list[tuple]
     back = {p: euclidean_distance(loc, home) for p, (loc, _) in places.items()}
     reach = {p: instance.travel_minutes(home, loc) + service for p, (loc, service) in places.items()}
     bit: dict[str, int] = {}
-    taken: dict = {}  # place -> bits of every customer served there
-    by_place: dict = {}  # place -> its visits, each with the bits of its customers
+    by_place: dict = {}  # place -> (its bit, its visits with the bits of their customers)
     for place, customers, *rest in visits:
         for cid in customers:
             bit.setdefault(cid, 1 << len(bit))
-        bits = sum(bit[cid] for cid in customers)
-        taken[place] = taken.get(place, 0) | bits
-        by_place.setdefault(place, []).append((bits, customers, *rest))
+        if place not in by_place:
+            by_place[place] = (1 << len(by_place), [])
+        by_place[place][1].append((sum(bit[cid] for cid in customers), customers,
+                                   (place,) * len(customers), *rest))
 
     def alive(first, latest: float, lo: float, dep_lo: float, dep_hi: float) -> bool:
         return latest >= max(lo, dep_lo + reach[first]) - 1e-9 and dep_lo <= dep_hi + 1e-9
 
-    # (customer bits, first place) -> labels (distance, latest end at first, order, load,
-    # dep_lo, dep_hi)
-    labels: dict[tuple[int, str], list[tuple]] = {}
-    for place, options in by_place.items():
-        for bits, customers, load, lo, hi, (dep_lo, dep_hi) in options:
+    # (customer bits, place bits, first place) -> labels (distance, latest end at first,
+    # order, places of the order, load, dep_lo, dep_hi)
+    labels: dict[tuple[int, int, str], list[tuple]] = {}
+    for place, (mark, options) in by_place.items():
+        for bits, customers, at, load, lo, hi, (dep_lo, dep_hi) in options:
             if load <= capacity + 1e-9 and alive(place, hi, lo, dep_lo, dep_hi):
-                labels[(bits, place)] = [(back[place], hi, customers, load, dep_lo, dep_hi)]
+                labels[(bits, mark, place)] = [(back[place], hi, customers, at, load,
+                                                dep_lo, dep_hi)]
     done: dict[int, list[tuple]] = {}
     grown_count = 0
     while labels:
-        grown: dict[tuple[int, str], list[tuple]] = {}
-        for (served, first), front in labels.items():
-            for dist, latest, order, load, dep_lo, dep_hi in front:
+        grown: dict[tuple[int, int, str], list[tuple]] = {}
+        for (served, visited, first), front in labels.items():
+            for dist, latest, order, where, load, dep_lo, dep_hi in front:
                 done.setdefault(served, []).append(
-                    (dist + back[first], latest - reach[first], order))
-                for place, options in by_place.items():
-                    if served & taken[place]:
+                    (dist + back[first], latest - reach[first], order, where))
+                for place, (mark, options) in by_place.items():
+                    if visited & mark:
                         continue
-                    for bits, customers, extra, lo, hi, (v_lo, v_hi) in options:
-                        if load + extra > capacity + 1e-9:
+                    for bits, customers, at, extra, lo, hi, (v_lo, v_hi) in options:
+                        if served & bits or load + extra > capacity + 1e-9:
                             continue
                         t = min(hi, latest - hop[(place, first)])
                         lo2, hi2 = max(dep_lo, v_lo), min(dep_hi, v_hi)
                         if alive(place, t, lo, lo2, hi2):
                             grown_count += 1
-                            grown.setdefault((served | bits, place), []).append(
-                                (dist + gap[(place, first)], t, customers + order,
+                            grown.setdefault((served | bits, visited | mark, place), []).append(
+                                (dist + gap[(place, first)], t, customers + order, at + where,
                                  load + extra, lo2, hi2))
                 if grown_count > budget:
                     return None
@@ -372,7 +376,7 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
             driven = []
             found = enumerate_routes(instance, home, places, visits, fleet[0].capacity)
             labels = [label for front in found.values() for label in front]
-            for _, latest, order in sorted(labels, key=lambda lab: (len(lab[2]), lab[2])):
+            for _, latest, order, _ in sorted(labels, key=lambda lab: (len(lab[2]), lab[2])):
                 q, dep = mb.binary("q", g, *order), mb.continuous("dep", g, *order)
                 lo = max(bounds[cid][0] for cid in order)
                 hi = min([latest] + [bounds[cid][1] for cid in order])

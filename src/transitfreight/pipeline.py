@@ -40,7 +40,6 @@ from .tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
-    decode_t1_from_handoff,
     decode_t3_stopwise,
     decode_transit,
     first_trip_times,
@@ -87,7 +86,6 @@ class RunConfig:
     t2_obj: str | None = None
     beta: float | None = None
     mu: float = 0.0
-    seed: int = 0
     symmetry_breaking: bool = True
     rel_gap: float = 1e-6
     stage_seconds: dict | None = None
@@ -130,6 +128,7 @@ class StageMetrics:
     nnz: int
     build_time: float     # seconds spent building the model
     time_limit: float     # the stage's limit as handed to the backend; a solve may overrun it
+    form: str             # "columns": vehicles run enumerated route columns; else "rows"
 
 
 @dataclass
@@ -195,7 +194,7 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
         wall_time=result.wall_time, best_bound=result.best_bound, gap=gap,
         message=result.message, vars=len(model.variables), cons=len(model.constraints),
         nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time,
-        time_limit=seconds))
+        time_limit=seconds, form=_form(model)))
     if result.status == "infeasible":
         raise PipelineError(stage, "model infeasible", result.status)
     if result.status == "timeout":
@@ -203,6 +202,14 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
     if result.status == "error":
         raise PipelineError(stage, f"backend error: {result.message}", result.status)
     return model, result
+
+
+def _form(model) -> str:
+    """``columns`` when the model routes its vehicles by enumerated route columns (truck
+    ``x1``, freighter ``q``) and by no per-vehicle arc rows (``w``); ``rows`` otherwise."""
+    if model.family("w") or not (model.family("x1") or model.family("q")):
+        return "rows"
+    return "columns"
 
 
 def _dump(artifacts_dir: Path | None, name: str, serialize, document) -> None:
@@ -360,8 +367,7 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, handoff)
-    truck_routes, arrivals, truck_of = decode_t1_from_handoff(instance, handoff, t1_model,
-                                                              t1_result)
+    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
     return _assemble(instance, choices, truck_of, arrivals.t_truck,
@@ -412,8 +418,7 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
                                  build_t1_from_handoff, instance, t1_handoff)
-    truck_routes, arrivals, truck_of = decode_t1_from_handoff(instance, t1_handoff, t1_model,
-                                                              t1_result)
+    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
     return _assemble(instance, choices, truck_of, arrivals.t_truck,

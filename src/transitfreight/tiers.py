@@ -29,23 +29,21 @@ pickup to ``b_in`` within the dwell cap after the truck's arrival, and
 d3-t2 pins the drop to ``b_out`` within the dwell cap before the
 freighter's latest departure. ``decode_transit`` reads all three.
 
-The two truck stages differ in what is fixed when they run. d1-t1 still
-picks each package's stop among the drop-in stops whose window under the
-deadline cut and the half-day split is not empty, so it keeps the shared
-per-truck rows, read by ``decode_t1``. t1-handoff gets each package's stop
-``b_in`` and pickup ``t_in``; its truck must arrive within the dwell cap
-before ``t_in``. It chooses, under covering rows, among the routes
-``enumerate_truck_routes`` lists per truck class, and
-``decode_t1_from_handoff`` puts each package on one chosen route. Both
-route tiers are listed by the one label-setting DP,
-``model_full.enumerate_routes``: a freighter visit serves one customer, a
-truck visit one stop's packages whose pickup windows meet. The
-number of routes grows combinatorially with the packages one truck can
-carry, so past ``ROUTE_LABEL_LIMIT`` labels the stage is built from
-d1-t1's per-truck rows instead, with each package's stop and window fixed;
-``decode_t1_from_handoff`` hands such a model to ``decode_t1``. Both
-decoders hand on each truck's arrival at the package's stop as
-``t_truck``.
+There is one truck stage (``_build_truck_stage``); d1-t1 and t1-handoff
+differ only in the windows they pass: per package, the drop-in stops it
+may use and a window ``(lo, hi)`` at each. d1-t1 passes every stop whose
+window under the deadline cut and the half-day split is not empty;
+t1-handoff passes the fixed stop ``b_in``, within the dwell cap before the
+pickup ``t_in``. The stage chooses, under covering rows, among the routes
+``enumerate_truck_routes`` lists per truck class. Both route tiers are
+listed by the one label-setting DP, ``model_full.enumerate_routes``: a
+freighter visit serves one customer, a truck visit the packages at one
+stop whose windows there meet. The number of routes grows combinatorially
+with the packages one truck can carry, so past ``ROUTE_LABEL_LIMIT`` labels
+the stage is built from the per-truck rows ``full`` also uses instead.
+``decode_t1`` reads either form, times every route forward from the CDC,
+and hands on each package's stop as ``b_in`` and its truck's minute there
+as ``t_truck``.
 """
 
 from __future__ import annotations
@@ -266,32 +264,26 @@ def handoff_from_transit(choices: dict[str, TransitChoice]) -> TierHandoff:
     )
 
 
-# ---- truck model fed by a handoff --------------------------------------
+# ---- the truck stage ------------------------------------------------------
 
 
 ROUTE_LABEL_LIMIT = 20_000  # stop visits and labels the truck route DP may make per class
 
 
-def _pickup_windows(instance: Instance, handoff: TierHandoff) -> dict[str, tuple[float, float]]:
-    """Per customer, the minutes its truck may be at ``b_in``: within the dwell cap before ``t_in``."""
-    return {c.id: (handoff.t_in[c.id] - instance.stop(handoff.b_in[c.id]).max_dwell,
-                   handoff.t_in[c.id])
-            for c in instance.customers}
-
-
-def _stop_visits(stop: str, members: list[str], window, demand, capacity: float,
+def _stop_visits(stop: str, members: list[str], windows, demand, capacity: float,
                  limit: int) -> list[tuple] | None:
-    """Every visit (``enumerate_routes``) to ``stop`` that serves a nonempty set of its
-    packages whose load fits ``capacity`` and whose pickup windows meet, leaving the
-    CDC from minute 0, in ``itertools.combinations`` order; None once there are more
-    than ``limit``. Sets grow package by package, and one that fails either test is
-    not grown further."""
+    """Every visit (``enumerate_routes``) to ``stop`` that serves a nonempty set of
+    ``members`` whose load fits ``capacity`` and whose windows there
+    (``windows[i][stop]``) meet, leaving the CDC from minute 0, in
+    ``itertools.combinations`` order; None once there are more than ``limit``. Sets
+    grow package by package, and one that fails either test is not grown further."""
     visits: list[tuple] = []
 
     def grow(start: int, group: tuple, load: float, lo: float, hi: float) -> bool:
         for k in range(start, len(members)):
             c = members[k]
-            c_load, c_lo, c_hi = load + demand[c], max(lo, window[c][0]), min(hi, window[c][1])
+            c_lo, c_hi = windows[c][stop]
+            c_load, c_lo, c_hi = load + demand[c], max(lo, c_lo), min(hi, c_hi)
             if c_lo <= c_hi + 1e-9 and c_load <= capacity + 1e-9:
                 visits.append((stop, group + (c,), c_load, c_lo, c_hi, (0.0, math.inf)))
                 if len(visits) > limit or not grow(k + 1, group + (c,), c_load, c_lo, c_hi):
@@ -304,32 +296,33 @@ def _stop_visits(stop: str, members: list[str], window, demand, capacity: float,
     return sorted(visits, key=lambda v: (len(v[1]), [position[c] for c in v[1]]))
 
 
-def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: float
-                           ) -> list[tuple[tuple[str, ...], float]] | None:
-    """The routes a truck of ``capacity`` may drive to the handoff's fixed stops and times.
+def enumerate_truck_routes(instance: Instance, windows: dict, capacity: float
+                           ) -> list[tuple[tuple[tuple[str, str], ...], float]] | None:
+    """The routes a truck of ``capacity`` may drive to bring each package to a stop in time.
 
-    Package ``i`` is served at ``b_in[i]`` within ``[t_in[i] - max_dwell, t_in[i]]``.
-    ``enumerate_routes`` lists the routes from the CDC whose visits each serve,
-    at one stop, a set of that stop's packages whose windows meet
-    (``_stop_visits``); per customer set the shortest is kept.
+    Package ``i`` may be brought to any stop ``windows[i]`` lists, within the
+    window ``(lo, hi)`` given there. ``enumerate_routes`` lists the routes from
+    the CDC whose visits each serve, at one stop, a set of packages whose
+    windows there meet (``_stop_visits``); per customer set the shortest is
+    kept.
 
     Removing a package never lengthens a route or delays a visit (travel is
     Euclidean and trucks may wait), so a set is dropped when one more
     package gives a route no longer: that route covers it for no more.
 
-    Returns (customers in visit order, grouped by stop; distance) per kept set,
+    Returns ((customer, stop) pairs in visit order; distance) per kept set,
     or None once the stop visits and grown labels pass ``ROUTE_LABEL_LIMIT``:
     the number of customer sets grows combinatorially with the packages one
     truck can carry.
     """
-    window = _pickup_windows(instance, handoff)
     demand = {c.id: c.demand for c in instance.customers}
     at_stop: dict[str, list[str]] = {}
     for c in instance.customers:
-        at_stop.setdefault(handoff.b_in[c.id], []).append(c.id)
+        for sid in windows[c.id]:
+            at_stop.setdefault(sid, []).append(c.id)
     visits: list[tuple] = []
     for sid, members in at_stop.items():
-        found = _stop_visits(sid, members, window, demand, capacity,
+        found = _stop_visits(sid, members, windows, demand, capacity,
                              ROUTE_LABEL_LIMIT - len(visits))
         if found is None:
             return None
@@ -341,139 +334,144 @@ def enumerate_truck_routes(instance: Instance, handoff: TierHandoff, capacity: f
     if found is None:
         return None
     length = {served: front[0][0] for served, front in found.items()}
-    routes = [(front[0][2], length[served]) for served, front in found.items()
+    routes = [(tuple(zip(front[0][2], front[0][3])), length[served])
+              for served, front in found.items()
               if not any(length.get(served | {c}, math.inf) <= length[served] + 1e-9
                          for c in demand if c not in served)]
     return sorted(routes, key=lambda route: (len(route[0]), route[0]))
 
 
-def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel:
-    """Route trucks so every package reaches its fixed stop by its fixed time.
+def _build_truck_stage(instance: Instance, windows: dict, tag: str) -> MilpModel:
+    """Route trucks so each package ``i`` reaches one of the stops ``windows[i]`` lists
+    within the window ``(lo, hi)`` given there (``lo`` may be ``-inf``).
 
     A covering model over ``enumerate_truck_routes``: per truck class
-    (``vehicle_classes``) one binary ``x1[g,i1,...,ik]`` per route, indexed
-    by the class and its customers in visit order, priced at its length;
-    at most the class size of routes are driven (``fleet[g]``), and every
-    customer is on at least one (``cover[i]``). Covering loses nothing: a
-    package served twice leaves one route early, which never costs more
-    (``decode_t1_from_handoff``).
+    (``vehicle_classes``) one binary ``x1[g,i1,s1,...,ik,sk]`` per route,
+    indexed by the class and its packages in visit order, each with its stop,
+    priced at its length; at most the class size of routes are driven
+    (``fleet[g]``), and every customer is on at least one (``cover[i]``).
+    Covering loses nothing: a package served twice leaves one route early,
+    which never costs more (``decode_t1``).
 
     When a class has more routes than the DP lists within
-    ``ROUTE_LABEL_LIMIT``, the stage is built from the per-truck rows d1-t1
-    uses instead (``_build_t1_rows``), whose size grows polynomially.
+    ``ROUTE_LABEL_LIMIT``, the stage is built from per-truck rows instead,
+    whose size grows polynomially: the arcs and times of
+    ``add_truck_routing``, each package on one truck to one of its stops
+    (``add_stop_assignments``) and a big-M window per pair
+    (``add_arrival_window``). Either model keeps ``windows`` in its metadata.
     """
-    for cust in instance.customers:
-        stop = instance.stop(handoff.b_in[cust.id])
-        earliest = (instance.travel_minutes(instance.cdc, stop.location)
-                    + stop.service_time)
-        if handoff.t_in[cust.id] < earliest - 1e-9:
-            raise ModelBuildError(
-                f"customer {cust.id}: pickup at {handoff.t_in[cust.id]:g} precedes the "
-                f"earliest truck arrival {earliest:g} at stop {stop.id}")
-
     columns = {}
     for g, fleet in vehicle_classes(instance.trucks):
-        columns[g] = enumerate_truck_routes(instance, handoff, fleet[0].capacity)
+        columns[g] = enumerate_truck_routes(instance, windows, fleet[0].capacity)
         if columns[g] is None:
-            return _build_t1_rows(instance, handoff)
+            return _truck_rows(instance, windows, tag)
 
     per_distance = instance.cost_params.truck_cost_per_distance
-    mb = ModelBuilder("t1-handoff")
+    mb = ModelBuilder(tag)
     objective = []
     covering: dict[str, list] = {c.id: [] for c in instance.customers}
     for g, fleet in vehicle_classes(instance.trucks):
         driven = []
-        for order, dist in columns[g]:
-            x = mb.binary("x1", g, *order)
+        for visits, dist in columns[g]:
+            x = mb.binary("x1", g, *itertools.chain.from_iterable(visits))
             objective.append((x, per_distance * dist))
             driven.append((x, 1.0))
-            for cid in order:
+            for cid, _ in visits:
                 covering[cid].append((x, 1.0))
         if driven:
             mb.add(driven, "<=", float(len(fleet)), f"fleet[{g}]")
-    window = _pickup_windows(instance, handoff)
     for cid, covers in covering.items():
         if not covers:
-            raise ModelBuildError(
-                f"customer {cid}: no truck can bring it to stop {handoff.b_in[cid]} "
-                f"within [{window[cid][0]:g}, {window[cid][1]:g}]")
+            where = " or ".join(f"stop {sid} within [{lo:g}, {hi:g}]"
+                                for sid, (lo, hi) in windows[cid].items())
+            raise ModelBuildError(f"customer {cid}: no truck can bring it to {where}")
         mb.add(covers, ">=", 1.0, f"cover[{cid}]")
     mb.set_objective(objective)
-    return mb.build()
+    return mb.build(windows=windows)
 
 
-def _build_t1_rows(instance: Instance, handoff: TierHandoff) -> MilpModel:
-    """t1-handoff from d1-t1's truck rows, with each package's stop fixed to ``b_in``."""
+def _truck_rows(instance: Instance, windows: dict, tag: str) -> MilpModel:
+    """The truck stage from per-truck rows (``_build_truck_stage``)."""
     M = big_M(instance.cost_params)
-    mb = ModelBuilder("t1-handoff")
+    mb = ModelBuilder(tag)
     ctx = add_truck_routing(mb, instance, M, symmetry=True)
-    add_stop_assignments(mb, instance, {c.id: [handoff.b_in[c.id]] for c in instance.customers},
-                         ctx)
-    for cust in instance.customers:
-        stop, t_in = handoff.b_in[cust.id], handoff.t_in[cust.id]
-        # arrive before the pickup, and not more than the dwell cap earlier
-        add_arrival_window(mb, instance, cust.id, stop, M,
-                           lo=([], t_in - instance.stop(stop).max_dwell), hi=([], t_in))
+    add_stop_assignments(mb, instance, {cid: list(at) for cid, at in windows.items()}, ctx)
+    for cid, at in windows.items():
+        for sid, (lo, hi) in at.items():
+            add_arrival_window(mb, instance, cid, sid, M,
+                               lo=None if lo == -math.inf else ([], lo), hi=([], hi))
     mb.set_objective(arc_costs(mb, instance, "w", instance.cost_params.truck_cost_per_distance))
-    return mb.build()
+    return mb.build(windows=windows)
 
 
-def decode_t1_from_handoff(instance: Instance, handoff: TierHandoff, model: MilpModel,
-                           result: SolveResult
-                           ) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_truck, customer->truck) of t1-handoff.
-
-    A model built from rows is read by ``decode_t1``. Of a column model, the
-    chosen columns go to their class's trucks in instance order. Each
-    customer rides the first chosen column that covers it, in class order
-    and then column order; a route skips the stops left without packages and
-    is timed forward from the CDC at minute 0: service at a stop ends one
-    ride and its service time after the truck left the last, or when the
-    pickup windows of its packages open if that is later.
-    """
-    if model.family("w"):
-        return decode_t1(instance, model, result)
-    chosen: dict[str, list[tuple[str, ...]]] = {}
-    for (g, *order), x in model.family("x1").items():
-        if _binary_value(result.values, x):
-            chosen.setdefault(g, []).append(tuple(order))
-    window = _pickup_windows(instance, handoff)
-    routes, truck_of, t_truck = [], {}, {}
-    for g, fleet in vehicle_classes(instance.trucks):
-        columns = chosen.get(g, [])
-        if len(columns) > len(fleet):
-            raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
-        for truck, order in zip(fleet, columns):
-            carried = [cid for cid in order if cid not in truck_of]
-            t, here, stops, times = 0.0, instance.cdc, [], []
-            for sid, group in itertools.groupby(carried, key=handoff.b_in.__getitem__):
-                group, stop = list(group), instance.stop(sid)
-                hop = instance.travel_minutes(here, stop.location) + stop.service_time
-                t = max(max(window[cid][0] for cid in group), t + hop)
-                here = stop.location
-                stops.append(sid)
-                times.append(t)
-                for cid in group:
-                    truck_of[cid], t_truck[cid] = truck.id, t
-            if stops:
-                routes.append(TruckRoute(truck=truck.id, departure=0.0,
-                                         stops=tuple(stops), times=tuple(times)))
+def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel:
+    """Route trucks so every package reaches its fixed stop ``b_in`` by its pickup
+    ``t_in``, and not more than the dwell cap earlier (``_build_truck_stage``)."""
+    windows: dict[str, dict[str, tuple[float, float]]] = {}
     for cust in instance.customers:
-        if cust.id not in truck_of:
-            raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
-    return routes, TierHandoff(b_in=dict(handoff.b_in), t_truck=t_truck), truck_of
+        stop, t_in = instance.stop(handoff.b_in[cust.id]), handoff.t_in[cust.id]
+        earliest = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
+        if t_in < earliest - 1e-9:
+            raise ModelBuildError(
+                f"customer {cust.id}: pickup at {t_in:g} precedes the "
+                f"earliest truck arrival {earliest:g} at stop {stop.id}")
+        windows[cust.id] = {stop.id: (t_in - stop.max_dwell, t_in)}
+    return _build_truck_stage(instance, windows, "t1-handoff")
 
 
 def decode_t1(instance: Instance, model: MilpModel,
               result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_truck, customer->truck) of d1-t1, and of a
-    t1-handoff built from rows."""
-    routes = decode_truck_routes(instance, model, result.values)
-    stop_time = {(r.truck, s): t for r in routes for s, t in zip(r.stops, r.times)}
-    carried = truck_assignments(model, result.values)
-    handoff = TierHandoff(b_in={i: s for i, (s, _) in carried.items()},
-                          t_truck={i: stop_time[(d, s)] for i, (s, d) in carried.items()})
-    return routes, handoff, {i: d for i, (_, d) in carried.items()}
+    """Returns (routes, handoff with b_in/t_truck, customer->truck) of either truck stage.
+
+    Of a model built from rows, each truck drives its route
+    (``decode_truck_routes``) with the packages ``truck_assignments`` puts
+    on it. Of a column model, the chosen columns go to their class's trucks
+    in instance order, each package to the stop its column names. Each
+    customer rides the first route that carries it, in that order; a route
+    skips the stops left without packages and is timed forward from the CDC
+    at minute 0: service at a stop ends one ride and its service time after
+    the truck left the last, or when the windows of its packages there open
+    if that is later.
+    """
+    tours: dict[str, list[tuple[str, str]]] = {}  # truck -> (customer, stop) in visit order
+    if model.family("w"):
+        assigned = truck_assignments(model, result.values)
+        for route in decode_truck_routes(instance, model, result.values):
+            tours[route.truck] = [(cid, sid) for sid in route.stops
+                                  for cid, at in assigned.items() if at == (sid, route.truck)]
+    else:
+        chosen: dict[str, list[list[tuple[str, str]]]] = {}
+        for (g, *pairs), x in model.family("x1").items():
+            if _binary_value(result.values, x):
+                chosen.setdefault(g, []).append(list(zip(pairs[::2], pairs[1::2])))
+        for g, fleet in vehicle_classes(instance.trucks):
+            columns = chosen.get(g, [])
+            if len(columns) > len(fleet):
+                raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
+            tours.update((truck.id, visits) for truck, visits in zip(fleet, columns))
+    windows = model.metadata["windows"]
+    routes, placed = [], {}
+    for truck, visits in tours.items():
+        carried = [(cid, sid) for cid, sid in visits if cid not in placed]
+        t, here, stops, times = 0.0, instance.cdc, [], []
+        for sid, group in itertools.groupby(carried, key=lambda pair: pair[1]):
+            group, stop = [cid for cid, _ in group], instance.stop(sid)
+            hop = instance.travel_minutes(here, stop.location) + stop.service_time
+            t = max(max(windows[cid][sid][0] for cid in group), t + hop)
+            here = stop.location
+            stops.append(sid)
+            times.append(t)
+            for cid in group:
+                placed[cid] = (sid, truck, t)
+        if stops:
+            routes.append(TruckRoute(truck=truck, departure=0.0,
+                                     stops=tuple(stops), times=tuple(times)))
+    for cust in instance.customers:
+        if cust.id not in placed:
+            raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
+    handoff = TierHandoff(b_in={c.id: placed[c.id][0] for c in instance.customers},
+                          t_truck={c.id: placed[c.id][2] for c in instance.customers})
+    return routes, handoff, {c.id: placed[c.id][1] for c in instance.customers}
 
 
 # ---- per-stop freighter model fed by a handoff --------------------------
@@ -543,40 +541,34 @@ def preprocess_midday(instance: Instance, compat: Compatibility) -> dict[tuple[s
 
 def build_d1_t1(instance: Instance, compat: Compatibility,
                 tau: dict[tuple[str, str], int]) -> MilpModel:
-    """Truck routing committed first, under deadline cuts and a half-day split."""
-    params = instance.cost_params
-    M = big_M(params)
-    mb = ModelBuilder("d1-t1")
-    ctx = add_truck_routing(mb, instance, M, symmetry=True)
+    """Truck routing committed first, under deadline cuts and a half-day split.
 
-    windows: dict[tuple[str, str], tuple[float | None, float]] = {}
-    stops_of: dict[str, list[str]] = {}
+    Each package may go to any drop-in stop whose window is not empty: the
+    truck is there by the deadline cut, and within the package's half of
+    the day (``tau``; a first-half window is open to the start). Stops no
+    truck reaches within their window are left out (``_build_truck_stage``).
+    """
+    params = instance.cost_params
+    windows: dict[str, dict[str, tuple[float, float]]] = {}
     for cust in instance.customers:
         t_avg = (cust.window_lo + cust.window_hi) / 2.0
-        stops_of[cust.id] = []
+        windows[cust.id] = {}
         for sid in sorted(compat.s_in_of_customer[cust.id]):
             stop = instance.stop(sid)
             cut = t_avg - DEADLINE_SLACK_FACTOR * instance.travel_minutes(
                 stop.location, cust.location)
             if tau[(cust.id, sid)] == 1:
-                lo, hi = None, min(cut, params.t_mid_day)
+                lo, hi = -math.inf, min(cut, params.t_mid_day)
             else:
                 lo, hi = params.t_mid_day, cut
             earliest = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
-            if hi < earliest - 1e-9 or (lo is not None and hi < lo - 1e-9):
+            if hi < max(lo, earliest) - 1e-9:
                 continue  # empty window: no truck brings the package here
-            windows[(cust.id, sid)] = (lo, hi)
-            stops_of[cust.id].append(sid)
-        if not stops_of[cust.id]:
+            windows[cust.id][sid] = (lo, hi)
+        if not windows[cust.id]:
             raise ModelBuildError(
                 f"customer {cust.id}: every drop-in stop misses the deadline cut")
-
-    add_stop_assignments(mb, instance, stops_of, ctx)
-    for (cid, sid), (lo, hi) in windows.items():
-        add_arrival_window(mb, instance, cid, sid, M,
-                           lo=None if lo is None else ([], lo), hi=([], hi))
-    mb.set_objective(arc_costs(mb, instance, "w", params.truck_cost_per_distance))
-    return mb.build()
+    return _build_truck_stage(instance, windows, "d1-t1")
 
 
 def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -24,8 +25,7 @@ from transitfreight.model_full import (
     decode_full,
     enumerate_routes,
 )
-from transitfreight.plan import TierHandoff
-from transitfreight.tiers import _pickup_windows, _stop_visits
+from transitfreight.tiers import _stop_visits
 from transitfreight.validate import validate_plan
 
 from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instances,
@@ -229,28 +229,33 @@ def test_mixed_capacity_freighters_form_separate_classes(backend):
 def _oracle_routes(instance, home, places, visits, capacity):
     """Per customer set a route can serve, its shortest length by ``_best_order``.
 
-    The route makes, at each place holding some of the set, the one visit that
+    For each placing of the set's customers at places that serve them, the
+    route makes, at each place holding some of the set, the one visit that
     serves exactly those customers; it leaves home at the latest earliest
     departure of its visits, which must not pass their earliest latest one.
     """
-    at: dict = {}
+    at: dict = {}  # customer -> the places that serve it
     for place, customers, *_ in visits:
-        at[place] = at.get(place, frozenset()) | set(customers)
-    everyone = sorted(set().union(*at.values()))
+        for cid in customers:
+            at.setdefault(cid, set()).add(place)
     shortest = {}
-    for size in range(1, len(everyone) + 1):
-        for chosen in map(frozenset, itertools.combinations(everyone, size)):
-            wanted = {p: chosen & served for p, served in at.items() if chosen & served}
-            parts = [v for v in visits if wanted.get(v[0]) == frozenset(v[1])]
-            if len(parts) < len(wanted) or sum(v[2] for v in parts) > capacity + 1e-9:
-                continue
-            start = max(v[5][0] for v in parts)
-            if start > min(v[5][1] for v in parts) + 1e-9:
-                continue
-            best = _best_order(instance, home, start,
-                               {v[0]: (*places[v[0]], v[3], v[4]) for v in parts}, 1.0)
-            if best is not None:
-                shortest[chosen] = best[0]
+    for size in range(1, len(at) + 1):
+        for chosen in itertools.combinations(sorted(at), size):
+            for placing in itertools.product(*(sorted(at[cid]) for cid in chosen)):
+                wanted: dict = {}
+                for cid, place in zip(chosen, placing):
+                    wanted.setdefault(place, set()).add(cid)
+                parts = [v for v in visits if wanted.get(v[0]) == set(v[1])]
+                if len(parts) < len(wanted) or sum(v[2] for v in parts) > capacity + 1e-9:
+                    continue
+                start = max(v[5][0] for v in parts)
+                if start > min(v[5][1] for v in parts) + 1e-9:
+                    continue
+                best = _best_order(instance, home, start,
+                                   {v[0]: (*places[v[0]], v[3], v[4]) for v in parts}, 1.0)
+                if best is not None:
+                    served = frozenset(chosen)
+                    shortest[served] = min(best[0], shortest.get(served, math.inf))
     return shortest
 
 
@@ -268,36 +273,42 @@ def _freighter_visits(instance):
     return stop.location, places, visits
 
 
-def _truck_visits(instance, dwell):
-    """Stop visits (``tiers._stop_visits``) of a handoff dealing the packages round the
-    drop-in stops, picked up by the trips in turn, under a dwell cap of ``dwell``; the
-    visits are listed at the total demand, so only the DP holds a smaller capacity."""
+def _truck_visits(instance, dwell, any_stop=False):
+    """Stop visits (``tiers._stop_visits``) of packages picked up by the trips in turn,
+    within a dwell cap of ``dwell`` before the trip calls: dealt round the drop-in
+    stops, or, with ``any_stop``, each free to use every drop-in stop, on the next trip
+    at each next stop. The visits are listed at the total demand, so only the DP holds
+    a smaller capacity."""
     instance = replace(instance, stops=tuple(replace(s, max_dwell=dwell) for s in instance.stops))
     stops = instance.drop_in_stops()
-    b_in = {c.id: stops[k % len(stops)].id for k, c in enumerate(instance.customers)}
-    t_in = {cid: instance.trips[k % len(instance.trips)].stop_times[sid]
-            for k, (cid, sid) in enumerate(sorted(b_in.items()))}
-    window = _pickup_windows(instance, TierHandoff(b_in=b_in, t_in=t_in))
+    windows = {}
+    for k, c in enumerate(instance.customers):
+        windows[c.id] = {}
+        for j, stop in enumerate(stops if any_stop else [stops[k % len(stops)]]):
+            t = instance.trips[(k + j) % len(instance.trips)].stop_times[stop.id]
+            windows[c.id][stop.id] = (t - dwell, t)
     demand = {c.id: c.demand for c in instance.customers}
     places, visits = {}, []
     for stop in stops:
-        members = [cid for cid in b_in if b_in[cid] == stop.id]
+        members = [cid for cid in windows if stop.id in windows[cid]]
         places[stop.id] = (stop.location, stop.service_time)
-        visits += _stop_visits(stop.id, members, window, demand, sum(demand.values()), 1 << 20)
+        visits += _stop_visits(stop.id, members, windows, demand, sum(demand.values()), 1 << 20)
     return instance.cdc, places, visits
 
 
 def test_route_dp_matches_the_oracle_on_micro_instances():
     """Of visits of either shape, one customer each with departure bounds (freighters)
-    or several packages of one stop leaving the CDC from minute 0 (trucks), the DP
-    lists the customer sets the oracle finds a route for, each at its shortest
-    length, at an ample capacity and at one that holds about two packages."""
+    or several packages of one stop leaving the CDC from minute 0 (trucks, each
+    package at one stop or free to use any), the DP lists the customer sets the
+    oracle finds a route for, each at its shortest length, at an ample capacity and at
+    one that holds about two packages."""
     checked = refused = 0
     for instance in generate_micro_instances(12):
         demands = sorted(c.demand for c in instance.customers)
         for home, places, visits in (_freighter_visits(instance),
                                      _truck_visits(instance, 120.0),
-                                     _truck_visits(instance, 5.0)):
+                                     _truck_visits(instance, 5.0),
+                                     _truck_visits(instance, 5.0, any_stop=True)):
             for capacity in (sum(demands), sum(demands[:2])):
                 found = enumerate_routes(instance, home, places, visits, capacity)
                 oracle = _oracle_routes(instance, home, places, visits, capacity)

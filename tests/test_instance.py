@@ -3,11 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from transitfreight.compat import (
-    UnreachableCustomerError,
-    derive_compatibility,
-    stop_precedes,
-)
+from transitfreight.compat import UnreachableCustomerError, derive_compatibility
 from transitfreight.instance import (
     CostParams,
     Customer,
@@ -76,8 +72,6 @@ def test_point_must_be_finite():
 def test_micro1_compatibility(micro1):
     compat = derive_compatibility(micro1)
     assert compat.s_in_of_customer["c1"] == frozenset({"A"})
-    assert compat.trips_of_stop["A"] == ("p1", "p2")
-    assert compat.customers_of_dropin["A"] == frozenset({"c1"})
     assert compat.customers_of_dropout["B"] == frozenset({"c1"})
 
 
@@ -126,7 +120,6 @@ def test_shared_stop_merges_trips_of_both_lines():
     )
     instance.validate()
     compat = derive_compatibility(instance)
-    assert set(compat.trips_of_stop["S"]) == {"p1", "p2"}
     assert compat.s_in_of_customer["c1"] == frozenset({"A1", "A2"})
 
 
@@ -143,12 +136,6 @@ def test_line_order_is_transitive(n, data):
 
     if precedes(stop_ids[i], stop_ids[j]) and precedes(stop_ids[j], stop_ids[k]):
         assert precedes(stop_ids[i], stop_ids[k])
-
-
-def test_stop_precedes(micro1):
-    assert stop_precedes(micro1, "L1", "A", "B")
-    assert not stop_precedes(micro1, "L1", "B", "A")
-    assert not stop_precedes(micro1, "L1", "A", "A")
 
 
 # ---- serialization -----------------------------------------------------
@@ -209,3 +196,22 @@ def test_invariant_messages():
     no_freighter = replace(make_micro1(), freighters=())
     with pytest.raises(InstanceError, match="no freighter"):
         no_freighter.validate()
+
+
+def test_ids_are_unique_and_customers_name_no_stop_or_cdc_node():
+    from dataclasses import replace
+    micro = make_micro1()
+    c1, p1, d1, f1 = micro.customers[0], micro.trips[0], micro.trucks[0], micro.freighters[0]
+    broken = {
+        "duplicate customer id c1": replace(micro, customers=(c1, replace(c1, location=Point(55, 0)))),
+        "duplicate line id L1": replace(micro, lines=micro.lines * 2),
+        "duplicate trip id p1": replace(micro, trips=(p1, replace(p1, capacity=30.0))),
+        "duplicate truck id d1": replace(micro, trucks=(d1, d1)),
+        "duplicate freighter id f1": replace(micro, freighters=(f1, f1)),
+    }
+    for cid in ("A", "B", "o", "o~"):
+        broken[f"customer id '{cid}' names a stop or a CDC node"] = replace(
+            micro, customers=(replace(c1, id=cid),))
+    for message, instance in broken.items():
+        with pytest.raises(InstanceError, match=message):
+            instance.validate()

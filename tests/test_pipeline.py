@@ -175,6 +175,28 @@ def test_metrics_record_the_time_limit_handed_to_the_backend(backend, micro1, tm
         assert [stage["time_limit"] for stage in doc["stages"]] == expected
 
 
+def test_metrics_name_the_form_of_each_stage(backend, micro1, tmp_path, monkeypatch):
+    """Each stage reads ``columns`` when its vehicles run enumerated route columns and
+    ``rows`` otherwise, in ``metrics.json`` too; past the label budget the truck stage
+    reads ``rows``."""
+    from transitfreight import tiers
+
+    late, budget = make_micro1(extra_trip_time=550.0), tiers.ROUTE_LABEL_LIMIT
+    for instance, config, limit, expected in (
+            (micro1, RunConfig(method="full"), budget, ["rows"]),
+            (micro1, RunConfig(method="vrptw"), budget, ["rows"]),
+            (micro1, RunConfig(method="d2", t2_obj="obj2"), budget, ["rows", "columns", "columns"]),
+            (micro1, RunConfig(method="d2", t2_obj="obj2"), 0, ["rows", "rows", "columns"]),
+            (late, RunConfig(method="d1", t2_obj="obj2"), budget, ["columns", "rows", "columns"]),
+            (late, RunConfig(method="d3", t2_obj="obj2"), budget, ["columns", "rows", "columns"])):
+        monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", limit)
+        art = tmp_path / f"{config.label()}-{limit}"
+        _plan, metrics = run_method(instance, config, backend, artifacts_dir=art)
+        assert [stage.form for stage in metrics.stages] == expected
+        doc = json.loads((art / "metrics.json").read_text())
+        assert [stage["form"] for stage in doc["stages"]] == expected
+
+
 class _BoundlessBackend:
     """Solves correctly but reports no best bound."""
 

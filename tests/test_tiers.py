@@ -34,7 +34,6 @@ from transitfreight.tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
-    decode_t1_from_handoff,
     decode_t3_stopwise,
     decode_transit,
     enumerate_truck_routes,
@@ -99,7 +98,7 @@ def test_t1_from_handoff_micro1(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, decoded, truck_of = decode_t1_from_handoff(micro1, handoff, model, result)
+    routes, decoded, truck_of = decode_t1(micro1, model, result)
     time_at = decoded.t_truck
     assert truck_of["c1"] == "d1"
     assert routes[0].stops == ("A",)
@@ -299,7 +298,7 @@ def test_d1_t1_first_half_pinning(backend):
     assert handoff.t_truck["c1"] <= 400.0 + 1e-6
 
 
-def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend):
+def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
     # window midpoint 400 minus the stretched ride (about 11 minutes) puts both
     # deadline cuts before the midday split: a second-half pair has no window
     instance = Instance(
@@ -317,12 +316,18 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend):
     instance.validate()
     compat = derive_compatibility(instance)
     assert compat.s_in_of_customer["u"] == {"A1", "A2"}
-    model = build_d1_t1(instance, compat, {("u", "A1"): 1, ("u", "A2"): 2})
-    assert sorted(model.family("r")) == [("u", "A1", "d1")]
-    result = solve(model, backend)
-    assert result.status == "optimal"
-    _routes, handoff, _ = decode_t1(instance, model, result)
-    assert handoff.b_in == {"u": "A1"}
+    tau = {("u", "A1"): 1, ("u", "A2"): 2}
+    model = build_d1_t1(instance, compat, tau)
+    assert list(model.metadata["windows"]["u"]) == ["A1"]
+    assert [idx[1:] for idx in model.family("x1")] == [("u", "A1")]
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+    rows = build_d1_t1(instance, compat, tau)
+    assert sorted(rows.family("r")) == [("u", "A1", "d1")]
+    for built in (model, rows):
+        result = solve(built, backend)
+        assert result.status == "optimal"
+        _routes, handoff, _ = decode_t1(instance, built, result)
+        assert handoff.b_in == {"u": "A1"}
     with pytest.raises(ModelBuildError, match="every drop-in stop misses the deadline cut"):
         build_d1_t1(instance, compat, {("u", "A1"): 2, ("u", "A2"): 2})
 
@@ -655,7 +660,7 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
 
     handoff = handoff_from_transit(choices)
     t1 = build_t1_from_handoff(instance, handoff)
-    routes, _, _ = decode_t1_from_handoff(instance, handoff, t1, solve(t1, backend))
+    routes, _, _ = decode_t1(instance, t1, solve(t1, backend))
     assert sum(len(r.stops) for r in routes) == 1
 
 
@@ -1048,8 +1053,8 @@ def two_stop_two_truck_fixture() -> Instance:
 def _cover_u_twice(model):
     """A t1-handoff solution driving the route of u alone and the route of both."""
     columns = model.family("x1")
-    pair = next(idx for idx in columns if len(idx) == 3)
-    chosen = {columns[("d1", "u")], columns[pair]}
+    pair = next(idx for idx in columns if len(idx) == 5)
+    chosen = {columns[("d1", "u", "A1")], columns[pair]}
     values = {var.name: float(var in chosen) for var in model.variables}
     return SolveResult("optimal", values, model.objective_value(values), None, 0.0)
 
@@ -1058,8 +1063,7 @@ def test_decoder_serves_a_customer_covered_twice_once(backend):
     instance = two_stop_two_truck_fixture()
     handoff = TierHandoff(b_in={"u": "A1", "v": "A2"}, t_in={"u": 150.0, "v": 150.0})
     model = build_t1_from_handoff(instance, handoff)
-    routes, arrivals, truck_of = decode_t1_from_handoff(instance, handoff, model,
-                                                        _cover_u_twice(model))
+    routes, arrivals, truck_of = decode_t1(instance, model, _cover_u_twice(model))
     # u rides the first chosen column (its own), so the second route skips A1
     assert truck_of == {"u": "d1", "v": "d2"}
     for cid in ("u", "v"):
@@ -1068,6 +1072,7 @@ def test_decoder_serves_a_customer_covered_twice_once(backend):
     reach = {sid: instance.travel_minutes(instance.cdc, instance.stop(sid).location) + 10.0
              for sid in ("A1", "A2")}
     assert arrivals.t_truck == {"u": pytest.approx(reach["A1"]), "v": pytest.approx(reach["A2"])}
+    assert arrivals.b_in == handoff.b_in  # read from the column index alone
 
     class CoverTwice(type(backend)):
         def solve(self, model, limits):
@@ -1122,20 +1127,63 @@ def test_truck_stage_builds_rows_when_the_routes_outgrow_the_label_limit():
     t_in = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
     handoff = TierHandoff(b_in={c.id: stop.id for c in instance.customers},
                           t_in={c.id: t_in for c in instance.customers})
-    assert enumerate_truck_routes(instance, handoff, instance.trucks[0].capacity) is None
+    windows = {c.id: {stop.id: (t_in - stop.max_dwell, t_in)} for c in instance.customers}
+    assert enumerate_truck_routes(instance, windows, instance.trucks[0].capacity) is None
     model = build_t1_from_handoff(instance, handoff)
     assert model.metadata["formulation"] == "t1-handoff"
     assert model.family("w") and not model.family("x1")
 
 
-def test_row_and_column_truck_stages_agree_in_d2(backend, monkeypatch):
-    """On micro instances the truck stage built from rows and from route columns reaches
-    the same optimum, and either decoded plan is valid."""
+def _d1_t1_optimum(instance, compat, tau, backend) -> float:
+    """The d1-t1 optimum. Each decoded package is at one of its stops, within the window
+    there."""
+    model = build_d1_t1(instance, compat, tau)
+    result = solve(model, backend)
+    assert result.status == "optimal"
+    _routes, handoff, _ = decode_t1(instance, model, result)
+    windows = model.metadata["windows"]
+    for cid, sid in handoff.b_in.items():
+        lo, hi = windows[cid][sid]
+        assert lo - 1e-6 <= handoff.t_truck[cid] <= hi + 1e-6
+    return result.objective
+
+
+def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
+    """On micro instances the truck stages built from rows and from route columns reach
+    the same optimum: d2's t1-handoff, whose decoded plans are valid either way, and
+    d1-t1, whose decoded minutes lie in the windows either way."""
+    budgets = ((tiers.ROUTE_LABEL_LIMIT, "columns"), (0, "rows"))
     for instance in generate_micro_instances(8):
-        costs = []
-        for label_limit in (tiers.ROUTE_LABEL_LIMIT, 0):
+        compat = derive_compatibility(instance)
+        tau = preprocess_midday(instance, compat)
+        costs, optima = [], []
+        for label_limit, form in budgets:
             monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
             plan, metrics = run_method(instance, RunConfig(method="d2", t2_obj="obj2"), backend)
             assert validate_plan(instance, plan) == []
+            assert [s.form for s in metrics.stages if s.stage == "t1"] == [form]
             costs.append(metrics.t1_cost)
+            optima.append(_d1_t1_optimum(instance, compat, tau, backend))
         assert costs[1] == pytest.approx(costs[0], rel=1e-6)
+        assert optima[1] == pytest.approx(optima[0], rel=1e-6)
+
+
+@pytest.mark.slow
+def test_d1_t1_columns_reach_the_row_optimum_on_the_dominance_seeds(backend, monkeypatch):
+    """On every dominance seed under obj1-obj3, d1's truck stage is built from route
+    columns, reaches the optimum of the stage built from rows, and the plan is valid."""
+    from transitfreight.generate import generate_instance
+    from test_acceptance import DOMINANCE_SEEDS, _dominance_params
+
+    for seed in DOMINANCE_SEEDS:
+        instance = generate_instance(_dominance_params(seed))
+        compat = derive_compatibility(instance)
+        monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+        optimum = _d1_t1_optimum(instance, compat, preprocess_midday(instance, compat), backend)
+        monkeypatch.undo()
+        for tag in ("obj1", "obj2", "obj3"):
+            plan, metrics = run_method(instance, RunConfig(method="d1", t2_obj=tag), backend)
+            assert validate_plan(instance, plan) == []
+            t1 = next(s for s in metrics.stages if s.stage == "t1")
+            assert (t1.form, t1.status) == ("columns", "optimal")
+            assert t1.objective == pytest.approx(optimum, rel=1e-6)
