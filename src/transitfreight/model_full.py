@@ -14,7 +14,8 @@ Variable families (structured names carry the index tuples):
   q[g,i1,..,ik]   freighter class g drives the route that leaves its home stop
                   and serves i1, ..., ik in that order; a class is a set of
                   interchangeable freighters of one stop (``vehicle_classes``)
-  dep[g,i1,..,ik] minute that route leaves its home stop, 0 when not driven
+  dep[g,i1,..,ik] minute that route leaves its home stop, 0 when not driven;
+                  ``full`` only, where the drop of each package bounds it
 
 Conditional constraints bracketed by data (line order, candidate sets) are
 expanded at build time: variables exist only for index tuples the data
@@ -40,7 +41,6 @@ Each fragment has one copy, used by every model that needs it:
                          differ only in the stops and windows they pass (within
                          the budget the truck stage chooses enumerated routes
                          in ``tiers`` instead)
-  truck_assignments      customer -> (drop-in stop, truck), the one reader of r
   enumerate_routes       the routes one vehicle class may drive through timed
                          visits: the one label-setting DP, over capacity and
                          windows, that keeps per customer set the orders no
@@ -48,15 +48,20 @@ Each fragment has one copy, used by every model that needs it:
                          freighter visit serves one customer, a truck visit
                          (``tiers.enumerate_truck_routes``) packages at one
                          stop, and a package may have visits at several stops
-  add_freighter_routing  one q/dep column per enumerated route, with fleet rows,
-                         for full, t3-stopwise and d3-t3; they differ only in
-                         the departure bounds they pass, and link the (q, dep)
-                         it returns per (customer, stop) to drops (full), the
-                         chosen stop (d3-t3) or 1 (t3-stopwise)
+  add_freighter_routing  one q column per enumerated route, with fleet rows, for
+                         full, t3-stopwise and d3-t3; they differ only in the
+                         departure bounds they pass, and link the columns it
+                         returns per (customer, stop) to drops (full), the
+                         chosen stop (d3-t3) or 1 (t3-stopwise); full adds its
+                         dep per column through a hook
   arc_costs              distance-priced objective terms of an arc family
   route_costs            the freighter-rate price of every route column
-  decode_freighter_routes  the chosen columns, timed by ``visit_times``
-Plans are priced by ``validate.recompute_costs``, as every pipeline does.
+
+Decoders read binary variables only. Plan times come from one forward pass
+per vehicle tier (``time_truck_routes``, ``decode_freighter_routes``): the
+earliest schedule of the chosen routes, which any feasible schedule of the
+solver's trails, so the windows and dwell caps it met still hold. Every plan
+is put together by ``assemble_plan`` and priced by ``validate.recompute_costs``.
 """
 
 from __future__ import annotations
@@ -341,8 +346,8 @@ def enumerate_routes(instance: Instance, home, places: dict, visits: list[tuple]
 
 
 def add_freighter_routing(mb: ModelBuilder, instance: Instance,
-                          customers_of_stop: dict[str, list[str]],
-                          departure_bounds) -> dict[tuple[str, str], list[tuple]]:
+                          customers_of_stop: dict[str, list[str]], departure_bounds,
+                          each_column=lambda q, idx, lo, hi: None) -> dict[tuple[str, str], list]:
     """Shared tier-3 structure: one route column per route a freighter class may drive.
 
     ``customers_of_stop`` lists, per drop-out stop, the customers its
@@ -353,19 +358,20 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
     serving that customer from that stop.
 
     Per class (``vehicle_classes``) the routes come from
-    ``enumerate_routes``, one visit per customer. Route ``r`` is a binary ``q[g,i1,...,ik]`` indexed
-    by the class and its customers in visit order, with a departure
-    ``dep[g,i1,...,ik]`` held within ``[lo_r, hi_r]`` while the route is
-    driven and 0 otherwise: ``lo_r`` is the latest earliest departure of its
-    customers, ``hi_r`` the earlier of its latest departure and their latest
-    departures. At most the class size of routes are driven.
+    ``enumerate_routes``, one visit per customer, so every column can leave
+    within the bounds of all its customers. Route ``r`` is a binary
+    ``q[g,i1,...,ik]`` indexed by the class and its customers in visit
+    order; at most the class size of routes are driven. Each column is
+    handed to ``each_column(q, idx, lo, hi)`` as it is made, with its index
+    and its departure window: ``lo`` is the latest earliest departure of its
+    customers, ``hi`` the earlier of its latest departure and theirs.
 
-    Returns, per (customer, stop), the ``(q, dep)`` of the columns that serve
-    the customer from that stop, in the order they were made. Callers tie
-    them to their own decision: ``full`` to the drop there, which also bounds
-    their ``dep``, d3-t3 to the stop it picks, t3-stopwise to 1.
+    Returns, per (customer, stop), the ``q`` of the columns that serve the
+    customer from that stop, in the order they were made. Callers tie them
+    to their own decision: ``full`` to the drop there, d3-t3 to the stop it
+    picks, t3-stopwise to 1.
     """
-    serving: dict[tuple[str, str], list[tuple]] = {}
+    serving: dict[tuple[str, str], list] = {}
     for stop_id in sorted(customers_of_stop):
         home = instance.stop(stop_id).location
         bounds = {cid: departure_bounds(cid, stop_id) for cid in customers_of_stop[stop_id]}
@@ -377,15 +383,12 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
             found = enumerate_routes(instance, home, places, visits, fleet[0].capacity)
             labels = [label for front in found.values() for label in front]
             for _, latest, order, _ in sorted(labels, key=lambda lab: (len(lab[2]), lab[2])):
-                q, dep = mb.binary("q", g, *order), mb.continuous("dep", g, *order)
-                lo = max(bounds[cid][0] for cid in order)
-                hi = min([latest] + [bounds[cid][1] for cid in order])
-                route = ",".join((g, *order))
-                mb.add([(dep, 1.0), (q, -lo)], ">=", 0.0, f"dep_lo[{route}]")
-                mb.add([(dep, 1.0), (q, -hi)], "<=", 0.0, f"dep_hi[{route}]")
+                q = mb.binary("q", g, *order)
+                each_column(q, (g, *order), max(bounds[cid][0] for cid in order),
+                            min([latest] + [bounds[cid][1] for cid in order]))
                 driven.append((q, 1.0))
                 for cid in order:
-                    serving.setdefault((cid, stop_id), []).append((q, dep))
+                    serving.setdefault((cid, stop_id), []).append(q)
             if driven:
                 mb.add(driven, "<=", float(len(fleet)), f"fleet[{g}]")
     return serving
@@ -482,6 +485,41 @@ def add_trip_loads(mb: ModelBuilder, instance: Instance) -> None:
             if k > 0:
                 terms.append((mb.get("l2", order[k - 1], trip.id), -1.0))
             mb.add(terms + moves.get((trip.id, sid), []), "=", 0.0, f"load[{sid},{trip.id}]")
+
+
+@dataclass(frozen=True)
+class TransitChoice:
+    """Decoded transit decision for one package."""
+
+    trip: str
+    drop_in: str
+    pickup_time: float
+    drop_out: str
+    drop_time: float
+
+
+def decode_transit(instance: Instance, model: MilpModel,
+                   result: SolveResult) -> dict[str, TransitChoice]:
+    """The trip, stops and times each package rides, from any transit stage."""
+    picked: dict[str, tuple[str, str]] = {}
+    dropped: dict[str, tuple[str, str]] = {}
+    for (i, s, p), var in model.family("y1").items():
+        if _binary_value(result.values, var):
+            picked[i] = (s, p)
+    for (i, s, p), var in model.family("y2").items():
+        if _binary_value(result.values, var):
+            dropped[i] = (s, p)
+    choices = {}
+    for cust in instance.customers:
+        if cust.id not in picked or cust.id not in dropped:
+            raise DecodeError(f"customer {cust.id}: no trip decoded")
+        s_in, p_in = picked[cust.id]
+        s_out, p_out = dropped[cust.id]
+        trip = instance.trip(p_in)
+        choices[cust.id] = TransitChoice(
+            trip=p_in, drop_in=s_in, pickup_time=trip.stop_times[s_in],
+            drop_out=s_out, drop_time=instance.trip(p_out).stop_times[s_out])
+    return choices
 
 
 def add_stop_assignments(mb: ModelBuilder, instance: Instance,
@@ -584,7 +622,16 @@ def build_full(instance: Instance, compat: Compatibility,
         stop = instance.stop(sid)
         return min(times) + stop.service_time, max(times) + stop.max_dwell
 
-    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
+    dep_of = {}  # route column -> its departure
+
+    def departure(q, idx, lo, hi) -> None:
+        # dep[g,i1,..,ik] lies within [lo, hi] while its column is driven, and is 0 otherwise
+        dep = dep_of[q] = mb.continuous("dep", *idx)
+        route = ",".join(idx)
+        mb.add([(dep, 1.0), (q, -lo)], ">=", 0.0, f"dep_lo[{route}]")
+        mb.add([(dep, 1.0), (q, -hi)], "<=", 0.0, f"dep_hi[{route}]")
+
+    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds, departure)
 
     for cust in instance.customers:
         for s in sorted(cust.dropout_candidates):
@@ -592,7 +639,7 @@ def build_full(instance: Instance, compat: Compatibility,
                 continue
             drop_terms, stop = drops_at[(cust.id, s)], instance.stop(s)
             columns = serving.get((cust.id, s), [])
-            departs = [(dep, 1.0) for _, dep in columns]
+            departs = [(dep_of[q], 1.0) for q in columns]
             # the route leaves only after the package is loaded, and within the dwell cap;
             # dep is 0 off the one column that serves the package, so no big-M is needed
             mb.add(departs + [(v, -(t + stop.service_time)) for v, t in drop_terms],
@@ -600,7 +647,7 @@ def build_full(instance: Instance, compat: Compatibility,
             mb.add(departs + [(v, -(t + stop.max_dwell)) for v, t in drop_terms],
                    "<=", 0.0, f"dwell_out[{cust.id},{s}]")
             # handover to freighters: served from a stop exactly when dropped there
-            mb.add([(q, 1.0) for q, _ in columns] + [(v, -1.0) for v, _ in drop_terms],
+            mb.add([(q, 1.0) for q in columns] + [(v, -1.0) for v, _ in drop_terms],
                    "=", 0.0, f"freighter_handover[{cust.id},{s}]")
 
     objective = (arc_costs(mb, instance, "w", params.truck_cost_per_distance)
@@ -627,100 +674,110 @@ def _binary_value(values: dict[str, float], var) -> bool:
 
 
 def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Plan:
-    """Turn a FULL solution into a plan; raises on fractional binaries."""
+    """Turn a FULL solution into a plan; raises on fractional binaries. A truck serves
+    each stop no earlier than the dwell cap before the pickups there."""
     if not result.has_solution():
         raise DecodeError(f"no solution to decode (status {result.status})")
-    values = result.values
+    choices = decode_transit(instance, model, result)
+    lo = {(cid, ch.drop_in): ch.pickup_time - instance.stop(ch.drop_in).max_dwell
+          for cid, ch in choices.items()}
+    truck_routes, placed = time_truck_routes(
+        instance, decode_truck_routes(instance, model, result.values), lo)
+    ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
+             for cid, ch in choices.items()}
+    freighter_routes = decode_freighter_routes(instance, model, result.values, ready)
+    mu = model.metadata["mu"]  # per-visit prices count only under the service-cost objective
+    lambdas = [float(model.metadata[k]) for k in ("lambda1", "lambda3")] if mu else []
+    return assemble_plan(
+        instance, choices, {cid: truck for cid, (_, truck, _) in placed.items()},
+        {cid: t for cid, (_, _, t) in placed.items()}, truck_routes, freighter_routes, *lambdas)
 
-    truck_routes = decode_truck_routes(instance, model, values)
-    stop_time: dict[tuple[str, str], float] = {}
-    for route in truck_routes:
-        for s, t in zip(route.stops, route.times):
-            stop_time[(route.truck, s)] = t
 
-    freighter_routes = decode_freighter_routes(instance, model, values)
-    delivery: dict[str, tuple[str, float]] = {}
+def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
+                  truck_of: dict[str, str], stop_time: dict[str, float],
+                  truck_routes, freighter_routes, service_lambda1: float = 0.0,
+                  service_lambda3: float = 0.0) -> Plan:
+    """The plan of every pipeline: one itinerary per package from its trip, its truck and
+    minute at the drop-in stop, and the freighter route serving it; costs are recomputed."""
+    serving: dict[str, tuple[str, float]] = {}
     for route in freighter_routes:
-        for c, t in zip(route.customers, route.times):
-            delivery[c] = (route.freighter, t)
-
-    carried = truck_assignments(model, values)
-    dropped = {i: (s, p) for (i, s, p), var in model.family("y2").items()
-               if _binary_value(values, var)}
+        for cid, t in zip(route.customers, route.times):
+            serving[cid] = (route.freighter, t)
     itineraries = []
     for cust in instance.customers:
-        if cust.id not in carried or cust.id not in dropped or cust.id not in delivery:
+        if cust.id not in truck_of or cust.id not in serving:
             raise DecodeError(f"customer {cust.id}: incomplete assignment in solution")
-        stop_in, truck_id = carried[cust.id]
-        stop_out, trip_id = dropped[cust.id]
-        freighter_id, t_delivery = delivery[cust.id]
+        ch = choices[cust.id]
+        freighter_id, t_delivery = serving[cust.id]
         itineraries.append(CustomerItinerary(
-            customer=cust.id,
-            truck=truck_id,
-            drop_in_stop=stop_in,
-            drop_in_time=stop_time.get((truck_id, stop_in), 0.0),
-            trip=trip_id,
-            drop_out_stop=stop_out,
-            drop_out_time=instance.trip(trip_id).stop_times[stop_out],
-            freighter=freighter_id,
-            delivery_time=t_delivery,
-        ))
-
-    service = bool(model.metadata.get("mu"))
-    draft = Plan(
-        itineraries=tuple(itineraries),
-        truck_routes=tuple(truck_routes),
-        freighter_routes=tuple(freighter_routes),
-        costs=CostBreakdown(0.0, 0.0),
-        service_lambda1=float(model.metadata.get("lambda1", 0.0)) if service else 0.0,
-        service_lambda3=float(model.metadata.get("lambda3", 0.0)) if service else 0.0,
-    )
+            customer=cust.id, truck=truck_of[cust.id],
+            drop_in_stop=ch.drop_in, drop_in_time=stop_time[cust.id],
+            trip=ch.trip, drop_out_stop=ch.drop_out, drop_out_time=ch.drop_time,
+            freighter=freighter_id, delivery_time=t_delivery))
+    draft = Plan(itineraries=tuple(itineraries), truck_routes=tuple(truck_routes),
+                 freighter_routes=tuple(freighter_routes), costs=CostBreakdown(0.0, 0.0),
+                 service_lambda1=service_lambda1, service_lambda3=service_lambda3)
     return replace(draft, costs=recompute_costs(instance, draft))
 
 
-def truck_assignments(model: MilpModel, values: dict[str, float]) -> dict[str, tuple[str, str]]:
-    """Customer -> (drop-in stop, truck) from the ``r`` family of any truck model."""
-    return {i: (s, d) for (i, s, d), var in model.family("r").items()
-            if _binary_value(values, var)}
-
-
 def decode_truck_routes(instance: Instance, model: MilpModel,
-                        values: dict[str, float]) -> list[TruckRoute]:
-    routes = []
+                        values: dict[str, float]) -> dict[str, list[tuple[str, list[str]]]]:
+    """Per truck of a row model that leaves the CDC, its visits in order: each drop-in
+    stop along its ``w`` arcs with the packages its ``r`` brings there."""
+    carried: dict[tuple[str, str], list[str]] = {}
+    for (i, s, d), var in model.family("r").items():
+        if _binary_value(values, var):
+            carried.setdefault((s, d), []).append(i)
+    tours = {}
     for d in instance.trucks:
-        succ: dict[str, str] = {}
-        for (u, v, dd), var in model.family("w").items():
-            if dd == d.id and _binary_value(values, var):
-                succ[u] = v
-        stops: list[str] = []
-        node = CDC_NODE
-        for _ in range(len(succ) + 1):
-            node = succ.get(node)
-            if node is None or node == CDC_SINK:
-                break
+        succ = {u: v for (u, v, dd), var in model.family("w").items()
+                if dd == d.id and _binary_value(values, var)}
+        stops, node = [], succ.get(CDC_NODE)
+        while node not in (None, CDC_SINK) and len(stops) <= len(succ):
             stops.append(node)
-        if not stops:
-            continue  # idle truck
-        times = [values[model.family("t1")[(s, d.id)].name] for s in stops]
-        departure = values[model.family("t1")[(CDC_NODE, d.id)].name]
-        routes.append(TruckRoute(truck=d.id, departure=departure,
-                                 stops=tuple(stops), times=tuple(times)))
-    return routes
+            node = succ.get(node)
+        if stops:  # an idle truck drives the (o, o~) arc
+            tours[d.id] = [(s, carried.get((s, d.id), [])) for s in stops]
+    return tours
 
 
-def decode_freighter_routes(instance: Instance, model: MilpModel,
-                            values: dict[str, float]) -> list[FreighterRoute]:
+def time_truck_routes(instance: Instance, tours: dict[str, list[tuple[str, list[str]]]],
+                      lo: dict[tuple[str, str], float]
+                      ) -> tuple[list[TruckRoute], dict[str, tuple[str, str, float]]]:
+    """Truck routes timed forward, and per package its (stop, truck, minute there).
+
+    ``tours`` maps each truck to its visits in order, (stop, packages
+    unloaded there). A route leaves the CDC at minute 0; service at a stop
+    ends one ride and its service time after the last, or at the latest
+    ``lo[(package, stop)]`` of the stop's packages if that is later.
+    """
+    routes, placed = [], {}
+    for truck, visits in tours.items():
+        t, here, times = 0.0, instance.cdc, []
+        for sid, group in visits:
+            stop = instance.stop(sid)
+            t = max([t + instance.travel_minutes(here, stop.location) + stop.service_time]
+                    + [lo[(cid, sid)] for cid in group])
+            here = stop.location
+            times.append(t)
+            for cid in group:
+                placed[cid] = (sid, truck, t)
+        routes.append(TruckRoute(truck=truck, departure=0.0,
+                                 stops=tuple(sid for sid, _ in visits), times=tuple(times)))
+    return routes, placed
+
+
+def decode_freighter_routes(instance: Instance, model: MilpModel, values: dict[str, float],
+                            ready: dict[str, float]) -> list[FreighterRoute]:
     """The chosen route columns per freighter class, handed to the class's freighters in order.
 
-    A route leaves at its ``dep`` value and serves its customers in the
-    order its index tuple lists them, each at the earliest minute
-    (``visit_times``).
+    A route leaves once all its packages are loaded (package ``c`` at minute
+    ``ready[c]``) and serves its customers in index order (``visit_times``).
     """
     chosen: dict[str, list[tuple]] = {}
     for idx, q in model.family("q").items():
         if _binary_value(values, q):
             chosen.setdefault(idx[0], []).append(idx)
-    dep = model.family("dep")
     routes = []
     for stop in instance.stops:
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
@@ -728,7 +785,7 @@ def decode_freighter_routes(instance: Instance, model: MilpModel,
             if len(columns) > len(fleet):
                 raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} vehicles")
             for k, idx in zip(fleet, columns):
-                departure = values[dep[idx].name]
+                departure = max(ready[cid] for cid in idx[1:])
                 routes.append(FreighterRoute(
                     freighter=k.id, home_stop=stop.id, departure=departure, customers=idx[1:],
                     times=visit_times(instance, stop.location, departure, idx[1:])))

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .backends import Backend, ScipyHighsBackend
 from .compat import Compatibility, derive_compatibility
-from .instance import Instance, serialize_instance, with_beta
+from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits, SolveResult
-from .model_full import FullOptions, ModelBuildError, build_full, decode_full, visit_times
+from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
+                         decode_freighter_routes, decode_full, decode_transit)
 from .plan import (
-    CostBreakdown,
-    CustomerItinerary,
     FreighterRoute,
     Plan,
     TierHandoff,
@@ -30,7 +29,6 @@ from .plan import (
 )
 from .tiers import (
     T2Objective,
-    TransitChoice,
     build_d1_t1,
     build_d1_t2,
     build_d2_t2,
@@ -41,7 +39,6 @@ from .tiers import (
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
-    decode_transit,
     first_trip_times,
     handoff_from_transit,
     latest_departures,
@@ -224,6 +221,10 @@ def run_method(instance: Instance, config: RunConfig, backend: Backend | None = 
     backend = backend or ScipyHighsBackend()
     if config.beta is not None:
         instance = with_beta(instance, config.beta)
+    try:
+        instance.validate()
+    except InstanceError as exc:
+        raise PipelineError("instance", str(exc)) from exc
     metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj)
     started = time.perf_counter()
     _dump(artifacts_dir, "instance.json", serialize_instance, instance)
@@ -331,31 +332,6 @@ def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
     return routes
 
 
-def _assemble(instance, choices: dict[str, TransitChoice],
-              truck_of: dict[str, str], stop_time: dict[str, float],
-              truck_routes, freighter_routes) -> Plan:
-    serving: dict[str, tuple[str, float]] = {}
-    for route in freighter_routes:
-        for cid, t in zip(route.customers, route.times):
-            serving[cid] = (route.freighter, t)
-    itineraries = []
-    for cust in instance.customers:
-        ch = choices[cust.id]
-        freighter_id, t_delivery = serving[cust.id]
-        itineraries.append(CustomerItinerary(
-            customer=cust.id, truck=truck_of[cust.id],
-            drop_in_stop=ch.drop_in, drop_in_time=stop_time[cust.id],
-            trip=ch.trip, drop_out_stop=ch.drop_out, drop_out_time=ch.drop_time,
-            freighter=freighter_id, delivery_time=t_delivery))
-    draft = Plan(
-        itineraries=tuple(itineraries),
-        truck_routes=tuple(truck_routes),
-        freighter_routes=tuple(freighter_routes),
-        costs=CostBreakdown(0.0, 0.0),
-    )
-    return replace(draft, costs=recompute_costs(instance, draft))
-
-
 def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
     objective = T2Objective.parse(config.t2_obj)
@@ -370,8 +346,8 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
-    return _assemble(instance, choices, truck_of, arrivals.t_truck,
-                     truck_routes, freighter_routes)
+    return assemble_plan(instance, choices, truck_of, arrivals.t_truck,
+                         truck_routes, freighter_routes)
 
 
 def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
@@ -393,8 +369,8 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
                                           full_handoff, choices)
-    return _assemble(instance, choices, truck_of, handoff.t_truck,
-                     truck_routes, freighter_routes)
+    return assemble_plan(instance, choices, truck_of, handoff.t_truck,
+                         truck_routes, freighter_routes)
 
 
 def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
@@ -420,45 +396,36 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
                                  build_t1_from_handoff, instance, t1_handoff)
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
-    freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
-    return _assemble(instance, choices, truck_of, arrivals.t_truck,
-                     truck_routes, freighter_routes)
+    freighter_routes = _retime_d3_routes(instance, t3_model, t3_result, choices)
+    return assemble_plan(instance, choices, truck_of, arrivals.t_truck,
+                         truck_routes, freighter_routes)
 
 
-def _retime_d3_routes(instance, raw_routes, choices) -> list[FreighterRoute]:
-    """Forward re-timing after trips are known: orders and costs unchanged.
+def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterRoute]:
+    """The d3-t3 routes decoded again, each leaving once its actual drops are loaded.
 
-    The freighter-first routes were planned against estimated start times;
-    once actual drop-offs exist each route leaves at ``max(drops) + service``
-    and its visit times are recomputed earliest-first along the same order.
     The transit stage kept every drop of a route within the dwell cap before
     the route's latest departure, so neither check below can fire unless an
     earlier stage broke its contract; they stay as stage-named guards.
     """
-    out = []
-    for route in raw_routes:
-        if not route.customers:
-            continue
-        stop = instance.stop(route.home_stop)
+    ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
+             for cid, ch in choices.items()}
+    routes = decode_freighter_routes(instance, t3_model, t3_result.values, ready)
+    for route in routes:
         drops = [choices[cid].drop_time for cid in route.customers]
-        departure = max(drops) + stop.service_time
-        if departure > min(drops) + stop.max_dwell + 1e-9:
+        if route.departure > min(drops) + instance.stop(route.home_stop).max_dwell + 1e-9:
             raise PipelineError(
                 "d3-stitch",
                 f"freighter {route.freighter}: packages arrive too far apart "
                 f"({min(drops):g} vs {max(drops):g}) for the dwell cap")
-        times = visit_times(instance, stop.location, departure, route.customers)
-        for cid, t_here in zip(route.customers, times):
+        for cid, t_here in zip(route.customers, route.times):
             cust = instance.customer(cid)
             if t_here > cust.window_hi + 1e-9:
                 raise PipelineError(
                     "d3-stitch",
                     f"customer {cid}: retimed delivery {t_here:g} misses the window "
                     f"closing {cust.window_hi:g}")
-        out.append(FreighterRoute(
-            freighter=route.freighter, home_stop=route.home_stop,
-            departure=departure, customers=route.customers, times=times))
-    return out
+    return routes
 
 
 def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConfig],

@@ -22,12 +22,14 @@ vehicle, and ``add_freighter_routing`` for freighters, which chooses among
 enumerated route columns; ``arc_costs`` and ``route_costs`` price them.
 The two freighter stages pass departure bounds that are data: t3-stopwise
 from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
-arrival; ``decode_freighter_routes`` reads both. The three transit stages
+arrival; each route leaves once its packages are loaded, after their
+fixed drops or the stop's first trip (``decode_freighter_routes``), so
+only ``full`` gives a route a departure variable. The three transit stages
 differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
 can feed and drops a freighter can still serve in time; d1-t2 pins the
 pickup to ``b_in`` within the dwell cap after the truck's arrival, and
 d3-t2 pins the drop to ``b_out`` within the dwell cap before the
-freighter's latest departure. ``decode_transit`` reads all three.
+freighter's latest departure. ``model_full.decode_transit`` reads all three.
 
 There is one truck stage (``_build_truck_stage``); d1-t1 and t1-handoff
 differ only in the windows they pass: per package, the drop-in stops it
@@ -41,9 +43,9 @@ freighter visit serves one customer, a truck visit the packages at one
 stop whose windows there meet. The number of routes grows combinatorially
 with the packages one truck can carry, so past ``ROUTE_LABEL_LIMIT`` labels
 the stage is built from the per-truck rows ``full`` also uses instead.
-``decode_t1`` reads either form, times every route forward from the CDC,
-and hands on each package's stop as ``b_in`` and its truck's minute there
-as ``t_truck``.
+``decode_t1`` reads either form, times every route forward from the CDC
+as ``full`` does (``model_full.time_truck_routes``), and hands on each
+package's stop as ``b_in`` and its truck's minute there as ``t_truck``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .model_full import (
     DecodeError,
     ModelBuildError,
+    TransitChoice,
     add_arrival_window,
     add_freighter_routing,
     add_stop_assignments,
@@ -68,7 +71,7 @@ from .model_full import (
     decode_truck_routes,
     enumerate_routes,
     route_costs,
-    truck_assignments,
+    time_truck_routes,
     vehicle_classes,
     _binary_value,
 )
@@ -89,17 +92,6 @@ class T2Objective:
     @classmethod
     def parse(cls, tag: str) -> "T2Objective":
         return cls(tag=tag.lower())
-
-
-@dataclass(frozen=True)
-class TransitChoice:
-    """Decoded transit decision for one package."""
-
-    trip: str
-    drop_in: str
-    pickup_time: float
-    drop_out: str
-    drop_time: float
 
 
 # ---- shared surrogate-objective machinery ------------------------------
@@ -229,30 +221,6 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
                      in_ok=_truck_can_feed(compat), out_ok=_freighter_can_meet(compat))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
-
-
-def decode_transit(instance: Instance, model: MilpModel,
-                   result: SolveResult) -> dict[str, TransitChoice]:
-    """The trip, stops and times each package rides, from any transit stage."""
-    picked: dict[str, tuple[str, str]] = {}
-    dropped: dict[str, tuple[str, str]] = {}
-    for (i, s, p), var in model.family("y1").items():
-        if _binary_value(result.values, var):
-            picked[i] = (s, p)
-    for (i, s, p), var in model.family("y2").items():
-        if _binary_value(result.values, var):
-            dropped[i] = (s, p)
-    choices = {}
-    for cust in instance.customers:
-        if cust.id not in picked or cust.id not in dropped:
-            raise DecodeError(f"customer {cust.id}: no trip decoded")
-        s_in, p_in = picked[cust.id]
-        s_out, p_out = dropped[cust.id]
-        trip = instance.trip(p_in)
-        choices[cust.id] = TransitChoice(
-            trip=p_in, drop_in=s_in, pickup_time=trip.stop_times[s_in],
-            drop_out=s_out, drop_time=instance.trip(p_out).stop_times[s_out])
-    return choices
 
 
 def handoff_from_transit(choices: dict[str, TransitChoice]) -> TierHandoff:
@@ -423,22 +391,16 @@ def decode_t1(instance: Instance, model: MilpModel,
               result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
     """Returns (routes, handoff with b_in/t_truck, customer->truck) of either truck stage.
 
-    Of a model built from rows, each truck drives its route
-    (``decode_truck_routes``) with the packages ``truck_assignments`` puts
-    on it. Of a column model, the chosen columns go to their class's trucks
-    in instance order, each package to the stop its column names. Each
-    customer rides the first route that carries it, in that order; a route
-    skips the stops left without packages and is timed forward from the CDC
-    at minute 0: service at a stop ends one ride and its service time after
-    the truck left the last, or when the windows of its packages there open
-    if that is later.
+    Of a model built from rows, each truck drives its tour
+    (``decode_truck_routes``). Of a column model, the chosen columns go to
+    their class's trucks in instance order. Each customer rides the first
+    tour that carries it, in that order; a tour skips the stops left without
+    packages and is timed by ``time_truck_routes`` from the windows' ``lo``.
     """
     tours: dict[str, list[tuple[str, str]]] = {}  # truck -> (customer, stop) in visit order
     if model.family("w"):
-        assigned = truck_assignments(model, result.values)
-        for route in decode_truck_routes(instance, model, result.values):
-            tours[route.truck] = [(cid, sid) for sid in route.stops
-                                  for cid, at in assigned.items() if at == (sid, route.truck)]
+        for truck, visits in decode_truck_routes(instance, model, result.values).items():
+            tours[truck] = [(cid, sid) for sid, group in visits for cid in group]
     else:
         chosen: dict[str, list[list[tuple[str, str]]]] = {}
         for (g, *pairs), x in model.family("x1").items():
@@ -449,23 +411,16 @@ def decode_t1(instance: Instance, model: MilpModel,
             if len(columns) > len(fleet):
                 raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
             tours.update((truck.id, visits) for truck, visits in zip(fleet, columns))
-    windows = model.metadata["windows"]
-    routes, placed = [], {}
+    carried, seen = {}, set()
     for truck, visits in tours.items():
-        carried = [(cid, sid) for cid, sid in visits if cid not in placed]
-        t, here, stops, times = 0.0, instance.cdc, [], []
-        for sid, group in itertools.groupby(carried, key=lambda pair: pair[1]):
-            group, stop = [cid for cid, _ in group], instance.stop(sid)
-            hop = instance.travel_minutes(here, stop.location) + stop.service_time
-            t = max(max(windows[cid][sid][0] for cid in group), t + hop)
-            here = stop.location
-            stops.append(sid)
-            times.append(t)
-            for cid in group:
-                placed[cid] = (sid, truck, t)
-        if stops:
-            routes.append(TruckRoute(truck=truck, departure=0.0,
-                                     stops=tuple(stops), times=tuple(times)))
+        visits = [(cid, sid) for cid, sid in visits if cid not in seen]
+        seen.update(cid for cid, _ in visits)
+        if visits:
+            carried[truck] = [(sid, [cid for cid, _ in group])
+                              for sid, group in itertools.groupby(visits, key=lambda pair: pair[1])]
+    lo = {(cid, sid): window[0] for cid, at in model.metadata["windows"].items()
+          for sid, window in at.items()}
+    routes, placed = time_truck_routes(instance, carried, lo)
     for cust in instance.customers:
         if cust.id not in placed:
             raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
@@ -507,15 +462,17 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
         if not columns:
             raise ModelBuildError(
                 f"stop {stop_id}: no freighter can carry customer {cid} within the dwell cap")
-        mb.add([(q, 1.0) for q, _ in columns], "=", 1.0, f"customer_once[{cid}]")
+        mb.add([(q, 1.0) for q in columns], "=", 1.0, f"customer_once[{cid}]")
 
     mb.set_objective(route_costs(mb, instance))
-    return mb.build(stop=stop_id)
+    # a package is loaded one service time after its fixed drop
+    ready = {cid: handoff.t_out[cid] + stop.service_time for cid in customers_of_stop}
+    return mb.build(stop=stop_id, ready=ready)
 
 
 def decode_t3_stopwise(instance: Instance, model: MilpModel,
                        result: SolveResult) -> list[FreighterRoute]:
-    return decode_freighter_routes(instance, model, result.values)
+    return decode_freighter_routes(instance, model, result.values, model.metadata["ready"])
 
 
 # ---- truck-first pipeline ----------------------------------------------
@@ -636,22 +593,24 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
                 for sid in sorted(cust.dropout_candidates)],
                "=", 1.0, f"dropout_once[{cust.id}]")
         for sid in sorted(cust.dropout_candidates):
-            mb.add([(q, 1.0) for q, _ in serving.get((cust.id, sid), [])]
+            mb.add([(q, 1.0) for q in serving.get((cust.id, sid), [])]
                    + [(mb.get("gamma2", cust.id, sid), -1.0)],
                    "=", 0.0, f"stop_serve[{cust.id},{sid}]")
 
     mb.set_objective(route_costs(mb, instance))
-    return mb.build()
+    # a stop's packages are loaded one service time after its first trip at the earliest
+    return mb.build(loaded={sid: t + instance.stop(sid).service_time for sid, t in t_first.items()})
 
 
 def decode_d3_t3(instance: Instance, model: MilpModel,
                  result: SolveResult) -> tuple[dict[str, str], list[FreighterRoute]]:
+    """The chosen drop-out stops, and routes leaving once each stop's first trip is unloaded."""
     b_out: dict[str, str] = {}
     for (i, sid), var in model.family("gamma2").items():
         if _binary_value(result.values, var):
             b_out[i] = sid
-    routes = decode_freighter_routes(instance, model, result.values)
-    return b_out, routes
+    ready = {cid: model.metadata["loaded"][sid] for cid, sid in b_out.items()}
+    return b_out, decode_freighter_routes(instance, model, result.values, ready)
 
 
 def repair_d3_times(routes: list[FreighterRoute], instance: Instance

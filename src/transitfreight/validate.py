@@ -21,10 +21,13 @@ Violation codes:
   COVERAGE            a customer is unserved/duplicated, or routes do not
                       carry what the itineraries claim
   STOP_DISTINCT       a package's drop-in and drop-out stop coincide
+  NOT_FINITE          a time or departure is NaN or infinite; every other
+                      check compares numbers, and no comparison fails on NaN
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .instance import Instance, euclidean_distance, travel_time
@@ -90,6 +93,11 @@ def _resolve_plan_refs(instance: Instance, plan: Plan) -> None:
             raise ValidationInputError(f"freighter route {route.freighter}: customers/times length mismatch")
 
 
+def _not_finite(subjects: tuple[str, ...], **times: float) -> list[Violation]:
+    return [Violation("NOT_FINITE", subjects, measured=t, detail=f"{name} is not finite")
+            for name, t in times.items() if not math.isfinite(t)]
+
+
 def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
     _resolve_plan_refs(instance, plan)
     params = instance.cost_params
@@ -113,6 +121,8 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         cust = instance.customer(it.customer)
         trip = instance.trip(it.trip)
         order = instance.line(trip.line).ordered_stops
+        out += _not_finite((it.customer,), drop_in_time=it.drop_in_time,
+                           drop_out_time=it.drop_out_time, delivery_time=it.delivery_time)
 
         if it.drop_in_stop == it.drop_out_stop:
             out.append(Violation("STOP_DISTINCT", (it.customer, it.drop_in_stop)))
@@ -213,9 +223,11 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         if len(set(route.stops)) != len(route.stops):
             out.append(Violation("COVERAGE", (route.truck,),
                                  detail="truck route revisits a stop"))
+        out += _not_finite((route.truck,), departure=route.departure)
         t_prev = route.departure
         loc_prev = instance.cdc
         for sid, t_here in zip(route.stops, route.times):
+            out += _not_finite((route.truck, sid), time=t_here)
             stop = instance.stop(sid)
             needed = t_prev + travel_time(euclidean_distance(loc_prev, stop.location), params) + stop.service_time
             if t_here < needed - TOL:
@@ -268,9 +280,11 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         if route.home_stop != freighter.home_stop:
             out.append(Violation("COVERAGE", (route.freighter, route.home_stop),
                                  detail="route does not start at the freighter's home stop"))
+        out += _not_finite((route.freighter,), departure=route.departure)
         t_prev = route.departure
         loc_prev = instance.stop(route.home_stop).location
         for cid, t_here in zip(route.customers, route.times):
+            out += _not_finite((route.freighter, cid), time=t_here)
             cust = instance.customer(cid)
             needed = t_prev + travel_time(euclidean_distance(loc_prev, cust.location), params) + cust.service_time
             if t_here < needed - TOL:
@@ -329,9 +343,11 @@ def validate_vrptw_plan(instance: Instance, plan: VrptwPlan) -> list[Violation]:
         cap = instance.truck(route.truck).capacity
         if load > cap + TOL:
             out.append(Violation("TRUCK_CAPACITY", (route.truck,), measured=load, bound=cap))
+        out += _not_finite((route.truck,), departure=route.departure)
         t_prev = route.departure
         loc_prev = instance.cdc
         for cid, t_here in zip(route.customers, route.times):
+            out += _not_finite((route.truck, cid), time=t_here)
             cust = instance.customer(cid)
             needed = t_prev + travel_time(euclidean_distance(loc_prev, cust.location), params) + cust.service_time
             if t_here < needed - TOL:

@@ -12,7 +12,9 @@ these rows, build included.
 Routes leave the CDC ``o`` and end at its route-sink copy ``o~``; the free
 (o,o~) arc is always built. A customer joins a class when its demand fits
 the capacity and the direct ride from the CDC meets its window, and is
-served no sooner than that ride allows.
+served no sooner than that ride allows. The time labels ``t`` only hold
+the windows and cut subtours: ``decode_vrptw`` reads the arcs alone and
+times each route from minute 0 (``visit_times``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import replace
 from .instance import Instance
 from .milp import MilpModel, ModelBuilder, SolveResult
 from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, arc_costs,
-                         ride_minutes, vehicle_classes)
+                         ride_minutes, vehicle_classes, visit_times)
 from .plan import VrptwPlan, VrptwRoute
 from .validate import recompute_vrptw_cost
 
@@ -89,13 +91,14 @@ def add_class_routing(mb: ModelBuilder, instance: Instance, g: str, fleet,
                    ">=", hop - big, f"time[{u},{v},{g}]")
 
 
-def class_routes(model: MilpModel, values: dict[str, float], g: str,
-                 fleet) -> list[tuple[object, tuple[str, ...], tuple[float, ...]]]:
-    """(vehicle, customers, times) per route of class ``g``, handed to ``fleet`` in order.
+def class_routes(instance: Instance, model: MilpModel, values: dict[str, float], g: str,
+                 fleet) -> list[VrptwRoute]:
+    """The routes of class ``g``, handed to ``fleet`` in order.
 
-    A route of ``add_class_routing`` leaves the CDC on an ``x`` arc and
-    follows the chosen arcs until its copy; the (o, o~) arc of an idle
-    vehicle is skipped. Times are the ``t`` labels of the customers.
+    A route of ``add_class_routing`` leaves the CDC on an ``x`` arc at
+    minute 0 and follows the chosen arcs until its copy, serving each
+    customer at the earliest minute (``visit_times``); the (o, o~) arc of an
+    idle vehicle is skipped.
     """
     depot, sink = CDC_NODE, CDC_SINK
     starts: list[str] = []
@@ -108,7 +111,6 @@ def class_routes(model: MilpModel, values: dict[str, float], g: str,
                 succ[u] = v
     if len(starts) > len(fleet):
         raise DecodeError(f"class {g}: {len(starts)} routes for {len(fleet)} vehicles")
-    t = model.family("t")
     routes = []
     for vehicle, node in zip(fleet, starts):
         nodes: list[str] = []
@@ -117,7 +119,8 @@ def class_routes(model: MilpModel, values: dict[str, float], g: str,
                 raise DecodeError(f"class {g}: route through {node} does not close")
             nodes.append(node)
             node = succ[node]
-        routes.append((vehicle, tuple(nodes), tuple(values[t[(c, g)].name] for c in nodes)))
+        routes.append(VrptwRoute(truck=vehicle.id, departure=0.0, customers=tuple(nodes),
+                                 times=visit_times(instance, instance.cdc, 0.0, nodes)))
     return routes
 
 
@@ -141,14 +144,10 @@ def build_vrptw(instance: Instance) -> MilpModel:
 
 
 def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> VrptwPlan:
-    """Routes per truck class, handed to the class's trucks in instance order."""
+    """Routes per truck class (``class_routes``), handed to the class's trucks in instance order."""
     if not result.has_solution():
         raise DecodeError(f"no solution to decode (status {result.status})")
-    routes = []
-    for g, fleet in vehicle_classes(instance.trucks):
-        for truck, order, times in class_routes(model, result.values, g, fleet):
-            departure = times[0] - ride_minutes(instance, instance.cdc, instance.customer(order[0]))
-            routes.append(VrptwRoute(truck=truck.id, departure=departure,
-                                     customers=order, times=times))
+    routes = [route for g, fleet in vehicle_classes(instance.trucks)
+              for route in class_routes(instance, model, result.values, g, fleet)]
     draft = VrptwPlan(routes=tuple(routes), total_cost=0.0)
     return replace(draft, total_cost=recompute_vrptw_cost(instance, draft))

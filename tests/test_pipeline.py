@@ -1,24 +1,25 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from transitfreight import pipeline
+from transitfreight import pipeline, tiers
 from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import (
     Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
     serialize_instance, with_beta)
-from transitfreight.milp import ModelError
+from transitfreight.milp import CONTINUOUS, ModelError
 from transitfreight.pipeline import (
     PipelineError,
     RunConfig,
     compare_methods,
     run_method,
 )
-from transitfreight.plan import parse_handoff, parse_plan, serialize_handoff
+from transitfreight.plan import parse_handoff, parse_plan, serialize_handoff, serialize_plan
 from transitfreight.validate import validate_plan
 
-from conftest import MICRO1_TOTAL, MICRO1_VRPTW, make_micro1
+from conftest import MICRO1_TOTAL, MICRO1_VRPTW, generate_micro_instances, make_micro1
 
 
 def test_config_validation():
@@ -233,6 +234,56 @@ def test_compare_methods_records_failures(backend, micro1):
     ok_rows = [r for r in rows if r.status == "ok"]
     assert min(r.deviation_pct for r in ok_rows) == pytest.approx(0.0, abs=1e-9)
     assert all(r.deviation_pct >= -1e-9 for r in ok_rows)
+
+
+def test_an_invalid_instance_fails_at_its_own_stage(backend, micro1):
+    twice = replace(micro1, customers=micro1.customers * 2)  # two customers named c1
+    with pytest.raises(PipelineError) as exc:
+        run_method(twice, RunConfig(method="vrptw"), backend)
+    assert exc.value.stage == "instance"
+    assert "duplicate customer id c1" in exc.value.cause
+    rows = compare_methods([("twice", twice)], [RunConfig(method="vrptw")], backend)
+    assert [(r.status, r.error) for r in rows] == [
+        ("failed", "[instance] duplicate customer id c1")]
+
+
+class _NanContinuousBackend:
+    """Solves as ``backend`` does, but hands back NaN for every continuous variable."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def solve(self, model, limits):
+        result = self._backend.solve(model, limits)
+        continuous = {var.name for var in model.variables if var.kind == CONTINUOUS}
+        return replace(result, values={name: math.nan if name in continuous else value
+                                       for name, value in result.values.items()})
+
+
+@pytest.mark.parametrize("label_limit", [tiers.ROUTE_LABEL_LIMIT, 0])
+def test_plans_are_decoded_from_binary_variables_alone(backend, monkeypatch, label_limit):
+    """Every decoder reads only binaries, so continuous solver values, NaN here,
+    change no plan and no failure; with no label budget the truck stages are rows."""
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
+    configs = [RunConfig(method="full"), RunConfig(method="full", mu=0.5),
+               RunConfig(method="vrptw"), RunConfig(method="d1", t2_obj="obj2"),
+               RunConfig(method="d2", t2_obj="obj1"), RunConfig(method="d3", t2_obj="obj2")]
+    instances = [make_micro1(), make_micro1(extra_trip_time=550.0)]
+    instances += generate_micro_instances(3, start_seed=2000)
+    blind = _NanContinuousBackend(backend)
+    planned = set()
+    for instance in instances:
+        for config in configs:
+            outcomes = []
+            for solver in (backend, blind):
+                try:
+                    outcomes.append(serialize_plan(run_method(instance, config, solver)[0]))
+                except PipelineError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], config
+            if outcomes[0].startswith("{"):
+                planned.add(config)
+    assert planned == set(configs)  # every method planned some instance
 
 
 def test_compare_methods_records_the_worst_stage_status(backend, micro1):

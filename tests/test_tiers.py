@@ -18,7 +18,7 @@ from transitfreight.instance import (
     travel_time,
 )
 from transitfreight.milp import ModelError, SolveResult
-from transitfreight.model_full import DecodeError, build_full, decode_full
+from transitfreight.model_full import DecodeError, build_full, decode_full, decode_transit
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
 from transitfreight.plan import FreighterRoute, TierHandoff
 from transitfreight import tiers
@@ -35,7 +35,6 @@ from transitfreight.tiers import (
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
-    decode_transit,
     enumerate_truck_routes,
     first_trip_times,
     handoff_from_transit,
@@ -883,26 +882,37 @@ def test_d3_t3_drives_the_later_leaving_direction_of_a_tie(backend):
 
 def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
     """On the dominance seeds, the handoff's latest departure of every d3-t3 route
-    is the latest departure its column was built with."""
+    is the latest departure L the route DP lists for its column."""
     from transitfreight.generate import generate_instance
+    from transitfreight.model_full import enumerate_routes, vehicle_classes
     from test_acceptance import DOMINANCE_SEEDS, _dominance_params
 
     for seed in DOMINANCE_SEEDS:
         instance = generate_instance(_dominance_params(seed))
-        model = build_d3_t3(instance, derive_compatibility(instance), first_trip_times(instance))
+        compat, t_first = derive_compatibility(instance), first_trip_times(instance)
+        # the DP's inputs as d3-t3 gives them: every route leaves after its stop's first trip
+        dp_latest = {}
+        for sid, t in t_first.items():
+            stop = instance.stop(sid)
+            custs = [instance.customer(c) for c in sorted(compat.customers_of_dropout.get(sid, ()))]
+            places = {c.id: (c.location, c.service_time) for c in custs}
+            visits = [(c.id, (c.id,), c.demand, c.window_lo, c.window_hi,
+                       (t + stop.service_time, instance.cost_params.horizon)) for c in custs]
+            for g, fleet in vehicle_classes(instance.freighters_of_stop(sid)):
+                found = enumerate_routes(instance, stop.location, places, visits, fleet[0].capacity)
+                dp_latest.update(((g, *order), latest) for front in found.values()
+                                 for _, latest, order, _ in front)
+        model = build_d3_t3(instance, compat, t_first)
         result = solve(model, backend)
         assert result.status == "optimal"
         _b_out, routes = decode_d3_t3(instance, model, result)
         t_visit, _ = repair_d3_times(routes, instance)
         latest = latest_departures(routes, instance, t_visit)
-        # the dep_hi row of a column holds dep <= L * q (d3-t3 bounds departures by the horizon)
-        bound = {con.name: -con.terms[1][1] for con in model.constraints
-                 if con.name.startswith("dep_hi[")}
         chosen = [idx for idx, q in model.family("q").items() if result.values[q.name] > 0.5]
         assert [r.customers for r in routes] == [idx[1:] for idx in chosen]
         for idx in chosen:
             for cid in idx[1:]:
-                assert latest[cid] == pytest.approx(bound[f"dep_hi[{','.join(idx)}]"], abs=1e-6)
+                assert latest[cid] == pytest.approx(dp_latest[idx], abs=1e-6)
 
 
 # ---- truck route columns ---------------------------------------------------

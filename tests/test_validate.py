@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import pytest
@@ -14,17 +15,20 @@ from transitfreight.instance import (
     Truck,
     with_beta,
 )
+from transitfreight.pipeline import RunConfig, run_method
 from transitfreight.plan import (
     CostBreakdown,
     CustomerItinerary,
     FreighterRoute,
     Plan,
     TruckRoute,
+    VrptwPlan,
 )
 from transitfreight.validate import (
     ValidationInputError,
     recompute_costs,
     validate_plan,
+    validate_vrptw_plan,
 )
 
 from conftest import (
@@ -253,3 +257,31 @@ def test_oracle_guard_refuses_large(micro1):
         Truck(f"d{i}", 160.0) for i in range(3)))
     with pytest.raises(OracleSizeError, match="guard"):
         brute_force_optimum(big)
+
+
+def _untimed(route):
+    return replace(route, departure=math.nan, times=(math.nan,) * len(route.times))
+
+
+@pytest.mark.parametrize("method", ["full", "vrptw"])
+def test_every_time_that_is_not_finite_is_reported(backend, method):
+    """A plan whose times and departures are all NaN passes no comparison, so each
+    one is reported on its own."""
+    instance = generate_micro_instances(1, start_seed=2000)[0]
+    plan, _ = run_method(instance, RunConfig(method=method), backend)
+    if isinstance(plan, VrptwPlan):
+        validate, routes = validate_vrptw_plan, plan.routes
+        blank = replace(plan, routes=tuple(_untimed(r) for r in routes))
+        expected = sum(1 + len(r.times) for r in routes)
+    else:
+        validate, routes = validate_plan, plan.truck_routes + plan.freighter_routes
+        blank = replace(
+            plan,
+            itineraries=tuple(replace(it, drop_in_time=math.nan, drop_out_time=math.nan,
+                                      delivery_time=math.nan) for it in plan.itineraries),
+            truck_routes=tuple(_untimed(r) for r in plan.truck_routes),
+            freighter_routes=tuple(_untimed(r) for r in plan.freighter_routes))
+        expected = 3 * len(plan.itineraries) + sum(1 + len(r.times) for r in routes)
+    assert validate(instance, plan) == []
+    flagged = [v for v in validate(instance, blank) if v.code == "NOT_FINITE"]
+    assert len(flagged) == expected
