@@ -1,11 +1,24 @@
 """MILP solve backends.
 
-Two adapters satisfy the same contract: an in-process one built on
-scipy's HiGHS interface (the default), and a subprocess one that writes an
-LP file, invokes an external solver binary, and parses its solution file.
-The subprocess command comes from the TRANSITFREIGHT_SOLVER environment
+Two adapters satisfy the same contract: an in-process one on the HiGHS build
+that scipy bundles (the default), and a subprocess one that writes an LP
+file, invokes an external solver binary, and parses its solution file. The
+subprocess command comes from the TRANSITFREIGHT_SOLVER environment
 variable or an explicit path; solution parsing reads CBC and HiGHS reports
 and plain ``name value`` listings, and reports any other status as an error.
+
+The in-process backend calls scipy's private HiGHS bindings,
+``scipy.optimize._highspy._core``, the same ones ``scipy.optimize.milp``
+calls, without ``milp`` in between. On the small models of the
+decomposition stages ``milp``'s own per-call work (input validation, a
+sparse-matrix round trip, an options manager built for every option it
+checks, dual values and marginals read back) cost more than HiGHS itself:
+per call, 0.9 against 2.0 ms for a ``d2-t2`` model of 26 variables, 0.3-0.4
+against 1.3-1.7 ms for ``t1-handoff`` and ``t3-stopwise`` models (2-core
+machine, scipy 1.17.1, the only version measured). The model handed to
+HiGHS is the one ``milp`` built: the same columns, bounds, integrality and
+column-wise matrix. The bindings are private, so a scipy release may move
+them; importing this module then fails naming the missing module.
 
 Both HiGHS paths solve under the same fixed settings (``HIGHS_SETTINGS``)
 besides the stage's time limit and relative gap. The feasibility-jump
@@ -20,14 +33,17 @@ import re
 import subprocess
 import tempfile
 import time
-import warnings
+from dataclasses import dataclass
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Protocol
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as scipy_milp
+try:
+    from scipy.optimize._highspy import _core as highs_core
+except ImportError as exc:  # scipy before 1.15 bundles HiGHS without these bindings
+    raise ImportError(
+        "transitfreight solves through scipy.optimize._highspy._core, the HiGHS "
+        "bindings that scipy bundles since 1.15; install scipy>=1.15") from exc
 
 from .milp import (
     BINARY,
@@ -47,11 +63,9 @@ SOLVER_ENV_VAR = "TRANSITFREIGHT_SOLVER"
 
 HIGHS_SETTINGS = {"mip_heuristic_run_feasibility_jump": False}
 
-# scipy's milp warns with a RuntimeWarning before it passes a key it does not
-# list itself (any of HIGHS_SETTINGS) to HiGHS verbatim. Only that notice is
-# silenced: HiGHS rejecting a name raises scipy's OptimizeWarning instead,
-# which stays visible.
-_VERBATIM_NOTICE = "Unrecognized options detected"
+_STATUS = highs_core.HighsModelStatus
+_LIMITS = (_STATUS.kTimeLimit, _STATUS.kIterationLimit)
+_INTEGER_KINDS = (BINARY, INTEGER)
 
 
 class BackendError(RuntimeError):
@@ -62,73 +76,116 @@ class Backend(Protocol):
     def solve(self, model: MilpModel, limits: SolveLimits) -> SolveResult: ...
 
 
+@dataclass(frozen=True)
+class HighsOutcome:
+    """What one HiGHS run reports. ``x`` (column values) and ``fun`` are set only
+    with a solution: an optimum, or an incumbent of a MIP that hit a limit; the
+    ``mip_*`` fields only for a MIP with a solution."""
+
+    status: object           # HighsModelStatus
+    message: str
+    x: list[float] | None = None
+    fun: float | None = None
+    mip_node_count: int | None = None
+    mip_dual_bound: float | None = None
+
+
+def scipy_milp(*, lp, mip: bool, options: dict) -> HighsOutcome:
+    """Solve ``lp`` (a ``HighsLp``) on a fresh instance of scipy's bundled HiGHS.
+
+    ``options`` go to HiGHS by name, in order; one it rejects raises
+    ``BackendError``. A model HiGHS will not load reports ``kModelError``.
+    """
+    highs = highs_core._Highs()
+    for name, value in options.items():
+        if highs.setOptionValue(name, value) == highs_core.HighsStatus.kError:
+            raise BackendError(f"HiGHS rejects the setting {name} = {value!r}")
+    if highs.passModel(lp) == highs_core.HighsStatus.kError:
+        return HighsOutcome(_STATUS.kModelError, "model rejected by HiGHS")
+    highs.run()
+    status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    info = highs.getInfo()
+    solved = status == _STATUS.kOptimal or (
+        mip and status in _LIMITS and info.objective_function_value != highs_core.kHighsInf)
+    if not solved:
+        return HighsOutcome(status, message)
+    x = highs.getSolution().col_value
+    if not mip:
+        return HighsOutcome(status, message, x, info.objective_function_value)
+    return HighsOutcome(status, message, x, info.objective_function_value,
+                        info.mip_node_count, info.mip_dual_bound)
+
+
+def _highs_lp(model: MilpModel):
+    """The model as a ``HighsLp``: columns in variable order, the constraint matrix
+    column-wise with each column's rows ascending; and whether any column is integer."""
+    variables, constraints = model.variables, model.constraints
+    n = len(variables)
+    cost = [0.0] * n
+    for var, coeff in model.objective:
+        cost[var.index] += coeff
+    col_rows: list[list[int]] = [[] for _ in range(n)]
+    col_vals: list[list[float]] = [[] for _ in range(n)]
+    row_lower, row_upper = [], []
+    for i, con in enumerate(constraints):
+        for var, coeff in con.terms:
+            col_rows[var.index].append(i)
+            col_vals[var.index].append(coeff)
+        if con.sense == LESS_EQUAL:
+            row_lower.append(-INF)
+            row_upper.append(con.rhs)
+        elif con.sense == GREATER_EQUAL:
+            row_lower.append(con.rhs)
+            row_upper.append(INF)
+        elif con.sense == EQUAL:
+            row_lower.append(con.rhs)
+            row_upper.append(con.rhs)
+    kinds = [v.kind in _INTEGER_KINDS for v in variables]
+
+    lp = highs_core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(constraints)
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.col_cost_ = cost
+    lp.col_lower_ = [v.lb for v in variables]
+    lp.col_upper_ = [INF if v.ub == INF else min(v.ub, 1e30) for v in variables]
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.a_matrix_.start_ = [0, *accumulate(map(len, col_rows))]
+    lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
+    lp.a_matrix_.value_ = list(chain.from_iterable(col_vals))
+    integer, continuous = highs_core.HighsVarType.kInteger, highs_core.HighsVarType.kContinuous
+    lp.integrality_ = [integer if k else continuous for k in kinds]
+    return lp, any(kinds)
+
+
 class ScipyHighsBackend:
-    """In-process solve via scipy.optimize.milp (HiGHS)."""
+    """In-process solve on scipy's bundled HiGHS bindings."""
 
     name = "highs"
 
     def solve(self, model: MilpModel, limits: SolveLimits) -> SolveResult:
-        n = len(model.variables)
-        if n == 0:
+        if not model.variables:
             raise BackendError("empty model")
-        c = np.zeros(n)
-        for var, coeff in model.objective:
-            c[var.index] += coeff
-        lb = np.array([v.lb for v in model.variables])
-        ub = np.array([min(v.ub, 1e30) if v.ub != INF else np.inf for v in model.variables])
-        integrality = np.array(
-            [1 if v.kind in (BINARY, INTEGER) else 0 for v in model.variables])
-
-        constraints = []
-        if model.constraints:
-            rows, cols, vals = [], [], []
-            lo = np.empty(len(model.constraints))
-            hi = np.empty(len(model.constraints))
-            for i, con in enumerate(model.constraints):
-                for var, coeff in con.terms:
-                    rows.append(i)
-                    cols.append(var.index)
-                    vals.append(coeff)
-                if con.sense == LESS_EQUAL:
-                    lo[i], hi[i] = -np.inf, con.rhs
-                elif con.sense == GREATER_EQUAL:
-                    lo[i], hi[i] = con.rhs, np.inf
-                elif con.sense == EQUAL:
-                    lo[i], hi[i] = con.rhs, con.rhs
-            matrix = sparse.csc_array(
-                (vals, (rows, cols)), shape=(len(model.constraints), n))
-            constraints = [LinearConstraint(matrix, lo, hi)]
-
+        lp, mip = _highs_lp(model)
+        options = {"log_to_console": False, "time_limit": float(limits.time_limit),
+                   "mip_rel_gap": float(limits.rel_gap), "presolve": "on", **HIGHS_SETTINGS}
         started = time.perf_counter()
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _VERBATIM_NOTICE, RuntimeWarning)
-            res = scipy_milp(
-                c=c,
-                constraints=constraints,
-                integrality=integrality,
-                bounds=Bounds(lb, ub),
-                options={
-                    "time_limit": limits.time_limit,
-                    "mip_rel_gap": limits.rel_gap,
-                    "presolve": True,
-                    "disp": False,
-                    **HIGHS_SETTINGS,
-                },
-            )
+        res = scipy_milp(lp=lp, mip=mip, options=options)
         wall = time.perf_counter() - started
 
         values: dict[str, float] = {}
         if res.x is not None:
-            values = {v.name: float(res.x[v.index]) for v in model.variables}
-        best_bound = getattr(res, "mip_dual_bound", None)
-        objective = float(res.fun) if res.fun is not None else None
-        if res.status == 0:
+            values = dict(zip([v.name for v in model.variables], res.x))
+        best_bound, objective = res.mip_dual_bound, res.fun
+        if res.status == _STATUS.kOptimal:
             status = "optimal"
             if best_bound is None:
                 best_bound = objective
-        elif res.status == 1:
+        elif res.status in _LIMITS:
             status = "feasible" if values else "timeout"
-        elif res.status == 2:
+        elif res.status in (_STATUS.kInfeasible, _STATUS.kModelError):
             status = "infeasible"
             values, objective = {}, None
         else:
@@ -138,9 +195,10 @@ class ScipyHighsBackend:
             status=status,
             values=values,
             objective=objective,
-            best_bound=float(best_bound) if best_bound is not None else None,
+            best_bound=best_bound,
             wall_time=wall,
-            message=str(res.message),
+            message=res.message,
+            nodes=res.mip_node_count,
         )
 
 

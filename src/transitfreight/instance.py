@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
 INSTANCE_SCHEMA = "3tdppt-instance/1"
@@ -136,22 +137,22 @@ class Instance:
     # ---- lookups -----------------------------------------------------
 
     def stop(self, stop_id: str) -> Stop:
-        return self._stops_by_id()[stop_id]
+        return self._stops_by_id[stop_id]
 
     def line(self, line_id: str) -> Line:
-        return self._lines_by_id()[line_id]
+        return self._lines_by_id[line_id]
 
     def trip(self, trip_id: str) -> Trip:
-        return self._trips_by_id()[trip_id]
+        return self._trips_by_id[trip_id]
 
     def truck(self, truck_id: str) -> Truck:
-        return self._trucks_by_id()[truck_id]
+        return self._trucks_by_id[truck_id]
 
     def freighter(self, freighter_id: str) -> Freighter:
-        return self._freighters_by_id()[freighter_id]
+        return self._freighters_by_id[freighter_id]
 
     def customer(self, customer_id: str) -> Customer:
-        return self._customers_by_id()[customer_id]
+        return self._customers_by_id[customer_id]
 
     def drop_in_stops(self) -> list[Stop]:
         return [s for s in self.stops if s.is_drop_in]
@@ -165,35 +166,39 @@ class Instance:
     def travel_minutes(self, a: Point, b: Point) -> float:
         return travel_time(euclidean_distance(a, b), self.cost_params)
 
-    # cached id maps; object is frozen so caches are built lazily once
+    # id maps, built on first use; cached_property stores each in the instance's
+    # __dict__ directly, which the frozen dataclass allows
+    @cached_property
     def _stops_by_id(self) -> dict[str, Stop]:
-        return self._cache("stops_by_id", lambda: {s.id: s for s in self.stops})
+        return {s.id: s for s in self.stops}
 
+    @cached_property
     def _lines_by_id(self) -> dict[str, Line]:
-        return self._cache("lines_by_id", lambda: {l.id: l for l in self.lines})
+        return {l.id: l for l in self.lines}
 
+    @cached_property
     def _trips_by_id(self) -> dict[str, Trip]:
-        return self._cache("trips_by_id", lambda: {p.id: p for p in self.trips})
+        return {p.id: p for p in self.trips}
 
+    @cached_property
     def _trucks_by_id(self) -> dict[str, Truck]:
-        return self._cache("trucks_by_id", lambda: {d.id: d for d in self.trucks})
+        return {d.id: d for d in self.trucks}
 
+    @cached_property
     def _freighters_by_id(self) -> dict[str, Freighter]:
-        return self._cache("freighters_by_id", lambda: {k.id: k for k in self.freighters})
+        return {k.id: k for k in self.freighters}
 
+    @cached_property
     def _customers_by_id(self) -> dict[str, Customer]:
-        return self._cache("customers_by_id", lambda: {c.id: c for c in self.customers})
-
-    def _cache(self, key: str, build):
-        caches = self.__dict__.setdefault("_lookup_cache", {})
-        if key not in caches:
-            caches[key] = build()
-        return caches[key]
+        return {c.id: c for c in self.customers}
 
     # ---- invariants ---------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InstanceError naming the first violated invariant."""
+        """Raise InstanceError naming the first violated invariant. The instance is
+        frozen, so once it has passed it is not checked again."""
+        if "_valid" in self.__dict__:
+            return
         for kind, items in (("stop", self.stops), ("customer", self.customers),
                             ("line", self.lines), ("trip", self.trips),
                             ("truck", self.trucks), ("freighter", self.freighters)):
@@ -265,6 +270,7 @@ class Instance:
             if bad:
                 raise InstanceError(
                     f"customer {c.id}: candidate {sorted(bad)[0]} is not a drop-out stop")
+        self.__dict__["_valid"] = True
 
 
 # ---- serialization ----------------------------------------------------

@@ -31,7 +31,7 @@ class ModelError(ValueError):
     """Raised for malformed models or model documents."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     index: int
     name: str
@@ -67,7 +67,7 @@ def canonical_terms(terms: list[Term]) -> list[Term]:
     return [(refs[i], c) for i, c in merged.items() if c != 0.0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinConstraint:
     terms: tuple[Term, ...]
     sense: str
@@ -91,6 +91,11 @@ class MilpModel:
     metadata: dict = field(default_factory=dict)
     # family name -> index tuple -> variable, for decoding solutions
     registry: dict[str, dict[tuple, VarRef]] = field(default_factory=dict)
+    nnz: int = -1  # nonzeros over all rows; counted here unless the builder passes it
+
+    def __post_init__(self) -> None:
+        if self.nnz < 0:
+            self.nnz = sum(len(con.terms) for con in self.constraints)
 
     def family(self, name: str) -> dict[tuple, VarRef]:
         return self.registry.get(name, {})
@@ -109,6 +114,7 @@ class ModelBuilder:
         self._constraints: list[LinConstraint] = []
         self._objective: list[Term] = []
         self._registry: dict[str, dict[tuple, VarRef]] = {}
+        self._nnz = 0
 
     def _new_var(self, family: str, idx: tuple, kind: str, lb: float, ub: float) -> VarRef:
         name = f"{family}[{','.join(str(i) for i in idx)}]" if idx else family
@@ -132,6 +138,7 @@ class ModelBuilder:
     def add(self, terms: list[Term], sense: str, rhs: float, name: str) -> None:
         canon = canonical_terms(terms)
         self._constraints.append(LinConstraint(tuple(canon), sense, float(rhs), name))
+        self._nnz += len(canon)
 
     def set_objective(self, terms: list[Term]) -> None:
         self._objective = canonical_terms(terms)
@@ -149,6 +156,7 @@ class ModelBuilder:
             objective=self._objective,
             metadata={"formulation": self._tag, **metadata},
             registry=self._registry,
+            nnz=self._nnz,
         )
 
 
@@ -160,6 +168,7 @@ class SolveResult:
     best_bound: float | None
     wall_time: float
     message: str = ""
+    nodes: int | None = None         # branch-and-bound nodes of a MIP solve that has a solution
 
     def has_solution(self) -> bool:
         return self.status in ("optimal", "feasible")

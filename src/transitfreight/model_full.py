@@ -61,19 +61,19 @@ Decoders read binary variables only. Plan times come from one forward pass
 per vehicle tier (``time_truck_routes``, ``decode_freighter_routes``): the
 earliest schedule of the chosen routes, which any feasible schedule of the
 solver's trails, so the windows and dwell caps it met still hold. Every plan
-is put together by ``assemble_plan`` and priced by ``validate.recompute_costs``.
+is put together by ``assemble_plan`` and priced by ``validate.price_routes``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
-from .plan import CostBreakdown, CustomerItinerary, FreighterRoute, Plan, TruckRoute
-from .validate import recompute_costs
+from .plan import CustomerItinerary, FreighterRoute, Plan, TruckRoute
+from .validate import price_routes
 
 CDC_NODE = "o"
 CDC_SINK = "o~"
@@ -81,8 +81,8 @@ CDC_SINK = "o~"
 INTEGRALITY_TOL = 1e-6
 
 
-class DecodeError(ValueError):
-    pass
+class DecodeError(ModelError):
+    """A solution cannot be read back into a plan, as a fractional binary."""
 
 
 class ModelBuildError(ModelError):
@@ -714,10 +714,11 @@ def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
             drop_in_stop=ch.drop_in, drop_in_time=stop_time[cust.id],
             trip=ch.trip, drop_out_stop=ch.drop_out, drop_out_time=ch.drop_time,
             freighter=freighter_id, delivery_time=t_delivery))
-    draft = Plan(itineraries=tuple(itineraries), truck_routes=tuple(truck_routes),
-                 freighter_routes=tuple(freighter_routes), costs=CostBreakdown(0.0, 0.0),
-                 service_lambda1=service_lambda1, service_lambda3=service_lambda3)
-    return replace(draft, costs=recompute_costs(instance, draft))
+    truck_routes, freighter_routes = tuple(truck_routes), tuple(freighter_routes)
+    costs = price_routes(instance, truck_routes, freighter_routes, service_lambda1, service_lambda3)
+    return Plan(itineraries=tuple(itineraries), truck_routes=truck_routes,
+                freighter_routes=freighter_routes, costs=costs,
+                service_lambda1=service_lambda1, service_lambda3=service_lambda3)
 
 
 def decode_truck_routes(instance: Instance, model: MilpModel,

@@ -18,7 +18,7 @@ from .compat import Compatibility, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits, SolveResult
 from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
-                         decode_freighter_routes, decode_full, decode_transit)
+                         decode_freighter_routes, decode_full)
 from .plan import (
     FreighterRoute,
     Plan,
@@ -38,9 +38,9 @@ from .tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
+    decode_t2,
     decode_t3_stopwise,
     first_trip_times,
-    handoff_from_transit,
     latest_departures,
     preprocess_midday,
     repair_d3_times,
@@ -86,6 +86,11 @@ class RunConfig:
     symmetry_breaking: bool = True
     rel_gap: float = 1e-6
     stage_seconds: dict | None = None
+    # derived from the fields above once, when the config is made: the parsed transit
+    # objective, and each stage kind's solve limits, so a bad tag or limit fails here
+    objective: T2Objective | None = field(default=None, init=False, repr=False, compare=False)
+    limits: dict[str, SolveLimits] = field(default_factory=dict, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -100,15 +105,14 @@ class RunConfig:
             raise ModelError("service costs apply to the monolithic model only")
         if self.mu < 0:
             raise ModelError("mu must be nonnegative")
+        if self.method in ("d1", "d2", "d3"):
+            object.__setattr__(self, "objective", T2Objective.parse(self.t2_obj))
+        seconds = {**DEFAULT_STAGE_SECONDS, **(self.stage_seconds or {})}
+        object.__setattr__(self, "limits", {kind: SolveLimits(limit, self.rel_gap)
+                                            for kind, limit in seconds.items()})
 
     def label(self) -> str:
         return self.method if not self.t2_obj else f"{self.method}-{self.t2_obj}"
-
-    def seconds(self, stage_kind: str) -> float:
-        table = dict(DEFAULT_STAGE_SECONDS)
-        if self.stage_seconds:
-            table.update(self.stage_seconds)
-        return table[stage_kind]
 
 
 @dataclass
@@ -120,6 +124,7 @@ class StageMetrics:
     best_bound: float | None
     gap: float | None     # (objective - best_bound) / max(1, |objective|), None without both
     message: str          # the solver's own account of how the solve ended
+    nodes: int | None     # branch-and-bound nodes; None for a pure LP or a solve without a solution
     vars: int             # model size: variables, constraints, nonzeros
     cons: int
     nnz: int
@@ -164,7 +169,7 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
     On a cache miss the plain solve is the run's ``reference`` stage.
     """
     if instance not in _reference_cache:
-        model, result = _stage("reference", config.seconds("full"), config, backend, metrics,
+        model, result = _stage("reference", config.limits["full"], backend, metrics,
                                build_full, instance, compat,
                                FullOptions(symmetry_breaking=config.symmetry_breaking))
         plan = decode_full(instance, model, result)
@@ -172,7 +177,7 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
     return _reference_cache[instance]
 
 
-def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
+def _stage(stage: str, limits: SolveLimits, backend: Backend,
            metrics: RunMetrics, build, *args) -> tuple:
     """Build one stage's model and solve it; returns (model, result) with an incumbent."""
     started = time.perf_counter()
@@ -182,16 +187,16 @@ def _stage(stage: str, seconds: float, config: RunConfig, backend: Backend,
         status = "infeasible" if isinstance(exc, ModelBuildError) else "error"
         raise PipelineError(stage, str(exc), status) from exc
     build_time = time.perf_counter() - started
-    result = backend.solve(model, SolveLimits(seconds, config.rel_gap))
+    result = backend.solve(model, limits)
     gap = None
     if result.objective is not None and result.best_bound is not None:
         gap = (result.objective - result.best_bound) / max(1.0, abs(result.objective))
     metrics.stages.append(StageMetrics(
         stage=stage, status=result.status, objective=result.objective,
         wall_time=result.wall_time, best_bound=result.best_bound, gap=gap,
-        message=result.message, vars=len(model.variables), cons=len(model.constraints),
-        nnz=sum(len(con.terms) for con in model.constraints), build_time=build_time,
-        time_limit=seconds, form=_form(model)))
+        message=result.message, nodes=result.nodes, vars=len(model.variables),
+        cons=len(model.constraints), nnz=model.nnz, build_time=build_time,
+        time_limit=limits.time_limit, form=_form(model)))
     if result.status == "infeasible":
         raise PipelineError(stage, "model infeasible", result.status)
     if result.status == "timeout":
@@ -291,7 +296,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
         options = FullOptions(
             symmetry_breaking=config.symmetry_breaking, service_cost_mu=mu,
             lambda1=mu * t1_ref, lambda3=mu * t3_ref)
-    model, result = _stage("full", config.seconds("full"), config, backend, metrics,
+    model, result = _stage("full", config.limits["full"], backend, metrics,
                            build_full, instance, compat, options)
     plan = decode_full(instance, model, result)
     _check_objective(plan.costs.total, result)
@@ -303,7 +308,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
 
 def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
     from .vrptw import build_vrptw, decode_vrptw
-    model, result = _stage("vrptw", config.seconds("full"), config, backend, metrics,
+    model, result = _stage("vrptw", config.limits["full"], backend, metrics,
                            build_vrptw, instance)
     plan = decode_vrptw(instance, model, result)
     _check_objective(plan.total_cost, result)
@@ -325,8 +330,8 @@ def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
         customers_by_stop.setdefault(ch.drop_out, []).append(cid)
     routes: list[FreighterRoute] = []
     for stop_id in sorted(customers_by_stop):
-        model, result = _stage(f"t3[{stop_id}]", config.seconds("per_stop"), config, backend,
-                               metrics, build_t3_stopwise, instance, stop_id,
+        model, result = _stage(f"t3[{stop_id}]", config.limits["per_stop"], backend, metrics,
+                               build_t3_stopwise, instance, stop_id,
                                customers_by_stop[stop_id], handoff)
         routes.extend(decode_t3_stopwise(instance, model, result))
     return routes
@@ -334,14 +339,12 @@ def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
 
 def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
-    objective = T2Objective.parse(config.t2_obj)
-    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
-                                 build_d2_t2, instance, compat, objective)
-    choices = decode_transit(instance, t2_model, t2_result)
-    handoff = handoff_from_transit(choices)
+    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
+                                 build_d2_t2, instance, compat, config.objective)
+    choices, handoff = decode_t2(instance, t2_model, t2_result)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, handoff)
 
-    t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
+    t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
                                  build_t1_from_handoff, instance, handoff)
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 
@@ -352,18 +355,16 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
 def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
-    objective = T2Objective.parse(config.t2_obj)
     tau = preprocess_midday(instance, compat)
-    t1_model, t1_result = _stage("t1", config.seconds("first"), config, backend, metrics,
+    t1_model, t1_result = _stage("t1", config.limits["first"], backend, metrics,
                                  build_d1_t1, instance, compat, tau)
     truck_routes, handoff, truck_of = decode_t1(instance, t1_model, t1_result)
     handoff.tau = tau
     _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, handoff)
 
-    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
-                                 build_d1_t2, instance, compat, handoff, objective)
-    choices = decode_transit(instance, t2_model, t2_result)
-    full_handoff = handoff_from_transit(choices)
+    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
+                                 build_d1_t2, instance, compat, handoff, config.objective)
+    choices, full_handoff = decode_t2(instance, t2_model, t2_result)
     full_handoff.tau = tau
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, full_handoff)
 
@@ -375,9 +376,8 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
 
 def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
-    objective = T2Objective.parse(config.t2_obj)
     t_first = first_trip_times(instance)
-    t3_model, t3_result = _stage("t3", config.seconds("first"), config, backend, metrics,
+    t3_model, t3_result = _stage("t3", config.limits["first"], backend, metrics,
                                  build_d3_t3, instance, compat, t_first)
     b_out, raw_routes = decode_d3_t3(instance, t3_model, t3_result)
     t_visit, warnings = repair_d3_times(raw_routes, instance)
@@ -386,13 +386,12 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
                           t_depart_max=latest_departures(raw_routes, instance, t_visit))
     _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, handoff)
 
-    t2_model, t2_result = _stage("t2", config.seconds("other"), config, backend, metrics,
-                                 build_d3_t2, instance, compat, handoff, objective)
-    choices = decode_transit(instance, t2_model, t2_result)
-    t1_handoff = handoff_from_transit(choices)
+    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
+                                 build_d3_t2, instance, compat, handoff, config.objective)
+    choices, t1_handoff = decode_t2(instance, t2_model, t2_result)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, t1_handoff)
 
-    t1_model, t1_result = _stage("t1", config.seconds("other"), config, backend, metrics,
+    t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
                                  build_t1_from_handoff, instance, t1_handoff)
     truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
 

@@ -68,6 +68,7 @@ from .model_full import (
     add_truck_routing,
     arc_costs,
     decode_freighter_routes,
+    decode_transit,
     decode_truck_routes,
     enumerate_routes,
     route_costs,
@@ -221,6 +222,13 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
                      in_ok=_truck_can_feed(compat), out_ok=_freighter_can_meet(compat))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
+
+
+def decode_t2(instance: Instance, model: MilpModel, result: SolveResult
+              ) -> tuple[dict[str, TransitChoice], TierHandoff]:
+    """A transit stage's choice per package, and the handoff the later stages read."""
+    choices = decode_transit(instance, model, result)
+    return choices, handoff_from_transit(choices)
 
 
 def handoff_from_transit(choices: dict[str, TransitChoice]) -> TierHandoff:

@@ -298,27 +298,36 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
 
 def recompute_costs(instance: Instance, plan: Plan) -> CostBreakdown:
     """Objective recomputed from the routes alone."""
+    return price_routes(instance, plan.truck_routes, plan.freighter_routes,
+                       plan.service_lambda1, plan.service_lambda3)
+
+
+def price_routes(instance: Instance, truck_routes, freighter_routes,
+                service_lambda1: float = 0.0, service_lambda3: float = 0.0) -> CostBreakdown:
+    """The cost of truck and freighter routes: distance priced per vehicle tier, plus
+    ``service_lambda1`` per drop-in stop visit and ``service_lambda3`` per freighter
+    route that leaves its home stop."""
     params = instance.cost_params
     t1 = 0.0
     service = 0.0
-    for route in plan.truck_routes:
+    for route in truck_routes:
         loc = instance.cdc
         for sid in route.stops:
             stop = instance.stop(sid)
             t1 += params.truck_cost_per_distance * euclidean_distance(loc, stop.location)
             if stop.is_drop_in:
-                service += plan.service_lambda1
+                service += service_lambda1
             loc = stop.location
         t1 += params.truck_cost_per_distance * euclidean_distance(loc, instance.cdc)
     t3 = 0.0
-    for route in plan.freighter_routes:
+    for route in freighter_routes:
         home = instance.stop(route.home_stop).location
         loc = home
         for i, cid in enumerate(route.customers):
             cust = instance.customer(cid)
             t3 += params.freighter_cost_scale * params.truck_cost_per_distance * euclidean_distance(loc, cust.location)
             if i == 0:
-                service += plan.service_lambda3
+                service += service_lambda3
             loc = cust.location
         if route.customers:
             t3 += params.freighter_cost_scale * params.truck_cost_per_distance * euclidean_distance(loc, home)

@@ -3,11 +3,11 @@ import textwrap
 import warnings
 
 import pytest
-from scipy.optimize import OptimizeWarning
 
 from transitfreight import backends
 from transitfreight.backends import (
     HIGHS_SETTINGS,
+    BackendError,
     ScipyHighsBackend,
     SubprocessBackend,
     get_backend,
@@ -298,14 +298,14 @@ def test_highs_backend_switches_off_feasibility_jump(monkeypatch):
     assert seen and seen[0]["mip_heuristic_run_feasibility_jump"] is False
     monkeypatch.undo()
 
-    # scipy's notice that it passes the key on verbatim is filtered, and the
-    # bundled HiGHS knows the name: an unknown one raises OptimizeWarning
+    # the bundled HiGHS knows the name and the solve warns about nothing; a
+    # name it does not know is a backend error
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = ScipyHighsBackend().solve(tiny_model(), SolveLimits(10.0, 1e-6))
     assert result.status == "optimal"
     monkeypatch.setitem(backends.HIGHS_SETTINGS, "no_such_highs_option", True)
-    with pytest.warns(OptimizeWarning):
+    with pytest.raises(BackendError, match="no_such_highs_option"):
         ScipyHighsBackend().solve(tiny_model(), SolveLimits(10.0, 1e-6))
 
 

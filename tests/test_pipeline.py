@@ -150,6 +150,30 @@ def test_metrics_record_stage_build_time_and_gap(backend, micro1, tmp_path):
     assert [s.gap for s in unbounded.stages] == [None, None, None]
 
 
+class _ResultRecordingBackend:
+    """Solves through another backend and keeps every result."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.results = []
+
+    def solve(self, model, limits):
+        self.results.append(self._backend.solve(model, limits))
+        return self.results[-1]
+
+
+def test_metrics_record_each_stage_node_count(backend, micro1, tmp_path):
+    for config in (RunConfig(method="full"), RunConfig(method="d2", t2_obj="obj2")):
+        recorder = _ResultRecordingBackend(backend)
+        art = tmp_path / config.label()
+        _plan, metrics = run_method(micro1, config, recorder, artifacts_dir=art)
+        nodes = [result.nodes for result in recorder.results]
+        assert all(isinstance(n, int) and n >= 0 for n in nodes)
+        assert [stage.nodes for stage in metrics.stages] == nodes
+        doc = json.loads((art / "metrics.json").read_text())
+        assert [stage["nodes"] for stage in doc["stages"]] == nodes
+
+
 class _LimitRecordingBackend:
     """Solves through another backend and keeps the limits each solve was given."""
 
@@ -245,6 +269,30 @@ def test_an_invalid_instance_fails_at_its_own_stage(backend, micro1):
     rows = compare_methods([("twice", twice)], [RunConfig(method="vrptw")], backend)
     assert [(r.status, r.error) for r in rows] == [
         ("failed", "[instance] duplicate customer id c1")]
+
+
+class _FractionalBackend:
+    """Solves as ``backend`` does, but hands back 0.5 for the first ``r`` variable."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def solve(self, model, limits):
+        result = self._backend.solve(model, limits)
+        for var in model.family("r").values():
+            return replace(result, values={**result.values, var.name: 0.5})
+        return result
+
+
+def test_a_decode_failure_is_a_failed_row(backend, micro1):
+    rows = compare_methods([("micro1", micro1)],
+                           [RunConfig(method="full"), RunConfig(method="vrptw")],
+                           _FractionalBackend(backend))
+    by_label = {r.label(): r for r in rows}
+    assert by_label["full"].status == "failed"
+    assert "is fractional beyond tolerance" in by_label["full"].error
+    assert by_label["vrptw"].status == "ok"
+    assert by_label["vrptw"].total == pytest.approx(MICRO1_VRPTW, abs=1e-4)
 
 
 class _NanContinuousBackend:
