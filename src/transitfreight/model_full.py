@@ -698,7 +698,7 @@ def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
                   truck_routes, freighter_routes, service_lambda1: float = 0.0,
                   service_lambda3: float = 0.0) -> Plan:
     """The plan of every pipeline: one itinerary per package from its trip, its truck and
-    minute at the drop-in stop, and the freighter route serving it; costs are recomputed."""
+    minute at the drop-in stop, and the freighter route serving it, priced from its routes."""
     serving: dict[str, tuple[str, float]] = {}
     for route in freighter_routes:
         for cid, t in zip(route.customers, route.times):

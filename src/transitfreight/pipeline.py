@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backends import Backend, ScipyHighsBackend
 from .compat import Compatibility, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
-from .milp import ModelError, SolveLimits, SolveResult
+from .milp import ModelError, SolveLimits
 from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
                          decode_freighter_routes, decode_full)
 from .plan import (
@@ -45,7 +45,8 @@ from .tiers import (
     preprocess_midday,
     repair_d3_times,
 )
-from .validate import recompute_costs, recompute_vrptw_cost, validate_plan, validate_vrptw_plan
+from .report import ReportRow, fill_deviations, run_label
+from .validate import price_routes, validate_plan, validate_vrptw_plan
 
 METHODS = ("full", "d1", "d2", "d3", "vrptw")
 
@@ -83,7 +84,6 @@ class RunConfig:
     t2_obj: str | None = None
     beta: float | None = None
     mu: float = 0.0
-    symmetry_breaking: bool = True
     rel_gap: float = 1e-6
     stage_seconds: dict | None = None
     # derived from the fields above once, when the config is made: the parsed transit
@@ -112,7 +112,7 @@ class RunConfig:
                                             for kind, limit in seconds.items()})
 
     def label(self) -> str:
-        return self.method if not self.t2_obj else f"{self.method}-{self.t2_obj}"
+        return run_label(self.method, self.t2_obj, self.beta, self.mu)
 
 
 @dataclass
@@ -170,8 +170,7 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
     """
     if instance not in _reference_cache:
         model, result = _stage("reference", config.limits["full"], backend, metrics,
-                               build_full, instance, compat,
-                               FullOptions(symmetry_breaking=config.symmetry_breaking))
+                               build_full, instance, compat, FullOptions())
         plan = decode_full(instance, model, result)
         _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
     return _reference_cache[instance]
@@ -209,7 +208,7 @@ def _stage(stage: str, limits: SolveLimits, backend: Backend,
 def _form(model) -> str:
     """``columns`` when the model routes its vehicles by enumerated route columns (truck
     ``x1``, freighter ``q``) and by no per-vehicle arc rows (``w``); ``rows`` otherwise."""
-    if model.family("w") or not (model.family("x1") or model.family("q")):
+    if "w" in model.registry or not ("x1" in model.registry or "q" in model.registry):
         return "rows"
     return "columns"
 
@@ -254,52 +253,74 @@ def run_method(instance: Instance, config: RunConfig, backend: Backend | None = 
 
 def _fill_plan_metrics(instance: Instance, plan: Plan | VrptwPlan,
                        metrics: RunMetrics) -> None:
-    n = len(instance.customers)
-    if isinstance(plan, VrptwPlan):
-        violations = validate_vrptw_plan(instance, plan)
-        if violations:
-            raise PipelineError("validate", "; ".join(str(v) for v in violations[:5]))
-        total = recompute_vrptw_cost(instance, plan)
-        if abs(total - plan.total_cost) > 1e-6:
-            raise PipelineError("validate", "route cost drifted from reported total")
-        metrics.t1_cost = total
-        metrics.total = total
-        metrics.trucks_used = len(plan.routes)
-        metrics.packages_per_truck = n / len(plan.routes) if plan.routes else 0.0
-        return
-    violations = validate_plan(instance, plan)
+    """Validate the plan, copy its price into ``metrics`` and check it against the stages."""
+    vrptw = isinstance(plan, VrptwPlan)
+    violations = (validate_vrptw_plan if vrptw else validate_plan)(instance, plan)
     if violations:
         raise PipelineError("validate", "; ".join(str(v) for v in violations[:5]))
-    costs = recompute_costs(instance, plan)
-    if abs(costs.total - plan.costs.total) > 1e-6:
-        raise PipelineError("validate", "recomputed cost drifted from decoded cost")
-    metrics.t1_cost = costs.t1_cost
-    metrics.t3_cost = costs.t3_cost
-    metrics.service_cost = costs.service_cost
-    metrics.total = costs.total
-    metrics.stops_in_used = len({it.drop_in_stop for it in plan.itineraries})
-    metrics.stops_out_used = len({it.drop_out_stop for it in plan.itineraries})
-    metrics.trucks_used = len({it.truck for it in plan.itineraries})
-    metrics.freighters_used = len({it.freighter for it in plan.itineraries})
-    metrics.trips_used = len({it.trip for it in plan.itineraries})
-    metrics.packages_per_truck = n / metrics.trucks_used if metrics.trucks_used else 0.0
-    metrics.packages_per_freighter = n / metrics.freighters_used if metrics.freighters_used else 0.0
-    metrics.packages_per_trip = n / metrics.trips_used if metrics.trips_used else 0.0
+    n = len(instance.customers)
+    if vrptw:
+        metrics.t1_cost = metrics.total = plan.total_cost
+        metrics.trucks_used = len(plan.routes)
+        metrics.packages_per_truck = n / len(plan.routes) if plan.routes else 0.0
+    else:
+        metrics.t1_cost = plan.costs.t1_cost
+        metrics.t3_cost = plan.costs.t3_cost
+        metrics.service_cost = plan.costs.service_cost
+        metrics.total = plan.costs.total
+        metrics.stops_in_used = len({it.drop_in_stop for it in plan.itineraries})
+        metrics.stops_out_used = len({it.drop_out_stop for it in plan.itineraries})
+        metrics.trucks_used = len({it.truck for it in plan.itineraries})
+        metrics.freighters_used = len({it.freighter for it in plan.itineraries})
+        metrics.trips_used = len({it.trip for it in plan.itineraries})
+        metrics.packages_per_truck = n / metrics.trucks_used if metrics.trucks_used else 0.0
+        metrics.packages_per_freighter = (n / metrics.freighters_used
+                                          if metrics.freighters_used else 0.0)
+        metrics.packages_per_trip = n / metrics.trips_used if metrics.trips_used else 0.0
+    _check_stage_prices(instance, plan, metrics)
+
+
+def _check_stage_prices(instance: Instance, plan: Plan | VrptwPlan, metrics: RunMetrics) -> None:
+    """Each route-priced stage's objective must be its share of the plan's price,
+    within 1e-6 relative; the surrogate ``t2`` and the ``reference`` stage price no
+    route of this plan. ``decode_t1`` may skip a stop where a package already rides,
+    so the truck routes may cost less than ``t1``'s objective, never more. The
+    ``t3[stop]`` stages are checked by their sum; a stop is priced on its own only
+    to name the stage that disagrees."""
+    shares = {"full": metrics.total, "vrptw": metrics.total, "t1": metrics.t1_cost,
+              "t3": metrics.t3_cost}
+    stopwise, total = [], 0.0
+    for stage in metrics.stages:
+        if stage.stage in shares:
+            _check_price(stage.stage, shares[stage.stage], stage.objective)
+        elif stage.stage not in ("t2", "reference"):  # a t3[stop] stage
+            stopwise.append(stage)
+            total += stage.objective
+    if stopwise and abs(total - metrics.t3_cost) > 1e-6 * max(1.0, abs(metrics.t3_cost)):
+        for stage in stopwise:
+            routes = [r for r in plan.freighter_routes if f"t3[{r.home_stop}]" == stage.stage]
+            _check_price(stage.stage, price_routes(instance, (), routes).t3_cost, stage.objective)
+        _check_price("t3[...]", metrics.t3_cost, total)
+
+
+def _check_price(stage: str, price: float, objective: float) -> None:
+    tolerance = 1e-6 * max(1.0, abs(price))
+    if price > objective + tolerance or (stage != "t1" and price < objective - tolerance):
+        raise PipelineError(
+            "validate", f"stage {stage}: plan price {price!r} differs from the solver "
+                        f"objective {objective!r}")
 
 
 def _run_full(instance, config, backend, metrics) -> Plan:
     compat = derive_compatibility(instance)
     mu = config.mu or instance.cost_params.service_cost_mu
-    options = FullOptions(symmetry_breaking=config.symmetry_breaking)
+    options = FullOptions()
     if mu > 0:
         t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
-        options = FullOptions(
-            symmetry_breaking=config.symmetry_breaking, service_cost_mu=mu,
-            lambda1=mu * t1_ref, lambda3=mu * t3_ref)
+        options = FullOptions(service_cost_mu=mu, lambda1=mu * t1_ref, lambda3=mu * t3_ref)
     model, result = _stage("full", config.limits["full"], backend, metrics,
                            build_full, instance, compat, options)
     plan = decode_full(instance, model, result)
-    _check_objective(plan.costs.total, result)
     if mu == 0 and result.status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
         _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
@@ -310,16 +331,7 @@ def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
     from .vrptw import build_vrptw, decode_vrptw
     model, result = _stage("vrptw", config.limits["full"], backend, metrics,
                            build_vrptw, instance)
-    plan = decode_vrptw(instance, model, result)
-    _check_objective(plan.total_cost, result)
-    return plan
-
-
-def _check_objective(total: float, result: SolveResult) -> None:
-    """The plan's recomputed cost must be the objective the solver reported."""
-    if abs(total - result.objective) > 1e-6 * max(1.0, abs(total)):
-        raise PipelineError(
-            "validate", f"plan cost {total!r} differs from the solver objective {result.objective!r}")
+    return decode_vrptw(instance, model, result)
 
 
 def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
@@ -427,52 +439,36 @@ def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterR
     return routes
 
 
+# the plan figures a report row takes from its run; its t2_obj is "" where the config's is None
+_SHARED_FIELDS = tuple(
+    f.name for f in fields(ReportRow) if f.name in RunMetrics.__dataclass_fields__
+    and f.name != "t2_obj")
+
+
 def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConfig],
                     backend: Backend | None = None,
-                    artifacts_root: Path | None = None) -> list:
+                    artifacts_root: Path | None = None) -> list[ReportRow]:
     """One row per (instance, config); failures are recorded, never raised."""
-    from .report import ReportRow
-
     backend = backend or ScipyHighsBackend()
     rows: list[ReportRow] = []
     for name, instance in instances:
         for config in configs:
+            row = ReportRow(instance=name, method=config.method, t2_obj=config.t2_obj or "",
+                            beta=config.beta, mu=config.mu)
             art = None
             if artifacts_root is not None:
                 art = Path(artifacts_root) / f"{name}__{config.label()}"
             try:
                 _plan, metrics = run_method(instance, config, backend, art)
-                worst = worst_stage_status(s.status for s in metrics.stages)
-                rows.append(ReportRow(
-                    instance=name, method=config.method, t2_obj=config.t2_obj or "",
-                    status="ok", proven=worst == "optimal", worst_stage_status=worst,
-                    t1_cost=metrics.t1_cost, t3_cost=metrics.t3_cost,
-                    service_cost=metrics.service_cost, total=metrics.total,
-                    runtime=metrics.wall_time,
-                    stops_in_used=metrics.stops_in_used,
-                    stops_out_used=metrics.stops_out_used,
-                    trucks_used=metrics.trucks_used,
-                    freighters_used=metrics.freighters_used,
-                    trips_used=metrics.trips_used,
-                    packages_per_truck=metrics.packages_per_truck,
-                    packages_per_freighter=metrics.packages_per_freighter,
-                    packages_per_trip=metrics.packages_per_trip,
-                    error=""))
             except (PipelineError, ModelError) as exc:
-                rows.append(ReportRow(
-                    instance=name, method=config.method, t2_obj=config.t2_obj or "",
-                    status="failed", error=str(exc),
-                    worst_stage_status=(exc.status if isinstance(exc, PipelineError)
-                                        else "error")))
-    _fill_deviations(rows)
+                row.status, row.error = "failed", str(exc)
+                row.worst_stage_status = exc.status if isinstance(exc, PipelineError) else "error"
+            else:
+                for field_name in _SHARED_FIELDS:
+                    setattr(row, field_name, getattr(metrics, field_name))
+                row.worst_stage_status = worst_stage_status(s.status for s in metrics.stages)
+                row.proven = row.worst_stage_status == "optimal"
+                row.runtime = metrics.wall_time
+            rows.append(row)
+    fill_deviations(rows)
     return rows
-
-
-def _fill_deviations(rows) -> None:
-    best: dict[str, float] = {}
-    for row in rows:
-        if row.status == "ok":
-            best[row.instance] = min(best.get(row.instance, float("inf")), row.total)
-    for row in rows:
-        if row.status == "ok" and row.instance in best and best[row.instance] > 0:
-            row.deviation_pct = 100.0 * (row.total - best[row.instance]) / best[row.instance]

@@ -307,30 +307,31 @@ def price_routes(instance: Instance, truck_routes, freighter_routes,
     """The cost of truck and freighter routes: distance priced per vehicle tier, plus
     ``service_lambda1`` per drop-in stop visit and ``service_lambda3`` per freighter
     route that leaves its home stop."""
-    params = instance.cost_params
+    per_truck = instance.cost_params.truck_cost_per_distance
+    per_freighter = instance.cost_params.freighter_cost_scale * per_truck
     t1 = 0.0
     service = 0.0
     for route in truck_routes:
         loc = instance.cdc
         for sid in route.stops:
             stop = instance.stop(sid)
-            t1 += params.truck_cost_per_distance * euclidean_distance(loc, stop.location)
+            t1 += per_truck * euclidean_distance(loc, stop.location)
             if stop.is_drop_in:
                 service += service_lambda1
             loc = stop.location
-        t1 += params.truck_cost_per_distance * euclidean_distance(loc, instance.cdc)
+        t1 += per_truck * euclidean_distance(loc, instance.cdc)
     t3 = 0.0
     for route in freighter_routes:
         home = instance.stop(route.home_stop).location
         loc = home
         for i, cid in enumerate(route.customers):
             cust = instance.customer(cid)
-            t3 += params.freighter_cost_scale * params.truck_cost_per_distance * euclidean_distance(loc, cust.location)
+            t3 += per_freighter * euclidean_distance(loc, cust.location)
             if i == 0:
                 service += service_lambda3
             loc = cust.location
         if route.customers:
-            t3 += params.freighter_cost_scale * params.truck_cost_per_distance * euclidean_distance(loc, home)
+            t3 += per_freighter * euclidean_distance(loc, home)
     return CostBreakdown(t1_cost=t1, t3_cost=t3, service_cost=service)
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from transitfreight import pipeline, tiers
+from transitfreight import model_full, pipeline, tiers, validate
 from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import (
     Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
@@ -351,6 +351,21 @@ def test_compare_methods_artifacts_layout(backend, micro1, tmp_path):
     assert (tmp_path / "m1__d2-obj2" / "plan.json").exists()
 
 
+def test_compare_methods_keeps_each_beta_apart(backend, micro1, tmp_path):
+    rows = compare_methods(
+        [("m1", micro1)],
+        [RunConfig(method="full", beta=0.5), RunConfig(method="full", beta=1.0)], backend,
+        artifacts_root=tmp_path)
+    assert [(r.label(), r.beta, r.mu, r.status) for r in rows] == [
+        ("full-beta0.5", 0.5, 0.0, "ok"), ("full-beta1", 1.0, 0.0, "ok")]
+    assert rows[0].total < rows[1].total
+    # each run is the best of its own beta, so neither deviates
+    assert [r.deviation_pct for r in rows] == [0.0, 0.0]
+    assert (tmp_path / "m1__full-beta0.5" / "plan.json").exists()
+    assert (tmp_path / "m1__full-beta1" / "plan.json").exists()
+    assert RunConfig(method="full", beta=0.5, mu=2.0).label() == "full-beta0.5-mu2"
+
+
 def test_full_service_cost_reference_cached(backend, micro1):
     plan, metrics = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
     # lambda terms derive from the plain solve of this same instance
@@ -450,22 +465,66 @@ def test_d3_never_fails_at_stitching(backend, seed):
 
 
 class _MisreportingBackend:
-    """Solves correctly but reports an objective one unit too high."""
+    """Solves correctly but reports an objective ``offset`` off, for the models of
+    one formulation ``tag``, or of every tag by default."""
 
-    def __init__(self, backend):
+    def __init__(self, backend, tag=None, offset=1.0):
         self._backend = backend
+        self._tag = tag
+        self._offset = offset
 
     def solve(self, model, limits):
         result = self._backend.solve(model, limits)
-        return replace(result, objective=result.objective + 1.0)
+        if self._tag not in (None, model.metadata["formulation"]):
+            return result
+        return replace(result, objective=result.objective + self._offset)
 
 
-@pytest.mark.parametrize("method", ["full", "vrptw"])
-def test_solver_objective_must_match_the_plan_cost(backend, micro1, method):
+# full and vrptw read every objective one unit high; the other cases read one
+# tagged stage's objective one unit below its routes' price, which t1 refuses too
+@pytest.mark.parametrize("instance, config, tag, stage", [
+    pytest.param(make_micro1(), RunConfig(method="full"), None, "full", id="full"),
+    pytest.param(make_micro1(), RunConfig(method="vrptw"), None, "vrptw", id="vrptw"),
+    pytest.param(make_micro1(), RunConfig(method="d2", t2_obj="obj2"), "t1-handoff", "t1",
+                 id="d2-t1-handoff"),
+    pytest.param(make_micro1(), RunConfig(method="d2", t2_obj="obj2"), "t3-stopwise", "t3[B]",
+                 id="d2-t3-stopwise"),
+    pytest.param(make_micro1(extra_trip_time=550.0), RunConfig(method="d3", t2_obj="obj2"),
+                 "d3-t3", "t3", id="d3-d3-t3"),
+])
+def test_solver_objective_must_match_the_plan_cost(backend, instance, config, tag, stage):
+    offset = 1.0 if tag is None else -1.0
     with pytest.raises(PipelineError) as exc:
-        run_method(micro1, RunConfig(method=method), _MisreportingBackend(backend))
+        run_method(instance, config, _MisreportingBackend(backend, tag, offset))
     assert exc.value.stage == "validate"
     assert "solver objective" in exc.value.cause
+    assert exc.value.cause.startswith(f"stage {stage}:")
+
+
+@pytest.mark.parametrize("tag", ["d2-t2", "t1-handoff"])
+def test_a_surrogate_or_a_dearer_truck_objective_passes_the_price_check(backend, micro1, tag):
+    # d2-t2's objective is a surrogate, not a price; a truck stage may report
+    # more than its routes cost, since decode_t1 skips a stop left without packages
+    plan, metrics = run_method(micro1, RunConfig(method="d2", t2_obj="obj2"),
+                               _MisreportingBackend(backend, tag))
+    assert validate_plan(micro1, plan) == []
+    assert metrics.total == pytest.approx(MICRO1_TOTAL, abs=1e-6)
+
+
+@pytest.mark.parametrize("config", [RunConfig(method="d2", t2_obj="obj2"),
+                                    RunConfig(method="full")], ids=RunConfig.label)
+def test_a_run_prices_its_plan_once(backend, micro1, monkeypatch, config):
+    calls = []
+    real = validate.price_routes
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (model_full, validate, pipeline):
+        monkeypatch.setattr(module, "price_routes", counted, raising=False)
+    run_method(micro1, config, backend)
+    assert len(calls) == 1
 
 
 def test_d3_repair_warnings_reach_metrics(backend, monkeypatch, tmp_path):

@@ -8,7 +8,8 @@ import pytest
 from transitfreight.cli import cli_main
 from transitfreight.instance import parse_instance, serialize_instance
 from transitfreight.plan import parse_plan
-from transitfreight.report import ReportRow, emit_report, rows_from_csv, rows_to_csv
+from transitfreight.report import (
+    ReportRow, emit_report, fill_deviations, rows_from_csv, rows_to_csv)
 
 from conftest import make_micro1
 
@@ -89,6 +90,35 @@ def test_rows_csv_round_trip():
     assert [r.proven for r in again] == [True] + [False] * 6
     assert [r.worst_stage_status for r in again] == (
         ["optimal", "feasible", "timeout"] + [""] * 3 + ["infeasible"])
+
+
+def test_costs_are_compared_per_beta_and_mu(tmp_path):
+    rows = [ReportRow(instance="i1", method=method, t2_obj=obj, beta=beta, mu=mu, status="ok",
+                      t1_cost=total, t3_cost=0.0, total=total)
+            for method, obj, beta, mu, total in (
+                ("full", "", 0.5, 0.0, 10.0), ("full", "", 1.0, 0.0, 12.0),
+                ("d2", "obj2", 1.0, 0.0, 15.0), ("full", "", 1.0, 0.5, 20.0))]
+    fill_deviations(rows)
+    assert [r.deviation_pct for r in rows] == [0.0, 0.0, 25.0, 0.0]
+    text = rows_to_csv(rows)
+    again = rows_from_csv(text)
+    assert [(r.label(), r.beta, r.mu) for r in again] == [
+        ("full-beta0.5", 0.5, 0.0), ("full-beta1", 1.0, 0.0), ("d2-obj2-beta1", 1.0, 0.0),
+        ("full-beta1-mu0.5", 1.0, 0.5)]
+    emit_report(again, tmp_path)
+    table = {row["method"]: int(row["best_total"]) for row in
+             csv.DictReader(io.StringIO((tmp_path / "best_counts.csv").read_text()))}
+    assert table == {"full-beta0.5": 1, "full-beta1": 1, "d2-obj2-beta1": 0,
+                     "full-beta1-mu0.5": 1}
+    # a file written before the beta and mu columns reads as beta None, mu 0
+    old = [{k: v for k, v in rec.items() if k not in ("beta", "mu")}
+           for rec in csv.DictReader(io.StringIO(text))]
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(old[0]))
+    writer.writeheader()
+    writer.writerows(old)
+    assert [(r.beta, r.mu, r.total) for r in rows_from_csv(buf.getvalue())] == [
+        (None, 0.0, 10.0), (None, 0.0, 12.0), (None, 0.0, 15.0), (None, 0.0, 20.0)]
 
 
 def test_emit_report_rejects_empty(tmp_path):
