@@ -192,6 +192,17 @@ class Instance:
     def _customers_by_id(self) -> dict[str, Customer]:
         return {c.id: c for c in self.customers}
 
+    def __hash__(self) -> int:
+        """The hash of every field, computed once: the pipeline's service-cost
+        reference cache looks an instance up on every `full` run. Like any hash
+        of strings it holds in this process only."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash((
+                self.cdc, self.stops, self.lines, self.trips, self.trucks, self.freighters,
+                self.customers, self.cost_params))
+        return cached
+
     # ---- invariants ---------------------------------------------------
 
     def validate(self) -> None:

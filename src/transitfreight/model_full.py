@@ -35,7 +35,11 @@ Each fragment has one copy, used by every model that needs it:
                          (past ``tiers.ROUTE_LABEL_LIMIT``)
   add_stop_assignments   r[i,s,d] over given drop-in stops, with truck capacity,
                          the g visits and one g[d,s] >= r[i,s,d] row per
-                         assignment, for the same two
+                         assignment, for the same two; one leave_cdc[i,d]
+                         row per (package, truck) sends a truck that carries
+                         i out of the CDC toward a drop-in stop, a valid row
+                         that closes most of the LP gap the big-M time rows
+                         leave
   add_arrival_window     big-M rows that hold lo <= t1[s,d] <= hi for the truck
                          carrying the package; full and that truck stage
                          differ only in the stops and windows they pass (within
@@ -530,6 +534,14 @@ def add_stop_assignments(mb: ModelBuilder, instance: Instance,
     truck ``d`` to drop-in stop ``v``: it equals the truck's arcs into ``v``
     (``ctx`` from ``add_truck_routing``) and is 1 wherever the truck carries
     a package to ``v``.
+
+    One row per (package, truck), ``leave_cdc[i,d]``, says that a truck
+    carrying ``i`` leaves the CDC toward a drop-in stop. It cuts off no
+    integer plan: the truck visits the package's stop, so it has an arc into
+    it; the big-M ``truck_time`` rows forbid a cycle that skips the CDC, and
+    ``truck_start`` gives the truck one arc out of it, so that arc leads to a
+    drop-in stop. Without the row the LP relaxation routes trucks in cycles
+    between drop-in stops and sends none out of the CDC.
     """
     for cust in instance.customers:
         for s in stops_of[cust.id]:
@@ -555,6 +567,11 @@ def add_stop_assignments(mb: ModelBuilder, instance: Instance,
             for d in instance.trucks:
                 mb.add([(mb.get("g", d.id, s), 1.0), (mb.get("r", cust.id, s, d.id), -1.0)],
                        ">=", 0.0, f"visit_if_carrying[{cust.id},{s},{d.id}]")
+    for cust in instance.customers:
+        for d in instance.trucks:
+            mb.add([(mb.get("w", CDC_NODE, v, d.id), 1.0) for v in ctx["dropins"]]
+                   + [(mb.get("r", cust.id, s, d.id), -1.0) for s in stops_of[cust.id]],
+                   ">=", 0.0, f"leave_cdc[{cust.id},{d.id}]")
 
 
 def add_arrival_window(mb: ModelBuilder, instance: Instance, cust: str, stop: str,

@@ -158,7 +158,8 @@ class RunMetrics:
 
 
 # keyed by the instance itself: it is a frozen dataclass, so equal instances
-# share an entry, and hashing one is far cheaper than serializing it
+# share an entry, and an instance hashes its fields once, far cheaper than
+# serializing it
 _reference_cache: dict[Instance, tuple[float, float]] = {}
 
 
@@ -168,12 +169,13 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
 
     On a cache miss the plain solve is the run's ``reference`` stage.
     """
-    if instance not in _reference_cache:
+    costs = _reference_cache.get(instance)
+    if costs is None:
         model, result = _stage("reference", config.limits["full"], backend, metrics,
                                build_full, instance, compat, FullOptions())
         plan = decode_full(instance, model, result)
-        _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
-    return _reference_cache[instance]
+        costs = _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
+    return costs
 
 
 def _stage(stage: str, limits: SolveLimits, backend: Backend,

@@ -129,7 +129,6 @@ def dominance_runs(backend):
     return runs
 
 
-@pytest.mark.slow
 def test_criterion_3_dominance(dominance_runs):
     """FULL (proven optimal) never loses to a decomposition pipeline."""
     results = []
@@ -155,7 +154,6 @@ def test_criterion_3_dominance(dominance_runs):
           f"monolithic model never beaten")
 
 
-@pytest.mark.slow
 def test_criterion_4_validator_completeness(dominance_runs):
     # every plan produced along the way is violation-free
     for _seed, instance, _method, plan, _metrics in dominance_runs:
@@ -294,7 +292,6 @@ def test_criterion_6_pipeline_structural_properties(backend):
           f"order-preservation verified over {cases} randomized cases each")
 
 
-@pytest.mark.slow
 def test_criterion_7_dedicated_vehicle_reduction(backend):
     """Mean first-leg cost of the three-tier system beats direct trucking.
 

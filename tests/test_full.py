@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from transitfreight.backends import solve
+from transitfreight import tiers
+from transitfreight.backends import _highs_lp, highs_core, solve
 from transitfreight.bruteforce import _best_order, brute_force_optimum
 from transitfreight.compat import derive_compatibility
 from transitfreight.instance import (
@@ -19,17 +20,26 @@ from transitfreight.instance import (
 )
 from transitfreight.milp import ModelError
 from transitfreight.model_full import (
+    CDC_NODE,
+    CDC_SINK,
     DecodeError,
     FullOptions,
     build_full,
     decode_full,
+    decode_transit,
     enumerate_routes,
 )
-from transitfreight.tiers import _stop_visits
+from transitfreight.tiers import (
+    T2Objective,
+    _stop_visits,
+    build_d2_t2,
+    build_t1_from_handoff,
+    handoff_from_transit,
+)
 from transitfreight.validate import validate_plan
 
-from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instances,
-                      make_micro1)
+from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instance,
+                      generate_micro_instances, make_micro1)
 
 
 def test_full_micro1_optimum(backend, micro1):
@@ -318,3 +328,36 @@ def test_route_dp_matches_the_oracle_on_micro_instances():
                 checked += len(oracle)
                 refused += 2 ** len(instance.customers) - 1 - len(oracle)
     assert checked >= 100 and refused >= 100
+
+
+def _lp_trucks_leaving_the_cdc(model) -> float:
+    """Sum of w[o,u,d] over drop-in stops u and trucks d in the model's LP relaxation."""
+    lp, _ = _highs_lp(model)
+    lp.integrality_ = []
+    highs = highs_core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.passModel(lp)
+    highs.run()
+    assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
+    x = highs.getSolution().col_value
+    return sum(x[var.index] for (u, v, _d), var in model.family("w").items()
+               if u == CDC_NODE and v != CDC_SINK)
+
+
+@pytest.mark.parametrize("gen_seed", [2000, 2021])
+def test_lp_relaxation_sends_a_loaded_truck_out_of_the_cdc(backend, monkeypatch, gen_seed):
+    """In the LP relaxation of full and of the truck stage built from rows, some truck
+    leaves the CDC toward a drop-in stop (the leave_cdc rows). Without them the
+    relaxation routes its trucks in cycles between drop-in stops on these benchmark
+    micro draws of two and three drop-in stops, and no truck leaves the CDC."""
+    instance = generate_micro_instance(gen_seed, 2 + gen_seed % 3)
+    compat = derive_compatibility(instance)
+    assert len(instance.drop_in_stops()) >= 2
+    assert _lp_trucks_leaving_the_cdc(build_full(instance, compat)) >= 1 - 1e-9
+
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+    t2 = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
+    handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
+    rows = build_t1_from_handoff(instance, handoff)
+    assert rows.family("w")
+    assert _lp_trucks_leaving_the_cdc(rows) >= 1 - 1e-9

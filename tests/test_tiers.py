@@ -1178,7 +1178,6 @@ def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
         assert optima[1] == pytest.approx(optima[0], rel=1e-6)
 
 
-@pytest.mark.slow
 def test_d1_t1_columns_reach_the_row_optimum_on_the_dominance_seeds(backend, monkeypatch):
     """On every dominance seed under obj1-obj3, d1's truck stage is built from route
     columns, reaches the optimum of the stage built from rows, and the plan is valid."""
