@@ -36,7 +36,6 @@ from .milp import (
     SolveResult,
     VarRef,
     big_M,
-    parse_lp,
     write_lp,
 )
 from .model_full import FullOptions, build_full, decode_full

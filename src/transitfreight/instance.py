@@ -287,11 +287,33 @@ class Instance:
 # ---- serialization ----------------------------------------------------
 
 
-def _require(doc: dict[str, Any], key: str, path: str) -> Any:
+_KINDS = {dict: "an object", list: "a list", float: "a number"}
+
+
+def require_field(doc: Any, key: str, path: str, kind: type | None = None,
+                  error: type[ValueError] = InstanceError) -> Any:
+    """``doc[key]``, as a float when ``kind`` is ``float``. Raises ``error`` (the
+    reader's own class) naming the path when ``doc`` is not an object, the field is
+    missing, or its value is not a ``kind``."""
+    if not isinstance(doc, dict):
+        raise error(f"{path or 'top level'}: expected an object")
     if key not in doc:
-        where = f"{path}: " if path else ""
-        raise InstanceError(f"{where}missing field {key}")
-    return doc[key]
+        raise error(f"{path + ': ' if path else ''}missing field {key}")
+    return require_kind(doc[key], f"{path}.{key}" if path else key, kind, error)
+
+
+def require_kind(value: Any, path: str, kind: type | None,
+                 error: type[ValueError] = InstanceError) -> Any:
+    """``value`` checked to be a ``kind`` (``dict``, ``list``, or ``float``, which
+    also converts it); ``error`` names the path otherwise."""
+    if kind is float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    elif kind is None or isinstance(value, kind):
+        return value
+    raise error(f"{path}: expected {_KINDS[kind]}, got {value!r}")
 
 
 def _point_to_doc(p: Point) -> dict[str, float]:
@@ -299,9 +321,7 @@ def _point_to_doc(p: Point) -> dict[str, float]:
 
 
 def _point_from_doc(doc: Any, path: str) -> Point:
-    if not isinstance(doc, dict):
-        raise InstanceError(f"{path}: expected object with x, y")
-    return Point(float(_require(doc, "x", path)), float(_require(doc, "y", path)))
+    return Point(require_field(doc, "x", path, float), require_field(doc, "y", path, float))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -367,81 +387,79 @@ def parse_instance(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InstanceError("top level must be an object")
-    schema = _require(doc, "schema", "")
+    schema = require_field(doc, "schema", "")
     if schema != INSTANCE_SCHEMA:
         raise InstanceError(f"unsupported schema {schema!r}, expected {INSTANCE_SCHEMA!r}")
 
-    cdc = _point_from_doc(_require(doc, "cdc", ""), "cdc")
+    cdc = _point_from_doc(require_field(doc, "cdc", ""), "cdc")
 
     stops = []
-    for idx, s in enumerate(_require(doc, "stops", "")):
+    for idx, s in enumerate(require_field(doc, "stops", "", list)):
         path = f"stops[{idx}]"
         stops.append(Stop(
-            id=str(_require(s, "id", path)),
-            location=_point_from_doc(_require(s, "location", path), f"{path}.location"),
-            is_drop_in=bool(_require(s, "is_drop_in", path)),
-            is_drop_out=bool(_require(s, "is_drop_out", path)),
-            service_time=float(_require(s, "service_time", path)),
-            max_dwell=float(_require(s, "max_dwell", path)),
+            id=str(require_field(s, "id", path)),
+            location=_point_from_doc(require_field(s, "location", path), f"{path}.location"),
+            is_drop_in=bool(require_field(s, "is_drop_in", path)),
+            is_drop_out=bool(require_field(s, "is_drop_out", path)),
+            service_time=require_field(s, "service_time", path, float),
+            max_dwell=require_field(s, "max_dwell", path, float),
         ))
 
     lines = []
-    for idx, ln in enumerate(_require(doc, "lines", "")):
+    for idx, ln in enumerate(require_field(doc, "lines", "", list)):
         path = f"lines[{idx}]"
         lines.append(Line(
-            id=str(_require(ln, "id", path)),
-            ordered_stops=tuple(str(s) for s in _require(ln, "ordered_stops", path)),
+            id=str(require_field(ln, "id", path)),
+            ordered_stops=tuple(str(s) for s in require_field(ln, "ordered_stops", path, list)),
         ))
 
     trips = []
-    for idx, p in enumerate(_require(doc, "trips", "")):
+    for idx, p in enumerate(require_field(doc, "trips", "", list)):
         path = f"trips[{idx}]"
+        stop_times = require_field(p, "stop_times", path, dict)
         trips.append(Trip(
-            id=str(_require(p, "id", path)),
-            line=str(_require(p, "line", path)),
-            stop_times={str(k): float(v) for k, v in _require(p, "stop_times", path).items()},
-            capacity=float(_require(p, "capacity", path)),
+            id=str(require_field(p, "id", path)),
+            line=str(require_field(p, "line", path)),
+            stop_times={str(k): require_kind(v, f"{path}.stop_times.{k}", float)
+                        for k, v in stop_times.items()},
+            capacity=require_field(p, "capacity", path, float),
         ))
 
     trucks = []
-    for idx, d in enumerate(_require(doc, "trucks", "")):
+    for idx, d in enumerate(require_field(doc, "trucks", "", list)):
         path = f"trucks[{idx}]"
-        trucks.append(Truck(id=str(_require(d, "id", path)), capacity=float(_require(d, "capacity", path))))
+        trucks.append(Truck(id=str(require_field(d, "id", path)),
+                            capacity=require_field(d, "capacity", path, float)))
 
     freighters = []
-    for idx, k in enumerate(_require(doc, "freighters", "")):
+    for idx, k in enumerate(require_field(doc, "freighters", "", list)):
         path = f"freighters[{idx}]"
         freighters.append(Freighter(
-            id=str(_require(k, "id", path)),
-            home_stop=str(_require(k, "home_stop", path)),
-            capacity=float(_require(k, "capacity", path)),
+            id=str(require_field(k, "id", path)),
+            home_stop=str(require_field(k, "home_stop", path)),
+            capacity=require_field(k, "capacity", path, float),
         ))
 
     customers = []
-    for idx, c in enumerate(_require(doc, "customers", "")):
+    for idx, c in enumerate(require_field(doc, "customers", "", list)):
         path = f"customers[{idx}]"
         customers.append(Customer(
-            id=str(_require(c, "id", path)),
-            location=_point_from_doc(_require(c, "location", path), f"{path}.location"),
-            demand=float(_require(c, "demand", path)),
-            window_lo=float(_require(c, "window_lo", path)),
-            window_hi=float(_require(c, "window_hi", path)),
-            service_time=float(_require(c, "service_time", path)),
-            dropout_candidates=frozenset(str(s) for s in _require(c, "dropout_candidates", path)),
+            id=str(require_field(c, "id", path)),
+            location=_point_from_doc(require_field(c, "location", path), f"{path}.location"),
+            demand=require_field(c, "demand", path, float),
+            window_lo=require_field(c, "window_lo", path, float),
+            window_hi=require_field(c, "window_hi", path, float),
+            service_time=require_field(c, "service_time", path, float),
+            dropout_candidates=frozenset(
+                str(s) for s in require_field(c, "dropout_candidates", path, list)),
         ))
 
-    cp = _require(doc, "cost_params", "")
-    cost_params = CostParams(
-        truck_cost_per_distance=float(_require(cp, "truck_cost_per_distance", "cost_params")),
-        freighter_cost_scale=float(_require(cp, "freighter_cost_scale", "cost_params")),
-        time_per_distance=float(_require(cp, "time_per_distance", "cost_params")),
-        big_M=float(_require(cp, "big_M", "cost_params")),
-        service_cost_mu=float(_require(cp, "service_cost_mu", "cost_params")),
-        t_mid_day=float(_require(cp, "t_mid_day", "cost_params")),
-        period_length=float(_require(cp, "period_length", "cost_params")),
-        period_count=int(_require(cp, "period_count", "cost_params")),
+    cp = require_field(doc, "cost_params", "", dict)
+    cost_params = CostParams(**{
+        name: require_field(cp, name, "cost_params", float)
+        for name in ("truck_cost_per_distance", "freighter_cost_scale", "time_per_distance",
+                     "big_M", "service_cost_mu", "t_mid_day", "period_length")},
+        period_count=int(require_field(cp, "period_count", "cost_params", float)),
     )
 
     instance = Instance(

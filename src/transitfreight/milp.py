@@ -3,8 +3,9 @@
 Models are built once, immutably, and handed to a backend. Variables carry
 structured names like ``y1[c3,s2,p7]`` so solutions can be traced back to
 model families; a per-family registry on the model maps index tuples to
-variables. ``write_lp`` emits deterministic CPLEX-LP text and ``parse_lp``
-reads that dialect back (used to exercise the file interface end to end).
+variables. ``write_lp`` emits deterministic CPLEX-LP text for external
+solvers (the subprocess backend, ``export-lp``); only real solvers read it
+back, the tests through HiGHS's own LP reader.
 """
 
 from __future__ import annotations
@@ -278,190 +279,3 @@ def write_lp(model: MilpModel) -> str:
         out.extend(f" {n}" for n in generals)
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-_TOKEN = re.compile(r"(<=|>=|=|\+|-|:|[0-9.][0-9.eE+-]*|[A-Za-z_][A-Za-z0-9_().#]*)")
-
-
-def _parse_expr(tokens: list[str], get_var) -> tuple[list[tuple[str, float]], int]:
-    """Parse coefficient/variable pairs until a sense token; returns (terms, pos)."""
-    terms: list[tuple[str, float]] = []
-    sign = 1.0
-    coeff: float | None = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if tok in ("<=", ">=", "="):
-            break
-        if tok == "+":
-            pass
-        elif tok == "-":
-            sign = -sign
-        elif re.match(r"^[0-9.]", tok):
-            coeff = float(tok)
-        else:
-            terms.append((tok, sign * (coeff if coeff is not None else 1.0)))
-            sign, coeff = 1.0, None
-            get_var(tok)
-        i += 1
-    return terms, i
-
-
-def parse_lp(text: str) -> MilpModel:
-    """Read back the LP dialect produced by write_lp."""
-    lines = [ln.split("\\")[0].rstrip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln.strip()]
-    section = None
-    obj_tokens: list[str] = []
-    constraint_rows: list[list[str]] = []
-    bound_rows: list[list[str]] = []
-    binary_names: set[str] = set()
-    general_names: set[str] = set()
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def note(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-
-    current_row: list[str] | None = None
-    for ln in lines:
-        stripped = ln.strip()
-        lowered = stripped.lower()
-        if lowered in ("minimize", "minimise", "min"):
-            section = "obj"
-            continue
-        if lowered in ("subject to", "st", "s.t.", "such that"):
-            section = "cons"
-            current_row = None
-            continue
-        if lowered == "bounds":
-            section = "bounds"
-            continue
-        if lowered in ("binary", "binaries", "bin"):
-            section = "binary"
-            continue
-        if lowered in ("general", "generals", "gen", "integer", "integers"):
-            section = "general"
-            continue
-        if lowered == "end":
-            break
-        tokens = _TOKEN.findall(stripped)
-        if section == "obj":
-            obj_tokens.extend(tokens)
-        elif section == "cons":
-            if ":" in tokens:  # a named row starts here
-                current_row = tokens[tokens.index(":") + 1:]
-                constraint_rows.append(current_row)
-            elif current_row is not None:
-                current_row.extend(tokens)
-            else:
-                current_row = tokens
-                constraint_rows.append(current_row)
-        elif section == "bounds":
-            bound_rows.append(tokens)
-        elif section == "binary":
-            binary_names.update(tokens)
-        elif section == "general":
-            general_names.update(tokens)
-
-    if ":" in obj_tokens:
-        obj_tokens = obj_tokens[obj_tokens.index(":") + 1:]
-
-    obj_terms, _ = _parse_expr(obj_tokens, note)
-
-    parsed_cons: list[tuple[list[tuple[str, float]], str, float]] = []
-    for row in constraint_rows:
-        terms, pos = _parse_expr(row, note)
-        if pos >= len(row):
-            raise ModelError(f"constraint row missing sense: {' '.join(row)}")
-        sense = row[pos]
-        rhs_tokens = row[pos + 1:]
-        rhs_sign = 1.0
-        rhs_val: float | None = None
-        for tok in rhs_tokens:
-            if tok == "-":
-                rhs_sign = -rhs_sign
-            elif tok == "+":
-                continue
-            else:
-                rhs_val = rhs_sign * float(tok)
-                break
-        if rhs_val is None:
-            raise ModelError(f"constraint row missing rhs: {' '.join(row)}")
-        parsed_cons.append((terms, sense, rhs_val))
-
-    bounds: dict[str, tuple[float, float]] = {}
-
-    def as_num(tok: str) -> float:
-        if tok in ("-inf", "-infinity"):
-            return -INF
-        if tok in ("inf", "infinity", "+inf"):
-            return INF
-        return float(tok)
-
-    for row in bound_rows:
-        row = [t for t in row if t != "+"]
-        if not row:
-            continue
-        if len(row) >= 2 and row[-1].lower() == "free":
-            bounds[row[0]] = (-INF, INF)
-            note(row[0])
-        elif ">=" in row and row[0] not in ("<=", ">="):
-            # name >= lb   (possibly negative lb split into '-' token)
-            name = row[0]
-            note(name)
-            idx = row.index(">=")
-            tail = row[idx + 1:]
-            val = -as_num(tail[1]) if tail[0] == "-" else as_num(tail[0])
-            bounds[name] = (val, INF)
-        else:
-            # lb <= name <= ub, tolerating sign tokens
-            vals: list[float] = []
-            name = None
-            sign = 1.0
-            for tok in row:
-                if tok == "-":
-                    sign = -1.0
-                elif tok in ("<=", ">="):
-                    continue
-                elif re.match(r"^[0-9.]", tok) or tok in ("inf", "-inf", "infinity"):
-                    vals.append(sign * as_num(tok))
-                    sign = 1.0
-                else:
-                    name = tok
-            if name is None or len(vals) != 2:
-                raise ModelError(f"unparsable bound row: {' '.join(row)}")
-            note(name)
-            bounds[name] = (vals[0], vals[1])
-
-    for name in binary_names | general_names:
-        note(name)
-
-    variables: list[VarRef] = []
-    by_name: dict[str, VarRef] = {}
-    for i, name in enumerate(order):
-        if name in binary_names:
-            kind, lb, ub = BINARY, 0.0, 1.0
-        elif name in general_names:
-            kind = INTEGER
-            lb, ub = bounds.get(name, (0.0, INF))
-        else:
-            kind = CONTINUOUS
-            lb, ub = bounds.get(name, (0.0, INF))
-        var = VarRef(index=i, name=name, kind=kind, lb=lb, ub=ub)
-        variables.append(var)
-        by_name[name] = var
-
-    constraints = [
-        LinConstraint(tuple((by_name[n], c) for n, c in terms), sense, rhs, f"row{i}")
-        for i, (terms, sense, rhs) in enumerate(parsed_cons)
-    ]
-    objective = [(by_name[n], c) for n, c in obj_terms]
-    return MilpModel(
-        variables=variables,
-        constraints=constraints,
-        objective=objective,
-        metadata={"formulation": "lp-import"},
-    )

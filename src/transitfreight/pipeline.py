@@ -107,6 +107,10 @@ class RunConfig:
             raise ModelError("mu must be nonnegative")
         if self.method in ("d1", "d2", "d3"):
             object.__setattr__(self, "objective", T2Objective.parse(self.t2_obj))
+        unknown = sorted(set(self.stage_seconds or ()) - set(DEFAULT_STAGE_SECONDS))
+        if unknown:
+            raise ModelError(f"unknown stage kind {unknown[0]!r} in stage_seconds; "
+                             f"known: {', '.join(DEFAULT_STAGE_SECONDS)}")
         seconds = {**DEFAULT_STAGE_SECONDS, **(self.stage_seconds or {})}
         object.__setattr__(self, "limits", {kind: SolveLimits(limit, self.rel_gap)
                                             for kind, limit in seconds.items()})

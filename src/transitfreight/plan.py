@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
+
+from .instance import require_field, require_kind
 
 PLAN_SCHEMA = "3tdppt-plan/1"
 HANDOFF_SCHEMA = "3tdppt-handoff/1"
@@ -146,49 +149,76 @@ def serialize_plan(plan: Plan | VrptwPlan) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def parse_plan(text: str) -> Plan | VrptwPlan:
+_field = partial(require_field, error=PlanError)
+_kind = partial(require_kind, error=PlanError)
+
+
+def _load(text: str, schema: str) -> dict[str, Any]:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"not valid JSON: {exc}") from exc
-    if doc.get("schema") != PLAN_SCHEMA:
+    if _kind(doc, "top level", dict).get("schema") != schema:
         raise PlanError(f"unsupported schema {doc.get('schema')!r}")
+    return doc
+
+
+def _entries(doc: dict, key: str) -> list[tuple[Any, str]]:
+    """(element, path) for each element of the list ``doc[key]``."""
+    return [(entry, f"{key}[{j}]") for j, entry in enumerate(_field(doc, key, "", list))]
+
+
+def _times(doc: dict, path: str) -> tuple[float, ...]:
+    return tuple(_kind(t, f"{path}.times[{j}]", float)
+                 for j, t in enumerate(_field(doc, "times", path, list)))
+
+
+def _names(doc: dict, key: str, path: str) -> tuple[str, ...]:
+    return tuple(_field(doc, key, path, list))
+
+
+def parse_plan(text: str) -> Plan | VrptwPlan:
+    """Read a plan document; ``PlanError`` names the path of a missing or
+    wrong-typed field."""
+    doc = _load(text, PLAN_SCHEMA)
     if doc.get("kind") == "vrptw":
         return VrptwPlan(
             routes=tuple(
-                VrptwRoute(
-                    truck=r["truck"], departure=float(r["departure"]),
-                    customers=tuple(r["customers"]),
-                    times=tuple(float(t) for t in r["times"]))
-                for r in doc["routes"]),
-            total_cost=float(doc["total_cost"]),
+                VrptwRoute(truck=_field(r, "truck", at),
+                           departure=_field(r, "departure", at, float),
+                           customers=_names(r, "customers", at), times=_times(r, at))
+                for r, at in _entries(doc, "routes")),
+            total_cost=_field(doc, "total_cost", "", float),
         )
+    itineraries = tuple(
+        CustomerItinerary(
+            customer=_field(it, "customer", at), truck=_field(it, "truck", at),
+            drop_in_stop=_field(it, "drop_in_stop", at),
+            drop_in_time=_field(it, "drop_in_time", at, float),
+            trip=_field(it, "trip", at), drop_out_stop=_field(it, "drop_out_stop", at),
+            drop_out_time=_field(it, "drop_out_time", at, float),
+            freighter=_field(it, "freighter", at),
+            delivery_time=_field(it, "delivery_time", at, float))
+        for it, at in _entries(doc, "itineraries"))
+    costs = _field(doc, "costs", "", dict)
     return Plan(
-        itineraries=tuple(
-            CustomerItinerary(
-                customer=it["customer"], truck=it["truck"],
-                drop_in_stop=it["drop_in_stop"], drop_in_time=float(it["drop_in_time"]),
-                trip=it["trip"], drop_out_stop=it["drop_out_stop"],
-                drop_out_time=float(it["drop_out_time"]),
-                freighter=it["freighter"], delivery_time=float(it["delivery_time"]))
-            for it in doc["itineraries"]),
+        itineraries=itineraries,
         truck_routes=tuple(
-            TruckRoute(truck=r["truck"], departure=float(r["departure"]),
-                       stops=tuple(r["stops"]),
-                       times=tuple(float(t) for t in r["times"]))
-            for r in doc["truck_routes"]),
+            TruckRoute(truck=_field(r, "truck", at), departure=_field(r, "departure", at, float),
+                       stops=_names(r, "stops", at), times=_times(r, at))
+            for r, at in _entries(doc, "truck_routes")),
         freighter_routes=tuple(
-            FreighterRoute(freighter=r["freighter"], home_stop=r["home_stop"],
-                           departure=float(r["departure"]),
-                           customers=tuple(r["customers"]),
-                           times=tuple(float(t) for t in r["times"]))
-            for r in doc["freighter_routes"]),
+            FreighterRoute(freighter=_field(r, "freighter", at),
+                           home_stop=_field(r, "home_stop", at),
+                           departure=_field(r, "departure", at, float),
+                           customers=_names(r, "customers", at), times=_times(r, at))
+            for r, at in _entries(doc, "freighter_routes")),
         costs=CostBreakdown(
-            t1_cost=float(doc["costs"]["t1_cost"]),
-            t3_cost=float(doc["costs"]["t3_cost"]),
-            service_cost=float(doc["costs"].get("service_cost", 0.0))),
-        service_lambda1=float(doc.get("service_lambda1", 0.0)),
-        service_lambda3=float(doc.get("service_lambda3", 0.0)),
+            t1_cost=_field(costs, "t1_cost", "costs", float),
+            t3_cost=_field(costs, "t3_cost", "costs", float),
+            service_cost=_kind(costs.get("service_cost", 0.0), "costs.service_cost", float)),
+        service_lambda1=_kind(doc.get("service_lambda1", 0.0), "service_lambda1", float),
+        service_lambda3=_kind(doc.get("service_lambda3", 0.0), "service_lambda3", float),
     )
 
 
@@ -231,16 +261,18 @@ def serialize_handoff(handoff: TierHandoff) -> str:
 
 
 def parse_handoff(text: str) -> TierHandoff:
-    doc = json.loads(text)
-    if doc.get("schema") != HANDOFF_SCHEMA:
-        raise PlanError(f"unsupported schema {doc.get('schema')!r}")
+    """Read a handoff document; ``PlanError`` names the path of a wrong-typed field."""
+    doc = _load(text, HANDOFF_SCHEMA)
+
+    def mapping(key: str, kind: type) -> dict:
+        return {k: _kind(v, f"{key}.{k}", float) if kind is float else str(v)
+                for k, v in _kind(doc.get(key, {}), key, dict).items()}
+
+    doc.setdefault("tau", [])
+    tau = {(_field(e, "customer", at), _field(e, "stop", at)): int(_field(e, "half", at, float))
+           for e, at in _entries(doc, "tau")}
     return TierHandoff(
-        b_in={k: str(v) for k, v in doc.get("b_in", {}).items()},
-        t_in={k: float(v) for k, v in doc.get("t_in", {}).items()},
-        t_truck={k: float(v) for k, v in doc.get("t_truck", {}).items()},
-        b_out={k: str(v) for k, v in doc.get("b_out", {}).items()},
-        t_out={k: float(v) for k, v in doc.get("t_out", {}).items()},
-        t_depart_max={k: float(v) for k, v in doc.get("t_depart_max", {}).items()},
-        tau={(e["customer"], e["stop"]): int(e["half"]) for e in doc.get("tau", [])},
-        t_first={k: float(v) for k, v in doc.get("t_first", {}).items()},
-    )
+        b_in=mapping("b_in", str), t_in=mapping("t_in", float),
+        t_truck=mapping("t_truck", float), b_out=mapping("b_out", str),
+        t_out=mapping("t_out", float), t_depart_max=mapping("t_depart_max", float),
+        tau=tau, t_first=mapping("t_first", float))

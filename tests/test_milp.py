@@ -1,16 +1,18 @@
 import sys
 import textwrap
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from transitfreight import backends
+from transitfreight import backends, tiers
 from transitfreight.backends import (
     HIGHS_SETTINGS,
     BackendError,
     ScipyHighsBackend,
     SubprocessBackend,
     get_backend,
+    highs_core,
     parse_solution_text,
     solve,
 )
@@ -22,13 +24,12 @@ from transitfreight.milp import (
     SolveLimits,
     VarRef,
     big_M,
-    parse_lp,
     write_lp,
 )
 from transitfreight.model_full import build_full
-from transitfreight.pipeline import RunConfig, run_method
+from transitfreight.pipeline import PipelineError, RunConfig, run_method
 
-from conftest import MICRO1_TOTAL, generate_micro_instances
+from conftest import MICRO1_TOTAL, generate_micro_instances, make_micro1
 
 
 def tiny_model(lb=1.0):
@@ -112,22 +113,36 @@ def test_write_lp_deterministic(micro1):
     assert write_lp(model) == write_lp(model)
 
 
-def test_lp_reimport_trivial(backend):
-    model = tiny_model()
-    again = parse_lp(write_lp(model))
-    result = solve(again, backend)
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(1.0)
+def highs_reads(model, tmp_path, limits=SolveLimits()):
+    """HiGHS's own LP reader on ``write_lp(model)``, solved under the backend's settings:
+    its column and row counts, its model status and its objective."""
+    path = tmp_path / "model.lp"
+    path.write_text(write_lp(model), encoding="utf-8")
+    highs = highs_core._Highs()
+    options = {"output_flag": False, "time_limit": limits.time_limit,
+               "mip_rel_gap": limits.rel_gap, **HIGHS_SETTINGS}
+    for name, value in options.items():
+        assert highs.setOptionValue(name, value) == highs_core.HighsStatus.kOk, name
+    assert highs.readModel(str(path)) == highs_core.HighsStatus.kOk
+    lp = highs.getLp()
+    highs.run()
+    return SimpleNamespace(cols=lp.num_col_, rows=lp.num_row_,
+                           status=highs.modelStatusToString(highs.getModelStatus()),
+                           objective=highs.getInfo().objective_function_value)
 
 
-def test_lp_reimport_full_micro1(backend, micro1):
+def test_lp_reimport_trivial(tmp_path):
+    read = highs_reads(tiny_model(), tmp_path)
+    assert (read.cols, read.rows, read.status) == (1, 1, "Optimal")
+    assert read.objective == pytest.approx(1.0)
+
+
+def test_lp_reimport_full_micro1(tmp_path, micro1):
     model = build_full(micro1, derive_compatibility(micro1))
-    again = parse_lp(write_lp(model))
-    assert len(again.variables) == len(model.variables)
-    assert len(again.constraints) == len(model.constraints)
-    result = solve(again, backend)
-    assert result.status == "optimal"
-    assert result.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
+    read = highs_reads(model, tmp_path)
+    assert (read.cols, read.rows) == (len(model.variables), len(model.constraints))
+    assert read.status == "Optimal"
+    assert read.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
 
 
 def test_name_mangling_stable():
@@ -225,32 +240,38 @@ def test_parse_unknown_status_is_an_error():
         assert (status, values) == ("error", {}), report
 
 
-STUB_SOLVER = """\
+# An executable named ``highs`` on the bundled HiGHS bindings: ``SubprocessBackend``
+# picks its command line by the name of the command's first token, then reads the
+# solution report ``writeSolution`` writes.
+HIGHS_STUB = """\
+#!{python}
 import sys
-from transitfreight.backends import ScipyHighsBackend
-from transitfreight.milp import SolveLimits, parse_lp
+from scipy.optimize._highspy import _core
 
-model = parse_lp(open(sys.argv[1]).read())
-result = ScipyHighsBackend().solve(model, SolveLimits(30.0, 1e-6))
-with open(sys.argv[2], "w") as out:
-    if result.status == "infeasible":
-        out.write("Infeasible - objective value 0\\n")
-    else:
-        out.write(f"Optimal - objective value {result.objective}\\n")
-        for i, var in enumerate(model.variables):
-            out.write(f"{i} {var.name} {result.values[var.name]} 0\\n")
+lp_path, args = sys.argv[1], dict(zip(sys.argv[2::2], sys.argv[3::2]))
+highs = _core._Highs()
+highs.setOptionValue("output_flag", False)
+for status in (highs.readOptions(args["--options_file"]),
+               highs.setOptionValue("time_limit", float(args["--time_limit"])),
+               highs.readModel(lp_path)):
+    if status != _core.HighsStatus.kOk:
+        sys.exit(f"highs stub: {{status}}")
+highs.run()
+highs.writeSolution(args["--solution_file"], 0)
 """
 
 
 def test_subprocess_backend_end_to_end(tmp_path, micro1):
-    stub = tmp_path / "stub_solver.py"
-    stub.write_text(STUB_SOLVER, encoding="utf-8")
-    backend = SubprocessBackend(command=f"{sys.executable} {stub}")
+    stub = tmp_path / "highs"
+    stub.write_text(HIGHS_STUB.format(python=sys.executable), encoding="utf-8")
+    stub.chmod(0o755)
+    backend = SubprocessBackend(command=str(stub))
     model = build_full(micro1, derive_compatibility(micro1))
     result = backend.solve(model, SolveLimits(60.0, 1e-6))
-    assert result.status == "optimal"
+    assert result.status == "optimal", result.message
     assert result.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
     assert len(result.values) == len(model.variables)
+    assert model.objective_value(result.values) == pytest.approx(MICRO1_TOTAL, abs=1e-4)
 
 
 def test_subprocess_backend_crash_is_error(tmp_path):
@@ -310,32 +331,58 @@ def test_highs_backend_switches_off_feasibility_jump(monkeypatch):
 
 
 class _RecordingBackend:
-    """Solves through the in-process backend and keeps every model and result."""
+    """Solves through the in-process backend and keeps every model, its limits and
+    result, labelled by the run and the model's formulation."""
 
     def __init__(self):
+        self.run = ""
         self.solves = []
 
     def solve(self, model, limits):
         result = ScipyHighsBackend().solve(model, limits)
-        self.solves.append((model, limits, result))
+        tag = model.metadata["formulation"]
+        if tag == "t1-handoff" and "w" in model.registry:
+            tag += "/rows"
+        self.solves.append((f"{self.run} {tag}", model, limits, result))
         return result
 
 
-def test_highs_settings_change_no_optimum(monkeypatch):
-    """d2-t2 under obj1-3, t1-handoff, t3-stopwise, full and vrptw models keep
-    their status and optimum under HiGHS's default settings."""
+@pytest.fixture(scope="module")
+def recorded_solves():
+    """Every stage model of d1, d2 and d3 (obj2; d2 also obj1 and obj3), full at
+    mu 0 and 0.5 and vrptw on ten micro draws and micro1 with a late trip (the one
+    d3 gets past its transit stage), and of d2-obj2 with the truck stage built from
+    rows. d1 and d3 fail on most draws; the models they solved are kept."""
     recorder = _RecordingBackend()
     configs = [RunConfig(method="d2", t2_obj=obj) for obj in ("obj1", "obj2", "obj3")]
-    configs += [RunConfig(method="full"), RunConfig(method="vrptw")]
-    labels = []
-    for n, instance in enumerate(generate_micro_instances(10)):
-        for config in configs:
-            _plan, metrics = run_method(instance, config, recorder)
-            labels += [f"micro{n} {config.label()} {s.stage}" for s in metrics.stages]
-    assert len(labels) == len(recorder.solves)
-    assert {label.split()[-1].split("[")[0] for label in labels} == {
-        "t2", "t1", "t3", "full", "vrptw"}
+    configs += [RunConfig(method="full"), RunConfig(method="full", mu=0.5),
+                RunConfig(method="vrptw"), RunConfig(method="d1", t2_obj="obj2"),
+                RunConfig(method="d3", t2_obj="obj2")]
+    instances = generate_micro_instances(10) + [make_micro1(extra_trip_time=550.0)]
 
+    def sweep(configs, suffix=""):
+        for n, instance in enumerate(instances):
+            for config in configs:
+                recorder.run = f"micro{n} {config.label()}{suffix}"
+                try:
+                    run_method(instance, config, recorder)
+                except PipelineError:
+                    pass
+
+    sweep(configs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+        sweep([RunConfig(method="d2", t2_obj="obj2")], " rows")
+    assert {label.split()[-1] for label, *_ in recorder.solves} == {
+        "full", "vrptw", "d1-t1", "d1-t2", "d2-t2", "t1-handoff", "t1-handoff/rows",
+        "t3-stopwise", "d3-t3", "d3-t2"}
+    assert {label.split()[1] for label, *_ in recorder.solves
+            if label.endswith(" full")} == {"full", "full-mu0.5"}
+    return recorder.solves
+
+
+def test_highs_settings_change_no_optimum(monkeypatch, recorded_solves):
+    """Every recorded model keeps its status and optimum under HiGHS's default settings."""
     real_milp = backends.scipy_milp
 
     def highs_defaults(**kwargs):
@@ -343,8 +390,19 @@ def test_highs_settings_change_no_optimum(monkeypatch):
         return real_milp(options=options, **kwargs)
 
     monkeypatch.setattr(backends, "scipy_milp", highs_defaults)
-    for label, (model, limits, result) in zip(labels, recorder.solves):
+    for label, model, limits, result in recorded_solves:
         reference = ScipyHighsBackend().solve(model, limits)
         assert result.status == reference.status, label
         if reference.objective is not None:
             assert result.objective == pytest.approx(reference.objective, abs=1e-6), label
+
+
+def test_highs_reads_every_written_model(tmp_path, recorded_solves):
+    """HiGHS's LP reader gets each recorded model back from ``write_lp``'s text: the
+    same columns and rows, and the in-process solve's status and optimum."""
+    for label, model, limits, result in recorded_solves:
+        read = highs_reads(model, tmp_path, limits)
+        assert (read.cols, read.rows) == (len(model.variables), len(model.constraints)), label
+        assert read.status == result.message, label
+        if result.objective is not None:
+            assert read.objective == pytest.approx(result.objective, rel=1e-6), label

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -16,7 +17,8 @@ from transitfreight.pipeline import (
     compare_methods,
     run_method,
 )
-from transitfreight.plan import parse_handoff, parse_plan, serialize_handoff, serialize_plan
+from transitfreight.plan import (HANDOFF_SCHEMA, PlanError, parse_handoff, parse_plan,
+                                 serialize_handoff, serialize_plan)
 from transitfreight.validate import validate_plan
 
 from conftest import MICRO1_TOTAL, MICRO1_VRPTW, generate_micro_instances, make_micro1
@@ -33,6 +35,13 @@ def test_config_validation():
         RunConfig(method="d2", t2_obj="obj2", mu=0.5)  # service costs are FULL-only
     assert RunConfig(method="full").label() == "full"
     assert RunConfig(method="d2", t2_obj="obj1").label() == "d2-obj1"
+
+
+def test_stage_seconds_accept_only_known_stage_kinds():
+    # a misspelt kind would otherwise leave that stage at its default limit
+    with pytest.raises(ModelError, match="'ful'"):
+        RunConfig(method="full", stage_seconds={"ful": 5.0})
+    assert RunConfig(method="full", stage_seconds={"full": 5.0}).limits["full"].time_limit == 5.0
 
 
 def test_run_d2_matches_full_on_micro1(backend, micro1):
@@ -82,6 +91,21 @@ def test_d1_succeeds_with_a_late_trip(backend):
     plan, metrics = run_method(late, RunConfig(method="d1", t2_obj="obj2"), backend)
     assert validate_plan(late, plan) == []
     assert metrics.total == pytest.approx(MICRO1_TOTAL, abs=1e-6)
+
+
+@pytest.mark.parametrize("text, names", [
+    pytest.param("{", "not valid JSON", id="not-json"),
+    pytest.param("[]", "top level: expected an object", id="a-list"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "t_in": []}),
+                 "t_in: expected an object", id="map-a-list"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "t_in": {"c1": None}}),
+                 "t_in.c1: expected a number", id="time-null"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "tau": [{"customer": "c1", "half": 1}]}),
+                 "tau[0]: missing field stop", id="tau-without-stop"),
+])
+def test_malformed_handoff_is_a_plan_error(text, names):
+    with pytest.raises(PlanError, match=re.escape(names)):
+        parse_handoff(text)
 
 
 def test_d1_truck_handoff_carries_truck_times(backend, tmp_path):

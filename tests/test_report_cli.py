@@ -7,7 +7,7 @@ import pytest
 
 from transitfreight.cli import cli_main
 from transitfreight.instance import parse_instance, serialize_instance
-from transitfreight.plan import parse_plan
+from transitfreight.plan import PLAN_SCHEMA, parse_plan
 from transitfreight.report import (
     ReportRow, emit_report, fill_deviations, rows_from_csv, rows_to_csv)
 
@@ -233,3 +233,49 @@ def test_cli_solve_structural_failure_exits_1(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "PipelineError"
+
+
+def _micro1_doc() -> dict:
+    return json.loads(serialize_instance(make_micro1()))
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_VRPTW_ROUTE = {"truck": "d1", "customers": ["c1"], "times": [300.0]}
+
+
+@pytest.mark.parametrize("instance_doc, plan_doc, names", [
+    pytest.param(_with(_micro1_doc(), ("stops",), 5), None, "stops: expected a list",
+                 id="stops-not-a-list"),
+    pytest.param(_with(_micro1_doc(), ("trips", 0, "stop_times"), [150.0, 158.0]), None,
+                 "trips[0].stop_times: expected an object", id="stop-times-a-list"),
+    pytest.param(_with(_micro1_doc(), ("trips", 1, "capacity"), None), None,
+                 "trips[1].capacity: expected a number", id="capacity-null"),
+    pytest.param(None, [], "top level: expected an object", id="plan-a-list"),
+    pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "three-tier"},
+                 "missing field itineraries", id="plan-without-itineraries"),
+    pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "vrptw", "routes": [_VRPTW_ROUTE],
+                        "total_cost": 104.08},
+                 "routes[0]: missing field departure", id="vrptw-route-without-departure"),
+])
+def test_cli_validate_reports_malformed_documents(tmp_path, capsys, instance_doc, plan_doc,
+                                                  names):
+    """A malformed instance or plan document is a JSON diagnostic naming the field."""
+    inst_path, plan_path = tmp_path / "instance.json", tmp_path / "plan.json"
+    inst_path.write_text(json.dumps(instance_doc or _micro1_doc()), encoding="utf-8")
+    plan_path.write_text(json.dumps({"schema": PLAN_SCHEMA, "kind": "vrptw", "routes": [],
+                                     "total_cost": 0.0} if plan_doc is None else plan_doc),
+                         encoding="utf-8")
+    rc = cli_main(["validate", "--instance", str(inst_path), "--plan", str(plan_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    diagnostic = json.loads(err.strip())
+    assert diagnostic["error"] == ("InstanceError" if plan_doc is None else "PlanError")
+    assert names in diagnostic["message"]
