@@ -7,7 +7,7 @@ benchmark instances, validates plans independently, and compares against a
 direct-truck baseline.
 """
 
-from .backends import ScipyHighsBackend, SubprocessBackend, get_backend, solve
+from .backends import ScipyHighsBackend, solve
 from .bruteforce import BruteForceOutcome, OracleSizeError, brute_force_optimum, brute_force_vrptw
 from .compat import Compatibility, derive_compatibility
 from .generate import GenParams, generate_instance

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from .backends import BackendError, get_backend
+from .backends import BackendError, ScipyHighsBackend
 from .compat import derive_compatibility
 from .generate import GenParams, generate_instance
 from .instance import InstanceError, parse_instance, serialize_instance
@@ -35,9 +35,7 @@ from .validate import (
 )
 
 
-def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend", default=None,
-                        help="solver backend: highs (default), subprocess[:path]")
+def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--time-limit", type=float, default=None,
                         help="seconds per stage (overrides the per-stage defaults)")
     parser.add_argument("--gap", type=float, default=1e-6,
@@ -75,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="plan document path")
     p.add_argument("--metrics", default=None, help="metrics JSON path")
     p.add_argument("--artifacts", default=None, help="per-stage artifact directory")
-    _add_backend_flags(p)
+    _add_solve_flags(p)
 
     p = sub.add_parser("validate", help="check a plan against an instance")
     p.add_argument("--instance", required=True)
@@ -92,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="rows CSV path")
     p.add_argument("--report-dir", default=None, help="also emit aggregate/series files here")
     p.add_argument("--artifacts", default=None, help="per-run artifact root")
-    _add_backend_flags(p)
+    _add_solve_flags(p)
 
     p = sub.add_parser("export-lp", help="write a model as LP text")
     p.add_argument("--instance", required=True)
@@ -130,9 +128,8 @@ def _cmd_solve(args) -> int:
     config = RunConfig(
         method=args.method, t2_obj=args.t2_obj, beta=args.beta, mu=args.mu,
         rel_gap=args.gap, stage_seconds=_stage_seconds(args.time_limit))
-    backend = get_backend(args.backend)
     artifacts = Path(args.artifacts) if args.artifacts else None
-    plan, metrics = run_method(instance, config, backend, artifacts)
+    plan, metrics = run_method(instance, config, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(serialize_plan(plan), encoding="utf-8")
     if args.metrics:
         Path(args.metrics).write_text(metrics.to_json(), encoding="utf-8")
@@ -189,9 +186,8 @@ def _cmd_compare(args) -> int:
                 configs.append(RunConfig(
                     method=method, t2_obj=t2, beta=beta, mu=mu,
                     rel_gap=args.gap, stage_seconds=stage_seconds))
-    backend = get_backend(args.backend)
     artifacts = Path(args.artifacts) if args.artifacts else None
-    rows = compare_methods(instances, configs, backend, artifacts)
+    rows = compare_methods(instances, configs, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8")
     if args.report_dir:
         emit_report(rows, Path(args.report_dir))

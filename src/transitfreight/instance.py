@@ -287,7 +287,8 @@ class Instance:
 # ---- serialization ----------------------------------------------------
 
 
-_KINDS = {dict: "an object", list: "a list", float: "a number"}
+_KINDS = {dict: "an object", list: "a list", float: "a number", int: "a whole number",
+          bool: "a boolean"}
 
 
 def require_field(doc: Any, key: str, path: str, kind: type | None = None,
@@ -304,13 +305,19 @@ def require_field(doc: Any, key: str, path: str, kind: type | None = None,
 
 def require_kind(value: Any, path: str, kind: type | None,
                  error: type[ValueError] = InstanceError) -> Any:
-    """``value`` checked to be a ``kind`` (``dict``, ``list``, or ``float``, which
-    also converts it); ``error`` names the path otherwise."""
-    if kind is float:
+    """``value`` checked to be a ``kind``: ``dict``, ``list``, ``bool`` (JSON
+    ``true``/``false`` only), or ``float`` or ``int``, which also convert it and of
+    which ``int`` takes only a whole number; ``error`` names the path otherwise."""
+    if kind in (float, int):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if kind is float:
+                return number
+            if number.is_integer():
+                return int(number)
     elif kind is None or isinstance(value, kind):
         return value
     raise error(f"{path}: expected {_KINDS[kind]}, got {value!r}")
@@ -399,8 +406,8 @@ def parse_instance(text: str) -> Instance:
         stops.append(Stop(
             id=str(require_field(s, "id", path)),
             location=_point_from_doc(require_field(s, "location", path), f"{path}.location"),
-            is_drop_in=bool(require_field(s, "is_drop_in", path)),
-            is_drop_out=bool(require_field(s, "is_drop_out", path)),
+            is_drop_in=require_field(s, "is_drop_in", path, bool),
+            is_drop_out=require_field(s, "is_drop_out", path, bool),
             service_time=require_field(s, "service_time", path, float),
             max_dwell=require_field(s, "max_dwell", path, float),
         ))
@@ -459,7 +466,7 @@ def parse_instance(text: str) -> Instance:
         name: require_field(cp, name, "cost_params", float)
         for name in ("truck_cost_per_distance", "freighter_cost_scale", "time_per_distance",
                      "big_M", "service_cost_mu", "t_mid_day", "period_length")},
-        period_count=int(require_field(cp, "period_count", "cost_params", float)),
+        period_count=require_field(cp, "period_count", "cost_params", int),
     )
 
     instance = Instance(

@@ -4,8 +4,8 @@ Models are built once, immutably, and handed to a backend. Variables carry
 structured names like ``y1[c3,s2,p7]`` so solutions can be traced back to
 model families; a per-family registry on the model maps index tuples to
 variables. ``write_lp`` emits deterministic CPLEX-LP text for external
-solvers (the subprocess backend, ``export-lp``); only real solvers read it
-back, the tests through HiGHS's own LP reader.
+solvers (the ``export-lp`` verb); only real solvers read it back, the tests
+through HiGHS's own LP reader.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ never poison a comparison sweep.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -101,6 +102,8 @@ class RunConfig:
             if self.method == "d3" and self.t2_obj == "obj3":
                 raise ModelError(
                     "freighter-count objective is unavailable when freighters are fixed first")
+        if not math.isfinite(self.mu):
+            raise ModelError(f"mu must be finite, not {self.mu!r}")
         if self.mu and self.method != "full":
             raise ModelError("service costs apply to the monolithic model only")
         if self.mu < 0:
@@ -141,6 +144,7 @@ class StageMetrics:
 class RunMetrics:
     method: str
     t2_obj: str | None
+    mu: float = 0.0       # the service-cost scale the run priced: the config's, else the instance's
     stages: list[StageMetrics] = field(default_factory=list)
     t1_cost: float = 0.0
     t3_cost: float = 0.0
@@ -319,7 +323,7 @@ def _check_price(stage: str, price: float, objective: float) -> None:
 
 def _run_full(instance, config, backend, metrics) -> Plan:
     compat = derive_compatibility(instance)
-    mu = config.mu or instance.cost_params.service_cost_mu
+    mu = metrics.mu = config.mu or instance.cost_params.service_cost_mu
     options = FullOptions()
     if mu > 0:
         t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)

@@ -269,7 +269,7 @@ def parse_handoff(text: str) -> TierHandoff:
                 for k, v in _kind(doc.get(key, {}), key, dict).items()}
 
     doc.setdefault("tau", [])
-    tau = {(_field(e, "customer", at), _field(e, "stop", at)): int(_field(e, "half", at, float))
+    tau = {(_field(e, "customer", at), _field(e, "stop", at)): _field(e, "half", at, int)
            for e, at in _entries(doc, "tau")}
     return TierHandoff(
         b_in=mapping("b_in", str), t_in=mapping("t_in", float),

@@ -1,5 +1,3 @@
-import sys
-import textwrap
 import warnings
 from types import SimpleNamespace
 
@@ -10,10 +8,7 @@ from transitfreight.backends import (
     HIGHS_SETTINGS,
     BackendError,
     ScipyHighsBackend,
-    SubprocessBackend,
-    get_backend,
     highs_core,
-    parse_solution_text,
     solve,
 )
 from transitfreight.compat import derive_compatibility
@@ -155,155 +150,6 @@ def test_name_mangling_stable():
     second = write_lp(mb.build())
     assert first == second
     assert "w(o_o._d1)" in first
-
-
-# ---- solution report parsing ---------------------------------------------
-
-
-def test_parse_cbc_style_report():
-    model = tiny_model()
-    report = textwrap.dedent("""\
-        Optimal - objective value 1.00000000
-              0 x                     1                      0
-    """)
-    status, values, objective = parse_solution_text(report, model)
-    assert status == "optimal"
-    assert values["x"] == pytest.approx(1.0)
-    assert objective == pytest.approx(1.0)
-
-
-def test_parse_highs_style_report():
-    model = tiny_model()
-    report = textwrap.dedent("""\
-        Model status
-        Optimal
-
-        # Primal solution values
-        Feasible
-        Objective 1
-        # Columns 1
-        x 1
-        # Rows 1
-        floor#0 1
-    """)
-    status, values, objective = parse_solution_text(report, model)
-    assert status == "optimal"
-    assert values["x"] == pytest.approx(1.0)
-    assert objective == pytest.approx(1.0)
-
-
-def test_parse_bare_pairs_report():
-    model = tiny_model()
-    status, values, objective = parse_solution_text("x 1\n", model)
-    assert status == "feasible"
-    assert values["x"] == pytest.approx(1.0)
-    assert objective is None
-
-
-def test_parse_infeasible_report():
-    model = tiny_model()
-    status, values, _ = parse_solution_text("Infeasible - objective value 0\n", model)
-    assert status == "infeasible"
-    assert values == {}
-
-
-def test_parse_cbc_time_limit_report():
-    model = tiny_model()
-    stopped = "Stopped on time - objective value 1.00000000\n"
-    status, values, objective = parse_solution_text(
-        stopped + "      0 x                     1                      0\n", model)
-    assert status == "feasible"
-    assert values["x"] == pytest.approx(1.0)
-    assert objective == pytest.approx(1.0)
-    status, values, _ = parse_solution_text(stopped, model)
-    assert (status, values) == ("timeout", {})
-
-
-def test_parse_highs_time_limit_report():
-    model = tiny_model()
-    header = "Model status\nTime limit reached\n\n# Primal solution values\n"
-    status, values, objective = parse_solution_text(
-        header + "Feasible\nObjective 1\n# Columns 1\nx 1\n", model)
-    assert status == "feasible"
-    assert values["x"] == pytest.approx(1.0)
-    assert objective == pytest.approx(1.0)
-    status, values, _ = parse_solution_text(header + "None\n", model)
-    assert (status, values) == ("timeout", {})
-
-
-def test_parse_unknown_status_is_an_error():
-    model = tiny_model()
-    # an unrecognised status line is not guessed at, even with values after it
-    for report in ("Time limit hit, no proof of optimality\nx 1\n",
-                   "Model status\nUnbounded\nx 1\n"):
-        status, values, _ = parse_solution_text(report, model)
-        assert (status, values) == ("error", {}), report
-
-
-# An executable named ``highs`` on the bundled HiGHS bindings: ``SubprocessBackend``
-# picks its command line by the name of the command's first token, then reads the
-# solution report ``writeSolution`` writes.
-HIGHS_STUB = """\
-#!{python}
-import sys
-from scipy.optimize._highspy import _core
-
-lp_path, args = sys.argv[1], dict(zip(sys.argv[2::2], sys.argv[3::2]))
-highs = _core._Highs()
-highs.setOptionValue("output_flag", False)
-for status in (highs.readOptions(args["--options_file"]),
-               highs.setOptionValue("time_limit", float(args["--time_limit"])),
-               highs.readModel(lp_path)):
-    if status != _core.HighsStatus.kOk:
-        sys.exit(f"highs stub: {{status}}")
-highs.run()
-highs.writeSolution(args["--solution_file"], 0)
-"""
-
-
-def test_subprocess_backend_end_to_end(tmp_path, micro1):
-    stub = tmp_path / "highs"
-    stub.write_text(HIGHS_STUB.format(python=sys.executable), encoding="utf-8")
-    stub.chmod(0o755)
-    backend = SubprocessBackend(command=str(stub))
-    model = build_full(micro1, derive_compatibility(micro1))
-    result = backend.solve(model, SolveLimits(60.0, 1e-6))
-    assert result.status == "optimal", result.message
-    assert result.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
-    assert len(result.values) == len(model.variables)
-    assert model.objective_value(result.values) == pytest.approx(MICRO1_TOTAL, abs=1e-4)
-
-
-def test_subprocess_backend_crash_is_error(tmp_path):
-    bad = tmp_path / "crash.py"
-    bad.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
-    backend = SubprocessBackend(command=f"{sys.executable} {bad}")
-    result = backend.solve(tiny_model(), SolveLimits(10.0, 1e-6))
-    assert result.status == "error"
-    assert "no solution output" in result.message
-
-
-def test_backend_resolution(monkeypatch, tmp_path):
-    assert isinstance(get_backend(None), ScipyHighsBackend)
-    assert isinstance(get_backend("highs"), ScipyHighsBackend)
-    sub = get_backend("subprocess:/usr/bin/false")
-    assert isinstance(sub, SubprocessBackend)
-    monkeypatch.setenv("TRANSITFREIGHT_SOLVER", str(tmp_path / "solver"))
-    assert isinstance(get_backend("subprocess"), SubprocessBackend)
-    with pytest.raises(Exception):
-        get_backend("nonsense")
-
-
-def test_subprocess_highs_gets_the_gap_and_settings_in_an_options_file(tmp_path):
-    backend = SubprocessBackend(command="highs --random_seed 0")
-    lp_path, sol_path = str(tmp_path / "model.lp"), str(tmp_path / "model.sol")
-    argv = backend._argv(lp_path, sol_path, SolveLimits(30.0, 1e-6))
-    options_path = str(tmp_path / "highs.opt")
-    assert argv == ["highs", "--random_seed", "0", lp_path, "--time_limit", "30.0",
-                    "--options_file", options_path, "--solution_file", sol_path]
-    assert (tmp_path / "highs.opt").read_text(encoding="utf-8") == (
-        "mip_rel_gap = 1e-06\n"
-        "mip_heuristic_run_feasibility_jump = false\n")
 
 
 def test_highs_backend_switches_off_feasibility_jump(monkeypatch):

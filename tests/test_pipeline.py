@@ -33,6 +33,8 @@ def test_config_validation():
         RunConfig(method="d3", t2_obj="obj3")  # rejected combination
     with pytest.raises(ModelError):
         RunConfig(method="d2", t2_obj="obj2", mu=0.5)  # service costs are FULL-only
+    with pytest.raises(ModelError, match="finite"):
+        RunConfig(method="full", mu=float("nan"))
     assert RunConfig(method="full").label() == "full"
     assert RunConfig(method="d2", t2_obj="obj1").label() == "d2-obj1"
 
@@ -102,6 +104,9 @@ def test_d1_succeeds_with_a_late_trip(backend):
                  "t_in.c1: expected a number", id="time-null"),
     pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "tau": [{"customer": "c1", "half": 1}]}),
                  "tau[0]: missing field stop", id="tau-without-stop"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA,
+                             "tau": [{"customer": "c1", "stop": "A", "half": 1.5}]}),
+                 "tau[0].half: expected a whole number", id="tau-half-fractional"),
 ])
 def test_malformed_handoff_is_a_plan_error(text, names):
     with pytest.raises(PlanError, match=re.escape(names)):
@@ -390,6 +395,18 @@ def test_compare_methods_keeps_each_beta_apart(backend, micro1, tmp_path):
     assert RunConfig(method="full", beta=0.5, mu=2.0).label() == "full-beta0.5-mu2"
 
 
+def test_compare_methods_reports_the_mu_an_instance_sets(backend, micro1):
+    """A mu set in the instance's cost parameters is the row's mu, label and case."""
+    priced = replace(micro1, cost_params=replace(micro1.cost_params, service_cost_mu=0.5))
+    rows = compare_methods([("m1", priced)],
+                           [RunConfig(method="full"), RunConfig(method="d2", t2_obj="obj2")],
+                           backend)
+    full, d2 = rows
+    assert (full.label(), full.mu, full.deviation_pct) == ("full-mu0.5", 0.5, 0.0)
+    assert full.service_cost > 0
+    assert (d2.label(), d2.mu, d2.deviation_pct) == ("d2-obj2", 0.0, 0.0)
+
+
 def test_full_service_cost_reference_cached(backend, micro1):
     plan, metrics = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
     # lambda terms derive from the plain solve of this same instance
@@ -408,6 +425,7 @@ def test_service_cost_reference_is_a_recorded_stage(backend, micro1, monkeypatch
         ("reference", "optimal"), ("full", "optimal")]
     doc = json.loads((tmp_path / "metrics.json").read_text())
     assert [s["stage"] for s in doc["stages"]] == ["reference", "full"]
+    assert doc["mu"] == 0.5
     # the second run reads the cached reference
     _plan, again = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
     assert [(s.stage, s.status) for s in again.stages] == [("full", "optimal")]

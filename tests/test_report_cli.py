@@ -5,11 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from transitfreight.backends import highs_core
 from transitfreight.cli import cli_main
+from transitfreight.compat import derive_compatibility
 from transitfreight.instance import parse_instance, serialize_instance
+from transitfreight.model_full import FullOptions, build_full
 from transitfreight.plan import PLAN_SCHEMA, parse_plan
 from transitfreight.report import (
     ReportRow, emit_report, fill_deviations, rows_from_csv, rows_to_csv)
+from transitfreight.vrptw import build_vrptw
 
 from conftest import make_micro1
 
@@ -177,13 +181,25 @@ def test_cli_validate_flags_corruption(tmp_path, capsys):
 
 
 def test_cli_export_lp_deterministic(tmp_path):
+    """For each formulation, the written file is the same on every run, and HiGHS's
+    LP reader gets the built model's columns and rows back from it."""
     inst_path = write_micro1(tmp_path)
-    out1, out2 = tmp_path / "m1.lp", tmp_path / "m2.lp"
-    assert cli_main(["export-lp", "--instance", str(inst_path),
-                     "--method", "full", "--out", str(out1)]) == 0
-    assert cli_main(["export-lp", "--instance", str(inst_path),
-                     "--method", "full", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    micro1 = make_micro1()
+    models = {"full": build_full(micro1, derive_compatibility(micro1), FullOptions()),
+              "vrptw": build_vrptw(micro1)}
+    for method, model in models.items():
+        out1, out2 = tmp_path / f"{method}1.lp", tmp_path / f"{method}2.lp"
+        assert cli_main(["export-lp", "--instance", str(inst_path),
+                         "--method", method, "--out", str(out1)]) == 0
+        assert cli_main(["export-lp", "--instance", str(inst_path),
+                         "--method", method, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), method
+        highs = highs_core._Highs()
+        assert highs.setOptionValue("output_flag", False) == highs_core.HighsStatus.kOk
+        assert highs.readModel(str(out1)) == highs_core.HighsStatus.kOk, method
+        lp = highs.getLp()
+        assert (lp.num_col_, lp.num_row_) == (len(model.variables), len(model.constraints)), \
+            method
 
 
 def test_cli_compare_and_report(tmp_path):
@@ -257,6 +273,11 @@ _VRPTW_ROUTE = {"truck": "d1", "customers": ["c1"], "times": [300.0]}
                  "trips[0].stop_times: expected an object", id="stop-times-a-list"),
     pytest.param(_with(_micro1_doc(), ("trips", 1, "capacity"), None), None,
                  "trips[1].capacity: expected a number", id="capacity-null"),
+    pytest.param(_with(_micro1_doc(), ("stops", 0, "is_drop_in"), "false"), None,
+                 "stops[0].is_drop_in: expected a boolean", id="drop-in-a-string"),
+    pytest.param(_with(_micro1_doc(), ("cost_params", "period_count"), 30.7), None,
+                 "cost_params.period_count: expected a whole number",
+                 id="period-count-fractional"),
     pytest.param(None, [], "top level: expected an object", id="plan-a-list"),
     pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "three-tier"},
                  "missing field itineraries", id="plan-without-itineraries"),
