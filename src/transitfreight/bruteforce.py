@@ -7,12 +7,18 @@ with greedy-earliest timing clamped up to window openings;
 ``brute_force_vrptw`` does the same for the direct-truck baseline. Within one
 call each group's cheapest route is computed once: truck routes are cached by
 their stops' visit windows, truck layers by pickup pattern, and each stop's
-freighter routing by its packages and their drop minutes. Nothing is cached
-across calls, and no model-building code is reused here.
+freighter routing by its packages and their drop minutes. Once a plan is
+found, an itinerary pattern is skipped when its freighter cost plus the
+cheapest closed truck walk from the CDC through its drop-in stops cannot beat
+it; such a pattern could never be chosen, so the result stays exact. The
+only table kept across calls lists the labellings of a member count by a
+vehicle count, which no instance enters, and no model-building code is
+reused here.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -138,6 +144,23 @@ def _best_order(instance: Instance, home, start: float, visits: dict,
     return best
 
 
+@functools.lru_cache(maxsize=None)  # the guard bounds the keys: 3 x 5 at most
+def _labellings(vehicles: int, members: int) -> tuple:
+    """Every labelling of ``members`` members by ``vehicles`` vehicles, in
+    ``itertools.product`` order, each a tuple of (vehicle, member bitmask) pairs
+    for its non-empty groups in vehicle order; bit i stands for member i."""
+    table = []
+    for labels in itertools.product(range(vehicles), repeat=members):
+        masks: dict[int, int] = {}
+        for i, label in enumerate(labels):
+            masks[label] = masks.get(label, 0) | 1 << i
+        table.append(tuple(sorted(masks.items())))
+    return tuple(table)
+
+
+_UNASKED = object()
+
+
 def _best_partition(capacities: list[float], members: list[str],
                     demands: dict[str, float], route_of):
     """Cheapest split of ``members`` over vehicles of the given capacities.
@@ -149,27 +172,29 @@ def _best_partition(capacities: list[float], members: list[str],
     ``route_of`` is asked at most once per group. Returns (cost, [(vehicle
     index, group, route), ...] in vehicle order) or None.
     """
-    routes, best = {}, None
-    for labels in itertools.product(range(len(capacities)), repeat=len(members)):
-        groups: dict[int, list[str]] = {}
-        for member, label in zip(members, labels):
-            groups.setdefault(label, []).append(member)
-        cost, chosen = 0.0, []
-        for label in sorted(groups):
-            group = tuple(groups[label])
-            if sum(demands[m] for m in group) > capacities[label] + 1e-9:
+    groups = [tuple(m for i, m in enumerate(members) if mask >> i & 1)
+              for mask in range(1 << len(members))]
+    loads = [sum(demands[m] for m in group) for group in groups]
+    routes = [_UNASKED] * len(groups)
+    best = None
+    for labelling in _labellings(len(capacities), len(members)):
+        cost = 0.0
+        for vehicle, mask in labelling:
+            if loads[mask] > capacities[vehicle] + 1e-9:
                 break
-            if group not in routes:
-                routes[group] = route_of(group)
-            route = routes[group]
+            route = routes[mask]
+            if route is _UNASKED:
+                route = routes[mask] = route_of(groups[mask])
             if route is None:
                 break
             cost += route[0]
-            chosen.append((label, group, route))
         else:
             if best is None or cost < best[0] - 1e-12:
-                best = (cost, chosen)
-    return best
+                best = (cost, labelling)
+    if best is None:
+        return None
+    cost, labelling = best
+    return cost, [(vehicle, groups[mask], routes[mask]) for vehicle, mask in labelling]
 
 
 def _door_visit(cust) -> tuple:
@@ -264,6 +289,22 @@ def _best_freighter_layer(instance: Instance, demands: dict[str, float],
     return total_cost, assignment, routes
 
 
+def _shortest_tour(instance: Instance, stop_ids) -> float:
+    """A lower bound on the truck cost of any pickup pattern over ``stop_ids``.
+
+    Every truck route leaves the CDC and returns to it, so a layer's routes
+    joined at the CDC form a closed walk from the CDC through every stop of
+    the pattern; by the triangle inequality none is shorter than the shortest
+    tour visiting each stop once. Returns that tour's length, found by trying
+    every order, times the truck cost per distance.
+    """
+    cdc = instance.cdc
+    shortest = min(
+        sum(euclidean_distance(a, b) for a, b in zip((cdc, *perm), (*perm, cdc)))
+        for perm in itertools.permutations(instance.stop(sid).location for sid in stop_ids))
+    return instance.cost_params.truck_cost_per_distance * shortest
+
+
 def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     """Exact optimum of the three-tier problem by exhaustive enumeration."""
     _check_guard(instance)
@@ -273,22 +314,29 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     if any(not opts for opts in options.values()):
         return BruteForceOutcome(feasible=False, cost=None, plan=None)
 
-    truck_memo, freighter_memo, accepted_patterns = {}, {}, set()
+    truck_memo, freighter_memo, tours, accepted_patterns = {}, {}, {}, set()
     best: tuple[float, dict[str, TransitOption], tuple, tuple] | None = None
 
     ids = [c.id for c in customers]
     for picks in itertools.product(*(options[i] for i in ids)):
         combo = dict(zip(ids, picks))
-        if not _trip_loads_ok(instance, demands, combo):
-            continue
         pickup = {c: (opt.drop_in, opt.pickup_time) for c, opt in combo.items()}
         drops = {c: (opt.drop_out, opt.drop_time) for c, opt in combo.items()}
         pattern = (tuple(sorted(pickup.items())), tuple(sorted(drops.items())))
         if pattern in accepted_patterns:
             continue  # same stops and times: identical cost already scored
-        # a pattern counts only when both sides are feasible, so the order is free
+        # a pattern counts only when every check passes, so their order is free
         freighter_side = _best_freighter_layer(instance, demands, drops, freighter_memo)
         if freighter_side is None:
+            continue
+        if best is not None:
+            # a pattern is accepted only below best - 1e-12, and best never rises
+            stops_in = tuple(sorted({opt.drop_in for opt in picks}))
+            if stops_in not in tours:
+                tours[stops_in] = _shortest_tour(instance, stops_in)
+            if freighter_side[0] + tours[stops_in] > best[0] + 1e-9:
+                continue
+        if not _trip_loads_ok(instance, demands, combo):
             continue
         truck_side = _best_truck_layer(instance, demands, pickup, truck_memo)
         if truck_side is None:

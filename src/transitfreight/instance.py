@@ -306,14 +306,17 @@ def require_field(doc: Any, key: str, path: str, kind: type | None = None,
 def require_kind(value: Any, path: str, kind: type | None,
                  error: type[ValueError] = InstanceError) -> Any:
     """``value`` checked to be a ``kind``: ``dict``, ``list``, ``bool`` (JSON
-    ``true``/``false`` only), or ``float`` or ``int``, which also convert it and of
-    which ``int`` takes only a whole number; ``error`` names the path otherwise."""
+    ``true``/``false`` only), or ``float`` or ``int``, which take only a JSON number
+    within the float range (not a string or a boolean) and convert it, ``int`` only
+    a whole one; ``error`` names the path otherwise."""
     if kind in (float, int):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            pass
-        else:
+        number = None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # a whole number beyond the float range
+                pass
+        if number is not None:
             if kind is float:
                 return number
             if number.is_integer():

@@ -102,6 +102,8 @@ def test_d1_succeeds_with_a_late_trip(backend):
                  "t_in: expected an object", id="map-a-list"),
     pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "t_in": {"c1": None}}),
                  "t_in.c1: expected a number", id="time-null"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "t_in": {"c1": "150"}}),
+                 "t_in.c1: expected a number", id="time-a-string"),
     pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "tau": [{"customer": "c1", "half": 1}]}),
                  "tau[0]: missing field stop", id="tau-without-stop"),
     pytest.param(json.dumps({"schema": HANDOFF_SCHEMA,

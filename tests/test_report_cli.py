@@ -273,6 +273,12 @@ _VRPTW_ROUTE = {"truck": "d1", "customers": ["c1"], "times": [300.0]}
                  "trips[0].stop_times: expected an object", id="stop-times-a-list"),
     pytest.param(_with(_micro1_doc(), ("trips", 1, "capacity"), None), None,
                  "trips[1].capacity: expected a number", id="capacity-null"),
+    pytest.param(_with(_micro1_doc(), ("trips", 0, "capacity"), "10"), None,
+                 "trips[0].capacity: expected a number", id="capacity-a-string"),
+    pytest.param(_with(_micro1_doc(), ("trips", 0, "capacity"), 10 ** 400), None,
+                 "trips[0].capacity: expected a number", id="capacity-beyond-float"),
+    pytest.param(_with(_micro1_doc(), ("stops", 0, "service_time"), True), None,
+                 "stops[0].service_time: expected a number", id="service-time-a-boolean"),
     pytest.param(_with(_micro1_doc(), ("stops", 0, "is_drop_in"), "false"), None,
                  "stops[0].is_drop_in: expected a boolean", id="drop-in-a-string"),
     pytest.param(_with(_micro1_doc(), ("cost_params", "period_count"), 30.7), None,

@@ -1,13 +1,24 @@
+import itertools
 import math
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from transitfreight.bruteforce import OracleSizeError, brute_force_optimum
+from transitfreight.bruteforce import (
+    OracleSizeError,
+    _best_partition,
+    _best_truck_layer,
+    _shortest_tour,
+    _transit_options,
+    brute_force_optimum,
+)
 from transitfreight.instance import (
     Customer,
     Freighter,
     Instance,
+    InstanceError,
     Line,
     Point,
     Stop,
@@ -35,6 +46,7 @@ from conftest import (
     MICRO1_T1,
     MICRO1_T3,
     MICRO1_TOTAL,
+    generate_micro_instance,
     generate_micro_instances,
     make_micro1,
 )
@@ -250,6 +262,112 @@ def test_oracle_plans_validate_and_recompute_to_their_cost():
             outcome.cost, abs=1e-9)
         feasible += 1
     assert feasible >= 15
+
+
+def _monolithic_draws(count: int) -> list[Instance]:
+    """The first ``count`` instances of the benchmark's ``monolithic`` workload at seed
+    1: generator seeds from 2001 on, with 2 + seed % 3 customers, skipping rejects."""
+    drawn, seed = [], 2001
+    while len(drawn) < count:
+        try:
+            drawn.append(generate_micro_instance(seed, 2 + seed % 3))
+        except InstanceError:
+            pass
+        seed += 1
+    return drawn
+
+
+def test_shortest_tour_bounds_every_feasible_truck_layer():
+    """The bound the oracle prunes by is a lower bound: on criterion 1's micro
+    instances and a 30-second ``monolithic`` run's draws, every pickup pattern with a
+    feasible truck layer costs at least the shortest CDC tour through its drop-in
+    stops, and many cost exactly that."""
+    checked = tight = 0
+    for instance in generate_micro_instances(20, start_seed=1000) + _monolithic_draws(45):
+        customers = sorted(c.id for c in instance.customers)
+        demands = {c.id: c.demand for c in instance.customers}
+        options = [_transit_options(instance, instance.customer(c)) for c in customers]
+        patterns = {tuple((c, (opt.drop_in, opt.pickup_time)) for c, opt in zip(customers, picks))
+                    for picks in itertools.product(*options)}
+        memo = {}
+        for pattern in sorted(patterns):
+            layer = _best_truck_layer(instance, demands, dict(pattern), memo)
+            if layer is None:
+                continue
+            bound = _shortest_tour(instance, tuple(sorted({s for _, (s, _) in pattern})))
+            assert layer[0] >= bound - 1e-9, pattern
+            checked += 1
+            tight += layer[0] <= bound + 1e-9
+    assert checked >= 1000 and tight >= 100
+
+
+class _CountingRoutes:
+    """A ``route_of`` stub: (cost, group) from ``cost_of``, or None; counts each ask."""
+
+    def __init__(self, cost_of):
+        self.cost_of, self.asked = cost_of, Counter()
+
+    def __call__(self, group):
+        self.asked[group] += 1
+        cost = self.cost_of(group)
+        return None if cost is None else (cost, group)
+
+
+def _reference_partition(capacities, members, demands, route_of):
+    """Every labelling in ``itertools.product`` order, each scored from scratch."""
+    best = None
+    for labels in itertools.product(range(len(capacities)), repeat=len(members)):
+        cost, chosen = 0.0, []
+        for vehicle, capacity in enumerate(capacities):
+            group = tuple(m for m, label in zip(members, labels) if label == vehicle)
+            if not group:
+                continue
+            if sum(demands[m] for m in group) > capacity + 1e-9:
+                break
+            route = route_of(group)
+            if route is None:
+                break
+            cost += route[0]
+            chosen.append((vehicle, group, route))
+        else:
+            if best is None or cost < best[0] - 1e-12:
+                best = (cost, chosen)
+    return best
+
+
+def test_partition_tie_goes_to_the_first_labelling_and_skips_overloaded_groups():
+    """With every package costing 1, all labellings that fit tie; the first in product
+    order wins. The pair of 5s overloads vehicle 0, so it rides vehicle 1 or is split."""
+    routes = _CountingRoutes(lambda group: float(len(group)))
+    best = _best_partition([5.0, 10.0], ["a", "b"], {"a": 5.0, "b": 5.0}, routes)
+    assert best == (2.0, [(0, ("a",), (1.0, ("a",))), (1, ("b",), (1.0, ("b",)))])
+    assert max(routes.asked.values()) == 1
+    alone = _CountingRoutes(lambda group: 1.0)
+    assert _best_partition([5.0], ["a", "b"], {"a": 5.0, "b": 5.0}, alone) is None
+    assert not alone.asked  # the pair is never routed for a vehicle it overloads
+
+
+@pytest.mark.parametrize("vehicles", [1, 2])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4])
+def test_partition_matches_a_reference_loop(vehicles, count):
+    """On random capacities, demands and group costs (some groups unroutable, costs
+    drawn from few values so labellings tie), the result equals a loop that scores
+    every labelling from scratch, and each group is routed at most once."""
+    members = [f"m{i}" for i in range(count)]
+    groups = [g for size in range(1, count + 1) for g in itertools.combinations(members, size)]
+    feasible = 0
+    for seed in range(40):
+        rng = random.Random(1000 * vehicles + 100 * count + seed)
+        capacities = [float(rng.randint(3, 15)) for _ in range(vehicles)]
+        demands = {m: float(rng.randint(1, 6)) for m in members}
+        costs = {g: rng.choice([None, 1.0, 2.0, 2.0, 3.5]) for g in groups}
+        routes = _CountingRoutes(costs.get)
+        best = _best_partition(capacities, members, demands, routes)
+        assert best == _reference_partition(capacities, members, demands,
+                                            _CountingRoutes(costs.get))
+        assert set(routes.asked.values()) <= {1}
+        feasible += best is not None
+    assert 0 < feasible < 40 or count == 0
 
 
 def test_oracle_guard_refuses_large(micro1):
