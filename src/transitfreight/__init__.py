@@ -7,7 +7,7 @@ benchmark instances, validates plans independently, and compares against a
 direct-truck baseline.
 """
 
-from .backends import ScipyHighsBackend, solve
+from .backends import ScipyHighsBackend, solve, write_model
 from .bruteforce import BruteForceOutcome, OracleSizeError, brute_force_optimum, brute_force_vrptw
 from .compat import Compatibility, derive_compatibility
 from .generate import GenParams, generate_instance
@@ -36,7 +36,6 @@ from .milp import (
     SolveResult,
     VarRef,
     big_M,
-    write_lp,
 )
 from .model_full import FullOptions, build_full, decode_full
 from .pipeline import PipelineError, RunConfig, RunMetrics, compare_methods, run_method

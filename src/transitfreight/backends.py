@@ -1,8 +1,10 @@
-"""MILP solve backend.
+"""MILP solve backend and model export.
 
 Every model is solved in process on the HiGHS build that scipy bundles.
-Handing a model to an external solver goes through ``write_lp`` (the
-``export-lp`` verb) instead.
+Handing a model to an external solver goes through ``write_model`` (the
+``export-lp`` verb), which writes it with HiGHS's own LP or MPS writer.
+Both build the same ``HighsLp`` from the model's rows as built: HiGHS takes
+the matrix row-wise, so nothing transposes it here.
 
 The backend calls scipy's private HiGHS bindings,
 ``scipy.optimize._highspy._core``, the same ones ``scipy.optimize.milp``
@@ -12,9 +14,9 @@ sparse-matrix round trip, an options manager built for every option it
 checks, dual values and marginals read back) cost more than HiGHS itself:
 per call, 0.9 against 2.0 ms for a ``d2-t2`` model of 26 variables, 0.3-0.4
 against 1.3-1.7 ms for ``t1-handoff`` and ``t3-stopwise`` models (2-core
-machine, scipy 1.17.1, the only version measured). The model handed to
-HiGHS is the one ``milp`` built: the same columns, bounds, integrality and
-column-wise matrix. The bindings are private, so a scipy release may move
+machine, scipy 1.17.1, the only version measured). HiGHS gets the columns,
+bounds and integrality ``milp`` would build, and the same matrix, passed
+row-wise. The bindings are private, so a scipy release may move
 them; importing this module then fails naming the missing module.
 
 Every solve runs under the same fixed settings (``HIGHS_SETTINGS``)
@@ -25,9 +27,12 @@ cost was most of each solve, and switching it off changed no optimum.
 
 from __future__ import annotations
 
+import re
+import shutil
+import tempfile
 import time
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from pathlib import Path
 from typing import Protocol
 
 try:
@@ -47,6 +52,7 @@ from .milp import (
     MilpModel,
     SolveLimits,
     SolveResult,
+    VarRef,
 )
 
 HIGHS_SETTINGS = {"mip_heuristic_run_feasibility_jump": False}
@@ -107,19 +113,20 @@ def scipy_milp(*, lp, mip: bool, options: dict) -> HighsOutcome:
 
 def _highs_lp(model: MilpModel):
     """The model as a ``HighsLp``: columns in variable order, the constraint matrix
-    column-wise with each column's rows ascending; and whether any column is integer."""
+    row-wise in the model's row and term order; and whether any column is integer."""
     variables, constraints = model.variables, model.constraints
-    n = len(variables)
-    cost = [0.0] * n
+    if not variables:
+        raise BackendError("empty model")
+    cost = [0.0] * len(variables)
     for var, coeff in model.objective:
         cost[var.index] += coeff
-    col_rows: list[list[int]] = [[] for _ in range(n)]
-    col_vals: list[list[float]] = [[] for _ in range(n)]
+    starts, index, value = [0], [], []
     row_lower, row_upper = [], []
-    for i, con in enumerate(constraints):
+    for con in constraints:
         for var, coeff in con.terms:
-            col_rows[var.index].append(i)
-            col_vals[var.index].append(coeff)
+            index.append(var.index)
+            value.append(coeff)
+        starts.append(len(index))
         if con.sense == LESS_EQUAL:
             row_lower.append(-INF)
             row_upper.append(con.rhs)
@@ -132,17 +139,17 @@ def _highs_lp(model: MilpModel):
     kinds = [v.kind in _INTEGER_KINDS for v in variables]
 
     lp = highs_core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(variables)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(constraints)
-    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kRowwise
     lp.col_cost_ = cost
     lp.col_lower_ = [v.lb for v in variables]
     lp.col_upper_ = [INF if v.ub == INF else min(v.ub, 1e30) for v in variables]
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
-    lp.a_matrix_.start_ = [0, *accumulate(map(len, col_rows))]
-    lp.a_matrix_.index_ = list(chain.from_iterable(col_rows))
-    lp.a_matrix_.value_ = list(chain.from_iterable(col_vals))
+    lp.a_matrix_.start_ = starts
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = value
     integer, continuous = highs_core.HighsVarType.kInteger, highs_core.HighsVarType.kContinuous
     lp.integrality_ = [integer if k else continuous for k in kinds]
     return lp, any(kinds)
@@ -154,8 +161,6 @@ class ScipyHighsBackend:
     name = "highs"
 
     def solve(self, model: MilpModel, limits: SolveLimits) -> SolveResult:
-        if not model.variables:
-            raise BackendError("empty model")
         lp, mip = _highs_lp(model)
         options = {"log_to_console": False, "time_limit": float(limits.time_limit),
                    "mip_rel_gap": float(limits.rel_gap), "presolve": "on", **HIGHS_SETTINGS}
@@ -199,3 +204,56 @@ def solve(model: MilpModel, backend: Backend | None = None,
     if result.status not in ("optimal", "feasible", "infeasible", "timeout", "error"):
         raise BackendError(f"backend returned unknown status {result.status!r}")
     return result
+
+
+# ---- export ------------------------------------------------------------
+
+_SAFE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_().#]*$")
+_UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9_().#]")
+
+
+def _sanitize_names(variables: list[VarRef]) -> list[str]:
+    """Deterministic LP-legal column names, in variable order. HiGHS writes the
+    model's structured names too, but cannot read its own file back with them."""
+    names: list[str] = []
+    used: set[str] = set()
+    for var in variables:
+        name = (var.name.replace("[", "(").replace("]", ")")
+                .replace(",", "_").replace(" ", "_").replace("~", "."))
+        if not _SAFE_NAME.match(name):
+            name = "v_" + _UNSAFE_CHARS.sub("_", name)
+        base, k = name, 1
+        while name in used:
+            k += 1
+            name = f"{base}#{k}"
+        used.add(name)
+        names.append(name)
+    return names
+
+
+def write_model(model: MilpModel, path: str | Path) -> None:
+    """Write ``model`` to ``path`` with HiGHS's own writer, which picks LP or MPS
+    from the file's extension. The model is named by its formulation tag, columns
+    carry ``_sanitize_names``' names and row ``i`` is named
+    ``<sanitized constraint name>#i``.
+
+    HiGHS writes into a fresh directory and the file is then copied to ``path``:
+    HiGHS crashes the process when it cannot open its output file, and a file it
+    refuses to write (an extension it does not know) leaves nothing at ``path``.
+    """
+    path = Path(path)
+    lp, _ = _highs_lp(model)
+    lp.model_name_ = model.metadata["formulation"]
+    lp.col_names_ = _sanitize_names(model.variables)
+    lp.row_names_ = [f"{_UNSAFE_CHARS.sub('_', con.name) or f'c{i}'}#{i}"
+                     for i, con in enumerate(model.constraints)]
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    if highs.passModel(lp) == highs_core.HighsStatus.kError:
+        raise BackendError(f"HiGHS rejects the model to be written to {path}")
+    with tempfile.TemporaryDirectory() as scratch:
+        written = Path(scratch) / f"model{path.suffix}"
+        if highs.writeModel(str(written)) != highs_core.HighsStatus.kOk:
+            raise BackendError(f"HiGHS wrote no model to {path}: it takes the format "
+                               "from the extension, .lp or .mps")
+        shutil.copyfile(written, path)

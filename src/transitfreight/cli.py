@@ -13,11 +13,11 @@ import json
 import sys
 from pathlib import Path
 
-from .backends import BackendError, ScipyHighsBackend
+from .backends import BackendError, ScipyHighsBackend, write_model
 from .compat import derive_compatibility
 from .generate import GenParams, generate_instance
 from .instance import InstanceError, parse_instance, serialize_instance
-from .milp import ModelError, write_lp
+from .milp import ModelError
 from .model_full import FullOptions, build_full
 from .pipeline import (
     DEFAULT_STAGE_SECONDS,
@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifacts", default=None, help="per-run artifact root")
     _add_solve_flags(p)
 
-    p = sub.add_parser("export-lp", help="write a model as LP text")
+    p = sub.add_parser("export-lp",
+                       help="write a model as an LP or MPS file, by the extension of --out")
     p.add_argument("--instance", required=True)
     p.add_argument("--method", default="full", choices=["full", "vrptw"])
     p.add_argument("--out", required=True)
@@ -203,7 +204,7 @@ def _cmd_export_lp(args) -> int:
     else:
         from .vrptw import build_vrptw
         model = build_vrptw(instance)
-    Path(args.out).write_text(write_lp(model), encoding="utf-8")
+    write_model(model, args.out)
     print(f"wrote {args.out}: {len(model.variables)} variables, "
           f"{len(model.constraints)} constraints")
     return 0

@@ -3,15 +3,14 @@
 Models are built once, immutably, and handed to a backend. Variables carry
 structured names like ``y1[c3,s2,p7]`` so solutions can be traced back to
 model families; a per-family registry on the model maps index tuples to
-variables. ``write_lp`` emits deterministic CPLEX-LP text for external
-solvers (the ``export-lp`` verb); only real solvers read it back, the tests
-through HiGHS's own LP reader.
+variables. Constraints are kept as rows, in the order they were added; the
+backend hands them to HiGHS row-wise as they are, and writes a model file for
+an external solver with HiGHS's own writer (``backends.write_model``).
 """
 
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -89,14 +88,10 @@ class MilpModel:
     variables: list[VarRef]
     constraints: list[LinConstraint]
     objective: list[Term]
+    nnz: int  # nonzeros over all rows
     metadata: dict = field(default_factory=dict)
     # family name -> index tuple -> variable, for decoding solutions
     registry: dict[str, dict[tuple, VarRef]] = field(default_factory=dict)
-    nnz: int = -1  # nonzeros over all rows; counted here unless the builder passes it
-
-    def __post_init__(self) -> None:
-        if self.nnz < 0:
-            self.nnz = sum(len(con.terms) for con in self.constraints)
 
     def family(self, name: str) -> dict[tuple, VarRef]:
         return self.registry.get(name, {})
@@ -203,79 +198,3 @@ def big_M(params, extra_time: float = 0.0) -> float:
         )
         return required
     return configured
-
-
-# ---- LP text ----------------------------------------------------------
-
-_SAFE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_().#]*$")
-
-
-def _sanitize_names(variables: list[VarRef]) -> dict[str, str]:
-    """Deterministic mapping of model names to LP-legal names."""
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
-    for var in variables:
-        name = (var.name.replace("[", "(").replace("]", ")")
-                .replace(",", "_").replace(" ", "_").replace("~", "."))
-        if not _SAFE_NAME.match(name):
-            name = "v_" + re.sub(r"[^A-Za-z0-9_().#]", "_", name)
-        base, k = name, 1
-        while name in used:
-            k += 1
-            name = f"{base}#{k}"
-        used.add(name)
-        mapping[var.name] = name
-    return mapping
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _expr_text(terms: tuple[Term, ...] | list[Term], names: dict[str, str]) -> str:
-    if not terms:
-        return "0 " + next(iter(names.values()))
-    parts: list[str] = []
-    for i, (var, coeff) in enumerate(terms):
-        sign = "-" if coeff < 0 else "+"
-        mag = abs(coeff)
-        lead = f"{sign} " if (i > 0 or sign == "-") else ""
-        coeff_txt = "" if mag == 1.0 else f"{_fmt(mag)} "
-        parts.append(f"{lead}{coeff_txt}{names[var.name]}")
-    return " ".join(parts)
-
-
-def write_lp(model: MilpModel) -> str:
-    """Emit the model as CPLEX-LP text with deterministic ordering."""
-    if not model.variables:
-        raise ModelError("cannot write an empty model")
-    names = _sanitize_names(model.variables)
-    out: list[str] = ["\\ " + str(model.metadata.get("formulation", "model")), "Minimize"]
-    out.append(" obj: " + _expr_text(model.objective, names))
-    out.append("Subject To")
-    for i, con in enumerate(model.constraints):
-        cname = re.sub(r"[^A-Za-z0-9_().#]", "_", con.name) or f"c{i}"
-        sense = {"<=": "<=", "=": "=", ">=": ">="}[con.sense]
-        out.append(f" {cname}#{i}: {_expr_text(con.terms, names)} {sense} {_fmt(con.rhs)}")
-    out.append("Bounds")
-    for var in model.variables:
-        if var.kind == BINARY:
-            continue
-        lo = "-inf" if var.lb == -INF else _fmt(var.lb)
-        if var.ub == INF:
-            if var.lb == -INF:
-                out.append(f" {names[var.name]} free")
-            else:
-                out.append(f" {names[var.name]} >= {lo}")
-        else:
-            out.append(f" {lo} <= {names[var.name]} <= {_fmt(var.ub)}")
-    binaries = [names[v.name] for v in model.variables if v.kind == BINARY]
-    if binaries:
-        out.append("Binary")
-        out.extend(f" {n}" for n in binaries)
-    generals = [names[v.name] for v in model.variables if v.kind == INTEGER]
-    if generals:
-        out.append("General")
-        out.extend(f" {n}" for n in generals)
-    out.append("End")
-    return "\n".join(out) + "\n"

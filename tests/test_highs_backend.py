@@ -14,7 +14,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from transitfreight import backends
+from transitfreight import backends, tiers
 from transitfreight.backends import HIGHS_SETTINGS, BackendError, ScipyHighsBackend
 from transitfreight.milp import (
     BINARY,
@@ -29,7 +29,7 @@ from transitfreight.milp import (
 )
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
 
-from conftest import generate_micro_instances
+from conftest import generate_micro_instances, make_micro1
 
 
 def milp_reference(model, limits: SolveLimits) -> SolveResult:
@@ -95,26 +95,42 @@ def _same_outcome(result: SolveResult, reference: SolveResult) -> bool:
                 reference.values, reference.nodes))
 
 
-def test_direct_bindings_match_milp_on_every_stage_model():
+def _formulation(model) -> str:
+    """The model's formulation tag; the truck stage built from rows is ``t1-handoff/rows``."""
+    tag = model.metadata["formulation"]
+    if tag == "t1-handoff" and "w" in model.registry:
+        tag += "/rows"
+    return tag
+
+
+def test_direct_bindings_match_milp_on_every_stage_model(monkeypatch):
     """Every model of d1/d2/d3 under obj1-3, full, full mu=0.5 and vrptw on ten
-    micro instances: the same status, objective, bound, values and node count."""
+    micro instances and micro1 with a late trip (the one d3 gets past its transit
+    stage), and of d2 with the truck stage built from rows: the same status,
+    objective, bound, values and node count."""
     configs = [RunConfig(method=m, t2_obj=obj) for m in ("d1", "d2", "d3")
                for obj in ("obj1", "obj2", "obj3") if (m, obj) != ("d3", "obj3")]
     configs += [RunConfig(method="full"), RunConfig(method="full", mu=0.5),
                 RunConfig(method="vrptw")]
+    instances = generate_micro_instances(10) + [make_micro1(extra_trip_time=550.0)]
     recorder = _RecordingBackend()
-    for instance in generate_micro_instances(10):
-        for config in configs:
-            try:
-                run_method(instance, config, recorder)
-            except PipelineError:
-                pass
-    formulations = {model.metadata["formulation"] for model, _, _ in recorder.solves}
-    assert {"full", "vrptw", "d2-t2", "d1-t1", "d1-t2", "d3-t3",
-            "t1-handoff", "t3-stopwise"} <= formulations
+
+    def sweep(configs):
+        for instance in instances:
+            for config in configs:
+                try:
+                    run_method(instance, config, recorder)
+                except PipelineError:
+                    pass
+
+    sweep(configs)
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+    sweep([config for config in configs if config.method == "d2"])
+    formulations = {_formulation(model) for model, _, _ in recorder.solves}
+    assert {"full", "vrptw", "d2-t2", "d1-t1", "d1-t2", "d3-t3", "d3-t2",
+            "t1-handoff", "t1-handoff/rows", "t3-stopwise"} <= formulations
     for model, limits, result in recorder.solves:
-        assert _same_outcome(result, milp_reference(model, limits)), \
-            model.metadata["formulation"]
+        assert _same_outcome(result, milp_reference(model, limits)), _formulation(model)
 
 
 def test_infeasible_model_matches_milp():

@@ -10,6 +10,7 @@ from transitfreight.backends import (
     ScipyHighsBackend,
     highs_core,
     solve,
+    write_model,
 )
 from transitfreight.compat import derive_compatibility
 from transitfreight.instance import CostParams
@@ -19,7 +20,6 @@ from transitfreight.milp import (
     SolveLimits,
     VarRef,
     big_M,
-    write_lp,
 )
 from transitfreight.model_full import build_full
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
@@ -92,27 +92,22 @@ def test_big_m_rules():
     assert lifted == pytest.approx(2011.0)
 
 
-# ---- LP text ------------------------------------------------------------
+# ---- model files ------------------------------------------------------
 
 
-def test_write_lp_sections():
-    text = write_lp(tiny_model())
-    assert "Minimize" in text
-    assert "Subject To" in text
-    assert "Binary" in text
-    assert text.endswith("End\n")
-
-
-def test_write_lp_deterministic(micro1):
+def test_write_model_deterministic(micro1, tmp_path):
     model = build_full(micro1, derive_compatibility(micro1))
-    assert write_lp(model) == write_lp(model)
+    first, second = tmp_path / "first.lp", tmp_path / "second.lp"
+    write_model(model, first)
+    write_model(model, second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def highs_reads(model, tmp_path, limits=SolveLimits()):
-    """HiGHS's own LP reader on ``write_lp(model)``, solved under the backend's settings:
-    its column and row counts, its model status and its objective."""
+    """HiGHS's own reader on the file ``write_model`` writes, solved under the backend's
+    settings: its column and row counts, its model status and its objective."""
     path = tmp_path / "model.lp"
-    path.write_text(write_lp(model), encoding="utf-8")
+    write_model(model, path)
     highs = highs_core._Highs()
     options = {"output_flag": False, "time_limit": limits.time_limit,
                "mip_rel_gap": limits.rel_gap, **HIGHS_SETTINGS}
@@ -140,16 +135,17 @@ def test_lp_reimport_full_micro1(tmp_path, micro1):
     assert read.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
 
 
-def test_name_mangling_stable():
+def test_name_mangling_stable(tmp_path):
     mb = ModelBuilder("mangling")
     a = mb.binary("w", "o", "o~", "d1")
     b = mb.binary("w", "A", "B", "d1")
     mb.add([(a, 1.0), (b, 1.0)], ">=", 1.0, "c")
     mb.set_objective([(a, 1.0), (b, 2.0)])
-    first = write_lp(mb.build())
-    second = write_lp(mb.build())
-    assert first == second
-    assert "w(o_o._d1)" in first
+    first, second = tmp_path / "first.lp", tmp_path / "second.lp"
+    write_model(mb.build(), first)
+    write_model(mb.build(), second)
+    assert first.read_bytes() == second.read_bytes()
+    assert "w(o_o._d1)" in first.read_text()
 
 
 def test_highs_backend_switches_off_feasibility_jump(monkeypatch):
@@ -244,8 +240,8 @@ def test_highs_settings_change_no_optimum(monkeypatch, recorded_solves):
 
 
 def test_highs_reads_every_written_model(tmp_path, recorded_solves):
-    """HiGHS's LP reader gets each recorded model back from ``write_lp``'s text: the
-    same columns and rows, and the in-process solve's status and optimum."""
+    """HiGHS's reader gets each recorded model back from the file ``write_model``
+    writes: the same columns and rows, and the in-process solve's status and optimum."""
     for label, model, limits, result in recorded_solves:
         read = highs_reads(model, tmp_path, limits)
         assert (read.cols, read.rows) == (len(model.variables), len(model.constraints)), label

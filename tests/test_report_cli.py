@@ -180,15 +180,17 @@ def test_cli_validate_flags_corruption(tmp_path, capsys):
     assert any(v["code"] in ("WINDOW", "ORDER") for v in report["violations"])
 
 
-def test_cli_export_lp_deterministic(tmp_path):
-    """For each formulation, the written file is the same on every run, and HiGHS's
-    LP reader gets the built model's columns and rows back from it."""
+@pytest.mark.parametrize("suffix", [".lp", ".mps"])
+def test_cli_export_lp_deterministic(tmp_path, suffix):
+    """For each formulation, HiGHS's writer writes the same file on every run, in the
+    format the extension names, and HiGHS's reader gets the built model's columns and
+    rows back from it."""
     inst_path = write_micro1(tmp_path)
     micro1 = make_micro1()
     models = {"full": build_full(micro1, derive_compatibility(micro1), FullOptions()),
               "vrptw": build_vrptw(micro1)}
     for method, model in models.items():
-        out1, out2 = tmp_path / f"{method}1.lp", tmp_path / f"{method}2.lp"
+        out1, out2 = tmp_path / f"{method}1{suffix}", tmp_path / f"{method}2{suffix}"
         assert cli_main(["export-lp", "--instance", str(inst_path),
                          "--method", method, "--out", str(out1)]) == 0
         assert cli_main(["export-lp", "--instance", str(inst_path),
@@ -200,6 +202,19 @@ def test_cli_export_lp_deterministic(tmp_path):
         lp = highs.getLp()
         assert (lp.num_col_, lp.num_row_) == (len(model.variables), len(model.constraints)), \
             method
+
+
+@pytest.mark.parametrize("out", ["model.txt", "missing/model.lp"],
+                         ids=["unknown-extension", "missing-directory"])
+def test_cli_export_lp_unwritable_path_exits_1(tmp_path, capsys, out):
+    """An extension HiGHS has no writer for, or a directory that does not exist, exits
+    1 with a diagnostic naming the path, and leaves no file behind."""
+    inst_path = write_micro1(tmp_path)
+    out_path = tmp_path / out
+    assert cli_main(["export-lp", "--instance", str(inst_path), "--out", str(out_path)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert str(out_path) in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["micro1.json"]
 
 
 def test_cli_compare_and_report(tmp_path):
