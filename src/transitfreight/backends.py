@@ -19,6 +19,17 @@ bounds and integrality ``milp`` would build, and the same matrix, passed
 row-wise. The bindings are private, so a scipy release may move
 them; importing this module then fails naming the missing module.
 
+The bindings are loaded straight from their extension file in scipy's
+install, under their own module name, not through ``import scipy.optimize``:
+that package's init imports scipy's sparse and linear-algebra stack, which
+nothing here uses. It was 0.41-0.44 s of the 0.56-0.61 s that ``import numpy,
+scipy, transitfreight`` took; loaded from the file, the import takes about
+0.21-0.30 s (same machine and scipy). A later ``import scipy.optimize`` finds
+the module in ``sys.modules`` and reuses it, and a copy scipy already imported
+is used as is. The parent package ``scipy.optimize._highspy`` does not get a
+``_core`` attribute that way; ``from scipy.optimize._highspy import _core``
+still finds the module.
+
 Every solve runs under the same fixed settings (``HIGHS_SETTINGS``)
 besides the stage's time limit and relative gap. The feasibility-jump
 primal heuristic is off: on models of a few dozen variables its start-up
@@ -27,20 +38,18 @@ cost was most of each solve, and switching it off changed no optimum.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import re
 import shutil
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-try:
-    from scipy.optimize._highspy import _core as highs_core
-except ImportError as exc:  # scipy before 1.15 bundles HiGHS without these bindings
-    raise ImportError(
-        "transitfreight solves through scipy.optimize._highspy._core, the HiGHS "
-        "bindings that scipy bundles since 1.15; install scipy>=1.15") from exc
+import scipy
 
 from .milp import (
     BINARY,
@@ -54,6 +63,38 @@ from .milp import (
     SolveResult,
     VarRef,
 )
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's HiGHS bindings, loaded from their extension file under their own
+    name (see the module docstring). A copy already imported is returned as is:
+    the bindings' types can be registered only once per process."""
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            break
+    else:  # scipy before 1.15 bundles HiGHS without these bindings
+        raise ImportError(
+            f"transitfreight solves through {_CORE}, the HiGHS bindings that scipy "
+            f"bundles since 1.15, and finds no _core extension in {folder}; "
+            "install scipy>=1.15", name=_CORE)
+    spec = importlib.util.spec_from_file_location(_CORE, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return module
+
+
+highs_core = _load_highs_core()
 
 HIGHS_SETTINGS = {"mip_heuristic_run_feasibility_jump": False}
 

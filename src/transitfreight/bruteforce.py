@@ -6,14 +6,14 @@ and, per drop-out stop, by freighter, and every visit order of each group,
 with greedy-earliest timing clamped up to window openings;
 ``brute_force_vrptw`` does the same for the direct-truck baseline. Within one
 call each group's cheapest route is computed once: truck routes are cached by
-their stops' visit windows, truck layers by pickup pattern, and each stop's
-freighter routing by its packages and their drop minutes. Once a plan is
-found, an itinerary pattern is skipped when its freighter cost plus the
-cheapest closed truck walk from the CDC through its drop-in stops cannot beat
-it; such a pattern could never be chosen, so the result stays exact. The
-only table kept across calls lists the labellings of a member count by a
-vehicle count, which no instance enters, and no model-building code is
-reused here.
+their stops' visit windows, truck layers by pickup pattern, freighter layers
+by drop pattern, and each stop's freighter routing by its packages and their
+drop minutes. Once a plan is found, an itinerary pattern is skipped when its
+freighter cost plus the cheapest closed truck walk from the CDC through its
+drop-in stops cannot beat it; such a pattern could never be chosen, so the
+result stays exact. The only table kept across calls lists the labellings of
+a member count by a vehicle count, which no instance enters, and no
+model-building code is reused here.
 """
 
 from __future__ import annotations
@@ -314,7 +314,8 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     if any(not opts for opts in options.values()):
         return BruteForceOutcome(feasible=False, cost=None, plan=None)
 
-    truck_memo, freighter_memo, tours, accepted_patterns = {}, {}, {}, set()
+    truck_memo, freighter_memo, freighter_layers, tours = {}, {}, {}, {}
+    accepted_patterns = set()
     best: tuple[float, dict[str, TransitOption], tuple, tuple] | None = None
 
     ids = [c.id for c in customers]
@@ -326,7 +327,10 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
         if pattern in accepted_patterns:
             continue  # same stops and times: identical cost already scored
         # a pattern counts only when every check passes, so their order is free
-        freighter_side = _best_freighter_layer(instance, demands, drops, freighter_memo)
+        if pattern[1] not in freighter_layers:
+            freighter_layers[pattern[1]] = _best_freighter_layer(
+                instance, demands, drops, freighter_memo)
+        freighter_side = freighter_layers[pattern[1]]
         if freighter_side is None:
             continue
         if best is not None:

@@ -7,7 +7,12 @@ bindings must match exactly.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +178,63 @@ def test_a_setting_highs_rejects_raises(monkeypatch):
     monkeypatch.setitem(backends.HIGHS_SETTINGS, "mip_rel_gap", "tight")
     with pytest.raises(BackendError, match="mip_rel_gap"):
         ScipyHighsBackend().solve(model, SolveLimits(10.0, 1e-6))
+
+
+def _run_fresh(script: str) -> None:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded_and_shares_the_bindings():
+    """Importing the package loads the HiGHS bindings without ``scipy.optimize``;
+    importing that later reuses the same module, and both ``milp`` and the
+    backend solve in that process."""
+    _run_fresh("""
+        import sys
+        import transitfreight
+        from transitfreight.backends import ScipyHighsBackend, highs_core
+        assert "scipy.optimize" not in sys.modules
+
+        import numpy as np
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        assert _core is highs_core
+        assert sys.modules["scipy.optimize._highspy._core"] is highs_core
+        res = scipy.optimize.milp(
+            c=[-1.0, -2.0], integrality=[1, 1], bounds=scipy.optimize.Bounds(0, 2),
+            constraints=[scipy.optimize.LinearConstraint([[1.0, 1.0]], -np.inf, 3.5)])
+        assert res.status == 0 and list(res.x) == [1.0, 2.0] and res.fun == -5.0
+
+        from transitfreight.milp import ModelBuilder, SolveLimits
+        mb = ModelBuilder("micro")
+        x, y = mb.binary("x"), mb.integer("y", ub=3.0)
+        mb.add([(x, 1.0), (y, 1.0)], ">=", 2.5, "cover")
+        mb.set_objective([(x, 2.0), (y, 1.0)])
+        result = ScipyHighsBackend().solve(mb.build(), SolveLimits(10.0, 1e-6))
+        assert result.status == "optimal" and result.objective == 3.0, result
+        assert result.values == {"x": 0.0, "y": 3.0}, result
+    """)
+
+
+def test_bindings_imported_by_scipy_first_are_reused():
+    _run_fresh("""
+        import sys
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+        from transitfreight import backends
+        assert backends.highs_core is _core
+        assert sys.modules["scipy.optimize._highspy._core"] is _core
+    """)
+
+
+def test_a_scipy_without_the_bindings_fails_naming_the_directory(monkeypatch, tmp_path):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(backends.scipy, "__file__", str(tmp_path / "__init__.py"))
+    with pytest.raises(ImportError, match="scipy>=1.15") as raised:
+        backends._load_highs_core()
+    assert str(tmp_path / "optimize" / "_highspy") in str(raised.value)
+    assert raised.value.name == "scipy.optimize._highspy._core"
