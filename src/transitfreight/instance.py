@@ -9,15 +9,20 @@ coordinates are dimensionless and distances Euclidean.
 Stops are *drop-in* (trucks deposit packages there for pickup by transit
 vehicles), *drop-out* (transit vehicles deposit packages there for
 freighters), or both.
+
+Documents are written and read by one codec, `to_doc` and `from_doc`, driven by
+the dataclasses: each record lists its fields in declaration order, strings take
+only JSON strings and numbers only JSON numbers, and a reader's error names the
+path of the offending field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Any
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cache, cached_property
+from typing import Any, get_args, get_origin, get_type_hints
 
 INSTANCE_SCHEMA = "3tdppt-instance/1"
 
@@ -287,8 +292,8 @@ class Instance:
 # ---- serialization ----------------------------------------------------
 
 
-_KINDS = {dict: "an object", list: "a list", float: "a number", int: "a whole number",
-          bool: "a boolean"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", float: "a number",
+          int: "a whole number", bool: "a boolean"}
 
 
 def require_field(doc: Any, key: str, path: str, kind: type | None = None,
@@ -305,10 +310,10 @@ def require_field(doc: Any, key: str, path: str, kind: type | None = None,
 
 def require_kind(value: Any, path: str, kind: type | None,
                  error: type[ValueError] = InstanceError) -> Any:
-    """``value`` checked to be a ``kind``: ``dict``, ``list``, ``bool`` (JSON
-    ``true``/``false`` only), or ``float`` or ``int``, which take only a JSON number
-    within the float range (not a string or a boolean) and convert it, ``int`` only
-    a whole one; ``error`` names the path otherwise."""
+    """``value`` checked to be a ``kind``: ``dict``, ``list``, ``str`` (a JSON string
+    only), ``bool`` (JSON ``true``/``false`` only), or ``float`` or ``int``, which
+    take only a JSON number within the float range (not a string or a boolean) and
+    convert it, ``int`` only a whole one; ``error`` names the path otherwise."""
     if kind in (float, int):
         number = None
         if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -326,69 +331,56 @@ def require_kind(value: Any, path: str, kind: type | None,
     raise error(f"{path}: expected {_KINDS[kind]}, got {value!r}")
 
 
-def _point_to_doc(p: Point) -> dict[str, float]:
-    return {"x": p.x, "y": p.y}
+@cache
+def _field_types(cls: type) -> tuple[tuple[str, Any], ...]:
+    """(name, resolved type) of each field of a dataclass, in declaration order."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
 
 
-def _point_from_doc(doc: Any, path: str) -> Point:
-    return Point(require_field(doc, "x", path, float), require_field(doc, "y", path, float))
+def to_doc(value: Any) -> Any:
+    """``value`` as JSON data: a dataclass becomes an object of its fields in
+    declaration order, a tuple a list, a frozenset a sorted list; a dict keeps its
+    order."""
+    if isinstance(value, (str, float, int)):
+        return value
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [to_doc(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
+    return value
+
+
+def from_doc(cls: Any, doc: Any, path: str, error: type[ValueError] = InstanceError,
+             optional: tuple[str, ...] = ()) -> Any:
+    """Inverse of ``to_doc``: ``doc`` read as a ``cls``, which is a dataclass,
+    ``tuple[T, ...]``, ``frozenset[T]``, ``dict[str, T]`` or a scalar taken by
+    ``require_kind``. A dataclass field named in ``optional`` may be absent and
+    then keeps its default; ``error`` names the path of any other missing or
+    wrong-typed value."""
+    if cls in _KINDS:
+        return require_kind(doc, path, cls, error)
+    if is_dataclass(cls):
+        require_kind(doc, path or "top level", dict, error)
+        return cls(**{
+            name: from_doc(kind, require_field(doc, name, path, error=error),
+                           f"{path}.{name}" if path else name, error, optional)
+            for name, kind in _field_types(cls) if name in doc or name not in optional})
+    origin, args = get_origin(cls), get_args(cls)
+    if origin in (tuple, frozenset):
+        return origin(from_doc(args[0], v, f"{path}[{j}]", error, optional)
+                      for j, v in enumerate(require_kind(doc, path, list, error)))
+    return {k: from_doc(args[1], v, f"{path}.{k}", error, optional)
+            for k, v in require_kind(doc, path, dict, error).items()}
 
 
 def serialize_instance(instance: Instance) -> str:
     """Render an instance as its canonical JSON document."""
-    doc = {
-        "schema": INSTANCE_SCHEMA,
-        "cdc": _point_to_doc(instance.cdc),
-        "stops": [
-            {
-                "id": s.id,
-                "location": _point_to_doc(s.location),
-                "is_drop_in": s.is_drop_in,
-                "is_drop_out": s.is_drop_out,
-                "service_time": s.service_time,
-                "max_dwell": s.max_dwell,
-            }
-            for s in instance.stops
-        ],
-        "lines": [{"id": ln.id, "ordered_stops": list(ln.ordered_stops)} for ln in instance.lines],
-        "trips": [
-            {
-                "id": p.id,
-                "line": p.line,
-                "stop_times": {s: p.stop_times[s] for s in instance.line(p.line).ordered_stops},
-                "capacity": p.capacity,
-            }
-            for p in instance.trips
-        ],
-        "trucks": [{"id": d.id, "capacity": d.capacity} for d in instance.trucks],
-        "freighters": [
-            {"id": k.id, "home_stop": k.home_stop, "capacity": k.capacity}
-            for k in instance.freighters
-        ],
-        "customers": [
-            {
-                "id": c.id,
-                "location": _point_to_doc(c.location),
-                "demand": c.demand,
-                "window_lo": c.window_lo,
-                "window_hi": c.window_hi,
-                "service_time": c.service_time,
-                "dropout_candidates": sorted(c.dropout_candidates),
-            }
-            for c in instance.customers
-        ],
-        "cost_params": {
-            "truck_cost_per_distance": instance.cost_params.truck_cost_per_distance,
-            "freighter_cost_scale": instance.cost_params.freighter_cost_scale,
-            "time_per_distance": instance.cost_params.time_per_distance,
-            "big_M": instance.cost_params.big_M,
-            "service_cost_mu": instance.cost_params.service_cost_mu,
-            "t_mid_day": instance.cost_params.t_mid_day,
-            "period_length": instance.cost_params.period_length,
-            "period_count": instance.cost_params.period_count,
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({"schema": INSTANCE_SCHEMA, **to_doc(instance)}, indent=2) + "\n"
 
 
 def parse_instance(text: str) -> Instance:
@@ -400,88 +392,7 @@ def parse_instance(text: str) -> Instance:
     schema = require_field(doc, "schema", "")
     if schema != INSTANCE_SCHEMA:
         raise InstanceError(f"unsupported schema {schema!r}, expected {INSTANCE_SCHEMA!r}")
-
-    cdc = _point_from_doc(require_field(doc, "cdc", ""), "cdc")
-
-    stops = []
-    for idx, s in enumerate(require_field(doc, "stops", "", list)):
-        path = f"stops[{idx}]"
-        stops.append(Stop(
-            id=str(require_field(s, "id", path)),
-            location=_point_from_doc(require_field(s, "location", path), f"{path}.location"),
-            is_drop_in=require_field(s, "is_drop_in", path, bool),
-            is_drop_out=require_field(s, "is_drop_out", path, bool),
-            service_time=require_field(s, "service_time", path, float),
-            max_dwell=require_field(s, "max_dwell", path, float),
-        ))
-
-    lines = []
-    for idx, ln in enumerate(require_field(doc, "lines", "", list)):
-        path = f"lines[{idx}]"
-        lines.append(Line(
-            id=str(require_field(ln, "id", path)),
-            ordered_stops=tuple(str(s) for s in require_field(ln, "ordered_stops", path, list)),
-        ))
-
-    trips = []
-    for idx, p in enumerate(require_field(doc, "trips", "", list)):
-        path = f"trips[{idx}]"
-        stop_times = require_field(p, "stop_times", path, dict)
-        trips.append(Trip(
-            id=str(require_field(p, "id", path)),
-            line=str(require_field(p, "line", path)),
-            stop_times={str(k): require_kind(v, f"{path}.stop_times.{k}", float)
-                        for k, v in stop_times.items()},
-            capacity=require_field(p, "capacity", path, float),
-        ))
-
-    trucks = []
-    for idx, d in enumerate(require_field(doc, "trucks", "", list)):
-        path = f"trucks[{idx}]"
-        trucks.append(Truck(id=str(require_field(d, "id", path)),
-                            capacity=require_field(d, "capacity", path, float)))
-
-    freighters = []
-    for idx, k in enumerate(require_field(doc, "freighters", "", list)):
-        path = f"freighters[{idx}]"
-        freighters.append(Freighter(
-            id=str(require_field(k, "id", path)),
-            home_stop=str(require_field(k, "home_stop", path)),
-            capacity=require_field(k, "capacity", path, float),
-        ))
-
-    customers = []
-    for idx, c in enumerate(require_field(doc, "customers", "", list)):
-        path = f"customers[{idx}]"
-        customers.append(Customer(
-            id=str(require_field(c, "id", path)),
-            location=_point_from_doc(require_field(c, "location", path), f"{path}.location"),
-            demand=require_field(c, "demand", path, float),
-            window_lo=require_field(c, "window_lo", path, float),
-            window_hi=require_field(c, "window_hi", path, float),
-            service_time=require_field(c, "service_time", path, float),
-            dropout_candidates=frozenset(
-                str(s) for s in require_field(c, "dropout_candidates", path, list)),
-        ))
-
-    cp = require_field(doc, "cost_params", "", dict)
-    cost_params = CostParams(**{
-        name: require_field(cp, name, "cost_params", float)
-        for name in ("truck_cost_per_distance", "freighter_cost_scale", "time_per_distance",
-                     "big_M", "service_cost_mu", "t_mid_day", "period_length")},
-        period_count=require_field(cp, "period_count", "cost_params", int),
-    )
-
-    instance = Instance(
-        cdc=cdc,
-        stops=tuple(stops),
-        lines=tuple(lines),
-        trips=tuple(trips),
-        trucks=tuple(trucks),
-        freighters=tuple(freighters),
-        customers=tuple(customers),
-        cost_params=cost_params,
-    )
+    instance = from_doc(Instance, doc, "")
     instance.validate()
     return instance
 

@@ -4,6 +4,11 @@ A three-tier plan records, per customer, the full itinerary (truck, drop-in
 stop and time, transit trip, drop-out stop and time, freighter, delivery
 time) plus the timed truck and freighter routes and a cost breakdown. A
 separate plan shape covers the direct-truck baseline.
+
+A plan document is its schema and kind, then the dataclass written by the
+instance module's codec, with the cost total appended to ``costs``; the service
+cost and the two service weights may be absent and read as 0. Handoffs keep their
+own writer: sorted maps and a list of ``tau`` records.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-from .instance import require_field, require_kind
+from .instance import from_doc, require_field, require_kind, to_doc
 
 PLAN_SCHEMA = "3tdppt-plan/1"
 HANDOFF_SCHEMA = "3tdppt-handoff/1"
@@ -99,58 +104,14 @@ class VrptwPlan:
 
 def serialize_plan(plan: Plan | VrptwPlan) -> str:
     if isinstance(plan, VrptwPlan):
-        doc: dict[str, Any] = {
-            "schema": PLAN_SCHEMA,
-            "kind": "vrptw",
-            "routes": [
-                {"truck": r.truck, "departure": r.departure,
-                 "customers": list(r.customers), "times": list(r.times)}
-                for r in plan.routes
-            ],
-            "total_cost": plan.total_cost,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    doc = {
-        "schema": PLAN_SCHEMA,
-        "kind": "three-tier",
-        "itineraries": [
-            {
-                "customer": it.customer,
-                "truck": it.truck,
-                "drop_in_stop": it.drop_in_stop,
-                "drop_in_time": it.drop_in_time,
-                "trip": it.trip,
-                "drop_out_stop": it.drop_out_stop,
-                "drop_out_time": it.drop_out_time,
-                "freighter": it.freighter,
-                "delivery_time": it.delivery_time,
-            }
-            for it in plan.itineraries
-        ],
-        "truck_routes": [
-            {"truck": r.truck, "departure": r.departure,
-             "stops": list(r.stops), "times": list(r.times)}
-            for r in plan.truck_routes
-        ],
-        "freighter_routes": [
-            {"freighter": r.freighter, "home_stop": r.home_stop, "departure": r.departure,
-             "customers": list(r.customers), "times": list(r.times)}
-            for r in plan.freighter_routes
-        ],
-        "costs": {
-            "t1_cost": plan.costs.t1_cost,
-            "t3_cost": plan.costs.t3_cost,
-            "service_cost": plan.costs.service_cost,
-            "total": plan.costs.total,
-        },
-        "service_lambda1": plan.service_lambda1,
-        "service_lambda3": plan.service_lambda3,
-    }
+        doc = {"schema": PLAN_SCHEMA, "kind": "vrptw", **to_doc(plan)}
+    else:
+        doc = {"schema": PLAN_SCHEMA, "kind": "three-tier", **to_doc(plan)}
+        doc["costs"]["total"] = plan.costs.total
     return json.dumps(doc, indent=2) + "\n"
 
 
 _field = partial(require_field, error=PlanError)
-_kind = partial(require_kind, error=PlanError)
 
 
 def _load(text: str, schema: str) -> dict[str, Any]:
@@ -158,68 +119,18 @@ def _load(text: str, schema: str) -> dict[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise PlanError(f"not valid JSON: {exc}") from exc
-    if _kind(doc, "top level", dict).get("schema") != schema:
+    if require_kind(doc, "top level", dict, PlanError).get("schema") != schema:
         raise PlanError(f"unsupported schema {doc.get('schema')!r}")
     return doc
 
 
-def _entries(doc: dict, key: str) -> list[tuple[Any, str]]:
-    """(element, path) for each element of the list ``doc[key]``."""
-    return [(entry, f"{key}[{j}]") for j, entry in enumerate(_field(doc, key, "", list))]
-
-
-def _times(doc: dict, path: str) -> tuple[float, ...]:
-    return tuple(_kind(t, f"{path}.times[{j}]", float)
-                 for j, t in enumerate(_field(doc, "times", path, list)))
-
-
-def _names(doc: dict, key: str, path: str) -> tuple[str, ...]:
-    return tuple(_field(doc, key, path, list))
-
-
 def parse_plan(text: str) -> Plan | VrptwPlan:
     """Read a plan document; ``PlanError`` names the path of a missing or
-    wrong-typed field."""
+    wrong-typed field. The service cost and the two service weights may be absent
+    and then read as 0."""
     doc = _load(text, PLAN_SCHEMA)
-    if doc.get("kind") == "vrptw":
-        return VrptwPlan(
-            routes=tuple(
-                VrptwRoute(truck=_field(r, "truck", at),
-                           departure=_field(r, "departure", at, float),
-                           customers=_names(r, "customers", at), times=_times(r, at))
-                for r, at in _entries(doc, "routes")),
-            total_cost=_field(doc, "total_cost", "", float),
-        )
-    itineraries = tuple(
-        CustomerItinerary(
-            customer=_field(it, "customer", at), truck=_field(it, "truck", at),
-            drop_in_stop=_field(it, "drop_in_stop", at),
-            drop_in_time=_field(it, "drop_in_time", at, float),
-            trip=_field(it, "trip", at), drop_out_stop=_field(it, "drop_out_stop", at),
-            drop_out_time=_field(it, "drop_out_time", at, float),
-            freighter=_field(it, "freighter", at),
-            delivery_time=_field(it, "delivery_time", at, float))
-        for it, at in _entries(doc, "itineraries"))
-    costs = _field(doc, "costs", "", dict)
-    return Plan(
-        itineraries=itineraries,
-        truck_routes=tuple(
-            TruckRoute(truck=_field(r, "truck", at), departure=_field(r, "departure", at, float),
-                       stops=_names(r, "stops", at), times=_times(r, at))
-            for r, at in _entries(doc, "truck_routes")),
-        freighter_routes=tuple(
-            FreighterRoute(freighter=_field(r, "freighter", at),
-                           home_stop=_field(r, "home_stop", at),
-                           departure=_field(r, "departure", at, float),
-                           customers=_names(r, "customers", at), times=_times(r, at))
-            for r, at in _entries(doc, "freighter_routes")),
-        costs=CostBreakdown(
-            t1_cost=_field(costs, "t1_cost", "costs", float),
-            t3_cost=_field(costs, "t3_cost", "costs", float),
-            service_cost=_kind(costs.get("service_cost", 0.0), "costs.service_cost", float)),
-        service_lambda1=_kind(doc.get("service_lambda1", 0.0), "service_lambda1", float),
-        service_lambda3=_kind(doc.get("service_lambda3", 0.0), "service_lambda3", float),
-    )
+    return from_doc(VrptwPlan if doc.get("kind") == "vrptw" else Plan, doc, "", PlanError,
+                    optional=("service_cost", "service_lambda1", "service_lambda3"))
 
 
 @dataclass
@@ -265,12 +176,13 @@ def parse_handoff(text: str) -> TierHandoff:
     doc = _load(text, HANDOFF_SCHEMA)
 
     def mapping(key: str, kind: type) -> dict:
-        return {k: _kind(v, f"{key}.{k}", float) if kind is float else str(v)
-                for k, v in _kind(doc.get(key, {}), key, dict).items()}
+        return from_doc(dict[str, kind], doc.get(key, {}), key, PlanError)
 
-    doc.setdefault("tau", [])
-    tau = {(_field(e, "customer", at), _field(e, "stop", at)): _field(e, "half", at, int)
-           for e, at in _entries(doc, "tau")}
+    tau = {}
+    for j, entry in enumerate(require_kind(doc.get("tau", []), "tau", list, PlanError)):
+        at = f"tau[{j}]"
+        tau[_field(entry, "customer", at, str), _field(entry, "stop", at, str)] = _field(
+            entry, "half", at, int)
     return TierHandoff(
         b_in=mapping("b_in", str), t_in=mapping("t_in", float),
         t_truck=mapping("t_truck", float), b_out=mapping("b_out", str),

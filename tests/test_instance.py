@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -146,6 +147,34 @@ def test_round_trip_is_identity(micro1):
     again = parse_instance(text)
     assert again == micro1
     assert serialize_instance(again) == text
+
+
+def test_instance_document_layout(micro1):
+    """Records list their dataclass's fields in declaration order; reordering a
+    field changes the format, so the order is pinned here."""
+    doc = json.loads(serialize_instance(micro1))
+    assert list(doc) == ["schema", "cdc", "stops", "lines", "trips", "trucks", "freighters",
+                         "customers", "cost_params"]
+    assert list(doc["cdc"]) == ["x", "y"]
+    assert list(doc["stops"][0]) == ["id", "location", "is_drop_in", "is_drop_out",
+                                     "service_time", "max_dwell"]
+    assert list(doc["lines"][0]) == ["id", "ordered_stops"]
+    assert list(doc["trips"][0]) == ["id", "line", "stop_times", "capacity"]
+    assert list(doc["trucks"][0]) == ["id", "capacity"]
+    assert list(doc["freighters"][0]) == ["id", "home_stop", "capacity"]
+    assert list(doc["customers"][0]) == ["id", "location", "demand", "window_lo", "window_hi",
+                                         "service_time", "dropout_candidates"]
+    assert list(doc["cost_params"]) == [
+        "truck_cost_per_distance", "freighter_cost_scale", "time_per_distance", "big_M",
+        "service_cost_mu", "t_mid_day", "period_length", "period_count"]
+
+
+def test_missing_cost_param_is_named():
+    """A cost parameter with a default is still required in a document."""
+    doc = json.loads(serialize_instance(make_micro1()))
+    del doc["cost_params"]["big_M"]
+    with pytest.raises(InstanceError, match="cost_params: missing field big_M"):
+        parse_instance(json.dumps(doc))
 
 
 def test_missing_trips_field():

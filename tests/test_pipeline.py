@@ -109,6 +109,13 @@ def test_d1_succeeds_with_a_late_trip(backend):
     pytest.param(json.dumps({"schema": HANDOFF_SCHEMA,
                              "tau": [{"customer": "c1", "stop": "A", "half": 1.5}]}),
                  "tau[0].half: expected a whole number", id="tau-half-fractional"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "b_in": {"c1": None}}),
+                 "b_in.c1: expected a string", id="stop-null"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA, "b_in": {"c1": 7}}),
+                 "b_in.c1: expected a string", id="stop-a-number"),
+    pytest.param(json.dumps({"schema": HANDOFF_SCHEMA,
+                             "tau": [{"customer": ["c1"], "stop": "A", "half": 1}]}),
+                 "tau[0].customer: expected a string", id="tau-customer-a-list"),
 ])
 def test_malformed_handoff_is_a_plan_error(text, names):
     with pytest.raises(PlanError, match=re.escape(names)):
@@ -147,6 +154,36 @@ def test_artifacts_written(backend, micro1, tmp_path):
     assert reloaded == plan
     metrics_doc = json.loads((art / "metrics.json").read_text())
     assert metrics_doc["method"] == "d2"
+
+
+def test_plan_document_layout(backend, micro1):
+    """Records list their dataclass's fields in declaration order, after the schema
+    and kind; reordering a field changes the format, so the order is pinned here."""
+    plan, _metrics = run_method(micro1, RunConfig(method="full"), backend)
+    doc = json.loads(serialize_plan(plan))
+    assert list(doc) == ["schema", "kind", "itineraries", "truck_routes", "freighter_routes",
+                         "costs", "service_lambda1", "service_lambda3"]
+    assert list(doc["itineraries"][0]) == [
+        "customer", "truck", "drop_in_stop", "drop_in_time", "trip", "drop_out_stop",
+        "drop_out_time", "freighter", "delivery_time"]
+    assert list(doc["truck_routes"][0]) == ["truck", "departure", "stops", "times"]
+    assert list(doc["freighter_routes"][0]) == ["freighter", "home_stop", "departure",
+                                                "customers", "times"]
+    assert list(doc["costs"]) == ["t1_cost", "t3_cost", "service_cost", "total"]
+    baseline, _metrics = run_method(micro1, RunConfig(method="vrptw"), backend)
+    doc = json.loads(serialize_plan(baseline))
+    assert list(doc) == ["schema", "kind", "routes", "total_cost"]
+    assert list(doc["routes"][0]) == ["truck", "departure", "customers", "times"]
+
+
+def test_plan_without_service_fields_reads_them_as_zero(backend, micro1):
+    plan, _metrics = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
+    assert plan.costs.service_cost > 0 and plan.service_lambda1 > 0 and plan.service_lambda3 > 0
+    doc = json.loads(serialize_plan(plan))
+    del doc["costs"]["service_cost"], doc["service_lambda1"], doc["service_lambda3"]
+    assert parse_plan(json.dumps(doc)) == replace(
+        plan, costs=replace(plan.costs, service_cost=0.0), service_lambda1=0.0,
+        service_lambda3=0.0)
 
 
 def test_metrics_record_stage_model_size_and_bound(backend, micro1, tmp_path):

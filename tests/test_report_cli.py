@@ -279,6 +279,9 @@ def _with(doc: dict, path: tuple, value) -> dict:
 
 
 _VRPTW_ROUTE = {"truck": "d1", "customers": ["c1"], "times": [300.0]}
+_ITINERARY = {"customer": "c1", "truck": 7, "drop_in_stop": "A", "drop_in_time": 140.0,
+              "trip": "p1", "drop_out_stop": "B", "drop_out_time": 158.0, "freighter": "f1",
+              "delivery_time": 300.0}
 
 
 @pytest.mark.parametrize("instance_doc, plan_doc, names", [
@@ -299,12 +302,18 @@ _VRPTW_ROUTE = {"truck": "d1", "customers": ["c1"], "times": [300.0]}
     pytest.param(_with(_micro1_doc(), ("cost_params", "period_count"), 30.7), None,
                  "cost_params.period_count: expected a whole number",
                  id="period-count-fractional"),
+    pytest.param(_with(_micro1_doc(), ("stops", 0, "id"), 5), None,
+                 "stops[0].id: expected a string", id="stop-id-a-number"),
+    pytest.param(_with(_micro1_doc(), ("lines", 0, "ordered_stops", 0), 5), None,
+                 "lines[0].ordered_stops[0]: expected a string", id="line-stop-a-number"),
     pytest.param(None, [], "top level: expected an object", id="plan-a-list"),
     pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "three-tier"},
                  "missing field itineraries", id="plan-without-itineraries"),
     pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "vrptw", "routes": [_VRPTW_ROUTE],
                         "total_cost": 104.08},
                  "routes[0]: missing field departure", id="vrptw-route-without-departure"),
+    pytest.param(None, {"schema": PLAN_SCHEMA, "kind": "three-tier", "itineraries": [_ITINERARY]},
+                 "itineraries[0].truck: expected a string", id="itinerary-truck-a-number"),
 ])
 def test_cli_validate_reports_malformed_documents(tmp_path, capsys, instance_doc, plan_doc,
                                                   names):
