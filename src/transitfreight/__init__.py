@@ -34,7 +34,6 @@ from .milp import (
     ModelError,
     SolveLimits,
     SolveResult,
-    VarRef,
     big_M,
 )
 from .model_full import FullOptions, build_full, decode_full

@@ -4,7 +4,10 @@ Every model is solved in process on the HiGHS build that scipy bundles.
 Handing a model to an external solver goes through ``write_model`` (the
 ``export-lp`` verb), which writes it with HiGHS's own LP or MPS writer.
 Both build the same ``HighsLp`` from the model's rows as built: HiGHS takes
-the matrix row-wise, so nothing transposes it here.
+the matrix row-wise, so nothing transposes it here. A column is the model's
+column number throughout: HiGHS gets the model's per-column bounds and
+integrality in that order, and a solve hands back HiGHS's column values as
+they are (``SolveResult.values``), which decoders read by column.
 
 The backend calls scipy's private HiGHS bindings,
 ``scipy.optimize._highspy._core``, the same ones ``scipy.optimize.milp``
@@ -52,16 +55,13 @@ from typing import Protocol
 import scipy
 
 from .milp import (
-    BINARY,
     EQUAL,
     GREATER_EQUAL,
     INF,
-    INTEGER,
     LESS_EQUAL,
     MilpModel,
     SolveLimits,
     SolveResult,
-    VarRef,
 )
 
 _CORE = "scipy.optimize._highspy._core"
@@ -100,7 +100,7 @@ HIGHS_SETTINGS = {"mip_heuristic_run_feasibility_jump": False}
 
 _STATUS = highs_core.HighsModelStatus
 _LIMITS = (_STATUS.kTimeLimit, _STATUS.kIterationLimit)
-_INTEGER_KINDS = (BINARY, INTEGER)
+_VAR_TYPES = (highs_core.HighsVarType.kContinuous, highs_core.HighsVarType.kInteger)
 
 
 class BackendError(RuntimeError):
@@ -153,19 +153,19 @@ def scipy_milp(*, lp, mip: bool, options: dict) -> HighsOutcome:
 
 
 def _highs_lp(model: MilpModel):
-    """The model as a ``HighsLp``: columns in variable order, the constraint matrix
+    """The model as a ``HighsLp``: the model's columns, the constraint matrix
     row-wise in the model's row and term order; and whether any column is integer."""
-    variables, constraints = model.variables, model.constraints
-    if not variables:
+    n, constraints = len(model.variables), model.constraints
+    if not n:
         raise BackendError("empty model")
-    cost = [0.0] * len(variables)
-    for var, coeff in model.objective:
-        cost[var.index] += coeff
+    cost = [0.0] * n
+    for col, coeff in model.objective:
+        cost[col] += coeff
     starts, index, value = [0], [], []
     row_lower, row_upper = [], []
     for con in constraints:
-        for var, coeff in con.terms:
-            index.append(var.index)
+        for col, coeff in con.terms:
+            index.append(col)
             value.append(coeff)
         starts.append(len(index))
         if con.sense == LESS_EQUAL:
@@ -177,23 +177,21 @@ def _highs_lp(model: MilpModel):
         elif con.sense == EQUAL:
             row_lower.append(con.rhs)
             row_upper.append(con.rhs)
-    kinds = [v.kind in _INTEGER_KINDS for v in variables]
 
     lp = highs_core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(variables)
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = len(constraints)
     lp.a_matrix_.format_ = highs_core.MatrixFormat.kRowwise
     lp.col_cost_ = cost
-    lp.col_lower_ = [v.lb for v in variables]
-    lp.col_upper_ = [INF if v.ub == INF else min(v.ub, 1e30) for v in variables]
+    lp.col_lower_ = model.lower
+    lp.col_upper_ = [INF if ub == INF else min(ub, 1e30) for ub in model.upper]
     lp.row_lower_ = row_lower
     lp.row_upper_ = row_upper
     lp.a_matrix_.start_ = starts
     lp.a_matrix_.index_ = index
     lp.a_matrix_.value_ = value
-    integer, continuous = highs_core.HighsVarType.kInteger, highs_core.HighsVarType.kContinuous
-    lp.integrality_ = [integer if k else continuous for k in kinds]
-    return lp, any(kinds)
+    lp.integrality_ = [_VAR_TYPES[k] for k in model.integer]
+    return lp, any(model.integer)
 
 
 class ScipyHighsBackend:
@@ -209,9 +207,7 @@ class ScipyHighsBackend:
         res = scipy_milp(lp=lp, mip=mip, options=options)
         wall = time.perf_counter() - started
 
-        values: dict[str, float] = {}
-        if res.x is not None:
-            values = dict(zip([v.name for v in model.variables], res.x))
+        values = [] if res.x is None else res.x  # HiGHS's col_value, in column order
         best_bound, objective = res.mip_dual_bound, res.fun
         if res.status == _STATUS.kOptimal:
             status = "optimal"
@@ -221,10 +217,10 @@ class ScipyHighsBackend:
             status = "feasible" if values else "timeout"
         elif res.status in (_STATUS.kInfeasible, _STATUS.kModelError):
             status = "infeasible"
-            values, objective = {}, None
+            values, objective = [], None
         else:
             status = "error"
-            values, objective = {}, None
+            values, objective = [], None
         return SolveResult(
             status=status,
             values=values,
@@ -253,13 +249,13 @@ _SAFE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_().#]*$")
 _UNSAFE_CHARS = re.compile(r"[^A-Za-z0-9_().#]")
 
 
-def _sanitize_names(variables: list[VarRef]) -> list[str]:
-    """Deterministic LP-legal column names, in variable order. HiGHS writes the
+def _sanitize_names(variables: list[str]) -> list[str]:
+    """Deterministic LP-legal column names, in column order. HiGHS writes the
     model's structured names too, but cannot read its own file back with them."""
     names: list[str] = []
     used: set[str] = set()
-    for var in variables:
-        name = (var.name.replace("[", "(").replace("]", ")")
+    for name in variables:
+        name = (name.replace("[", "(").replace("]", ")")
                 .replace(",", "_").replace(" ", "_").replace("~", "."))
         if not _SAFE_NAME.match(name):
             name = "v_" + _UNSAFE_CHARS.sub("_", name)

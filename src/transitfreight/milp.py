@@ -1,11 +1,12 @@
 """Solver-agnostic MILP intermediate representation.
 
-Models are built once, immutably, and handed to a backend. Variables carry
-structured names like ``y1[c3,s2,p7]`` so solutions can be traced back to
-model families; a per-family registry on the model maps index tuples to
-variables. Constraints are kept as rows, in the order they were added; the
-backend hands them to HiGHS row-wise as they are, and writes a model file for
-an external solver with HiGHS's own writer (``backends.write_model``).
+Models are built once, immutably, and handed to a backend. A column is a
+number, its place in the model: constraints and the objective hold (column,
+coefficient) pairs, a per-family registry maps index tuples to columns, and a
+solution is a list of values in column order. Column names like
+``y1[c3,s2,p7]`` are kept for messages and for the model files
+``backends.write_model`` writes. Constraints are kept as rows, in the order
+they were added; the backend hands them to HiGHS row-wise as they are.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 INF = math.inf
-
-BINARY = "binary"
-CONTINUOUS = "continuous"
-INTEGER = "integer"
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -32,44 +29,8 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class VarRef:
-    index: int
-    name: str
-    kind: str            # binary | continuous | integer
-    lb: float = 0.0
-    ub: float = INF
-
-    def __post_init__(self) -> None:
-        if self.kind == BINARY and (self.lb, self.ub) != (0.0, 1.0):
-            raise ModelError(f"binary variable {self.name} must have bounds [0, 1]")
-
-    def __hash__(self) -> int:
-        return self.index
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VarRef):
-            return NotImplemented
-        return self.index == other.index and self.name == other.name
-
-
-Term = tuple[VarRef, float]
-
-
-def canonical_terms(terms: list[Term]) -> list[Term]:
-    """Merge duplicate variables; drop zero coefficients; keep first-seen order."""
-    merged: dict[int, float] = {}
-    refs: dict[int, VarRef] = {}
-    for var, coeff in terms:
-        if not math.isfinite(coeff):
-            raise ModelError(f"non-finite coefficient on {var.name}")
-        merged[var.index] = merged.get(var.index, 0.0) + coeff
-        refs.setdefault(var.index, var)
-    return [(refs[i], c) for i, c in merged.items() if c != 0.0]
-
-
-@dataclass(frozen=True, slots=True)
 class LinConstraint:
-    terms: tuple[Term, ...]
+    terms: tuple[tuple[int, float], ...]  # (column, coefficient)
     sense: str
     rhs: float
     name: str
@@ -83,83 +44,89 @@ class LinConstraint:
 
 @dataclass
 class MilpModel:
-    """Immutable-by-convention minimization model."""
+    """Immutable-by-convention minimization model. ``variables`` (the column names),
+    ``lower``, ``upper`` and ``integer`` are per-column lists, in column order."""
 
-    variables: list[VarRef]
-    constraints: list[LinConstraint]
-    objective: list[Term]
-    nnz: int  # nonzeros over all rows
+    variables: list[str] = field(default_factory=list)
+    lower: list[float] = field(default_factory=list)
+    upper: list[float] = field(default_factory=list)
+    integer: list[bool] = field(default_factory=list)
+    constraints: list[LinConstraint] = field(default_factory=list)
+    objective: list[tuple[int, float]] = field(default_factory=list)  # (column, coefficient)
+    nnz: int = 0  # nonzeros over all rows
     metadata: dict = field(default_factory=dict)
-    # family name -> index tuple -> variable, for decoding solutions
-    registry: dict[str, dict[tuple, VarRef]] = field(default_factory=dict)
+    # family name -> index tuple -> column, for decoding solutions
+    registry: dict[str, dict[tuple, int]] = field(default_factory=dict)
 
-    def family(self, name: str) -> dict[tuple, VarRef]:
+    def family(self, name: str) -> dict[tuple, int]:
         return self.registry.get(name, {})
 
-    def objective_value(self, values: dict[str, float]) -> float:
-        return sum(coeff * values[var.name] for var, coeff in self.objective)
+    def objective_value(self, values: list[float]) -> float:
+        return sum(coeff * values[col] for col, coeff in self.objective)
 
 
 class ModelBuilder:
-    """Incrementally builds a MilpModel with structured variable names."""
+    """Incrementally builds a MilpModel; each new variable is the next column."""
 
     def __init__(self, tag: str) -> None:
-        self._tag = tag
-        self._variables: list[VarRef] = []
-        self._names: set[str] = set()
-        self._constraints: list[LinConstraint] = []
-        self._objective: list[Term] = []
-        self._registry: dict[str, dict[tuple, VarRef]] = {}
-        self._nnz = 0
+        self._model = MilpModel(metadata={"formulation": tag})
 
-    def _new_var(self, family: str, idx: tuple, kind: str, lb: float, ub: float) -> VarRef:
+    def _new_var(self, family: str, idx: tuple, integer: bool, lb: float, ub: float) -> int:
+        model = self._model
         name = f"{family}[{','.join(str(i) for i in idx)}]" if idx else family
-        if name in self._names:
+        columns = model.registry.setdefault(family, {})
+        if idx in columns:
             raise ModelError(f"duplicate variable {name}")
-        var = VarRef(index=len(self._variables), name=name, kind=kind, lb=lb, ub=ub)
-        self._variables.append(var)
-        self._names.add(name)
-        self._registry.setdefault(family, {})[idx] = var
-        return var
+        col = columns[idx] = len(model.variables)
+        model.variables.append(name)
+        model.lower.append(lb)
+        model.upper.append(ub)
+        model.integer.append(integer)
+        return col
 
-    def binary(self, family: str, *idx) -> VarRef:
-        return self._new_var(family, idx, BINARY, 0.0, 1.0)
+    def binary(self, family: str, *idx) -> int:
+        return self._new_var(family, idx, True, 0.0, 1.0)
 
-    def continuous(self, family: str, *idx, lb: float = 0.0, ub: float = INF) -> VarRef:
-        return self._new_var(family, idx, CONTINUOUS, lb, ub)
+    def continuous(self, family: str, *idx, lb: float = 0.0, ub: float = INF) -> int:
+        return self._new_var(family, idx, False, lb, ub)
 
-    def integer(self, family: str, *idx, lb: float = 0.0, ub: float = INF) -> VarRef:
-        return self._new_var(family, idx, INTEGER, lb, ub)
+    def integer(self, family: str, *idx, lb: float = 0.0, ub: float = INF) -> int:
+        return self._new_var(family, idx, True, lb, ub)
 
-    def add(self, terms: list[Term], sense: str, rhs: float, name: str) -> None:
-        canon = canonical_terms(terms)
-        self._constraints.append(LinConstraint(tuple(canon), sense, float(rhs), name))
-        self._nnz += len(canon)
+    def canonical_terms(self, terms: list[tuple[int, float]]) -> list[tuple[int, float]]:
+        """Merge repeated columns; drop zero coefficients; keep first-seen order."""
+        merged: dict[int, float] = {}
+        for col, coeff in terms:
+            if not math.isfinite(coeff):
+                raise ModelError(f"non-finite coefficient on {self._model.variables[col]}")
+            # a column's first coefficient is kept as is, not copied into a new float
+            merged[col] = merged[col] + coeff if col in merged else coeff
+        return [(col, c) for col, c in merged.items() if c != 0.0]
 
-    def set_objective(self, terms: list[Term]) -> None:
-        self._objective = canonical_terms(terms)
+    def add(self, terms: list[tuple[int, float]], sense: str, rhs: float, name: str) -> None:
+        canon = self.canonical_terms(terms)
+        self._model.constraints.append(LinConstraint(tuple(canon), sense, float(rhs), name))
+        self._model.nnz += len(canon)
 
-    def get(self, family: str, *idx) -> VarRef | None:
-        return self._registry.get(family, {}).get(idx)
+    def set_objective(self, terms: list[tuple[int, float]]) -> None:
+        self._model.objective = self.canonical_terms(terms)
 
-    def family_items(self, family: str) -> list[tuple[tuple, VarRef]]:
-        return list(self._registry.get(family, {}).items())
+    def get(self, family: str, *idx) -> int | None:
+        """The column of ``family[idx]``, or None; column 0 is falsy, so test with ``is None``."""
+        return self._model.family(family).get(idx)
+
+    def family_items(self, family: str) -> list[tuple[tuple, int]]:
+        return list(self._model.family(family).items())
 
     def build(self, **metadata) -> MilpModel:
-        return MilpModel(
-            variables=self._variables,
-            constraints=self._constraints,
-            objective=self._objective,
-            metadata={"formulation": self._tag, **metadata},
-            registry=self._registry,
-            nnz=self._nnz,
-        )
+        self._model.metadata.update(metadata)
+        return self._model
 
 
 @dataclass
 class SolveResult:
     status: str                      # optimal | feasible | infeasible | timeout | error
-    values: dict[str, float]         # variable name -> value (empty unless an incumbent exists)
+    values: list[float]              # column values in column order; [] without an incumbent
     objective: float | None
     best_bound: float | None
     wall_time: float

@@ -61,11 +61,12 @@ Each fragment has one copy, used by every model that needs it:
   arc_costs              distance-priced objective terms of an arc family
   route_costs            the freighter-rate price of every route column
 
-Decoders read binary variables only. Plan times come from one forward pass
-per vehicle tier (``time_truck_routes``, ``decode_freighter_routes``): the
-earliest schedule of the chosen routes, which any feasible schedule of the
-solver's trails, so the windows and dwell caps it met still hold. Every plan
-is put together by ``assemble_plan`` and priced by ``validate.price_routes``.
+Decoders read binary variables only, each family by column through
+``chosen``. Plan times come from one forward pass per vehicle tier
+(``time_truck_routes``, ``decode_freighter_routes``): the earliest schedule
+of the chosen routes, which any feasible schedule of the solver's trails, so
+the windows and dwell caps it met still hold. Every plan is put together by
+``assemble_plan`` and priced by ``validate.price_routes``.
 """
 
 from __future__ import annotations
@@ -96,16 +97,8 @@ class ModelBuildError(ModelError):
 @dataclass(frozen=True)
 class FullOptions:
     symmetry_breaking: bool = True  # orders interchangeable trucks; freighters are class-indexed
-    service_cost_mu: float = 0.0
     lambda1: float = 0.0  # per traversal of a truck arc into a drop-in stop
     lambda3: float = 0.0  # per freighter departure from its home stop to a customer
-
-    def __post_init__(self) -> None:
-        if self.service_cost_mu < 0:
-            raise ModelError("service_cost_mu must be nonnegative")
-        if self.service_cost_mu > 0 and self.lambda1 == 0.0 and self.lambda3 == 0.0:
-            raise ModelError(
-                "service-cost objective needs lambda1/lambda3 derived from a reference solve")
 
 
 def transit_pairs(instance: Instance, compat: Compatibility, customer_id: str,
@@ -505,14 +498,8 @@ class TransitChoice:
 def decode_transit(instance: Instance, model: MilpModel,
                    result: SolveResult) -> dict[str, TransitChoice]:
     """The trip, stops and times each package rides, from any transit stage."""
-    picked: dict[str, tuple[str, str]] = {}
-    dropped: dict[str, tuple[str, str]] = {}
-    for (i, s, p), var in model.family("y1").items():
-        if _binary_value(result.values, var):
-            picked[i] = (s, p)
-    for (i, s, p), var in model.family("y2").items():
-        if _binary_value(result.values, var):
-            dropped[i] = (s, p)
+    picked = {i: (s, p) for i, s, p in chosen(model, result.values, "y1")}
+    dropped = {i: (s, p) for i, s, p in chosen(model, result.values, "y2")}
     choices = {}
     for cust in instance.customers:
         if cust.id not in picked or cust.id not in dropped:
@@ -669,25 +656,31 @@ def build_full(instance: Instance, compat: Compatibility,
 
     objective = (arc_costs(mb, instance, "w", params.truck_cost_per_distance)
                  + route_costs(mb, instance))
-    if options.service_cost_mu > 0:
+    if options.lambda1 or options.lambda3:
         # per-visit service costs: a truck arc into a drop-in stop, a freighter route
         objective += [(var, options.lambda1)
                       for (_u, v, _d), var in mb.family_items("w") if v != CDC_SINK]
         objective += [(q, options.lambda3) for _, q in mb.family_items("q")]
     mb.set_objective(objective)
     return mb.build(
-        mu=options.service_cost_mu,
         lambda1=options.lambda1,
         lambda3=options.lambda3,
         symmetry_breaking=options.symmetry_breaking,
     )
 
 
-def _binary_value(values: dict[str, float], var) -> bool:
-    v = values[var.name]
-    if abs(v - round(v)) > INTEGRALITY_TOL:
-        raise DecodeError(f"{var.name} = {v} is fractional beyond tolerance")
-    return round(v) >= 1
+def chosen(model: MilpModel, values: list[float], family: str) -> list[tuple]:
+    """The index tuples of ``family``'s binaries at 1 in ``values``, in registry order;
+    raises on a value fractional beyond ``INTEGRALITY_TOL``."""
+    picked = []
+    for idx, col in model.family(family).items():
+        v = values[col]
+        if abs(v - round(v)) > INTEGRALITY_TOL:
+            raise DecodeError(f"column {col}, {model.variables[col]} = {v}, "
+                              "is fractional beyond tolerance")
+        if round(v) >= 1:
+            picked.append(idx)
+    return picked
 
 
 def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Plan:
@@ -703,11 +696,10 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
     freighter_routes = decode_freighter_routes(instance, model, result.values, ready)
-    mu = model.metadata["mu"]  # per-visit prices count only under the service-cost objective
-    lambdas = [float(model.metadata[k]) for k in ("lambda1", "lambda3")] if mu else []
     return assemble_plan(
         instance, choices, {cid: truck for cid, (_, truck, _) in placed.items()},
-        {cid: t for cid, (_, _, t) in placed.items()}, truck_routes, freighter_routes, *lambdas)
+        {cid: t for cid, (_, _, t) in placed.items()}, truck_routes, freighter_routes,
+        float(model.metadata["lambda1"]), float(model.metadata["lambda3"]))
 
 
 def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
@@ -739,17 +731,18 @@ def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
 
 
 def decode_truck_routes(instance: Instance, model: MilpModel,
-                        values: dict[str, float]) -> dict[str, list[tuple[str, list[str]]]]:
+                        values: list[float]) -> dict[str, list[tuple[str, list[str]]]]:
     """Per truck of a row model that leaves the CDC, its visits in order: each drop-in
     stop along its ``w`` arcs with the packages its ``r`` brings there."""
     carried: dict[tuple[str, str], list[str]] = {}
-    for (i, s, d), var in model.family("r").items():
-        if _binary_value(values, var):
-            carried.setdefault((s, d), []).append(i)
+    for i, s, d in chosen(model, values, "r"):
+        carried.setdefault((s, d), []).append(i)
+    succ_of: dict[str, dict[str, str]] = {}  # truck -> tail -> head of its chosen arcs
+    for u, v, d in chosen(model, values, "w"):
+        succ_of.setdefault(d, {})[u] = v
     tours = {}
     for d in instance.trucks:
-        succ = {u: v for (u, v, dd), var in model.family("w").items()
-                if dd == d.id and _binary_value(values, var)}
+        succ = succ_of.get(d.id, {})
         stops, node = [], succ.get(CDC_NODE)
         while node not in (None, CDC_SINK) and len(stops) <= len(succ):
             stops.append(node)
@@ -785,21 +778,20 @@ def time_truck_routes(instance: Instance, tours: dict[str, list[tuple[str, list[
     return routes, placed
 
 
-def decode_freighter_routes(instance: Instance, model: MilpModel, values: dict[str, float],
+def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
                             ready: dict[str, float]) -> list[FreighterRoute]:
     """The chosen route columns per freighter class, handed to the class's freighters in order.
 
     A route leaves once all its packages are loaded (package ``c`` at minute
     ``ready[c]``) and serves its customers in index order (``visit_times``).
     """
-    chosen: dict[str, list[tuple]] = {}
-    for idx, q in model.family("q").items():
-        if _binary_value(values, q):
-            chosen.setdefault(idx[0], []).append(idx)
+    driven: dict[str, list[tuple]] = {}
+    for idx in chosen(model, values, "q"):
+        driven.setdefault(idx[0], []).append(idx)
     routes = []
     for stop in instance.stops:
         for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
-            columns = chosen.get(g, [])
+            columns = driven.get(g, [])
             if len(columns) > len(fleet):
                 raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} vehicles")
             for k, idx in zip(fleet, columns):

@@ -327,7 +327,7 @@ def _run_full(instance, config, backend, metrics) -> Plan:
     options = FullOptions()
     if mu > 0:
         t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
-        options = FullOptions(service_cost_mu=mu, lambda1=mu * t1_ref, lambda3=mu * t3_ref)
+        options = FullOptions(lambda1=mu * t1_ref, lambda3=mu * t3_ref)
     model, result = _stage("full", config.limits["full"], backend, metrics,
                            build_full, instance, compat, options)
     plan = decode_full(instance, model, result)

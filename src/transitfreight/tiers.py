@@ -67,6 +67,7 @@ from .model_full import (
     add_transit_flow,
     add_truck_routing,
     arc_costs,
+    chosen,
     decode_freighter_routes,
     decode_transit,
     decode_truck_routes,
@@ -74,7 +75,6 @@ from .model_full import (
     route_costs,
     time_truck_routes,
     vehicle_classes,
-    _binary_value,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
 
@@ -158,11 +158,11 @@ def _distance_proxy_terms(mb: ModelBuilder, instance: Instance,
             t = instance.trip(p).stop_times[s]
             dwell = instance.stop(s).max_dwell
             bucket = int(t // dwell) if dwell > 0 else t
-            picked.setdefault((s, bucket), []).append(var)
+            picked.setdefault((s, bucket), []).append((var, f"y1[{i},{s},{p}]"))
         for (s, bucket), entries in sorted(picked.items()):
             visit = mb.binary("v1", s, bucket)
-            for var in entries:
-                mb.add([(var, 1.0), (visit, -1.0)], "<=", 0.0, f"visit_in[{var.name}]")
+            for var, name in entries:
+                mb.add([(var, 1.0), (visit, -1.0)], "<=", 0.0, f"visit_in[{name}]")
             terms.append((visit, euclidean_distance(instance.cdc, instance.stop(s).location)))
     if drop_side:
         for (i, s, p), var in mb.family_items("y2"):
@@ -410,12 +410,11 @@ def decode_t1(instance: Instance, model: MilpModel,
         for truck, visits in decode_truck_routes(instance, model, result.values).items():
             tours[truck] = [(cid, sid) for sid, group in visits for cid in group]
     else:
-        chosen: dict[str, list[list[tuple[str, str]]]] = {}
-        for (g, *pairs), x in model.family("x1").items():
-            if _binary_value(result.values, x):
-                chosen.setdefault(g, []).append(list(zip(pairs[::2], pairs[1::2])))
+        driven: dict[str, list[list[tuple[str, str]]]] = {}
+        for g, *pairs in chosen(model, result.values, "x1"):
+            driven.setdefault(g, []).append(list(zip(pairs[::2], pairs[1::2])))
         for g, fleet in vehicle_classes(instance.trucks):
-            columns = chosen.get(g, [])
+            columns = driven.get(g, [])
             if len(columns) > len(fleet):
                 raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
             tours.update((truck.id, visits) for truck, visits in zip(fleet, columns))
@@ -613,10 +612,7 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
 def decode_d3_t3(instance: Instance, model: MilpModel,
                  result: SolveResult) -> tuple[dict[str, str], list[FreighterRoute]]:
     """The chosen drop-out stops, and routes leaving once each stop's first trip is unloaded."""
-    b_out: dict[str, str] = {}
-    for (i, sid), var in model.family("gamma2").items():
-        if _binary_value(result.values, var):
-            b_out[i] = sid
+    b_out = dict(chosen(model, result.values, "gamma2"))
     ready = {cid: model.metadata["loaded"][sid] for cid, sid in b_out.items()}
     return b_out, decode_freighter_routes(instance, model, result.values, ready)
 

@@ -18,8 +18,9 @@ Violation codes:
   TIMETABLE           itinerary contradicts the network/timetable data
                       (stop not on the trip's line, wrong scheduled time,
                       stop lacking the required role)
-  COVERAGE            a customer is unserved/duplicated, or routes do not
-                      carry what the itineraries claim
+  COVERAGE            a customer is unserved/duplicated, routes do not
+                      carry what the itineraries claim, or a vehicle drives
+                      more than one route
   STOP_DISTINCT       a package's drop-in and drop-out stop coincide
   NOT_FINITE          a time or departure is NaN or infinite; every other
                       check compares numbers, and no comparison fails on NaN
@@ -93,6 +94,16 @@ def _resolve_plan_refs(instance: Instance, plan: Plan) -> None:
             raise ValidationInputError(f"freighter route {route.freighter}: customers/times length mismatch")
 
 
+def _one_route_each(vehicles) -> list[Violation]:
+    """A COVERAGE violation per vehicle id that more than one route names."""
+    routes: dict[str, int] = {}
+    for vid in vehicles:
+        routes[vid] = routes.get(vid, 0) + 1
+    return [Violation("COVERAGE", (vid,), measured=n, bound=1,
+                      detail="vehicle drives more than one route")
+            for vid, n in sorted(routes.items()) if n > 1]
+
+
 def _not_finite(subjects: tuple[str, ...], **times: float) -> list[Violation]:
     return [Violation("NOT_FINITE", subjects, measured=t, detail=f"{name} is not finite")
             for name, t in times.items() if not math.isfinite(t)]
@@ -113,6 +124,8 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
             out.append(Violation("COVERAGE", (cust.id,), measured=n, bound=1,
                                  detail="customer must appear in exactly one itinerary"))
 
+    out += _one_route_each(r.truck for r in plan.truck_routes)
+    out += _one_route_each(r.freighter for r in plan.freighter_routes)
     truck_route_by_id = {r.truck: r for r in plan.truck_routes}
     freighter_route_by_id = {r.freighter: r for r in plan.freighter_routes}
 
@@ -340,19 +353,20 @@ def validate_vrptw_plan(instance: Instance, plan: VrptwPlan) -> list[Violation]:
     params = instance.cost_params
     out: list[Violation] = []
     known_customers = {c.id for c in instance.customers}
+    out += _one_route_each(route.truck for route in plan.routes)
     counts: dict[str, int] = {}
+    load_by_truck: dict[str, float] = {}
     for route in plan.routes:
         if route.truck not in {d.id for d in instance.trucks}:
             raise ValidationInputError(f"unknown truck {route.truck!r}")
-        load = 0.0
+        if len(route.customers) != len(route.times):
+            raise ValidationInputError(f"truck route {route.truck}: customers/times length mismatch")
         for cid in route.customers:
             if cid not in known_customers:
                 raise ValidationInputError(f"unknown customer {cid!r}")
             counts[cid] = counts.get(cid, 0) + 1
-            load += instance.customer(cid).demand
-        cap = instance.truck(route.truck).capacity
-        if load > cap + TOL:
-            out.append(Violation("TRUCK_CAPACITY", (route.truck,), measured=load, bound=cap))
+            load_by_truck[route.truck] = (load_by_truck.get(route.truck, 0.0)
+                                          + instance.customer(cid).demand)
         out += _not_finite((route.truck,), departure=route.departure)
         t_prev = route.departure
         loc_prev = instance.cdc
@@ -368,6 +382,10 @@ def validate_vrptw_plan(instance: Instance, plan: VrptwPlan) -> list[Violation]:
                 out.append(Violation("WINDOW", (cid,), measured=t_here,
                                      bound=cust.window_lo if t_here < cust.window_lo else cust.window_hi))
             t_prev, loc_prev = t_here, cust.location
+    for truck_id, load in sorted(load_by_truck.items()):
+        cap = instance.truck(truck_id).capacity
+        if load > cap + TOL:
+            out.append(Violation("TRUCK_CAPACITY", (truck_id,), measured=load, bound=cap))
     for cust in instance.customers:
         if counts.get(cust.id, 0) != 1:
             out.append(Violation("COVERAGE", (cust.id,), measured=counts.get(cust.id, 0), bound=1))

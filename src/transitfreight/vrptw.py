@@ -23,8 +23,8 @@ from dataclasses import replace
 
 from .instance import Instance
 from .milp import MilpModel, ModelBuilder, SolveResult
-from .model_full import (CDC_NODE, CDC_SINK, DecodeError, _binary_value, arc_costs,
-                         ride_minutes, vehicle_classes, visit_times)
+from .model_full import (CDC_NODE, CDC_SINK, DecodeError, arc_costs, chosen, ride_minutes,
+                         vehicle_classes, visit_times)
 from .plan import VrptwPlan, VrptwRoute
 from .validate import recompute_vrptw_cost
 
@@ -91,7 +91,7 @@ def add_class_routing(mb: ModelBuilder, instance: Instance, g: str, fleet,
                    ">=", hop - big, f"time[{u},{v},{g}]")
 
 
-def class_routes(instance: Instance, model: MilpModel, values: dict[str, float], g: str,
+def class_routes(instance: Instance, model: MilpModel, values: list[float], g: str,
                  fleet) -> list[VrptwRoute]:
     """The routes of class ``g``, handed to ``fleet`` in order.
 
@@ -103,8 +103,8 @@ def class_routes(instance: Instance, model: MilpModel, values: dict[str, float],
     depot, sink = CDC_NODE, CDC_SINK
     starts: list[str] = []
     succ: dict[str, str] = {}
-    for (u, v, gg), var in model.family("x").items():
-        if gg == g and (u, v) != (depot, sink) and _binary_value(values, var):
+    for u, v, gg in chosen(model, values, "x"):
+        if gg == g and (u, v) != (depot, sink):
             if u == depot:
                 starts.append(v)
             else:

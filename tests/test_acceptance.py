@@ -227,9 +227,9 @@ def test_criterion_6_pipeline_structural_properties(backend):
         for side, flags in (("y1", "phi1"), ("y2", "phi2")):
             usage: dict[str, float] = {}
             for (i, s, p), var in model.family(side).items():
-                usage[s] = usage.get(s, 0.0) + result.values[var.name]
+                usage[s] = usage.get(s, 0.0) + result.values[var]
             for (s,), flag in model.family(flags).items():
-                lit = round(result.values[flag.name])
+                lit = round(result.values[flag])
                 assert lit == (1 if usage.get(s, 0.0) > 0.5 else 0)
 
     # freighter-count estimates are exactly the volume ceilings at optimum
@@ -252,10 +252,10 @@ def test_criterion_6_pipeline_structural_properties(backend):
             t = instance.trip(p).stop_times[s]
             period = min(int(t // length), instance.cost_params.period_count - 1)
             volume[(s, period)] = (volume.get((s, period), 0.0)
-                                   + instance.customer(i).demand * result.values[var.name])
+                                   + instance.customer(i).demand * result.values[var])
         for (s, period), h_var in model.family("h").items():
             expected = math.ceil(round(volume.get((s, period), 0.0), 6) / qf)
-            assert round(result.values[h_var.name]) == expected
+            assert round(result.values[h_var]) == expected
         qf_checked += 1
 
     # the half-day tags partition every (customer, pickup stop) pair

@@ -18,7 +18,6 @@ from transitfreight.instance import (
     Trip,
     Truck,
 )
-from transitfreight.milp import ModelError
 from transitfreight.model_full import (
     CDC_NODE,
     CDC_SINK,
@@ -82,8 +81,7 @@ def test_decode_requires_solution(backend, micro1):
 def test_decode_rejects_fractional(backend, micro1):
     model = build_full(micro1, derive_compatibility(micro1))
     result = solve(model, backend)
-    key = next(name for name in result.values if name.startswith("r["))
-    result.values[key] = 0.5
+    result.values[next(iter(model.family("r").values()))] = 0.5
     with pytest.raises(DecodeError, match="fractional"):
         decode_full(micro1, model, result)
 
@@ -173,7 +171,7 @@ def test_service_cost_consolidates_stops(backend):
 
     lam = 10.0 * base_plan.costs.t1_cost
     priced = build_full(instance, compat, FullOptions(
-        service_cost_mu=10.0, lambda1=lam, lambda3=10.0 * base_plan.costs.t3_cost))
+        lambda1=lam, lambda3=10.0 * base_plan.costs.t3_cost))
     result = solve(priced, backend)
     assert result.status == "optimal"
     plan = decode_full(instance, priced, result)
@@ -183,11 +181,6 @@ def test_service_cost_consolidates_stops(backend):
     assert plan.costs.service_cost > 0
     assert plan.costs.total == pytest.approx(result.objective, abs=1e-6)
     assert validate_plan(instance, plan) == []
-
-
-def test_service_cost_needs_lambdas():
-    with pytest.raises(ModelError, match="reference"):
-        FullOptions(service_cost_mu=1.0)
 
 
 def test_full_matches_oracle_on_dual_role(backend):
@@ -340,7 +333,7 @@ def _lp_trucks_leaving_the_cdc(model) -> float:
     highs.run()
     assert highs.getModelStatus() == highs_core.HighsModelStatus.kOptimal
     x = highs.getSolution().col_value
-    return sum(x[var.index] for (u, v, _d), var in model.family("w").items()
+    return sum(x[col] for (u, v, _d), col in model.family("w").items()
                if u == CDC_NODE and v != CDC_SINK)
 
 

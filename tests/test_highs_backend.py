@@ -22,11 +22,9 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from transitfreight import backends, tiers
 from transitfreight.backends import HIGHS_SETTINGS, BackendError, ScipyHighsBackend
 from transitfreight.milp import (
-    BINARY,
     EQUAL,
     GREATER_EQUAL,
     INF,
-    INTEGER,
     LESS_EQUAL,
     ModelBuilder,
     SolveLimits,
@@ -40,20 +38,20 @@ from conftest import generate_micro_instances, make_micro1
 def milp_reference(model, limits: SolveLimits) -> SolveResult:
     n = len(model.variables)
     c = np.zeros(n)
-    for var, coeff in model.objective:
-        c[var.index] += coeff
-    lb = np.array([v.lb for v in model.variables])
-    ub = np.array([min(v.ub, 1e30) if v.ub != INF else np.inf for v in model.variables])
-    integrality = np.array([1 if v.kind in (BINARY, INTEGER) else 0 for v in model.variables])
+    for col, coeff in model.objective:
+        c[col] += coeff
+    lb = np.array(model.lower)
+    ub = np.array([min(u, 1e30) if u != INF else np.inf for u in model.upper])
+    integrality = np.array([1 if k else 0 for k in model.integer])
     constraints = []
     if model.constraints:
         rows, cols, vals = [], [], []
         lo = np.empty(len(model.constraints))
         hi = np.empty(len(model.constraints))
         for i, con in enumerate(model.constraints):
-            for var, coeff in con.terms:
+            for col, coeff in con.terms:
                 rows.append(i)
-                cols.append(var.index)
+                cols.append(col)
                 vals.append(coeff)
             lo[i], hi[i] = {LESS_EQUAL: (-np.inf, con.rhs), GREATER_EQUAL: (con.rhs, np.inf),
                             EQUAL: (con.rhs, con.rhs)}[con.sense]
@@ -65,9 +63,9 @@ def milp_reference(model, limits: SolveLimits) -> SolveResult:
                    bounds=Bounds(lb, ub),
                    options={"time_limit": limits.time_limit, "mip_rel_gap": limits.rel_gap,
                             "presolve": True, "disp": False, **HIGHS_SETTINGS})
-    values = {}
+    values = []
     if res.x is not None:
-        values = {v.name: float(res.x[v.index]) for v in model.variables}
+        values = [float(x) for x in res.x]
     best_bound = res.mip_dual_bound
     objective = float(res.fun) if res.fun is not None else None
     if res.status == 0:
@@ -77,9 +75,9 @@ def milp_reference(model, limits: SolveLimits) -> SolveResult:
     elif res.status == 1:
         status = "feasible" if values else "timeout"
     elif res.status == 2:
-        status, values, objective = "infeasible", {}, None
+        status, values, objective = "infeasible", [], None
     else:
-        status, values, objective = "error", {}, None
+        status, values, objective = "error", [], None
     return SolveResult(status, values, objective, best_bound, 0.0, str(res.message),
                        res.mip_node_count)
 
@@ -149,7 +147,7 @@ def test_infeasible_model_matches_milp():
     model = mb.build()
     limits = SolveLimits(10.0, 1e-6)
     result = ScipyHighsBackend().solve(model, limits)
-    assert result.status == "infeasible" and result.values == {} and result.objective is None
+    assert result.status == "infeasible" and result.values == [] and result.objective is None
     assert _same_outcome(result, milp_reference(model, limits))
 
 
@@ -165,7 +163,7 @@ def test_all_continuous_lp_matches_milp():
     result = ScipyHighsBackend().solve(model, limits)
     assert result.status == "optimal"
     assert result.best_bound == result.objective and result.nodes is None
-    assert result.values == pytest.approx({"x": 4 / 3, "y": 13 / 12})
+    assert result.values == pytest.approx([4 / 3, 13 / 12])
     assert _same_outcome(result, milp_reference(model, limits))
 
 
@@ -216,7 +214,7 @@ def test_import_leaves_scipy_optimize_unloaded_and_shares_the_bindings():
         mb.set_objective([(x, 2.0), (y, 1.0)])
         result = ScipyHighsBackend().solve(mb.build(), SolveLimits(10.0, 1e-6))
         assert result.status == "optimal" and result.objective == 3.0, result
-        assert result.values == {"x": 0.0, "y": 3.0}, result
+        assert result.values == [0.0, 3.0], result
     """)
 
 

@@ -18,7 +18,6 @@ from transitfreight.milp import (
     ModelBuilder,
     ModelError,
     SolveLimits,
-    VarRef,
     big_M,
 )
 from transitfreight.model_full import build_full
@@ -50,7 +49,7 @@ def test_solve_infeasible(backend):
     mb.set_objective([(x, 1.0)])
     result = solve(mb.build(), backend)
     assert result.status == "infeasible"
-    assert result.values == {}
+    assert result.values == []
 
 
 def test_objective_roundtrip_matches_reported(backend, micro1):
@@ -79,9 +78,14 @@ def test_monotone_under_added_constraint(backend):
     assert tightened.objective >= base.objective - 1e-6
 
 
-def test_binary_bounds_enforced():
-    with pytest.raises(ModelError):
-        VarRef(index=0, name="x", kind="binary", lb=0.0, ub=2.0)
+@pytest.mark.parametrize("kind", ["binary", "continuous", "integer"])
+def test_repeated_family_index_is_a_duplicate_variable(kind):
+    mb = ModelBuilder("dup")
+    first = getattr(mb, kind)("x", "a", 1)
+    assert (first, mb.integer("x", "a", 2), mb.binary("y", "a", 1)) == (0, 1, 2)
+    with pytest.raises(ModelError, match=r"duplicate variable x\[a,1\]"):
+        getattr(mb, kind)("x", "a", 1)
+    assert mb.get("x", "a", 1) == 0 and mb.build().variables == ["x[a,1]", "x[a,2]", "y[a,1]"]
 
 
 def test_big_m_rules():

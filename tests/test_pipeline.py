@@ -10,7 +10,7 @@ from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import (
     Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
     serialize_instance, with_beta)
-from transitfreight.milp import CONTINUOUS, ModelError
+from transitfreight.milp import ModelError
 from transitfreight.pipeline import (
     PipelineError,
     RunConfig,
@@ -347,8 +347,10 @@ class _FractionalBackend:
 
     def solve(self, model, limits):
         result = self._backend.solve(model, limits)
-        for var in model.family("r").values():
-            return replace(result, values={**result.values, var.name: 0.5})
+        for col in model.family("r").values():
+            values = list(result.values)
+            values[col] = 0.5
+            return replace(result, values=values)
         return result
 
 
@@ -371,9 +373,8 @@ class _NanContinuousBackend:
 
     def solve(self, model, limits):
         result = self._backend.solve(model, limits)
-        continuous = {var.name for var in model.variables if var.kind == CONTINUOUS}
-        return replace(result, values={name: math.nan if name in continuous else value
-                                       for name, value in result.values.items()})
+        return replace(result, values=[value if integer else math.nan for value, integer
+                                       in zip(result.values, model.integer)])
 
 
 @pytest.mark.parametrize("label_limit", [tiers.ROUTE_LABEL_LIMIT, 0])

@@ -718,8 +718,8 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
 def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
     model = build_d2_t2(micro1, derive_compatibility(micro1), T2Objective.parse("obj2"))
     result = solve(model, backend)
-    for var in model.family("y1").values():
-        result.values[var.name] = 0.0
+    for col in model.family("y1").values():
+        result.values[col] = 0.0
     with pytest.raises(DecodeError, match="c1"):
         decode_transit(micro1, model, result)
 
@@ -785,10 +785,10 @@ def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
     else:
         model = build_full(instance, compat)
     ends = (model.family("y1")[("u", pickup, "p1")], model.family("y2")[("u", drop, "p1")])
-    lured = dataclasses.replace(model, objective=model.objective + [(var, -1000.0) for var in ends])
+    lured = dataclasses.replace(model, objective=model.objective + [(col, -1000.0) for col in ends])
     result = solve(lured, backend)
     assert result.status == "optimal"
-    assert sum(round(result.values[var.name]) for var in ends) == 1
+    assert sum(round(result.values[col]) for col in ends) == 1
     if model_kind == "d2-t2":
         choice = decode_transit(instance, lured, result)["u"]
         assert choice.pickup_time < choice.drop_time
@@ -908,7 +908,7 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
         _b_out, routes = decode_d3_t3(instance, model, result)
         t_visit, _ = repair_d3_times(routes, instance)
         latest = latest_departures(routes, instance, t_visit)
-        chosen = [idx for idx, q in model.family("q").items() if result.values[q.name] > 0.5]
+        chosen = [idx for idx, q in model.family("q").items() if result.values[q] > 0.5]
         assert [r.customers for r in routes] == [idx[1:] for idx in chosen]
         for idx in chosen:
             for cid in idx[1:]:
@@ -1065,7 +1065,7 @@ def _cover_u_twice(model):
     columns = model.family("x1")
     pair = next(idx for idx in columns if len(idx) == 5)
     chosen = {columns[("d1", "u", "A1")], columns[pair]}
-    values = {var.name: float(var in chosen) for var in model.variables}
+    values = [float(col in chosen) for col in range(len(model.variables))]
     return SolveResult("optimal", values, model.objective_value(values), None, 0.0)
 
 

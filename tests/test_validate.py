@@ -26,6 +26,7 @@ from transitfreight.instance import (
     Truck,
     with_beta,
 )
+from transitfreight.model_full import visit_times
 from transitfreight.pipeline import RunConfig, run_method
 from transitfreight.plan import (
     CostBreakdown,
@@ -34,6 +35,7 @@ from transitfreight.plan import (
     Plan,
     TruckRoute,
     VrptwPlan,
+    VrptwRoute,
 )
 from transitfreight.validate import (
     ValidationInputError,
@@ -167,6 +169,38 @@ def test_stop_distinct_violation():
         costs=CostBreakdown(0.0, 0.0))
     codes = {v.code for v in validate_plan(instance, plan)}
     assert "STOP_DISTINCT" in codes
+
+
+def test_vrptw_route_without_its_times_is_a_hard_error(backend, micro1):
+    plan, _ = run_method(micro1, RunConfig(method="vrptw"), backend)
+    untimed = replace(plan, routes=(replace(plan.routes[0], times=()),))
+    with pytest.raises(ValidationInputError, match="customers/times length mismatch"):
+        validate_vrptw_plan(micro1, untimed)
+
+
+def test_vrptw_capacity_is_summed_per_truck():
+    """Two routes of d1 carry 7 and 13 units: each fits its capacity of 19, together not."""
+    instance = generate_micro_instances(1, start_seed=2002)[0]
+    instance = replace(instance, trucks=(replace(instance.trucks[0], capacity=19.0),)
+                       + instance.trucks[1:])
+    routes = tuple(VrptwRoute("d1", 0.0, served, visit_times(instance, instance.cdc, 0.0, served))
+                   for served in (("c2",), ("c3", "c1")))
+    assert [instance.customer(c).demand for c in ("c2", "c3", "c1")] == [7.0, 8.0, 5.0]
+    found = validate_vrptw_plan(instance, VrptwPlan(routes, 0.0))
+    assert [(v.code, v.subjects, v.measured) for v in found] == [
+        ("COVERAGE", ("d1",), 2), ("TRUCK_CAPACITY", ("d1",), 20.0)]
+
+
+def test_a_vehicle_on_two_routes_is_a_coverage_violation(backend):
+    instance = generate_micro_instances(1, start_seed=2000)[0]
+    plan, _ = run_method(instance, RunConfig(method="full"), backend)
+    assert validate_plan(instance, plan) == []
+    truck, freighter = plan.truck_routes[0], plan.freighter_routes[0]
+    for doubled, vehicle in ((replace(plan, truck_routes=plan.truck_routes + (truck,)), truck.truck),
+                             (replace(plan, freighter_routes=plan.freighter_routes + (freighter,)),
+                              freighter.freighter)):
+        found = [v for v in validate_plan(instance, doubled) if v.code == "COVERAGE"]
+        assert [(v.subjects, v.measured) for v in found] == [((vehicle,), 2)]
 
 
 # ---- brute-force oracle --------------------------------------------------
