@@ -61,9 +61,6 @@ class MilpModel:
     def family(self, name: str) -> dict[tuple, int]:
         return self.registry.get(name, {})
 
-    def objective_value(self, values: list[float]) -> float:
-        return sum(coeff * values[col] for col, coeff in self.objective)
-
 
 class ModelBuilder:
     """Incrementally builds a MilpModel; each new variable is the next column."""

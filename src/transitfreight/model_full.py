@@ -59,7 +59,9 @@ Each fragment has one copy, used by every model that needs it:
                          chosen stop (d3-t3) or 1 (t3-stopwise); full adds its
                          dep per column through a hook
   arc_costs              distance-priced objective terms of an arc family
-  route_costs            the freighter-rate price of every route column
+  route_costs            the freighter-rate price of every route column, its
+                         closed tour's ``validate.tour_length``, the one
+                         closed-tour length every pricer uses
 
 Decoders read binary variables only, each family by column through
 ``chosen``. Plan times come from one forward pass per vehicle tier
@@ -78,7 +80,7 @@ from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
 from .plan import CustomerItinerary, FreighterRoute, Plan, TruckRoute
-from .validate import price_routes
+from .validate import price_routes, tour_length
 
 CDC_NODE = "o"
 CDC_SINK = "o~"
@@ -392,15 +394,15 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
 
 
 def route_costs(mb: ModelBuilder, instance: Instance) -> list:
-    """Objective terms pricing every route column at its length at the freighter rate."""
+    """Objective terms pricing every route column at its ``validate.tour_length`` at
+    the freighter rate, the price ``validate.price_routes`` gives its route."""
     params = instance.cost_params
     per_distance = params.freighter_cost_scale * params.truck_cost_per_distance
     terms = []
     for (g, *order), q in mb.family_items("q"):
         home = instance.stop(instance.freighter(g).home_stop).location
-        points = [home] + [instance.customer(cid).location for cid in order] + [home]
-        terms.append((q, per_distance * sum(euclidean_distance(a, b)
-                                            for a, b in zip(points, points[1:]))))
+        terms.append((q, per_distance * tour_length(
+            home, [instance.customer(cid).location for cid in order])))
     return terms
 
 

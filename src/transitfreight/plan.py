@@ -8,17 +8,16 @@ separate plan shape covers the direct-truck baseline.
 A plan document is its schema and kind, then the dataclass written by the
 instance module's codec, with the cost total appended to ``costs``; the service
 cost and the two service weights may be absent and read as 0. Handoffs keep their
-own writer: sorted maps and a list of ``tau`` records.
+own writer: sorted maps and a list of ``tau`` records. They are written for
+inspection, and nothing reads them back.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any
 
-from .instance import from_doc, require_field, require_kind, to_doc
+from .instance import from_doc, require_kind, to_doc
 
 PLAN_SCHEMA = "3tdppt-plan/1"
 HANDOFF_SCHEMA = "3tdppt-handoff/1"
@@ -78,12 +77,6 @@ class Plan:
     service_lambda1: float = 0.0  # per-visit cost on truck arcs into drop-in stops
     service_lambda3: float = 0.0  # per-departure cost on freighter arcs leaving home
 
-    def itinerary_of(self, customer: str) -> CustomerItinerary:
-        for it in self.itineraries:
-            if it.customer == customer:
-                return it
-        raise PlanError(f"no itinerary for customer {customer}")
-
 
 @dataclass(frozen=True)
 class VrptwRoute:
@@ -111,24 +104,16 @@ def serialize_plan(plan: Plan | VrptwPlan) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-_field = partial(require_field, error=PlanError)
-
-
-def _load(text: str, schema: str) -> dict[str, Any]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"not valid JSON: {exc}") from exc
-    if require_kind(doc, "top level", dict, PlanError).get("schema") != schema:
-        raise PlanError(f"unsupported schema {doc.get('schema')!r}")
-    return doc
-
-
 def parse_plan(text: str) -> Plan | VrptwPlan:
     """Read a plan document; ``PlanError`` names the path of a missing or
     wrong-typed field. The service cost and the two service weights may be absent
     and then read as 0."""
-    doc = _load(text, PLAN_SCHEMA)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"not valid JSON: {exc}") from exc
+    if require_kind(doc, "top level", dict, PlanError).get("schema") != PLAN_SCHEMA:
+        raise PlanError(f"unsupported schema {doc.get('schema')!r}")
     return from_doc(VrptwPlan if doc.get("kind") == "vrptw" else Plan, doc, "", PlanError,
                     optional=("service_cost", "service_lambda1", "service_lambda3"))
 
@@ -169,22 +154,3 @@ def serialize_handoff(handoff: TierHandoff) -> str:
         "t_first": dict(sorted(handoff.t_first.items())),
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_handoff(text: str) -> TierHandoff:
-    """Read a handoff document; ``PlanError`` names the path of a wrong-typed field."""
-    doc = _load(text, HANDOFF_SCHEMA)
-
-    def mapping(key: str, kind: type) -> dict:
-        return from_doc(dict[str, kind], doc.get(key, {}), key, PlanError)
-
-    tau = {}
-    for j, entry in enumerate(require_kind(doc.get("tau", []), "tau", list, PlanError)):
-        at = f"tau[{j}]"
-        tau[_field(entry, "customer", at, str), _field(entry, "stop", at, str)] = _field(
-            entry, "half", at, int)
-    return TierHandoff(
-        b_in=mapping("b_in", str), t_in=mapping("t_in", float),
-        t_truck=mapping("t_truck", float), b_out=mapping("b_out", str),
-        t_out=mapping("t_out", float), t_depart_max=mapping("t_depart_max", float),
-        tau=tau, t_first=mapping("t_first", float))

@@ -24,6 +24,12 @@ Violation codes:
   STOP_DISTINCT       a package's drop-in and drop-out stop coincide
   NOT_FINITE          a time or departure is NaN or infinite; every other
                       check compares numbers, and no comparison fails on NaN
+
+Every route kind (truck, freighter, direct truck) goes through the same three
+checks: its references (``_check_route_refs``), its times along the ride
+(``_timed_walk``) and its vehicles' loads (``_load_tally``). ``tour_length`` is
+the one closed-tour length: ``price_routes``, ``recompute_vrptw_cost`` and the
+route columns of ``model_full.route_costs`` all price a route by it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .instance import Instance, euclidean_distance, travel_time
+from .instance import Instance, euclidean_distance
 from .plan import CostBreakdown, Plan, VrptwPlan
 
 TOL = 1e-6
@@ -75,23 +81,26 @@ def _resolve_plan_refs(instance: Instance, plan: Plan) -> None:
             if value not in known:
                 raise ValidationInputError(f"unknown {label} {value!r} in itinerary")
     for route in plan.truck_routes:
-        if route.truck not in known_trucks:
-            raise ValidationInputError(f"unknown truck {route.truck!r} in route")
-        for sid in route.stops:
-            if sid not in known_stops:
-                raise ValidationInputError(f"unknown stop {sid!r} in truck route")
-        if len(route.stops) != len(route.times):
-            raise ValidationInputError(f"truck route {route.truck}: stops/times length mismatch")
+        _check_route_refs("truck", route.truck, known_trucks,
+                          "stop", route.stops, known_stops, route.times)
     for route in plan.freighter_routes:
-        if route.freighter not in known_freighters:
-            raise ValidationInputError(f"unknown freighter {route.freighter!r} in route")
         if route.home_stop not in known_stops:
             raise ValidationInputError(f"unknown stop {route.home_stop!r} in freighter route")
-        for cid in route.customers:
-            if cid not in known_customers:
-                raise ValidationInputError(f"unknown customer {cid!r} in freighter route")
-        if len(route.customers) != len(route.times):
-            raise ValidationInputError(f"freighter route {route.freighter}: customers/times length mismatch")
+        _check_route_refs("freighter", route.freighter, known_freighters,
+                          "customer", route.customers, known_customers, route.times)
+
+
+def _check_route_refs(kind: str, vehicle: str, known_vehicles, place_kind: str,
+                      places: tuple[str, ...], known_places, times: tuple[float, ...]) -> None:
+    """Raise ValidationInputError unless the route's vehicle and every place it visits
+    are known and it has one time per place."""
+    if vehicle not in known_vehicles:
+        raise ValidationInputError(f"unknown {kind} {vehicle!r} in route")
+    for place in places:
+        if place not in known_places:
+            raise ValidationInputError(f"unknown {place_kind} {place!r} in {kind} route")
+    if len(places) != len(times):
+        raise ValidationInputError(f"{kind} route {vehicle}: {place_kind}s/times length mismatch")
 
 
 def _one_route_each(vehicles) -> list[Violation]:
@@ -109,9 +118,41 @@ def _not_finite(subjects: tuple[str, ...], **times: float) -> list[Violation]:
             for name, t in times.items() if not math.isfinite(t)]
 
 
+def _timed_walk(instance: Instance, vehicle: str, home, departure: float, places,
+                times: tuple[float, ...], detail: str) -> list[Violation]:
+    """NOT_FINITE for the departure and each time of a route leaving ``home`` at
+    ``departure`` for ``places`` (its Stops or Customers) in order, and ORDER, with
+    ``detail``, for each time earlier than the ride from the previous point plus
+    service allow."""
+    out = _not_finite((vehicle,), departure=departure)
+    t_prev, loc_prev = departure, home
+    for place, t_here in zip(places, times):
+        out += _not_finite((vehicle, place.id), time=t_here)
+        needed = t_prev + instance.travel_minutes(loc_prev, place.location) + place.service_time
+        if t_here < needed - TOL:
+            out.append(Violation("ORDER", (vehicle, place.id),
+                                 measured=t_here, bound=needed, detail=detail))
+        t_prev, loc_prev = t_here, place.location
+    return out
+
+
+def _load_tally(instance: Instance, code: str, vehicle_of, carried) -> list[Violation]:
+    """A ``code`` violation per vehicle, in id order, whose packages outweigh its
+    capacity; ``carried`` yields (vehicle id, customer id) pairs and ``vehicle_of``
+    looks a vehicle up by id."""
+    loads: dict[str, float] = {}
+    for vid, cid in carried:
+        loads[vid] = loads.get(vid, 0.0) + instance.customer(cid).demand
+    out = []
+    for vid, load in sorted(loads.items()):
+        cap = vehicle_of(vid).capacity
+        if load > cap + TOL:
+            out.append(Violation(code, (vid,), measured=load, bound=cap))
+    return out
+
+
 def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
     _resolve_plan_refs(instance, plan)
-    params = instance.cost_params
     out: list[Violation] = []
 
     # coverage: every customer exactly once
@@ -224,30 +265,15 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
                                  bound=cust.window_lo if it.delivery_time < cust.window_lo else cust.window_hi))
 
     # truck loads and route time consistency
-    load_by_truck: dict[str, float] = {}
-    for it in plan.itineraries:
-        load_by_truck[it.truck] = load_by_truck.get(it.truck, 0.0) + instance.customer(it.customer).demand
-    for truck_id, load in sorted(load_by_truck.items()):
-        cap = instance.truck(truck_id).capacity
-        if load > cap + TOL:
-            out.append(Violation("TRUCK_CAPACITY", (truck_id,), measured=load, bound=cap))
-
+    out += _load_tally(instance, "TRUCK_CAPACITY", instance.truck,
+                       ((it.truck, it.customer) for it in plan.itineraries))
     for route in plan.truck_routes:
         if len(set(route.stops)) != len(route.stops):
             out.append(Violation("COVERAGE", (route.truck,),
                                  detail="truck route revisits a stop"))
-        out += _not_finite((route.truck,), departure=route.departure)
-        t_prev = route.departure
-        loc_prev = instance.cdc
-        for sid, t_here in zip(route.stops, route.times):
-            out += _not_finite((route.truck, sid), time=t_here)
-            stop = instance.stop(sid)
-            needed = t_prev + travel_time(euclidean_distance(loc_prev, stop.location), params) + stop.service_time
-            if t_here < needed - TOL:
-                out.append(Violation("ORDER", (route.truck, sid),
-                                     measured=t_here, bound=needed,
-                                     detail="truck route times incompatible with travel"))
-            t_prev, loc_prev = t_here, stop.location
+        out += _timed_walk(instance, route.truck, instance.cdc, route.departure,
+                           [instance.stop(sid) for sid in route.stops], route.times,
+                           "truck route times incompatible with travel")
 
     # transit vehicle load profile
     by_trip: dict[str, list] = {}
@@ -269,14 +295,8 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
             out.append(Violation("TRIP_CAPACITY", (trip_id,), measured=peak, bound=trip.capacity))
 
     # freighter loads and route time consistency
-    load_by_freighter: dict[str, float] = {}
-    for it in plan.itineraries:
-        load_by_freighter[it.freighter] = (
-            load_by_freighter.get(it.freighter, 0.0) + instance.customer(it.customer).demand)
-    for fid, load in sorted(load_by_freighter.items()):
-        cap = instance.freighter(fid).capacity
-        if load > cap + TOL:
-            out.append(Violation("FREIGHTER_CAPACITY", (fid,), measured=load, bound=cap))
+    out += _load_tally(instance, "FREIGHTER_CAPACITY", instance.freighter,
+                       ((it.freighter, it.customer) for it in plan.itineraries))
 
     served_by_route: dict[str, set[str]] = {}
     for it in plan.itineraries:
@@ -293,18 +313,10 @@ def validate_plan(instance: Instance, plan: Plan) -> list[Violation]:
         if route.home_stop != freighter.home_stop:
             out.append(Violation("COVERAGE", (route.freighter, route.home_stop),
                                  detail="route does not start at the freighter's home stop"))
-        out += _not_finite((route.freighter,), departure=route.departure)
-        t_prev = route.departure
-        loc_prev = instance.stop(route.home_stop).location
-        for cid, t_here in zip(route.customers, route.times):
-            out += _not_finite((route.freighter, cid), time=t_here)
-            cust = instance.customer(cid)
-            needed = t_prev + travel_time(euclidean_distance(loc_prev, cust.location), params) + cust.service_time
-            if t_here < needed - TOL:
-                out.append(Violation("ORDER", (route.freighter, cid),
-                                     measured=t_here, bound=needed,
-                                     detail="freighter route times incompatible with travel"))
-            t_prev, loc_prev = t_here, cust.location
+        out += _timed_walk(instance, route.freighter, instance.stop(route.home_stop).location,
+                           route.departure, [instance.customer(cid) for cid in route.customers],
+                           route.times,
+                           "freighter route times incompatible with travel")
 
     return out
 
@@ -315,77 +327,60 @@ def recompute_costs(instance: Instance, plan: Plan) -> CostBreakdown:
                        plan.service_lambda1, plan.service_lambda3)
 
 
+def tour_length(home, points) -> float:
+    """Length of the closed tour that leaves ``home``, visits ``points`` in order and
+    returns; the legs are added in that order."""
+    length, here = 0.0, home
+    for point in points:
+        length += euclidean_distance(here, point)
+        here = point
+    return length + euclidean_distance(here, home)
+
+
 def price_routes(instance: Instance, truck_routes, freighter_routes,
                 service_lambda1: float = 0.0, service_lambda3: float = 0.0) -> CostBreakdown:
-    """The cost of truck and freighter routes: distance priced per vehicle tier, plus
-    ``service_lambda1`` per drop-in stop visit and ``service_lambda3`` per freighter
-    route that leaves its home stop."""
+    """The cost of truck and freighter routes: each route's ``tour_length`` priced at
+    its vehicle tier's rate, plus ``service_lambda1`` per drop-in stop visit and
+    ``service_lambda3`` per freighter route that leaves its home stop."""
     per_truck = instance.cost_params.truck_cost_per_distance
     per_freighter = instance.cost_params.freighter_cost_scale * per_truck
-    t1 = 0.0
-    service = 0.0
+    t1 = t3 = service = 0.0
     for route in truck_routes:
-        loc = instance.cdc
+        points = []
         for sid in route.stops:
             stop = instance.stop(sid)
-            t1 += per_truck * euclidean_distance(loc, stop.location)
+            points.append(stop.location)
             if stop.is_drop_in:
                 service += service_lambda1
-            loc = stop.location
-        t1 += per_truck * euclidean_distance(loc, instance.cdc)
-    t3 = 0.0
+        t1 += per_truck * tour_length(instance.cdc, points)
     for route in freighter_routes:
-        home = instance.stop(route.home_stop).location
-        loc = home
-        for i, cid in enumerate(route.customers):
-            cust = instance.customer(cid)
-            t3 += per_freighter * euclidean_distance(loc, cust.location)
-            if i == 0:
-                service += service_lambda3
-            loc = cust.location
         if route.customers:
-            t3 += per_freighter * euclidean_distance(loc, home)
+            t3 += per_freighter * tour_length(
+                instance.stop(route.home_stop).location,
+                [instance.customer(cid).location for cid in route.customers])
+            service += service_lambda3
     return CostBreakdown(t1_cost=t1, t3_cost=t3, service_cost=service)
 
 
 def validate_vrptw_plan(instance: Instance, plan: VrptwPlan) -> list[Violation]:
     """Feasibility of a direct-truck plan: coverage, capacity, windows, timing."""
-    params = instance.cost_params
-    out: list[Violation] = []
+    known_trucks = {d.id for d in instance.trucks}
     known_customers = {c.id for c in instance.customers}
-    out += _one_route_each(route.truck for route in plan.routes)
+    out = _one_route_each(route.truck for route in plan.routes)
     counts: dict[str, int] = {}
-    load_by_truck: dict[str, float] = {}
     for route in plan.routes:
-        if route.truck not in {d.id for d in instance.trucks}:
-            raise ValidationInputError(f"unknown truck {route.truck!r}")
-        if len(route.customers) != len(route.times):
-            raise ValidationInputError(f"truck route {route.truck}: customers/times length mismatch")
-        for cid in route.customers:
-            if cid not in known_customers:
-                raise ValidationInputError(f"unknown customer {cid!r}")
-            counts[cid] = counts.get(cid, 0) + 1
-            load_by_truck[route.truck] = (load_by_truck.get(route.truck, 0.0)
-                                          + instance.customer(cid).demand)
-        out += _not_finite((route.truck,), departure=route.departure)
-        t_prev = route.departure
-        loc_prev = instance.cdc
-        for cid, t_here in zip(route.customers, route.times):
-            out += _not_finite((route.truck, cid), time=t_here)
-            cust = instance.customer(cid)
-            needed = t_prev + travel_time(euclidean_distance(loc_prev, cust.location), params) + cust.service_time
-            if t_here < needed - TOL:
-                out.append(Violation("ORDER", (route.truck, cid),
-                                     measured=t_here, bound=needed,
-                                     detail="route times incompatible with travel"))
+        _check_route_refs("truck", route.truck, known_trucks,
+                          "customer", route.customers, known_customers, route.times)
+        custs = [instance.customer(cid) for cid in route.customers]
+        out += _timed_walk(instance, route.truck, instance.cdc, route.departure, custs,
+                           route.times, "route times incompatible with travel")
+        for cust, t_here in zip(custs, route.times):
+            counts[cust.id] = counts.get(cust.id, 0) + 1
             if t_here < cust.window_lo - TOL or t_here > cust.window_hi + TOL:
-                out.append(Violation("WINDOW", (cid,), measured=t_here,
+                out.append(Violation("WINDOW", (cust.id,), measured=t_here,
                                      bound=cust.window_lo if t_here < cust.window_lo else cust.window_hi))
-            t_prev, loc_prev = t_here, cust.location
-    for truck_id, load in sorted(load_by_truck.items()):
-        cap = instance.truck(truck_id).capacity
-        if load > cap + TOL:
-            out.append(Violation("TRUCK_CAPACITY", (truck_id,), measured=load, bound=cap))
+    out += _load_tally(instance, "TRUCK_CAPACITY", instance.truck,
+                       ((route.truck, cid) for route in plan.routes for cid in route.customers))
     for cust in instance.customers:
         if counts.get(cust.id, 0) != 1:
             out.append(Violation("COVERAGE", (cust.id,), measured=counts.get(cust.id, 0), bound=1))
@@ -393,12 +388,10 @@ def validate_vrptw_plan(instance: Instance, plan: VrptwPlan) -> list[Violation]:
 
 
 def recompute_vrptw_cost(instance: Instance, plan: VrptwPlan) -> float:
-    params = instance.cost_params
+    """The plan's cost: each route's ``tour_length`` at the truck rate."""
+    per_truck = instance.cost_params.truck_cost_per_distance
     total = 0.0
     for route in plan.routes:
-        loc = instance.cdc
-        for cid in route.customers:
-            total += params.truck_cost_per_distance * euclidean_distance(loc, instance.customer(cid).location)
-            loc = instance.customer(cid).location
-        total += params.truck_cost_per_distance * euclidean_distance(loc, instance.cdc)
+        total += per_truck * tour_length(
+            instance.cdc, [instance.customer(cid).location for cid in route.customers])
     return total

@@ -126,7 +126,6 @@ def mutate(family: str, instance: Instance, plan: Plan) -> Plan:
             for r in plan2.freighter_routes)
         return replace(plan2, freighter_routes=routes)
     if family == "WINDOW":
-        it = plan.itinerary_of("v")
         late = instance.customer("v").window_hi + 5.0
         plan2 = _swap_itinerary(plan, "v", delivery_time=late)
         routes = tuple(

@@ -53,7 +53,7 @@ def test_full_micro1_optimum(backend, micro1):
     assert plan.costs.t3_cost == pytest.approx(MICRO1_T3, abs=1e-6)
     assert plan.costs.total == pytest.approx(result.objective, abs=1e-6)
 
-    it = plan.itinerary_of("c1")
+    (it,) = plan.itineraries
     assert it.truck == "d1"
     assert it.drop_in_stop == "A"
     assert it.trip in ("p1", "p2")
@@ -134,7 +134,7 @@ def test_dual_role_stop_never_both_ends(backend):
     result = solve(model)
     assert result.status == "optimal"
     plan = decode_full(instance, model, result)
-    it = plan.itinerary_of("c1")
+    (it,) = plan.itineraries
     assert it.drop_in_stop != it.drop_out_stop
     assert validate_plan(instance, plan) == []
 
@@ -224,8 +224,7 @@ def test_mixed_capacity_freighters_form_separate_classes(backend):
     assert result.status == "optimal"
     plan = decode_full(instance, model, result)
     assert validate_plan(instance, plan) == []
-    assert plan.itinerary_of("v").freighter == "f2"
-    assert plan.itinerary_of("u").freighter == "f1"
+    assert {it.customer: it.freighter for it in plan.itineraries} == {"u": "f1", "v": "f2"}
     assert plan.costs.total == pytest.approx(brute_force_optimum(instance).cost, abs=1e-4)
 
 

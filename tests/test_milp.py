@@ -56,7 +56,7 @@ def test_objective_roundtrip_matches_reported(backend, micro1):
     model = build_full(micro1, derive_compatibility(micro1))
     result = solve(model, backend)
     assert result.status == "optimal"
-    recomputed = model.objective_value(result.values)
+    recomputed = sum(coeff * result.values[col] for col, coeff in model.objective)
     assert recomputed == pytest.approx(result.objective, abs=1e-6)
 
 

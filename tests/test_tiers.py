@@ -1066,7 +1066,8 @@ def _cover_u_twice(model):
     pair = next(idx for idx in columns if len(idx) == 5)
     chosen = {columns[("d1", "u", "A1")], columns[pair]}
     values = [float(col in chosen) for col in range(len(model.variables))]
-    return SolveResult("optimal", values, model.objective_value(values), None, 0.0)
+    objective = sum(coeff * values[col] for col, coeff in model.objective)
+    return SolveResult("optimal", values, objective, None, 0.0)
 
 
 def test_decoder_serves_a_customer_covered_twice_once(backend):
