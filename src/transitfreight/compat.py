@@ -1,15 +1,14 @@
 """Derived compatibility sets: which stops, trips, and vehicles can serve whom.
 
 A drop-in stop can serve a customer when some trip visits it before one of
-the customer's candidate drop-out stops on the same line. Average access
-times are direct travel times under the uniform-speed assumption.
+the customer's candidate drop-out stops on the same line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .instance import Instance, InstanceError, travel_time, euclidean_distance
+from .instance import Instance, InstanceError
 
 
 class UnreachableCustomerError(InstanceError):
@@ -20,8 +19,6 @@ class UnreachableCustomerError(InstanceError):
 class Compatibility:
     s_in_of_customer: dict[str, frozenset[str]]       # customer -> usable drop-in stops
     customers_of_dropout: dict[str, frozenset[str]]   # drop-out stop -> customers
-    avg_truck_time: dict[str, float]                  # drop-in stop -> CDC access minutes
-    avg_freighter_time: dict[tuple[str, str], float]  # (drop-out stop, customer) -> minutes
 
 
 def derive_compatibility(instance: Instance) -> Compatibility:
@@ -55,21 +52,7 @@ def derive_compatibility(instance: Instance) -> Compatibility:
         for sid in cust.dropout_candidates:
             customers_of_dropout[sid].add(cust.id)
 
-    params = instance.cost_params
-    avg_truck_time = {
-        s.id: travel_time(euclidean_distance(instance.cdc, s.location), params)
-        for s in instance.stops if s.is_drop_in
-    }
-    avg_freighter_time = {
-        (sid, cust.id): travel_time(
-            euclidean_distance(instance.stop(sid).location, cust.location), params)
-        for cust in instance.customers
-        for sid in cust.dropout_candidates
-    }
-
     return Compatibility(
         s_in_of_customer=s_in_of_customer,
         customers_of_dropout={k: frozenset(v) for k, v in customers_of_dropout.items()},
-        avg_truck_time=avg_truck_time,
-        avg_freighter_time=avg_freighter_time,
     )

@@ -30,16 +30,15 @@ Each fragment has one copy, used by every model that needs it:
                          no earlier than at drop v (u == v included), one
                          row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
   add_trip_loads         l2 along every trip, from the y1/y2 on the builder
-  add_truck_routing      w/t1 arcs, degree balance and times per truck, for full
-                         and a truck stage too large for route columns
-                         (past ``tiers.ROUTE_LABEL_LIMIT``)
-  add_stop_assignments   r[i,s,d] over given drop-in stops, with truck capacity,
+  add_truck_rows         w/t1 arcs, degree balance and times per truck, and
+                         r[i,s,d] over given drop-in stops with truck capacity,
                          the g visits and one g[d,s] >= r[i,s,d] row per
-                         assignment, for the same two; one leave_cdc[i,d]
-                         row per (package, truck) sends a truck that carries
-                         i out of the CDC toward a drop-in stop, a valid row
-                         that closes most of the LP gap the big-M time rows
-                         leave
+                         assignment, for full and a truck stage too large for
+                         route columns (past ``tiers.ROUTE_LABEL_LIMIT``); one
+                         leave_cdc[i,d] row per (package, truck) sends a truck
+                         that carries i out of the CDC toward a drop-in stop, a
+                         valid row that closes most of the LP gap the big-M
+                         time rows leave
   add_arrival_window     big-M rows that hold lo <= t1[s,d] <= hi for the truck
                          carrying the package; full and that truck stage
                          differ only in the stops and windows they pass (within
@@ -64,15 +63,19 @@ Each fragment has one copy, used by every model that needs it:
                          closed-tour length every pricer uses
 
 Decoders read binary variables only, each family by column through
-``chosen``. Plan times come from one forward pass per vehicle tier
-(``time_truck_routes``, ``decode_freighter_routes``): the earliest schedule
-of the chosen routes, which any feasible schedule of the solver's trails, so
-the windows and dwell caps it met still hold. Every plan is put together by
+``chosen``, and share one helper per job: ``arc_paths`` walks the chosen
+arcs from o to o~ (full's w, vrptw's x), ``hand_out`` gives each class's
+chosen routes to its vehicles, ``forward_times`` times every route of every
+tier, and ``decode_trucks`` reads the truck routes of full and both truck
+stages. A route's times are the earliest schedule of the chosen routes,
+which any feasible schedule of the solver's trails, so the windows and
+dwell caps it met still hold. Every plan is put together by
 ``assemble_plan`` and priced by ``validate.price_routes``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -145,16 +148,27 @@ def arc_costs(mb: ModelBuilder, instance: Instance, family: str,
             for (u, v, *_), var in mb.family_items(family)]
 
 
-def _homogeneous(capacities: list[float]) -> bool:
-    return len(set(capacities)) <= 1
+def add_truck_rows(mb: ModelBuilder, instance: Instance, M: float,
+                   stops_of: dict[str, list[str]], symmetry: bool) -> None:
+    """Shared per-truck tier-1 structure: arcs, times, and each package ``i`` on one
+    truck to one of ``stops_of[i]``.
 
+    ``w[u,v,d]`` arcs leave the CDC ``o`` once and reach its copy ``o~`` once
+    per truck, with degree balance at every drop-in stop; big-M rows carry the
+    leaving minutes ``t1[u,d]`` along traversed arcs. With ``symmetry`` and one
+    truck capacity, trucks are ordered by their use. ``r[i,s,d]`` puts each
+    package on one truck to one of its stops, within the truck's capacity.
+    ``g[d,v]`` marks a visit of truck ``d`` to drop-in stop ``v``: it equals
+    the truck's arcs into ``v`` and is 1 wherever the truck carries a package
+    to ``v``.
 
-def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
-                      symmetry: bool) -> dict:
-    """Shared tier-1 structure: arc variables, degree balance, times.
-
-    Returns the drop-in stops and the arc tails (the CDC and the drop-in
-    stops) that ``add_stop_assignments`` links its visits to.
+    One row per (package, truck), ``leave_cdc[i,d]``, says that a truck
+    carrying ``i`` leaves the CDC toward a drop-in stop. It cuts off no
+    integer plan: the truck visits the package's stop, so it has an arc into
+    it; the big-M ``truck_time`` rows forbid a cycle that skips the CDC, and
+    ``truck_start`` gives the truck one arc out of it, so that arc leads to a
+    drop-in stop. Without the row the LP relaxation routes trucks in cycles
+    between drop-in stops and sends none out of the CDC.
     """
     dropins = [s.id for s in instance.drop_in_stops()]
     tails = [CDC_NODE] + dropins
@@ -196,7 +210,7 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
                         (mb.get("w", u, v, d.id), -M)],
                        ">=", hop - M, f"truck_time[{u},{v},{d.id}]")
 
-    if symmetry and _homogeneous([d.capacity for d in instance.trucks]):
+    if symmetry and len({d.capacity for d in instance.trucks}) <= 1:
         trucks = instance.trucks
         for a, b in zip(trucks, trucks[1:]):
             mb.add([(mb.get("w", CDC_NODE, v, a.id), 1.0) for v in dropins]
@@ -211,7 +225,35 @@ def add_truck_routing(mb: ModelBuilder, instance: Instance, M: float,
                     terms.append((mb.get("w", u, v, b.id), -1.0))
             mb.add(terms, ">=", 0.0, f"truck_sym_size[{a.id}]")
 
-    return {"dropins": dropins, "tails": tails}
+    for cust in instance.customers:
+        for s in stops_of[cust.id]:
+            for d in instance.trucks:
+                mb.binary("r", cust.id, s, d.id)
+    for d in instance.trucks:
+        for v in dropins:
+            mb.binary("g", d.id, v)
+    for cust in instance.customers:
+        mb.add([(mb.get("r", cust.id, s, d.id), 1.0)
+                for s in stops_of[cust.id] for d in instance.trucks],
+               "=", 1.0, f"assign[{cust.id}]")
+    for d in instance.trucks:
+        mb.add([(mb.get("r", c.id, s, d.id), c.demand)
+                for c in instance.customers for s in stops_of[c.id]],
+               "<=", d.capacity, f"truck_cap[{d.id}]")
+        for v in dropins:
+            mb.add([(mb.get("g", d.id, v), 1.0)]
+                   + [(mb.get("w", u, v, d.id), -1.0) for u in tails if u != v],
+                   "=", 0.0, f"visit_link[{v},{d.id}]")
+    for cust in instance.customers:
+        for s in stops_of[cust.id]:
+            for d in instance.trucks:
+                mb.add([(mb.get("g", d.id, s), 1.0), (mb.get("r", cust.id, s, d.id), -1.0)],
+                       ">=", 0.0, f"visit_if_carrying[{cust.id},{s},{d.id}]")
+    for cust in instance.customers:
+        for d in instance.trucks:
+            mb.add([(mb.get("w", CDC_NODE, v, d.id), 1.0) for v in dropins]
+                   + [(mb.get("r", cust.id, s, d.id), -1.0) for s in stops_of[cust.id]],
+                   ">=", 0.0, f"leave_cdc[{cust.id},{d.id}]")
 
 
 def vehicle_classes(vehicles) -> list[tuple[str, tuple]]:
@@ -233,20 +275,67 @@ def ride_minutes(instance: Instance, a, cust) -> float:
     return instance.travel_minutes(a, cust.location) + cust.service_time
 
 
-def visit_times(instance: Instance, home, departure: float,
-                customers: tuple[str, ...]) -> tuple[float, ...]:
-    """Minute service ends at each customer of a route leaving ``home`` at ``departure``.
+def forward_times(instance: Instance, home, departure: float, visits) -> tuple[float, ...]:
+    """Minute service ends at each visit of a route leaving ``home`` at ``departure``.
 
-    Each visit ends at the earliest minute the ride from the previous point
-    allows, or when the customer's window opens if that is later.
+    ``visits`` are ``(place, earliest)`` pairs, a place being a ``Stop`` or a
+    ``Customer``. A visit ends one ride and the place's service time after the
+    previous one, summed in the order ``validate``'s walk sums them, or at
+    ``earliest`` if that is later.
     """
-    t, loc, times = departure, home, []
-    for cid in customers:
-        cust = instance.customer(cid)
-        t = max(cust.window_lo, t + ride_minutes(instance, loc, cust))
+    t, here, times = departure, home, []
+    for place, earliest in visits:
+        t = max(earliest, t + instance.travel_minutes(here, place.location) + place.service_time)
+        here = place.location
         times.append(t)
-        loc = cust.location
     return tuple(times)
+
+
+def hand_out(classes, driven: dict[str, list], kind: str) -> list[tuple]:
+    """(vehicle, route) pairs: the routes ``driven[g]`` of each class ``(g, fleet)``
+    (``vehicle_classes``), in order, given to its vehicles in instance order.
+
+    Raises ``DecodeError`` where a class drives more routes than it has ``kind``.
+    """
+    pairs = []
+    for g, fleet in classes:
+        routes = driven.get(g, [])
+        if len(routes) > len(fleet):
+            raise DecodeError(f"class {g}: {len(routes)} routes for {len(fleet)} {kind}")
+        pairs += zip(fleet, routes)
+    return pairs
+
+
+def arc_paths(arcs) -> dict[str, list[list[str]]]:
+    """Per owner, the nodes of each path its chosen arcs trace from the CDC ``o`` to its
+    copy ``o~``, one per arc out of ``o`` in the order given; the idle (o, o~) arc
+    traces none.
+
+    ``arcs`` are the (tail, head, owner) indices of an arc family: a truck owns
+    ``full``'s ``w``, a truck class ``vrptw``'s ``x``. Raises ``DecodeError``
+    naming the node where a path breaks off or loops.
+    """
+    starts: dict[str, list[str]] = {}
+    succ: dict[str, dict[str, str]] = {}
+    for u, v, owner in arcs:
+        if u != CDC_NODE:
+            succ.setdefault(owner, {})[u] = v
+        elif v != CDC_SINK:
+            starts.setdefault(owner, []).append(v)
+    paths: dict[str, list[list[str]]] = {}
+    for owner, firsts in starts.items():
+        after = succ.get(owner, {})
+        for node in firsts:
+            path: list[str] = []
+            while node != CDC_SINK:
+                if node in path:
+                    raise DecodeError(f"{owner}: path from {CDC_NODE} loops back to {node}")
+                if node not in after:
+                    raise DecodeError(f"{owner}: path from {CDC_NODE} breaks off at {node}")
+                path.append(node)
+                node = after[node]
+            paths.setdefault(owner, []).append(path)
+    return paths
 
 
 def _pareto(labels: list[tuple]) -> list[tuple]:
@@ -515,54 +604,6 @@ def decode_transit(instance: Instance, model: MilpModel,
     return choices
 
 
-def add_stop_assignments(mb: ModelBuilder, instance: Instance,
-                         stops_of: dict[str, list[str]], ctx: dict) -> None:
-    """r[i,s,d]: each package goes to one of ``stops_of[i]`` on one truck.
-
-    Trucks carry no more than their capacity. ``g[d,v]`` marks a visit of
-    truck ``d`` to drop-in stop ``v``: it equals the truck's arcs into ``v``
-    (``ctx`` from ``add_truck_routing``) and is 1 wherever the truck carries
-    a package to ``v``.
-
-    One row per (package, truck), ``leave_cdc[i,d]``, says that a truck
-    carrying ``i`` leaves the CDC toward a drop-in stop. It cuts off no
-    integer plan: the truck visits the package's stop, so it has an arc into
-    it; the big-M ``truck_time`` rows forbid a cycle that skips the CDC, and
-    ``truck_start`` gives the truck one arc out of it, so that arc leads to a
-    drop-in stop. Without the row the LP relaxation routes trucks in cycles
-    between drop-in stops and sends none out of the CDC.
-    """
-    for cust in instance.customers:
-        for s in stops_of[cust.id]:
-            for d in instance.trucks:
-                mb.binary("r", cust.id, s, d.id)
-    for d in instance.trucks:
-        for v in ctx["dropins"]:
-            mb.binary("g", d.id, v)
-    for cust in instance.customers:
-        mb.add([(mb.get("r", cust.id, s, d.id), 1.0)
-                for s in stops_of[cust.id] for d in instance.trucks],
-               "=", 1.0, f"assign[{cust.id}]")
-    for d in instance.trucks:
-        mb.add([(mb.get("r", c.id, s, d.id), c.demand)
-                for c in instance.customers for s in stops_of[c.id]],
-               "<=", d.capacity, f"truck_cap[{d.id}]")
-        for v in ctx["dropins"]:
-            mb.add([(mb.get("g", d.id, v), 1.0)]
-                   + [(mb.get("w", u, v, d.id), -1.0) for u in ctx["tails"] if u != v],
-                   "=", 0.0, f"visit_link[{v},{d.id}]")
-    for cust in instance.customers:
-        for s in stops_of[cust.id]:
-            for d in instance.trucks:
-                mb.add([(mb.get("g", d.id, s), 1.0), (mb.get("r", cust.id, s, d.id), -1.0)],
-                       ">=", 0.0, f"visit_if_carrying[{cust.id},{s},{d.id}]")
-    for cust in instance.customers:
-        for d in instance.trucks:
-            mb.add([(mb.get("w", CDC_NODE, v, d.id), 1.0) for v in ctx["dropins"]]
-                   + [(mb.get("r", cust.id, s, d.id), -1.0) for s in stops_of[cust.id]],
-                   ">=", 0.0, f"leave_cdc[{cust.id},{d.id}]")
-
-
 def add_arrival_window(mb: ModelBuilder, instance: Instance, cust: str, stop: str,
                        M: float, lo=None, hi=None) -> None:
     """The truck carrying ``cust`` to ``stop`` arrives within ``[lo, hi]``.
@@ -595,9 +636,8 @@ def build_full(instance: Instance, compat: Compatibility,
 
     domains = add_transit_flow(mb, instance, compat,
                                lambda cust: f"no carrying trip: customer {cust.id}")
-    ctx = add_truck_routing(mb, instance, M, options.symmetry_breaking)
     stops_of = {c.id: sorted(compat.s_in_of_customer[c.id]) for c in instance.customers}
-    add_stop_assignments(mb, instance, stops_of, ctx)
+    add_truck_rows(mb, instance, M, stops_of, options.symmetry_breaking)
 
     pickups = {(c.id, s): [(mb.get("y1", c.id, s, p), instance.trip(p).stop_times[s])
                            for p, (ins, _) in domains[c.id].items() if s in ins]
@@ -693,8 +733,7 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
     choices = decode_transit(instance, model, result)
     lo = {(cid, ch.drop_in): ch.pickup_time - instance.stop(ch.drop_in).max_dwell
           for cid, ch in choices.items()}
-    truck_routes, placed = time_truck_routes(
-        instance, decode_truck_routes(instance, model, result.values), lo)
+    truck_routes, placed = decode_trucks(instance, model, result.values, lo)
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
     freighter_routes = decode_freighter_routes(instance, model, result.values, ready)
@@ -732,73 +771,76 @@ def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
                 service_lambda1=service_lambda1, service_lambda3=service_lambda3)
 
 
-def decode_truck_routes(instance: Instance, model: MilpModel,
-                        values: list[float]) -> dict[str, list[tuple[str, list[str]]]]:
-    """Per truck of a row model that leaves the CDC, its visits in order: each drop-in
-    stop along its ``w`` arcs with the packages its ``r`` brings there."""
-    carried: dict[tuple[str, str], list[str]] = {}
-    for i, s, d in chosen(model, values, "r"):
-        carried.setdefault((s, d), []).append(i)
-    succ_of: dict[str, dict[str, str]] = {}  # truck -> tail -> head of its chosen arcs
-    for u, v, d in chosen(model, values, "w"):
-        succ_of.setdefault(d, {})[u] = v
-    tours = {}
-    for d in instance.trucks:
-        succ = succ_of.get(d.id, {})
-        stops, node = [], succ.get(CDC_NODE)
-        while node not in (None, CDC_SINK) and len(stops) <= len(succ):
-            stops.append(node)
-            node = succ.get(node)
-        if stops:  # an idle truck drives the (o, o~) arc
-            tours[d.id] = [(s, carried.get((s, d.id), [])) for s in stops]
-    return tours
-
-
-def time_truck_routes(instance: Instance, tours: dict[str, list[tuple[str, list[str]]]],
-                      lo: dict[tuple[str, str], float]
-                      ) -> tuple[list[TruckRoute], dict[str, tuple[str, str, float]]]:
+def decode_trucks(instance: Instance, model: MilpModel, values: list[float],
+                  lo: dict[tuple[str, str], float]
+                  ) -> tuple[list[TruckRoute], dict[str, tuple[str, str, float]]]:
     """Truck routes timed forward, and per package its (stop, truck, minute there).
 
-    ``tours`` maps each truck to its visits in order, (stop, packages
-    unloaded there). A route leaves the CDC at minute 0; service at a stop
-    ends one ride and its service time after the last, or at the latest
-    ``lo[(package, stop)]`` of the stop's packages if that is later.
+    Of a model built from per-truck rows (``add_truck_rows``) each truck drives
+    the path of its ``w`` arcs (``arc_paths``) and unloads at each stop the
+    packages its ``r`` brings there. Of a column model the chosen ``x1``
+    routes go to their class's trucks (``hand_out``). A package rides the
+    first route that carries it, in that order: a visit the solver chose
+    stays, unless every package it brought rides an earlier route. A route
+    leaves the CDC at minute 0, and service at a stop ends no earlier than
+    the latest ``lo[(package, stop)]`` of the packages unloaded there
+    (``forward_times``).
     """
+    if model.family("w"):
+        carried: dict[tuple[str, str], list[str]] = {}
+        for i, s, d in chosen(model, values, "r"):
+            carried.setdefault((s, d), []).append(i)
+        paths = arc_paths(chosen(model, values, "w"))
+        tours = [(d.id, [(s, carried.get((s, d.id), [])) for s in path])
+                 for d in instance.trucks for path in paths.get(d.id, [])]
+    else:
+        driven: dict[str, list] = {}
+        for g, *pairs in chosen(model, values, "x1"):
+            visits = itertools.groupby(zip(pairs[::2], pairs[1::2]), key=lambda pair: pair[1])
+            driven.setdefault(g, []).append(
+                [(s, [cid for cid, _ in group]) for s, group in visits])
+        tours = [(truck.id, visits) for truck, visits
+                 in hand_out(vehicle_classes(instance.trucks), driven, "trucks")]
     routes, placed = [], {}
-    for truck, visits in tours.items():
-        t, here, times = 0.0, instance.cdc, []
-        for sid, group in visits:
-            stop = instance.stop(sid)
-            t = max([t + instance.travel_minutes(here, stop.location) + stop.service_time]
-                    + [lo[(cid, sid)] for cid in group])
-            here = stop.location
-            times.append(t)
-            for cid in group:
-                placed[cid] = (sid, truck, t)
+    for truck, visits in tours:
+        kept = []
+        for sid, brought in visits:
+            fresh = [cid for cid in brought if cid not in placed]
+            if fresh or not brought:
+                kept.append((sid, fresh))
+        if not kept:
+            continue
+        times = forward_times(instance, instance.cdc, 0.0, [
+            (instance.stop(sid), max((lo[(cid, sid)] for cid in fresh), default=-math.inf))
+            for sid, fresh in kept])
         routes.append(TruckRoute(truck=truck, departure=0.0,
-                                 stops=tuple(sid for sid, _ in visits), times=tuple(times)))
+                                 stops=tuple(sid for sid, _ in kept), times=times))
+        for (sid, fresh), t in zip(kept, times):
+            for cid in fresh:
+                placed[cid] = (sid, truck, t)
     return routes, placed
 
 
 def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
                             ready: dict[str, float]) -> list[FreighterRoute]:
-    """The chosen route columns per freighter class, handed to the class's freighters in order.
+    """The chosen route columns per freighter class, handed to the class's freighters in
+    order (``hand_out``).
 
     A route leaves once all its packages are loaded (package ``c`` at minute
-    ``ready[c]``) and serves its customers in index order (``visit_times``).
+    ``ready[c]``) and serves its customers in index order, each no earlier
+    than its window opens (``forward_times``).
     """
     driven: dict[str, list[tuple]] = {}
-    for idx in chosen(model, values, "q"):
-        driven.setdefault(idx[0], []).append(idx)
+    for g, *order in chosen(model, values, "q"):
+        driven.setdefault(g, []).append(tuple(order))
+    classes = [cls for stop in instance.stops
+               for cls in vehicle_classes(instance.freighters_of_stop(stop.id))]
     routes = []
-    for stop in instance.stops:
-        for g, fleet in vehicle_classes(instance.freighters_of_stop(stop.id)):
-            columns = driven.get(g, [])
-            if len(columns) > len(fleet):
-                raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} vehicles")
-            for k, idx in zip(fleet, columns):
-                departure = max(ready[cid] for cid in idx[1:])
-                routes.append(FreighterRoute(
-                    freighter=k.id, home_stop=stop.id, departure=departure, customers=idx[1:],
-                    times=visit_times(instance, stop.location, departure, idx[1:])))
+    for k, order in hand_out(classes, driven, "vehicles"):
+        departure = max(ready[cid] for cid in order)
+        customers = [instance.customer(cid) for cid in order]
+        routes.append(FreighterRoute(
+            freighter=k.id, home_stop=k.home_stop, departure=departure, customers=order,
+            times=forward_times(instance, instance.stop(k.home_stop).location, departure,
+                                [(c, c.window_lo) for c in customers])))
     return routes

@@ -109,7 +109,7 @@ class RunConfig:
         if self.mu < 0:
             raise ModelError("mu must be nonnegative")
         if self.method in ("d1", "d2", "d3"):
-            object.__setattr__(self, "objective", T2Objective.parse(self.t2_obj))
+            object.__setattr__(self, "objective", T2Objective(self.t2_obj))
         unknown = sorted(set(self.stage_seconds or ()) - set(DEFAULT_STAGE_SECONDS))
         if unknown:
             raise ModelError(f"unknown stage kind {unknown[0]!r} in stage_seconds; "

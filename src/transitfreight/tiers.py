@@ -16,9 +16,9 @@ The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period.
 
 Every stage is built from the fragments ``model_full`` shares with the
-monolithic model: ``add_transit_flow`` for transit, ``add_truck_routing``,
-``add_stop_assignments`` and ``add_arrival_window`` for trucks chosen per
-vehicle, and ``add_freighter_routing`` for freighters, which chooses among
+monolithic model: ``add_transit_flow`` for transit, ``add_truck_rows`` and
+``add_arrival_window`` for trucks chosen per vehicle, and
+``add_freighter_routing`` for freighters, which chooses among
 enumerated route columns; ``arc_costs`` and ``route_costs`` price them.
 The two freighter stages pass departure bounds that are data: t3-stopwise
 from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
@@ -43,9 +43,10 @@ freighter visit serves one customer, a truck visit the packages at one
 stop whose windows there meet. The number of routes grows combinatorially
 with the packages one truck can carry, so past ``ROUTE_LABEL_LIMIT`` labels
 the stage is built from the per-truck rows ``full`` also uses instead.
-``decode_t1`` reads either form, times every route forward from the CDC
-as ``full`` does (``model_full.time_truck_routes``), and hands on each
-package's stop as ``b_in`` and its truck's minute there as ``t_truck``.
+``decode_t1`` reads either form through ``full``'s truck decoder
+(``model_full.decode_trucks``), which times every route forward from the
+CDC, and hands on each package's stop as ``b_in`` and its truck's minute
+there as ``t_truck``.
 """
 
 from __future__ import annotations
@@ -63,17 +64,15 @@ from .model_full import (
     TransitChoice,
     add_arrival_window,
     add_freighter_routing,
-    add_stop_assignments,
     add_transit_flow,
-    add_truck_routing,
+    add_truck_rows,
     arc_costs,
     chosen,
     decode_freighter_routes,
     decode_transit,
-    decode_truck_routes,
+    decode_trucks,
     enumerate_routes,
     route_costs,
-    time_truck_routes,
     vehicle_classes,
 )
 from .plan import FreighterRoute, TierHandoff, TruckRoute
@@ -89,10 +88,6 @@ class T2Objective:
     def __post_init__(self) -> None:
         if self.tag not in (OBJ1, OBJ2, OBJ3):
             raise ModelError(f"unknown transit objective {self.tag!r}")
-
-    @classmethod
-    def parse(cls, tag: str) -> "T2Objective":
-        return cls(tag=tag.lower())
 
 
 # ---- shared surrogate-objective machinery ------------------------------
@@ -184,18 +179,18 @@ def _set_transit_objective(mb: ModelBuilder, instance: Instance, objective: T2Ob
 # ---- transit-first: the transit model ----------------------------------
 
 
-def _truck_can_feed(compat: Compatibility):
+def _truck_can_feed(instance: Instance):
     """Pickup predicate: a truck from the CDC reaches the stop before the trip calls."""
     def in_ok(cust, stop, trip) -> bool:
-        lead = compat.avg_truck_time[stop.id] + stop.service_time
+        lead = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
         return trip.stop_times[stop.id] >= lead - 1e-9
     return in_ok
 
 
-def _freighter_can_meet(compat: Compatibility):
+def _freighter_can_meet(instance: Instance):
     """Drop predicate: a freighter leaving after the drop still meets the window's closing."""
     def out_ok(cust, stop, trip) -> bool:
-        eta = (trip.stop_times[stop.id] + compat.avg_freighter_time[(stop.id, cust.id)]
+        eta = (trip.stop_times[stop.id] + instance.travel_minutes(stop.location, cust.location)
                + stop.service_time + cust.service_time)
         return eta <= cust.window_hi + 1e-9
     return out_ok
@@ -219,7 +214,7 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
     M = big_M(instance.cost_params)
     mb = ModelBuilder("d2-t2")
     add_transit_flow(mb, instance, compat, lambda cust: f"T2 infeasible: customer {cust.id}",
-                     in_ok=_truck_can_feed(compat), out_ok=_freighter_can_meet(compat))
+                     in_ok=_truck_can_feed(instance), out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
@@ -331,10 +326,10 @@ def _build_truck_stage(instance: Instance, windows: dict, tag: str) -> MilpModel
 
     When a class has more routes than the DP lists within
     ``ROUTE_LABEL_LIMIT``, the stage is built from per-truck rows instead,
-    whose size grows polynomially: the arcs and times of
-    ``add_truck_routing``, each package on one truck to one of its stops
-    (``add_stop_assignments``) and a big-M window per pair
-    (``add_arrival_window``). Either model keeps ``windows`` in its metadata.
+    whose size grows polynomially: the arcs and times of trucks that carry
+    each package to one of its stops (``add_truck_rows``) and a big-M window
+    per pair (``add_arrival_window``). Either model keeps ``windows`` in its
+    metadata.
     """
     columns = {}
     for g, fleet in vehicle_classes(instance.trucks):
@@ -370,8 +365,7 @@ def _truck_rows(instance: Instance, windows: dict, tag: str) -> MilpModel:
     """The truck stage from per-truck rows (``_build_truck_stage``)."""
     M = big_M(instance.cost_params)
     mb = ModelBuilder(tag)
-    ctx = add_truck_routing(mb, instance, M, symmetry=True)
-    add_stop_assignments(mb, instance, {cid: list(at) for cid, at in windows.items()}, ctx)
+    add_truck_rows(mb, instance, M, {cid: list(at) for cid, at in windows.items()}, symmetry=True)
     for cid, at in windows.items():
         for sid, (lo, hi) in at.items():
             add_arrival_window(mb, instance, cid, sid, M,
@@ -399,35 +393,13 @@ def decode_t1(instance: Instance, model: MilpModel,
               result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
     """Returns (routes, handoff with b_in/t_truck, customer->truck) of either truck stage.
 
-    Of a model built from rows, each truck drives its tour
-    (``decode_truck_routes``). Of a column model, the chosen columns go to
-    their class's trucks in instance order. Each customer rides the first
-    tour that carries it, in that order; a tour skips the stops left without
-    packages and is timed by ``time_truck_routes`` from the windows' ``lo``.
+    ``model_full.decode_trucks`` reads either form and times every route
+    forward from the windows' ``lo``; each package is handed on at its stop
+    and its truck's minute there.
     """
-    tours: dict[str, list[tuple[str, str]]] = {}  # truck -> (customer, stop) in visit order
-    if model.family("w"):
-        for truck, visits in decode_truck_routes(instance, model, result.values).items():
-            tours[truck] = [(cid, sid) for sid, group in visits for cid in group]
-    else:
-        driven: dict[str, list[list[tuple[str, str]]]] = {}
-        for g, *pairs in chosen(model, result.values, "x1"):
-            driven.setdefault(g, []).append(list(zip(pairs[::2], pairs[1::2])))
-        for g, fleet in vehicle_classes(instance.trucks):
-            columns = driven.get(g, [])
-            if len(columns) > len(fleet):
-                raise DecodeError(f"class {g}: {len(columns)} routes for {len(fleet)} trucks")
-            tours.update((truck.id, visits) for truck, visits in zip(fleet, columns))
-    carried, seen = {}, set()
-    for truck, visits in tours.items():
-        visits = [(cid, sid) for cid, sid in visits if cid not in seen]
-        seen.update(cid for cid, _ in visits)
-        if visits:
-            carried[truck] = [(sid, [cid for cid, _ in group])
-                              for sid, group in itertools.groupby(visits, key=lambda pair: pair[1])]
     lo = {(cid, sid): window[0] for cid, at in model.metadata["windows"].items()
           for sid, window in at.items()}
-    routes, placed = time_truck_routes(instance, carried, lo)
+    routes, placed = decode_trucks(instance, model, result.values, lo)
     for cust in instance.customers:
         if cust.id not in placed:
             raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
@@ -556,7 +528,7 @@ def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
 
     add_transit_flow(mb, instance, compat, unserved,
                      in_ok=_at_fixed_stop(handoff.b_in, pickup_window),
-                     out_ok=_freighter_can_meet(compat))
+                     out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, M, pickup_side=False, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
@@ -697,7 +669,7 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
         return (f"customer {cust.id}: no trip reaches stop {handoff.b_out[cust.id]} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
 
-    add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(compat),
+    add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(instance),
                      out_ok=_at_fixed_stop(handoff.b_out, drop_window))
     _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=False)
     return mb.build(objective_tag=objective.tag)

@@ -13,8 +13,9 @@ Routes leave the CDC ``o`` and end at its route-sink copy ``o~``; the free
 (o,o~) arc is always built. A customer joins a class when its demand fits
 the capacity and the direct ride from the CDC meets its window, and is
 served no sooner than that ride allows. The time labels ``t`` only hold
-the windows and cut subtours: ``decode_vrptw`` reads the arcs alone and
-times each route from minute 0 (``visit_times``).
+the windows and cut subtours: ``decode_vrptw`` reads the arcs alone through
+the decoders' shared helpers (``arc_paths``, ``hand_out``) and times each
+route from minute 0 (``forward_times``).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import replace
 
 from .instance import Instance
 from .milp import MilpModel, ModelBuilder, SolveResult
-from .model_full import (CDC_NODE, CDC_SINK, DecodeError, arc_costs, chosen, ride_minutes,
-                         vehicle_classes, visit_times)
+from .model_full import (CDC_NODE, CDC_SINK, DecodeError, arc_costs, arc_paths, chosen,
+                         forward_times, hand_out, ride_minutes, vehicle_classes)
 from .plan import VrptwPlan, VrptwRoute
 from .validate import recompute_vrptw_cost
 
@@ -91,39 +92,6 @@ def add_class_routing(mb: ModelBuilder, instance: Instance, g: str, fleet,
                    ">=", hop - big, f"time[{u},{v},{g}]")
 
 
-def class_routes(instance: Instance, model: MilpModel, values: list[float], g: str,
-                 fleet) -> list[VrptwRoute]:
-    """The routes of class ``g``, handed to ``fleet`` in order.
-
-    A route of ``add_class_routing`` leaves the CDC on an ``x`` arc at
-    minute 0 and follows the chosen arcs until its copy, serving each
-    customer at the earliest minute (``visit_times``); the (o, o~) arc of an
-    idle vehicle is skipped.
-    """
-    depot, sink = CDC_NODE, CDC_SINK
-    starts: list[str] = []
-    succ: dict[str, str] = {}
-    for u, v, gg in chosen(model, values, "x"):
-        if gg == g and (u, v) != (depot, sink):
-            if u == depot:
-                starts.append(v)
-            else:
-                succ[u] = v
-    if len(starts) > len(fleet):
-        raise DecodeError(f"class {g}: {len(starts)} routes for {len(fleet)} vehicles")
-    routes = []
-    for vehicle, node in zip(fleet, starts):
-        nodes: list[str] = []
-        while node != sink:
-            if node in nodes:
-                raise DecodeError(f"class {g}: route through {node} does not close")
-            nodes.append(node)
-            node = succ[node]
-        routes.append(VrptwRoute(truck=vehicle.id, departure=0.0, customers=tuple(nodes),
-                                 times=visit_times(instance, instance.cdc, 0.0, nodes)))
-    return routes
-
-
 def build_vrptw(instance: Instance) -> MilpModel:
     mb = ModelBuilder("vrptw")
     for g, fleet in vehicle_classes(instance.trucks):
@@ -144,10 +112,17 @@ def build_vrptw(instance: Instance) -> MilpModel:
 
 
 def decode_vrptw(instance: Instance, model: MilpModel, result: SolveResult) -> VrptwPlan:
-    """Routes per truck class (``class_routes``), handed to the class's trucks in instance order."""
+    """Per truck class, the paths of its chosen ``x`` arcs (``arc_paths``), handed to the
+    class's trucks in instance order (``hand_out``); each leaves the CDC at minute 0 and
+    serves every customer as early as its window allows (``forward_times``)."""
     if not result.has_solution():
         raise DecodeError(f"no solution to decode (status {result.status})")
-    routes = [route for g, fleet in vehicle_classes(instance.trucks)
-              for route in class_routes(instance, model, result.values, g, fleet)]
+    paths = arc_paths(chosen(model, result.values, "x"))
+    routes = []
+    for truck, path in hand_out(vehicle_classes(instance.trucks), paths, "vehicles"):
+        customers = [instance.customer(cid) for cid in path]
+        routes.append(VrptwRoute(truck=truck.id, departure=0.0, customers=tuple(path),
+                                 times=forward_times(instance, instance.cdc, 0.0,
+                                                     [(c, c.window_lo) for c in customers])))
     draft = VrptwPlan(routes=tuple(routes), total_cost=0.0)
     return replace(draft, total_cost=recompute_vrptw_cost(instance, draft))

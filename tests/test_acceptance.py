@@ -218,7 +218,7 @@ def test_criterion_6_pipeline_structural_properties(backend):
         instance = _random_micro(seed)
         compat = derive_compatibility(instance)
         try:
-            model = build_d2_t2(instance, compat, T2Objective.parse("obj1"))
+            model = build_d2_t2(instance, compat, T2Objective("obj1"))
         except ModelError:
             continue
         result = solve(model, backend)
@@ -238,7 +238,7 @@ def test_criterion_6_pipeline_structural_properties(backend):
         instance = _random_micro(seed + 500)
         compat = derive_compatibility(instance)
         try:
-            model = build_d2_t2(instance, compat, T2Objective.parse("obj3"))
+            model = build_d2_t2(instance, compat, T2Objective("obj3"))
         except ModelError:
             continue
         result = solve(model, backend)

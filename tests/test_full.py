@@ -36,6 +36,7 @@ from transitfreight.tiers import (
     handoff_from_transit,
 )
 from transitfreight.validate import validate_plan
+from transitfreight.vrptw import build_vrptw, decode_vrptw
 
 from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instance,
                       generate_micro_instances, make_micro1)
@@ -84,6 +85,31 @@ def test_decode_rejects_fractional(backend, micro1):
     result.values[next(iter(model.family("r").values()))] = 0.5
     with pytest.raises(DecodeError, match="fractional"):
         decode_full(micro1, model, result)
+
+
+@pytest.mark.parametrize("method, draw, cut, added, message", [
+    ("full", None, ("A", CDC_SINK, "d1"), [], "breaks off at A"),
+    ("vrptw", None, ("c1", CDC_SINK, "d1"), [], "breaks off at c1"),
+    ("full", 2002, ("L0S0", CDC_SINK, "d1"), [("L0S0", "L0S1", "d1"), ("L0S1", "L0S0", "d1")],
+     "loops back to L0S0"),
+    ("vrptw", 2002, ("c2", CDC_SINK, "d1"), [("c2", "c1", "d1")], "loops back to c1"),
+])
+def test_a_broken_arc_path_is_a_decode_error(backend, method, draw, cut, added, message):
+    """A chosen path that stops short of the CDC's copy, or comes back to a node, is a
+    DecodeError in either arc decoder, not a shorter route or a KeyError."""
+    instance = make_micro1() if draw is None else generate_micro_instances(1, start_seed=draw)[0]
+    if method == "full":
+        model, family, decode = build_full(instance, derive_compatibility(instance)), "w", decode_full
+    else:
+        model, family, decode = build_vrptw(instance), "x", decode_vrptw
+    result = solve(model, backend)
+    arcs = model.family(family)
+    assert result.values[arcs[cut]] == pytest.approx(1.0)
+    result.values[arcs[cut]] = 0.0
+    for arc in added:
+        result.values[arcs[arc]] = 1.0
+    with pytest.raises(DecodeError, match=message):
+        decode(instance, model, result)
 
 
 def test_idle_freighter_omitted(backend):
@@ -348,7 +374,7 @@ def test_lp_relaxation_sends_a_loaded_truck_out_of_the_cdc(backend, monkeypatch,
     assert _lp_trucks_leaving_the_cdc(build_full(instance, compat)) >= 1 - 1e-9
 
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-    t2 = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
+    t2 = build_d2_t2(instance, compat, T2Objective("obj2"))
     handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
     rows = build_t1_from_handoff(instance, handoff)
     assert rows.family("w")

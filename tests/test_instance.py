@@ -76,16 +76,6 @@ def test_micro1_compatibility(micro1):
     assert compat.customers_of_dropout["B"] == frozenset({"c1"})
 
 
-def test_single_speed_average_times(micro1):
-    compat = derive_compatibility(micro1)
-    params = micro1.cost_params
-    assert compat.avg_truck_time["A"] == pytest.approx(
-        travel_time(euclidean_distance(micro1.cdc, micro1.stop("A").location), params))
-    assert compat.avg_freighter_time[("B", "c1")] == pytest.approx(
-        travel_time(euclidean_distance(micro1.stop("B").location,
-                                       micro1.customer("c1").location), params))
-
-
 def test_unreachable_customer_is_an_error():
     # the only candidate drop-out is the first stop of the line
     instance = Instance(

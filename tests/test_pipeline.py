@@ -37,6 +37,13 @@ def test_config_validation():
     assert RunConfig(method="d2", t2_obj="obj1").label() == "d2-obj1"
 
 
+@pytest.mark.parametrize("method, tag", [("d3", "OBJ3"), ("d2", "Obj1")])
+def test_transit_objective_tags_are_taken_as_given(method, tag):
+    # a tag in another case would run under a label of its own, or reach d3's obj3 stage
+    with pytest.raises(ModelError, match=repr(tag)):
+        RunConfig(method=method, t2_obj=tag)
+
+
 def test_stage_seconds_accept_only_known_stage_kinds():
     # a misspelt kind would otherwise leave that stage at its default limit
     with pytest.raises(ModelError, match="'ful'"):

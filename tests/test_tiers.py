@@ -55,7 +55,7 @@ SQRT8 = math.sqrt(8.0)
 
 def test_t2_obj2_micro1(backend, micro1):
     compat = derive_compatibility(micro1)
-    model = build_d2_t2(micro1, compat, T2Objective.parse("obj2"))
+    model = build_d2_t2(micro1, compat, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     # distance proxy: CDC->A plus customer->B
@@ -68,14 +68,14 @@ def test_t2_obj2_micro1(backend, micro1):
 
 def test_t2_obj1_micro1(backend, micro1):
     compat = derive_compatibility(micro1)
-    result = solve(build_d2_t2(micro1, compat, T2Objective.parse("obj1")), backend)
+    result = solve(build_d2_t2(micro1, compat, T2Objective("obj1")), backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(2.0)  # one pickup stop, one drop stop
 
 
 def test_t2_obj3_micro1(backend, micro1):
     compat = derive_compatibility(micro1)
-    result = solve(build_d2_t2(micro1, compat, T2Objective.parse("obj3")), backend)
+    result = solve(build_d2_t2(micro1, compat, T2Objective("obj3")), backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(math.ceil(10.0 / 20.0))
 
@@ -85,7 +85,7 @@ def test_t2_deadline_cut_infeasible(backend):
     tight = make_micro1(window=(150.0, 165.0))
     compat = derive_compatibility(tight)
     with pytest.raises(ModelError, match="T2 infeasible: customer c1"):
-        build_d2_t2(tight, compat, T2Objective.parse("obj2"))
+        build_d2_t2(tight, compat, T2Objective("obj2"))
 
 
 # ---- truck model from a handoff -----------------------------------------
@@ -334,7 +334,7 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
 def test_d1_t2_dwell_arithmetic(backend, micro1):
     compat = derive_compatibility(micro1)
     handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
-    model = build_d1_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
+    model = build_d1_t2(micro1, compat, handoff, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -351,7 +351,7 @@ def test_d1_t2_stranded_when_dwell_small():
     compat = derive_compatibility(short_dwell)
     handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
     with pytest.raises(ModelBuildError, match="stranded package"):
-        build_d1_t2(short_dwell, compat, handoff, T2Objective.parse("obj2"))
+        build_d1_t2(short_dwell, compat, handoff, T2Objective("obj2"))
 
 
 # ---- freighter-first pipeline stages --------------------------------------
@@ -438,11 +438,11 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
     handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 800.0})
     # trips at 158 and 188 both fall before the 500..790 drop window
     with pytest.raises(ModelBuildError, match="c1"):
-        build_d3_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
+        build_d3_t2(micro1, compat, handoff, T2Objective("obj2"))
 
     late = make_micro1(extra_trip_time=550.0)
     compat_late = derive_compatibility(late)
-    model = build_d3_t2(late, compat_late, handoff, T2Objective.parse("obj2"))
+    model = build_d3_t2(late, compat_late, handoff, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(late, model, result)
@@ -454,7 +454,7 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
 def test_d3_t2_dwell_window_intersection(backend, micro1):
     compat = derive_compatibility(micro1)
     handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 480.0})
-    model = build_d3_t2(micro1, compat, handoff, T2Objective.parse("obj2"))
+    model = build_d3_t2(micro1, compat, handoff, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -466,12 +466,12 @@ def test_d3_rejects_freighter_count_objective(micro1):
     compat = derive_compatibility(micro1)
     handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 480.0})
     with pytest.raises(ModelError):
-        build_d3_t2(micro1, compat, handoff, T2Objective.parse("obj3"))
+        build_d3_t2(micro1, compat, handoff, T2Objective("obj3"))
 
 
 def test_handoff_from_transit_roundtrip(backend, micro1):
     compat = derive_compatibility(micro1)
-    model = build_d2_t2(micro1, compat, T2Objective.parse("obj2"))
+    model = build_d2_t2(micro1, compat, T2Objective("obj2"))
     result = solve(model, backend)
     choices = decode_transit(micro1, model, result)
     handoff = handoff_from_transit(choices)
@@ -578,10 +578,10 @@ def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
     # 495 precedes the 500 closing, but loading (10) and the ride (10) miss it
     with pytest.raises(ModelBuildError, match=r"within \[190, 480\]"):
         build_d3_t2(late_only, derive_compatibility(late_only), handoff,
-                    T2Objective.parse("obj2"))
+                    T2Objective("obj2"))
 
     both = ride_fixture((470.0, 495.0))
-    model = build_d3_t2(both, derive_compatibility(both), handoff, T2Objective.parse("obj2"))
+    model = build_d3_t2(both, derive_compatibility(both), handoff, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert decode_transit(both, model, result)["c1"].trip == "p1"
@@ -611,7 +611,7 @@ def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
     handoff = TierHandoff(b_out={"u": "B", "v": "B"},
                           t_depart_max={"u": 600.0, "v": 600.0})
     model = build_d3_t2(instance, derive_compatibility(instance), handoff,
-                        T2Objective.parse("obj1"))
+                        T2Objective("obj1"))
     assert {pid for (_c, _s, pid) in model.family("y2")} == {"p2", "p3"}
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -645,7 +645,7 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
     )
     instance.validate()
     compat = derive_compatibility(instance)
-    model = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
+    model = build_d2_t2(instance, compat, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(instance, model, result)
@@ -697,16 +697,16 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
     instance = shared_trip_fixture()
     compat = derive_compatibility(instance)
     if stage == "d2-t2":
-        model = build_d2_t2(instance, compat, T2Objective.parse("obj2"))
+        model = build_d2_t2(instance, compat, T2Objective("obj2"))
         split_cost = 2 * 10.0 + 2 * SQRT8  # two truck visits at A, two drop distances
     elif stage == "d1-t2":
         handoff = TierHandoff(b_in={"u": "A", "v": "A"}, t_truck={"u": 140.0, "v": 140.0})
-        model = build_d1_t2(instance, compat, handoff, T2Objective.parse("obj3"))
+        model = build_d1_t2(instance, compat, handoff, T2Objective("obj3"))
         split_cost = 2.0  # one freighter in each drop period
     else:
         handoff = TierHandoff(b_out={"u": "B", "v": "B"},
                               t_depart_max={"u": 300.0, "v": 300.0})
-        model = build_d3_t2(instance, compat, handoff, T2Objective.parse("obj2"))
+        model = build_d3_t2(instance, compat, handoff, T2Objective("obj2"))
         split_cost = 2 * 10.0
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -716,7 +716,7 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
 
 
 def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
-    model = build_d2_t2(micro1, derive_compatibility(micro1), T2Objective.parse("obj2"))
+    model = build_d2_t2(micro1, derive_compatibility(micro1), T2Objective("obj2"))
     result = solve(model, backend)
     for col in model.family("y1").values():
         result.values[col] = 0.0
@@ -781,7 +781,7 @@ def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
     instance = fixture()
     compat = derive_compatibility(instance)
     if model_kind == "d2-t2":
-        model = build_d2_t2(instance, compat, T2Objective.parse("obj1"))
+        model = build_d2_t2(instance, compat, T2Objective("obj1"))
     else:
         model = build_full(instance, compat)
     ends = (model.family("y1")[("u", pickup, "p1")], model.family("y2")[("u", drop, "p1")])
@@ -839,7 +839,7 @@ def test_route_columns_match_the_oracle_on_micro_instances(backend):
         compat = derive_compatibility(instance)
         demands = {c.id: c.demand for c in instance.customers}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            t2 = build_d2_t2(instance, compat, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
             handoff = handoff_from_transit(decode_transit(instance, t2, result))
@@ -984,7 +984,7 @@ def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
         compat = derive_compatibility(instance)
         demands = {c.id: c.demand for c in instance.customers}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            t2 = build_d2_t2(instance, compat, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
             handoff = handoff_from_transit(decode_transit(instance, t2, result))
@@ -1023,7 +1023,7 @@ def test_oracle_layer_memos_are_safe_to_share(backend):
         demands = {c.id: c.demand for c in instance.customers}
         truck_memo, freighter_memo = {}, {}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective.parse(tag))
+            t2 = build_d2_t2(instance, compat, T2Objective(tag))
             handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
             disjoint = _disjoint_pickups(instance, handoff)
             pickup = {c: (handoff.b_in[c], handoff.t_in[c]) for c in handoff.b_in}
@@ -1094,6 +1094,28 @@ def test_decoder_serves_a_customer_covered_twice_once(backend):
     plan, _metrics = run_method(instance, RunConfig(method="d2", t2_obj="obj2"), CoverTwice())
     assert validate_plan(instance, plan) == []
     assert sorted(route.stops for route in plan.truck_routes) == [("A1",), ("A2",)]
+
+
+def test_row_decoder_keeps_a_visit_the_solver_chose(monkeypatch):
+    """A truck stage built from rows keeps a stop its truck visits without packages, as
+    full does, and times the route through it."""
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+    instance = two_stop_two_truck_fixture()
+    handoff = TierHandoff(b_in={"u": "A1", "v": "A2"}, t_in={"u": 150.0, "v": 150.0})
+    model = build_t1_from_handoff(instance, handoff)
+    values = [0.0] * len(model.variables)
+    for family, *idx in (("w", "o", "A2", "d1"), ("w", "A2", "A1", "d1"), ("w", "A1", "o~", "d1"),
+                         ("r", "u", "A1", "d1"),
+                         ("w", "o", "A2", "d2"), ("w", "A2", "o~", "d2"), ("r", "v", "A2", "d2")):
+        values[model.family(family)[tuple(idx)]] = 1.0
+    routes, arrivals, truck_of = decode_t1(instance, model,
+                                           SolveResult("optimal", values, 0.0, None, 0.0))
+    assert [(route.truck, route.stops) for route in routes] == [("d1", ("A2", "A1")),
+                                                                ("d2", ("A2",))]
+    assert truck_of == {"u": "d1", "v": "d2"}
+    hop = instance.travel_minutes(instance.stop("A2").location, instance.stop("A1").location)
+    assert arrivals.t_truck["u"] == routes[0].times[1] == pytest.approx(
+        routes[0].times[0] + hop + 10.0)
 
 
 def test_one_truck_cannot_serve_disjoint_pickup_windows_at_one_stop(backend):

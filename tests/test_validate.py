@@ -26,7 +26,7 @@ from transitfreight.instance import (
     Truck,
     with_beta,
 )
-from transitfreight.model_full import visit_times
+from transitfreight.model_full import forward_times
 from transitfreight.backends import ScipyHighsBackend
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
 from transitfreight.plan import (
@@ -218,12 +218,18 @@ def test_vrptw_route_without_its_times_is_a_hard_error(backend, micro1):
         validate_vrptw_plan(micro1, untimed)
 
 
+def _earliest_times(instance: Instance, served) -> tuple[float, ...]:
+    """Service end at each of ``served`` on a truck leaving the CDC at minute 0."""
+    customers = [instance.customer(cid) for cid in served]
+    return forward_times(instance, instance.cdc, 0.0, [(c, c.window_lo) for c in customers])
+
+
 def test_vrptw_capacity_is_summed_per_truck():
     """Two routes of d1 carry 7 and 13 units: each fits its capacity of 19, together not."""
     instance = generate_micro_instances(1, start_seed=2002)[0]
     instance = replace(instance, trucks=(replace(instance.trucks[0], capacity=19.0),)
                        + instance.trucks[1:])
-    routes = tuple(VrptwRoute("d1", 0.0, served, visit_times(instance, instance.cdc, 0.0, served))
+    routes = tuple(VrptwRoute("d1", 0.0, served, _earliest_times(instance, served))
                    for served in (("c2",), ("c3", "c1")))
     assert [instance.customer(c).demand for c in ("c2", "c3", "c1")] == [7.0, 8.0, 5.0]
     found = validate_vrptw_plan(instance, VrptwPlan(routes, 0.0))
@@ -237,7 +243,7 @@ def _vrptw_draw_plan(**changes) -> tuple[Instance, VrptwPlan]:
     to None for no route."""
     instance = generate_micro_instances(1, start_seed=2002)[0]
     served = {"d1": ("c3", "c1"), "d2": ("c2",)}
-    routes = {truck: (0.0, custs, visit_times(instance, instance.cdc, 0.0, custs))
+    routes = {truck: (0.0, custs, _earliest_times(instance, custs))
               for truck, custs in served.items()}
     routes.update(changes)
     return instance, VrptwPlan(tuple(VrptwRoute(truck, *route)
