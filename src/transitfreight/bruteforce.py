@@ -4,16 +4,28 @@ Independent ground truth for the solver paths: enumerates every per-customer
 itinerary (trip, drop-in, drop-out), every labelling of the packages by truck
 and, per drop-out stop, by freighter, and every visit order of each group,
 with greedy-earliest timing clamped up to window openings;
-``brute_force_vrptw`` does the same for the direct-truck baseline. Within one
-call each group's cheapest route is computed once: truck routes are cached by
-their stops' visit windows, truck layers by pickup pattern, freighter layers
-by drop pattern, and each stop's freighter routing by its packages and their
-drop minutes. Once a plan is found, an itinerary pattern is skipped when its
-freighter cost plus the cheapest closed truck walk from the CDC through its
-drop-in stops cannot beat it; such a pattern could never be chosen, so the
-result stays exact. The only table kept across calls lists the labellings of
-a member count by a vehicle count, which no instance enters, and no
-model-building code is reused here.
+``brute_force_vrptw`` does the same for the direct-truck baseline.
+
+``brute_force_optimum`` first prices the freighter layer of every drop
+pattern (each customer's drop-out stop and minute) and then visits the
+patterns in ascending freighter cost. Under a pattern it tries each choice
+of trips and drop-in stops, skipping one whose freighter cost plus the
+shortest CDC tour through its drop-in stops passes the incumbent. It stops
+at the first pattern whose freighter cost plus the cheapest round trip from
+the CDC to one drop-in stop passes the incumbent: every truck layer drives
+at least that round trip, and every later pattern costs at least as much in
+freighters, so no skipped plan could win and the result stays exact. Of the
+cheapest plans, the first in ``itertools.product`` order over the itineraries
+wins, whatever the visit order.
+
+Within one call each subproblem is solved once: a route's visit orders read
+one distance table; truck routes are kept by their stops' visit windows,
+truck layers by pickup pattern, freighter routes by (stop, departure,
+customer group), each stop's freighter routing by its packages and their
+drop minutes, and each member tuple's groups and loads for the labellings.
+The only table kept across calls lists the labellings of a member count by a
+vehicle count, which no instance enters, and no model-building code is
+reused here.
 """
 
 from __future__ import annotations
@@ -118,29 +130,33 @@ def _best_order(instance: Instance, home, start: float, visits: dict,
 
     ``visits`` maps a key to (location, service time, earliest, latest); the
     route leaves ``home`` at minute ``start`` and each visit ends at the
-    earliest minute travel, service and its window allow. Returns (cost,
-    visiting order, times) or None when no order meets every window.
+    earliest minute travel, service and its window allow. Every order reads
+    its legs from one distance table built per call. Returns (cost, visiting
+    order, times) or None when no order meets every window.
     """
     params = instance.cost_params
+    keys = sorted(visits)
+    points = [home] + [visits[key][0] for key in keys]
+    dist = [[euclidean_distance(a, b) for b in points] for a in points]
+    minutes = [[travel_time(d, params) for d in row] for row in dist]
     best = None
-    for perm in itertools.permutations(sorted(visits)):
-        t_prev, loc_prev, times = start, home, []
-        for key in perm:
-            location, service, lo, hi = visits[key]
-            arrival = t_prev + travel_time(euclidean_distance(loc_prev, location), params) + service
-            t_here = max(arrival, lo)
+    for perm in itertools.permutations(range(1, len(points))):
+        t_prev, prev, times = start, 0, []
+        for here in perm:
+            _, service, lo, hi = visits[keys[here - 1]]
+            t_here = max(t_prev + minutes[prev][here] + service, lo)
             if t_here > hi + 1e-9:
                 break
             times.append(t_here)
-            t_prev, loc_prev = t_here, location
+            t_prev, prev = t_here, here
         else:
-            points = [home] + [visits[key][0] for key in perm] + [home]
-            dist = 0.0
-            for a, b in zip(points, points[1:]):
-                dist += euclidean_distance(a, b)
-            cost = cost_per_distance * dist
+            length, prev = 0.0, 0
+            for here in (*perm, 0):
+                length += dist[prev][here]
+                prev = here
+            cost = cost_per_distance * length
             if best is None or cost < best[0] - 1e-12:
-                best = (cost, perm, tuple(times))
+                best = (cost, tuple(keys[here - 1] for here in perm), tuple(times))
     return best
 
 
@@ -162,19 +178,25 @@ _UNASKED = object()
 
 
 def _best_partition(capacities: list[float], members: list[str],
-                    demands: dict[str, float], route_of):
+                    demands: dict[str, float], route_of, subsets: dict | None = None):
     """Cheapest split of ``members`` over vehicles of the given capacities.
 
     Tries every labelling of the members by vehicle index, in
     ``itertools.product`` order. A labelling counts when each vehicle's group
     fits that vehicle's capacity and ``route_of(group)`` returns a route whose
     first entry is its cost, not None; the first labelling of least cost wins.
-    ``route_of`` is asked at most once per group. Returns (cost, [(vehicle
-    index, group, route), ...] in vehicle order) or None.
+    ``route_of`` is asked at most once per group. ``subsets`` keeps, per
+    member tuple, the list of its groups by bitmask and their loads; it
+    belongs to one ``demands``. Returns (cost, [(vehicle index, group,
+    route), ...] in vehicle order) or None.
     """
-    groups = [tuple(m for i, m in enumerate(members) if mask >> i & 1)
-              for mask in range(1 << len(members))]
-    loads = [sum(demands[m] for m in group) for group in groups]
+    members = tuple(members)
+    subsets = {} if subsets is None else subsets
+    if members not in subsets:
+        groups = [tuple(m for i, m in enumerate(members) if mask >> i & 1)
+                  for mask in range(1 << len(members))]
+        subsets[members] = groups, [sum(demands[m] for m in group) for group in groups]
+    groups, loads = subsets[members]
     routes = [_UNASKED] * len(groups)
     best = None
     for labelling in _labellings(len(capacities), len(members)):
@@ -208,7 +230,8 @@ def _best_truck_layer(instance: Instance, demands: dict[str, float],
 
     pickup maps customer -> (drop-in stop, scheduled pickup minute). Returns
     (cost, assignment customer->truck, routes truck->(stops, times)) or None.
-    ``memo`` keeps layers by pickup pattern and "routes" by stop windows.
+    ``memo`` belongs to one instance. It keeps layers by pickup pattern,
+    "routes" by stop windows and "subsets" for ``_best_partition``.
     """
     key = tuple(sorted((c, s, t) for c, (s, t) in pickup.items()))
     if key in memo:
@@ -232,7 +255,7 @@ def _best_truck_layer(instance: Instance, demands: dict[str, float],
         return routes[windows]
 
     best = _best_partition([d.capacity for d in instance.trucks], sorted(pickup),
-                           demands, route_of)
+                           demands, route_of, memo.setdefault("subsets", {}))
     if best is not None:
         cost, chosen = best
         best = (cost, {c: instance.trucks[k].id for k, group, _ in chosen for c in group},
@@ -242,23 +265,32 @@ def _best_truck_layer(instance: Instance, demands: dict[str, float],
 
 
 def _best_stop_delivery(instance: Instance, demands: dict[str, float], stop_id: str,
-                        drop_time: dict[str, float]):
-    """Cheapest routing of one stop's freighters over the packages dropped there."""
+                        drop_time: dict[str, float], memo: dict):
+    """Cheapest routing of one stop's freighters over the packages dropped there.
+
+    ``memo`` is ``_best_freighter_layer``'s: its "orders" keep each route by
+    (stop, departure, customer group), which is all a route depends on.
+    """
     params = instance.cost_params
     stop = instance.stop(stop_id)
     fleet = instance.freighters_of_stop(stop_id)
-    doors = {c: _door_visit(instance.customer(c)) for c in drop_time}
+    orders = memo.setdefault("orders", {})
 
     def route_of(group):
         times = [drop_time[c] for c in group]
         departure = max(times) + stop.service_time
         if departure > min(times) + stop.max_dwell + 1e-9:
             return None
-        route = _best_order(instance, stop.location, departure, {c: doors[c] for c in group},
-                            params.freighter_cost_scale * params.truck_cost_per_distance)
-        return None if route is None else (route[0], departure, *route[1:])
+        key = (stop_id, departure, group)
+        if key not in orders:
+            route = _best_order(instance, stop.location, departure,
+                                {c: _door_visit(instance.customer(c)) for c in group},
+                                params.freighter_cost_scale * params.truck_cost_per_distance)
+            orders[key] = None if route is None else (route[0], departure, *route[1:])
+        return orders[key]
 
-    best = _best_partition([k.capacity for k in fleet], sorted(drop_time), demands, route_of)
+    best = _best_partition([k.capacity for k in fleet], sorted(drop_time), demands, route_of,
+                           memo.setdefault("subsets", {}))
     if best is None:
         return None
     cost, chosen = best
@@ -271,21 +303,25 @@ def _best_freighter_layer(instance: Instance, demands: dict[str, float],
     """Cheapest feasible last-leg delivery given per-customer drop stop/time.
 
     Returns (cost, assignment customer->freighter, routes freighter->(departure,
-    customers, times)) or None; ``memo`` keeps each stop's routing per packages.
+    customers, times)) or None. ``memo`` belongs to one instance; it keeps each
+    stop's routing per packages and drop minutes, and ``_best_stop_delivery``'s
+    tables.
     """
     by_stop: dict[str, list[tuple[str, float]]] = {}
-    for cust, (stop_id, t_drop) in drops.items():
+    for cust, (stop_id, t_drop) in sorted(drops.items()):
         by_stop.setdefault(stop_id, []).append((cust, t_drop))
     total_cost, assignment, routes = 0.0, {}, {}
     for stop_id, members in sorted(by_stop.items()):
-        key = (stop_id, tuple(sorted(members)))
-        if key not in memo:
-            memo[key] = _best_stop_delivery(instance, demands, stop_id, dict(members))
-        if memo[key] is None:
+        key = (stop_id, tuple(members))
+        delivery = memo.get(key, _UNASKED)
+        if delivery is _UNASKED:
+            delivery = memo[key] = _best_stop_delivery(instance, demands, stop_id,
+                                                       dict(members), memo)
+        if delivery is None:
             return None
-        total_cost += memo[key][0]
-        assignment.update(memo[key][1])
-        routes.update(memo[key][2])
+        total_cost += delivery[0]
+        assignment.update(delivery[1])
+        routes.update(delivery[2])
     return total_cost, assignment, routes
 
 
@@ -314,46 +350,61 @@ def brute_force_optimum(instance: Instance) -> BruteForceOutcome:
     if any(not opts for opts in options.values()):
         return BruteForceOutcome(feasible=False, cost=None, plan=None)
 
-    truck_memo, freighter_memo, freighter_layers, tours = {}, {}, {}, {}
-    accepted_patterns = set()
-    best: tuple[float, dict[str, TransitOption], tuple, tuple] | None = None
-
     ids = [c.id for c in customers]
-    for picks in itertools.product(*(options[i] for i in ids)):
-        combo = dict(zip(ids, picks))
-        pickup = {c: (opt.drop_in, opt.pickup_time) for c, opt in combo.items()}
-        drops = {c: (opt.drop_out, opt.drop_time) for c, opt in combo.items()}
-        pattern = (tuple(sorted(pickup.items())), tuple(sorted(drops.items())))
-        if pattern in accepted_patterns:
-            continue  # same stops and times: identical cost already scored
-        # a pattern counts only when every check passes, so their order is free
-        if pattern[1] not in freighter_layers:
-            freighter_layers[pattern[1]] = _best_freighter_layer(
-                instance, demands, drops, freighter_memo)
-        freighter_side = freighter_layers[pattern[1]]
-        if freighter_side is None:
-            continue
-        if best is not None:
-            # a pattern is accepted only below best - 1e-12, and best never rises
-            stops_in = tuple(sorted({opt.drop_in for opt in picks}))
-            if stops_in not in tours:
-                tours[stops_in] = _shortest_tour(instance, stops_in)
-            if freighter_side[0] + tours[stops_in] > best[0] + 1e-9:
+    # each customer's options, numbered in product order, by drop-out stop and minute
+    by_drop = []
+    for cust_id in ids:
+        groups: dict[tuple[str, float], list[tuple[int, TransitOption]]] = {}
+        for number, opt in enumerate(options[cust_id]):
+            groups.setdefault((opt.drop_out, opt.drop_time), []).append((number, opt))
+        by_drop.append(groups)
+
+    truck_memo, freighter_memo, tours = {}, {}, {}
+    layers = []  # (freighter cost, drop pattern, freighter layer), one per feasible pattern
+    for drops in itertools.product(*by_drop):
+        freighter_side = _best_freighter_layer(instance, demands, dict(zip(ids, drops)),
+                                               freighter_memo)
+        if freighter_side is not None:
+            layers.append((freighter_side[0], drops, freighter_side))
+    layers.sort(key=lambda layer: layer[0])
+    # every truck layer drives at least one round trip from the CDC to a drop-in stop
+    round_trip = min((_shortest_tour(instance, (opt.drop_in,))
+                      for opts in options.values() for opt in opts), default=0.0)
+
+    best = None  # (cost, option numbers, combo, truck layer, freighter layer)
+    for freighter_cost, drops, freighter_side in layers:
+        if best is not None and freighter_cost + round_trip > best[0] + 1e-9:
+            break  # later patterns cost no less in freighters, and no truck layer is cheaper
+        accepted = set()
+        for picks in itertools.product(*(groups[drop] for groups, drop in zip(by_drop, drops))):
+            opts = [opt for _, opt in picks]
+            if best is not None:
+                stops_in = frozenset(opt.drop_in for opt in opts)
+                if stops_in not in tours:
+                    tours[stops_in] = _shortest_tour(instance, sorted(stops_in))
+                if freighter_cost + tours[stops_in] > best[0] + 1e-9:
+                    continue
+            pickup = tuple((opt.drop_in, opt.pickup_time) for opt in opts)
+            if pickup in accepted:
+                continue  # same stops and minutes: identical cost already scored
+            combo = dict(zip(ids, opts))
+            if not _trip_loads_ok(instance, demands, combo):
                 continue
-        if not _trip_loads_ok(instance, demands, combo):
-            continue
-        truck_side = _best_truck_layer(instance, demands, pickup, truck_memo)
-        if truck_side is None:
-            continue
-        accepted_patterns.add(pattern)
-        cost = truck_side[0] + freighter_side[0]
-        if best is None or cost < best[0] - 1e-12:
-            best = (cost, dict(combo), truck_side, freighter_side)
+            truck_side = _best_truck_layer(instance, demands, dict(zip(ids, pickup)), truck_memo)
+            if truck_side is None:
+                continue
+            accepted.add(pickup)
+            cost = truck_side[0] + freighter_cost
+            numbers = tuple(number for number, _ in picks)
+            # of the cheapest, the first in itertools.product order wins, whatever the visit order
+            if (best is None or cost < best[0] - 1e-12
+                    or (cost <= best[0] + 1e-12 and numbers < best[1])):
+                best = (cost, numbers, combo, truck_side, freighter_side)
 
     if best is None:
         return BruteForceOutcome(feasible=False, cost=None, plan=None)
 
-    cost, combo, truck_side, freighter_side = best
+    cost, _, combo, truck_side, freighter_side = best
     _, truck_assign, truck_routes = truck_side
     t3_cost, freighter_assign, freighter_routes = freighter_side
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -25,7 +26,7 @@ from transitfreight.instance import (
 MICRO1_TOTAL = 22.82842712474619
 MICRO1_T1 = 20.0
 MICRO1_T3 = 2.8284271247461903
-MICRO1_VRPTW = 104.07689276050987
+MICRO1_VRPTW = 2 * math.sqrt(2708)
 
 
 def make_micro1(window=(200.0, 800.0), extra_trip_time=None, freighters=1,
@@ -68,10 +69,10 @@ def backend():
     return ScipyHighsBackend()
 
 
-def micro_gen_params(seed: int, n_customers: int = 3) -> GenParams:
+def micro_gen_params(seed: int, n_customers: int = 3, n_lines: int = 1) -> GenParams:
     """Parameters whose output fits the enumeration guard after fleet trimming."""
     return GenParams(
-        n_customers=n_customers, n_lines=1, stops_per_line=(3, 4), seed=seed,
+        n_customers=n_customers, n_lines=n_lines, stops_per_line=(3, 4), seed=seed,
         trips_per_line=2, demand_range=(5, 10))
 
 
@@ -89,18 +90,18 @@ def fit_enumeration_guard(instance: Instance) -> Instance:
     return trimmed
 
 
-def generate_micro_instance(seed: int, n_customers: int = 3) -> Instance:
+def generate_micro_instance(seed: int, n_customers: int = 3, n_lines: int = 1) -> Instance:
     return fit_enumeration_guard(
-        generate_instance(micro_gen_params(seed, n_customers)))
+        generate_instance(micro_gen_params(seed, n_customers, n_lines)))
 
 
 def generate_micro_instances(count: int, start_seed: int = 0,
-                             n_customers=(2, 3, 4)) -> list[Instance]:
+                             n_customers=(2, 3, 4), n_lines: int = 1) -> list[Instance]:
     out = []
     seed = start_seed
     while len(out) < count and seed < start_seed + 400:
         try:
-            inst = generate_micro_instance(seed, n_customers[seed % len(n_customers)])
+            inst = generate_micro_instance(seed, n_customers[seed % len(n_customers)], n_lines)
         except GenerationError:
             seed += 1
             continue

@@ -8,6 +8,7 @@ import pytest
 
 from transitfreight.bruteforce import (
     OracleSizeError,
+    _best_freighter_layer,
     _best_partition,
     _best_truck_layer,
     _shortest_tour,
@@ -425,6 +426,42 @@ def test_shortest_tour_bounds_every_feasible_truck_layer():
             checked += 1
             tight += layer[0] <= bound + 1e-9
     assert checked >= 1000 and tight >= 100
+
+
+def _cheapest_freighter_layer(instance: Instance) -> float:
+    """The least freighter cost over every drop pattern (a drop-out stop and minute per
+    customer) with a feasible freighter layer."""
+    customers = sorted(c.id for c in instance.customers)
+    demands = {c.id: c.demand for c in instance.customers}
+    drops = [sorted({(opt.drop_out, opt.drop_time)
+                     for opt in _transit_options(instance, instance.customer(c))})
+             for c in customers]
+    memo, costs = {}, []
+    for pattern in itertools.product(*drops):
+        layer = _best_freighter_layer(instance, demands, dict(zip(customers, pattern)), memo)
+        if layer is not None:
+            costs.append(layer[0])
+    return min(costs)
+
+
+def test_oracle_looks_past_the_cheapest_freighter_layer(backend):
+    """The oracle visits drop patterns by ascending freighter cost and stops only where
+    that cost plus the cheapest CDC round trip passes its incumbent. On two-line micro
+    draws a package may reach its cheapest drop-out stop only on a line whose drop-in
+    stops lie far from the CDC, so some optima pay more for freighters than the cheapest
+    freighter layer; on each such draw the oracle equals ``full``'s optimum. (One-line
+    draws put every drop-in stop before every drop-out stop, so their tiers never pull
+    apart.)"""
+    coupled = 0
+    for instance in generate_micro_instances(20, n_lines=2):
+        outcome = brute_force_optimum(instance)
+        assert outcome.feasible
+        if outcome.plan.costs.t3_cost <= _cheapest_freighter_layer(instance) + 1e-9:
+            continue
+        plan, _ = run_method(instance, RunConfig(method="full"), backend)
+        assert plan.costs.total == pytest.approx(outcome.cost, abs=1e-4)
+        coupled += 1
+    assert coupled >= 1
 
 
 class _CountingRoutes:
