@@ -34,7 +34,6 @@ from .milp import (
     ModelError,
     SolveLimits,
     SolveResult,
-    big_M,
 )
 from .model_full import FullOptions, build_full, decode_full
 from .pipeline import PipelineError, RunConfig, RunMetrics, compare_methods, run_method

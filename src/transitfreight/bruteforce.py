@@ -86,8 +86,6 @@ def _check_guard(instance: Instance) -> None:
             or len(instance.trucks) > GUARD_TRUCKS
             or max(per_stop.values(), default=0) > GUARD_FREIGHTERS_PER_STOP):
         raise OracleSizeError(f"instance exceeds enumeration guard: {sizes}")
-    if instance.cost_params.service_cost_mu != 0.0:
-        raise OracleSizeError("enumeration covers the plain routing objective only (mu = 0)")
 
 
 def _transit_options(instance: Instance, customer) -> list[TransitOption]:

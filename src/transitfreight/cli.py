@@ -19,13 +19,7 @@ from .generate import GenParams, generate_instance
 from .instance import InstanceError, parse_instance, serialize_instance
 from .milp import ModelError
 from .model_full import FullOptions, build_full
-from .pipeline import (
-    DEFAULT_STAGE_SECONDS,
-    PipelineError,
-    RunConfig,
-    compare_methods,
-    run_method,
-)
+from .pipeline import PipelineError, RunConfig, compare_methods, run_method
 from .plan import Plan, parse_plan, serialize_plan
 from .report import emit_report, rows_from_csv, rows_to_csv
 from .validate import (
@@ -42,10 +36,15 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative MIP gap tolerance")
 
 
-def _stage_seconds(time_limit: float | None) -> dict | None:
-    if time_limit is None:
-        return None
-    return {k: time_limit for k in DEFAULT_STAGE_SECONDS}
+def _pair(kind: type, sep: str, form: str):
+    """An argparse ``type`` that reads ``form``, two ``kind`` values joined by ``sep``."""
+    def parse(text: str) -> tuple:
+        first, _, second = text.lower().partition(sep)
+        try:
+            return kind(first), kind(second)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +57,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--customers", type=int, required=True)
     p.add_argument("--lines", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stops-per-line", default="4:6", help="MIN:MAX stops per line")
-    p.add_argument("--box", default="100x100", help="WxH bounding box")
+    p.add_argument("--stops-per-line", default="4:6", type=_pair(int, ":", "MIN:MAX"),
+                   help="MIN:MAX stops per line")
+    p.add_argument("--box", default="100x100", type=_pair(float, "x", "WxH"),
+                   help="WxH bounding box")
     p.add_argument("--trips-per-line", type=int, default=None)
     p.add_argument("--out", required=True)
 
@@ -104,17 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_range(text: str, sep: str) -> tuple[int, int]:
-    lo, hi = text.split(sep, 1)
-    return int(lo), int(hi)
-
-
 def _cmd_gen(args) -> int:
-    lo, hi = _parse_range(args.stops_per_line, ":")
-    w, h = args.box.lower().split("x", 1)
     params = GenParams(
         n_customers=args.customers, n_lines=args.lines, seed=args.seed,
-        stops_per_line=(lo, hi), box=(float(w), float(h)),
+        stops_per_line=args.stops_per_line, box=args.box,
         trips_per_line=args.trips_per_line)
     instance = generate_instance(params)
     Path(args.out).write_text(serialize_instance(instance), encoding="utf-8")
@@ -128,7 +122,7 @@ def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     config = RunConfig(
         method=args.method, t2_obj=args.t2_obj, beta=args.beta, mu=args.mu,
-        rel_gap=args.gap, stage_seconds=_stage_seconds(args.time_limit))
+        rel_gap=args.gap, time_limit=args.time_limit)
     artifacts = Path(args.artifacts) if args.artifacts else None
     plan, metrics = run_method(instance, config, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(serialize_plan(plan), encoding="utf-8")
@@ -175,7 +169,6 @@ def _cmd_compare(args) -> int:
     betas = [float(b) for b in args.betas.split(",")] if args.betas else [None]
     mus = [float(m) for m in args.mus.split(",")] if args.mus else [0.0]
     configs = []
-    stage_seconds = _stage_seconds(args.time_limit)
     for method in methods:
         t2 = args.t2_obj if method in ("d1", "d2", "d3") else None
         if method == "d3" and t2 == "obj3":
@@ -186,7 +179,7 @@ def _cmd_compare(args) -> int:
                     continue
                 configs.append(RunConfig(
                     method=method, t2_obj=t2, beta=beta, mu=mu,
-                    rel_gap=args.gap, stage_seconds=stage_seconds))
+                    rel_gap=args.gap, time_limit=args.time_limit))
     artifacts = Path(args.artifacts) if args.artifacts else None
     rows = compare_methods(instances, configs, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8")

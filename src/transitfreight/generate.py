@@ -34,6 +34,11 @@ from .instance import (
 
 STOP_SERVICE_MINUTES = 10.0
 STOP_MAX_DWELL = 300.0
+FIRST_TRIP_TIME = 150.0
+HEADWAY = 30.0                   # minutes between consecutive trips of a line
+TRUCK_CAPACITY = 160.0
+FREIGHTER_CAPACITY = 20.0
+TRIP_CAPACITY_RANGE = (60, 80)   # one draw per line, shared by its trips
 WINDOW_MIN_LENGTH = 180.0
 EARLIEST_WINDOW_OPEN = 60.0   # start of the third half-hour period
 LATEST_WINDOW_OPEN = 450.0    # end of the fifteenth half-hour period
@@ -57,11 +62,6 @@ class GenParams:
     box: tuple[float, float] = (100.0, 100.0)
     seed: int = 0
     trips_per_line: int | None = None  # resolved from the customer count when unset
-    first_trip_time: float = 150.0
-    headway: float = 30.0
-    truck_capacity: float = 160.0
-    freighter_capacity: float = 20.0
-    vehicle_capacity_range: tuple[int, int] = (60, 80)
     demand_range: tuple[int, int] = (5, 20)
 
     def __post_init__(self) -> None:
@@ -71,9 +71,6 @@ class GenParams:
             raise GenerationError("stops_per_line range invalid")
         if self.demand_range[0] <= 0 or self.demand_range[0] > self.demand_range[1]:
             raise GenerationError("demand_range invalid")
-        if self.vehicle_capacity_range[0] <= 0 \
-                or self.vehicle_capacity_range[0] > self.vehicle_capacity_range[1]:
-            raise GenerationError("vehicle_capacity_range invalid")
 
     def resolved_trips_per_line(self) -> int:
         if self.trips_per_line is not None:
@@ -179,8 +176,7 @@ def assign_dropouts(customers: list[Customer], stops: list[Stop]) -> list[Custom
     return out
 
 
-def generate_time_windows(n: int, params: GenParams, rng: np.random.Generator
-                          ) -> list[tuple[float, float]]:
+def generate_time_windows(n: int, rng: np.random.Generator) -> list[tuple[float, float]]:
     """Windows opening between the third and fifteenth period, at least 3 h long."""
     horizon = CostParams().horizon
     windows = []
@@ -244,7 +240,7 @@ def size_fleets(instance: Instance) -> tuple[int, int]:
     per_stop = max((len(v) for v in compat.customers_of_dropout.values()), default=1)
     per_stop = max(per_stop, 1)
     total_demand = sum(c.demand for c in instance.customers)
-    cap = instance.trucks[0].capacity if instance.trucks else 160.0
+    cap = instance.trucks[0].capacity if instance.trucks else TRUCK_CAPACITY
     n_trucks = max(truck_band(len(instance.customers)),
                    math.ceil(total_demand / cap))
     return n_trucks, per_stop
@@ -272,22 +268,21 @@ def generate_instance(params: GenParams) -> Instance:
     n_trips = params.resolved_trips_per_line()
     stops_by_id = {s.id: s for s in stops}
     for line in lines:
-        capacity = float(rng.integers(params.vehicle_capacity_range[0],
-                                      params.vehicle_capacity_range[1] + 1))
+        capacity = float(rng.integers(TRIP_CAPACITY_RANGE[0], TRIP_CAPACITY_RANGE[1] + 1))
         offsets = [0.0]
         for prev, here in zip(line.ordered_stops, line.ordered_stops[1:]):
             hop = travel_time(euclidean_distance(
                 stops_by_id[prev].location, stops_by_id[here].location), cost_params)
             offsets.append(offsets[-1] + max(hop, 0.1))
         for j in range(n_trips):
-            start = params.first_trip_time + j * params.headway
+            start = FIRST_TRIP_TIME + j * HEADWAY
             trips.append(Trip(
                 id=f"{line.id}T{j}", line=line.id,
                 stop_times={sid: start + off for sid, off in zip(line.ordered_stops, offsets)},
                 capacity=capacity))
 
     width, height = params.box
-    windows = generate_time_windows(params.n_customers, params, rng)
+    windows = generate_time_windows(params.n_customers, rng)
     customers = []
     for i in range(params.n_customers):
         loc = Point(float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
@@ -300,9 +295,9 @@ def generate_instance(params: GenParams) -> Instance:
 
     draft = Instance(
         cdc=cdc, stops=tuple(stops), lines=tuple(lines), trips=tuple(trips),
-        trucks=(Truck(id="d1", capacity=params.truck_capacity),),
+        trucks=(Truck(id="d1", capacity=TRUCK_CAPACITY),),
         freighters=tuple(
-            Freighter(id=f"k_{s.id}_0", home_stop=s.id, capacity=params.freighter_capacity)
+            Freighter(id=f"k_{s.id}_0", home_stop=s.id, capacity=FREIGHTER_CAPACITY)
             for s in stops if s.is_drop_out),
         customers=tuple(customers),
         cost_params=cost_params,
@@ -310,13 +305,13 @@ def generate_instance(params: GenParams) -> Instance:
     draft = patch_orphan_dropouts(draft, rng)
 
     n_trucks, per_stop = size_fleets(draft)
-    trucks = tuple(Truck(id=f"d{j + 1}", capacity=params.truck_capacity)
+    trucks = tuple(Truck(id=f"d{j + 1}", capacity=TRUCK_CAPACITY)
                    for j in range(n_trucks))
     freighters = []
     for s in draft.drop_out_stops():
         for j in range(per_stop):
             freighters.append(Freighter(
-                id=f"k_{s.id}_{j}", home_stop=s.id, capacity=params.freighter_capacity))
+                id=f"k_{s.id}_{j}", home_stop=s.id, capacity=FREIGHTER_CAPACITY))
     instance = replace(draft, trucks=trucks, freighters=tuple(freighters))
     instance.validate()
     derive_compatibility(instance)  # raises when a customer is unreachable

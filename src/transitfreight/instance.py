@@ -110,8 +110,6 @@ class CostParams:
     truck_cost_per_distance: float = 1.0
     freighter_cost_scale: float = 0.5   # freighter arc cost = scale * distance
     time_per_distance: float = 0.2      # minutes per distance unit, all vehicle classes
-    big_M: float = 1000.0
-    service_cost_mu: float = 0.0        # scale for per-visit service costs (0 = plain routing objective)
     t_mid_day: float = 400.0
     period_length: float = 30.0
     period_count: int = 30
@@ -400,9 +398,3 @@ def parse_instance(text: str) -> Instance:
 def with_beta(instance: Instance, beta: float) -> Instance:
     """Copy of the instance with a different freighter cost scale."""
     return replace(instance, cost_params=replace(instance.cost_params, freighter_cost_scale=beta))
-
-
-def with_freighter_capacity(instance: Instance, capacity: float) -> Instance:
-    """Copy of the instance with every freighter's capacity replaced."""
-    freighters = tuple(replace(k, capacity=float(capacity)) for k in instance.freighters)
-    return replace(instance, freighters=freighters)

@@ -12,7 +12,6 @@ they were added; the backend hands them to HiGHS row-wise as they are.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 INF = math.inf
@@ -143,22 +142,3 @@ class SolveLimits:
         if self.time_limit <= 0 or self.rel_gap < 0:
             raise ModelError("solve limits must be positive")
 
-
-def big_M(params, extra_time: float = 0.0) -> float:
-    """Linearization constant, validated to dominate the time horizon.
-
-    Returns the configured value when it exceeds horizon + extra_time,
-    otherwise warns and lifts it so conditional time constraints stay slack
-    when toggled off.
-    """
-    horizon = params.horizon
-    required = horizon + max(extra_time, 1.0)
-    configured = params.big_M
-    if configured < required:
-        warnings.warn(
-            f"big_M={configured:g} is insufficient for horizon {horizon:g}; "
-            f"raising to {required:g}",
-            stacklevel=2,
-        )
-        return required
-    return configured

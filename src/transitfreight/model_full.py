@@ -43,7 +43,9 @@ Each fragment has one copy, used by every model that needs it:
                          carrying the package; full and that truck stage
                          differ only in the stops and windows they pass (within
                          the budget the truck stage chooses enumerated routes
-                         in ``tiers`` instead)
+                         in ``tiers`` instead). Both fragments take their one
+                         M from the instance (``truck_time_big_m``): the
+                         horizon plus twice the longest CDC-to-stop ride
   enumerate_routes       the routes one vehicle class may drive through timed
                          visits: the one label-setting DP, over capacity and
                          windows, that keeps per customer set the orders no
@@ -81,7 +83,7 @@ from dataclasses import dataclass
 
 from .compat import Compatibility
 from .instance import Instance, euclidean_distance
-from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
+from .milp import MilpModel, ModelBuilder, ModelError, SolveResult
 from .plan import CustomerItinerary, FreighterRoute, Plan, TruckRoute
 from .validate import price_routes, tour_length
 
@@ -148,7 +150,23 @@ def arc_costs(mb: ModelBuilder, instance: Instance, family: str,
             for (u, v, *_), var in mb.family_items(family)]
 
 
-def add_truck_rows(mb: ModelBuilder, instance: Instance, M: float,
+def truck_time_big_m(instance: Instance) -> float:
+    """The M of the per-truck big-M rows: the horizon plus twice the longest
+    CDC-to-stop ride.
+
+    No ride between two nodes is longer than twice that ride, as it may go by
+    the CDC. So while a plan's truck minutes and windows lie within the
+    horizon, a ``truck_time`` row that is switched off asks no more than
+    ``t1[v]`` at least the service time at ``v``, which a truck's minute at a
+    stop it serves meets and a stop it skips is free to meet, and an arrival
+    window switched off asks ``t1`` to lie within ``[lo - M, hi + M]``.
+    """
+    longest = max((instance.travel_minutes(instance.cdc, s.location) for s in instance.stops),
+                  default=0.0)
+    return instance.cost_params.horizon + 2 * longest
+
+
+def add_truck_rows(mb: ModelBuilder, instance: Instance,
                    stops_of: dict[str, list[str]], symmetry: bool) -> None:
     """Shared per-truck tier-1 structure: arcs, times, and each package ``i`` on one
     truck to one of ``stops_of[i]``.
@@ -170,6 +188,7 @@ def add_truck_rows(mb: ModelBuilder, instance: Instance, M: float,
     drop-in stop. Without the row the LP relaxation routes trucks in cycles
     between drop-in stops and sends none out of the CDC.
     """
+    M = truck_time_big_m(instance)
     dropins = [s.id for s in instance.drop_in_stops()]
     tails = [CDC_NODE] + dropins
     heads = dropins + [CDC_SINK]
@@ -605,13 +624,14 @@ def decode_transit(instance: Instance, model: MilpModel,
 
 
 def add_arrival_window(mb: ModelBuilder, instance: Instance, cust: str, stop: str,
-                       M: float, lo=None, hi=None) -> None:
+                       lo=None, hi=None) -> None:
     """The truck carrying ``cust`` to ``stop`` arrives within ``[lo, hi]``.
 
     ``lo`` and ``hi`` are ``(terms, constant)`` expressions; either may be
     left open. Per truck, big-M rows on ``r[cust,stop,d]`` hold them only
-    for the truck that carries the package.
+    for the truck that carries the package (``truck_time_big_m``).
     """
+    M = truck_time_big_m(instance)
     for d in instance.trucks:
         t1, r_var = mb.get("t1", stop, d.id), mb.get("r", cust, stop, d.id)
         if hi is not None:
@@ -629,15 +649,12 @@ def build_full(instance: Instance, compat: Compatibility,
     """Complete three-tier model; minimizes truck plus freighter routing cost."""
     options = options or FullOptions()
     params = instance.cost_params
-    max_hop = max((instance.travel_minutes(instance.cdc, s.location)
-                   for s in instance.stops), default=0.0) * 2
-    M = big_M(params, extra_time=max_hop)
     mb = ModelBuilder("full")
 
     domains = add_transit_flow(mb, instance, compat,
                                lambda cust: f"no carrying trip: customer {cust.id}")
     stops_of = {c.id: sorted(compat.s_in_of_customer[c.id]) for c in instance.customers}
-    add_truck_rows(mb, instance, M, stops_of, options.symmetry_breaking)
+    add_truck_rows(mb, instance, stops_of, options.symmetry_breaking)
 
     pickups = {(c.id, s): [(mb.get("y1", c.id, s, p), instance.trip(p).stop_times[s])
                            for p, (ins, _) in domains[c.id].items() if s in ins]
@@ -648,7 +665,7 @@ def build_full(instance: Instance, compat: Compatibility,
                + [(v, -1.0) for v, _ in terms], "=", 0.0, f"handover[{cid},{s}]")
     # truck reaches the stop before the scheduled pickup, and within the dwell cap
     for (cid, s), terms in pickups.items():
-        add_arrival_window(mb, instance, cid, s, M,
+        add_arrival_window(mb, instance, cid, s,
                            lo=(terms, -instance.stop(s).max_dwell), hi=(terms, 0.0))
 
     drops_at = {}  # (customer, drop-out stop) -> [(y2, scheduled drop time)]

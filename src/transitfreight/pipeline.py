@@ -86,7 +86,7 @@ class RunConfig:
     beta: float | None = None
     mu: float = 0.0
     rel_gap: float = 1e-6
-    stage_seconds: dict | None = None
+    time_limit: float | None = None  # seconds for every stage; None keeps DEFAULT_STAGE_SECONDS
     # derived from the fields above once, when the config is made: the parsed transit
     # objective, and each stage kind's solve limits, so a bad tag or limit fails here
     objective: T2Objective | None = field(default=None, init=False, repr=False, compare=False)
@@ -110,13 +110,10 @@ class RunConfig:
             raise ModelError("mu must be nonnegative")
         if self.method in ("d1", "d2", "d3"):
             object.__setattr__(self, "objective", T2Objective(self.t2_obj))
-        unknown = sorted(set(self.stage_seconds or ()) - set(DEFAULT_STAGE_SECONDS))
-        if unknown:
-            raise ModelError(f"unknown stage kind {unknown[0]!r} in stage_seconds; "
-                             f"known: {', '.join(DEFAULT_STAGE_SECONDS)}")
-        seconds = {**DEFAULT_STAGE_SECONDS, **(self.stage_seconds or {})}
-        object.__setattr__(self, "limits", {kind: SolveLimits(limit, self.rel_gap)
-                                            for kind, limit in seconds.items()})
+        object.__setattr__(self, "limits", {
+            kind: SolveLimits(default if self.time_limit is None else self.time_limit,
+                              self.rel_gap)
+            for kind, default in DEFAULT_STAGE_SECONDS.items()})
 
     def label(self) -> str:
         return run_label(self.method, self.t2_obj, self.beta, self.mu)
@@ -144,7 +141,7 @@ class StageMetrics:
 class RunMetrics:
     method: str
     t2_obj: str | None
-    mu: float = 0.0       # the service-cost scale the run priced: the config's, else the instance's
+    mu: float = 0.0       # the config's service-cost scale, which the run priced
     stages: list[StageMetrics] = field(default_factory=list)
     t1_cost: float = 0.0
     t3_cost: float = 0.0
@@ -239,7 +236,7 @@ def run_method(instance: Instance, config: RunConfig, backend: Backend | None = 
         instance.validate()
     except InstanceError as exc:
         raise PipelineError("instance", str(exc)) from exc
-    metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj)
+    metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj, mu=config.mu)
     started = time.perf_counter()
     _dump(artifacts_dir, "instance.json", serialize_instance, instance)
 
@@ -323,15 +320,14 @@ def _check_price(stage: str, price: float, objective: float) -> None:
 
 def _run_full(instance, config, backend, metrics) -> Plan:
     compat = derive_compatibility(instance)
-    mu = metrics.mu = config.mu or instance.cost_params.service_cost_mu
     options = FullOptions()
-    if mu > 0:
+    if config.mu > 0:
         t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
-        options = FullOptions(lambda1=mu * t1_ref, lambda3=mu * t3_ref)
+        options = FullOptions(lambda1=config.mu * t1_ref, lambda3=config.mu * t3_ref)
     model, result = _stage("full", config.limits["full"], backend, metrics,
                            build_full, instance, compat, options)
     plan = decode_full(instance, model, result)
-    if mu == 0 and result.status == "optimal":
+    if config.mu == 0 and result.status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
         _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
     return plan

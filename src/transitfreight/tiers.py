@@ -13,7 +13,9 @@ Pipelines differ in which tier commits first:
     departure, then route trucks.
 
 The transit model supports three surrogate objectives: used-stop count,
-distance proxies, and an estimated freighter count per period.
+distance proxies, and an estimated freighter count per period. The
+used-stop count switches a stop's flag on by a big-M row whose M is the
+number of packages that have a variable at that stop.
 
 Every stage is built from the fragments ``model_full`` shares with the
 monolithic model: ``add_transit_flow`` for transit, ``add_truck_rows`` and
@@ -42,7 +44,9 @@ listed by the one label-setting DP, ``model_full.enumerate_routes``: a
 freighter visit serves one customer, a truck visit the packages at one
 stop whose windows there meet. The number of routes grows combinatorially
 with the packages one truck can carry, so past ``ROUTE_LABEL_LIMIT`` labels
-the stage is built from the per-truck rows ``full`` also uses instead.
+the stage is built from the per-truck rows ``full`` also uses instead, with
+``full``'s M: the horizon plus twice the longest CDC-to-stop ride
+(``model_full.truck_time_big_m``).
 ``decode_t1`` reads either form through ``full``'s truck decoder
 (``model_full.decode_trucks``), which times every route forward from the
 CDC, and hands on each package's stop as ``b_in`` and its truck's minute
@@ -57,7 +61,7 @@ from dataclasses import dataclass
 
 from .compat import Compatibility
 from .instance import Instance, euclidean_distance
-from .milp import MilpModel, ModelBuilder, ModelError, SolveResult, big_M
+from .milp import MilpModel, ModelBuilder, ModelError, SolveResult
 from .model_full import (
     DecodeError,
     ModelBuildError,
@@ -93,20 +97,26 @@ class T2Objective:
 # ---- shared surrogate-objective machinery ------------------------------
 
 
-def _attach_used_stop_flags(mb: ModelBuilder, M: float,
-                            pickup_side: bool, drop_side: bool) -> list:
-    """Binary flags that switch on when any package touches a stop."""
+def _attach_used_stop_flags(mb: ModelBuilder, pickup_side: bool, drop_side: bool) -> list:
+    """Binary flags that switch on when any package touches a stop.
+
+    A package is picked up and dropped once, so no more packages touch a stop
+    than have a variable there; that count is the flag's coefficient.
+    """
     terms = []
     for used, family, flags, row in ((pickup_side, "y1", "phi1", "used_in"),
                                      (drop_side, "y2", "phi2", "used_out")):
         if not used:
             continue
         by_stop: dict[str, list] = {}
+        packages: dict[str, set] = {}
         for (i, s, p), var in mb.family_items(family):
             by_stop.setdefault(s, []).append(var)
+            packages.setdefault(s, set()).add(i)
         for s in sorted(by_stop):
             flag = mb.binary(flags, s)
-            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -M)], "<=", 0.0, f"{row}[{s}]")
+            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -float(len(packages[s])))],
+                   "<=", 0.0, f"{row}[{s}]")
             terms.append((flag, 1.0))
     return terms
 
@@ -167,9 +177,9 @@ def _distance_proxy_terms(mb: ModelBuilder, instance: Instance,
 
 
 def _set_transit_objective(mb: ModelBuilder, instance: Instance, objective: T2Objective,
-                           M: float, pickup_side: bool, drop_side: bool) -> None:
+                           pickup_side: bool, drop_side: bool) -> None:
     if objective.tag == OBJ1:
-        mb.set_objective(_attach_used_stop_flags(mb, M, pickup_side, drop_side))
+        mb.set_objective(_attach_used_stop_flags(mb, pickup_side, drop_side))
     elif objective.tag == OBJ2:
         mb.set_objective(_distance_proxy_terms(mb, instance, pickup_side, drop_side))
     else:
@@ -211,11 +221,10 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
     Pickups are restricted to trips a truck could feed in time; drops are
     restricted so a freighter can still meet the window's closing.
     """
-    M = big_M(instance.cost_params)
     mb = ModelBuilder("d2-t2")
     add_transit_flow(mb, instance, compat, lambda cust: f"T2 infeasible: customer {cust.id}",
                      in_ok=_truck_can_feed(instance), out_ok=_freighter_can_meet(instance))
-    _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=True)
+    _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
 
@@ -328,7 +337,8 @@ def _build_truck_stage(instance: Instance, windows: dict, tag: str) -> MilpModel
     ``ROUTE_LABEL_LIMIT``, the stage is built from per-truck rows instead,
     whose size grows polynomially: the arcs and times of trucks that carry
     each package to one of its stops (``add_truck_rows``) and a big-M window
-    per pair (``add_arrival_window``). Either model keeps ``windows`` in its
+    per pair (``add_arrival_window``), with the M ``full`` uses
+    (``model_full.truck_time_big_m``). Either model keeps ``windows`` in its
     metadata.
     """
     columns = {}
@@ -363,12 +373,11 @@ def _build_truck_stage(instance: Instance, windows: dict, tag: str) -> MilpModel
 
 def _truck_rows(instance: Instance, windows: dict, tag: str) -> MilpModel:
     """The truck stage from per-truck rows (``_build_truck_stage``)."""
-    M = big_M(instance.cost_params)
     mb = ModelBuilder(tag)
-    add_truck_rows(mb, instance, M, {cid: list(at) for cid, at in windows.items()}, symmetry=True)
+    add_truck_rows(mb, instance, {cid: list(at) for cid, at in windows.items()}, symmetry=True)
     for cid, at in windows.items():
         for sid, (lo, hi) in at.items():
-            add_arrival_window(mb, instance, cid, sid, M,
+            add_arrival_window(mb, instance, cid, sid,
                                lo=None if lo == -math.inf else ([], lo), hi=([], hi))
     mb.set_objective(arc_costs(mb, instance, "w", instance.cost_params.truck_cost_per_distance))
     return mb.build(windows=windows)
@@ -514,7 +523,6 @@ def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
     The pickup is at ``b_in``, on a trip that calls there after the truck's
     arrival ``t_truck`` and within the dwell cap of it.
     """
-    M = big_M(instance.cost_params)
     mb = ModelBuilder("d1-t2")
 
     def pickup_window(cust) -> tuple[float, float]:
@@ -529,7 +537,7 @@ def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
     add_transit_flow(mb, instance, compat, unserved,
                      in_ok=_at_fixed_stop(handoff.b_in, pickup_window),
                      out_ok=_freighter_can_meet(instance))
-    _set_transit_objective(mb, instance, objective, M, pickup_side=False, drop_side=True)
+    _set_transit_objective(mb, instance, objective, pickup_side=False, drop_side=True)
     return mb.build(objective_tag=objective.tag)
 
 
@@ -656,7 +664,6 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
     """
     if objective.tag == OBJ3:
         raise ModelError("the freighter-count objective is moot once freighters are fixed")
-    M = big_M(instance.cost_params)
     mb = ModelBuilder("d3-t2")
 
     def drop_window(cust) -> tuple[float, float]:
@@ -671,5 +678,5 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
 
     add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(instance),
                      out_ok=_at_fixed_stop(handoff.b_out, drop_window))
-    _set_transit_objective(mb, instance, objective, M, pickup_side=True, drop_side=False)
+    _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=False)
     return mb.build(objective_tag=objective.tag)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,11 +24,7 @@ from transitfreight.generate import (
     filter_lines,
     generate_instance,
 )
-from transitfreight.instance import (
-    parse_instance,
-    serialize_instance,
-    with_freighter_capacity,
-)
+from transitfreight.instance import Instance, parse_instance, serialize_instance
 from transitfreight.milp import ModelError
 from transitfreight.model_full import FullOptions, build_full, decode_full
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
@@ -72,6 +69,12 @@ def _baseline_params(seed: int) -> GenParams:
 def _service_cost_params(seed: int) -> GenParams:
     return GenParams(n_customers=10, n_lines=1, stops_per_line=(4, 4),
                      seed=seed, trips_per_line=10)
+
+
+def with_freighter_capacity(instance: Instance, capacity: float) -> Instance:
+    """Copy of the instance with every freighter's capacity replaced."""
+    freighters = tuple(replace(k, capacity=float(capacity)) for k in instance.freighters)
+    return replace(instance, freighters=freighters)
 
 
 def test_criterion_1_oracle_equivalence(backend):

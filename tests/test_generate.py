@@ -213,7 +213,7 @@ def test_patch_two_orphans_adds_two():
 
 def test_window_bounds_hold():
     rng = np.random.default_rng(99)
-    windows = generate_time_windows(300, GenParams(n_customers=1, n_lines=1), rng)
+    windows = generate_time_windows(300, rng)
     for lo, hi in windows:
         assert hi - lo >= 180.0
         assert lo >= 60.0

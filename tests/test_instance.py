@@ -155,16 +155,24 @@ def test_instance_document_layout(micro1):
     assert list(doc["customers"][0]) == ["id", "location", "demand", "window_lo", "window_hi",
                                          "service_time", "dropout_candidates"]
     assert list(doc["cost_params"]) == [
-        "truck_cost_per_distance", "freighter_cost_scale", "time_per_distance", "big_M",
-        "service_cost_mu", "t_mid_day", "period_length", "period_count"]
+        "truck_cost_per_distance", "freighter_cost_scale", "time_per_distance", "t_mid_day",
+        "period_length", "period_count"]
 
 
 def test_missing_cost_param_is_named():
     """A cost parameter with a default is still required in a document."""
     doc = json.loads(serialize_instance(make_micro1()))
-    del doc["cost_params"]["big_M"]
-    with pytest.raises(InstanceError, match="cost_params: missing field big_M"):
+    del doc["cost_params"]["t_mid_day"]
+    with pytest.raises(InstanceError, match="cost_params: missing field t_mid_day"):
         parse_instance(json.dumps(doc))
+
+
+def test_older_cost_params_are_read_and_ignored(micro1):
+    """Documents written while the cost parameters held a big-M and a service-cost
+    scale still parse; both keys are ignored."""
+    doc = json.loads(serialize_instance(micro1))
+    doc["cost_params"].update(big_M=1000.0, service_cost_mu=0.5)
+    assert parse_instance(json.dumps(doc)) == micro1
 
 
 def test_missing_trips_field():

@@ -13,12 +13,10 @@ from transitfreight.backends import (
     write_model,
 )
 from transitfreight.compat import derive_compatibility
-from transitfreight.instance import CostParams
 from transitfreight.milp import (
     ModelBuilder,
     ModelError,
     SolveLimits,
-    big_M,
 )
 from transitfreight.model_full import build_full
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
@@ -86,14 +84,6 @@ def test_repeated_family_index_is_a_duplicate_variable(kind):
     with pytest.raises(ModelError, match=r"duplicate variable x\[a,1\]"):
         getattr(mb, kind)("x", "a", 1)
     assert mb.get("x", "a", 1) == 0 and mb.build().variables == ["x[a,1]", "x[a,2]", "y[a,1]"]
-
-
-def test_big_m_rules():
-    assert big_M(CostParams()) == 1000.0  # horizon 900 dominated
-    wide = CostParams(period_length=30.0, period_count=67)  # horizon 2010
-    with pytest.warns(UserWarning, match="insufficient"):
-        lifted = big_M(wide)
-    assert lifted == pytest.approx(2011.0)
 
 
 # ---- model files ------------------------------------------------------

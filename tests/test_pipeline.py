@@ -5,12 +5,14 @@ from dataclasses import replace
 import pytest
 
 from transitfreight import model_full, pipeline, tiers, validate
+from transitfreight.bruteforce import OracleSizeError, brute_force_optimum, brute_force_vrptw
 from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import (
     Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
     serialize_instance, with_beta)
 from transitfreight.milp import ModelError
 from transitfreight.pipeline import (
+    DEFAULT_STAGE_SECONDS,
     PipelineError,
     RunConfig,
     compare_methods,
@@ -44,11 +46,16 @@ def test_transit_objective_tags_are_taken_as_given(method, tag):
         RunConfig(method=method, t2_obj=tag)
 
 
-def test_stage_seconds_accept_only_known_stage_kinds():
-    # a misspelt kind would otherwise leave that stage at its default limit
-    with pytest.raises(ModelError, match="'ful'"):
-        RunConfig(method="full", stage_seconds={"ful": 5.0})
-    assert RunConfig(method="full", stage_seconds={"full": 5.0}).limits["full"].time_limit == 5.0
+def test_time_limit_sets_every_stage_kind():
+    """Without a time limit each stage kind keeps its default; with one, every kind
+    takes it, and a limit that is not positive fails when the config is made."""
+    limits = RunConfig(method="full").limits
+    assert {kind: limit.time_limit for kind, limit in limits.items()} == DEFAULT_STAGE_SECONDS
+    limits = RunConfig(method="full", time_limit=5.0).limits
+    assert {kind: limit.time_limit for kind, limit in limits.items()} == dict.fromkeys(
+        DEFAULT_STAGE_SECONDS, 5.0)
+    with pytest.raises(ModelError, match="positive"):
+        RunConfig(method="full", time_limit=0.0)
 
 
 def test_run_d2_matches_full_on_micro1(backend, micro1):
@@ -234,10 +241,12 @@ class _LimitRecordingBackend:
 
 
 def test_metrics_record_the_time_limit_handed_to_the_backend(backend, micro1, tmp_path):
-    seconds = {"full": 41.0, "first": 42.0, "other": 43.0, "per_stop": 44.0}
+    d2_kinds = ("other", "other", "per_stop")  # t2, t1, t3[stop]
     for config, expected in (
-            (RunConfig(method="d2", t2_obj="obj2", stage_seconds=seconds), [43.0, 43.0, 44.0]),
-            (RunConfig(method="vrptw", stage_seconds=seconds), [41.0])):
+            (RunConfig(method="d2", t2_obj="obj2"), [DEFAULT_STAGE_SECONDS[k] for k in d2_kinds]),
+            (RunConfig(method="vrptw"), [DEFAULT_STAGE_SECONDS["full"]]),
+            (RunConfig(method="d2", t2_obj="obj1", time_limit=5.0), [5.0, 5.0, 5.0]),
+            (RunConfig(method="full", time_limit=5.0), [5.0])):
         recorder = _LimitRecordingBackend(backend)
         art = tmp_path / config.label()
         _plan, metrics = run_method(micro1, config, recorder, artifacts_dir=art)
@@ -414,15 +423,17 @@ def test_compare_methods_keeps_each_beta_apart(backend, micro1, tmp_path):
     assert RunConfig(method="full", beta=0.5, mu=2.0).label() == "full-beta0.5-mu2"
 
 
-def test_compare_methods_reports_the_mu_an_instance_sets(backend, micro1):
-    """A mu set in the instance's cost parameters is the row's mu, label and case."""
-    priced = replace(micro1, cost_params=replace(micro1.cost_params, service_cost_mu=0.5))
-    rows = compare_methods([("m1", priced)],
-                           [RunConfig(method="full"), RunConfig(method="d2", t2_obj="obj2")],
-                           backend)
-    full, d2 = rows
-    assert (full.label(), full.mu, full.deviation_pct) == ("full-mu0.5", 0.5, 0.0)
-    assert full.service_cost > 0
+def test_compare_methods_reports_the_mu_a_config_sets(backend, micro1):
+    """A config's mu is its row's mu, label and case; a config without one prices the
+    plain objective."""
+    rows = compare_methods([("m1", micro1)],
+                           [RunConfig(method="full"), RunConfig(method="full", mu=0.5),
+                            RunConfig(method="d2", t2_obj="obj2")], backend)
+    plain, priced, d2 = rows
+    assert (plain.label(), plain.mu, plain.service_cost, plain.deviation_pct) == (
+        "full", 0.0, 0.0, 0.0)
+    assert (priced.label(), priced.mu, priced.deviation_pct) == ("full-mu0.5", 0.5, 0.0)
+    assert priced.service_cost > 0 and priced.total != plain.total
     assert (d2.label(), d2.mu, d2.deviation_pct) == ("d2-obj2", 0.0, 0.0)
 
 
@@ -602,3 +613,39 @@ def test_d3_repair_warnings_reach_metrics(backend, monkeypatch, tmp_path):
     expected = ["customer c1: repaired time 1 is before its window opens"]
     assert metrics.warnings == expected
     assert json.loads((tmp_path / "metrics.json").read_text())["warnings"] == expected
+
+
+def test_every_method_agrees_with_the_oracle_on_two_line_draws(backend):
+    """Two-line draws are where the tiers interact: on one line every drop-in stop
+    comes before every drop-out stop, so truck and freighter choices are independent.
+    On each draw within the oracle's size guard, ``full`` equals ``brute_force_optimum``
+    and ``vrptw`` equals ``brute_force_vrptw``; every ``d1``/``d2``/``d3`` plan is
+    validated by ``run_method`` and costs no less than the optimum, and a run that fails
+    raises a ``PipelineError`` naming a solve stage. Failing runs are allowed: ``d1`` and
+    ``d3`` fail on most of these draws."""
+    configs = [RunConfig(method="full"), RunConfig(method="vrptw")] + [
+        RunConfig(method=method, t2_obj=obj) for method in ("d1", "d2", "d3")
+        for obj in ("obj1", "obj2", "obj3") if (method, obj) != ("d3", "obj3")]
+    checked = 0
+    for instance in generate_micro_instances(40, n_lines=2):
+        try:
+            optimum = brute_force_optimum(instance)
+        except OracleSizeError:  # orphan patching added a customer past the guard
+            continue
+        assert optimum.feasible
+        direct = brute_force_vrptw(instance)
+        checked += 1
+        for config in configs:
+            try:
+                plan, _ = run_method(instance, config, backend)
+            except PipelineError as exc:
+                assert config.method in ("d1", "d2", "d3"), exc
+                assert exc.stage in ("t1", "t2", "t3") or exc.stage.startswith("t3["), exc
+                continue
+            if config.method == "full":
+                assert plan.costs.total == pytest.approx(optimum.cost, abs=1e-4)
+            elif config.method == "vrptw":
+                assert plan.total_cost == pytest.approx(direct.total_cost, abs=1e-4)
+            else:
+                assert plan.costs.total >= optimum.cost - 1e-4, config.label()
+    assert checked >= 35

@@ -151,10 +151,12 @@ def test_cli_gen_solve_validate_roundtrip(tmp_path, capsys):
     metrics_path = tmp_path / "metrics.json"
     rc = cli_main(["solve", "--instance", str(inst_path), "--method", "d2",
                    "--t2-obj", "obj2", "--out", str(plan_path),
-                   "--metrics", str(metrics_path)])
+                   "--metrics", str(metrics_path), "--time-limit", "5"])
     assert rc == 0
     assert parse_plan(plan_path.read_text()) is not None
-    assert json.loads(metrics_path.read_text())["method"] == "d2"
+    metrics = json.loads(metrics_path.read_text())
+    assert metrics["method"] == "d2"
+    assert {stage["time_limit"] for stage in metrics["stages"]} == {5.0}
 
     rc = cli_main(["validate", "--instance", str(inst_path),
                    "--plan", str(plan_path)])
@@ -246,6 +248,16 @@ def test_cli_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli_main(["gen", "--nope", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, form", [
+    ("--box", "100", "WxH"), ("--stops-per-line", "4", "MIN:MAX")])
+def test_cli_malformed_pair_exits_2(tmp_path, capsys, flag, value, form):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["gen", "--customers", "4", "--lines", "1", flag, value,
+                  "--out", str(tmp_path / "i.json")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {form}, got '{value}'" in capsys.readouterr().err
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
