@@ -42,7 +42,6 @@ from .plan import (
     CustomerItinerary,
     FreighterRoute,
     Plan,
-    TierHandoff,
     TruckRoute,
     VrptwPlan,
     parse_plan,

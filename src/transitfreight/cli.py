@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,20 +31,39 @@ from .validate import (
 
 
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="seconds per stage (overrides the per-stage defaults)")
-    parser.add_argument("--gap", type=float, default=1e-6,
-                        help="relative MIP gap tolerance")
+    parser.add_argument("--time-limit", type=_number(lambda x: x > 0, "a positive number"),
+                        default=None, help="seconds per stage (overrides the per-stage defaults)")
+    parser.add_argument("--gap", type=_number(lambda x: x >= 0, "a nonnegative number"),
+                        default=1e-6, help="relative MIP gap tolerance")
 
 
-def _pair(kind: type, sep: str, form: str):
-    """An argparse ``type`` that reads ``form``, two ``kind`` values joined by ``sep``."""
+def _number(holds, form: str):
+    """An argparse ``type`` that reads a float for which ``holds`` is true; NaN, and text
+    that is no number, fail it."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+        return value
+    return parse
+
+
+def _pair(kind: type, sep: str, form: str, ordered: bool = False):
+    """An argparse ``type`` that reads ``form``, two ``kind`` values joined by ``sep``,
+    the first no greater than the second when ``ordered``."""
     def parse(text: str) -> tuple:
         first, _, second = text.lower().partition(sep)
         try:
-            return kind(first), kind(second)
+            pair = kind(first), kind(second)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+        if ordered and pair[0] > pair[1]:
+            raise argparse.ArgumentTypeError(
+                f"expected {form} with the smaller value first, got {text!r}")
+        return pair
     return parse
 
 
@@ -57,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--customers", type=int, required=True)
     p.add_argument("--lines", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stops-per-line", default="4:6", type=_pair(int, ":", "MIN:MAX"),
+    p.add_argument("--stops-per-line", default="4:6", type=_pair(int, ":", "MIN:MAX", True),
                    help="MIN:MAX stops per line")
     p.add_argument("--box", default="100x100", type=_pair(float, "x", "WxH"),
                    help="WxH bounding box")

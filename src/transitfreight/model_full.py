@@ -754,31 +754,30 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
     freighter_routes = decode_freighter_routes(instance, model, result.values, ready)
-    return assemble_plan(
-        instance, choices, {cid: truck for cid, (_, truck, _) in placed.items()},
-        {cid: t for cid, (_, _, t) in placed.items()}, truck_routes, freighter_routes,
-        float(model.metadata["lambda1"]), float(model.metadata["lambda3"]))
+    return assemble_plan(instance, choices, placed, truck_routes, freighter_routes,
+                         float(model.metadata["lambda1"]), float(model.metadata["lambda3"]))
 
 
 def assemble_plan(instance: Instance, choices: dict[str, TransitChoice],
-                  truck_of: dict[str, str], stop_time: dict[str, float],
-                  truck_routes, freighter_routes, service_lambda1: float = 0.0,
-                  service_lambda3: float = 0.0) -> Plan:
+                  placed: dict[str, tuple[str, str, float]], truck_routes, freighter_routes,
+                  service_lambda1: float = 0.0, service_lambda3: float = 0.0) -> Plan:
     """The plan of every pipeline: one itinerary per package from its trip, its truck and
-    minute at the drop-in stop, and the freighter route serving it, priced from its routes."""
+    minute at the drop-in stop (``placed``, as ``decode_trucks`` gives it), and the
+    freighter route serving it, priced from its routes."""
     serving: dict[str, tuple[str, float]] = {}
     for route in freighter_routes:
         for cid, t in zip(route.customers, route.times):
             serving[cid] = (route.freighter, t)
     itineraries = []
     for cust in instance.customers:
-        if cust.id not in truck_of or cust.id not in serving:
+        if cust.id not in placed or cust.id not in serving:
             raise DecodeError(f"customer {cust.id}: incomplete assignment in solution")
         ch = choices[cust.id]
+        _, truck, t_truck = placed[cust.id]
         freighter_id, t_delivery = serving[cust.id]
         itineraries.append(CustomerItinerary(
-            customer=cust.id, truck=truck_of[cust.id],
-            drop_in_stop=ch.drop_in, drop_in_time=stop_time[cust.id],
+            customer=cust.id, truck=truck,
+            drop_in_stop=ch.drop_in, drop_in_time=t_truck,
             trip=ch.trip, drop_out_stop=ch.drop_out, drop_out_time=ch.drop_time,
             freighter=freighter_id, delivery_time=t_delivery))
     truck_routes, freighter_routes = tuple(truck_routes), tuple(freighter_routes)

@@ -19,15 +19,8 @@ from .compat import Compatibility, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits
 from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
-                         decode_freighter_routes, decode_full)
-from .plan import (
-    FreighterRoute,
-    Plan,
-    TierHandoff,
-    VrptwPlan,
-    serialize_handoff,
-    serialize_plan,
-)
+                         decode_freighter_routes, decode_full, decode_transit)
+from .plan import FreighterRoute, Plan, VrptwPlan, serialize_handoff, serialize_plan
 from .tiers import (
     T2Objective,
     build_d1_t1,
@@ -39,7 +32,6 @@ from .tiers import (
     build_t3_stopwise,
     decode_d3_t3,
     decode_t1,
-    decode_t2,
     decode_t3_stopwise,
     first_trip_times,
     latest_departures,
@@ -340,7 +332,7 @@ def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
     return decode_vrptw(instance, model, result)
 
 
-def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
+def _solve_t3_stopwise(instance, config, backend, metrics,
                        choices: dict[str, TransitChoice]) -> list[FreighterRoute]:
     """One freighter model per drop-out stop, for the packages dropped there."""
     customers_by_stop: dict[str, list[str]] = {}
@@ -350,7 +342,7 @@ def _solve_t3_stopwise(instance, config, backend, metrics, handoff,
     for stop_id in sorted(customers_by_stop):
         model, result = _stage(f"t3[{stop_id}]", config.limits["per_stop"], backend, metrics,
                                build_t3_stopwise, instance, stop_id,
-                               customers_by_stop[stop_id], handoff)
+                               customers_by_stop[stop_id], choices)
         routes.extend(decode_t3_stopwise(instance, model, result))
     return routes
 
@@ -359,16 +351,15 @@ def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
     compat = derive_compatibility(instance)
     t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
                                  build_d2_t2, instance, compat, config.objective)
-    choices, handoff = decode_t2(instance, t2_model, t2_result)
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, handoff)
+    choices = decode_transit(instance, t2_model, t2_result)
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
-                                 build_t1_from_handoff, instance, handoff)
-    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
+                                 build_t1_from_handoff, instance, choices)
+    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
 
-    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, handoff, choices)
-    return assemble_plan(instance, choices, truck_of, arrivals.t_truck,
-                         truck_routes, freighter_routes)
+    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, choices)
+    return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
 def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
@@ -376,20 +367,18 @@ def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
     tau = preprocess_midday(instance, compat)
     t1_model, t1_result = _stage("t1", config.limits["first"], backend, metrics,
                                  build_d1_t1, instance, compat, tau)
-    truck_routes, handoff, truck_of = decode_t1(instance, t1_model, t1_result)
-    handoff.tau = tau
-    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, handoff)
+    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
+    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, {
+        "placed": placed, "tau": [{"customer": c, "stop": s, "half": h}
+                                  for (c, s), h in tau.items()]})
 
     t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
-                                 build_d1_t2, instance, compat, handoff, config.objective)
-    choices, full_handoff = decode_t2(instance, t2_model, t2_result)
-    full_handoff.tau = tau
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, full_handoff)
+                                 build_d1_t2, instance, compat, placed, config.objective)
+    choices = decode_transit(instance, t2_model, t2_result)
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
-    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics,
-                                          full_handoff, choices)
-    return assemble_plan(instance, choices, truck_of, handoff.t_truck,
-                         truck_routes, freighter_routes)
+    freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, choices)
+    return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
 def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
@@ -400,22 +389,22 @@ def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
     b_out, raw_routes = decode_d3_t3(instance, t3_model, t3_result)
     t_visit, warnings = repair_d3_times(raw_routes, instance)
     metrics.warnings.extend(warnings)
-    handoff = TierHandoff(b_out=b_out, t_first=t_first,
-                          t_depart_max=latest_departures(raw_routes, instance, t_visit))
-    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, handoff)
+    t_depart_max = latest_departures(raw_routes, instance, t_visit)
+    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff,
+          {"b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max})
 
     t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
-                                 build_d3_t2, instance, compat, handoff, config.objective)
-    choices, t1_handoff = decode_t2(instance, t2_model, t2_result)
-    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, t1_handoff)
+                                 build_d3_t2, instance, compat, b_out, t_depart_max,
+                                 config.objective)
+    choices = decode_transit(instance, t2_model, t2_result)
+    _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
-                                 build_t1_from_handoff, instance, t1_handoff)
-    truck_routes, arrivals, truck_of = decode_t1(instance, t1_model, t1_result)
+                                 build_t1_from_handoff, instance, choices)
+    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
 
     freighter_routes = _retime_d3_routes(instance, t3_model, t3_result, choices)
-    return assemble_plan(instance, choices, truck_of, arrivals.t_truck,
-                         truck_routes, freighter_routes)
+    return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
 def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterRoute]:

@@ -15,12 +15,12 @@ inspection, and nothing reads them back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instance import from_doc, require_kind, to_doc
 
 PLAN_SCHEMA = "3tdppt-plan/1"
-HANDOFF_SCHEMA = "3tdppt-handoff/1"
+HANDOFF_SCHEMA = "3tdppt-handoff/2"
 
 
 class PlanError(ValueError):
@@ -118,39 +118,6 @@ def parse_plan(text: str) -> Plan | VrptwPlan:
                     optional=("service_cost", "service_lambda1", "service_lambda3"))
 
 
-@dataclass
-class TierHandoff:
-    """Inter-tier parameter bundle passed between decomposition stages.
-
-    Every field has one meaning in every pipeline; a stage fills only the
-    fields it has decided.
-    """
-
-    b_in: dict[str, str] = field(default_factory=dict)    # customer -> drop-in stop
-    t_in: dict[str, float] = field(default_factory=dict)  # customer -> scheduled pickup at b_in
-    t_truck: dict[str, float] = field(default_factory=dict)  # customer -> minute its truck is at b_in
-    b_out: dict[str, str] = field(default_factory=dict)   # customer -> drop-out stop
-    t_out: dict[str, float] = field(default_factory=dict)  # customer -> scheduled drop at b_out
-    # customer -> latest minute its freighter may leave b_out (freighter-first
-    # pipeline; shared by every customer of one freighter route)
-    t_depart_max: dict[str, float] = field(default_factory=dict)
-    tau: dict[tuple[str, str], int] = field(default_factory=dict)  # (customer, drop-in) -> half of day
-    t_first: dict[str, float] = field(default_factory=dict)        # drop-out stop -> first trip arrival
-
-
-def serialize_handoff(handoff: TierHandoff) -> str:
-    doc = {
-        "schema": HANDOFF_SCHEMA,
-        "b_in": dict(sorted(handoff.b_in.items())),
-        "t_in": dict(sorted(handoff.t_in.items())),
-        "t_truck": dict(sorted(handoff.t_truck.items())),
-        "b_out": dict(sorted(handoff.b_out.items())),
-        "t_out": dict(sorted(handoff.t_out.items())),
-        "t_depart_max": dict(sorted(handoff.t_depart_max.items())),
-        "tau": [
-            {"customer": c, "stop": s, "half": h}
-            for (c, s), h in sorted(handoff.tau.items())
-        ],
-        "t_first": dict(sorted(handoff.t_first.items())),
-    }
-    return json.dumps(doc, indent=2) + "\n"
+def serialize_handoff(doc: dict) -> str:
+    """The decisions one stage hands on, named by ``doc``'s keys."""
+    return json.dumps({"schema": HANDOFF_SCHEMA, **to_doc(doc)}, indent=2) + "\n"

@@ -15,7 +15,7 @@ Pipelines differ in which tier commits first:
 The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period. The
 used-stop count switches a stop's flag on by a big-M row whose M is the
-number of packages that have a variable at that stop.
+number of pickup or drop variables at that stop.
 
 Every stage is built from the fragments ``model_full`` shares with the
 monolithic model: ``add_transit_flow`` for transit, ``add_truck_rows`` and
@@ -29,7 +29,7 @@ fixed drops or the stop's first trip (``decode_freighter_routes``), so
 only ``full`` gives a route a departure variable. The three transit stages
 differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
 can feed and drops a freighter can still serve in time; d1-t2 pins the
-pickup to ``b_in`` within the dwell cap after the truck's arrival, and
+pickup to the truck's stop within the dwell cap after its arrival, and
 d3-t2 pins the drop to ``b_out`` within the dwell cap before the
 freighter's latest departure. ``model_full.decode_transit`` reads all three.
 
@@ -37,20 +37,24 @@ There is one truck stage (``_build_truck_stage``); d1-t1 and t1-handoff
 differ only in the windows they pass: per package, the drop-in stops it
 may use and a window ``(lo, hi)`` at each. d1-t1 passes every stop whose
 window under the deadline cut and the half-day split is not empty;
-t1-handoff passes the fixed stop ``b_in``, within the dwell cap before the
-pickup ``t_in``. The stage chooses, under covering rows, among the routes
-``enumerate_truck_routes`` lists per truck class. Both route tiers are
-listed by the one label-setting DP, ``model_full.enumerate_routes``: a
-freighter visit serves one customer, a truck visit the packages at one
-stop whose windows there meet. The number of routes grows combinatorially
-with the packages one truck can carry, so past ``ROUTE_LABEL_LIMIT`` labels
-the stage is built from the per-truck rows ``full`` also uses instead, with
-``full``'s M: the horizon plus twice the longest CDC-to-stop ride
-(``model_full.truck_time_big_m``).
+t1-handoff passes the drop-in stop of each package's transit choice, within
+the dwell cap before its pickup. The stage chooses, under covering rows,
+among the routes ``enumerate_truck_routes`` lists per truck class. Both
+route tiers are listed by the one label-setting DP,
+``model_full.enumerate_routes``: a freighter visit serves one customer, a
+truck visit the packages at one stop whose windows there meet. The number
+of routes grows combinatorially with the packages one truck can carry, so
+past ``ROUTE_LABEL_LIMIT`` labels the stage is built from the per-truck rows
+``full`` also uses instead, with ``full``'s M: the horizon plus twice the
+longest CDC-to-stop ride (``model_full.truck_time_big_m``).
 ``decode_t1`` reads either form through ``full``'s truck decoder
 (``model_full.decode_trucks``), which times every route forward from the
-CDC, and hands on each package's stop as ``b_in`` and its truck's minute
-there as ``t_truck``.
+CDC, and hands on, per package, its stop, its truck and the truck's minute
+there.
+
+Each stage reads what the decoder before it returns: the transit choices
+(``model_full.TransitChoice``) of ``decode_transit``, the truck placements of
+``decode_t1``, or the drop-out stops and latest departures of d3-t3.
 """
 
 from __future__ import annotations
@@ -73,13 +77,12 @@ from .model_full import (
     arc_costs,
     chosen,
     decode_freighter_routes,
-    decode_transit,
     decode_trucks,
     enumerate_routes,
     route_costs,
     vehicle_classes,
 )
-from .plan import FreighterRoute, TierHandoff, TruckRoute
+from .plan import FreighterRoute, TruckRoute
 
 OBJ1, OBJ2, OBJ3 = "obj1", "obj2", "obj3"
 DEADLINE_SLACK_FACTOR = 1.3  # stretches the direct-access time estimate into a journey estimate
@@ -100,8 +103,8 @@ class T2Objective:
 def _attach_used_stop_flags(mb: ModelBuilder, pickup_side: bool, drop_side: bool) -> list:
     """Binary flags that switch on when any package touches a stop.
 
-    A package is picked up and dropped once, so no more packages touch a stop
-    than have a variable there; that count is the flag's coefficient.
+    The pickup (or drop) columns at a stop are binaries, so they sum to at most
+    their number, which is the flag's coefficient.
     """
     terms = []
     for used, family, flags, row in ((pickup_side, "y1", "phi1", "used_in"),
@@ -109,13 +112,11 @@ def _attach_used_stop_flags(mb: ModelBuilder, pickup_side: bool, drop_side: bool
         if not used:
             continue
         by_stop: dict[str, list] = {}
-        packages: dict[str, set] = {}
         for (i, s, p), var in mb.family_items(family):
             by_stop.setdefault(s, []).append(var)
-            packages.setdefault(s, set()).add(i)
         for s in sorted(by_stop):
             flag = mb.binary(flags, s)
-            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -float(len(packages[s])))],
+            mb.add([(v, 1.0) for v in by_stop[s]] + [(flag, -float(len(by_stop[s])))],
                    "<=", 0.0, f"{row}[{s}]")
             terms.append((flag, 1.0))
     return terms
@@ -206,11 +207,12 @@ def _freighter_can_meet(instance: Instance):
     return out_ok
 
 
-def _at_fixed_stop(stop_of: dict[str, str], window):
-    """Stop predicate: the package's fixed stop, on a trip calling there within ``window(cust)``."""
+def _at_fixed_stop(window):
+    """Stop predicate: ``window(cust)`` is the package's fixed stop and ``(lo, hi)``; the
+    trip calls there within them."""
     def ok(cust, stop, trip) -> bool:
-        lo, hi = window(cust)
-        return stop.id == stop_of[cust.id] and lo - 1e-9 <= trip.stop_times[stop.id] <= hi + 1e-9
+        fixed, lo, hi = window(cust)
+        return stop.id == fixed and lo - 1e-9 <= trip.stop_times[stop.id] <= hi + 1e-9
     return ok
 
 
@@ -226,22 +228,6 @@ def build_d2_t2(instance: Instance, compat: Compatibility,
                      in_ok=_truck_can_feed(instance), out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=True)
     return mb.build(objective_tag=objective.tag)
-
-
-def decode_t2(instance: Instance, model: MilpModel, result: SolveResult
-              ) -> tuple[dict[str, TransitChoice], TierHandoff]:
-    """A transit stage's choice per package, and the handoff the later stages read."""
-    choices = decode_transit(instance, model, result)
-    return choices, handoff_from_transit(choices)
-
-
-def handoff_from_transit(choices: dict[str, TransitChoice]) -> TierHandoff:
-    return TierHandoff(
-        b_in={c: ch.drop_in for c, ch in choices.items()},
-        t_in={c: ch.pickup_time for c, ch in choices.items()},
-        b_out={c: ch.drop_out for c, ch in choices.items()},
-        t_out={c: ch.drop_time for c, ch in choices.items()},
-    )
 
 
 # ---- the truck stage ------------------------------------------------------
@@ -383,12 +369,13 @@ def _truck_rows(instance: Instance, windows: dict, tag: str) -> MilpModel:
     return mb.build(windows=windows)
 
 
-def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel:
-    """Route trucks so every package reaches its fixed stop ``b_in`` by its pickup
-    ``t_in``, and not more than the dwell cap earlier (``_build_truck_stage``)."""
+def build_t1_from_handoff(instance: Instance, choices: dict[str, TransitChoice]) -> MilpModel:
+    """Route trucks so every package reaches the drop-in stop of its transit choice by
+    its pickup, and not more than the dwell cap earlier (``_build_truck_stage``)."""
     windows: dict[str, dict[str, tuple[float, float]]] = {}
     for cust in instance.customers:
-        stop, t_in = instance.stop(handoff.b_in[cust.id]), handoff.t_in[cust.id]
+        ch = choices[cust.id]
+        stop, t_in = instance.stop(ch.drop_in), ch.pickup_time
         earliest = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
         if t_in < earliest - 1e-9:
             raise ModelBuildError(
@@ -398,13 +385,13 @@ def build_t1_from_handoff(instance: Instance, handoff: TierHandoff) -> MilpModel
     return _build_truck_stage(instance, windows, "t1-handoff")
 
 
-def decode_t1(instance: Instance, model: MilpModel,
-              result: SolveResult) -> tuple[list[TruckRoute], TierHandoff, dict[str, str]]:
-    """Returns (routes, handoff with b_in/t_truck, customer->truck) of either truck stage.
+def decode_t1(instance: Instance, model: MilpModel, result: SolveResult
+              ) -> tuple[list[TruckRoute], dict[str, tuple[str, str, float]]]:
+    """Returns (routes, placed) of either truck stage: ``placed`` is, per customer,
+    (stop, truck, minute there).
 
     ``model_full.decode_trucks`` reads either form and times every route
-    forward from the windows' ``lo``; each package is handed on at its stop
-    and its truck's minute there.
+    forward from the windows' ``lo``.
     """
     lo = {(cid, sid): window[0] for cid, at in model.metadata["windows"].items()
           for sid, window in at.items()}
@@ -412,21 +399,19 @@ def decode_t1(instance: Instance, model: MilpModel,
     for cust in instance.customers:
         if cust.id not in placed:
             raise DecodeError(f"customer {cust.id}: no chosen truck route covers it")
-    handoff = TierHandoff(b_in={c.id: placed[c.id][0] for c in instance.customers},
-                          t_truck={c.id: placed[c.id][2] for c in instance.customers})
-    return routes, handoff, {c.id: placed[c.id][1] for c in instance.customers}
+    return routes, placed
 
 
-# ---- per-stop freighter model fed by a handoff --------------------------
+# ---- per-stop freighter model fed by transit choices ----------------------
 
 
 def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[str],
-                      handoff: TierHandoff) -> MilpModel:
-    """Route one stop's freighters for its already-fixed drop-off times."""
+                      choices: dict[str, TransitChoice]) -> MilpModel:
+    """Route one stop's freighters for the drop times its packages' transit choices fix."""
     stop = instance.stop(stop_id)
     for cid in customers_of_stop:
         cust = instance.customer(cid)
-        t_out = handoff.t_out[cid]
+        t_out = choices[cid].drop_time
         eta = (t_out + stop.service_time
                + instance.travel_minutes(stop.location, cust.location)
                + cust.service_time)
@@ -439,7 +424,7 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
 
     def departure_bounds(cid: str, _sid: str) -> tuple[float, float]:
         # leave only after the package is on hand, within the dwell cap
-        t_out = handoff.t_out[cid]
+        t_out = choices[cid].drop_time
         return t_out + stop.service_time, t_out + stop.max_dwell
 
     # only this stop's freighters take part
@@ -454,7 +439,7 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
 
     mb.set_objective(route_costs(mb, instance))
     # a package is loaded one service time after its fixed drop
-    ready = {cid: handoff.t_out[cid] + stop.service_time for cid in customers_of_stop}
+    ready = {cid: choices[cid].drop_time + stop.service_time for cid in customers_of_stop}
     return mb.build(stop=stop_id, ready=ready)
 
 
@@ -516,26 +501,26 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
     return _build_truck_stage(instance, windows, "d1-t1")
 
 
-def build_d1_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
-                objective: T2Objective) -> MilpModel:
+def build_d1_t2(instance: Instance, compat: Compatibility,
+                placed: dict[str, tuple[str, str, float]], objective: T2Objective) -> MilpModel:
     """Pick a trip through each package's fixed drop-in stop, and a drop-out.
 
-    The pickup is at ``b_in``, on a trip that calls there after the truck's
-    arrival ``t_truck`` and within the dwell cap of it.
+    ``placed`` is ``decode_t1``'s (stop, truck, minute) per package. The pickup
+    is at that stop, on a trip that calls there after the truck's minute and
+    within the dwell cap of it.
     """
     mb = ModelBuilder("d1-t2")
 
-    def pickup_window(cust) -> tuple[float, float]:
-        t_truck = handoff.t_truck[cust.id]
-        return t_truck, t_truck + instance.stop(handoff.b_in[cust.id]).max_dwell
+    def pickup_window(cust) -> tuple[str, float, float]:
+        stop, _, t_truck = placed[cust.id]
+        return stop, t_truck, t_truck + instance.stop(stop).max_dwell
 
     def unserved(cust) -> str:
-        lo, hi = pickup_window(cust)
+        stop, lo, hi = pickup_window(cust)
         return (f"stranded package: customer {cust.id} has no trip through stop "
-                f"{handoff.b_in[cust.id]} within [{lo:g}, {hi:g}] that can still meet its window")
+                f"{stop} within [{lo:g}, {hi:g}] that can still meet its window")
 
-    add_transit_flow(mb, instance, compat, unserved,
-                     in_ok=_at_fixed_stop(handoff.b_in, pickup_window),
+    add_transit_flow(mb, instance, compat, unserved, in_ok=_at_fixed_stop(pickup_window),
                      out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, pickup_side=False, drop_side=True)
     return mb.build(objective_tag=objective.tag)
@@ -651,8 +636,8 @@ def latest_departures(routes: list[FreighterRoute], instance: Instance,
     return t_depart_max
 
 
-def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
-                objective: T2Objective) -> MilpModel:
+def build_d3_t2(instance: Instance, compat: Compatibility, b_out: dict[str, str],
+                t_depart_max: dict[str, float], objective: T2Objective) -> MilpModel:
     """Pick trips and pickup stops that feed the fixed freighter departures.
 
     A package may ride only a trip that drops it at ``b_out`` in time to be
@@ -666,17 +651,17 @@ def build_d3_t2(instance: Instance, compat: Compatibility, handoff: TierHandoff,
         raise ModelError("the freighter-count objective is moot once freighters are fixed")
     mb = ModelBuilder("d3-t2")
 
-    def drop_window(cust) -> tuple[float, float]:
-        stop = instance.stop(handoff.b_out[cust.id])
-        latest = handoff.t_depart_max[cust.id]
-        return latest - stop.max_dwell, latest - stop.service_time
+    def drop_window(cust) -> tuple[str, float, float]:
+        stop = instance.stop(b_out[cust.id])
+        latest = t_depart_max[cust.id]
+        return stop.id, latest - stop.max_dwell, latest - stop.service_time
 
     def unserved(cust) -> str:
-        lo, hi = drop_window(cust)
-        return (f"customer {cust.id}: no trip reaches stop {handoff.b_out[cust.id]} within "
+        stop, lo, hi = drop_window(cust)
+        return (f"customer {cust.id}: no trip reaches stop {stop} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
 
     add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(instance),
-                     out_ok=_at_fixed_stop(handoff.b_out, drop_window))
+                     out_ok=_at_fixed_stop(drop_window))
     _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=False)
     return mb.build(objective_tag=objective.tag)

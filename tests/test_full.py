@@ -33,7 +33,6 @@ from transitfreight.tiers import (
     _stop_visits,
     build_d2_t2,
     build_t1_from_handoff,
-    handoff_from_transit,
 )
 from transitfreight.validate import validate_plan
 from transitfreight.vrptw import build_vrptw, decode_vrptw
@@ -375,7 +374,6 @@ def test_lp_relaxation_sends_a_loaded_truck_out_of_the_cdc(backend, monkeypatch,
 
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
     t2 = build_d2_t2(instance, compat, T2Objective("obj2"))
-    handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
-    rows = build_t1_from_handoff(instance, handoff)
+    rows = build_t1_from_handoff(instance, decode_transit(instance, t2, solve(t2, backend)))
     assert rows.family("w")
     assert _lp_trucks_leaving_the_cdc(rows) >= 1 - 1e-9

@@ -113,11 +113,13 @@ def test_d1_truck_handoff_carries_truck_times(backend, tmp_path):
                                 artifacts_dir=tmp_path)
     handoff = json.loads((tmp_path / "handoff-t1.json").read_text())
     assert handoff["schema"] == HANDOFF_SCHEMA
-    assert handoff["t_in"] == {}  # no trip is chosen before the transit stage
-    # the minutes read back are the plan's, to the last bit
+    assert set(handoff) == {"schema", "placed", "tau"}  # no trip is chosen before transit
+    # the stops, trucks and minutes read back are the plan's, the minutes to the last bit
     at_stop = {(r.truck, s): t for r in plan.truck_routes for s, t in zip(r.stops, r.times)}
-    assert handoff["t_truck"] == {it.customer: at_stop[(it.truck, it.drop_in_stop)]
-                                  for it in plan.itineraries}
+    assert handoff["placed"] == {
+        it.customer: [it.drop_in_stop, it.truck, at_stop[(it.truck, it.drop_in_stop)]]
+        for it in plan.itineraries}
+    assert {half["customer"] for half in handoff["tau"]} == {c.id for c in late.customers}
 
 
 def test_determinism(backend, micro1):
@@ -135,7 +137,7 @@ def test_artifacts_written(backend, micro1, tmp_path):
     assert (art / "plan.json").exists()
     assert (art / "metrics.json").exists()
     handoff = json.loads((art / "handoff-t2.json").read_text())
-    assert handoff["b_in"] == {"c1": "A"}
+    assert {c: ch["drop_in"] for c, ch in handoff["choices"].items()} == {"c1": "A"}
     reloaded = parse_plan((art / "plan.json").read_text())
     assert reloaded == plan
     metrics_doc = json.loads((art / "metrics.json").read_text())
@@ -473,13 +475,17 @@ def test_stitching_matches_stage_handoff(backend, micro1, tmp_path):
     plan, _metrics = run_method(
         micro1, RunConfig(method="d2", t2_obj="obj2"), backend, artifacts_dir=art)
     handoff = json.loads((art / "handoff-t2.json").read_text())
+    assert handoff["schema"] == HANDOFF_SCHEMA
     (it,) = plan.itineraries
-    assert it.drop_in_stop == handoff["b_in"]["c1"]
-    assert it.drop_out_stop == handoff["b_out"]["c1"]
-    assert it.drop_out_time == pytest.approx(handoff["t_out"]["c1"])
-    # handoff conservation: each populated map covers every customer once
-    for key in ("b_in", "t_in", "b_out", "t_out"):
-        assert set(handoff[key]) == {c.id for c in micro1.customers}
+    choice = handoff["choices"]["c1"]
+    assert it.trip == choice["trip"]
+    assert it.drop_in_stop == choice["drop_in"]
+    assert it.drop_out_stop == choice["drop_out"]
+    assert it.drop_out_time == pytest.approx(choice["drop_time"])
+    # handoff conservation: every customer has one whole transit choice
+    assert set(handoff["choices"]) == {c.id for c in micro1.customers}
+    for choice in handoff["choices"].values():
+        assert set(choice) == {"trip", "drop_in", "pickup_time", "drop_out", "drop_time"}
 
 
 def service_time_fixture() -> Instance:
@@ -517,9 +523,10 @@ def test_d3_stitches_with_customer_service_times(backend, tmp_path):
     assert {it.trip for it in plan.itineraries} == {"p2"}
     handoff = json.loads((tmp_path / "handoff-t3.json").read_text())
     assert handoff["schema"] == HANDOFF_SCHEMA
-    assert set(handoff["t_depart_max"]) == {"c1", "c2"}
+    assert set(handoff["b_out"]) == set(handoff["t_depart_max"]) == {"c1", "c2"}
     assert len(set(handoff["t_depart_max"].values())) == 1  # one route, one departure
-    assert handoff["t_out"] == {}  # no drop is scheduled before the transit stage
+    # no drop is scheduled before the transit stage
+    assert set(handoff) == {"schema", "b_out", "t_first", "t_depart_max"}
 
 
 @pytest.mark.parametrize("seed", [1, 14, 20])

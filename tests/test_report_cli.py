@@ -251,13 +251,34 @@ def test_cli_unknown_flag_exits_2():
 
 
 @pytest.mark.parametrize("flag, value, form", [
-    ("--box", "100", "WxH"), ("--stops-per-line", "4", "MIN:MAX")])
+    ("--box", "100", "WxH"), ("--stops-per-line", "4", "MIN:MAX"),
+    ("--stops-per-line", "5:4", "MIN:MAX with the smaller value first")])
 def test_cli_malformed_pair_exits_2(tmp_path, capsys, flag, value, form):
     with pytest.raises(SystemExit) as exc:
         cli_main(["gen", "--customers", "4", "--lines", "1", flag, value,
                   "--out", str(tmp_path / "i.json")])
     assert exc.value.code == 2
     assert f"argument {flag}: expected {form}, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, form", [
+    (["solve", "--instance", "i.json", "--method", "full", "--time-limit", "0"],
+     "--time-limit", "a positive number"),
+    (["solve", "--instance", "i.json", "--method", "full", "--gap", "-1"],
+     "--gap", "a nonnegative number"),
+    (["compare", "--instances", ".", "--methods", "full", "--time-limit", "nan"],
+     "--time-limit", "a positive number"),
+    (["compare", "--instances", ".", "--methods", "full", "--gap", "x"],
+     "--gap", "a nonnegative number"),
+])
+def test_cli_out_of_range_limit_exits_2(tmp_path, capsys, argv, flag, form):
+    """A stage limit or gap the run cannot use is a usage error too: argparse names the
+    flag and exits 2 before any file is read or written."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {form}, got '{argv[-1]}'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):

@@ -18,9 +18,10 @@ from transitfreight.instance import (
     travel_time,
 )
 from transitfreight.milp import ModelError, SolveResult
-from transitfreight.model_full import DecodeError, build_full, decode_full, decode_transit
+from transitfreight.model_full import (DecodeError, TransitChoice, build_full, decode_full,
+                                       decode_transit)
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
-from transitfreight.plan import FreighterRoute, TierHandoff
+from transitfreight.plan import FreighterRoute
 from transitfreight import tiers
 from transitfreight.tiers import (
     ModelBuildError,
@@ -37,7 +38,6 @@ from transitfreight.tiers import (
     decode_t3_stopwise,
     enumerate_truck_routes,
     first_trip_times,
-    handoff_from_transit,
     latest_departures,
     preprocess_midday,
     repair_d3_times,
@@ -48,6 +48,18 @@ from transitfreight.vrptw import build_vrptw
 from conftest import generate_micro_instances, make_micro1
 
 SQRT8 = math.sqrt(8.0)
+
+
+def pickups(at: dict[str, tuple[str, float]]) -> dict[str, TransitChoice]:
+    """Transit choices fixing what the truck stage reads, each package's drop-in stop and
+    pickup minute (``at``); the trip and the drop are placeholders it never reads."""
+    return {c: TransitChoice("", stop, t, "", math.nan) for c, (stop, t) in at.items()}
+
+
+def drops(at: dict[str, tuple[str, float]]) -> dict[str, TransitChoice]:
+    """Transit choices fixing what a freighter stage reads, each package's drop-out stop
+    and drop minute (``at``); the trip and the pickup are placeholders it never reads."""
+    return {c: TransitChoice("", "", math.nan, stop, t) for c, (stop, t) in at.items()}
 
 
 # ---- transit-first: transit model ---------------------------------------
@@ -92,23 +104,21 @@ def test_t2_deadline_cut_infeasible(backend):
 
 
 def test_t1_from_handoff_micro1(backend, micro1):
-    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 150.0})
-    model = build_t1_from_handoff(micro1, handoff)
+    model = build_t1_from_handoff(micro1, pickups({"c1": ("A", 150.0)}))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, decoded, truck_of = decode_t1(micro1, model, result)
-    time_at = decoded.t_truck
-    assert truck_of["c1"] == "d1"
+    routes, placed = decode_t1(micro1, model, result)
+    stop, truck, t_truck = placed["c1"]
+    assert (stop, truck) == ("A", "d1")
     assert routes[0].stops == ("A",)
-    assert time_at["c1"] <= 150.0 + 1e-6
+    assert t_truck <= 150.0 + 1e-6
 
 
 def test_t1_handoff_too_early_raises(micro1):
     # pickup scheduled before the truck can possibly arrive (12 minutes)
-    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 1.0})
     with pytest.raises(ModelBuildError, match="c1"):
-        build_t1_from_handoff(micro1, handoff)
+        build_t1_from_handoff(micro1, pickups({"c1": ("A", 1.0)}))
 
 
 def test_t1_handoff_recovers_the_truck_cost_of_a_full_optimum(backend, micro1):
@@ -120,11 +130,10 @@ def test_t1_handoff_recovers_the_truck_cost_of_a_full_optimum(backend, micro1):
         assert result.status == "optimal"
         plan = decode_full(instance, model, result)
         assert validate_plan(instance, plan) == []
-        handoff = TierHandoff(
-            b_in={it.customer: it.drop_in_stop for it in plan.itineraries},
-            t_in={it.customer: instance.trip(it.trip).stop_times[it.drop_in_stop]
-                  for it in plan.itineraries})
-        t1 = solve(build_t1_from_handoff(instance, handoff), backend)
+        choices = pickups({
+            it.customer: (it.drop_in_stop, instance.trip(it.trip).stop_times[it.drop_in_stop])
+            for it in plan.itineraries})
+        t1 = solve(build_t1_from_handoff(instance, choices), backend)
         assert t1.status == "optimal"
         assert t1.objective == pytest.approx(plan.costs.t1_cost, rel=1e-6)
 
@@ -144,9 +153,8 @@ def test_t1_two_stops_one_truck_if_capacity(backend):
                    Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    handoff = TierHandoff(b_in={"u": "A1", "v": "A2"},
-                          t_in={"u": 150.0, "v": 150.0})
-    result = solve(build_t1_from_handoff(instance, handoff), backend)
+    choices = pickups({"u": ("A1", 150.0), "v": ("A2", 150.0)})
+    result = solve(build_t1_from_handoff(instance, choices), backend)
     assert result.status == "optimal"
     # one truck sweeping both stops beats two separate round trips
     two_round_trips = 2 * euclidean_distance(Point(0, 0), Point(10, 3)) * 2
@@ -157,8 +165,7 @@ def test_t1_two_stops_one_truck_if_capacity(backend):
 
 
 def test_t3_stopwise_micro1(backend, micro1):
-    handoff = TierHandoff(b_out={"c1": "B"}, t_out={"c1": 158.0})
-    model = build_t3_stopwise(micro1, "B", ["c1"], handoff)
+    model = build_t3_stopwise(micro1, "B", ["c1"], drops({"c1": ("B", 158.0)}))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
@@ -182,9 +189,8 @@ def test_t3_stopwise_pairs_when_capacity_allows(backend):
                    Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    handoff = TierHandoff(b_out={"u": "B", "v": "B"},
-                          t_out={"u": 158.0, "v": 158.0})
-    model = build_t3_stopwise(instance, "B", ["u", "v"], handoff)
+    choices = drops({"u": ("B", 158.0), "v": ("B", 158.0)})
+    model = build_t3_stopwise(instance, "B", ["u", "v"], choices)
     result = solve(model, backend)
     assert result.status == "optimal"
     routes = decode_t3_stopwise(instance, model, result)
@@ -193,9 +199,8 @@ def test_t3_stopwise_pairs_when_capacity_allows(backend):
 
 
 def test_t3_stopwise_unreachable_window(micro1):
-    handoff = TierHandoff(b_out={"c1": "B"}, t_out={"c1": 850.0})
     with pytest.raises(ModelBuildError, match="stop B: customer c1"):
-        build_t3_stopwise(micro1, "B", ["c1"], handoff)
+        build_t3_stopwise(micro1, "B", ["c1"], drops({"c1": ("B", 850.0)}))
 
 
 def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
@@ -219,8 +224,8 @@ def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
                    Customer("v", Point(far + 50, 0), 10.0, 60.0, 191.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    handoff = TierHandoff(b_out={"u": "B", "v": "B"}, t_out={"u": 158.0, "v": 158.0})
-    model = build_t3_stopwise(instance, "B", ["u", "v"], handoff)
+    choices = drops({"u": ("B", 158.0), "v": ("B", 158.0)})
+    model = build_t3_stopwise(instance, "B", ["u", "v"], choices)
     orders = [order for _g, *order in model.family("q")]
     assert ["v", "u"] in orders
     assert not any({"u", "v"} <= set(o) and o.index("u") < o.index("v") for o in orders)
@@ -276,12 +281,13 @@ def test_d1_t1_micro1_cut_and_half(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
-    routes, handoff, truck_of = decode_t1(micro1, model, result)
-    assert handoff.b_in["c1"] == "A"
+    routes, placed = decode_t1(micro1, model, result)
+    stop, _truck, t_truck = placed["c1"]
+    assert stop == "A"
     journey = 1.3 * travel_time(
         euclidean_distance(Point(10, 0), Point(52, 2)), micro1.cost_params)
-    assert handoff.t_truck["c1"] <= 500.0 - journey + 1e-6  # deadline cut
-    assert handoff.t_truck["c1"] >= 400.0 - 1e-6            # second-half pinning
+    assert t_truck <= 500.0 - journey + 1e-6  # deadline cut
+    assert t_truck >= 400.0 - 1e-6            # second-half pinning
 
 
 def test_d1_t1_first_half_pinning(backend):
@@ -293,8 +299,8 @@ def test_d1_t1_first_half_pinning(backend):
     model = build_d1_t1(instance, compat, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
-    _routes, handoff, _ = decode_t1(instance, model, result)
-    assert handoff.t_truck["c1"] <= 400.0 + 1e-6
+    _routes, placed = decode_t1(instance, model, result)
+    assert placed["c1"][2] <= 400.0 + 1e-6
 
 
 def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
@@ -325,16 +331,15 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
     for built in (model, rows):
         result = solve(built, backend)
         assert result.status == "optimal"
-        _routes, handoff, _ = decode_t1(instance, built, result)
-        assert handoff.b_in == {"u": "A1"}
+        _routes, placed = decode_t1(instance, built, result)
+        assert {c: stop for c, (stop, _, _) in placed.items()} == {"u": "A1"}
     with pytest.raises(ModelBuildError, match="every drop-in stop misses the deadline cut"):
         build_d1_t1(instance, compat, {("u", "A1"): 2, ("u", "A2"): 2})
 
 
 def test_d1_t2_dwell_arithmetic(backend, micro1):
     compat = derive_compatibility(micro1)
-    handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
-    model = build_d1_t2(micro1, compat, handoff, T2Objective("obj2"))
+    model = build_d1_t2(micro1, compat, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -349,9 +354,8 @@ def test_d1_t2_stranded_when_dwell_small():
     short_dwell = replace(micro, stops=(
         replace(micro.stops[0], max_dwell=100.0), micro.stops[1]))
     compat = derive_compatibility(short_dwell)
-    handoff = TierHandoff(b_in={"c1": "A"}, t_truck={"c1": 12.0})
     with pytest.raises(ModelBuildError, match="stranded package"):
-        build_d1_t2(short_dwell, compat, handoff, T2Objective("obj2"))
+        build_d1_t2(short_dwell, compat, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
 
 
 # ---- freighter-first pipeline stages --------------------------------------
@@ -435,14 +439,14 @@ def test_repair_single_customer_route(micro1):
 
 def test_d3_t2_needs_a_late_trip(backend, micro1):
     compat = derive_compatibility(micro1)
-    handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 800.0})
+    b_out, t_depart_max = {"c1": "B"}, {"c1": 800.0}
     # trips at 158 and 188 both fall before the 500..790 drop window
     with pytest.raises(ModelBuildError, match="c1"):
-        build_d3_t2(micro1, compat, handoff, T2Objective("obj2"))
+        build_d3_t2(micro1, compat, b_out, t_depart_max, T2Objective("obj2"))
 
     late = make_micro1(extra_trip_time=550.0)
     compat_late = derive_compatibility(late)
-    model = build_d3_t2(late, compat_late, handoff, T2Objective("obj2"))
+    model = build_d3_t2(late, compat_late, b_out, t_depart_max, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(late, model, result)
@@ -453,8 +457,7 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
 
 def test_d3_t2_dwell_window_intersection(backend, micro1):
     compat = derive_compatibility(micro1)
-    handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 480.0})
-    model = build_d3_t2(micro1, compat, handoff, T2Objective("obj2"))
+    model = build_d3_t2(micro1, compat, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -464,21 +467,25 @@ def test_d3_t2_dwell_window_intersection(backend, micro1):
 
 def test_d3_rejects_freighter_count_objective(micro1):
     compat = derive_compatibility(micro1)
-    handoff = TierHandoff(b_out={"c1": "B"}, t_depart_max={"c1": 480.0})
     with pytest.raises(ModelError):
-        build_d3_t2(micro1, compat, handoff, T2Objective("obj3"))
+        build_d3_t2(micro1, compat, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj3"))
 
 
 def test_handoff_from_transit_roundtrip(backend, micro1):
+    """The decoded transit choices are the hand-off the truck and freighter stages read."""
     compat = derive_compatibility(micro1)
     model = build_d2_t2(micro1, compat, T2Objective("obj2"))
-    result = solve(model, backend)
-    choices = decode_transit(micro1, model, result)
-    handoff = handoff_from_transit(choices)
-    assert handoff.b_in == {"c1": "A"}
-    assert handoff.b_out == {"c1": "B"}
-    assert handoff.t_in["c1"] in (150.0, 180.0)
-    assert handoff.t_out["c1"] == handoff.t_in["c1"] + 8.0
+    choices = decode_transit(micro1, model, solve(model, backend))
+    ch = choices["c1"]
+    assert (ch.drop_in, ch.drop_out) == ("A", "B")
+    assert ch.pickup_time in (150.0, 180.0)
+    assert ch.drop_time == ch.pickup_time + 8.0
+    t1 = solve(build_t1_from_handoff(micro1, choices), backend)
+    assert t1.status == "optimal"
+    assert t1.objective == pytest.approx(20.0)
+    t3 = solve(build_t3_stopwise(micro1, "B", ["c1"], choices), backend)
+    assert t3.status == "optimal"
+    assert t3.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
 
 
 def test_stopwise_models_sum_to_merged_optimum(backend):
@@ -502,20 +509,17 @@ def test_stopwise_models_sum_to_merged_optimum(backend):
         ),
     )
     instance.validate()
-    handoff = TierHandoff(
-        b_out={"u": "B1", "v": "B1", "w": "B2"},
-        t_out={"u": 154.0, "v": 154.0, "w": 158.0})
+    dropped = {"u": ("B1", 154.0), "v": ("B1", 154.0), "w": ("B2", 158.0)}
 
     total = 0.0
     for stop_id, members in (("B1", ["u", "v"]), ("B2", ["w"])):
-        model = build_t3_stopwise(instance, stop_id, members, handoff)
+        model = build_t3_stopwise(instance, stop_id, members, drops(dropped))
         result = solve(model, backend)
         assert result.status == "optimal"
         total += result.objective
 
     demands = {c.id: c.demand for c in instance.customers}
-    drops = {c: (handoff.b_out[c], handoff.t_out[c]) for c in handoff.b_out}
-    merged = _best_freighter_layer(instance, demands, drops, {})
+    merged = _best_freighter_layer(instance, demands, dropped, {})
     assert merged is not None
     assert total == pytest.approx(merged[0], abs=1e-4)
 
@@ -572,16 +576,16 @@ def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
                            customers=("c1",), times=(500.0,))
     late_only = ride_fixture((495.0,))
     t_visit, _ = repair_d3_times([route], late_only)
-    handoff = TierHandoff(b_out={"c1": "B"},
-                          t_depart_max=latest_departures([route], late_only, t_visit))
-    assert handoff.t_depart_max["c1"] == pytest.approx(490.0)
+    t_depart_max = latest_departures([route], late_only, t_visit)
+    assert t_depart_max["c1"] == pytest.approx(490.0)
     # 495 precedes the 500 closing, but loading (10) and the ride (10) miss it
     with pytest.raises(ModelBuildError, match=r"within \[190, 480\]"):
-        build_d3_t2(late_only, derive_compatibility(late_only), handoff,
+        build_d3_t2(late_only, derive_compatibility(late_only), {"c1": "B"}, t_depart_max,
                     T2Objective("obj2"))
 
     both = ride_fixture((470.0, 495.0))
-    model = build_d3_t2(both, derive_compatibility(both), handoff, T2Objective("obj2"))
+    model = build_d3_t2(both, derive_compatibility(both), {"c1": "B"}, t_depart_max,
+                        T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert decode_transit(both, model, result)["c1"].trip == "p1"
@@ -608,10 +612,8 @@ def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
         ),
     )
     instance.validate()
-    handoff = TierHandoff(b_out={"u": "B", "v": "B"},
-                          t_depart_max={"u": 600.0, "v": 600.0})
-    model = build_d3_t2(instance, derive_compatibility(instance), handoff,
-                        T2Objective("obj1"))
+    model = build_d3_t2(instance, derive_compatibility(instance), {"u": "B", "v": "B"},
+                        {"u": 600.0, "v": 600.0}, T2Objective("obj1"))
     assert {pid for (_c, _s, pid) in model.family("y2")} == {"p2", "p3"}
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -657,9 +659,8 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
                     for c, ch in choices.items())
     assert result.objective == pytest.approx(10.0 + drop_side, abs=1e-6)
 
-    handoff = handoff_from_transit(choices)
-    t1 = build_t1_from_handoff(instance, handoff)
-    routes, _, _ = decode_t1(instance, t1, solve(t1, backend))
+    t1 = build_t1_from_handoff(instance, choices)
+    routes, _placed = decode_t1(instance, t1, solve(t1, backend))
     assert sum(len(r.stops) for r in routes) == 1
 
 
@@ -700,13 +701,12 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
         model = build_d2_t2(instance, compat, T2Objective("obj2"))
         split_cost = 2 * 10.0 + 2 * SQRT8  # two truck visits at A, two drop distances
     elif stage == "d1-t2":
-        handoff = TierHandoff(b_in={"u": "A", "v": "A"}, t_truck={"u": 140.0, "v": 140.0})
-        model = build_d1_t2(instance, compat, handoff, T2Objective("obj3"))
+        placed = {"u": ("A", "d1", 140.0), "v": ("A", "d1", 140.0)}
+        model = build_d1_t2(instance, compat, placed, T2Objective("obj3"))
         split_cost = 2.0  # one freighter in each drop period
     else:
-        handoff = TierHandoff(b_out={"u": "B", "v": "B"},
-                              t_depart_max={"u": 300.0, "v": 300.0})
-        model = build_d3_t2(instance, compat, handoff, T2Objective("obj2"))
+        model = build_d3_t2(instance, compat, {"u": "B", "v": "B"}, {"u": 300.0, "v": 300.0},
+                            T2Objective("obj2"))
         split_cost = 2 * 10.0
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -799,15 +799,15 @@ def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
 # ---- route columns ---------------------------------------------------------
 
 
-def _stopwise_total(instance, handoff, backend) -> float | None:
-    """Summed t3-stopwise optima over the handoff's drop-out stops; None if one has no plan."""
+def _stopwise_total(instance, choices, backend) -> float | None:
+    """Summed t3-stopwise optima over the choices' drop-out stops; None if one has no plan."""
     by_stop: dict[str, list[str]] = {}
-    for cid, sid in handoff.b_out.items():
-        by_stop.setdefault(sid, []).append(cid)
+    for cid, ch in choices.items():
+        by_stop.setdefault(ch.drop_out, []).append(cid)
     total = 0.0
     for sid, members in sorted(by_stop.items()):
         try:
-            result = solve(build_t3_stopwise(instance, sid, members, handoff), backend)
+            result = solve(build_t3_stopwise(instance, sid, members, choices), backend)
         except ModelBuildError:
             return None
         if result.status == "infeasible":
@@ -817,12 +817,12 @@ def _stopwise_total(instance, handoff, backend) -> float | None:
     return total
 
 
-def _narrowed_windows(instance, handoff, width: float):
+def _narrowed_windows(instance, choices, width: float):
     """Windows ``width`` minutes long that open 0-59 minutes after the earliest direct delivery."""
     customers = []
     for k, cust in enumerate(instance.customers):
-        stop = instance.stop(handoff.b_out[cust.id])
-        earliest = (handoff.t_out[cust.id] + stop.service_time
+        stop = instance.stop(choices[cust.id].drop_out)
+        earliest = (choices[cust.id].drop_time + stop.service_time
                     + instance.travel_minutes(stop.location, cust.location) + cust.service_time)
         lo = earliest + (23 * k) % 60
         customers.append(dataclasses.replace(cust, window_lo=lo, window_hi=lo + width))
@@ -830,8 +830,9 @@ def _narrowed_windows(instance, handoff, width: float):
 
 
 def test_route_columns_match_the_oracle_on_micro_instances(backend):
-    """Per-stop column optima sum to the brute-force freighter layer on every d2 handoff
-    of the micro instances, as drawn and with narrow windows that make the order matter."""
+    """Per-stop column optima sum to the brute-force freighter layer on the transit choices
+    of every d2-t2 solve of the micro instances, as drawn and with narrow windows that make
+    the order matter."""
     from transitfreight.bruteforce import _best_freighter_layer
 
     checked = 0
@@ -842,11 +843,11 @@ def test_route_columns_match_the_oracle_on_micro_instances(backend):
             t2 = build_d2_t2(instance, compat, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
-            handoff = handoff_from_transit(decode_transit(instance, t2, result))
-            drops = {c: (handoff.b_out[c], handoff.t_out[c]) for c in handoff.b_out}
-            for variant in (instance, _narrowed_windows(instance, handoff, 25.0)):
-                total = _stopwise_total(variant, handoff, backend)
-                merged = _best_freighter_layer(variant, demands, drops, {})
+            choices = decode_transit(instance, t2, result)
+            dropped = {c: (ch.drop_out, ch.drop_time) for c, ch in choices.items()}
+            for variant in (instance, _narrowed_windows(instance, choices, 25.0)):
+                total = _stopwise_total(variant, choices, backend)
+                merged = _best_freighter_layer(variant, demands, dropped, {})
                 if merged is None:
                     assert total is None
                 else:
@@ -918,10 +919,10 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
 # ---- truck route columns ---------------------------------------------------
 
 
-def _t1_optimum(instance, handoff, backend) -> float | None:
+def _t1_optimum(instance, choices, backend) -> float | None:
     """The t1-handoff optimum; None when no covering of the routes exists."""
     try:
-        result = solve(build_t1_from_handoff(instance, handoff), backend)
+        result = solve(build_t1_from_handoff(instance, choices), backend)
     except ModelBuildError:
         return None
     if result.status == "infeasible":
@@ -930,16 +931,18 @@ def _t1_optimum(instance, handoff, backend) -> float | None:
     return result.objective
 
 
-def _disjoint_pickups(instance, handoff) -> TierHandoff:
-    """The handoff with each later package at a stop picked up one dwell cap (plus a minute)
+def _disjoint_pickups(instance, choices) -> dict[str, TransitChoice]:
+    """The choices with each later package at a stop picked up one dwell cap (plus a minute)
     after the one before it, so no two packages at one stop share a truck visit."""
-    t_in, seen = dict(handoff.t_in), {}
+    moved, seen = dict(choices), {}
     for cust in instance.customers:
-        sid = handoff.b_in[cust.id]
+        sid = choices[cust.id].drop_in
         if sid in seen:
-            t_in[cust.id] = t_in[seen[sid]] + instance.stop(sid).max_dwell + 1.0
+            moved[cust.id] = dataclasses.replace(
+                choices[cust.id],
+                pickup_time=moved[seen[sid]].pickup_time + instance.stop(sid).max_dwell + 1.0)
         seen[sid] = cust.id
-    return TierHandoff(b_in=handoff.b_in, t_in=t_in)
+    return moved
 
 
 def _tight_trucks(instance):
@@ -955,21 +958,21 @@ def _short_dwell(instance):
         dataclasses.replace(stop, max_dwell=5.0) for stop in instance.stops))
 
 
-def _spread_pickups(instance, handoff) -> TierHandoff:
-    """The handoff with the packages dealt round the drop-in stops and picked up at one
-    minute: under a short dwell cap, one truck bound for a second stop comes too late."""
+def _spread_pickups(instance, choices) -> dict[str, TransitChoice]:
+    """The packages dealt round the drop-in stops and picked up at one minute: under a
+    short dwell cap, one truck bound for a second stop comes too late."""
     stops = instance.drop_in_stops()
-    latest = max(handoff.t_in.values())
-    b_in = {c.id: stops[k % len(stops)].id for k, c in enumerate(instance.customers)}
-    return TierHandoff(b_in=b_in, t_in={c: latest for c in b_in})
+    latest = max(ch.pickup_time for ch in choices.values())
+    return pickups({c.id: (stops[k % len(stops)].id, latest)
+                    for k, c in enumerate(instance.customers)})
 
 
 @pytest.mark.parametrize("label_limit,family,count", [(tiers.ROUTE_LABEL_LIMIT, "x1", 20),
                                                       (0, "w", 8)])
 def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
                                                            label_limit, family, count):
-    """The t1-handoff optimum equals the brute-force truck layer on every d2 handoff of
-    the micro instances: as drawn, with the packages of one stop in disjoint pickup
+    """The t1-handoff optimum equals the brute-force truck layer on the transit choices of
+    every d2-t2 solve of the micro instances: as drawn, with the packages of one stop in disjoint pickup
     windows, with trucks too small to carry every package, and with the packages
     spread over the drop-in stops at one minute under a 5-minute dwell cap. With no
     label budget the stage is built from rows, and must agree all the same (on fewer
@@ -977,8 +980,7 @@ def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
     from transitfreight.bruteforce import _best_truck_layer
 
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
-    assert build_t1_from_handoff(make_micro1(), TierHandoff(
-        b_in={"c1": "A"}, t_in={"c1": 150.0})).family(family)
+    assert build_t1_from_handoff(make_micro1(), pickups({"c1": ("A", 150.0)})).family(family)
     checked = infeasible = 0
     for instance in generate_micro_instances(count):
         compat = derive_compatibility(instance)
@@ -987,12 +989,12 @@ def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
             t2 = build_d2_t2(instance, compat, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
-            handoff = handoff_from_transit(decode_transit(instance, t2, result))
-            for variant, fixed in ((instance, handoff),
-                                   (instance, _disjoint_pickups(instance, handoff)),
-                                   (_tight_trucks(instance), handoff),
-                                   (_short_dwell(instance), _spread_pickups(instance, handoff))):
-                pickup = {c: (fixed.b_in[c], fixed.t_in[c]) for c in fixed.b_in}
+            choices = decode_transit(instance, t2, result)
+            for variant, fixed in ((instance, choices),
+                                   (instance, _disjoint_pickups(instance, choices)),
+                                   (_tight_trucks(instance), choices),
+                                   (_short_dwell(instance), _spread_pickups(instance, choices))):
+                pickup = {c: (ch.drop_in, ch.pickup_time) for c, ch in fixed.items()}
                 oracle = _best_truck_layer(variant, demands, pickup, {})
                 optimum = _t1_optimum(variant, fixed, backend)
                 if oracle is None:
@@ -1011,10 +1013,10 @@ def _moved(stops, placed):
 
 
 def test_oracle_layer_memos_are_safe_to_share(backend):
-    """One memo shared by the d2 handoffs of an instance gives what a fresh memo gives.
-    Each handoff also comes with its packages at the next stop at unchanged minutes and
-    with disjoint pickup windows, so a key that forgets the stop, the drop minutes or the
-    truck windows hands back another handoff's result."""
+    """One memo shared by the d2-t2 transit choices of an instance gives what a fresh memo
+    gives. Each set of choices also comes with its packages at the next stop at unchanged
+    minutes and with disjoint pickup windows, so a key that forgets the stop, the drop
+    minutes or the truck windows hands back another set's result."""
     from transitfreight.bruteforce import _best_freighter_layer, _best_truck_layer
 
     checked = 0
@@ -1024,16 +1026,16 @@ def test_oracle_layer_memos_are_safe_to_share(backend):
         truck_memo, freighter_memo = {}, {}
         for tag in ("obj1", "obj2", "obj3"):
             t2 = build_d2_t2(instance, compat, T2Objective(tag))
-            handoff = handoff_from_transit(decode_transit(instance, t2, solve(t2, backend)))
-            disjoint = _disjoint_pickups(instance, handoff)
-            pickup = {c: (handoff.b_in[c], handoff.t_in[c]) for c in handoff.b_in}
-            drops = {c: (handoff.b_out[c], handoff.t_out[c]) for c in handoff.b_out}
+            choices = decode_transit(instance, t2, solve(t2, backend))
+            disjoint = _disjoint_pickups(instance, choices)
+            pickup = {c: (ch.drop_in, ch.pickup_time) for c, ch in choices.items()}
+            dropped = {c: (ch.drop_out, ch.drop_time) for c, ch in choices.items()}
             for fixed in (pickup, _moved(instance.drop_in_stops(), pickup),
-                          {c: (disjoint.b_in[c], disjoint.t_in[c]) for c in disjoint.b_in}):
+                          {c: (ch.drop_in, ch.pickup_time) for c, ch in disjoint.items()}):
                 shared = _best_truck_layer(instance, demands, fixed, truck_memo)
                 assert shared == _best_truck_layer(instance, demands, fixed, {})
                 checked += shared is not None
-            for fixed in (drops, _moved(instance.drop_out_stops(), drops)):
+            for fixed in (dropped, _moved(instance.drop_out_stops(), dropped)):
                 shared = _best_freighter_layer(instance, demands, fixed, freighter_memo)
                 assert shared == _best_freighter_layer(instance, demands, fixed, {})
                 checked += shared is not None
@@ -1072,18 +1074,20 @@ def _cover_u_twice(model):
 
 def test_decoder_serves_a_customer_covered_twice_once(backend):
     instance = two_stop_two_truck_fixture()
-    handoff = TierHandoff(b_in={"u": "A1", "v": "A2"}, t_in={"u": 150.0, "v": 150.0})
-    model = build_t1_from_handoff(instance, handoff)
-    routes, arrivals, truck_of = decode_t1(instance, model, _cover_u_twice(model))
+    choices = pickups({"u": ("A1", 150.0), "v": ("A2", 150.0)})
+    model = build_t1_from_handoff(instance, choices)
+    routes, placed = decode_t1(instance, model, _cover_u_twice(model))
     # u rides the first chosen column (its own), so the second route skips A1
-    assert truck_of == {"u": "d1", "v": "d2"}
+    assert {c: truck for c, (_, truck, _) in placed.items()} == {"u": "d1", "v": "d2"}
     for cid in ("u", "v"):
-        assert sum(handoff.b_in[cid] in route.stops for route in routes) == 1
+        assert sum(choices[cid].drop_in in route.stops for route in routes) == 1
     assert sorted(route.stops for route in routes) == [("A1",), ("A2",)]
     reach = {sid: instance.travel_minutes(instance.cdc, instance.stop(sid).location) + 10.0
              for sid in ("A1", "A2")}
-    assert arrivals.t_truck == {"u": pytest.approx(reach["A1"]), "v": pytest.approx(reach["A2"])}
-    assert arrivals.b_in == handoff.b_in  # read from the column index alone
+    assert {c: t for c, (_, _, t) in placed.items()} == {
+        "u": pytest.approx(reach["A1"]), "v": pytest.approx(reach["A2"])}
+    # read from the column index alone
+    assert {c: stop for c, (stop, _, _) in placed.items()} == {"u": "A1", "v": "A2"}
 
     class CoverTwice(type(backend)):
         def solve(self, model, limits):
@@ -1101,20 +1105,18 @@ def test_row_decoder_keeps_a_visit_the_solver_chose(monkeypatch):
     full does, and times the route through it."""
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
     instance = two_stop_two_truck_fixture()
-    handoff = TierHandoff(b_in={"u": "A1", "v": "A2"}, t_in={"u": 150.0, "v": 150.0})
-    model = build_t1_from_handoff(instance, handoff)
+    model = build_t1_from_handoff(instance, pickups({"u": ("A1", 150.0), "v": ("A2", 150.0)}))
     values = [0.0] * len(model.variables)
     for family, *idx in (("w", "o", "A2", "d1"), ("w", "A2", "A1", "d1"), ("w", "A1", "o~", "d1"),
                          ("r", "u", "A1", "d1"),
                          ("w", "o", "A2", "d2"), ("w", "A2", "o~", "d2"), ("r", "v", "A2", "d2")):
         values[model.family(family)[tuple(idx)]] = 1.0
-    routes, arrivals, truck_of = decode_t1(instance, model,
-                                           SolveResult("optimal", values, 0.0, None, 0.0))
+    routes, placed = decode_t1(instance, model, SolveResult("optimal", values, 0.0, None, 0.0))
     assert [(route.truck, route.stops) for route in routes] == [("d1", ("A2", "A1")),
                                                                 ("d2", ("A2",))]
-    assert truck_of == {"u": "d1", "v": "d2"}
+    assert {c: truck for c, (_, truck, _) in placed.items()} == {"u": "d1", "v": "d2"}
     hop = instance.travel_minutes(instance.stop("A2").location, instance.stop("A1").location)
-    assert arrivals.t_truck["u"] == routes[0].times[1] == pytest.approx(
+    assert placed["u"][2] == routes[0].times[1] == pytest.approx(
         routes[0].times[0] + hop + 10.0)
 
 
@@ -1133,9 +1135,8 @@ def test_one_truck_cannot_serve_disjoint_pickup_windows_at_one_stop(backend):
 
 def test_t1_handoff_names_a_customer_no_truck_can_carry(micro1):
     heavy = dataclasses.replace(micro1, trucks=(Truck("d1", 5.0),))
-    handoff = TierHandoff(b_in={"c1": "A"}, t_in={"c1": 150.0})
     with pytest.raises(ModelBuildError, match="customer c1: no truck can bring it to stop A"):
-        build_t1_from_handoff(heavy, handoff)
+        build_t1_from_handoff(heavy, pickups({"c1": ("A", 150.0)}))
 
 
 @pytest.mark.parametrize("method,seed,tag", [("d2", 205, "obj3"), ("d2", 217, "obj1"),
@@ -1158,11 +1159,10 @@ def test_truck_stage_builds_rows_when_the_routes_outgrow_the_label_limit():
     instance = generate_instance(GenParams(n_customers=40, n_lines=2, seed=1))
     stop = instance.drop_in_stops()[0]
     t_in = instance.travel_minutes(instance.cdc, stop.location) + stop.service_time
-    handoff = TierHandoff(b_in={c.id: stop.id for c in instance.customers},
-                          t_in={c.id: t_in for c in instance.customers})
+    choices = pickups({c.id: (stop.id, t_in) for c in instance.customers})
     windows = {c.id: {stop.id: (t_in - stop.max_dwell, t_in)} for c in instance.customers}
     assert enumerate_truck_routes(instance, windows, instance.trucks[0].capacity) is None
-    model = build_t1_from_handoff(instance, handoff)
+    model = build_t1_from_handoff(instance, choices)
     assert model.metadata["formulation"] == "t1-handoff"
     assert model.family("w") and not model.family("x1")
 
@@ -1173,11 +1173,11 @@ def _d1_t1_optimum(instance, compat, tau, backend) -> float:
     model = build_d1_t1(instance, compat, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
-    _routes, handoff, _ = decode_t1(instance, model, result)
+    _routes, placed = decode_t1(instance, model, result)
     windows = model.metadata["windows"]
-    for cid, sid in handoff.b_in.items():
+    for cid, (sid, _truck, t_truck) in placed.items():
         lo, hi = windows[cid][sid]
-        assert lo - 1e-6 <= handoff.t_truck[cid] <= hi + 1e-6
+        assert lo - 1e-6 <= t_truck <= hi + 1e-6
     return result.objective
 
 
