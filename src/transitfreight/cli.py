@@ -28,6 +28,7 @@ from .validate import (
     validate_plan,
     validate_vrptw_plan,
 )
+from .vrptw import build_vrptw
 
 
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
@@ -37,12 +38,12 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
                         default=1e-6, help="relative MIP gap tolerance")
 
 
-def _number(holds, form: str):
-    """An argparse ``type`` that reads a float for which ``holds`` is true; NaN, and text
-    that is no number, fail it."""
+def _number(holds, form: str, kind: type = float):
+    """An argparse ``type`` that reads a ``kind`` for which ``holds`` is true; NaN, and
+    text that is no ``kind``, fail it."""
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not holds(value):
@@ -51,9 +52,23 @@ def _number(holds, form: str):
     return parse
 
 
-def _pair(kind: type, sep: str, form: str, ordered: bool = False):
+_COUNT = _number(lambda x: x > 0, "a positive whole number", int)
+_SCALE = _number(lambda x: 0 <= x < math.inf, "a finite nonnegative number")
+
+
+def _comma_list(item, form: str):
+    """An argparse ``type`` that reads ``form``, a comma list of what ``item`` reads."""
+    def parse(text: str) -> list:
+        try:
+            return [item(part) for part in text.split(",")]
+        except argparse.ArgumentTypeError:
+            raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+    return parse
+
+
+def _pair(kind: type, sep: str, form: str, ordered: bool = False, least=-math.inf):
     """An argparse ``type`` that reads ``form``, two ``kind`` values joined by ``sep``,
-    the first no greater than the second when ``ordered``."""
+    neither below ``least``, the first no greater than the second when ``ordered``."""
     def parse(text: str) -> tuple:
         first, _, second = text.lower().partition(sep)
         try:
@@ -63,6 +78,9 @@ def _pair(kind: type, sep: str, form: str, ordered: bool = False):
         if ordered and pair[0] > pair[1]:
             raise argparse.ArgumentTypeError(
                 f"expected {form} with the smaller value first, got {text!r}")
+        if min(pair) < least:
+            raise argparse.ArgumentTypeError(
+                f"expected {form} with values of at least {least}, got {text!r}")
         return pair
     return parse
 
@@ -74,14 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic instance")
-    p.add_argument("--customers", type=int, required=True)
-    p.add_argument("--lines", type=int, required=True)
+    p.add_argument("--customers", type=_COUNT, required=True)
+    p.add_argument("--lines", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stops-per-line", default="4:6", type=_pair(int, ":", "MIN:MAX", True),
+    p.add_argument("--stops-per-line", default="4:6",
+                   type=_pair(int, ":", "MIN:MAX", ordered=True, least=2),
                    help="MIN:MAX stops per line")
     p.add_argument("--box", default="100x100", type=_pair(float, "x", "WxH"),
                    help="WxH bounding box")
-    p.add_argument("--trips-per-line", type=int, default=None)
+    p.add_argument("--trips-per-line", type=_COUNT, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="solve one instance with one method")
@@ -89,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True,
                    choices=["full", "d1", "d2", "d3", "vrptw"])
     p.add_argument("--t2-obj", default=None, choices=["obj1", "obj2", "obj3"])
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mu", type=float, default=0.0)
+    p.add_argument("--beta", type=_SCALE, default=None)
+    p.add_argument("--mu", type=_SCALE, default=0.0)
     p.add_argument("--out", required=True, help="plan document path")
     p.add_argument("--metrics", default=None, help="metrics JSON path")
     p.add_argument("--artifacts", default=None, help="per-stage artifact directory")
@@ -106,8 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", required=True,
                    help="comma list, e.g. full,d1,d2,d3,vrptw")
     p.add_argument("--t2-obj", default="obj2", choices=["obj1", "obj2", "obj3"])
-    p.add_argument("--betas", default=None, help="comma list of freighter cost scales")
-    p.add_argument("--mus", default=None, help="comma list of service-cost scales (full only)")
+    scales = _comma_list(_SCALE, "a comma list of finite nonnegative numbers")
+    p.add_argument("--betas", type=scales, default=[None],
+                   help="comma list of freighter cost scales")
+    p.add_argument("--mus", type=scales, default=[0.0],
+                   help="comma list of service-cost scales (full only)")
     p.add_argument("--out", required=True, help="rows CSV path")
     p.add_argument("--report-dir", default=None, help="also emit aggregate/series files here")
     p.add_argument("--artifacts", default=None, help="per-run artifact root")
@@ -186,15 +208,13 @@ def _cmd_compare(args) -> int:
         for path in instance_files
     ]
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    betas = [float(b) for b in args.betas.split(",")] if args.betas else [None]
-    mus = [float(m) for m in args.mus.split(",")] if args.mus else [0.0]
     configs = []
     for method in methods:
         t2 = args.t2_obj if method in ("d1", "d2", "d3") else None
         if method == "d3" and t2 == "obj3":
             t2 = "obj2"
-        for beta in betas:
-            for mu in mus:
+        for beta in args.betas:
+            for mu in args.mus:
                 if mu and method != "full":
                     continue
                 configs.append(RunConfig(
@@ -215,7 +235,6 @@ def _cmd_export_lp(args) -> int:
     if args.method == "full":
         model = build_full(instance, derive_compatibility(instance), FullOptions())
     else:
-        from .vrptw import build_vrptw
         model = build_vrptw(instance)
     write_model(model, args.out)
     print(f"wrote {args.out}: {len(model.variables)} variables, "

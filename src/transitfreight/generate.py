@@ -67,6 +67,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.n_customers <= 0 or self.n_lines <= 0:
             raise GenerationError("counts must be positive")
+        if self.trips_per_line is not None and self.trips_per_line < 1:
+            raise GenerationError("trips_per_line must be positive")
         if self.stops_per_line[0] < 2 or self.stops_per_line[0] > self.stops_per_line[1]:
             raise GenerationError("stops_per_line range invalid")
         if self.demand_range[0] <= 0 or self.demand_range[0] > self.demand_range[1]:
@@ -313,6 +315,5 @@ def generate_instance(params: GenParams) -> Instance:
             freighters.append(Freighter(
                 id=f"k_{s.id}_{j}", home_stop=s.id, capacity=FREIGHTER_CAPACITY))
     instance = replace(draft, trucks=trucks, freighters=tuple(freighters))
-    instance.validate()
-    derive_compatibility(instance)  # raises when a customer is unreachable
+    instance.validate()  # size_fleets derived compatibility, so every customer is reachable
     return instance

@@ -114,7 +114,8 @@ def transit_pairs(instance: Instance, compat: Compatibility, customer_id: str,
 
     Optional predicates narrow the raw line-order domains; the two sides are
     then cross-pruned so every pickup stop still precedes some usable drop
-    stop and vice versa.
+    stop and vice versa: one pass keeps the pickups before the last drop, then
+    the drops after the first kept pickup, which the last drop still follows.
     """
     cust = instance.customer(customer_id)
     trip = instance.trip(trip_id)
@@ -128,12 +129,10 @@ def transit_pairs(instance: Instance, compat: Compatibility, customer_id: str,
     outs = [sid for sid in order
             if sid in cust.dropout_candidates
             and (out_ok is None or out_ok(cust, instance.stop(sid), trip))]
-    while True:
-        ins2 = [s for s in ins if any(pos_of[v] > pos_of[s] for v in outs)]
-        outs2 = [v for v in outs if any(pos_of[s] < pos_of[v] for s in ins2)]
-        if ins2 == ins and outs2 == outs:
-            return ins, outs
-        ins, outs = ins2, outs2
+    last = pos_of[outs[-1]] if outs else -1
+    ins = [s for s in ins if pos_of[s] < last]
+    first = pos_of[ins[0]] if ins else len(order)
+    return ins, [v for v in outs if pos_of[v] > first]
 
 
 def arc_costs(mb: ModelBuilder, instance: Instance, family: str,
@@ -840,23 +839,24 @@ def decode_trucks(instance: Instance, model: MilpModel, values: list[float],
 def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
                             ready: dict[str, float]) -> list[FreighterRoute]:
     """The chosen route columns per freighter class, handed to the class's freighters in
-    order (``hand_out``).
-
-    A route leaves once all its packages are loaded (package ``c`` at minute
-    ``ready[c]``) and serves its customers in index order, each no earlier
-    than its window opens (``forward_times``).
-    """
+    order (``hand_out``) and timed by ``loaded_route``."""
     driven: dict[str, list[tuple]] = {}
     for g, *order in chosen(model, values, "q"):
         driven.setdefault(g, []).append(tuple(order))
     classes = [cls for stop in instance.stops
                for cls in vehicle_classes(instance.freighters_of_stop(stop.id))]
-    routes = []
-    for k, order in hand_out(classes, driven, "vehicles"):
-        departure = max(ready[cid] for cid in order)
-        customers = [instance.customer(cid) for cid in order]
-        routes.append(FreighterRoute(
-            freighter=k.id, home_stop=k.home_stop, departure=departure, customers=order,
-            times=forward_times(instance, instance.stop(k.home_stop).location, departure,
-                                [(c, c.window_lo) for c in customers])))
-    return routes
+    return [loaded_route(instance, k.id, k.home_stop, order, ready)
+            for k, order in hand_out(classes, driven, "vehicles")]
+
+
+def loaded_route(instance: Instance, freighter: str, home_stop: str, order: tuple,
+                 ready: dict[str, float]) -> FreighterRoute:
+    """Freighter ``freighter``'s route from ``home_stop`` serving ``order``: it leaves once
+    all its packages are loaded (package ``c`` at minute ``ready[c]``) and serves its
+    customers in order, each no earlier than its window opens (``forward_times``)."""
+    departure = max(ready[cid] for cid in order)
+    customers = [instance.customer(cid) for cid in order]
+    return FreighterRoute(
+        freighter=freighter, home_stop=home_stop, departure=departure, customers=order,
+        times=forward_times(instance, instance.stop(home_stop).location, departure,
+                            [(c, c.window_lo) for c in customers]))

@@ -1,9 +1,10 @@
 """End-to-end runs: the monolithic model, the three decomposition pipelines,
 and the direct-truck baseline, stitched into validated plans with metrics.
 
-Stages inside one run are sequential (each feeds the next through a handoff);
-distinct runs are independent. Failures carry the failing stage and cause and
-never poison a comparison sweep.
+Each stage is one ``_stage`` call that builds, solves and decodes its model;
+runners hand on the decoded decisions, never a model. Stages inside one run are
+sequential; distinct runs are independent. Every failure is a ``PipelineError``
+naming its stage and never poisons a comparison sweep.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backends import Backend, ScipyHighsBackend
-from .compat import Compatibility, derive_compatibility
+from .compat import Compatibility, UnreachableCustomerError, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits
 from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
-                         decode_freighter_routes, decode_full, decode_transit)
+                         decode_full, decode_transit, loaded_route)
 from .plan import FreighterRoute, Plan, VrptwPlan, serialize_handoff, serialize_plan
 from .tiers import (
     T2Objective,
@@ -40,6 +41,7 @@ from .tiers import (
 )
 from .report import ReportRow, fill_deviations, run_label
 from .validate import price_routes, validate_plan, validate_vrptw_plan
+from .vrptw import build_vrptw, decode_vrptw
 
 METHODS = ("full", "d1", "d2", "d3", "vrptw")
 
@@ -94,12 +96,11 @@ class RunConfig:
             if self.method == "d3" and self.t2_obj == "obj3":
                 raise ModelError(
                     "freighter-count objective is unavailable when freighters are fixed first")
-        if not math.isfinite(self.mu):
-            raise ModelError(f"mu must be finite, not {self.mu!r}")
+        for name, value in (("beta", self.beta), ("mu", self.mu)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ModelError(f"{name} must be finite and nonnegative, not {value!r}")
         if self.mu and self.method != "full":
             raise ModelError("service costs apply to the monolithic model only")
-        if self.mu < 0:
-            raise ModelError("mu must be nonnegative")
         if self.method in ("d1", "d2", "d3"):
             object.__setattr__(self, "objective", T2Objective(self.t2_obj))
         object.__setattr__(self, "limits", {
@@ -168,19 +169,19 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
     """
     costs = _reference_cache.get(instance)
     if costs is None:
-        model, result = _stage("reference", config.limits["full"], backend, metrics,
-                               build_full, instance, compat, FullOptions())
-        plan = decode_full(instance, model, result)
+        plan = _stage("reference", config.limits["full"], backend, metrics,
+                      build_full, decode_full, instance, compat, FullOptions())
         costs = _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
     return costs
 
 
-def _stage(stage: str, limits: SolveLimits, backend: Backend,
-           metrics: RunMetrics, build, *args) -> tuple:
-    """Build one stage's model and solve it; returns (model, result) with an incumbent."""
+def _stage(stage: str, limits: SolveLimits, backend: Backend, metrics: RunMetrics,
+           build, decode, instance: Instance, *args):
+    """Build ``build(instance, *args)``, solve it, record its metrics and return
+    ``decode(instance, model, result)``; a failure at any step names ``stage``."""
     started = time.perf_counter()
     try:
-        model = build(*args)
+        model = build(instance, *args)
     except ModelError as exc:
         status = "infeasible" if isinstance(exc, ModelBuildError) else "error"
         raise PipelineError(stage, str(exc), status) from exc
@@ -201,7 +202,10 @@ def _stage(stage: str, limits: SolveLimits, backend: Backend,
         raise PipelineError(stage, "stage timeout, no incumbent", result.status)
     if result.status == "error":
         raise PipelineError(stage, f"backend error: {result.message}", result.status)
-    return model, result
+    try:
+        return decode(instance, model, result)
+    except ModelError as exc:
+        raise PipelineError(stage, str(exc)) from exc
 
 
 def _form(model) -> str:
@@ -221,28 +225,25 @@ def _dump(artifacts_dir: Path | None, name: str, serialize, document) -> None:
 
 def run_method(instance: Instance, config: RunConfig, backend: Backend | None = None,
                artifacts_dir: Path | None = None) -> tuple[Plan | VrptwPlan, RunMetrics]:
+    """Plan ``instance`` by ``config``; an unreachable customer fails at ``instance`` as
+    ``infeasible`` for every method but ``vrptw``, which plans without transit."""
     backend = backend or ScipyHighsBackend()
+    started = time.perf_counter()
     if config.beta is not None:
         instance = with_beta(instance, config.beta)
     try:
         instance.validate()
+        compat = None if config.method == "vrptw" else derive_compatibility(instance)
     except InstanceError as exc:
-        raise PipelineError("instance", str(exc)) from exc
+        status = "infeasible" if isinstance(exc, UnreachableCustomerError) else "error"
+        raise PipelineError("instance", str(exc), status) from exc
     metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj, mu=config.mu)
-    started = time.perf_counter()
     _dump(artifacts_dir, "instance.json", serialize_instance, instance)
-
-    if config.method == "vrptw":
-        plan = _run_vrptw(instance, config, backend, metrics)
-    elif config.method == "full":
-        plan = _run_full(instance, config, backend, metrics)
-    elif config.method == "d2":
-        plan = _run_d2(instance, config, backend, metrics, artifacts_dir)
-    elif config.method == "d1":
-        plan = _run_d1(instance, config, backend, metrics, artifacts_dir)
-    else:
-        plan = _run_d3(instance, config, backend, metrics, artifacts_dir)
-
+    try:
+        plan = _RUNNERS[config.method](instance, compat, config, backend, metrics,
+                                       artifacts_dir)
+    except ModelError as exc:  # every stage raises its own; this is assemble_plan's
+        raise PipelineError("assemble", str(exc)) from exc
     metrics.wall_time = time.perf_counter() - started
     _fill_plan_metrics(instance, plan, metrics)
     _dump(artifacts_dir, "plan.json", serialize_plan, plan)
@@ -310,26 +311,22 @@ def _check_price(stage: str, price: float, objective: float) -> None:
                         f"objective {objective!r}")
 
 
-def _run_full(instance, config, backend, metrics) -> Plan:
-    compat = derive_compatibility(instance)
+def _run_full(instance, compat, config, backend, metrics, _artifacts_dir) -> Plan:
     options = FullOptions()
     if config.mu > 0:
         t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
         options = FullOptions(lambda1=config.mu * t1_ref, lambda3=config.mu * t3_ref)
-    model, result = _stage("full", config.limits["full"], backend, metrics,
-                           build_full, instance, compat, options)
-    plan = decode_full(instance, model, result)
-    if config.mu == 0 and result.status == "optimal":
+    plan = _stage("full", config.limits["full"], backend, metrics,
+                  build_full, decode_full, instance, compat, options)
+    if config.mu == 0 and metrics.stages[-1].status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
         _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
     return plan
 
 
-def _run_vrptw(instance, config, backend, metrics) -> VrptwPlan:
-    from .vrptw import build_vrptw, decode_vrptw
-    model, result = _stage("vrptw", config.limits["full"], backend, metrics,
-                           build_vrptw, instance)
-    return decode_vrptw(instance, model, result)
+def _run_vrptw(instance, _compat, config, backend, metrics, _artifacts_dir) -> VrptwPlan:
+    return _stage("vrptw", config.limits["full"], backend, metrics,
+                  build_vrptw, decode_vrptw, instance)
 
 
 def _solve_t3_stopwise(instance, config, backend, metrics,
@@ -340,75 +337,64 @@ def _solve_t3_stopwise(instance, config, backend, metrics,
         customers_by_stop.setdefault(ch.drop_out, []).append(cid)
     routes: list[FreighterRoute] = []
     for stop_id in sorted(customers_by_stop):
-        model, result = _stage(f"t3[{stop_id}]", config.limits["per_stop"], backend, metrics,
-                               build_t3_stopwise, instance, stop_id,
-                               customers_by_stop[stop_id], choices)
-        routes.extend(decode_t3_stopwise(instance, model, result))
+        routes += _stage(f"t3[{stop_id}]", config.limits["per_stop"], backend, metrics,
+                         build_t3_stopwise, decode_t3_stopwise, instance, stop_id,
+                         customers_by_stop[stop_id], choices)
     return routes
 
 
-def _run_d2(instance, config, backend, metrics, artifacts_dir) -> Plan:
-    compat = derive_compatibility(instance)
-    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
-                                 build_d2_t2, instance, compat, config.objective)
-    choices = decode_transit(instance, t2_model, t2_result)
+def _run_d2(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
+    choices = _stage("t2", config.limits["other"], backend, metrics,
+                     build_d2_t2, decode_transit, instance, compat, config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
-    t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
-                                 build_t1_from_handoff, instance, choices)
-    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
+    truck_routes, placed = _stage("t1", config.limits["other"], backend, metrics,
+                                  build_t1_from_handoff, decode_t1, instance, choices)
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _run_d1(instance, config, backend, metrics, artifacts_dir) -> Plan:
-    compat = derive_compatibility(instance)
+def _run_d1(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
     tau = preprocess_midday(instance, compat)
-    t1_model, t1_result = _stage("t1", config.limits["first"], backend, metrics,
-                                 build_d1_t1, instance, compat, tau)
-    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
+    truck_routes, placed = _stage("t1", config.limits["first"], backend, metrics,
+                                  build_d1_t1, decode_t1, instance, compat, tau)
     _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, {
         "placed": placed, "tau": [{"customer": c, "stop": s, "half": h}
                                   for (c, s), h in tau.items()]})
 
-    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
-                                 build_d1_t2, instance, compat, placed, config.objective)
-    choices = decode_transit(instance, t2_model, t2_result)
+    choices = _stage("t2", config.limits["other"], backend, metrics,
+                     build_d1_t2, decode_transit, instance, compat, placed, config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _run_d3(instance, config, backend, metrics, artifacts_dir) -> Plan:
-    compat = derive_compatibility(instance)
+def _run_d3(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
     t_first = first_trip_times(instance)
-    t3_model, t3_result = _stage("t3", config.limits["first"], backend, metrics,
-                                 build_d3_t3, instance, compat, t_first)
-    b_out, raw_routes = decode_d3_t3(instance, t3_model, t3_result)
+    b_out, raw_routes = _stage("t3", config.limits["first"], backend, metrics,
+                               build_d3_t3, decode_d3_t3, instance, compat, t_first)
     t_visit, warnings = repair_d3_times(raw_routes, instance)
     metrics.warnings.extend(warnings)
     t_depart_max = latest_departures(raw_routes, instance, t_visit)
     _dump(artifacts_dir, "handoff-t3.json", serialize_handoff,
           {"b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max})
 
-    t2_model, t2_result = _stage("t2", config.limits["other"], backend, metrics,
-                                 build_d3_t2, instance, compat, b_out, t_depart_max,
-                                 config.objective)
-    choices = decode_transit(instance, t2_model, t2_result)
+    choices = _stage("t2", config.limits["other"], backend, metrics,
+                     build_d3_t2, decode_transit, instance, compat, b_out, t_depart_max,
+                     config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
-    t1_model, t1_result = _stage("t1", config.limits["other"], backend, metrics,
-                                 build_t1_from_handoff, instance, choices)
-    truck_routes, placed = decode_t1(instance, t1_model, t1_result)
+    truck_routes, placed = _stage("t1", config.limits["other"], backend, metrics,
+                                  build_t1_from_handoff, decode_t1, instance, choices)
 
-    freighter_routes = _retime_d3_routes(instance, t3_model, t3_result, choices)
+    freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterRoute]:
-    """The d3-t3 routes decoded again, each leaving once its actual drops are loaded.
+def _retime_d3_routes(instance, raw_routes, choices) -> list[FreighterRoute]:
+    """The d3-t3 routes, each leaving once its actual drops are loaded.
 
     The transit stage kept every drop of a route within the dwell cap before
     the route's latest departure, so neither check below can fire unless an
@@ -416,7 +402,8 @@ def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterR
     """
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
-    routes = decode_freighter_routes(instance, t3_model, t3_result.values, ready)
+    routes = [loaded_route(instance, route.freighter, route.home_stop, route.customers, ready)
+              for route in raw_routes]
     for route in routes:
         drops = [choices[cid].drop_time for cid in route.customers]
         if route.departure > min(drops) + instance.stop(route.home_stop).max_dwell + 1e-9:
@@ -432,6 +419,10 @@ def _retime_d3_routes(instance, t3_model, t3_result, choices) -> list[FreighterR
                     f"customer {cid}: retimed delivery {t_here:g} misses the window "
                     f"closing {cust.window_hi:g}")
     return routes
+
+
+_RUNNERS = {"full": _run_full, "d1": _run_d1, "d2": _run_d2, "d3": _run_d3,
+            "vrptw": _run_vrptw}
 
 
 # the plan figures a report row takes from its run; its t2_obj is "" where the config's is None
@@ -455,9 +446,8 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
                 art = Path(artifacts_root) / f"{name}__{config.label()}"
             try:
                 _plan, metrics = run_method(instance, config, backend, art)
-            except (PipelineError, ModelError) as exc:
-                row.status, row.error = "failed", str(exc)
-                row.worst_stage_status = exc.status if isinstance(exc, PipelineError) else "error"
+            except PipelineError as exc:
+                row.status, row.error, row.worst_stage_status = "failed", str(exc), exc.status
             else:
                 for field_name in _SHARED_FIELDS:
                     setattr(row, field_name, getattr(metrics, field_name))

@@ -7,9 +7,10 @@ separate plan shape covers the direct-truck baseline.
 
 A plan document is its schema and kind, then the dataclass written by the
 instance module's codec, with the cost total appended to ``costs``; the service
-cost and the two service weights may be absent and read as 0. Handoffs keep their
-own writer: sorted maps and a list of ``tau`` records. They are written for
-inspection, and nothing reads them back.
+cost and the two service weights may be absent and read as 0. Handoffs, the
+decisions one pipeline stage hands on, are written by the same codec, their maps
+in the order the stage decoded them. They are written for inspection, and
+nothing reads them back.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 
 from transitfreight.compat import derive_compatibility
 from transitfreight.generate import (
+    GenerationError,
     GenParams,
     NoProfitableLinesError,
     assign_dropouts,
@@ -67,6 +68,9 @@ def test_trip_count_defaults():
     assert GenParams(n_customers=51, n_lines=1).resolved_trips_per_line() == 18
     assert GenParams(n_customers=10, n_lines=1,
                      trips_per_line=4).resolved_trips_per_line() == 4
+    # no trip would reach any customer
+    with pytest.raises(GenerationError, match="trips_per_line must be positive"):
+        GenParams(n_customers=10, n_lines=1, trips_per_line=0)
 
 
 # ---- line filtering -------------------------------------------------------

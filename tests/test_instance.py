@@ -225,6 +225,22 @@ def test_invariant_messages():
         no_freighter.validate()
 
 
+@pytest.mark.parametrize("name, value, least", [
+    ("truck_cost_per_distance", -1.0, "nonnegative"),
+    ("freighter_cost_scale", -1.0, "nonnegative"),
+    ("freighter_cost_scale", math.nan, "nonnegative"),
+    ("time_per_distance", math.inf, "nonnegative"),
+    ("period_length", 0.0, "positive"),
+    ("period_count", 0, "positive")])
+def test_cost_params_out_of_range_are_named(name, value, least):
+    """A negative cost scale would price a plan below the optimum; the document is
+    refused, naming the field."""
+    doc = json.loads(serialize_instance(make_micro1()))
+    doc["cost_params"][name] = value
+    with pytest.raises(InstanceError, match=f"cost_params: {name} .* is not finite and {least}"):
+        parse_instance(json.dumps(doc))
+
+
 def test_ids_are_unique_and_customers_name_no_stop_or_cdc_node():
     from dataclasses import replace
     micro = make_micro1()

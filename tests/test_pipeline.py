@@ -35,6 +35,10 @@ def test_config_validation():
         RunConfig(method="d2", t2_obj="obj2", mu=0.5)  # service costs are FULL-only
     with pytest.raises(ModelError, match="finite"):
         RunConfig(method="full", mu=float("nan"))
+    for beta in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ModelError, match="beta must be finite and nonnegative"):
+            RunConfig(method="full", beta=beta)
+    assert RunConfig(method="full", beta=0.0).beta == 0.0
     assert RunConfig(method="full").label() == "full"
     assert RunConfig(method="d2", t2_obj="obj1").label() == "d2-obj1"
 
@@ -328,6 +332,31 @@ def test_an_invalid_instance_fails_at_its_own_stage(backend, micro1):
     assert [(r.status, r.error) for r in rows] == [
         ("failed", "[instance] duplicate customer id c1")]
 
+    # valid, but c1's only candidate C opens its line, so no transit trip reaches c1:
+    # every transit method fails at the instance stage, and the direct trucks still plan
+    stranded = replace(
+        micro1,
+        stops=micro1.stops + (Stop("C", Point(60.0, 0.0), False, True, 10.0, 300.0),
+                              Stop("D", Point(70.0, 0.0), True, False, 10.0, 300.0)),
+        lines=micro1.lines + (Line("L2", ("C", "D")),),
+        trips=micro1.trips + (Trip("q1", "L2", {"C": 150.0, "D": 158.0}, 60.0),),
+        freighters=micro1.freighters + (Freighter("f2", "C", 20.0),),
+        customers=(replace(micro1.customers[0], dropout_candidates=frozenset({"C"})),))
+    stranded.validate()
+    with pytest.raises(PipelineError) as exc:
+        run_method(stranded, RunConfig(method="d2", t2_obj="obj2"), backend)
+    assert (exc.value.stage, exc.value.status) == ("instance", "infeasible")
+    assert "customer c1 unreachable by transit" in exc.value.cause
+    configs = [RunConfig(method="full"), RunConfig(method="d1", t2_obj="obj2"),
+               RunConfig(method="d2", t2_obj="obj2"), RunConfig(method="d3", t2_obj="obj2"),
+               RunConfig(method="vrptw")]
+    rows = compare_methods([("stranded", stranded)], configs, backend)
+    assert [(r.label(), r.status, r.worst_stage_status) for r in rows] == [
+        ("full", "failed", "infeasible"), ("d1-obj2", "failed", "infeasible"),
+        ("d2-obj2", "failed", "infeasible"), ("d3-obj2", "failed", "infeasible"),
+        ("vrptw", "ok", "optimal")]
+    assert all(r.error.startswith("[instance] customer c1 unreachable") for r in rows[:4])
+
 
 class _FractionalBackend:
     """Solves as ``backend`` does, but hands back 0.5 for the first ``r`` variable."""
@@ -344,15 +373,25 @@ class _FractionalBackend:
         return result
 
 
-def test_a_decode_failure_is_a_failed_row(backend, micro1):
+def test_a_decode_failure_is_a_failed_row(backend, micro1, monkeypatch):
+    """A solution that cannot be decoded fails the run at the stage that solved it."""
     rows = compare_methods([("micro1", micro1)],
                            [RunConfig(method="full"), RunConfig(method="vrptw")],
                            _FractionalBackend(backend))
     by_label = {r.label(): r for r in rows}
     assert by_label["full"].status == "failed"
+    assert by_label["full"].worst_stage_status == "error"
+    assert by_label["full"].error.startswith("[full] ")
     assert "is fractional beyond tolerance" in by_label["full"].error
     assert by_label["vrptw"].status == "ok"
     assert by_label["vrptw"].total == pytest.approx(MICRO1_VRPTW, abs=1e-4)
+
+    # without a label budget d2's truck stage is built from rows, the first with r columns
+    monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
+    with pytest.raises(PipelineError) as exc:
+        run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), _FractionalBackend(backend))
+    assert (exc.value.stage, exc.value.status) == ("t1", "error")
+    assert "is fractional beyond tolerance" in exc.value.cause
 
 
 class _NanContinuousBackend:

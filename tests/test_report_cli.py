@@ -252,7 +252,8 @@ def test_cli_unknown_flag_exits_2():
 
 @pytest.mark.parametrize("flag, value, form", [
     ("--box", "100", "WxH"), ("--stops-per-line", "4", "MIN:MAX"),
-    ("--stops-per-line", "5:4", "MIN:MAX with the smaller value first")])
+    ("--stops-per-line", "5:4", "MIN:MAX with the smaller value first"),
+    ("--stops-per-line", "1:3", "MIN:MAX with values of at least 2")])
 def test_cli_malformed_pair_exits_2(tmp_path, capsys, flag, value, form):
     with pytest.raises(SystemExit) as exc:
         cli_main(["gen", "--customers", "4", "--lines", "1", flag, value,
@@ -270,10 +271,24 @@ def test_cli_malformed_pair_exits_2(tmp_path, capsys, flag, value, form):
      "--time-limit", "a positive number"),
     (["compare", "--instances", ".", "--methods", "full", "--gap", "x"],
      "--gap", "a nonnegative number"),
+    (["gen", "--lines", "1", "--customers", "0"], "--customers", "a positive whole number"),
+    (["gen", "--customers", "4", "--lines", "0"], "--lines", "a positive whole number"),
+    (["gen", "--customers", "4", "--lines", "1", "--trips-per-line", "0"],
+     "--trips-per-line", "a positive whole number"),
+    (["solve", "--instance", "i.json", "--method", "full", "--mu", "-1"],
+     "--mu", "a finite nonnegative number"),
+    (["solve", "--instance", "i.json", "--method", "full", "--mu", "nan"],
+     "--mu", "a finite nonnegative number"),
+    (["solve", "--instance", "i.json", "--method", "full", "--beta", "-1"],
+     "--beta", "a finite nonnegative number"),
+    (["compare", "--instances", ".", "--methods", "full", "--betas", "0.5,-1"],
+     "--betas", "a comma list of finite nonnegative numbers"),
+    (["compare", "--instances", ".", "--methods", "full", "--mus", "0,inf"],
+     "--mus", "a comma list of finite nonnegative numbers"),
 ])
 def test_cli_out_of_range_limit_exits_2(tmp_path, capsys, argv, flag, form):
-    """A stage limit or gap the run cannot use is a usage error too: argparse names the
-    flag and exits 2 before any file is read or written."""
+    """A count, scale, stage limit or gap the run cannot use is a usage error too:
+    argparse names the flag and exits 2 before any file is read or written."""
     with pytest.raises(SystemExit) as exc:
         cli_main(argv + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
