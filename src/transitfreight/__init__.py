@@ -9,7 +9,7 @@ direct-truck baseline.
 
 from .backends import ScipyHighsBackend, solve, write_model
 from .bruteforce import BruteForceOutcome, OracleSizeError, brute_force_optimum, brute_force_vrptw
-from .compat import Compatibility, derive_compatibility
+from .compat import derive_compatibility
 from .generate import GenParams, generate_instance
 from .instance import (
     CostParams,

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .backends import BackendError, ScipyHighsBackend, write_model
-from .compat import derive_compatibility
 from .generate import GenParams, generate_instance
 from .instance import InstanceError, parse_instance, serialize_instance
 from .milp import ModelError
@@ -66,9 +65,10 @@ def _comma_list(item, form: str):
     return parse
 
 
-def _pair(kind: type, sep: str, form: str, ordered: bool = False, least=-math.inf):
+def _pair(kind: type, sep: str, form: str, holds, values: str, ordered: bool = False):
     """An argparse ``type`` that reads ``form``, two ``kind`` values joined by ``sep``,
-    neither below ``least``, the first no greater than the second when ``ordered``."""
+    the first no greater than the second when ``ordered``, each one for which ``holds``
+    is true (``values`` names them so in the message; NaN fails a comparison)."""
     def parse(text: str) -> tuple:
         first, _, second = text.lower().partition(sep)
         try:
@@ -78,9 +78,8 @@ def _pair(kind: type, sep: str, form: str, ordered: bool = False, least=-math.in
         if ordered and pair[0] > pair[1]:
             raise argparse.ArgumentTypeError(
                 f"expected {form} with the smaller value first, got {text!r}")
-        if min(pair) < least:
-            raise argparse.ArgumentTypeError(
-                f"expected {form} with values of at least {least}, got {text!r}")
+        if not all(holds(x) for x in pair):
+            raise argparse.ArgumentTypeError(f"expected {form} with {values}, got {text!r}")
         return pair
     return parse
 
@@ -96,9 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stops-per-line", default="4:6",
-                   type=_pair(int, ":", "MIN:MAX", ordered=True, least=2),
+                   type=_pair(int, ":", "MIN:MAX", lambda x: x >= 2, "values of at least 2",
+                              ordered=True),
                    help="MIN:MAX stops per line")
-    p.add_argument("--box", default="100x100", type=_pair(float, "x", "WxH"),
+    p.add_argument("--box", default="100x100",
+                   type=_pair(float, "x", "WxH", lambda x: 0 < x < math.inf,
+                              "positive finite sizes"),
                    help="WxH bounding box")
     p.add_argument("--trips-per-line", type=_COUNT, default=None)
     p.add_argument("--out", required=True)
@@ -233,7 +235,7 @@ def _cmd_compare(args) -> int:
 def _cmd_export_lp(args) -> int:
     instance = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     if args.method == "full":
-        model = build_full(instance, derive_compatibility(instance), FullOptions())
+        model = build_full(instance, FullOptions())
     else:
         model = build_vrptw(instance)
     write_model(model, args.out)

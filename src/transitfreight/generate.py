@@ -73,6 +73,8 @@ class GenParams:
             raise GenerationError("stops_per_line range invalid")
         if self.demand_range[0] <= 0 or self.demand_range[0] > self.demand_range[1]:
             raise GenerationError("demand_range invalid")
+        if not all(0 < side < math.inf for side in self.box):
+            raise GenerationError(f"box {self.box!r} needs two positive finite sides")
 
     def resolved_trips_per_line(self) -> int:
         if self.trips_per_line is not None:
@@ -237,9 +239,10 @@ def truck_band(n_customers: int) -> int:
 
 
 def size_fleets(instance: Instance) -> tuple[int, int]:
-    """(truck count, freighters at every drop-out stop)."""
-    compat = derive_compatibility(instance)
-    per_stop = max((len(v) for v in compat.customers_of_dropout.values()), default=1)
+    """(truck count, freighters at every drop-out stop): a stop gets as many freighters
+    as the most customers that name any one stop a candidate."""
+    per_stop = max((sum(s.id in c.dropout_candidates for c in instance.customers)
+                    for s in instance.drop_out_stops()), default=1)
     per_stop = max(per_stop, 1)
     total_demand = sum(c.demand for c in instance.customers)
     cap = instance.trucks[0].capacity if instance.trucks else TRUCK_CAPACITY
@@ -305,6 +308,7 @@ def generate_instance(params: GenParams) -> Instance:
         cost_params=cost_params,
     )
     draft = patch_orphan_dropouts(draft, rng)
+    derive_compatibility(draft)  # raises unless transit reaches every customer
 
     n_trucks, per_stop = size_fleets(draft)
     trucks = tuple(Truck(id=f"d{j + 1}", capacity=TRUCK_CAPACITY)
@@ -315,5 +319,5 @@ def generate_instance(params: GenParams) -> Instance:
             freighters.append(Freighter(
                 id=f"k_{s.id}_{j}", home_stop=s.id, capacity=FREIGHTER_CAPACITY))
     instance = replace(draft, trucks=trucks, freighters=tuple(freighters))
-    instance.validate()  # size_fleets derived compatibility, so every customer is reachable
+    instance.validate()
     return instance

@@ -286,7 +286,7 @@ class Instance:
                     f"customer {c.id}: candidate {sorted(bad)[0]} is not a drop-out stop")
 
         for name in ("truck_cost_per_distance", "freighter_cost_scale", "time_per_distance",
-                     "period_length", "period_count"):
+                     "t_mid_day", "period_length", "period_count"):
             value, positive = getattr(self.cost_params, name), name.startswith("period")
             if not math.isfinite(value) or value < 0 or positive and value == 0:
                 raise InstanceError(f"cost_params: {name} {value!r} is not finite and "

@@ -22,6 +22,12 @@ expanded at build time: variables exist only for index tuples the data
 allows, and load propagation is generated per consecutive stop pair.
 
 Each fragment has one copy, used by every model that needs it:
+  transit_pairs          a package's pickup and drop stops on one trip: the
+                         trip's drop-in stops and the package's candidate
+                         drop-out stops, narrowed by predicates and cross-pruned
+                         by line order; the predicate-free pickups over all
+                         trips are the package's drop-in map entry (``compat``),
+                         the stops full's trucks may bring it to
   add_transit_flow       y1/y2 domains, pick/drop once, same trip, forward
                          rides and trip loads, for the monolithic model and
                          all three transit stages; d1-t2 and d3-t2 narrow one
@@ -68,11 +74,13 @@ Decoders read binary variables only, each family by column through
 ``chosen``, and share one helper per job: ``arc_paths`` walks the chosen
 arcs from o to o~ (full's w, vrptw's x), ``hand_out`` gives each class's
 chosen routes to its vehicles, ``forward_times`` times every route of every
-tier, and ``decode_trucks`` reads the truck routes of full and both truck
-stages. A route's times are the earliest schedule of the chosen routes,
-which any feasible schedule of the solver's trails, so the windows and
-dwell caps it met still hold. Every plan is put together by
-``assemble_plan`` and priced by ``validate.price_routes``.
+tier, ``freighter_orders`` reads the chosen freighter routes of full and
+both freighter stages before they are timed, and ``decode_trucks`` reads the
+truck routes of full and both truck stages. A route's times are the
+earliest schedule of the chosen routes, which any feasible schedule of the
+solver's trails, so the windows and dwell caps it met still hold. Every
+plan is put together by ``assemble_plan`` and priced by
+``validate.price_routes``.
 """
 
 from __future__ import annotations
@@ -81,7 +89,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult
 from .plan import CustomerItinerary, FreighterRoute, Plan, TruckRoute
@@ -108,23 +115,25 @@ class FullOptions:
     lambda3: float = 0.0  # per freighter departure from its home stop to a customer
 
 
-def transit_pairs(instance: Instance, compat: Compatibility, customer_id: str,
-                  trip_id: str, in_ok=None, out_ok=None) -> tuple[list[str], list[str]]:
+def transit_pairs(instance: Instance, customer_id: str, trip_id: str,
+                  in_ok=None, out_ok=None) -> tuple[list[str], list[str]]:
     """Usable (pickup stops, drop stops) for one customer on one trip.
 
-    Optional predicates narrow the raw line-order domains; the two sides are
-    then cross-pruned so every pickup stop still precedes some usable drop
+    The trip's drop-in stops are the pickups and the customer's candidate
+    drop-out stops the drops; optional predicates narrow them. The two sides
+    are then cross-pruned so every pickup stop still precedes some usable drop
     stop and vice versa: one pass keeps the pickups before the last drop, then
     the drops after the first kept pickup, which the last drop still follows.
+    Without predicates, the union of the pickups over all trips is the
+    customer's entry in ``compat.derive_compatibility``'s drop-in map.
     """
     cust = instance.customer(customer_id)
     trip = instance.trip(trip_id)
     order = instance.line(trip.line).ordered_stops
     pos_of = {sid: pos for pos, sid in enumerate(order)}
-    usable_in = compat.s_in_of_customer[customer_id]
 
     ins = [sid for sid in order
-           if sid in usable_in
+           if instance.stop(sid).is_drop_in
            and (in_ok is None or in_ok(cust, instance.stop(sid), trip))]
     outs = [sid for sid in order
             if sid in cust.dropout_candidates
@@ -513,8 +522,7 @@ def route_costs(mb: ModelBuilder, instance: Instance) -> list:
     return terms
 
 
-def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility,
-                     unserved, in_ok=None, out_ok=None,
+def add_transit_flow(mb: ModelBuilder, instance: Instance, unserved, in_ok=None, out_ok=None,
                      ) -> dict[str, dict[str, tuple[list[str], list[str]]]]:
     """Shared tier-2 structure: y1/y2 domains, same trip, forward rides, loads.
 
@@ -531,8 +539,7 @@ def add_transit_flow(mb: ModelBuilder, instance: Instance, compat: Compatibility
     for cust in instance.customers:
         per_trip: dict[str, tuple[list[str], list[str]]] = {}
         for trip in instance.trips:
-            ins, outs = transit_pairs(instance, compat, cust.id, trip.id,
-                                      in_ok=in_ok, out_ok=out_ok)
+            ins, outs = transit_pairs(instance, cust.id, trip.id, in_ok=in_ok, out_ok=out_ok)
             if ins and outs:
                 per_trip[trip.id] = (ins, outs)
                 for s in ins:
@@ -643,16 +650,18 @@ def add_arrival_window(mb: ModelBuilder, instance: Instance, cust: str, stop: st
                    "<=", M - constant, f"arrive_after[{cust},{stop},{d.id}]")
 
 
-def build_full(instance: Instance, compat: Compatibility,
-               options: FullOptions | None = None) -> MilpModel:
-    """Complete three-tier model; minimizes truck plus freighter routing cost."""
+def build_full(instance: Instance, options: FullOptions | None = None) -> MilpModel:
+    """Complete three-tier model; minimizes truck plus freighter routing cost.
+
+    A truck may bring each package to any pickup stop of its transit domains,
+    and a freighter serve it from any drop stop there (``transit_pairs``)."""
     options = options or FullOptions()
     params = instance.cost_params
     mb = ModelBuilder("full")
 
-    domains = add_transit_flow(mb, instance, compat,
-                               lambda cust: f"no carrying trip: customer {cust.id}")
-    stops_of = {c.id: sorted(compat.s_in_of_customer[c.id]) for c in instance.customers}
+    domains = add_transit_flow(mb, instance, lambda cust: f"no carrying trip: customer {cust.id}")
+    stops_of = {cid: sorted({s for ins, _ in per_trip.values() for s in ins})
+                for cid, per_trip in domains.items()}
     add_truck_rows(mb, instance, stops_of, options.symmetry_breaking)
 
     pickups = {(c.id, s): [(mb.get("y1", c.id, s, p), instance.trip(p).stop_times[s])
@@ -673,11 +682,8 @@ def build_full(instance: Instance, compat: Compatibility,
             for s in outs:
                 drops_at.setdefault((cust.id, s), []).append(
                     (mb.get("y2", cust.id, s, p), instance.trip(p).stop_times[s]))
-    customers_of_stop = {
-        s.id: [c for c in sorted(compat.customers_of_dropout.get(s.id, ()))
-               if (c, s.id) in drops_at]
-        for s in instance.drop_out_stops()
-    }
+    customers_of_stop = {s.id: sorted(cid for cid, sid in drops_at if sid == s.id)
+                         for s in instance.drop_out_stops()}
 
     def departure_bounds(cid: str, sid: str) -> tuple[float, float]:
         times = [t for _, t in drops_at[(cid, sid)]]
@@ -720,11 +726,7 @@ def build_full(instance: Instance, compat: Compatibility,
                       for (_u, v, _d), var in mb.family_items("w") if v != CDC_SINK]
         objective += [(q, options.lambda3) for _, q in mb.family_items("q")]
     mb.set_objective(objective)
-    return mb.build(
-        lambda1=options.lambda1,
-        lambda3=options.lambda3,
-        symmetry_breaking=options.symmetry_breaking,
-    )
+    return mb.build(lambda1=options.lambda1, lambda3=options.lambda3)
 
 
 def chosen(model: MilpModel, values: list[float], family: str) -> list[tuple]:
@@ -836,24 +838,31 @@ def decode_trucks(instance: Instance, model: MilpModel, values: list[float],
     return routes, placed
 
 
-def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
-                            ready: dict[str, float]) -> list[FreighterRoute]:
-    """The chosen route columns per freighter class, handed to the class's freighters in
-    order (``hand_out``) and timed by ``loaded_route``."""
+def freighter_orders(instance: Instance, model: MilpModel,
+                     values: list[float]) -> list[tuple[str, tuple[str, ...]]]:
+    """(freighter, customers in visit order) of every chosen route column: each class's
+    columns handed to its freighters in order (``hand_out``)."""
     driven: dict[str, list[tuple]] = {}
     for g, *order in chosen(model, values, "q"):
         driven.setdefault(g, []).append(tuple(order))
     classes = [cls for stop in instance.stops
                for cls in vehicle_classes(instance.freighters_of_stop(stop.id))]
-    return [loaded_route(instance, k.id, k.home_stop, order, ready)
-            for k, order in hand_out(classes, driven, "vehicles")]
+    return [(k.id, order) for k, order in hand_out(classes, driven, "vehicles")]
 
 
-def loaded_route(instance: Instance, freighter: str, home_stop: str, order: tuple,
+def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
+                            ready: dict[str, float]) -> list[FreighterRoute]:
+    """The chosen routes (``freighter_orders``), each timed by ``loaded_route``."""
+    return [loaded_route(instance, freighter, order, ready)
+            for freighter, order in freighter_orders(instance, model, values)]
+
+
+def loaded_route(instance: Instance, freighter: str, order: tuple,
                  ready: dict[str, float]) -> FreighterRoute:
-    """Freighter ``freighter``'s route from ``home_stop`` serving ``order``: it leaves once
+    """Freighter ``freighter``'s route from its home stop serving ``order``: it leaves once
     all its packages are loaded (package ``c`` at minute ``ready[c]``) and serves its
     customers in order, each no earlier than its window opens (``forward_times``)."""
+    home_stop = instance.freighter(freighter).home_stop
     departure = max(ready[cid] for cid in order)
     customers = [instance.customer(cid) for cid in order]
     return FreighterRoute(

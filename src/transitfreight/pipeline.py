@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .backends import Backend, ScipyHighsBackend
-from .compat import Compatibility, UnreachableCustomerError, derive_compatibility
+from .compat import UnreachableCustomerError, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits
 from .model_full import (FullOptions, ModelBuildError, TransitChoice, assemble_plan, build_full,
@@ -35,7 +35,6 @@ from .tiers import (
     decode_t1,
     decode_t3_stopwise,
     first_trip_times,
-    latest_departures,
     preprocess_midday,
     repair_d3_times,
 )
@@ -161,8 +160,8 @@ class RunMetrics:
 _reference_cache: dict[Instance, tuple[float, float]] = {}
 
 
-def reference_routing_costs(instance: Instance, compat: Compatibility, backend: Backend,
-                            config: RunConfig, metrics: RunMetrics) -> tuple[float, float]:
+def reference_routing_costs(instance: Instance, backend: Backend, config: RunConfig,
+                            metrics: RunMetrics) -> tuple[float, float]:
     """Tier-1/tier-3 routing costs of the plain-objective solve, cached.
 
     On a cache miss the plain solve is the run's ``reference`` stage.
@@ -170,7 +169,7 @@ def reference_routing_costs(instance: Instance, compat: Compatibility, backend: 
     costs = _reference_cache.get(instance)
     if costs is None:
         plan = _stage("reference", config.limits["full"], backend, metrics,
-                      build_full, decode_full, instance, compat, FullOptions())
+                      build_full, decode_full, instance, FullOptions())
         costs = _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
     return costs
 
@@ -226,21 +225,22 @@ def _dump(artifacts_dir: Path | None, name: str, serialize, document) -> None:
 def run_method(instance: Instance, config: RunConfig, backend: Backend | None = None,
                artifacts_dir: Path | None = None) -> tuple[Plan | VrptwPlan, RunMetrics]:
     """Plan ``instance`` by ``config``; an unreachable customer fails at ``instance`` as
-    ``infeasible`` for every method but ``vrptw``, which plans without transit."""
+    ``infeasible`` for every method but ``vrptw``, which plans without transit. The
+    drop-in map that check derives is handed to ``d1``, the one method that reads it."""
     backend = backend or ScipyHighsBackend()
     started = time.perf_counter()
     if config.beta is not None:
         instance = with_beta(instance, config.beta)
     try:
         instance.validate()
-        compat = None if config.method == "vrptw" else derive_compatibility(instance)
+        drop_ins = None if config.method == "vrptw" else derive_compatibility(instance)
     except InstanceError as exc:
         status = "infeasible" if isinstance(exc, UnreachableCustomerError) else "error"
         raise PipelineError("instance", str(exc), status) from exc
     metrics = RunMetrics(method=config.method, t2_obj=config.t2_obj, mu=config.mu)
     _dump(artifacts_dir, "instance.json", serialize_instance, instance)
     try:
-        plan = _RUNNERS[config.method](instance, compat, config, backend, metrics,
+        plan = _RUNNERS[config.method](instance, drop_ins, config, backend, metrics,
                                        artifacts_dir)
     except ModelError as exc:  # every stage raises its own; this is assemble_plan's
         raise PipelineError("assemble", str(exc)) from exc
@@ -311,20 +311,20 @@ def _check_price(stage: str, price: float, objective: float) -> None:
                         f"objective {objective!r}")
 
 
-def _run_full(instance, compat, config, backend, metrics, _artifacts_dir) -> Plan:
+def _run_full(instance, _drop_ins, config, backend, metrics, _artifacts_dir) -> Plan:
     options = FullOptions()
     if config.mu > 0:
-        t1_ref, t3_ref = reference_routing_costs(instance, compat, backend, config, metrics)
+        t1_ref, t3_ref = reference_routing_costs(instance, backend, config, metrics)
         options = FullOptions(lambda1=config.mu * t1_ref, lambda3=config.mu * t3_ref)
     plan = _stage("full", config.limits["full"], backend, metrics,
-                  build_full, decode_full, instance, compat, options)
+                  build_full, decode_full, instance, options)
     if config.mu == 0 and metrics.stages[-1].status == "optimal":
         # a plain optimal solve doubles as the service-cost reference
         _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
     return plan
 
 
-def _run_vrptw(instance, _compat, config, backend, metrics, _artifacts_dir) -> VrptwPlan:
+def _run_vrptw(instance, _drop_ins, config, backend, metrics, _artifacts_dir) -> VrptwPlan:
     return _stage("vrptw", config.limits["full"], backend, metrics,
                   build_vrptw, decode_vrptw, instance)
 
@@ -343,9 +343,9 @@ def _solve_t3_stopwise(instance, config, backend, metrics,
     return routes
 
 
-def _run_d2(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
+def _run_d2(instance, _drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
     choices = _stage("t2", config.limits["other"], backend, metrics,
-                     build_d2_t2, decode_transit, instance, compat, config.objective)
+                     build_d2_t2, decode_transit, instance, config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     truck_routes, placed = _stage("t1", config.limits["other"], backend, metrics,
@@ -355,46 +355,46 @@ def _run_d2(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _run_d1(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
-    tau = preprocess_midday(instance, compat)
+def _run_d1(instance, drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
+    tau = preprocess_midday(instance, drop_ins)
     truck_routes, placed = _stage("t1", config.limits["first"], backend, metrics,
-                                  build_d1_t1, decode_t1, instance, compat, tau)
+                                  build_d1_t1, decode_t1, instance, drop_ins, tau)
     _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, {
         "placed": placed, "tau": [{"customer": c, "stop": s, "half": h}
                                   for (c, s), h in tau.items()]})
 
     choices = _stage("t2", config.limits["other"], backend, metrics,
-                     build_d1_t2, decode_transit, instance, compat, placed, config.objective)
+                     build_d1_t2, decode_transit, instance, placed, config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     freighter_routes = _solve_t3_stopwise(instance, config, backend, metrics, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _run_d3(instance, compat, config, backend, metrics, artifacts_dir) -> Plan:
+def _run_d3(instance, _drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
     t_first = first_trip_times(instance)
-    b_out, raw_routes = _stage("t3", config.limits["first"], backend, metrics,
-                               build_d3_t3, decode_d3_t3, instance, compat, t_first)
-    t_visit, warnings = repair_d3_times(raw_routes, instance)
+    b_out, orders = _stage("t3", config.limits["first"], backend, metrics,
+                           build_d3_t3, decode_d3_t3, instance, t_first)
+    t_depart_max, warnings = repair_d3_times(orders, instance)
     metrics.warnings.extend(warnings)
-    t_depart_max = latest_departures(raw_routes, instance, t_visit)
-    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff,
-          {"b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max})
+    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, {
+        "b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max, "routes": dict(orders)})
 
     choices = _stage("t2", config.limits["other"], backend, metrics,
-                     build_d3_t2, decode_transit, instance, compat, b_out, t_depart_max,
+                     build_d3_t2, decode_transit, instance, b_out, t_depart_max,
                      config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     truck_routes, placed = _stage("t1", config.limits["other"], backend, metrics,
                                   build_t1_from_handoff, decode_t1, instance, choices)
 
-    freighter_routes = _retime_d3_routes(instance, raw_routes, choices)
+    freighter_routes = _retime_d3_routes(instance, orders, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _retime_d3_routes(instance, raw_routes, choices) -> list[FreighterRoute]:
-    """The d3-t3 routes, each leaving once its actual drops are loaded.
+def _retime_d3_routes(instance, orders, choices) -> list[FreighterRoute]:
+    """The d3-t3 routes, (freighter, customers in visit order), each leaving once its
+    actual drops are loaded.
 
     The transit stage kept every drop of a route within the dwell cap before
     the route's latest departure, so neither check below can fire unless an
@@ -402,8 +402,7 @@ def _retime_d3_routes(instance, raw_routes, choices) -> list[FreighterRoute]:
     """
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
-    routes = [loaded_route(instance, route.freighter, route.home_stop, route.customers, ready)
-              for route in raw_routes]
+    routes = [loaded_route(instance, freighter, order, ready) for freighter, order in orders]
     for route in routes:
         drops = [choices[cid].drop_time for cid in route.customers]
         if route.departure > min(drops) + instance.stop(route.home_stop).max_dwell + 1e-9:

@@ -24,9 +24,11 @@ monolithic model: ``add_transit_flow`` for transit, ``add_truck_rows`` and
 enumerated route columns; ``arc_costs`` and ``route_costs`` price them.
 The two freighter stages pass departure bounds that are data: t3-stopwise
 from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
-arrival; each route leaves once its packages are loaded, after their
-fixed drops or the stop's first trip (``decode_freighter_routes``), so
-only ``full`` gives a route a departure variable. The three transit stages
+arrival. Each route leaves once its packages are loaded after their drops,
+so only ``full`` gives a route a departure variable: t3-stopwise times its
+routes as it decodes them (``decode_freighter_routes``), and d3-t3 hands on
+its routes untimed, as (freighter, customers in visit order), for the
+pipeline to time once d3's transit stage has fixed the drops. The three transit stages
 differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
 can feed and drops a freighter can still serve in time; d1-t2 pins the
 pickup to the truck's stop within the dwell cap after its arrival, and
@@ -52,9 +54,14 @@ longest CDC-to-stop ride (``model_full.truck_time_big_m``).
 CDC, and hands on, per package, its stop, its truck and the truck's minute
 there.
 
-Each stage reads what the decoder before it returns: the transit choices
-(``model_full.TransitChoice``) of ``decode_transit``, the truck placements of
-``decode_t1``, or the drop-out stops and latest departures of d3-t3.
+Each stage reads only the instance and what the decoder before it returns:
+the transit choices (``model_full.TransitChoice``) of ``decode_transit``, the
+truck placements of ``decode_t1``, or d3-t3's drop-out stops and the latest
+departures ``repair_d3_times`` takes from its route orders. The one side
+table is d1's: its truck stage picks among the drop-in stops of each
+package's entry in the drop-in map (``compat.derive_compatibility``), since
+no trip is chosen yet; every transit stage takes its stops from its own
+domains (``model_full.transit_pairs``).
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .compat import Compatibility
 from .instance import Instance, euclidean_distance
 from .milp import MilpModel, ModelBuilder, ModelError, SolveResult
 from .model_full import (
@@ -79,6 +85,7 @@ from .model_full import (
     decode_freighter_routes,
     decode_trucks,
     enumerate_routes,
+    freighter_orders,
     route_costs,
     vehicle_classes,
 )
@@ -216,18 +223,17 @@ def _at_fixed_stop(window):
     return ok
 
 
-def build_d2_t2(instance: Instance, compat: Compatibility,
-                objective: T2Objective) -> MilpModel:
+def build_d2_t2(instance: Instance, objective: T2Objective) -> MilpModel:
     """Assign stops/trips to every package before either road tier is solved.
 
     Pickups are restricted to trips a truck could feed in time; drops are
     restricted so a freighter can still meet the window's closing.
     """
     mb = ModelBuilder("d2-t2")
-    add_transit_flow(mb, instance, compat, lambda cust: f"T2 infeasible: customer {cust.id}",
+    add_transit_flow(mb, instance, lambda cust: f"T2 infeasible: customer {cust.id}",
                      in_ok=_truck_can_feed(instance), out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=True)
-    return mb.build(objective_tag=objective.tag)
+    return mb.build()
 
 
 # ---- the truck stage ------------------------------------------------------
@@ -440,7 +446,7 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
     mb.set_objective(route_costs(mb, instance))
     # a package is loaded one service time after its fixed drop
     ready = {cid: choices[cid].drop_time + stop.service_time for cid in customers_of_stop}
-    return mb.build(stop=stop_id, ready=ready)
+    return mb.build(ready=ready)
 
 
 def decode_t3_stopwise(instance: Instance, model: MilpModel,
@@ -451,8 +457,10 @@ def decode_t3_stopwise(instance: Instance, model: MilpModel,
 # ---- truck-first pipeline ----------------------------------------------
 
 
-def preprocess_midday(instance: Instance, compat: Compatibility) -> dict[tuple[str, str], int]:
-    """Half-of-day tag per (customer, drop-in stop) pair.
+def preprocess_midday(instance: Instance, drop_ins: dict[str, frozenset[str]]
+                      ) -> dict[tuple[str, str], int]:
+    """Half-of-day tag per (customer, drop-in stop) pair of the drop-in map ``drop_ins``
+    (``compat.derive_compatibility``).
 
     A package must start in the first half when, working back from the
     window's closing through the dwell allowance and the stretched direct
@@ -461,7 +469,7 @@ def preprocess_midday(instance: Instance, compat: Compatibility) -> dict[tuple[s
     params = instance.cost_params
     tau: dict[tuple[str, str], int] = {}
     for cust in instance.customers:
-        for sid in sorted(compat.s_in_of_customer[cust.id]):
+        for sid in sorted(drop_ins[cust.id]):
             stop = instance.stop(sid)
             journey = DEADLINE_SLACK_FACTOR * instance.travel_minutes(stop.location, cust.location)
             latest_start = cust.window_hi - stop.max_dwell - journey
@@ -469,11 +477,12 @@ def preprocess_midday(instance: Instance, compat: Compatibility) -> dict[tuple[s
     return tau
 
 
-def build_d1_t1(instance: Instance, compat: Compatibility,
+def build_d1_t1(instance: Instance, drop_ins: dict[str, frozenset[str]],
                 tau: dict[tuple[str, str], int]) -> MilpModel:
     """Truck routing committed first, under deadline cuts and a half-day split.
 
-    Each package may go to any drop-in stop whose window is not empty: the
+    Each package may go to any drop-in stop of its entry in the drop-in map
+    ``drop_ins`` (``compat.derive_compatibility``) whose window is not empty: the
     truck is there by the deadline cut, and within the package's half of
     the day (``tau``; a first-half window is open to the start). Stops no
     truck reaches within their window are left out (``_build_truck_stage``).
@@ -483,7 +492,7 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
     for cust in instance.customers:
         t_avg = (cust.window_lo + cust.window_hi) / 2.0
         windows[cust.id] = {}
-        for sid in sorted(compat.s_in_of_customer[cust.id]):
+        for sid in sorted(drop_ins[cust.id]):
             stop = instance.stop(sid)
             cut = t_avg - DEADLINE_SLACK_FACTOR * instance.travel_minutes(
                 stop.location, cust.location)
@@ -501,8 +510,8 @@ def build_d1_t1(instance: Instance, compat: Compatibility,
     return _build_truck_stage(instance, windows, "d1-t1")
 
 
-def build_d1_t2(instance: Instance, compat: Compatibility,
-                placed: dict[str, tuple[str, str, float]], objective: T2Objective) -> MilpModel:
+def build_d1_t2(instance: Instance, placed: dict[str, tuple[str, str, float]],
+                objective: T2Objective) -> MilpModel:
     """Pick a trip through each package's fixed drop-in stop, and a drop-out.
 
     ``placed`` is ``decode_t1``'s (stop, truck, minute) per package. The pickup
@@ -520,10 +529,10 @@ def build_d1_t2(instance: Instance, compat: Compatibility,
         return (f"stranded package: customer {cust.id} has no trip through stop "
                 f"{stop} within [{lo:g}, {hi:g}] that can still meet its window")
 
-    add_transit_flow(mb, instance, compat, unserved, in_ok=_at_fixed_stop(pickup_window),
+    add_transit_flow(mb, instance, unserved, in_ok=_at_fixed_stop(pickup_window),
                      out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, pickup_side=False, drop_side=True)
-    return mb.build(objective_tag=objective.tag)
+    return mb.build()
 
 
 # ---- freighter-first pipeline -------------------------------------------
@@ -539,8 +548,7 @@ def first_trip_times(instance: Instance) -> dict[str, float]:
     return t_first
 
 
-def build_d3_t3(instance: Instance, compat: Compatibility,
-                t_first: dict[str, float]) -> MilpModel:
+def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
     """Choose drop-out stops and freighter routes before any transit decision.
 
     Every freighter is seeded to start no earlier than its stop's first
@@ -549,7 +557,7 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
     mb = ModelBuilder("d3-t3")
 
     customers_of_stop = {
-        s.id: sorted(compat.customers_of_dropout.get(s.id, ()))
+        s.id: sorted(c.id for c in instance.customers if s.id in c.dropout_candidates)
         for s in instance.drop_out_stops() if s.id in t_first
     }
 
@@ -570,73 +578,53 @@ def build_d3_t3(instance: Instance, compat: Compatibility,
                    "=", 0.0, f"stop_serve[{cust.id},{sid}]")
 
     mb.set_objective(route_costs(mb, instance))
-    # a stop's packages are loaded one service time after its first trip at the earliest
-    return mb.build(loaded={sid: t + instance.stop(sid).service_time for sid, t in t_first.items()})
+    return mb.build()
 
 
-def decode_d3_t3(instance: Instance, model: MilpModel,
-                 result: SolveResult) -> tuple[dict[str, str], list[FreighterRoute]]:
-    """The chosen drop-out stops, and routes leaving once each stop's first trip is unloaded."""
-    b_out = dict(chosen(model, result.values, "gamma2"))
-    ready = {cid: model.metadata["loaded"][sid] for cid, sid in b_out.items()}
-    return b_out, decode_freighter_routes(instance, model, result.values, ready)
+def decode_d3_t3(instance: Instance, model: MilpModel, result: SolveResult
+                 ) -> tuple[dict[str, str], list[tuple[str, tuple[str, ...]]]]:
+    """The chosen drop-out stops, and each chosen route as (freighter, customers in visit
+    order) (``model_full.freighter_orders``); the routes are timed once the drops are
+    known (``pipeline``)."""
+    return (dict(chosen(model, result.values, "gamma2")),
+            freighter_orders(instance, model, result.values))
 
 
-def repair_d3_times(routes: list[FreighterRoute], instance: Instance
+def repair_d3_times(orders: list[tuple[str, tuple[str, ...]]], instance: Instance
                     ) -> tuple[dict[str, float], list[str]]:
-    """Latest visit time per customer, back-propagated from the window closings.
+    """Per customer, the latest minute its freighter may leave the drop-out stop, from
+    one backward pass over each route's ``(freighter, customers in visit order)``.
 
-    The last customer on each route is pinned to its closing time; each
-    earlier one to min(own closing, successor's time minus the travel between
-    them and the successor's service time). Visit order is kept, so the
-    routing cost is untouched; any schedule along the route that delivers no
-    later than these times meets every window.
-    """
-    t_visit: dict[str, float] = {}
-    warnings: list[str] = []
-    for route in routes:
-        if not route.customers:
-            continue
-        times: dict[str, float] = {}
-        last = route.customers[-1]
-        times[last] = instance.customer(last).window_hi
-        for idx in range(len(route.customers) - 2, -1, -1):
-            cid = route.customers[idx]
-            nxt = instance.customer(route.customers[idx + 1])
-            hop = instance.travel_minutes(instance.customer(cid).location, nxt.location)
-            times[cid] = min(instance.customer(cid).window_hi,
-                             times[nxt.id] - hop - nxt.service_time)
-        for cid, t in times.items():
-            if t < instance.customer(cid).window_lo - 1e-9:
-                warnings.append(
-                    f"customer {cid}: repaired time {t:g} is before its window opens "
-                    f"({instance.customer(cid).window_lo:g}); waiting will absorb it")
-            t_visit[cid] = t
-    return t_visit, warnings
-
-
-def latest_departures(routes: list[FreighterRoute], instance: Instance,
-                      t_visit: dict[str, float]) -> dict[str, float]:
-    """Per customer, the latest minute its freighter may leave the drop-out stop.
-
-    One freighter departure carries every package of a route, so all its
-    customers share ``T(first) - ride(stop -> first) - service(first)``,
-    with ``T`` the repaired latest visit times.
+    The last customer is pinned to its window's closing; each earlier one to
+    min(own closing, successor's time minus the travel between them and the
+    successor's service time). Visit order is kept, so the routing cost is
+    untouched; any schedule along the route that delivers no later than these
+    times meets every window. One departure carries every package of a route,
+    so all its customers share ``T(first) - ride(stop -> first) -
+    service(first)``. A customer whose latest time falls before its window
+    opens is warned of: waiting absorbs it.
     """
     t_depart_max: dict[str, float] = {}
-    for route in routes:
-        if not route.customers:
-            continue
-        first = instance.customer(route.customers[0])
-        ride = instance.travel_minutes(instance.stop(route.home_stop).location,
-                                       first.location)
-        latest = t_visit[first.id] - ride - first.service_time
-        for cid in route.customers:
-            t_depart_max[cid] = latest
-    return t_depart_max
+    warnings: list[str] = []
+    for freighter, order in orders:
+        latest = nxt = None
+        for cid in reversed(order):
+            cust = instance.customer(cid)
+            latest = cust.window_hi if nxt is None else min(
+                cust.window_hi,
+                latest - instance.travel_minutes(cust.location, nxt.location) - nxt.service_time)
+            if latest < cust.window_lo - 1e-9:
+                warnings.append(
+                    f"customer {cid}: repaired time {latest:g} is before its window opens "
+                    f"({cust.window_lo:g}); waiting will absorb it")
+            nxt = cust
+        home = instance.stop(instance.freighter(freighter).home_stop).location
+        departure = latest - instance.travel_minutes(home, nxt.location) - nxt.service_time
+        t_depart_max.update(dict.fromkeys(order, departure))
+    return t_depart_max, warnings
 
 
-def build_d3_t2(instance: Instance, compat: Compatibility, b_out: dict[str, str],
+def build_d3_t2(instance: Instance, b_out: dict[str, str],
                 t_depart_max: dict[str, float], objective: T2Objective) -> MilpModel:
     """Pick trips and pickup stops that feed the fixed freighter departures.
 
@@ -661,7 +649,7 @@ def build_d3_t2(instance: Instance, compat: Compatibility, b_out: dict[str, str]
         return (f"customer {cust.id}: no trip reaches stop {stop} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
 
-    add_transit_flow(mb, instance, compat, unserved, in_ok=_truck_can_feed(instance),
+    add_transit_flow(mb, instance, unserved, in_ok=_truck_can_feed(instance),
                      out_ok=_at_fixed_stop(drop_window))
     _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=False)
-    return mb.build(objective_tag=objective.tag)
+    return mb.build()

@@ -26,9 +26,8 @@ from transitfreight.generate import (
 )
 from transitfreight.instance import Instance, parse_instance, serialize_instance
 from transitfreight.milp import ModelError
-from transitfreight.model_full import FullOptions, build_full, decode_full
+from transitfreight.model_full import FullOptions, build_full, decode_full, forward_times
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
-from transitfreight.plan import FreighterRoute
 from transitfreight.tiers import (
     T2Objective,
     build_d2_t2,
@@ -84,7 +83,7 @@ def test_criterion_1_oracle_equivalence(backend):
     checked = 0
     for instance in instances:
         outcome = brute_force_optimum(instance)
-        model = build_full(instance, derive_compatibility(instance))
+        model = build_full(instance)
         result = solve(model, backend)
         if outcome.feasible:
             assert result.status == "optimal", f"solver says {result.status}"
@@ -101,7 +100,7 @@ def test_criterion_1_oracle_equivalence(backend):
 
 
 def test_criterion_2_worked_micro_values(backend, micro1):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     result = solve(model, backend)
     plan = decode_full(micro1, model, result)
     assert plan.costs.total == pytest.approx(22.83, abs=0.01)
@@ -183,17 +182,16 @@ def test_criterion_5_symmetry_breaking_neutrality(backend):
     instances = generate_micro_instances(10, start_seed=2000)
     checked = 0
     for instance in instances:
-        compat = derive_compatibility(instance)
-        with_sb = solve(build_full(instance, compat,
+        with_sb = solve(build_full(instance,
                                    FullOptions(symmetry_breaking=True)), backend)
-        without = solve(build_full(instance, compat,
+        without = solve(build_full(instance,
                                    FullOptions(symmetry_breaking=False)), backend)
         assert with_sb.status == without.status
         if with_sb.status == "optimal":
             a = decode_full(instance, build_full(
-                instance, compat, FullOptions(symmetry_breaking=True)), with_sb)
+                instance, FullOptions(symmetry_breaking=True)), with_sb)
             b = decode_full(instance, build_full(
-                instance, compat, FullOptions(symmetry_breaking=False)), without)
+                instance, FullOptions(symmetry_breaking=False)), without)
             assert a.costs.total == pytest.approx(b.costs.total, abs=1e-6)
         checked += 1
     assert checked >= 10
@@ -219,9 +217,8 @@ def test_criterion_6_pipeline_structural_properties(backend):
     # used-stop flags agree with actual usage at every optimum
     for seed in range(cases):
         instance = _random_micro(seed)
-        compat = derive_compatibility(instance)
         try:
-            model = build_d2_t2(instance, compat, T2Objective("obj1"))
+            model = build_d2_t2(instance, T2Objective("obj1"))
         except ModelError:
             continue
         result = solve(model, backend)
@@ -239,9 +236,8 @@ def test_criterion_6_pipeline_structural_properties(backend):
     qf_checked = 0
     for seed in range(cases):
         instance = _random_micro(seed + 500)
-        compat = derive_compatibility(instance)
         try:
-            model = build_d2_t2(instance, compat, T2Objective("obj3"))
+            model = build_d2_t2(instance, T2Objective("obj3"))
         except ModelError:
             continue
         result = solve(model, backend)
@@ -264,31 +260,28 @@ def test_criterion_6_pipeline_structural_properties(backend):
     # the half-day tags partition every (customer, pickup stop) pair
     for seed in range(cases):
         instance = _random_micro(seed + 250)
-        compat = derive_compatibility(instance)
-        tau = preprocess_midday(instance, compat)
-        pairs = {(c.id, s) for c in instance.customers
-                 for s in compat.s_in_of_customer[c.id]}
+        drop_ins = derive_compatibility(instance)
+        tau = preprocess_midday(instance, drop_ins)
+        pairs = {(c.id, s) for c in instance.customers for s in drop_ins[c.id]}
         assert set(tau) == pairs
         assert all(half in (1, 2) for half in tau.values())
 
-    # the backward repair keeps visit order and respects window closings
+    # the backward repair gives a route one latest departure, and a freighter leaving
+    # then and driving the route in its order without waiting meets every closing
     rng = np.random.default_rng(7)
     for seed in range(cases):
         instance = _random_micro(seed + 750)
         stop = instance.drop_out_stops()[0]
         members = [c.id for c in instance.customers]
         rng.shuffle(members)
-        route = FreighterRoute(
-            freighter=instance.freighters_of_stop(stop.id)[0].id,
-            home_stop=stop.id, departure=0.0,
-            customers=tuple(members), times=tuple(float(i) for i in range(len(members))))
-        t_out, _warnings = repair_d3_times([route], instance)
-        for a, b in zip(members, members[1:]):
-            hop = instance.travel_minutes(
-                instance.customer(a).location, instance.customer(b).location)
-            assert t_out[a] <= t_out[b] - hop + 1e-9
-        for cid in members:
-            assert t_out[cid] <= instance.customer(cid).window_hi + 1e-9
+        freighter = instance.freighters_of_stop(stop.id)[0].id
+        t_out, _warnings = repair_d3_times([(freighter, tuple(members))], instance)
+        assert set(t_out) == set(members) and len(set(t_out.values())) == 1
+        custs = [instance.customer(cid) for cid in members]
+        arrivals = forward_times(instance, stop.location, t_out[members[0]],
+                                 [(c, -math.inf) for c in custs])
+        for cust, t in zip(custs, arrivals):
+            assert t <= cust.window_hi + 1e-9
 
     print(f"ACCEPTANCE 6: PASS - used-stop flags, freighter-count ceilings "
           f"({qf_checked} solved cases), half-day partition, and repair "
@@ -336,7 +329,7 @@ def test_criterion_8_generator_conformance():
         except GenerationError:
             continue
         instance.validate()
-        compat = derive_compatibility(instance)  # reachability
+        derive_compatibility(instance)  # reachability
         assert parse_instance(serialize_instance(instance)) == instance
         # filtering is a fixpoint on generator output
         stops, lines = filter_lines(
@@ -350,7 +343,8 @@ def test_criterion_8_generator_conformance():
         per_stop: dict[str, int] = {}
         for k in instance.freighters:
             per_stop[k.home_stop] = per_stop.get(k.home_stop, 0) + 1
-        worst = max(len(v) for v in compat.customers_of_dropout.values())
+        worst = max(sum(s.id in c.dropout_candidates for c in instance.customers)
+                    for s in instance.drop_out_stops())
         demand = sum(c.demand for c in instance.customers)
         capacity = sum(d.capacity for d in instance.trucks)
         if demand <= capacity and all(n >= worst for n in per_stop.values()):

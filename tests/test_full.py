@@ -7,7 +7,6 @@ import pytest
 from transitfreight import tiers
 from transitfreight.backends import _highs_lp, highs_core, solve
 from transitfreight.bruteforce import _best_order, brute_force_optimum
-from transitfreight.compat import derive_compatibility
 from transitfreight.instance import (
     Customer,
     Freighter,
@@ -42,8 +41,7 @@ from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instanc
 
 
 def test_full_micro1_optimum(backend, micro1):
-    compat = derive_compatibility(micro1)
-    model = build_full(micro1, compat)
+    model = build_full(micro1)
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(MICRO1_TOTAL, abs=1e-4)
@@ -64,7 +62,7 @@ def test_full_micro1_optimum(backend, micro1):
 
 def test_full_micro1_narrow_window_infeasible(backend):
     narrow = make_micro1(window=(150.0, 160.0))
-    model = build_full(narrow, derive_compatibility(narrow))
+    model = build_full(narrow)
     result = solve(model, backend)
     assert result.status == "infeasible"
     assert not brute_force_optimum(narrow).feasible  # oracle agrees
@@ -72,14 +70,14 @@ def test_full_micro1_narrow_window_infeasible(backend):
 
 def test_decode_requires_solution(backend, micro1):
     narrow = make_micro1(window=(150.0, 160.0))
-    model = build_full(narrow, derive_compatibility(narrow))
+    model = build_full(narrow)
     result = solve(model, backend)
     with pytest.raises(DecodeError):
         decode_full(narrow, model, result)
 
 
 def test_decode_rejects_fractional(backend, micro1):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     result = solve(model, backend)
     result.values[next(iter(model.family("r").values()))] = 0.5
     with pytest.raises(DecodeError, match="fractional"):
@@ -98,7 +96,7 @@ def test_a_broken_arc_path_is_a_decode_error(backend, method, draw, cut, added, 
     DecodeError in either arc decoder, not a shorter route or a KeyError."""
     instance = make_micro1() if draw is None else generate_micro_instances(1, start_seed=draw)[0]
     if method == "full":
-        model, family, decode = build_full(instance, derive_compatibility(instance)), "w", decode_full
+        model, family, decode = build_full(instance), "w", decode_full
     else:
         model, family, decode = build_vrptw(instance), "x", decode_vrptw
     result = solve(model, backend)
@@ -113,7 +111,7 @@ def test_a_broken_arc_path_is_a_decode_error(backend, method, draw, cut, added, 
 
 def test_idle_freighter_omitted(backend):
     two = make_micro1(freighters=2)
-    model = build_full(two, derive_compatibility(two))
+    model = build_full(two)
     result = solve(model, backend)
     plan = decode_full(two, model, result)
     assert len(plan.freighter_routes) == 1  # the second stays home, free self-loop
@@ -122,15 +120,14 @@ def test_idle_freighter_omitted(backend):
 
 def test_symmetry_toggle_preserves_optimum(backend, micro1):
     two = make_micro1(freighters=2)
-    compat = derive_compatibility(two)
-    on = solve(build_full(two, compat, FullOptions(symmetry_breaking=True)), backend)
-    off = solve(build_full(two, compat, FullOptions(symmetry_breaking=False)), backend)
+    on = solve(build_full(two, FullOptions(symmetry_breaking=True)), backend)
+    off = solve(build_full(two, FullOptions(symmetry_breaking=False)), backend)
     assert on.status == off.status == "optimal"
     assert on.objective == pytest.approx(off.objective, abs=1e-6)
 
 
 def test_tampered_solution_flagged_by_validator(backend, micro1):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     result = solve(model, backend)
     plan = decode_full(micro1, model, result)
     # inflate the load: claim the package weighs its way onto a second run
@@ -155,7 +152,7 @@ def test_dual_role_stop_never_both_ends(backend):
                             frozenset({"M", "B"})),),
     )
     instance.validate()
-    model = build_full(instance, derive_compatibility(instance))
+    model = build_full(instance)
     result = solve(model)
     assert result.status == "optimal"
     plan = decode_full(instance, model, result)
@@ -188,14 +185,13 @@ def test_service_cost_consolidates_stops(backend):
         ),
     )
     instance.validate()
-    compat = derive_compatibility(instance)
 
-    base = solve(build_full(instance, compat), backend)
-    base_plan = decode_full(instance, build_full(instance, compat), base)
+    base = solve(build_full(instance), backend)
+    base_plan = decode_full(instance, build_full(instance), base)
     base_stops = {it.drop_in_stop for it in base_plan.itineraries}
 
     lam = 10.0 * base_plan.costs.t1_cost
-    priced = build_full(instance, compat, FullOptions(
+    priced = build_full(instance, FullOptions(
         lambda1=lam, lambda3=10.0 * base_plan.costs.t3_cost))
     result = solve(priced, backend)
     assert result.status == "optimal"
@@ -223,7 +219,7 @@ def test_full_matches_oracle_on_dual_role(backend):
     )
     instance.validate()
     outcome = brute_force_optimum(instance)
-    result = solve(build_full(instance, derive_compatibility(instance)), backend)
+    result = solve(build_full(instance), backend)
     assert outcome.feasible and result.status == "optimal"
     assert result.objective == pytest.approx(outcome.cost, abs=1e-4)
 
@@ -243,7 +239,7 @@ def test_mixed_capacity_freighters_form_separate_classes(backend):
                    Customer("v", Point(52, -2), 25.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    model = build_full(instance, derive_compatibility(instance))
+    model = build_full(instance)
     assert {g for (g, *_order) in model.family("q")} == {"f1", "f2"}
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -368,12 +364,11 @@ def test_lp_relaxation_sends_a_loaded_truck_out_of_the_cdc(backend, monkeypatch,
     relaxation routes its trucks in cycles between drop-in stops on these benchmark
     micro draws of two and three drop-in stops, and no truck leaves the CDC."""
     instance = generate_micro_instance(gen_seed, 2 + gen_seed % 3)
-    compat = derive_compatibility(instance)
     assert len(instance.drop_in_stops()) >= 2
-    assert _lp_trucks_leaving_the_cdc(build_full(instance, compat)) >= 1 - 1e-9
+    assert _lp_trucks_leaving_the_cdc(build_full(instance)) >= 1 - 1e-9
 
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-    t2 = build_d2_t2(instance, compat, T2Objective("obj2"))
+    t2 = build_d2_t2(instance, T2Objective("obj2"))
     rows = build_t1_from_handoff(instance, decode_transit(instance, t2, solve(t2, backend)))
     assert rows.family("w")
     assert _lp_trucks_leaving_the_cdc(rows) >= 1 - 1e-9

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -71,6 +72,15 @@ def test_trip_count_defaults():
     # no trip would reach any customer
     with pytest.raises(GenerationError, match="trips_per_line must be positive"):
         GenParams(n_customers=10, n_lines=1, trips_per_line=0)
+
+
+@pytest.mark.parametrize("box", [(0.0, 0.0), (math.nan, 100.0), (100.0, math.inf),
+                                 (-100.0, 100.0)])
+def test_a_box_needs_two_positive_finite_sides(box):
+    # an empty box drew 60 networks before failing, and a NaN or infinite side
+    # broke the network or customer draws
+    with pytest.raises(GenerationError, match="two positive finite sides"):
+        GenParams(n_customers=4, n_lines=1, box=box)
 
 
 # ---- line filtering -------------------------------------------------------
@@ -277,10 +287,11 @@ def test_generated_instances_reachable_and_valid():
             n_customers=4 + seed % 3, n_lines=1 + seed % 2, seed=seed,
             trips_per_line=3))
         inst.validate()
-        compat = derive_compatibility(inst)  # raises if anyone is unreachable
+        derive_compatibility(inst)  # raises if anyone is unreachable
         per_stop = {}
         for k in inst.freighters:
             per_stop[k.home_stop] = per_stop.get(k.home_stop, 0) + 1
-        worst = max(len(v) for v in compat.customers_of_dropout.values())
+        worst = max(sum(s.id in c.dropout_candidates for c in inst.customers)
+                    for s in inst.drop_out_stops())
         assert all(n >= worst for n in per_stop.values())
         assert sum(c.demand for c in inst.customers) <= sum(d.capacity for d in inst.trucks)

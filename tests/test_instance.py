@@ -4,7 +4,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from transitfreight.bruteforce import OracleSizeError, _check_guard
 from transitfreight.compat import UnreachableCustomerError, derive_compatibility
+from transitfreight.generate import generate_instance
 from transitfreight.instance import (
     CostParams,
     Customer,
@@ -21,8 +23,9 @@ from transitfreight.instance import (
     serialize_instance,
     travel_time,
 )
+from transitfreight.model_full import transit_pairs
 
-from conftest import make_micro1
+from conftest import generate_micro_instances, make_micro1
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 points = st.builds(Point, coords, coords)
@@ -67,13 +70,11 @@ def test_point_must_be_finite():
         Point(float("nan"), 0.0)
 
 
-# ---- compatibility -----------------------------------------------------
+# ---- the drop-in map -----------------------------------------------------
 
 
 def test_micro1_compatibility(micro1):
-    compat = derive_compatibility(micro1)
-    assert compat.s_in_of_customer["c1"] == frozenset({"A"})
-    assert compat.customers_of_dropout["B"] == frozenset({"c1"})
+    assert derive_compatibility(micro1) == {"c1": frozenset({"A"})}
 
 
 def test_unreachable_customer_is_an_error():
@@ -110,8 +111,52 @@ def test_shared_stop_merges_trips_of_both_lines():
                             frozenset({"S"})),),
     )
     instance.validate()
-    compat = derive_compatibility(instance)
-    assert compat.s_in_of_customer["c1"] == frozenset({"A1", "A2"})
+    assert derive_compatibility(instance) == {"c1": frozenset({"A1", "A2"})}
+
+
+def test_drop_in_map_is_the_union_of_the_transit_pickups():
+    """Each customer's entry in the drop-in map is the union over all trips of the pickup
+    stops ``transit_pairs`` keeps without predicates, which is where every stage but
+    ``d1`` takes its drop-in stops from. Checked on one- and two-line micro draws and
+    on the dominance seeds; as in the two-line oracle test, two-line draws past the
+    oracle's size guard are left out. Generated lines put every drop-in stop before every
+    drop-out stop, so a hand-made line alternates them, and a line no trip runs offers
+    a drop-in stop that no package can use."""
+    from test_acceptance import DOMINANCE_SEEDS, _dominance_params
+
+    alternating = Instance(
+        cdc=Point(0, 0),
+        stops=(Stop("A1", Point(10, 0), True, False, 10.0, 300.0),
+               Stop("B1", Point(20, 0), False, True, 10.0, 300.0),
+               Stop("A2", Point(30, 0), True, False, 10.0, 300.0),
+               Stop("B2", Point(40, 0), False, True, 10.0, 300.0),
+               Stop("A3", Point(10, 10), True, False, 10.0, 300.0)),
+        lines=(Line("L1", ("A1", "B1", "A2", "B2")), Line("L2", ("A3", "B1"))),
+        trips=(Trip("p1", "L1", {"A1": 150.0, "B1": 152.0, "A2": 154.0, "B2": 156.0}, 60.0),),
+        trucks=(Truck("d1", 160.0),),
+        freighters=(Freighter("f1", "B1", 20.0), Freighter("f2", "B2", 20.0)),
+        customers=(Customer("c1", Point(21, 1), 5.0, 200.0, 800.0, 0.0, frozenset({"B1"})),
+                   Customer("c2", Point(41, 1), 5.0, 200.0, 800.0, 0.0, frozenset({"B2"}))),
+    )
+    alternating.validate()
+    assert derive_compatibility(alternating) == {"c1": frozenset({"A1"}),
+                                                 "c2": frozenset({"A1", "A2"})}
+
+    two_line = []
+    for instance in generate_micro_instances(40, n_lines=2):
+        try:
+            _check_guard(instance)
+        except OracleSizeError:
+            continue
+        two_line.append(instance)
+    assert len(two_line) >= 35
+    dominance = [generate_instance(_dominance_params(seed)) for seed in DOMINANCE_SEEDS]
+    for instance in [alternating] + generate_micro_instances(40) + two_line + dominance:
+        drop_ins = derive_compatibility(instance)
+        for cust in instance.customers:
+            pickups = {sid for trip in instance.trips
+                       for sid in transit_pairs(instance, cust.id, trip.id)[0]}
+            assert drop_ins[cust.id] == pickups, cust.id
 
 
 @given(st.integers(min_value=3, max_value=8), st.data())
@@ -230,6 +275,9 @@ def test_invariant_messages():
     ("freighter_cost_scale", -1.0, "nonnegative"),
     ("freighter_cost_scale", math.nan, "nonnegative"),
     ("time_per_distance", math.inf, "nonnegative"),
+    ("t_mid_day", math.nan, "nonnegative"),
+    ("t_mid_day", math.inf, "nonnegative"),
+    ("t_mid_day", -1.0, "nonnegative"),
     ("period_length", 0.0, "positive"),
     ("period_count", 0, "positive")])
 def test_cost_params_out_of_range_are_named(name, value, least):

@@ -12,7 +12,6 @@ from transitfreight.backends import (
     solve,
     write_model,
 )
-from transitfreight.compat import derive_compatibility
 from transitfreight.milp import (
     ModelBuilder,
     ModelError,
@@ -51,7 +50,7 @@ def test_solve_infeasible(backend):
 
 
 def test_objective_roundtrip_matches_reported(backend, micro1):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     result = solve(model, backend)
     assert result.status == "optimal"
     recomputed = sum(coeff * result.values[col] for col, coeff in model.objective)
@@ -90,7 +89,7 @@ def test_repeated_family_index_is_a_duplicate_variable(kind):
 
 
 def test_write_model_deterministic(micro1, tmp_path):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     first, second = tmp_path / "first.lp", tmp_path / "second.lp"
     write_model(model, first)
     write_model(model, second)
@@ -122,7 +121,7 @@ def test_lp_reimport_trivial(tmp_path):
 
 
 def test_lp_reimport_full_micro1(tmp_path, micro1):
-    model = build_full(micro1, derive_compatibility(micro1))
+    model = build_full(micro1)
     read = highs_reads(model, tmp_path)
     assert (read.cols, read.rows) == (len(model.variables), len(model.constraints))
     assert read.status == "Optimal"

@@ -564,8 +564,10 @@ def test_d3_stitches_with_customer_service_times(backend, tmp_path):
     assert handoff["schema"] == HANDOFF_SCHEMA
     assert set(handoff["b_out"]) == set(handoff["t_depart_max"]) == {"c1", "c2"}
     assert len(set(handoff["t_depart_max"].values())) == 1  # one route, one departure
+    # the one route's freighter and its customers in visit order
+    assert handoff["routes"] == {"f1": ["c1", "c2"]}
     # no drop is scheduled before the transit stage
-    assert set(handoff) == {"schema", "b_out", "t_first", "t_depart_max"}
+    assert set(handoff) == {"schema", "b_out", "t_first", "t_depart_max", "routes"}
 
 
 @pytest.mark.parametrize("seed", [1, 14, 20])
@@ -648,9 +650,9 @@ def test_a_run_prices_its_plan_once(backend, micro1, monkeypatch, config):
 def test_d3_repair_warnings_reach_metrics(backend, monkeypatch, tmp_path):
     real_repair = pipeline.repair_d3_times
 
-    def repair_with_warning(routes, instance):
-        t_visit, warnings = real_repair(routes, instance)
-        return t_visit, warnings + ["customer c1: repaired time 1 is before its window opens"]
+    def repair_with_warning(orders, instance):
+        t_depart_max, warnings = real_repair(orders, instance)
+        return t_depart_max, warnings + ["customer c1: repaired time 1 is before its window opens"]
 
     monkeypatch.setattr(pipeline, "repair_d3_times", repair_with_warning)
     late = make_micro1(extra_trip_time=550.0)

@@ -7,7 +7,6 @@ import pytest
 
 from transitfreight.backends import highs_core
 from transitfreight.cli import cli_main
-from transitfreight.compat import derive_compatibility
 from transitfreight.instance import parse_instance, serialize_instance
 from transitfreight.model_full import FullOptions, build_full
 from transitfreight.plan import PLAN_SCHEMA, parse_plan
@@ -189,7 +188,7 @@ def test_cli_export_lp_deterministic(tmp_path, suffix):
     rows back from it."""
     inst_path = write_micro1(tmp_path)
     micro1 = make_micro1()
-    models = {"full": build_full(micro1, derive_compatibility(micro1), FullOptions()),
+    models = {"full": build_full(micro1, FullOptions()),
               "vrptw": build_vrptw(micro1)}
     for method, model in models.items():
         out1, out2 = tmp_path / f"{method}1{suffix}", tmp_path / f"{method}2{suffix}"
@@ -253,10 +252,15 @@ def test_cli_unknown_flag_exits_2():
 @pytest.mark.parametrize("flag, value, form", [
     ("--box", "100", "WxH"), ("--stops-per-line", "4", "MIN:MAX"),
     ("--stops-per-line", "5:4", "MIN:MAX with the smaller value first"),
-    ("--stops-per-line", "1:3", "MIN:MAX with values of at least 2")])
+    ("--stops-per-line", "1:3", "MIN:MAX with values of at least 2"),
+    ("--box", "0x0", "WxH with positive finite sizes"),
+    ("--box", "nanx100", "WxH with positive finite sizes"),
+    ("--box", "100xinf", "WxH with positive finite sizes"),
+    ("--box", "-100x100", "WxH with positive finite sizes")])
 def test_cli_malformed_pair_exits_2(tmp_path, capsys, flag, value, form):
+    # FLAG=VALUE, so that argparse reads a value with a leading minus as the value
     with pytest.raises(SystemExit) as exc:
-        cli_main(["gen", "--customers", "4", "--lines", "1", flag, value,
+        cli_main(["gen", "--customers", "4", "--lines", "1", f"{flag}={value}",
                   "--out", str(tmp_path / "i.json")])
     assert exc.value.code == 2
     assert f"argument {flag}: expected {form}, got '{value}'" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from transitfreight.milp import ModelError, SolveResult
 from transitfreight.model_full import (DecodeError, TransitChoice, build_full, decode_full,
                                        decode_transit)
 from transitfreight.pipeline import PipelineError, RunConfig, run_method
-from transitfreight.plan import FreighterRoute
 from transitfreight import tiers
 from transitfreight.tiers import (
     ModelBuildError,
@@ -38,7 +37,6 @@ from transitfreight.tiers import (
     decode_t3_stopwise,
     enumerate_truck_routes,
     first_trip_times,
-    latest_departures,
     preprocess_midday,
     repair_d3_times,
 )
@@ -66,8 +64,7 @@ def drops(at: dict[str, tuple[str, float]]) -> dict[str, TransitChoice]:
 
 
 def test_t2_obj2_micro1(backend, micro1):
-    compat = derive_compatibility(micro1)
-    model = build_d2_t2(micro1, compat, T2Objective("obj2"))
+    model = build_d2_t2(micro1, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     # distance proxy: CDC->A plus customer->B
@@ -79,15 +76,13 @@ def test_t2_obj2_micro1(backend, micro1):
 
 
 def test_t2_obj1_micro1(backend, micro1):
-    compat = derive_compatibility(micro1)
-    result = solve(build_d2_t2(micro1, compat, T2Objective("obj1")), backend)
+    result = solve(build_d2_t2(micro1, T2Objective("obj1")), backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(2.0)  # one pickup stop, one drop stop
 
 
 def test_t2_obj3_micro1(backend, micro1):
-    compat = derive_compatibility(micro1)
-    result = solve(build_d2_t2(micro1, compat, T2Objective("obj3")), backend)
+    result = solve(build_d2_t2(micro1, T2Objective("obj3")), backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(math.ceil(10.0 / 20.0))
 
@@ -95,9 +90,8 @@ def test_t2_obj3_micro1(backend, micro1):
 def test_t2_deadline_cut_infeasible(backend):
     # window closes before any trip's drop can be served
     tight = make_micro1(window=(150.0, 165.0))
-    compat = derive_compatibility(tight)
     with pytest.raises(ModelError, match="T2 infeasible: customer c1"):
-        build_d2_t2(tight, compat, T2Objective("obj2"))
+        build_d2_t2(tight, T2Objective("obj2"))
 
 
 # ---- truck model from a handoff -----------------------------------------
@@ -125,7 +119,7 @@ def test_t1_handoff_recovers_the_truck_cost_of_a_full_optimum(backend, micro1):
     # fed the stops and pickup times of a full optimum, the truck stage can do
     # no better (full would use it) and no worse (full's routes are feasible)
     for instance in [micro1] + generate_micro_instances(12, start_seed=1000):
-        model = build_full(instance, derive_compatibility(instance))
+        model = build_full(instance)
         result = solve(model, backend)
         assert result.status == "optimal"
         plan = decode_full(instance, model, result)
@@ -273,11 +267,11 @@ def test_midday_rule_arithmetic():
 
 
 def test_d1_t1_micro1_cut_and_half(backend, micro1):
-    compat = derive_compatibility(micro1)
-    tau = preprocess_midday(micro1, compat)
+    drop_ins = derive_compatibility(micro1)
+    tau = preprocess_midday(micro1, drop_ins)
     # latest start 800 - 300 - 10.93 = 489.07 >= 400: second half
     assert tau[("c1", "A")] == 2
-    model = build_d1_t1(micro1, compat, tau)
+    model = build_d1_t1(micro1, drop_ins, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
@@ -293,10 +287,10 @@ def test_d1_t1_micro1_cut_and_half(backend, micro1):
 def test_d1_t1_first_half_pinning(backend):
     instance = midday_fixture(600.0)
     instance.validate()
-    compat = derive_compatibility(instance)
-    tau = preprocess_midday(instance, compat)
+    drop_ins = derive_compatibility(instance)
+    tau = preprocess_midday(instance, drop_ins)
     assert tau[("c1", "A")] == 1
-    model = build_d1_t1(instance, compat, tau)
+    model = build_d1_t1(instance, drop_ins, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
     _routes, placed = decode_t1(instance, model, result)
@@ -319,14 +313,14 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
         customers=(Customer("u", Point(52, 2), 10.0, 200.0, 600.0, 0.0, frozenset({"B"})),),
     )
     instance.validate()
-    compat = derive_compatibility(instance)
-    assert compat.s_in_of_customer["u"] == {"A1", "A2"}
+    drop_ins = derive_compatibility(instance)
+    assert drop_ins["u"] == {"A1", "A2"}
     tau = {("u", "A1"): 1, ("u", "A2"): 2}
-    model = build_d1_t1(instance, compat, tau)
+    model = build_d1_t1(instance, drop_ins, tau)
     assert list(model.metadata["windows"]["u"]) == ["A1"]
     assert [idx[1:] for idx in model.family("x1")] == [("u", "A1")]
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-    rows = build_d1_t1(instance, compat, tau)
+    rows = build_d1_t1(instance, drop_ins, tau)
     assert sorted(rows.family("r")) == [("u", "A1", "d1")]
     for built in (model, rows):
         result = solve(built, backend)
@@ -334,12 +328,11 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
         _routes, placed = decode_t1(instance, built, result)
         assert {c: stop for c, (stop, _, _) in placed.items()} == {"u": "A1"}
     with pytest.raises(ModelBuildError, match="every drop-in stop misses the deadline cut"):
-        build_d1_t1(instance, compat, {("u", "A1"): 2, ("u", "A2"): 2})
+        build_d1_t1(instance, drop_ins, {("u", "A1"): 2, ("u", "A2"): 2})
 
 
 def test_d1_t2_dwell_arithmetic(backend, micro1):
-    compat = derive_compatibility(micro1)
-    model = build_d1_t2(micro1, compat, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
+    model = build_d1_t2(micro1, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -353,9 +346,8 @@ def test_d1_t2_stranded_when_dwell_small():
     from dataclasses import replace
     short_dwell = replace(micro, stops=(
         replace(micro.stops[0], max_dwell=100.0), micro.stops[1]))
-    compat = derive_compatibility(short_dwell)
     with pytest.raises(ModelBuildError, match="stranded package"):
-        build_d1_t2(short_dwell, compat, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
+        build_d1_t2(short_dwell, {"c1": ("A", "d1", 12.0)}, T2Objective("obj2"))
 
 
 # ---- freighter-first pipeline stages --------------------------------------
@@ -366,15 +358,14 @@ def test_first_trip_times(micro1):
 
 
 def test_d3_t3_micro1(backend, micro1):
-    compat = derive_compatibility(micro1)
     t_first = first_trip_times(micro1)
-    model = build_d3_t3(micro1, compat, t_first)
+    model = build_d3_t3(micro1, t_first)
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
-    b_out, routes = decode_d3_t3(micro1, model, result)
+    b_out, orders = decode_d3_t3(micro1, model, result)
     assert b_out == {"c1": "B"}
-    assert routes[0].departure >= 158.0 + 10.0 - 1e-6
+    assert [order for _, order in orders] == [("c1",)]
 
 
 def test_d3_equidistant_candidates_tie(backend):
@@ -391,11 +382,10 @@ def test_d3_equidistant_candidates_tie(backend):
                             frozenset({"B1", "B2"})),),
     )
     instance.validate()
-    compat = derive_compatibility(instance)
-    result = solve(build_d3_t3(instance, compat, first_trip_times(instance)))
+    result = solve(build_d3_t3(instance, first_trip_times(instance)))
     assert result.status == "optimal"
     b_out, _routes = decode_d3_t3(instance, build_d3_t3(
-        instance, compat, first_trip_times(instance)), result)
+        instance, first_trip_times(instance)), result)
     assert b_out["c1"] in ("B1", "B2")  # symmetric optimum, either is optimal
 
 
@@ -415,38 +405,34 @@ def test_repair_rule_examples(micro1):
         ),
     )
     instance.validate()
-    route = FreighterRoute(freighter="f1", home_stop="B", departure=168.0,
-                           customers=("c1", "c2"), times=(300.0, 320.0))
-    t_out, warnings = repair_d3_times([route], instance)
-    assert t_out["c2"] == pytest.approx(700.0)  # pinned to its closing
-    assert t_out["c1"] == pytest.approx(680.0)  # min(800, 700 - 20)
+    # c2 is pinned to its closing 700 and c1 to min(800, 700 - 20) = 680; the route
+    # leaves by 680 less the 20-minute ride from B to c1
+    t_out, warnings = repair_d3_times([("f1", ("c1", "c2"))], instance)
+    assert t_out == pytest.approx({"c1": 660.0, "c2": 660.0})
     assert warnings == []
 
     # when the predecessor's own closing is the binding term
     from dataclasses import replace as dreplace
     tight = dreplace(instance, customers=(
         dreplace(instance.customers[0], window_hi=650.0), instance.customers[1]))
-    t_out, _ = repair_d3_times([route], tight)
-    assert t_out["c1"] == pytest.approx(650.0)
+    t_out, _ = repair_d3_times([("f1", ("c1", "c2"))], tight)
+    assert t_out["c1"] == pytest.approx(630.0)
 
 
 def test_repair_single_customer_route(micro1):
-    route = FreighterRoute(freighter="f1", home_stop="B", departure=168.0,
-                           customers=("c1",), times=(200.0,))
-    t_out, _ = repair_d3_times([route], micro1)
-    assert t_out["c1"] == pytest.approx(800.0)
+    t_out, _ = repair_d3_times([("f1", ("c1",))], micro1)
+    ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
+    assert t_out["c1"] == pytest.approx(800.0 - ride)  # the closing less the ride
 
 
 def test_d3_t2_needs_a_late_trip(backend, micro1):
-    compat = derive_compatibility(micro1)
     b_out, t_depart_max = {"c1": "B"}, {"c1": 800.0}
     # trips at 158 and 188 both fall before the 500..790 drop window
     with pytest.raises(ModelBuildError, match="c1"):
-        build_d3_t2(micro1, compat, b_out, t_depart_max, T2Objective("obj2"))
+        build_d3_t2(micro1, b_out, t_depart_max, T2Objective("obj2"))
 
     late = make_micro1(extra_trip_time=550.0)
-    compat_late = derive_compatibility(late)
-    model = build_d3_t2(late, compat_late, b_out, t_depart_max, T2Objective("obj2"))
+    model = build_d3_t2(late, b_out, t_depart_max, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(late, model, result)
@@ -456,8 +442,7 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
 
 
 def test_d3_t2_dwell_window_intersection(backend, micro1):
-    compat = derive_compatibility(micro1)
-    model = build_d3_t2(micro1, compat, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj2"))
+    model = build_d3_t2(micro1, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -466,15 +451,13 @@ def test_d3_t2_dwell_window_intersection(backend, micro1):
 
 
 def test_d3_rejects_freighter_count_objective(micro1):
-    compat = derive_compatibility(micro1)
     with pytest.raises(ModelError):
-        build_d3_t2(micro1, compat, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj3"))
+        build_d3_t2(micro1, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj3"))
 
 
 def test_handoff_from_transit_roundtrip(backend, micro1):
     """The decoded transit choices are the hand-off the truck and freighter stages read."""
-    compat = derive_compatibility(micro1)
-    model = build_d2_t2(micro1, compat, T2Objective("obj2"))
+    model = build_d2_t2(micro1, T2Objective("obj2"))
     choices = decode_transit(micro1, model, solve(model, backend))
     ch = choices["c1"]
     assert (ch.drop_in, ch.drop_out) == ("A", "B")
@@ -542,13 +525,9 @@ def test_repair_subtracts_successor_service_time():
         ),
     )
     instance.validate()
-    route = FreighterRoute(freighter="f1", home_stop="B", departure=168.0,
-                           customers=("c1", "c2"), times=(175.0, 182.0))
-    t_visit, _ = repair_d3_times([route], instance)
-    assert t_visit["c2"] == pytest.approx(700.0)
-    assert t_visit["c1"] == pytest.approx(700.0 - 2.0 - 5.0)  # hop 2, c2's service 5
-    # the route leaves by T(c1) - ride(B -> c1) - service(c1)
-    latest = latest_departures([route], instance, t_visit)
+    latest, _ = repair_d3_times([("f1", ("c1", "c2"))], instance)
+    # c2 is pinned to 700 and c1 to T(c1) = 700 - 2 - 5 (hop 2, c2's service 5); the
+    # route leaves by T(c1) - ride(B -> c1) - service(c1)
     assert latest == pytest.approx({"c1": 693.0 - 2.0 - 5.0, "c2": 686.0})
 
 
@@ -572,19 +551,16 @@ def ride_fixture(drop_times: tuple[float, ...]) -> Instance:
 
 
 def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
-    route = FreighterRoute(freighter="f1", home_stop="B", departure=0.0,
-                           customers=("c1",), times=(500.0,))
     late_only = ride_fixture((495.0,))
-    t_visit, _ = repair_d3_times([route], late_only)
-    t_depart_max = latest_departures([route], late_only, t_visit)
+    t_depart_max, _ = repair_d3_times([("f1", ("c1",))], late_only)
     assert t_depart_max["c1"] == pytest.approx(490.0)
     # 495 precedes the 500 closing, but loading (10) and the ride (10) miss it
     with pytest.raises(ModelBuildError, match=r"within \[190, 480\]"):
-        build_d3_t2(late_only, derive_compatibility(late_only), {"c1": "B"}, t_depart_max,
+        build_d3_t2(late_only, {"c1": "B"}, t_depart_max,
                     T2Objective("obj2"))
 
     both = ride_fixture((470.0, 495.0))
-    model = build_d3_t2(both, derive_compatibility(both), {"c1": "B"}, t_depart_max,
+    model = build_d3_t2(both, {"c1": "B"}, t_depart_max,
                         T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -612,7 +588,7 @@ def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
         ),
     )
     instance.validate()
-    model = build_d3_t2(instance, derive_compatibility(instance), {"u": "B", "v": "B"},
+    model = build_d3_t2(instance, {"u": "B", "v": "B"},
                         {"u": 600.0, "v": 600.0}, T2Objective("obj1"))
     assert {pid for (_c, _s, pid) in model.family("y2")} == {"p2", "p3"}
     result = solve(model, backend)
@@ -646,8 +622,7 @@ def test_obj2_prices_one_truck_visit_per_dwell_window(backend):
         ),
     )
     instance.validate()
-    compat = derive_compatibility(instance)
-    model = build_d2_t2(instance, compat, T2Objective("obj2"))
+    model = build_d2_t2(instance, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(instance, model, result)
@@ -696,16 +671,15 @@ def shared_trip_fixture() -> Instance:
 @pytest.mark.parametrize("stage", ["d2-t2", "d1-t2", "d3-t2"])
 def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
     instance = shared_trip_fixture()
-    compat = derive_compatibility(instance)
     if stage == "d2-t2":
-        model = build_d2_t2(instance, compat, T2Objective("obj2"))
+        model = build_d2_t2(instance, T2Objective("obj2"))
         split_cost = 2 * 10.0 + 2 * SQRT8  # two truck visits at A, two drop distances
     elif stage == "d1-t2":
         placed = {"u": ("A", "d1", 140.0), "v": ("A", "d1", 140.0)}
-        model = build_d1_t2(instance, compat, placed, T2Objective("obj3"))
+        model = build_d1_t2(instance, placed, T2Objective("obj3"))
         split_cost = 2.0  # one freighter in each drop period
     else:
-        model = build_d3_t2(instance, compat, {"u": "B", "v": "B"}, {"u": 300.0, "v": 300.0},
+        model = build_d3_t2(instance, {"u": "B", "v": "B"}, {"u": 300.0, "v": 300.0},
                             T2Objective("obj2"))
         split_cost = 2 * 10.0
     result = solve(model, backend)
@@ -716,7 +690,7 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
 
 
 def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
-    model = build_d2_t2(micro1, derive_compatibility(micro1), T2Objective("obj2"))
+    model = build_d2_t2(micro1, T2Objective("obj2"))
     result = solve(model, backend)
     for col in model.family("y1").values():
         result.values[col] = 0.0
@@ -779,11 +753,10 @@ def dual_role_fixture() -> Instance:
 def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
     """A -1000 lure on each end of a backward ride takes one end at most."""
     instance = fixture()
-    compat = derive_compatibility(instance)
     if model_kind == "d2-t2":
-        model = build_d2_t2(instance, compat, T2Objective("obj1"))
+        model = build_d2_t2(instance, T2Objective("obj1"))
     else:
-        model = build_full(instance, compat)
+        model = build_full(instance)
     ends = (model.family("y1")[("u", pickup, "p1")], model.family("y2")[("u", drop, "p1")])
     lured = dataclasses.replace(model, objective=model.objective + [(col, -1000.0) for col in ends])
     result = solve(lured, backend)
@@ -837,10 +810,9 @@ def test_route_columns_match_the_oracle_on_micro_instances(backend):
 
     checked = 0
     for instance in generate_micro_instances(20):
-        compat = derive_compatibility(instance)
         demands = {c.id: c.demand for c in instance.customers}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective(tag))
+            t2 = build_d2_t2(instance, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
             choices = decode_transit(instance, t2, result)
@@ -871,13 +843,12 @@ def test_d3_t3_drives_the_later_leaving_direction_of_a_tie(backend):
                    Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    model = build_d3_t3(instance, derive_compatibility(instance), first_trip_times(instance))
+    model = build_d3_t3(instance, first_trip_times(instance))
     assert ("f1", "v", "u") not in model.family("q")
-    _b_out, routes = decode_d3_t3(instance, model, solve(model, backend))
-    assert [r.customers for r in routes] == [("u", "v")]
-    t_visit, _ = repair_d3_times(routes, instance)
+    _b_out, orders = decode_d3_t3(instance, model, solve(model, backend))
+    assert orders == [("f1", ("u", "v"))]
     ride = instance.travel_minutes(Point(50, 0), Point(52, 2))
-    assert latest_departures(routes, instance, t_visit) == {
+    assert repair_d3_times(orders, instance)[0] == {
         "u": pytest.approx(300.0 - ride), "v": pytest.approx(300.0 - ride)}
 
 
@@ -890,12 +861,12 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
 
     for seed in DOMINANCE_SEEDS:
         instance = generate_instance(_dominance_params(seed))
-        compat, t_first = derive_compatibility(instance), first_trip_times(instance)
+        t_first = first_trip_times(instance)
         # the DP's inputs as d3-t3 gives them: every route leaves after its stop's first trip
         dp_latest = {}
         for sid, t in t_first.items():
             stop = instance.stop(sid)
-            custs = [instance.customer(c) for c in sorted(compat.customers_of_dropout.get(sid, ()))]
+            custs = [c for c in instance.customers if sid in c.dropout_candidates]
             places = {c.id: (c.location, c.service_time) for c in custs}
             visits = [(c.id, (c.id,), c.demand, c.window_lo, c.window_hi,
                        (t + stop.service_time, instance.cost_params.horizon)) for c in custs]
@@ -903,14 +874,13 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
                 found = enumerate_routes(instance, stop.location, places, visits, fleet[0].capacity)
                 dp_latest.update(((g, *order), latest) for front in found.values()
                                  for _, latest, order, _ in front)
-        model = build_d3_t3(instance, compat, t_first)
+        model = build_d3_t3(instance, t_first)
         result = solve(model, backend)
         assert result.status == "optimal"
-        _b_out, routes = decode_d3_t3(instance, model, result)
-        t_visit, _ = repair_d3_times(routes, instance)
-        latest = latest_departures(routes, instance, t_visit)
+        _b_out, orders = decode_d3_t3(instance, model, result)
+        latest, _ = repair_d3_times(orders, instance)
         chosen = [idx for idx, q in model.family("q").items() if result.values[q] > 0.5]
-        assert [r.customers for r in routes] == [idx[1:] for idx in chosen]
+        assert [order for _, order in orders] == [idx[1:] for idx in chosen]
         for idx in chosen:
             for cid in idx[1:]:
                 assert latest[cid] == pytest.approx(dp_latest[idx], abs=1e-6)
@@ -983,10 +953,9 @@ def test_truck_stage_matches_the_oracle_on_micro_instances(backend, monkeypatch,
     assert build_t1_from_handoff(make_micro1(), pickups({"c1": ("A", 150.0)})).family(family)
     checked = infeasible = 0
     for instance in generate_micro_instances(count):
-        compat = derive_compatibility(instance)
         demands = {c.id: c.demand for c in instance.customers}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective(tag))
+            t2 = build_d2_t2(instance, T2Objective(tag))
             result = solve(t2, backend)
             assert result.status == "optimal"
             choices = decode_transit(instance, t2, result)
@@ -1021,11 +990,10 @@ def test_oracle_layer_memos_are_safe_to_share(backend):
 
     checked = 0
     for instance in generate_micro_instances(20):
-        compat = derive_compatibility(instance)
         demands = {c.id: c.demand for c in instance.customers}
         truck_memo, freighter_memo = {}, {}
         for tag in ("obj1", "obj2", "obj3"):
-            t2 = build_d2_t2(instance, compat, T2Objective(tag))
+            t2 = build_d2_t2(instance, T2Objective(tag))
             choices = decode_transit(instance, t2, solve(t2, backend))
             disjoint = _disjoint_pickups(instance, choices)
             pickup = {c: (ch.drop_in, ch.pickup_time) for c, ch in choices.items()}
@@ -1167,10 +1135,10 @@ def test_truck_stage_builds_rows_when_the_routes_outgrow_the_label_limit():
     assert model.family("w") and not model.family("x1")
 
 
-def _d1_t1_optimum(instance, compat, tau, backend) -> float:
+def _d1_t1_optimum(instance, drop_ins, tau, backend) -> float:
     """The d1-t1 optimum. Each decoded package is at one of its stops, within the window
     there."""
-    model = build_d1_t1(instance, compat, tau)
+    model = build_d1_t1(instance, drop_ins, tau)
     result = solve(model, backend)
     assert result.status == "optimal"
     _routes, placed = decode_t1(instance, model, result)
@@ -1187,8 +1155,8 @@ def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
     d1-t1, whose decoded minutes lie in the windows either way."""
     budgets = ((tiers.ROUTE_LABEL_LIMIT, "columns"), (0, "rows"))
     for instance in generate_micro_instances(8):
-        compat = derive_compatibility(instance)
-        tau = preprocess_midday(instance, compat)
+        drop_ins = derive_compatibility(instance)
+        tau = preprocess_midday(instance, drop_ins)
         costs, optima = [], []
         for label_limit, form in budgets:
             monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
@@ -1196,7 +1164,7 @@ def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
             assert validate_plan(instance, plan) == []
             assert [s.form for s in metrics.stages if s.stage == "t1"] == [form]
             costs.append(metrics.t1_cost)
-            optima.append(_d1_t1_optimum(instance, compat, tau, backend))
+            optima.append(_d1_t1_optimum(instance, drop_ins, tau, backend))
         assert costs[1] == pytest.approx(costs[0], rel=1e-6)
         assert optima[1] == pytest.approx(optima[0], rel=1e-6)
 
@@ -1209,9 +1177,10 @@ def test_d1_t1_columns_reach_the_row_optimum_on_the_dominance_seeds(backend, mon
 
     for seed in DOMINANCE_SEEDS:
         instance = generate_instance(_dominance_params(seed))
-        compat = derive_compatibility(instance)
+        drop_ins = derive_compatibility(instance)
         monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-        optimum = _d1_t1_optimum(instance, compat, preprocess_midday(instance, compat), backend)
+        optimum = _d1_t1_optimum(instance, drop_ins, preprocess_midday(instance, drop_ins),
+                                 backend)
         monkeypatch.undo()
         for tag in ("obj1", "obj2", "obj3"):
             plan, metrics = run_method(instance, RunConfig(method="d1", t2_obj=tag), backend)

@@ -63,9 +63,8 @@ def test_vrptw_window_packing(backend):
 
 
 def test_vrptw_baseline_exceeds_three_tier_on_micro1(backend, micro1):
-    from transitfreight.compat import derive_compatibility
     from transitfreight.model_full import build_full
-    three_tier = solve(build_full(micro1, derive_compatibility(micro1)), backend)
+    three_tier = solve(build_full(micro1), backend)
     direct = solve(build_vrptw(micro1), backend)
     assert direct.objective > three_tier.objective  # 104.08 vs 22.83
 
