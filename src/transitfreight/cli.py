@@ -19,7 +19,7 @@ from .generate import GenParams, generate_instance
 from .instance import InstanceError, parse_instance, serialize_instance
 from .milp import ModelError
 from .model_full import FullOptions, build_full
-from .pipeline import PipelineError, RunConfig, compare_methods, run_method
+from .pipeline import METHODS, PipelineError, RunConfig, compare_methods, run_method
 from .plan import Plan, parse_plan, serialize_plan
 from .report import emit_report, rows_from_csv, rows_to_csv
 from .validate import (
@@ -107,8 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance with one method")
     p.add_argument("--instance", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["full", "d1", "d2", "d3", "vrptw"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--t2-obj", default=None, choices=["obj1", "obj2", "obj3"])
     p.add_argument("--beta", type=_SCALE, default=None)
     p.add_argument("--mu", type=_SCALE, default=0.0)
@@ -162,11 +161,36 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _run_configs(args) -> list[RunConfig]:
+    """The runs a ``solve`` or ``compare`` asks for; a ``ModelError`` names a setting no
+    run can use. ``compare`` gives ``d3`` obj2 in place of obj3, and mu > 0 to ``full``."""
+    if args.verb == "solve":
+        return [RunConfig(method=args.method, t2_obj=args.t2_obj, beta=args.beta, mu=args.mu,
+                          rel_gap=args.gap, time_limit=args.time_limit)]
+    configs = []
+    for method in [m.strip() for m in args.methods.split(",") if m.strip()]:
+        if method not in METHODS:
+            raise ModelError(f"unknown method {method!r} in --methods; "
+                             f"expected {', '.join(METHODS)}")
+        t2 = args.t2_obj if method in ("d1", "d2", "d3") else None
+        if method == "d3" and t2 == "obj3":
+            t2 = "obj2"
+        for beta in args.betas:
+            for mu in args.mus:
+                if mu and method != "full":
+                    continue
+                configs.append(RunConfig(
+                    method=method, t2_obj=t2, beta=beta, mu=mu,
+                    rel_gap=args.gap, time_limit=args.time_limit))
+    if not configs:
+        raise ModelError("--methods and --mus leave no run: a service-cost scale other "
+                         "than 0 applies to full alone")
+    return configs
+
+
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
-    config = RunConfig(
-        method=args.method, t2_obj=args.t2_obj, beta=args.beta, mu=args.mu,
-        rel_gap=args.gap, time_limit=args.time_limit)
+    [config] = args.configs
     artifacts = Path(args.artifacts) if args.artifacts else None
     plan, metrics = run_method(instance, config, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(serialize_plan(plan), encoding="utf-8")
@@ -209,21 +233,8 @@ def _cmd_compare(args) -> int:
         (path.stem, parse_instance(path.read_text(encoding="utf-8")))
         for path in instance_files
     ]
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    configs = []
-    for method in methods:
-        t2 = args.t2_obj if method in ("d1", "d2", "d3") else None
-        if method == "d3" and t2 == "obj3":
-            t2 = "obj2"
-        for beta in args.betas:
-            for mu in args.mus:
-                if mu and method != "full":
-                    continue
-                configs.append(RunConfig(
-                    method=method, t2_obj=t2, beta=beta, mu=mu,
-                    rel_gap=args.gap, time_limit=args.time_limit))
     artifacts = Path(args.artifacts) if args.artifacts else None
-    rows = compare_methods(instances, configs, ScipyHighsBackend(), artifacts)
+    rows = compare_methods(instances, args.configs, ScipyHighsBackend(), artifacts)
     Path(args.out).write_text(rows_to_csv(rows), encoding="utf-8")
     if args.report_dir:
         emit_report(rows, Path(args.report_dir))
@@ -264,6 +275,11 @@ _COMMANDS = {
 def cli_main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.verb in ("solve", "compare"):
+        try:
+            args.configs = _run_configs(args)
+        except ModelError as exc:
+            parser.error(str(exc))
     try:
         return _COMMANDS[args.verb](args)
     except (InstanceError, ModelError, PipelineError, BackendError,

@@ -213,8 +213,7 @@ def patch_orphan_dropouts(instance: Instance, rng: np.random.Generator) -> Insta
         dist = rng.uniform(0.0, 0.05 * box_scale)
         loc = Point(stop.location.x + dist * math.cos(angle),
                     stop.location.y + dist * math.sin(angle))
-        lo = float(rng.integers(int(EARLIEST_WINDOW_OPEN), int(LATEST_WINDOW_OPEN) + 1))
-        hi = float(rng.integers(int(lo + WINDOW_MIN_LENGTH), int(instance.cost_params.horizon) + 1))
+        [(lo, hi)] = generate_time_windows(1, rng)
         others = sorted((s for s in dropouts if s.id != stop.id),
                         key=lambda s: euclidean_distance(loc, s.location))
         candidates = frozenset([stop.id] + [s.id for s in others[:2]])

@@ -483,8 +483,8 @@ def add_freighter_routing(mb: ModelBuilder, instance: Instance,
 
     Returns, per (customer, stop), the ``q`` of the columns that serve the
     customer from that stop, in the order they were made. Callers tie them
-    to their own decision: ``full`` to the drop there, d3-t3 to the stop it
-    picks, t3-stopwise to 1.
+    to their own decision: ``full`` to the drop there; d3-t3 and t3-stopwise
+    serve each customer once over the columns of all its stops.
     """
     serving: dict[tuple[str, str], list] = {}
     for stop_id in sorted(customers_of_stop):

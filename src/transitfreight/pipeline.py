@@ -36,7 +36,6 @@ from .tiers import (
     decode_t3_stopwise,
     first_trip_times,
     preprocess_midday,
-    repair_d3_times,
 )
 from .report import ReportRow, fill_deviations, run_label
 from .validate import price_routes, validate_plan, validate_vrptw_plan
@@ -95,6 +94,8 @@ class RunConfig:
             if self.method == "d3" and self.t2_obj == "obj3":
                 raise ModelError(
                     "freighter-count objective is unavailable when freighters are fixed first")
+        elif self.t2_obj is not None:
+            raise ModelError(f"method {self.method} has no transit stage to take an objective")
         for name, value in (("beta", self.beta), ("mu", self.mu)):
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise ModelError(f"{name} must be finite and nonnegative, not {value!r}")
@@ -148,7 +149,6 @@ class RunMetrics:
     packages_per_freighter: float = 0.0
     packages_per_trip: float = 0.0
     wall_time: float = 0.0
-    warnings: list[str] = field(default_factory=list)  # from d3's backward time repair
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -373,10 +373,8 @@ def _run_d1(instance, drop_ins, config, backend, metrics, artifacts_dir) -> Plan
 
 def _run_d3(instance, _drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
     t_first = first_trip_times(instance)
-    b_out, orders = _stage("t3", config.limits["first"], backend, metrics,
-                           build_d3_t3, decode_d3_t3, instance, t_first)
-    t_depart_max, warnings = repair_d3_times(orders, instance)
-    metrics.warnings.extend(warnings)
+    b_out, orders, t_depart_max = _stage("t3", config.limits["first"], backend, metrics,
+                                         build_d3_t3, decode_d3_t3, instance, t_first)
     _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, {
         "b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max, "routes": dict(orders)})
 
@@ -397,8 +395,9 @@ def _retime_d3_routes(instance, orders, choices) -> list[FreighterRoute]:
     actual drops are loaded.
 
     The transit stage kept every drop of a route within the dwell cap before
-    the route's latest departure, so neither check below can fire unless an
-    earlier stage broke its contract; they stay as stage-named guards.
+    the route's latest departure, which d3-t3 read from the route's column, so
+    neither check below can fire unless an earlier stage broke its contract;
+    they stay as stage-named guards.
     """
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}

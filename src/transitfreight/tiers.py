@@ -6,11 +6,10 @@ Pipelines differ in which tier commits first:
     (the drop-out side separates into one routing model per stop);
   * truck-first: route trucks under approximate delivery-deadline cuts and a
     half-day split, then pick trips and drop-out stops, then freighters;
-  * freighter-first: pick drop-out stops and freighter routes seeded by each
-    stop's first trip arrival, repair the visit times backward from the
-    window closings into a latest departure per route, then pick trips that
-    drop every package of a route within the dwell cap before that
-    departure, then route trucks.
+  * freighter-first: pick freighter routes, which fix the drop-out stops,
+    seeded by each stop's first trip arrival, then pick trips that drop
+    every package of a route within the dwell cap before the route's
+    latest departure, then route trucks.
 
 The transit model supports three surrogate objectives: used-stop count,
 distance proxies, and an estimated freighter count per period. The
@@ -27,8 +26,9 @@ from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
 arrival. Each route leaves once its packages are loaded after their drops,
 so only ``full`` gives a route a departure variable: t3-stopwise times its
 routes as it decodes them (``decode_freighter_routes``), and d3-t3 hands on
-its routes untimed, as (freighter, customers in visit order), for the
-pipeline to time once d3's transit stage has fixed the drops. The three transit stages
+its routes untimed, as (freighter, customers in visit order), each with the
+latest departure L the route DP lists for its column; the pipeline times
+them once d3's transit stage has fixed the drops. The three transit stages
 differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
 can feed and drops a freighter can still serve in time; d1-t2 pins the
 pickup to the truck's stop within the dwell cap after its arrival, and
@@ -56,12 +56,12 @@ there.
 
 Each stage reads only the instance and what the decoder before it returns:
 the transit choices (``model_full.TransitChoice``) of ``decode_transit``, the
-truck placements of ``decode_t1``, or d3-t3's drop-out stops and the latest
-departures ``repair_d3_times`` takes from its route orders. The one side
-table is d1's: its truck stage picks among the drop-in stops of each
-package's entry in the drop-in map (``compat.derive_compatibility``), since
-no trip is chosen yet; every transit stage takes its stops from its own
-domains (``model_full.transit_pairs``).
+truck placements of ``decode_t1``, or d3-t3's drop-out stops, route orders
+and latest departures (``decode_d3_t3``). The one side table is d1's: its
+truck stage picks among the drop-in stops of each package's entry in the
+drop-in map (``compat.derive_compatibility``), since no trip is chosen yet;
+every transit stage takes its stops from its own domains
+(``model_full.transit_pairs``).
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ from .model_full import (
     add_transit_flow,
     add_truck_rows,
     arc_costs,
-    chosen,
     decode_freighter_routes,
     decode_trucks,
     enumerate_routes,
@@ -551,8 +550,11 @@ def first_trip_times(instance: Instance) -> dict[str, float]:
 def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
     """Choose drop-out stops and freighter routes before any transit decision.
 
-    Every freighter is seeded to start no earlier than its stop's first
-    scheduled trip arrival plus handling; stops no trip reaches take no part.
+    A route leaves its stop after the stop's first scheduled trip arrival plus
+    handling, and by the horizon; stops no trip reaches take no part. Each
+    customer rides one column of its candidate stops, which fixes its drop-out
+    stop. The metadata keeps each column's latest departure, min(L, horizon)
+    (``add_freighter_routing``), by (home stop, customers in visit order).
     """
     mb = ModelBuilder("d3-t3")
 
@@ -564,64 +566,38 @@ def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
     def departure_bounds(_cid: str, sid: str) -> tuple[float, float]:
         return t_first[sid] + instance.stop(sid).service_time, instance.cost_params.horizon
 
-    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds)
+    latest: dict[tuple[str, tuple[str, ...]], float] = {}
 
+    def keep_latest(_q, idx: tuple, _lo: float, hi: float) -> None:
+        latest[(instance.freighter(idx[0]).home_stop, idx[1:])] = hi
+
+    serving = add_freighter_routing(mb, instance, customers_of_stop, departure_bounds,
+                                    keep_latest)
     for cust in instance.customers:
-        for sid in sorted(cust.dropout_candidates):
-            mb.binary("gamma2", cust.id, sid)
-        mb.add([(mb.get("gamma2", cust.id, sid), 1.0)
-                for sid in sorted(cust.dropout_candidates)],
-               "=", 1.0, f"dropout_once[{cust.id}]")
-        for sid in sorted(cust.dropout_candidates):
-            mb.add([(q, 1.0) for q in serving.get((cust.id, sid), [])]
-                   + [(mb.get("gamma2", cust.id, sid), -1.0)],
-                   "=", 0.0, f"stop_serve[{cust.id},{sid}]")
+        columns = [q for sid in sorted(cust.dropout_candidates)
+                   for q in serving.get((cust.id, sid), [])]
+        if not columns:
+            raise ModelBuildError(f"customer {cust.id}: no freighter route serves it")
+        mb.add([(q, 1.0) for q in columns], "=", 1.0, f"customer_once[{cust.id}]")
 
     mb.set_objective(route_costs(mb, instance))
-    return mb.build()
+    return mb.build(latest=latest)
 
 
 def decode_d3_t3(instance: Instance, model: MilpModel, result: SolveResult
-                 ) -> tuple[dict[str, str], list[tuple[str, tuple[str, ...]]]]:
-    """The chosen drop-out stops, and each chosen route as (freighter, customers in visit
-    order) (``model_full.freighter_orders``); the routes are timed once the drops are
-    known (``pipeline``)."""
-    return (dict(chosen(model, result.values, "gamma2")),
-            freighter_orders(instance, model, result.values))
-
-
-def repair_d3_times(orders: list[tuple[str, tuple[str, ...]]], instance: Instance
-                    ) -> tuple[dict[str, float], list[str]]:
-    """Per customer, the latest minute its freighter may leave the drop-out stop, from
-    one backward pass over each route's ``(freighter, customers in visit order)``.
-
-    The last customer is pinned to its window's closing; each earlier one to
-    min(own closing, successor's time minus the travel between them and the
-    successor's service time). Visit order is kept, so the routing cost is
-    untouched; any schedule along the route that delivers no later than these
-    times meets every window. One departure carries every package of a route,
-    so all its customers share ``T(first) - ride(stop -> first) -
-    service(first)``. A customer whose latest time falls before its window
-    opens is warned of: waiting absorbs it.
-    """
-    t_depart_max: dict[str, float] = {}
-    warnings: list[str] = []
+                 ) -> tuple[dict[str, str], list[tuple[str, tuple[str, ...]]], dict[str, float]]:
+    """``(b_out, orders, t_depart_max)`` from the chosen route columns: ``orders`` has each
+    route as (freighter, customers in visit order) (``model_full.freighter_orders``), timed
+    once the drops are known (``pipeline``); ``b_out`` has, in instance order, the home stop
+    of each customer's freighter; ``t_depart_max``, route by route, its column's latest
+    departure."""
+    orders = freighter_orders(instance, model, result.values)
+    home, t_depart_max = {}, {}
     for freighter, order in orders:
-        latest = nxt = None
-        for cid in reversed(order):
-            cust = instance.customer(cid)
-            latest = cust.window_hi if nxt is None else min(
-                cust.window_hi,
-                latest - instance.travel_minutes(cust.location, nxt.location) - nxt.service_time)
-            if latest < cust.window_lo - 1e-9:
-                warnings.append(
-                    f"customer {cid}: repaired time {latest:g} is before its window opens "
-                    f"({cust.window_lo:g}); waiting will absorb it")
-            nxt = cust
-        home = instance.stop(instance.freighter(freighter).home_stop).location
-        departure = latest - instance.travel_minutes(home, nxt.location) - nxt.service_time
-        t_depart_max.update(dict.fromkeys(order, departure))
-    return t_depart_max, warnings
+        stop = instance.freighter(freighter).home_stop
+        home.update(dict.fromkeys(order, stop))
+        t_depart_max.update(dict.fromkeys(order, model.metadata["latest"][(stop, order)]))
+    return {c.id: home[c.id] for c in instance.customers}, orders, t_depart_max
 
 
 def build_d3_t2(instance: Instance, b_out: dict[str, str],

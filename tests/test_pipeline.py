@@ -33,6 +33,9 @@ def test_config_validation():
         RunConfig(method="d3", t2_obj="obj3")  # rejected combination
     with pytest.raises(ModelError):
         RunConfig(method="d2", t2_obj="obj2", mu=0.5)  # service costs are FULL-only
+    for method in ("full", "vrptw"):  # no transit stage to take an objective
+        with pytest.raises(ModelError, match=f"method {method} has no transit stage"):
+            RunConfig(method=method, t2_obj="obj2")
     with pytest.raises(ModelError, match="finite"):
         RunConfig(method="full", mu=float("nan"))
     for beta in (float("nan"), float("inf"), -1.0):
@@ -647,20 +650,16 @@ def test_a_run_prices_its_plan_once(backend, micro1, monkeypatch, config):
     assert len(calls) == 1
 
 
-def test_d3_repair_warnings_reach_metrics(backend, monkeypatch, tmp_path):
-    real_repair = pipeline.repair_d3_times
-
-    def repair_with_warning(orders, instance):
-        t_depart_max, warnings = real_repair(orders, instance)
-        return t_depart_max, warnings + ["customer c1: repaired time 1 is before its window opens"]
-
-    monkeypatch.setattr(pipeline, "repair_d3_times", repair_with_warning)
-    late = make_micro1(extra_trip_time=550.0)
-    _plan, metrics = run_method(late, RunConfig(method="d3", t2_obj="obj2"), backend,
-                                artifacts_dir=tmp_path)
-    expected = ["customer c1: repaired time 1 is before its window opens"]
-    assert metrics.warnings == expected
-    assert json.loads((tmp_path / "metrics.json").read_text())["warnings"] == expected
+def test_d3_fails_at_t3_naming_a_customer_no_route_serves(backend, tmp_path):
+    # c1's window closes at 160, before a freighter leaving after the first drop (158)
+    # and its loading reaches it: d3-t3 has no column for c1 and is not solved
+    early = make_micro1(window=(100.0, 160.0))
+    with pytest.raises(PipelineError) as exc:
+        run_method(early, RunConfig(method="d3", t2_obj="obj2"), backend,
+                   artifacts_dir=tmp_path)
+    assert (exc.value.stage, exc.value.status) == ("t3", "infeasible")
+    assert exc.value.cause.startswith("customer c1: no freighter route serves it")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["instance.json"]
 
 
 def test_every_method_agrees_with_the_oracle_on_two_line_draws(backend):

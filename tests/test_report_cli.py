@@ -300,6 +300,31 @@ def test_cli_out_of_range_limit_exits_2(tmp_path, capsys, argv, flag, form):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--method", "d1"], "method d1 needs a transit objective"),
+    (["solve", "--method", "d3", "--t2-obj", "obj3"],
+     "freighter-count objective is unavailable when freighters are fixed first"),
+    (["solve", "--method", "d2", "--t2-obj", "obj2", "--mu", "0.5"],
+     "service costs apply to the monolithic model only"),
+    (["solve", "--method", "full", "--t2-obj", "obj2"],
+     "method full has no transit stage to take an objective"),
+    (["compare", "--methods", "full,foo"], "unknown method 'foo' in --methods"),
+    (["compare", "--methods", "d2", "--mus", "0.5"], "--methods and --mus leave no run"),
+    (["compare", "--methods", ","], "--methods and --mus leave no run"),
+])
+def test_cli_refused_run_settings_exit_2(tmp_path, capsys, argv, message):
+    """A method, objective or scale no run can use is a usage error: it exits 2 before
+    any file is read or written. The instance paths do not exist, so reading them
+    would exit 1."""
+    where = (["--instance", str(tmp_path / "i.json")] if argv[0] == "solve" else
+             ["--instances", str(tmp_path / "instances"), "--report-dir", str(tmp_path / "r")])
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv + where + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_runtime_failure_exits_1(tmp_path, capsys):
     missing = tmp_path / "nothing.json"
     rc = cli_main(["solve", "--instance", str(missing), "--method", "full",

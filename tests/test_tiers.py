@@ -38,7 +38,6 @@ from transitfreight.tiers import (
     enumerate_truck_routes,
     first_trip_times,
     preprocess_midday,
-    repair_d3_times,
 )
 from transitfreight.validate import validate_plan
 from transitfreight.vrptw import build_vrptw
@@ -58,6 +57,14 @@ def drops(at: dict[str, tuple[str, float]]) -> dict[str, TransitChoice]:
     """Transit choices fixing what a freighter stage reads, each package's drop-out stop
     and drop minute (``at``); the trip and the pickup are placeholders it never reads."""
     return {c: TransitChoice("", "", math.nan, stop, t) for c, (stop, t) in at.items()}
+
+
+def d3_t3_handoff(instance: Instance, backend) -> tuple:
+    """What d3-t3 hands on for ``instance``: ``(b_out, orders, t_depart_max)``."""
+    model = build_d3_t3(instance, first_trip_times(instance))
+    result = solve(model, backend)
+    assert result.status == "optimal"
+    return decode_d3_t3(instance, model, result)
 
 
 # ---- transit-first: transit model ---------------------------------------
@@ -363,9 +370,11 @@ def test_d3_t3_micro1(backend, micro1):
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
-    b_out, orders = decode_d3_t3(micro1, model, result)
+    b_out, orders, t_depart_max = decode_d3_t3(micro1, model, result)
     assert b_out == {"c1": "B"}
     assert [order for _, order in orders] == [("c1",)]
+    ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
+    assert t_depart_max == {"c1": pytest.approx(800.0 - ride)}
 
 
 def test_d3_equidistant_candidates_tie(backend):
@@ -382,14 +391,22 @@ def test_d3_equidistant_candidates_tie(backend):
                             frozenset({"B1", "B2"})),),
     )
     instance.validate()
-    result = solve(build_d3_t3(instance, first_trip_times(instance)))
-    assert result.status == "optimal"
-    b_out, _routes = decode_d3_t3(instance, build_d3_t3(
-        instance, first_trip_times(instance)), result)
+    b_out, orders, _latest = d3_t3_handoff(instance, backend)
     assert b_out["c1"] in ("B1", "B2")  # symmetric optimum, either is optimal
+    # the stop is the home stop of the freighter that serves c1
+    assert [(instance.freighter(f).home_stop, order) for f, order in orders] == [
+        (b_out["c1"], ("c1",))]
 
 
-def test_repair_rule_examples(micro1):
+def test_d3_t3_hands_on_the_horizon_past_a_late_closing(backend):
+    # c1's window closes at 1000, after the 900-minute horizon, which bounds every departure
+    late = make_micro1(window=(200.0, 1000.0))
+    assert late.cost_params.horizon == 900.0
+    _b_out, _orders, t_depart_max = d3_t3_handoff(late, backend)
+    assert t_depart_max == {"c1": 900.0}
+
+
+def test_repair_rule_examples(backend):
     # two-customer route: last pinned to closing, predecessor by the min rule
     instance = Instance(
         cdc=Point(0, 0),
@@ -406,21 +423,22 @@ def test_repair_rule_examples(micro1):
     )
     instance.validate()
     # c2 is pinned to its closing 700 and c1 to min(800, 700 - 20) = 680; the route
-    # leaves by 680 less the 20-minute ride from B to c1
-    t_out, warnings = repair_d3_times([("f1", ("c1", "c2"))], instance)
+    # leaves by 680 less the 20-minute ride from B to c1. The other direction costs the
+    # same and may leave by 660 as well
+    _b_out, _orders, t_out = d3_t3_handoff(instance, backend)
     assert t_out == pytest.approx({"c1": 660.0, "c2": 660.0})
-    assert warnings == []
 
     # when the predecessor's own closing is the binding term
     from dataclasses import replace as dreplace
     tight = dreplace(instance, customers=(
         dreplace(instance.customers[0], window_hi=650.0), instance.customers[1]))
-    t_out, _ = repair_d3_times([("f1", ("c1", "c2"))], tight)
+    _b_out, orders, t_out = d3_t3_handoff(tight, backend)
+    assert orders == [("f1", ("c1", "c2"))]  # the other direction may leave by 590 only
     assert t_out["c1"] == pytest.approx(630.0)
 
 
-def test_repair_single_customer_route(micro1):
-    t_out, _ = repair_d3_times([("f1", ("c1",))], micro1)
+def test_repair_single_customer_route(backend, micro1):
+    _b_out, _orders, t_out = d3_t3_handoff(micro1, backend)
     ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
     assert t_out["c1"] == pytest.approx(800.0 - ride)  # the closing less the ride
 
@@ -510,7 +528,7 @@ def test_stopwise_models_sum_to_merged_optimum(backend):
 # ---- freighter-first: latest departure and drop window --------------------
 
 
-def test_repair_subtracts_successor_service_time():
+def test_repair_subtracts_successor_service_time(backend):
     instance = Instance(
         cdc=Point(0, 0),
         stops=(Stop("A", Point(10, 0), True, False, 10.0, 300.0),
@@ -525,9 +543,11 @@ def test_repair_subtracts_successor_service_time():
         ),
     )
     instance.validate()
-    latest, _ = repair_d3_times([("f1", ("c1", "c2"))], instance)
+    _b_out, orders, latest = d3_t3_handoff(instance, backend)
     # c2 is pinned to 700 and c1 to T(c1) = 700 - 2 - 5 (hop 2, c2's service 5); the
-    # route leaves by T(c1) - ride(B -> c1) - service(c1)
+    # route leaves by T(c1) - ride(B -> c1) - service(c1). The other direction costs the
+    # same but must leave by 684, so only this one is a column
+    assert orders == [("f1", ("c1", "c2"))]
     assert latest == pytest.approx({"c1": 693.0 - 2.0 - 5.0, "c2": 686.0})
 
 
@@ -551,15 +571,17 @@ def ride_fixture(drop_times: tuple[float, ...]) -> Instance:
 
 
 def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
-    late_only = ride_fixture((495.0,))
-    t_depart_max, _ = repair_d3_times([("f1", ("c1",))], late_only)
+    # d3-t3 seeds the route after the first trip's drop, so on the two-trip fixture it
+    # may leave by 490, the 500 closing less the 10-minute ride
+    both = ride_fixture((470.0, 495.0))
+    _b_out, _orders, t_depart_max = d3_t3_handoff(both, backend)
     assert t_depart_max["c1"] == pytest.approx(490.0)
+    late_only = ride_fixture((495.0,))
     # 495 precedes the 500 closing, but loading (10) and the ride (10) miss it
     with pytest.raises(ModelBuildError, match=r"within \[190, 480\]"):
         build_d3_t2(late_only, {"c1": "B"}, t_depart_max,
                     T2Objective("obj2"))
 
-    both = ride_fixture((470.0, 495.0))
     model = build_d3_t2(both, {"c1": "B"}, t_depart_max,
                         T2Objective("obj2"))
     result = solve(model, backend)
@@ -845,16 +867,16 @@ def test_d3_t3_drives_the_later_leaving_direction_of_a_tie(backend):
     instance.validate()
     model = build_d3_t3(instance, first_trip_times(instance))
     assert ("f1", "v", "u") not in model.family("q")
-    _b_out, orders = decode_d3_t3(instance, model, solve(model, backend))
+    _b_out, orders, t_depart_max = decode_d3_t3(instance, model, solve(model, backend))
     assert orders == [("f1", ("u", "v"))]
     ride = instance.travel_minutes(Point(50, 0), Point(52, 2))
-    assert repair_d3_times(orders, instance)[0] == {
-        "u": pytest.approx(300.0 - ride), "v": pytest.approx(300.0 - ride)}
+    assert t_depart_max == {"u": pytest.approx(300.0 - ride), "v": pytest.approx(300.0 - ride)}
 
 
 def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
     """On the dominance seeds, the handoff's latest departure of every d3-t3 route
-    is the latest departure L the route DP lists for its column."""
+    is the latest departure L the route DP lists for its column, or the horizon if
+    that is earlier."""
     from transitfreight.generate import generate_instance
     from transitfreight.model_full import enumerate_routes, vehicle_classes
     from test_acceptance import DOMINANCE_SEEDS, _dominance_params
@@ -877,13 +899,12 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
         model = build_d3_t3(instance, t_first)
         result = solve(model, backend)
         assert result.status == "optimal"
-        _b_out, orders = decode_d3_t3(instance, model, result)
-        latest, _ = repair_d3_times(orders, instance)
+        _b_out, orders, latest = decode_d3_t3(instance, model, result)
         chosen = [idx for idx, q in model.family("q").items() if result.values[q] > 0.5]
         assert [order for _, order in orders] == [idx[1:] for idx in chosen]
         for idx in chosen:
             for cid in idx[1:]:
-                assert latest[cid] == pytest.approx(dp_latest[idx], abs=1e-6)
+                assert latest[cid] == min(dp_latest[idx], instance.cost_params.horizon)
 
 
 # ---- truck route columns ---------------------------------------------------
