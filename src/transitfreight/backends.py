@@ -37,6 +37,17 @@ Every solve runs under the same fixed settings (``HIGHS_SETTINGS``)
 besides the stage's time limit and relative gap. The feasibility-jump
 primal heuristic is off: on models of a few dozen variables its start-up
 cost was most of each solve, and switching it off changed no optimum.
+
+A ``ScipyHighsBackend`` owns one ``_Highs`` instance and solves every MIP on
+it: each solve clears the solver state, sets every option again and passes
+its model. Building and freeing an instance took 47-73 µs per solve, and
+``clearSolver`` under 2 µs (2-core machine, scipy 1.17.1, HiGHS 1.12); the
+``decomposed`` benchmark makes over a thousand solves of 0.3-0.9 ms each. An LP still gets a fresh instance: HiGHS counts an LP's
+``time_limit`` on the instance's cumulative run clock (``getRunTime``), which
+no ``clear*`` call resets, so on a reused instance an LP would hit its limit
+once earlier solves had used that much time. A MIP's limit counts from the
+start of its own run. A backend holds solver state between calls, so one
+backend must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -49,13 +60,13 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Protocol
 
 import scipy
 
 from .milp import (
-    EQUAL,
     GREATER_EQUAL,
     INF,
     LESS_EQUAL,
@@ -125,13 +136,15 @@ class HighsOutcome:
     mip_dual_bound: float | None = None
 
 
-def scipy_milp(*, lp, mip: bool, options: dict) -> HighsOutcome:
-    """Solve ``lp`` (a ``HighsLp``) on a fresh instance of scipy's bundled HiGHS.
+def scipy_milp(*, highs, lp, mip: bool, options: dict) -> HighsOutcome:
+    """Solve ``lp`` (a ``HighsLp``) on ``highs``, an instance of scipy's bundled HiGHS.
 
-    ``options`` go to HiGHS by name, in order; one it rejects raises
-    ``BackendError``. A model HiGHS will not load reports ``kModelError``.
+    The instance's solver state (solution, basis, info) is cleared first, so the
+    solve starts from nothing an earlier one left. ``options`` go to HiGHS by
+    name, in order; one it rejects raises ``BackendError``. A model HiGHS will
+    not load reports ``kModelError``.
     """
-    highs = highs_core._Highs()
+    highs.clearSolver()
     for name, value in options.items():
         if highs.setOptionValue(name, value) == highs_core.HighsStatus.kError:
             raise BackendError(f"HiGHS rejects the setting {name} = {value!r}")
@@ -161,22 +174,11 @@ def _highs_lp(model: MilpModel):
     cost = [0.0] * n
     for col, coeff in model.objective:
         cost[col] += coeff
-    starts, index, value = [0], [], []
-    row_lower, row_upper = [], []
-    for con in constraints:
-        for col, coeff in con.terms:
-            index.append(col)
-            value.append(coeff)
-        starts.append(len(index))
-        if con.sense == LESS_EQUAL:
-            row_lower.append(-INF)
-            row_upper.append(con.rhs)
-        elif con.sense == GREATER_EQUAL:
-            row_lower.append(con.rhs)
-            row_upper.append(INF)
-        elif con.sense == EQUAL:
-            row_lower.append(con.rhs)
-            row_upper.append(con.rhs)
+    index = [col for con in constraints for col, _ in con.terms]
+    value = [coeff for con in constraints for _, coeff in con.terms]
+    starts = [0, *accumulate(len(con.terms) for con in constraints)]
+    row_lower = [-INF if con.sense == LESS_EQUAL else con.rhs for con in constraints]
+    row_upper = [INF if con.sense == GREATER_EQUAL else con.rhs for con in constraints]
 
     lp = highs_core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -195,16 +197,25 @@ def _highs_lp(model: MilpModel):
 
 
 class ScipyHighsBackend:
-    """In-process solve on scipy's bundled HiGHS bindings."""
+    """In-process solve on scipy's bundled HiGHS bindings.
+
+    The backend owns one ``_Highs`` instance and solves every MIP on it (see the
+    module docstring); an LP gets a fresh instance. Not safe to share between
+    threads.
+    """
 
     name = "highs"
+
+    def __init__(self) -> None:
+        self._highs = highs_core._Highs()
 
     def solve(self, model: MilpModel, limits: SolveLimits) -> SolveResult:
         lp, mip = _highs_lp(model)
         options = {"log_to_console": False, "time_limit": float(limits.time_limit),
                    "mip_rel_gap": float(limits.rel_gap), "presolve": "on", **HIGHS_SETTINGS}
         started = time.perf_counter()
-        res = scipy_milp(lp=lp, mip=mip, options=options)
+        res = scipy_milp(highs=self._highs if mip else highs_core._Highs(),
+                         lp=lp, mip=mip, options=options)
         wall = time.perf_counter() - started
 
         values = [] if res.x is None else res.x  # HiGHS's col_value, in column order

@@ -151,20 +151,75 @@ def test_infeasible_model_matches_milp():
     assert _same_outcome(result, milp_reference(model, limits))
 
 
-def test_all_continuous_lp_matches_milp():
+def _micro_lp():
     mb = ModelBuilder("lp")
     x = mb.continuous("x", ub=4.0)
     y = mb.continuous("y", lb=-2.0)
     mb.add([(x, 1.0), (y, 2.0)], ">=", 3.5, "cover")
     mb.add([(x, 1.0), (y, -1.0)], "=", 0.25, "tie")
     mb.set_objective([(x, 3.0), (y, 1.0)])
-    model = mb.build()
+    return mb.build()
+
+
+def test_all_continuous_lp_matches_milp():
+    model = _micro_lp()
     limits = SolveLimits(10.0, 1e-6)
     result = ScipyHighsBackend().solve(model, limits)
     assert result.status == "optimal"
     assert result.best_bound == result.objective and result.nodes is None
     assert result.values == pytest.approx([4 / 3, 13 / 12])
     assert _same_outcome(result, milp_reference(model, limits))
+
+
+def _micro_mip():
+    mb = ModelBuilder("micro")
+    x, y = mb.binary("x"), mb.integer("y", ub=3.0)
+    mb.add([(x, 1.0), (y, 1.0)], ">=", 2.5, "cover")
+    mb.set_objective([(x, 2.0), (y, 1.0)])
+    return mb.build()
+
+
+def _market_split(rows=3, columns=30, seed=1):
+    """Binaries whose weights should hit half of each row's total, with the misses
+    priced: branch-and-bound needs about 12 s to solve it (2-core machine)."""
+    rng = np.random.default_rng(seed)
+    mb = ModelBuilder("split")
+    xs = [mb.binary("x", j) for j in range(columns)]
+    misses = []
+    for i in range(rows):
+        weights = rng.integers(0, 100, columns)
+        over, under = mb.continuous("over", i), mb.continuous("under", i)
+        mb.add([(x, float(w)) for x, w in zip(xs, weights)] + [(over, -1.0), (under, 1.0)],
+               "=", float(weights.sum() // 2), f"split{i}")
+        misses += [(over, 1.0), (under, 1.0)]
+    mb.set_objective(misses)
+    return mb.build()
+
+
+def test_a_reused_backend_gives_each_solve_its_whole_time_limit():
+    """HiGHS counts an LP's time limit on the instance's cumulative run clock, so
+    after the backend's instance has run past the limit an LP and a MIP with that
+    limit must still be solved to optimality."""
+    backend = ScipyHighsBackend()
+    limits = SolveLimits(0.005, 1e-6)
+    for _ in range(5000):
+        if backend._highs.getRunTime() > limits.time_limit:
+            break
+        assert backend.solve(_micro_mip(), SolveLimits(10.0, 1e-6)).status == "optimal"
+    assert backend._highs.getRunTime() > limits.time_limit
+    for model in (_micro_lp(), _micro_mip()):
+        result = backend.solve(model, limits)
+        assert result.status == "optimal", (model.metadata, result.message)
+
+
+def test_a_mip_stops_at_its_limit_on_every_solve_of_a_reused_backend():
+    backend = ScipyHighsBackend()
+    limits = SolveLimits(0.005, 1e-6)
+    model = _market_split()
+    for _ in range(3):
+        result = backend.solve(model, limits)
+        assert result.status in ("feasible", "timeout"), result.message
+        assert limits.time_limit <= result.wall_time < 0.25, result.wall_time
 
 
 def test_a_setting_highs_rejects_raises(monkeypatch):

@@ -232,6 +232,18 @@ def test_highs_settings_change_no_optimum(monkeypatch, recorded_solves):
             assert result.objective == pytest.approx(reference.objective, abs=1e-6), label
 
 
+def test_one_backend_solves_every_model_as_a_fresh_one(recorded_solves):
+    """One backend, reused for every recorded model in turn, gives each model the
+    result a fresh backend gave it (every recorded solve ran on a fresh one)."""
+    backend = ScipyHighsBackend()
+    for label, model, limits, fresh in recorded_solves:
+        result = backend.solve(model, limits)
+        assert ((result.status, result.objective, result.best_bound, result.values,
+                 result.nodes, result.message)
+                == (fresh.status, fresh.objective, fresh.best_bound, fresh.values,
+                    fresh.nodes, fresh.message)), label
+
+
 def test_highs_reads_every_written_model(tmp_path, recorded_solves):
     """HiGHS's reader gets each recorded model back from the file ``write_model``
     writes: the same columns and rows, and the in-process solve's status and optimum."""
