@@ -139,6 +139,7 @@ class SolveLimits:
     rel_gap: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.time_limit <= 0 or self.rel_gap < 0:
-            raise ModelError("solve limits must be positive")
+        if not (self.time_limit > 0 and self.rel_gap >= 0):  # NaN fails both tests
+            raise ModelError(f"solve limits need a positive time limit and a nonnegative "
+                             f"gap, not {self.time_limit!r} and {self.rel_gap!r}")
 

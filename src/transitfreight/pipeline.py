@@ -34,8 +34,6 @@ from .tiers import (
     decode_d3_t3,
     decode_t1,
     decode_t3_stopwise,
-    first_trip_times,
-    preprocess_midday,
 )
 from .report import ReportRow, fill_deviations, run_label
 from .validate import price_routes, validate_plan, validate_vrptw_plan
@@ -162,7 +160,7 @@ _reference_cache: dict[Instance, tuple[float, float]] = {}
 
 def reference_routing_costs(instance: Instance, backend: Backend, config: RunConfig,
                             metrics: RunMetrics) -> tuple[float, float]:
-    """Tier-1/tier-3 routing costs of the plain-objective solve, cached.
+    """Tier-1/tier-3 routing costs of the plain-objective solve, cached once proven.
 
     On a cache miss the plain solve is the run's ``reference`` stage.
     """
@@ -170,7 +168,17 @@ def reference_routing_costs(instance: Instance, backend: Backend, config: RunCon
     if costs is None:
         plan = _stage("reference", config.limits["full"], backend, metrics,
                       build_full, decode_full, instance, FullOptions())
-        costs = _reference_cache[instance] = (plan.costs.t1_cost, plan.costs.t3_cost)
+        costs = _keep_reference(instance, plan, metrics)
+    return costs
+
+
+def _keep_reference(instance: Instance, plan: Plan, metrics: RunMetrics) -> tuple[float, float]:
+    """The routing costs of ``plan``, the run's last stage and a plain solve, which the
+    cache keeps as the service-cost reference only once that stage proved it optimal:
+    a run that reads the cache must not rest on an unproven solve."""
+    costs = (plan.costs.t1_cost, plan.costs.t3_cost)
+    if metrics.stages[-1].status == "optimal":
+        _reference_cache.setdefault(instance, costs)
     return costs
 
 
@@ -318,9 +326,8 @@ def _run_full(instance, _drop_ins, config, backend, metrics, _artifacts_dir) -> 
         options = FullOptions(lambda1=config.mu * t1_ref, lambda3=config.mu * t3_ref)
     plan = _stage("full", config.limits["full"], backend, metrics,
                   build_full, decode_full, instance, options)
-    if config.mu == 0 and metrics.stages[-1].status == "optimal":
-        # a plain optimal solve doubles as the service-cost reference
-        _reference_cache.setdefault(instance, (plan.costs.t1_cost, plan.costs.t3_cost))
+    if config.mu == 0:  # a plain solve doubles as the service-cost reference
+        _keep_reference(instance, plan, metrics)
     return plan
 
 
@@ -332,14 +339,10 @@ def _run_vrptw(instance, _drop_ins, config, backend, metrics, _artifacts_dir) ->
 def _solve_t3_stopwise(instance, config, backend, metrics,
                        choices: dict[str, TransitChoice]) -> list[FreighterRoute]:
     """One freighter model per drop-out stop, for the packages dropped there."""
-    customers_by_stop: dict[str, list[str]] = {}
-    for cid, ch in choices.items():
-        customers_by_stop.setdefault(ch.drop_out, []).append(cid)
     routes: list[FreighterRoute] = []
-    for stop_id in sorted(customers_by_stop):
+    for stop_id in sorted({ch.drop_out for ch in choices.values()}):
         routes += _stage(f"t3[{stop_id}]", config.limits["per_stop"], backend, metrics,
-                         build_t3_stopwise, decode_t3_stopwise, instance, stop_id,
-                         customers_by_stop[stop_id], choices)
+                         build_t3_stopwise, decode_t3_stopwise, instance, stop_id, choices)
     return routes
 
 
@@ -356,12 +359,9 @@ def _run_d2(instance, _drop_ins, config, backend, metrics, artifacts_dir) -> Pla
 
 
 def _run_d1(instance, drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
-    tau = preprocess_midday(instance, drop_ins)
     truck_routes, placed = _stage("t1", config.limits["first"], backend, metrics,
-                                  build_d1_t1, decode_t1, instance, drop_ins, tau)
-    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, {
-        "placed": placed, "tau": [{"customer": c, "stop": s, "half": h}
-                                  for (c, s), h in tau.items()]})
+                                  build_d1_t1, decode_t1, instance, drop_ins)
+    _dump(artifacts_dir, "handoff-t1.json", serialize_handoff, {"placed": placed})
 
     choices = _stage("t2", config.limits["other"], backend, metrics,
                      build_d1_t2, decode_transit, instance, placed, config.objective)
@@ -372,37 +372,35 @@ def _run_d1(instance, drop_ins, config, backend, metrics, artifacts_dir) -> Plan
 
 
 def _run_d3(instance, _drop_ins, config, backend, metrics, artifacts_dir) -> Plan:
-    t_first = first_trip_times(instance)
-    b_out, orders, t_depart_max = _stage("t3", config.limits["first"], backend, metrics,
-                                         build_d3_t3, decode_d3_t3, instance, t_first)
-    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, {
-        "b_out": b_out, "t_first": t_first, "t_depart_max": t_depart_max, "routes": dict(orders)})
+    routes = _stage("t3", config.limits["first"], backend, metrics,
+                    build_d3_t3, decode_d3_t3, instance)
+    _dump(artifacts_dir, "handoff-t3.json", serialize_handoff, {"routes": [
+        {"freighter": freighter, "customers": order, "latest_departure": latest}
+        for freighter, order, latest in routes]})
 
     choices = _stage("t2", config.limits["other"], backend, metrics,
-                     build_d3_t2, decode_transit, instance, b_out, t_depart_max,
-                     config.objective)
+                     build_d3_t2, decode_transit, instance, routes, config.objective)
     _dump(artifacts_dir, "handoff-t2.json", serialize_handoff, {"choices": choices})
 
     truck_routes, placed = _stage("t1", config.limits["other"], backend, metrics,
                                   build_t1_from_handoff, decode_t1, instance, choices)
 
-    freighter_routes = _retime_d3_routes(instance, orders, choices)
+    freighter_routes = _retime_d3_routes(instance, routes, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes)
 
 
-def _retime_d3_routes(instance, orders, choices) -> list[FreighterRoute]:
-    """The d3-t3 routes, (freighter, customers in visit order), each leaving once its
-    actual drops are loaded.
+def _retime_d3_routes(instance, routes, choices) -> list[FreighterRoute]:
+    """The routes ``decode_d3_t3`` hands on, (freighter, customers in visit order, latest
+    departure), each leaving once the drops ``choices`` fixes are loaded.
 
     The transit stage kept every drop of a route within the dwell cap before
-    the route's latest departure, which d3-t3 read from the route's column, so
-    neither check below can fire unless an earlier stage broke its contract;
-    they stay as stage-named guards.
+    the route's latest departure, so neither check below can fire unless an
+    earlier stage broke its contract; they stay as stage-named guards.
     """
     ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
              for cid, ch in choices.items()}
-    routes = [loaded_route(instance, freighter, order, ready) for freighter, order in orders]
-    for route in routes:
+    timed = [loaded_route(instance, freighter, order, ready) for freighter, order, _ in routes]
+    for route in timed:
         drops = [choices[cid].drop_time for cid in route.customers]
         if route.departure > min(drops) + instance.stop(route.home_stop).max_dwell + 1e-9:
             raise PipelineError(
@@ -416,7 +414,7 @@ def _retime_d3_routes(instance, orders, choices) -> list[FreighterRoute]:
                     "d3-stitch",
                     f"customer {cid}: retimed delivery {t_here:g} misses the window "
                     f"closing {cust.window_hi:g}")
-    return routes
+    return timed
 
 
 _RUNNERS = {"full": _run_full, "d1": _run_d1, "d2": _run_d2, "d3": _run_d3,

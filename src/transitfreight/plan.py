@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .instance import from_doc, require_kind, to_doc
 
 PLAN_SCHEMA = "3tdppt-plan/1"
-HANDOFF_SCHEMA = "3tdppt-handoff/2"
+HANDOFF_SCHEMA = "3tdppt-handoff/3"
 
 
 class PlanError(ValueError):

@@ -26,14 +26,15 @@ from the fixed drops and the dwell cap, d3-t3 from each stop's first trip
 arrival. Each route leaves once its packages are loaded after their drops,
 so only ``full`` gives a route a departure variable: t3-stopwise times its
 routes as it decodes them (``decode_freighter_routes``), and d3-t3 hands on
-its routes untimed, as (freighter, customers in visit order), each with the
-latest departure L the route DP lists for its column; the pipeline times
-them once d3's transit stage has fixed the drops. The three transit stages
-differ only in the stop predicates they pass: d2-t2 keeps pickups a truck
-can feed and drops a freighter can still serve in time; d1-t2 pins the
-pickup to the truck's stop within the dwell cap after its arrival, and
-d3-t2 pins the drop to ``b_out`` within the dwell cap before the
-freighter's latest departure. ``model_full.decode_transit`` reads all three.
+its routes untimed, as (freighter, customers in visit order, latest
+departure L), L being what the route DP lists for the route's column; the
+pipeline times them once d3's transit stage has fixed the drops. The three
+transit stages differ only in the stop predicates they pass: d2-t2 keeps
+pickups a truck can feed and drops a freighter can still serve in time;
+d1-t2 pins the pickup to the truck's stop within the dwell cap after its
+arrival, and d3-t2 pins the drop to the home stop of the package's d3-t3
+route within the dwell cap before that route's L.
+``model_full.decode_transit`` reads all three.
 
 There is one truck stage (``_build_truck_stage``); d1-t1 and t1-handoff
 differ only in the windows they pass: per package, the drop-in stops it
@@ -54,14 +55,16 @@ longest CDC-to-stop ride (``model_full.truck_time_big_m``).
 CDC, and hands on, per package, its stop, its truck and the truck's minute
 there.
 
-Each stage reads only the instance and what the decoder before it returns:
-the transit choices (``model_full.TransitChoice``) of ``decode_transit``, the
-truck placements of ``decode_t1``, or d3-t3's drop-out stops, route orders
-and latest departures (``decode_d3_t3``). The one side table is d1's: its
-truck stage picks among the drop-in stops of each package's entry in the
-drop-in map (``compat.derive_compatibility``), since no trip is chosen yet;
-every transit stage takes its stops from its own domains
-(``model_full.transit_pairs``).
+Each stage builder takes only the instance, what the decoder before it
+returns and, for a transit stage, the objective: the transit choices
+(``model_full.TransitChoice``) of ``decode_transit``, the truck placements
+of ``decode_t1``, or d3-t3's route records (``decode_d3_t3``). What a stage
+derives from the instance alone, such as d1-t1's half-day split or d3-t3's
+first trip arrival at each stop, it derives itself. The one other input is
+d1-t1's drop-in map (``compat.derive_compatibility``), from whose stops its
+truck stage picks since no trip is chosen yet; the pipeline's instance check
+derives that map anyway. Every transit stage takes its stops from its own
+domains (``model_full.transit_pairs``).
 """
 
 from __future__ import annotations
@@ -213,11 +216,11 @@ def _freighter_can_meet(instance: Instance):
     return out_ok
 
 
-def _at_fixed_stop(window):
-    """Stop predicate: ``window(cust)`` is the package's fixed stop and ``(lo, hi)``; the
+def _at_fixed_stop(windows: dict[str, tuple[str, float, float]]):
+    """Stop predicate: ``windows[i]`` is package ``i``'s fixed stop and ``(lo, hi)``; the
     trip calls there within them."""
     def ok(cust, stop, trip) -> bool:
-        fixed, lo, hi = window(cust)
+        fixed, lo, hi = windows[cust.id]
         return stop.id == fixed and lo - 1e-9 <= trip.stop_times[stop.id] <= hi + 1e-9
     return ok
 
@@ -410,11 +413,13 @@ def decode_t1(instance: Instance, model: MilpModel, result: SolveResult
 # ---- per-stop freighter model fed by transit choices ----------------------
 
 
-def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[str],
+def build_t3_stopwise(instance: Instance, stop_id: str,
                       choices: dict[str, TransitChoice]) -> MilpModel:
-    """Route one stop's freighters for the drop times its packages' transit choices fix."""
+    """Route one stop's freighters for the packages the transit choices drop there, at
+    the drop times they fix."""
     stop = instance.stop(stop_id)
-    for cid in customers_of_stop:
+    customers = sorted(cid for cid, ch in choices.items() if ch.drop_out == stop_id)
+    for cid in customers:
         cust = instance.customer(cid)
         t_out = choices[cid].drop_time
         eta = (t_out + stop.service_time
@@ -433,9 +438,8 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
         return t_out + stop.service_time, t_out + stop.max_dwell
 
     # only this stop's freighters take part
-    serving = add_freighter_routing(mb, instance, {stop_id: sorted(customers_of_stop)},
-                                    departure_bounds)
-    for cid in sorted(customers_of_stop):
+    serving = add_freighter_routing(mb, instance, {stop_id: customers}, departure_bounds)
+    for cid in customers:
         columns = serving.get((cid, stop_id))
         if not columns:
             raise ModelBuildError(
@@ -444,7 +448,7 @@ def build_t3_stopwise(instance: Instance, stop_id: str, customers_of_stop: list[
 
     mb.set_objective(route_costs(mb, instance))
     # a package is loaded one service time after its fixed drop
-    ready = {cid: choices[cid].drop_time + stop.service_time for cid in customers_of_stop}
+    ready = {cid: choices[cid].drop_time + stop.service_time for cid in customers}
     return mb.build(ready=ready)
 
 
@@ -456,35 +460,17 @@ def decode_t3_stopwise(instance: Instance, model: MilpModel,
 # ---- truck-first pipeline ----------------------------------------------
 
 
-def preprocess_midday(instance: Instance, drop_ins: dict[str, frozenset[str]]
-                      ) -> dict[tuple[str, str], int]:
-    """Half-of-day tag per (customer, drop-in stop) pair of the drop-in map ``drop_ins``
-    (``compat.derive_compatibility``).
-
-    A package must start in the first half when, working back from the
-    window's closing through the dwell allowance and the stretched direct
-    travel estimate, it could not otherwise arrive in time.
-    """
-    params = instance.cost_params
-    tau: dict[tuple[str, str], int] = {}
-    for cust in instance.customers:
-        for sid in sorted(drop_ins[cust.id]):
-            stop = instance.stop(sid)
-            journey = DEADLINE_SLACK_FACTOR * instance.travel_minutes(stop.location, cust.location)
-            latest_start = cust.window_hi - stop.max_dwell - journey
-            tau[(cust.id, sid)] = 1 if latest_start <= params.t_mid_day else 2
-    return tau
-
-
-def build_d1_t1(instance: Instance, drop_ins: dict[str, frozenset[str]],
-                tau: dict[tuple[str, str], int]) -> MilpModel:
+def build_d1_t1(instance: Instance, drop_ins: dict[str, frozenset[str]]) -> MilpModel:
     """Truck routing committed first, under deadline cuts and a half-day split.
 
     Each package may go to any drop-in stop of its entry in the drop-in map
     ``drop_ins`` (``compat.derive_compatibility``) whose window is not empty: the
-    truck is there by the deadline cut, and within the package's half of
-    the day (``tau``; a first-half window is open to the start). Stops no
-    truck reaches within their window are left out (``_build_truck_stage``).
+    truck is there by the deadline cut, the window's midpoint less the stretched
+    ride from the stop to the customer, and within the package's half of the day.
+    A pair takes the first half, whose window is open to the start, when working
+    back from the window's closing through the dwell cap and that ride leaves no
+    later start than midday; it takes the second half otherwise. Stops no truck
+    reaches within their window are left out (``_build_truck_stage``).
     """
     params = instance.cost_params
     windows: dict[str, dict[str, tuple[float, float]]] = {}
@@ -493,9 +479,9 @@ def build_d1_t1(instance: Instance, drop_ins: dict[str, frozenset[str]],
         windows[cust.id] = {}
         for sid in sorted(drop_ins[cust.id]):
             stop = instance.stop(sid)
-            cut = t_avg - DEADLINE_SLACK_FACTOR * instance.travel_minutes(
-                stop.location, cust.location)
-            if tau[(cust.id, sid)] == 1:
+            journey = DEADLINE_SLACK_FACTOR * instance.travel_minutes(stop.location, cust.location)
+            cut = t_avg - journey
+            if cust.window_hi - stop.max_dwell - journey <= params.t_mid_day:
                 lo, hi = -math.inf, min(cut, params.t_mid_day)
             else:
                 lo, hi = params.t_mid_day, cut
@@ -518,17 +504,15 @@ def build_d1_t2(instance: Instance, placed: dict[str, tuple[str, str, float]],
     within the dwell cap of it.
     """
     mb = ModelBuilder("d1-t2")
-
-    def pickup_window(cust) -> tuple[str, float, float]:
-        stop, _, t_truck = placed[cust.id]
-        return stop, t_truck, t_truck + instance.stop(stop).max_dwell
+    windows = {cid: (stop, t_truck, t_truck + instance.stop(stop).max_dwell)
+               for cid, (stop, _, t_truck) in placed.items()}
 
     def unserved(cust) -> str:
-        stop, lo, hi = pickup_window(cust)
+        stop, lo, hi = windows[cust.id]
         return (f"stranded package: customer {cust.id} has no trip through stop "
                 f"{stop} within [{lo:g}, {hi:g}] that can still meet its window")
 
-    add_transit_flow(mb, instance, unserved, in_ok=_at_fixed_stop(pickup_window),
+    add_transit_flow(mb, instance, unserved, in_ok=_at_fixed_stop(windows),
                      out_ok=_freighter_can_meet(instance))
     _set_transit_objective(mb, instance, objective, pickup_side=False, drop_side=True)
     return mb.build()
@@ -537,17 +521,7 @@ def build_d1_t2(instance: Instance, placed: dict[str, tuple[str, str, float]],
 # ---- freighter-first pipeline -------------------------------------------
 
 
-def first_trip_times(instance: Instance) -> dict[str, float]:
-    """Earliest scheduled arrival at each drop-out stop."""
-    t_first: dict[str, float] = {}
-    for trip in instance.trips:
-        for sid, t in trip.stop_times.items():
-            if instance.stop(sid).is_drop_out:
-                t_first[sid] = min(t_first.get(sid, math.inf), t)
-    return t_first
-
-
-def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
+def build_d3_t3(instance: Instance) -> MilpModel:
     """Choose drop-out stops and freighter routes before any transit decision.
 
     A route leaves its stop after the stop's first scheduled trip arrival plus
@@ -558,13 +532,17 @@ def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
     """
     mb = ModelBuilder("d3-t3")
 
+    first_arrival: dict[str, float] = {}
+    for trip in instance.trips:
+        for sid, t in trip.stop_times.items():
+            first_arrival[sid] = min(first_arrival.get(sid, math.inf), t)
     customers_of_stop = {
         s.id: sorted(c.id for c in instance.customers if s.id in c.dropout_candidates)
-        for s in instance.drop_out_stops() if s.id in t_first
+        for s in instance.drop_out_stops() if s.id in first_arrival
     }
 
     def departure_bounds(_cid: str, sid: str) -> tuple[float, float]:
-        return t_first[sid] + instance.stop(sid).service_time, instance.cost_params.horizon
+        return first_arrival[sid] + instance.stop(sid).service_time, instance.cost_params.horizon
 
     latest: dict[tuple[str, tuple[str, ...]], float] = {}
 
@@ -585,47 +563,42 @@ def build_d3_t3(instance: Instance, t_first: dict[str, float]) -> MilpModel:
 
 
 def decode_d3_t3(instance: Instance, model: MilpModel, result: SolveResult
-                 ) -> tuple[dict[str, str], list[tuple[str, tuple[str, ...]]], dict[str, float]]:
-    """``(b_out, orders, t_depart_max)`` from the chosen route columns: ``orders`` has each
-    route as (freighter, customers in visit order) (``model_full.freighter_orders``), timed
-    once the drops are known (``pipeline``); ``b_out`` has, in instance order, the home stop
-    of each customer's freighter; ``t_depart_max``, route by route, its column's latest
-    departure."""
-    orders = freighter_orders(instance, model, result.values)
-    home, t_depart_max = {}, {}
-    for freighter, order in orders:
-        stop = instance.freighter(freighter).home_stop
-        home.update(dict.fromkeys(order, stop))
-        t_depart_max.update(dict.fromkeys(order, model.metadata["latest"][(stop, order)]))
-    return {c.id: home[c.id] for c in instance.customers}, orders, t_depart_max
+                 ) -> list[tuple[str, tuple[str, ...], float]]:
+    """One record per chosen route column: (freighter, customers in visit order, latest
+    departure). The order is ``model_full.freighter_orders``'s; the latest departure is
+    the column's, which every customer of the route shares. The routes are timed once
+    d3-t2 has fixed the drops (``pipeline``)."""
+    latest = model.metadata["latest"]
+    return [(freighter, order, latest[(instance.freighter(freighter).home_stop, order)])
+            for freighter, order in freighter_orders(instance, model, result.values)]
 
 
-def build_d3_t2(instance: Instance, b_out: dict[str, str],
-                t_depart_max: dict[str, float], objective: T2Objective) -> MilpModel:
-    """Pick trips and pickup stops that feed the fixed freighter departures.
+def build_d3_t2(instance: Instance, routes: list[tuple[str, tuple[str, ...], float]],
+                objective: T2Objective) -> MilpModel:
+    """Pick trips and pickup stops that feed the fixed freighter routes.
 
-    A package may ride only a trip that drops it at ``b_out`` in time to be
-    loaded before the latest departure ``L = t_depart_max`` and within the
-    dwell cap of it: ``L - max_dwell <= t_drop <= L - service_time``. All
-    packages of one freighter route share ``L``, so the actual departure
-    ``max(drops) + service`` is at most ``L`` and at most ``max_dwell``
-    after the earliest drop.
+    ``routes`` is ``decode_d3_t3``'s (freighter, customers, latest departure L) per
+    route. A package may ride only a trip that drops it at its freighter's home stop
+    in time to be loaded before L and within the dwell cap of it:
+    ``L - max_dwell <= t_drop <= L - service_time``. All packages of one route share
+    L, so the actual departure ``max(drops) + service`` is at most L and at most
+    ``max_dwell`` after the earliest drop.
     """
     if objective.tag == OBJ3:
         raise ModelError("the freighter-count objective is moot once freighters are fixed")
+    windows: dict[str, tuple[str, float, float]] = {}
+    for freighter, order, latest in routes:
+        stop = instance.stop(instance.freighter(freighter).home_stop)
+        windows.update(dict.fromkeys(
+            order, (stop.id, latest - stop.max_dwell, latest - stop.service_time)))
     mb = ModelBuilder("d3-t2")
 
-    def drop_window(cust) -> tuple[str, float, float]:
-        stop = instance.stop(b_out[cust.id])
-        latest = t_depart_max[cust.id]
-        return stop.id, latest - stop.max_dwell, latest - stop.service_time
-
     def unserved(cust) -> str:
-        stop, lo, hi = drop_window(cust)
+        stop, lo, hi = windows[cust.id]
         return (f"customer {cust.id}: no trip reaches stop {stop} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
 
     add_transit_flow(mb, instance, unserved, in_ok=_truck_can_feed(instance),
-                     out_ok=_at_fixed_stop(drop_window))
+                     out_ok=_at_fixed_stop(windows))
     _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=False)
     return mb.build()

@@ -46,6 +46,14 @@ def test_config_validation():
     assert RunConfig(method="d2", t2_obj="obj1").label() == "d2-obj1"
 
 
+@pytest.mark.parametrize("limits", [{"time_limit": math.nan}, {"rel_gap": math.nan},
+                                    {"time_limit": 0.0}, {"rel_gap": -1e-6}])
+def test_config_refuses_a_nan_or_out_of_range_solve_limit(limits):
+    # NaN passes "time_limit <= 0" and "rel_gap < 0" alike, and strict JSON has no NaN
+    with pytest.raises(ModelError, match="solve limits need a positive time limit"):
+        RunConfig(method="d2", t2_obj="obj2", **limits)
+
+
 @pytest.mark.parametrize("method, tag", [("d3", "OBJ3"), ("d2", "Obj1")])
 def test_transit_objective_tags_are_taken_as_given(method, tag):
     # a tag in another case would run under a label of its own, or reach d3's obj3 stage
@@ -120,13 +128,12 @@ def test_d1_truck_handoff_carries_truck_times(backend, tmp_path):
                                 artifacts_dir=tmp_path)
     handoff = json.loads((tmp_path / "handoff-t1.json").read_text())
     assert handoff["schema"] == HANDOFF_SCHEMA
-    assert set(handoff) == {"schema", "placed", "tau"}  # no trip is chosen before transit
+    assert set(handoff) == {"schema", "placed"}  # no trip is chosen before transit
     # the stops, trucks and minutes read back are the plan's, the minutes to the last bit
     at_stop = {(r.truck, s): t for r in plan.truck_routes for s, t in zip(r.stops, r.times)}
     assert handoff["placed"] == {
         it.customer: [it.drop_in_stop, it.truck, at_stop[(it.truck, it.drop_in_stop)]]
         for it in plan.itineraries}
-    assert {half["customer"] for half in handoff["tau"]} == {c.id for c in late.customers}
 
 
 def test_determinism(backend, micro1):
@@ -511,6 +518,39 @@ def test_service_cost_reference_is_a_recorded_stage(backend, micro1, monkeypatch
     assert [s.stage for s in other.stages] == ["reference", "full"]
 
 
+class _FirstFullUnprovenBackend:
+    """Solves as ``backend`` does, but reports its first ``full`` model's solve as
+    ``feasible``, as a solve that hit its time limit with an incumbent would be."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self._unproven = True
+
+    def solve(self, model, limits):
+        result = self._backend.solve(model, limits)
+        if self._unproven and model.metadata["formulation"] == "full":
+            self._unproven = False
+            return replace(result, status="feasible")
+        return result
+
+
+@pytest.mark.parametrize("first_mu", [0.5, 0.0])
+def test_an_unproven_plain_solve_is_not_cached_as_the_reference(backend, micro1, monkeypatch,
+                                                                 first_mu):
+    """Neither writer caches a plain solve it did not prove optimal, so the next service-cost
+    run solves its reference again; once that one is proven, later runs read it."""
+    monkeypatch.setattr(pipeline, "_reference_cache", {})
+    unproven = _FirstFullUnprovenBackend(backend)
+    config = RunConfig(method="full", mu=0.5)
+    _plan, first = run_method(micro1, RunConfig(method="full", mu=first_mu), unproven)
+    assert first.stages[0].status == "feasible"
+    _plan, second = run_method(micro1, config, unproven)
+    assert [(s.stage, s.status) for s in second.stages] == [
+        ("reference", "optimal"), ("full", "optimal")]
+    _plan, third = run_method(micro1, config, unproven)
+    assert [(s.stage, s.status) for s in third.stages] == [("full", "optimal")]
+
+
 def test_stitching_matches_stage_handoff(backend, micro1, tmp_path):
     """The assembled plan repeats the stage decisions without re-timing."""
     art = tmp_path / "stitch"
@@ -565,12 +605,14 @@ def test_d3_stitches_with_customer_service_times(backend, tmp_path):
     assert {it.trip for it in plan.itineraries} == {"p2"}
     handoff = json.loads((tmp_path / "handoff-t3.json").read_text())
     assert handoff["schema"] == HANDOFF_SCHEMA
-    assert set(handoff["b_out"]) == set(handoff["t_depart_max"]) == {"c1", "c2"}
-    assert len(set(handoff["t_depart_max"].values())) == 1  # one route, one departure
-    # the one route's freighter and its customers in visit order
-    assert handoff["routes"] == {"f1": ["c1", "c2"]}
-    # no drop is scheduled before the transit stage
-    assert set(handoff) == {"schema", "b_out", "t_first", "t_depart_max", "routes"}
+    # no drop is scheduled before the transit stage: the one route's freighter, its
+    # customers in visit order and the latest departure they share
+    assert set(handoff) == {"schema", "routes"}
+    (route,) = handoff["routes"]
+    assert route == {"freighter": "f1", "customers": ["c1", "c2"],
+                     "latest_departure": pytest.approx(686.0)}
+    (freighter_route,) = plan.freighter_routes
+    assert freighter_route.departure <= route["latest_departure"] + 1e-9
 
 
 @pytest.mark.parametrize("seed", [1, 14, 20])
@@ -585,6 +627,24 @@ def test_d3_never_fails_at_stitching(backend, seed):
             assert exc.stage != "d3-stitch", str(exc)
             continue
         assert validate_plan(instance, plan) == []
+
+
+@pytest.mark.parametrize("routes, dropped, named", [
+    # c1 and c2 share a route but drop 350 minutes apart, past B's 300-minute dwell cap
+    ([("f1", ("c1", "c2"), 686.0)], {"c1": 100.0, "c2": 450.0},
+     "freighter f1: packages arrive too far apart"),
+    # loaded at 700, c1's service ends at 707 (a 2-minute ride and 5 of service), past 700
+    ([("f1", ("c1",), 686.0)], {"c1": 690.0},
+     "customer c1: retimed delivery 707 misses the window closing 700"),
+])
+def test_d3_stitch_guards_name_what_a_broken_handoff_breaks(routes, dropped, named):
+    instance = service_time_fixture()
+    # the stitch reads each package's drop-out stop and drop minute; the rest is placeholder
+    choices = {cid: model_full.TransitChoice("", "", math.nan, "B", t)
+               for cid, t in dropped.items()}
+    with pytest.raises(PipelineError, match=named) as exc:
+        pipeline._retime_d3_routes(instance, routes, choices)
+    assert exc.value.stage == "d3-stitch"
 
 
 class _MisreportingBackend:

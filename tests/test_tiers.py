@@ -36,8 +36,6 @@ from transitfreight.tiers import (
     decode_t1,
     decode_t3_stopwise,
     enumerate_truck_routes,
-    first_trip_times,
-    preprocess_midday,
 )
 from transitfreight.validate import validate_plan
 from transitfreight.vrptw import build_vrptw
@@ -59,9 +57,10 @@ def drops(at: dict[str, tuple[str, float]]) -> dict[str, TransitChoice]:
     return {c: TransitChoice("", "", math.nan, stop, t) for c, (stop, t) in at.items()}
 
 
-def d3_t3_handoff(instance: Instance, backend) -> tuple:
-    """What d3-t3 hands on for ``instance``: ``(b_out, orders, t_depart_max)``."""
-    model = build_d3_t3(instance, first_trip_times(instance))
+def d3_t3_handoff(instance: Instance, backend) -> list[tuple]:
+    """What d3-t3 hands on for ``instance``: (freighter, customers, latest departure) per
+    route."""
+    model = build_d3_t3(instance)
     result = solve(model, backend)
     assert result.status == "optimal"
     return decode_d3_t3(instance, model, result)
@@ -166,7 +165,7 @@ def test_t1_two_stops_one_truck_if_capacity(backend):
 
 
 def test_t3_stopwise_micro1(backend, micro1):
-    model = build_t3_stopwise(micro1, "B", ["c1"], drops({"c1": ("B", 158.0)}))
+    model = build_t3_stopwise(micro1, "B", drops({"c1": ("B", 158.0)}))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
@@ -191,7 +190,7 @@ def test_t3_stopwise_pairs_when_capacity_allows(backend):
     )
     instance.validate()
     choices = drops({"u": ("B", 158.0), "v": ("B", 158.0)})
-    model = build_t3_stopwise(instance, "B", ["u", "v"], choices)
+    model = build_t3_stopwise(instance, "B", choices)
     result = solve(model, backend)
     assert result.status == "optimal"
     routes = decode_t3_stopwise(instance, model, result)
@@ -201,7 +200,7 @@ def test_t3_stopwise_pairs_when_capacity_allows(backend):
 
 def test_t3_stopwise_unreachable_window(micro1):
     with pytest.raises(ModelBuildError, match="stop B: customer c1"):
-        build_t3_stopwise(micro1, "B", ["c1"], drops({"c1": ("B", 850.0)}))
+        build_t3_stopwise(micro1, "B", drops({"c1": ("B", 850.0)}))
 
 
 def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
@@ -226,7 +225,7 @@ def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
     )
     instance.validate()
     choices = drops({"u": ("B", 158.0), "v": ("B", 158.0)})
-    model = build_t3_stopwise(instance, "B", ["u", "v"], choices)
+    model = build_t3_stopwise(instance, "B", choices)
     orders = [order for _g, *order in model.family("q")]
     assert ["v", "u"] in orders
     assert not any({"u", "v"} <= set(o) and o.index("u") < o.index("v") for o in orders)
@@ -241,7 +240,7 @@ def test_class_routing_prunes_arcs_from_the_earliest_service(backend):
 # ---- half-day preprocessing ----------------------------------------------
 
 
-def midday_fixture(window_hi: float) -> Instance:
+def midday_fixture(window_hi: float, window_lo: float = 60.0) -> Instance:
     # distance 250 -> direct access time 50; stretched journey 65
     return Instance(
         cdc=Point(0, 0),
@@ -251,34 +250,37 @@ def midday_fixture(window_hi: float) -> Instance:
         trips=(Trip("p1", "L1", {"A": 150.0, "B": 152.0}, 60.0),),
         trucks=(Truck("d1", 160.0),),
         freighters=(Freighter("f1", "B", 20.0),),
-        customers=(Customer("c1", Point(260.0, 0.0), 10.0, 60.0, window_hi, 0.0,
+        customers=(Customer("c1", Point(260.0, 0.0), 10.0, window_lo, window_hi, 0.0,
                             frozenset({"B"})),),
     )
 
 
+def d1_window(instance: Instance, cid: str = "c1", sid: str = "A") -> tuple[float, float]:
+    """d1-t1's window ``(lo, hi)`` for package ``cid`` at stop ``sid``: ``lo`` is -inf in
+    the first half of the day and midday in the second."""
+    return build_d1_t1(instance, derive_compatibility(instance)).metadata["windows"][cid][sid]
+
+
 def test_midday_rule_arithmetic():
-    late = midday_fixture(800.0)  # 800 - 300 - 65 = 435 > 400
-    tau = preprocess_midday(late, derive_compatibility(late))
-    assert tau[("c1", "A")] == 2
+    # the latest start works back from the closing through A's dwell cap (300) and the
+    # stretched ride (65); the deadline cut is the window's midpoint less that ride
+    late = midday_fixture(800.0, window_lo=200.0)  # 800 - 300 - 65 = 435 > 400
+    assert d1_window(late) == pytest.approx((400.0, 500.0 - 65.0))
 
     early = midday_fixture(600.0)  # 600 - 300 - 65 = 235 <= 400
-    tau = preprocess_midday(early, derive_compatibility(early))
-    assert tau[("c1", "A")] == 1
+    assert d1_window(early) == pytest.approx((-math.inf, 330.0 - 65.0))
 
     boundary = midday_fixture(765.0)  # exactly 400 resolves to the first half
-    tau = preprocess_midday(boundary, derive_compatibility(boundary))
-    assert tau[("c1", "A")] == 1
+    assert d1_window(boundary) == pytest.approx((-math.inf, 412.5 - 65.0))
 
 
 # ---- truck-first pipeline stages -----------------------------------------
 
 
 def test_d1_t1_micro1_cut_and_half(backend, micro1):
-    drop_ins = derive_compatibility(micro1)
-    tau = preprocess_midday(micro1, drop_ins)
+    model = build_d1_t1(micro1, derive_compatibility(micro1))
     # latest start 800 - 300 - 10.93 = 489.07 >= 400: second half
-    assert tau[("c1", "A")] == 2
-    model = build_d1_t1(micro1, drop_ins, tau)
+    assert model.metadata["windows"]["c1"]["A"][0] == micro1.cost_params.t_mid_day
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(20.0)
@@ -294,10 +296,8 @@ def test_d1_t1_micro1_cut_and_half(backend, micro1):
 def test_d1_t1_first_half_pinning(backend):
     instance = midday_fixture(600.0)
     instance.validate()
-    drop_ins = derive_compatibility(instance)
-    tau = preprocess_midday(instance, drop_ins)
-    assert tau[("c1", "A")] == 1
-    model = build_d1_t1(instance, drop_ins, tau)
+    model = build_d1_t1(instance, derive_compatibility(instance))
+    assert model.metadata["windows"]["c1"]["A"][0] == -math.inf  # first half
     result = solve(model, backend)
     assert result.status == "optimal"
     _routes, placed = decode_t1(instance, model, result)
@@ -306,11 +306,13 @@ def test_d1_t1_first_half_pinning(backend):
 
 def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
     # window midpoint 400 minus the stretched ride (about 11 minutes) puts both
-    # deadline cuts before the midday split: a second-half pair has no window
+    # deadline cuts before the midday split: a second-half pair has no window. A1's
+    # 300-minute dwell cap puts u's pair there in the first half (600 - 300 - 11 <= 400),
+    # A2's 100-minute cap in the second (600 - 100 - 11 > 400)
     instance = Instance(
         cdc=Point(0, 0),
         stops=(Stop("A1", Point(10, 3), True, False, 10.0, 300.0),
-               Stop("A2", Point(10, -3), True, False, 10.0, 300.0),
+               Stop("A2", Point(10, -3), True, False, 10.0, 100.0),
                Stop("B", Point(50, 0), False, True, 10.0, 300.0)),
         lines=(Line("L1", ("A1", "B")), Line("L2", ("A2", "B"))),
         trips=(Trip("p1", "L1", {"A1": 150.0, "B": 159.0}, 60.0),
@@ -322,20 +324,22 @@ def test_d1_t1_leaves_out_stops_whose_window_is_empty(backend, monkeypatch):
     instance.validate()
     drop_ins = derive_compatibility(instance)
     assert drop_ins["u"] == {"A1", "A2"}
-    tau = {("u", "A1"): 1, ("u", "A2"): 2}
-    model = build_d1_t1(instance, drop_ins, tau)
+    model = build_d1_t1(instance, drop_ins)
     assert list(model.metadata["windows"]["u"]) == ["A1"]
     assert [idx[1:] for idx in model.family("x1")] == [("u", "A1")]
     monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-    rows = build_d1_t1(instance, drop_ins, tau)
+    rows = build_d1_t1(instance, drop_ins)
     assert sorted(rows.family("r")) == [("u", "A1", "d1")]
     for built in (model, rows):
         result = solve(built, backend)
         assert result.status == "optimal"
         _routes, placed = decode_t1(instance, built, result)
         assert {c: stop for c, (stop, _, _) in placed.items()} == {"u": "A1"}
+    # with A1's cap at 100 minutes too, both pairs fall in the second half
+    short_dwell = dataclasses.replace(instance, stops=(
+        dataclasses.replace(instance.stops[0], max_dwell=100.0), *instance.stops[1:]))
     with pytest.raises(ModelBuildError, match="every drop-in stop misses the deadline cut"):
-        build_d1_t1(instance, drop_ins, {("u", "A1"): 2, ("u", "A2"): 2})
+        build_d1_t1(short_dwell, drop_ins)
 
 
 def test_d1_t2_dwell_arithmetic(backend, micro1):
@@ -361,20 +365,24 @@ def test_d1_t2_stranded_when_dwell_small():
 
 
 def test_first_trip_times(micro1):
-    assert first_trip_times(micro1) == {"B": 158.0}
+    """d3-t3 seeds each route at its stop's first trip arrival: B is first reached at 158
+    (p1; p2 arrives at 188), so with handling a route leaves B at 168 at the earliest."""
+    ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
+    earliest_service = 158.0 + 10.0 + ride
+    served = make_micro1(window=(100.0, earliest_service + 1.0))
+    assert served.customer("c1").id in {c for _g, *order in build_d3_t3(served).family("q")
+                                        for c in order}
+    with pytest.raises(ModelBuildError, match="customer c1: no freighter route serves it"):
+        build_d3_t3(make_micro1(window=(100.0, earliest_service - 1.0)))
 
 
 def test_d3_t3_micro1(backend, micro1):
-    t_first = first_trip_times(micro1)
-    model = build_d3_t3(micro1, t_first)
+    model = build_d3_t3(micro1)
     result = solve(model, backend)
     assert result.status == "optimal"
     assert result.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
-    b_out, orders, t_depart_max = decode_d3_t3(micro1, model, result)
-    assert b_out == {"c1": "B"}
-    assert [order for _, order in orders] == [("c1",)]
     ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
-    assert t_depart_max == {"c1": pytest.approx(800.0 - ride)}
+    assert decode_d3_t3(micro1, model, result) == [("f1", ("c1",), pytest.approx(800.0 - ride))]
 
 
 def test_d3_equidistant_candidates_tie(backend):
@@ -391,19 +399,17 @@ def test_d3_equidistant_candidates_tie(backend):
                             frozenset({"B1", "B2"})),),
     )
     instance.validate()
-    b_out, orders, _latest = d3_t3_handoff(instance, backend)
-    assert b_out["c1"] in ("B1", "B2")  # symmetric optimum, either is optimal
-    # the stop is the home stop of the freighter that serves c1
-    assert [(instance.freighter(f).home_stop, order) for f, order in orders] == [
-        (b_out["c1"], ("c1",))]
+    ((freighter, order, _latest),) = d3_t3_handoff(instance, backend)
+    assert order == ("c1",)
+    # symmetric optimum: either stop, by the home stop of the freighter, is optimal
+    assert instance.freighter(freighter).home_stop in ("B1", "B2")
 
 
 def test_d3_t3_hands_on_the_horizon_past_a_late_closing(backend):
     # c1's window closes at 1000, after the 900-minute horizon, which bounds every departure
     late = make_micro1(window=(200.0, 1000.0))
     assert late.cost_params.horizon == 900.0
-    _b_out, _orders, t_depart_max = d3_t3_handoff(late, backend)
-    assert t_depart_max == {"c1": 900.0}
+    assert d3_t3_handoff(late, backend) == [("f1", ("c1",), 900.0)]
 
 
 def test_repair_rule_examples(backend):
@@ -425,32 +431,31 @@ def test_repair_rule_examples(backend):
     # c2 is pinned to its closing 700 and c1 to min(800, 700 - 20) = 680; the route
     # leaves by 680 less the 20-minute ride from B to c1. The other direction costs the
     # same and may leave by 660 as well
-    _b_out, _orders, t_out = d3_t3_handoff(instance, backend)
-    assert t_out == pytest.approx({"c1": 660.0, "c2": 660.0})
+    ((_freighter, _order, latest),) = d3_t3_handoff(instance, backend)
+    assert latest == pytest.approx(660.0)
 
     # when the predecessor's own closing is the binding term
     from dataclasses import replace as dreplace
     tight = dreplace(instance, customers=(
         dreplace(instance.customers[0], window_hi=650.0), instance.customers[1]))
-    _b_out, orders, t_out = d3_t3_handoff(tight, backend)
-    assert orders == [("f1", ("c1", "c2"))]  # the other direction may leave by 590 only
-    assert t_out["c1"] == pytest.approx(630.0)
+    # the other direction may leave by 590 only
+    assert d3_t3_handoff(tight, backend) == [("f1", ("c1", "c2"), pytest.approx(630.0))]
 
 
 def test_repair_single_customer_route(backend, micro1):
-    _b_out, _orders, t_out = d3_t3_handoff(micro1, backend)
+    ((_freighter, _order, latest),) = d3_t3_handoff(micro1, backend)
     ride = micro1.travel_minutes(micro1.stop("B").location, micro1.customer("c1").location)
-    assert t_out["c1"] == pytest.approx(800.0 - ride)  # the closing less the ride
+    assert latest == pytest.approx(800.0 - ride)  # the closing less the ride
 
 
 def test_d3_t2_needs_a_late_trip(backend, micro1):
-    b_out, t_depart_max = {"c1": "B"}, {"c1": 800.0}
+    routes = [("f1", ("c1",), 800.0)]
     # trips at 158 and 188 both fall before the 500..790 drop window
     with pytest.raises(ModelBuildError, match="c1"):
-        build_d3_t2(micro1, b_out, t_depart_max, T2Objective("obj2"))
+        build_d3_t2(micro1, routes, T2Objective("obj2"))
 
     late = make_micro1(extra_trip_time=550.0)
-    model = build_d3_t2(late, b_out, t_depart_max, T2Objective("obj2"))
+    model = build_d3_t2(late, routes, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(late, model, result)
@@ -460,7 +465,7 @@ def test_d3_t2_needs_a_late_trip(backend, micro1):
 
 
 def test_d3_t2_dwell_window_intersection(backend, micro1):
-    model = build_d3_t2(micro1, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj2"))
+    model = build_d3_t2(micro1, [("f1", ("c1",), 480.0)], T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     choices = decode_transit(micro1, model, result)
@@ -470,7 +475,7 @@ def test_d3_t2_dwell_window_intersection(backend, micro1):
 
 def test_d3_rejects_freighter_count_objective(micro1):
     with pytest.raises(ModelError):
-        build_d3_t2(micro1, {"c1": "B"}, {"c1": 480.0}, T2Objective("obj3"))
+        build_d3_t2(micro1, [("f1", ("c1",), 480.0)], T2Objective("obj3"))
 
 
 def test_handoff_from_transit_roundtrip(backend, micro1):
@@ -484,7 +489,7 @@ def test_handoff_from_transit_roundtrip(backend, micro1):
     t1 = solve(build_t1_from_handoff(micro1, choices), backend)
     assert t1.status == "optimal"
     assert t1.objective == pytest.approx(20.0)
-    t3 = solve(build_t3_stopwise(micro1, "B", ["c1"], choices), backend)
+    t3 = solve(build_t3_stopwise(micro1, "B", choices), backend)
     assert t3.status == "optimal"
     assert t3.objective == pytest.approx(0.5 * 2 * SQRT8, abs=1e-9)
 
@@ -513,8 +518,8 @@ def test_stopwise_models_sum_to_merged_optimum(backend):
     dropped = {"u": ("B1", 154.0), "v": ("B1", 154.0), "w": ("B2", 158.0)}
 
     total = 0.0
-    for stop_id, members in (("B1", ["u", "v"]), ("B2", ["w"])):
-        model = build_t3_stopwise(instance, stop_id, members, drops(dropped))
+    for stop_id in ("B1", "B2"):
+        model = build_t3_stopwise(instance, stop_id, drops(dropped))
         result = solve(model, backend)
         assert result.status == "optimal"
         total += result.objective
@@ -543,12 +548,11 @@ def test_repair_subtracts_successor_service_time(backend):
         ),
     )
     instance.validate()
-    _b_out, orders, latest = d3_t3_handoff(instance, backend)
     # c2 is pinned to 700 and c1 to T(c1) = 700 - 2 - 5 (hop 2, c2's service 5); the
     # route leaves by T(c1) - ride(B -> c1) - service(c1). The other direction costs the
     # same but must leave by 684, so only this one is a column
-    assert orders == [("f1", ("c1", "c2"))]
-    assert latest == pytest.approx({"c1": 693.0 - 2.0 - 5.0, "c2": 686.0})
+    assert d3_t3_handoff(instance, backend) == [
+        ("f1", ("c1", "c2"), pytest.approx(693.0 - 2.0 - 5.0))]
 
 
 def ride_fixture(drop_times: tuple[float, ...]) -> Instance:
@@ -574,16 +578,14 @@ def test_d3_t2_rejects_a_drop_too_late_for_the_ride(backend):
     # d3-t3 seeds the route after the first trip's drop, so on the two-trip fixture it
     # may leave by 490, the 500 closing less the 10-minute ride
     both = ride_fixture((470.0, 495.0))
-    _b_out, _orders, t_depart_max = d3_t3_handoff(both, backend)
-    assert t_depart_max["c1"] == pytest.approx(490.0)
+    routes = d3_t3_handoff(both, backend)
+    assert routes == [("f1", ("c1",), pytest.approx(490.0))]
     late_only = ride_fixture((495.0,))
     # 495 precedes the 500 closing, but loading (10) and the ride (10) miss it
     with pytest.raises(ModelBuildError, match=r"within \[190, 480\]"):
-        build_d3_t2(late_only, {"c1": "B"}, t_depart_max,
-                    T2Objective("obj2"))
+        build_d3_t2(late_only, routes, T2Objective("obj2"))
 
-    model = build_d3_t2(both, {"c1": "B"}, t_depart_max,
-                        T2Objective("obj2"))
+    model = build_d3_t2(both, routes, T2Objective("obj2"))
     result = solve(model, backend)
     assert result.status == "optimal"
     assert decode_transit(both, model, result)["c1"].trip == "p1"
@@ -610,8 +612,7 @@ def test_d3_t2_drops_a_route_within_the_dwell_cap_of_its_departure(backend):
         ),
     )
     instance.validate()
-    model = build_d3_t2(instance, {"u": "B", "v": "B"},
-                        {"u": 600.0, "v": 600.0}, T2Objective("obj1"))
+    model = build_d3_t2(instance, [("f1", ("u", "v"), 600.0)], T2Objective("obj1"))
     assert {pid for (_c, _s, pid) in model.family("y2")} == {"p2", "p3"}
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -701,8 +702,7 @@ def test_trip_capacity_binds_in_every_transit_stage(backend, stage):
         model = build_d1_t2(instance, placed, T2Objective("obj3"))
         split_cost = 2.0  # one freighter in each drop period
     else:
-        model = build_d3_t2(instance, {"u": "B", "v": "B"}, {"u": 300.0, "v": 300.0},
-                            T2Objective("obj2"))
+        model = build_d3_t2(instance, [("f1", ("u", "v"), 300.0)], T2Objective("obj2"))
         split_cost = 2 * 10.0
     result = solve(model, backend)
     assert result.status == "optimal"
@@ -796,13 +796,10 @@ def test_a_ride_never_runs_backward(backend, model_kind, fixture, pickup, drop):
 
 def _stopwise_total(instance, choices, backend) -> float | None:
     """Summed t3-stopwise optima over the choices' drop-out stops; None if one has no plan."""
-    by_stop: dict[str, list[str]] = {}
-    for cid, ch in choices.items():
-        by_stop.setdefault(ch.drop_out, []).append(cid)
     total = 0.0
-    for sid, members in sorted(by_stop.items()):
+    for sid in sorted({ch.drop_out for ch in choices.values()}):
         try:
-            result = solve(build_t3_stopwise(instance, sid, members, choices), backend)
+            result = solve(build_t3_stopwise(instance, sid, choices), backend)
         except ModelBuildError:
             return None
         if result.status == "infeasible":
@@ -865,12 +862,11 @@ def test_d3_t3_drives_the_later_leaving_direction_of_a_tie(backend):
                    Customer("v", Point(52, -2), 10.0, 200.0, 800.0, 0.0, frozenset({"B"}))),
     )
     instance.validate()
-    model = build_d3_t3(instance, first_trip_times(instance))
+    model = build_d3_t3(instance)
     assert ("f1", "v", "u") not in model.family("q")
-    _b_out, orders, t_depart_max = decode_d3_t3(instance, model, solve(model, backend))
-    assert orders == [("f1", ("u", "v"))]
     ride = instance.travel_minutes(Point(50, 0), Point(52, 2))
-    assert t_depart_max == {"u": pytest.approx(300.0 - ride), "v": pytest.approx(300.0 - ride)}
+    assert decode_d3_t3(instance, model, solve(model, backend)) == [
+        ("f1", ("u", "v"), pytest.approx(300.0 - ride))]
 
 
 def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
@@ -883,11 +879,14 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
 
     for seed in DOMINANCE_SEEDS:
         instance = generate_instance(_dominance_params(seed))
-        t_first = first_trip_times(instance)
         # the DP's inputs as d3-t3 gives them: every route leaves after its stop's first trip
         dp_latest = {}
-        for sid, t in t_first.items():
-            stop = instance.stop(sid)
+        for stop in instance.drop_out_stops():
+            arrivals = [trip.stop_times[stop.id] for trip in instance.trips
+                        if stop.id in trip.stop_times]
+            if not arrivals:
+                continue
+            sid, t = stop.id, min(arrivals)
             custs = [c for c in instance.customers if sid in c.dropout_candidates]
             places = {c.id: (c.location, c.service_time) for c in custs}
             visits = [(c.id, (c.id,), c.demand, c.window_lo, c.window_hi,
@@ -896,15 +895,14 @@ def test_d3_latest_departure_is_the_chosen_columns_bound(backend):
                 found = enumerate_routes(instance, stop.location, places, visits, fleet[0].capacity)
                 dp_latest.update(((g, *order), latest) for front in found.values()
                                  for _, latest, order, _ in front)
-        model = build_d3_t3(instance, t_first)
+        model = build_d3_t3(instance)
         result = solve(model, backend)
         assert result.status == "optimal"
-        _b_out, orders, latest = decode_d3_t3(instance, model, result)
+        routes = decode_d3_t3(instance, model, result)
         chosen = [idx for idx, q in model.family("q").items() if result.values[q] > 0.5]
-        assert [order for _, order in orders] == [idx[1:] for idx in chosen]
-        for idx in chosen:
-            for cid in idx[1:]:
-                assert latest[cid] == min(dp_latest[idx], instance.cost_params.horizon)
+        assert [order for _, order, _ in routes] == [idx[1:] for idx in chosen]
+        for idx, (_, _, latest) in zip(chosen, routes):
+            assert latest == min(dp_latest[idx], instance.cost_params.horizon)
 
 
 # ---- truck route columns ---------------------------------------------------
@@ -1156,10 +1154,10 @@ def test_truck_stage_builds_rows_when_the_routes_outgrow_the_label_limit():
     assert model.family("w") and not model.family("x1")
 
 
-def _d1_t1_optimum(instance, drop_ins, tau, backend) -> float:
+def _d1_t1_optimum(instance, drop_ins, backend) -> float:
     """The d1-t1 optimum. Each decoded package is at one of its stops, within the window
     there."""
-    model = build_d1_t1(instance, drop_ins, tau)
+    model = build_d1_t1(instance, drop_ins)
     result = solve(model, backend)
     assert result.status == "optimal"
     _routes, placed = decode_t1(instance, model, result)
@@ -1177,7 +1175,6 @@ def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
     budgets = ((tiers.ROUTE_LABEL_LIMIT, "columns"), (0, "rows"))
     for instance in generate_micro_instances(8):
         drop_ins = derive_compatibility(instance)
-        tau = preprocess_midday(instance, drop_ins)
         costs, optima = [], []
         for label_limit, form in budgets:
             monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", label_limit)
@@ -1185,7 +1182,7 @@ def test_row_and_column_truck_stages_agree_in_d1_and_d2(backend, monkeypatch):
             assert validate_plan(instance, plan) == []
             assert [s.form for s in metrics.stages if s.stage == "t1"] == [form]
             costs.append(metrics.t1_cost)
-            optima.append(_d1_t1_optimum(instance, drop_ins, tau, backend))
+            optima.append(_d1_t1_optimum(instance, drop_ins, backend))
         assert costs[1] == pytest.approx(costs[0], rel=1e-6)
         assert optima[1] == pytest.approx(optima[0], rel=1e-6)
 
@@ -1200,8 +1197,7 @@ def test_d1_t1_columns_reach_the_row_optimum_on_the_dominance_seeds(backend, mon
         instance = generate_instance(_dominance_params(seed))
         drop_ins = derive_compatibility(instance)
         monkeypatch.setattr(tiers, "ROUTE_LABEL_LIMIT", 0)
-        optimum = _d1_t1_optimum(instance, drop_ins, preprocess_midday(instance, drop_ins),
-                                 backend)
+        optimum = _d1_t1_optimum(instance, drop_ins, backend)
         monkeypatch.undo()
         for tag in ("obj1", "obj2", "obj3"):
             plan, metrics = run_method(instance, RunConfig(method="d1", t2_obj=tag), backend)
