@@ -31,6 +31,19 @@ class InstanceError(ValueError):
     """Raised for malformed instance documents or violated invariants."""
 
 
+# A number field declares its range in its metadata; `Instance.validate` requires the
+# number (each value, of a dict) to be finite and within that range.
+_IN_RANGE = {"finite": lambda v: True, "finite and nonnegative": lambda v: v >= 0,
+             "finite and positive": lambda v: v > 0}
+FINITE, NONNEGATIVE, POSITIVE = ({"range": rule} for rule in _IN_RANGE)
+
+
+@cache
+def _ranged_fields(cls: type) -> tuple[tuple[str, str], ...]:
+    """(name, range) of each field of a dataclass that declares a range."""
+    return tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
+
+
 @dataclass(frozen=True)
 class Point:
     x: float
@@ -52,8 +65,8 @@ class Stop:
     location: Point
     is_drop_in: bool
     is_drop_out: bool
-    service_time: float  # minutes of handling when packages change hands here
-    max_dwell: float     # longest time a package may sit at this stop
+    service_time: float = field(metadata=NONNEGATIVE)  # minutes to hand packages over here
+    max_dwell: float = field(metadata=NONNEGATIVE)  # longest time a package may sit at this stop
 
 
 @dataclass(frozen=True)
@@ -68,14 +81,8 @@ class Trip:
 
     id: str
     line: str
-    stop_times: dict[str, float]  # stop id -> scheduled minute
-    capacity: float
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Trip):
-            return NotImplemented
-        return (self.id, self.line, self.stop_times, self.capacity) == (
-            other.id, other.line, other.stop_times, other.capacity)
+    stop_times: dict[str, float] = field(metadata=FINITE)  # stop id -> scheduled minute
+    capacity: float = field(metadata=POSITIVE)
 
     def __hash__(self) -> int:
         return hash((self.id, self.line, tuple(sorted(self.stop_times.items())), self.capacity))
@@ -84,35 +91,35 @@ class Trip:
 @dataclass(frozen=True)
 class Truck:
     id: str
-    capacity: float
+    capacity: float = field(metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
 class Freighter:
     id: str
     home_stop: str  # the single drop-out stop this freighter serves
-    capacity: float
+    capacity: float = field(metadata=POSITIVE)
 
 
 @dataclass(frozen=True)
 class Customer:
     id: str
     location: Point
-    demand: float
-    window_lo: float
-    window_hi: float
-    service_time: float  # handover time at the door
+    demand: float = field(metadata=POSITIVE)
+    window_lo: float = field(metadata=FINITE)
+    window_hi: float = field(metadata=FINITE)
+    service_time: float = field(metadata=NONNEGATIVE)  # handover time at the door
     dropout_candidates: frozenset[str]  # drop-out stops allowed to serve this customer
 
 
 @dataclass(frozen=True)
 class CostParams:
-    truck_cost_per_distance: float = 1.0
-    freighter_cost_scale: float = 0.5   # freighter arc cost = scale * distance
-    time_per_distance: float = 0.2      # minutes per distance unit, all vehicle classes
-    t_mid_day: float = 400.0
-    period_length: float = 30.0
-    period_count: int = 30
+    truck_cost_per_distance: float = field(default=1.0, metadata=NONNEGATIVE)
+    freighter_cost_scale: float = field(default=0.5, metadata=NONNEGATIVE)  # arc cost/distance
+    time_per_distance: float = field(default=0.2, metadata=NONNEGATIVE)  # minutes per distance
+    t_mid_day: float = field(default=400.0, metadata=NONNEGATIVE)
+    period_length: float = field(default=30.0, metadata=POSITIVE)
+    period_count: int = field(default=30, metadata=POSITIVE)
 
     @property
     def horizon(self) -> float:
@@ -209,27 +216,33 @@ class Instance:
     # ---- invariants ---------------------------------------------------
 
     def validate(self) -> None:
-        """Raise InstanceError naming the first violated invariant. The instance is
-        frozen, so once it has passed it is not checked again."""
+        """Raise InstanceError naming the first violated invariant: a duplicate id, a
+        number outside the range its field declares (``FINITE``, ``NONNEGATIVE`` or
+        ``POSITIVE``), named with its record and value, then a broken link or order
+        below. The instance is frozen, so once it has passed it is not checked again."""
         if "_valid" in self.__dict__:
             return
-        for kind, items in (("stop", self.stops), ("customer", self.customers),
-                            ("line", self.lines), ("trip", self.trips),
-                            ("truck", self.trucks), ("freighter", self.freighters)):
+        records = (("stop", self.stops), ("customer", self.customers), ("line", self.lines),
+                   ("trip", self.trips), ("truck", self.trucks), ("freighter", self.freighters))
+        for kind, items in records:
             seen: set[str] = set()
             for item in items:
                 if item.id in seen:
                     raise InstanceError(f"duplicate {kind} id {item.id}")
                 seen.add(item.id)
+        for name, item in [(f"{kind} {item.id}", item) for kind, items in records
+                           for item in items] + [("cost_params", self.cost_params)]:
+            for key, rule in _ranged_fields(type(item)):
+                value = getattr(item, key)
+                for label, v in value.items() if isinstance(value, dict) else [(None, value)]:
+                    if not (math.isfinite(v) and _IN_RANGE[rule](v)):
+                        where = key if label is None else f"{key}.{label}"
+                        raise InstanceError(f"{name}: {where} {v!r} is not {rule}")
         for s in self.stops:
             if s.id in ("o", "o~"):
                 raise InstanceError(f"stop id {s.id!r} is reserved for the CDC nodes")
             if not (s.is_drop_in or s.is_drop_out):
                 raise InstanceError(f"stop {s.id} is neither drop-in nor drop-out")
-            if s.service_time < 0:
-                raise InstanceError(f"stop {s.id}: service_time negative")
-            if s.max_dwell < 0:
-                raise InstanceError(f"stop {s.id}: max_dwell negative")
         stop_ids = {s.id for s in self.stops}
 
         for ln in self.lines:
@@ -245,8 +258,6 @@ class Instance:
         for p in self.trips:
             if p.line not in lines_by_id:
                 raise InstanceError(f"trip {p.id} references unknown line {p.line}")
-            if p.capacity <= 0:
-                raise InstanceError(f"trip {p.id}: capacity not positive")
             order = lines_by_id[p.line].ordered_stops
             if set(p.stop_times) != set(order):
                 raise InstanceError(f"trip {p.id}: stop_times do not cover line {p.line}")
@@ -254,17 +265,11 @@ class Instance:
             if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
                 raise InstanceError(f"trip {p.id}: stop_times not increasing")
 
-        for d in self.trucks:
-            if d.capacity <= 0:
-                raise InstanceError(f"truck {d.id}: capacity not positive")
-
         dropout_ids = {s.id for s in self.stops if s.is_drop_out}
         served: set[str] = set()
         for k in self.freighters:
             if k.home_stop not in dropout_ids:
                 raise InstanceError(f"freighter {k.id}: home_stop {k.home_stop} is not a drop-out stop")
-            if k.capacity <= 0:
-                raise InstanceError(f"freighter {k.id}: capacity not positive")
             served.add(k.home_stop)
         for sid in sorted(dropout_ids - served):
             raise InstanceError(f"drop-out stop {sid} has no freighter")
@@ -272,25 +277,14 @@ class Instance:
         for c in self.customers:
             if c.id in stop_ids or c.id in ("o", "o~"):
                 raise InstanceError(f"customer id {c.id!r} names a stop or a CDC node")
-            if c.demand <= 0:
-                raise InstanceError(f"customer {c.id}: demand not positive")
             if not c.window_lo < c.window_hi:
                 raise InstanceError(f"customer {c.id}: window_lo not below window_hi")
-            if c.service_time < 0:
-                raise InstanceError(f"customer {c.id}: service_time negative")
             if not c.dropout_candidates:
                 raise InstanceError(f"customer {c.id}: dropout_candidates empty")
             bad = c.dropout_candidates - dropout_ids
             if bad:
                 raise InstanceError(
                     f"customer {c.id}: candidate {sorted(bad)[0]} is not a drop-out stop")
-
-        for name in ("truck_cost_per_distance", "freighter_cost_scale", "time_per_distance",
-                     "t_mid_day", "period_length", "period_count"):
-            value, positive = getattr(self.cost_params, name), name.startswith("period")
-            if not math.isfinite(value) or value < 0 or positive and value == 0:
-                raise InstanceError(f"cost_params: {name} {value!r} is not finite and "
-                                    f"{'positive' if positive else 'nonnegative'}")
         self.__dict__["_valid"] = True
 
 

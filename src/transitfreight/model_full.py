@@ -752,9 +752,7 @@ def decode_full(instance: Instance, model: MilpModel, result: SolveResult) -> Pl
     lo = {(cid, ch.drop_in): ch.pickup_time - instance.stop(ch.drop_in).max_dwell
           for cid, ch in choices.items()}
     truck_routes, placed = decode_trucks(instance, model, result.values, lo)
-    ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
-             for cid, ch in choices.items()}
-    freighter_routes = decode_freighter_routes(instance, model, result.values, ready)
+    freighter_routes = decode_freighter_routes(instance, model, result.values, choices)
     return assemble_plan(instance, choices, placed, truck_routes, freighter_routes,
                          float(model.metadata["lambda1"]), float(model.metadata["lambda3"]))
 
@@ -851,19 +849,21 @@ def freighter_orders(instance: Instance, model: MilpModel,
 
 
 def decode_freighter_routes(instance: Instance, model: MilpModel, values: list[float],
-                            ready: dict[str, float]) -> list[FreighterRoute]:
+                            choices: dict[str, TransitChoice]) -> list[FreighterRoute]:
     """The chosen routes (``freighter_orders``), each timed by ``loaded_route``."""
-    return [loaded_route(instance, freighter, order, ready)
+    return [loaded_route(instance, freighter, order, choices)
             for freighter, order in freighter_orders(instance, model, values)]
 
 
 def loaded_route(instance: Instance, freighter: str, order: tuple,
-                 ready: dict[str, float]) -> FreighterRoute:
+                 choices: dict[str, TransitChoice]) -> FreighterRoute:
     """Freighter ``freighter``'s route from its home stop serving ``order``: it leaves once
-    all its packages are loaded (package ``c`` at minute ``ready[c]``) and serves its
-    customers in order, each no earlier than its window opens (``forward_times``)."""
+    all its packages are loaded, each one service time of its drop-out stop after the
+    drop ``choices`` fixes, and serves its customers in order, each no earlier than its
+    window opens (``forward_times``)."""
     home_stop = instance.freighter(freighter).home_stop
-    departure = max(ready[cid] for cid in order)
+    departure = max(choices[cid].drop_time + instance.stop(choices[cid].drop_out).service_time
+                    for cid in order)
     customers = [instance.customer(cid) for cid in order]
     return FreighterRoute(
         freighter=freighter, home_stop=home_stop, departure=departure, customers=order,

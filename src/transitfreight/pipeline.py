@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .backends import Backend, ScipyHighsBackend
+from .backends import Backend, BackendError, ScipyHighsBackend, solve
 from .compat import UnreachableCustomerError, derive_compatibility
 from .instance import Instance, InstanceError, serialize_instance, with_beta
 from .milp import ModelError, SolveLimits
@@ -185,7 +185,8 @@ def _keep_reference(instance: Instance, plan: Plan, metrics: RunMetrics) -> tupl
 def _stage(stage: str, limits: SolveLimits, backend: Backend, metrics: RunMetrics,
            build, decode, instance: Instance, *args):
     """Build ``build(instance, *args)``, solve it, record its metrics and return
-    ``decode(instance, model, result)``; a failure at any step names ``stage``."""
+    ``decode(instance, model, result)``; a failure at any step names ``stage``, a
+    backend error (a model it refuses, a status it may not report) among them."""
     started = time.perf_counter()
     try:
         model = build(instance, *args)
@@ -193,7 +194,10 @@ def _stage(stage: str, limits: SolveLimits, backend: Backend, metrics: RunMetric
         status = "infeasible" if isinstance(exc, ModelBuildError) else "error"
         raise PipelineError(stage, str(exc), status) from exc
     build_time = time.perf_counter() - started
-    result = backend.solve(model, limits)
+    try:
+        result = solve(model, backend, limits)
+    except BackendError as exc:
+        raise PipelineError(stage, f"backend error: {exc}") from exc
     gap = None
     if result.objective is not None and result.best_bound is not None:
         gap = (result.objective - result.best_bound) / max(1.0, abs(result.objective))
@@ -397,9 +401,7 @@ def _retime_d3_routes(instance, routes, choices) -> list[FreighterRoute]:
     the route's latest departure, so neither check below can fire unless an
     earlier stage broke its contract; they stay as stage-named guards.
     """
-    ready = {cid: ch.drop_time + instance.stop(ch.drop_out).service_time
-             for cid, ch in choices.items()}
-    timed = [loaded_route(instance, freighter, order, ready) for freighter, order, _ in routes]
+    timed = [loaded_route(instance, freighter, order, choices) for freighter, order, _ in routes]
     for route in timed:
         drops = [choices[cid].drop_time for cid in route.customers]
         if route.departure > min(drops) + instance.stop(route.home_stop).max_dwell + 1e-9:

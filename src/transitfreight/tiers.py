@@ -447,14 +447,12 @@ def build_t3_stopwise(instance: Instance, stop_id: str,
         mb.add([(q, 1.0) for q in columns], "=", 1.0, f"customer_once[{cid}]")
 
     mb.set_objective(route_costs(mb, instance))
-    # a package is loaded one service time after its fixed drop
-    ready = {cid: choices[cid].drop_time + stop.service_time for cid in customers}
-    return mb.build(ready=ready)
+    return mb.build(choices=choices)
 
 
 def decode_t3_stopwise(instance: Instance, model: MilpModel,
                        result: SolveResult) -> list[FreighterRoute]:
-    return decode_freighter_routes(instance, model, result.values, model.metadata["ready"])
+    return decode_freighter_routes(instance, model, result.values, model.metadata["choices"])
 
 
 # ---- truck-first pipeline ----------------------------------------------

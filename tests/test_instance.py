@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -287,6 +289,55 @@ def test_cost_params_out_of_range_are_named(name, value, least):
     doc["cost_params"][name] = value
     with pytest.raises(InstanceError, match=f"cost_params: {name} .* is not finite and {least}"):
         parse_instance(json.dumps(doc))
+
+
+# every number an instance holds and the range it must lie in besides being finite:
+# (instance field, micro1's first record there, field, range)
+_RANGED_FIELDS = [
+    ("stops", "stop A", "service_time", "nonnegative"),
+    ("stops", "stop A", "max_dwell", "nonnegative"),
+    ("trips", "trip p1", "stop_times.B", "finite"),
+    ("trips", "trip p1", "capacity", "positive"),
+    ("trucks", "truck d1", "capacity", "positive"),
+    ("freighters", "freighter f1", "capacity", "positive"),
+    ("customers", "customer c1", "demand", "positive"),
+    ("customers", "customer c1", "window_lo", "finite"),
+    ("customers", "customer c1", "window_hi", "finite"),
+    ("customers", "customer c1", "service_time", "nonnegative"),
+] + [("cost_params", "cost_params", name, rule) for name, rule in (
+    ("truck_cost_per_distance", "nonnegative"), ("freighter_cost_scale", "nonnegative"),
+    ("time_per_distance", "nonnegative"), ("t_mid_day", "nonnegative"),
+    ("period_length", "positive"), ("period_count", "positive"))]
+_OUT_OF_RANGE = {"finite": (), "nonnegative": (-1.0,), "positive": (0.0,)}
+
+
+def _with_number(instance, records, name, value):
+    """``instance`` with field ``name`` (``stop_times.<stop>`` for one scheduled minute)
+    of its first ``records`` record, or of its cost parameters, set to ``value``."""
+    if records == "cost_params":
+        return replace(instance, cost_params=replace(instance.cost_params, **{name: value}))
+    first, *rest = getattr(instance, records)
+    if name.startswith("stop_times."):
+        name, value = "stop_times", {**first.stop_times, name.split(".")[1]: value}
+    return replace(instance, **{records: (replace(first, **{name: value}), *rest)})
+
+
+@pytest.mark.parametrize("records, record, name, rule, value", [
+    pytest.param(records, record, name, rule, value, id=f"{records}-{name}-{value}")
+    for records, record, name, rule in _RANGED_FIELDS
+    for value in (math.nan, math.inf, -math.inf, *_OUT_OF_RANGE[rule])])
+def test_every_number_must_be_finite_and_in_its_range(records, record, name, rule, value):
+    """Each number of each record is refused when it is NaN, infinite or out of its range,
+    by ``Instance.validate`` and by the reader, naming the record and the field: a NaN
+    stop service time, say, would plan and price a plan at a wrong total."""
+    broken = _with_number(make_micro1(), records, name, value)
+    least = "" if rule == "finite" else f" and {rule}"
+    with pytest.raises(InstanceError, match=re.escape(
+            f"{record}: {name} {value!r} is not finite{least}")):
+        broken.validate()
+    # the reader refuses a whole-number field that is not a whole number by its path
+    with pytest.raises(InstanceError, match=f"^{re.escape(record)}(: |\\.){re.escape(name)}\\b"):
+        parse_instance(serialize_instance(broken))
 
 
 def test_ids_are_unique_and_customers_name_no_stop_or_cdc_node():

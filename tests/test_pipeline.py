@@ -368,6 +368,47 @@ def test_an_invalid_instance_fails_at_its_own_stage(backend, micro1):
     assert all(r.error.startswith("[instance] customer c1 unreachable") for r in rows[:4])
 
 
+def test_a_run_without_customers_plans_nothing_or_fails_at_its_first_stage(backend, micro1):
+    """With no customer the monolithic and direct-truck models plan nothing at no cost,
+    and each decomposition's first stage has no column, which the backend refuses: the
+    run fails at that stage, and a comparison records it and goes on."""
+    empty = replace(micro1, customers=())
+    for method in ("full", "vrptw"):
+        _plan, metrics = run_method(empty, RunConfig(method=method), backend)
+        assert metrics.total == 0.0
+    for method, stage in (("d1", "t1"), ("d2", "t2"), ("d3", "t3")):
+        with pytest.raises(PipelineError) as exc:
+            run_method(empty, RunConfig(method=method, t2_obj="obj2"), backend)
+        assert (exc.value.stage, exc.value.cause, exc.value.status) == (
+            stage, "backend error: empty model", "error")
+
+    configs = [RunConfig(method="full"), RunConfig(method="d2", t2_obj="obj2")]
+    rows = compare_methods([("empty", empty), ("micro1", micro1)], configs, backend)
+    assert [(r.instance, r.label(), r.status) for r in rows] == [
+        ("empty", "full", "ok"), ("empty", "d2-obj2", "failed"),
+        ("micro1", "full", "ok"), ("micro1", "d2-obj2", "ok")]
+    assert rows[1].error == "[t2] backend error: empty model"
+
+
+class _MiscasedStatusBackend:
+    """Solves as ``backend`` does, but reports ``Optimal`` where it means ``optimal``."""
+
+    def __init__(self, backend):
+        self._backend = backend
+
+    def solve(self, model, limits):
+        result = self._backend.solve(model, limits)
+        return replace(result, status=result.status.capitalize())
+
+
+def test_a_status_no_backend_may_report_fails_its_stage(backend, micro1):
+    with pytest.raises(PipelineError) as exc:
+        run_method(micro1, RunConfig(method="d2", t2_obj="obj2"),
+                   _MiscasedStatusBackend(backend))
+    assert (exc.value.stage, exc.value.status) == ("t2", "error")
+    assert exc.value.cause == "backend error: backend returned unknown status 'Optimal'"
+
+
 class _FractionalBackend:
     """Solves as ``backend`` does, but hands back 0.5 for the first ``r`` variable."""
 
