@@ -204,8 +204,6 @@ class ScipyHighsBackend:
     threads.
     """
 
-    name = "highs"
-
     def __init__(self) -> None:
         self._highs = highs_core._Highs()
 

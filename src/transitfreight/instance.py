@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import Any, get_args, get_origin, get_type_hints
 
 INSTANCE_SCHEMA = "3tdppt-instance/1"
@@ -40,18 +41,21 @@ FINITE, NONNEGATIVE, POSITIVE = ({"range": rule} for rule in _IN_RANGE)
 
 @cache
 def _ranged_fields(cls: type) -> tuple[tuple[str, str], ...]:
-    """(name, range) of each field of a dataclass that declares a range."""
-    return tuple((f.name, f.metadata["range"]) for f in fields(cls) if "range" in f.metadata)
+    """(path, range) of each number of a dataclass that declares a range, a number of a
+    record it holds (such as a ``location``) by its dotted path."""
+    ranged: list[tuple[str, str]] = []
+    for f, (name, kind) in zip(fields(cls), _field_types(cls)):
+        if is_dataclass(kind):
+            ranged += [(f"{name}.{path}", rule) for path, rule in _ranged_fields(kind)]
+        elif "range" in f.metadata:
+            ranged.append((name, f.metadata["range"]))
+    return tuple(ranged)
 
 
 @dataclass(frozen=True)
 class Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InstanceError("point coordinates must be finite")
+    x: float = field(metadata=FINITE)
+    y: float = field(metadata=FINITE)
 
 
 def euclidean_distance(a: Point, b: Point) -> float:
@@ -83,9 +87,6 @@ class Trip:
     line: str
     stop_times: dict[str, float] = field(metadata=FINITE)  # stop id -> scheduled minute
     capacity: float = field(metadata=POSITIVE)
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.line, tuple(sorted(self.stop_times.items())), self.capacity))
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,13 @@ def travel_time(distance: float, params: CostParams) -> float:
 
 @dataclass(frozen=True)
 class Instance:
-    """Full problem datum. Immutable after construction; safe to share."""
+    """Full problem datum. Immutable after construction; safe to share.
+
+    The object memoizes in its own ``__dict__``, never in a field, so ``==``, ``replace``
+    and the codec ignore it: the id maps behind the lookups, built on first use;
+    ``_valid``, once ``validate`` has passed; and ``_reference``, the proven service-cost
+    reference of ``pipeline.reference_routing_costs``. Each dies with the object.
+    """
 
     cdc: Point  # single origin; the route sink is an implicit copy at the same location
     stops: tuple[Stop, ...]
@@ -202,17 +209,6 @@ class Instance:
     def _customers_by_id(self) -> dict[str, Customer]:
         return {c.id: c for c in self.customers}
 
-    def __hash__(self) -> int:
-        """The hash of every field, computed once: the pipeline's service-cost
-        reference cache looks an instance up on every `full` run. Like any hash
-        of strings it holds in this process only."""
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = self.__dict__["_hash"] = hash((
-                self.cdc, self.stops, self.lines, self.trips, self.trucks, self.freighters,
-                self.customers, self.cost_params))
-        return cached
-
     # ---- invariants ---------------------------------------------------
 
     def validate(self) -> None:
@@ -230,10 +226,10 @@ class Instance:
                 if item.id in seen:
                     raise InstanceError(f"duplicate {kind} id {item.id}")
                 seen.add(item.id)
-        for name, item in [(f"{kind} {item.id}", item) for kind, items in records
-                           for item in items] + [("cost_params", self.cost_params)]:
+        named = [(f"{kind} {item.id}", item) for kind, items in records for item in items]
+        for name, item in [("cdc", self.cdc), *named, ("cost_params", self.cost_params)]:
             for key, rule in _ranged_fields(type(item)):
-                value = getattr(item, key)
+                value = attrgetter(key)(item)
                 for label, v in value.items() if isinstance(value, dict) else [(None, value)]:
                     if not (math.isfinite(v) and _IN_RANGE[rule](v)):
                         where = key if label is None else f"{key}.{label}"
@@ -397,5 +393,8 @@ def parse_instance(text: str) -> Instance:
 
 
 def with_beta(instance: Instance, beta: float) -> Instance:
-    """Copy of the instance with a different freighter cost scale."""
+    """The instance with freighter cost scale ``beta``: itself when it has that scale
+    already, so whatever it memoizes is kept, else a copy."""
+    if instance.cost_params.freighter_cost_scale == beta:
+        return instance
     return replace(instance, cost_params=replace(instance.cost_params, freighter_cost_scale=beta))

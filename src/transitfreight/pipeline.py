@@ -152,19 +152,12 @@ class RunMetrics:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-# keyed by the instance itself: it is a frozen dataclass, so equal instances
-# share an entry, and an instance hashes its fields once, far cheaper than
-# serializing it
-_reference_cache: dict[Instance, tuple[float, float]] = {}
-
-
 def reference_routing_costs(instance: Instance, backend: Backend, config: RunConfig,
                             metrics: RunMetrics) -> tuple[float, float]:
-    """Tier-1/tier-3 routing costs of the plain-objective solve, cached once proven.
-
-    On a cache miss the plain solve is the run's ``reference`` stage.
+    """Tier-1/tier-3 routing costs of the plain-objective solve, kept on the instance
+    object once proven. Without them the plain solve is the run's ``reference`` stage.
     """
-    costs = _reference_cache.get(instance)
+    costs = instance.__dict__.get("_reference")
     if costs is None:
         plan = _stage("reference", config.limits["full"], backend, metrics,
                       build_full, decode_full, instance, FullOptions())
@@ -174,11 +167,12 @@ def reference_routing_costs(instance: Instance, backend: Backend, config: RunCon
 
 def _keep_reference(instance: Instance, plan: Plan, metrics: RunMetrics) -> tuple[float, float]:
     """The routing costs of ``plan``, the run's last stage and a plain solve, which the
-    cache keeps as the service-cost reference only once that stage proved it optimal:
-    a run that reads the cache must not rest on an unproven solve."""
+    instance keeps as its service-cost reference only once that stage proved it optimal:
+    a run that reads it must not rest on an unproven solve. The costs are no field, so
+    an equal instance or a ``replace`` copy solves its own."""
     costs = (plan.costs.t1_cost, plan.costs.t3_cost)
     if metrics.stages[-1].status == "optimal":
-        _reference_cache.setdefault(instance, costs)
+        instance.__dict__.setdefault("_reference", costs)
     return costs
 
 
@@ -436,6 +430,8 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
     backend = backend or ScipyHighsBackend()
     rows: list[ReportRow] = []
     for name, instance in instances:
+        # one copy per beta, so the configs of one scale share its service-cost reference
+        scaled = {beta: with_beta(instance, beta) for beta in {c.beta for c in configs} - {None}}
         for config in configs:
             row = ReportRow(instance=name, method=config.method, t2_obj=config.t2_obj or "",
                             beta=config.beta, mu=config.mu)
@@ -443,7 +439,8 @@ def compare_methods(instances: list[tuple[str, Instance]], configs: list[RunConf
             if artifacts_root is not None:
                 art = Path(artifacts_root) / f"{name}__{config.label()}"
             try:
-                _plan, metrics = run_method(instance, config, backend, art)
+                _plan, metrics = run_method(scaled.get(config.beta, instance), config,
+                                            backend, art)
             except PipelineError as exc:
                 row.status, row.error, row.worst_stage_status = "failed", str(exc), exc.status
             else:

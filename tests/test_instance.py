@@ -67,11 +67,6 @@ def test_travel_time_examples():
     assert travel_time(d, params) == pytest.approx(0.2 * d)
 
 
-def test_point_must_be_finite():
-    with pytest.raises(InstanceError):
-        Point(float("nan"), 0.0)
-
-
 # ---- the drop-in map -----------------------------------------------------
 
 
@@ -294,12 +289,16 @@ def test_cost_params_out_of_range_are_named(name, value, least):
 # every number an instance holds and the range it must lie in besides being finite:
 # (instance field, micro1's first record there, field, range)
 _RANGED_FIELDS = [
+    ("cdc", "cdc", "x", "finite"),
+    ("cdc", "cdc", "y", "finite"),
+    ("stops", "stop A", "location.x", "finite"),
     ("stops", "stop A", "service_time", "nonnegative"),
     ("stops", "stop A", "max_dwell", "nonnegative"),
     ("trips", "trip p1", "stop_times.B", "finite"),
     ("trips", "trip p1", "capacity", "positive"),
     ("trucks", "truck d1", "capacity", "positive"),
     ("freighters", "freighter f1", "capacity", "positive"),
+    ("customers", "customer c1", "location.y", "finite"),
     ("customers", "customer c1", "demand", "positive"),
     ("customers", "customer c1", "window_lo", "finite"),
     ("customers", "customer c1", "window_hi", "finite"),
@@ -312,14 +311,22 @@ _OUT_OF_RANGE = {"finite": (), "nonnegative": (-1.0,), "positive": (0.0,)}
 
 
 def _with_number(instance, records, name, value):
-    """``instance`` with field ``name`` (``stop_times.<stop>`` for one scheduled minute)
-    of its first ``records`` record, or of its cost parameters, set to ``value``."""
-    if records == "cost_params":
-        return replace(instance, cost_params=replace(instance.cost_params, **{name: value}))
+    """``instance`` with field ``name`` of its first ``records`` record, or of its CDC or
+    cost parameters, set to ``value``; ``stop_times.<stop>`` names one scheduled minute
+    and ``location.x`` one coordinate."""
+    if records in ("cdc", "cost_params"):
+        return replace(instance, **{records: _with_field(getattr(instance, records), name, value)})
     first, *rest = getattr(instance, records)
-    if name.startswith("stop_times."):
-        name, value = "stop_times", {**first.stop_times, name.split(".")[1]: value}
-    return replace(instance, **{records: (replace(first, **{name: value}), *rest)})
+    return replace(instance, **{records: (_with_field(first, name, value), *rest)})
+
+
+def _with_field(record, name, value):
+    outer, _, inner = name.partition(".")
+    if inner:
+        held = getattr(record, outer)
+        value = ({**held, inner: value} if isinstance(held, dict)
+                 else replace(held, **{inner: value}))
+    return replace(record, **{outer: value})
 
 
 @pytest.mark.parametrize("records, record, name, rule, value", [

@@ -539,24 +539,39 @@ def test_full_service_cost_reference_cached(backend, micro1):
         metrics.t1_cost + metrics.t3_cost + metrics.service_cost, abs=1e-9)
 
 
-def test_service_cost_reference_is_a_recorded_stage(backend, micro1, monkeypatch, tmp_path):
-    monkeypatch.setattr(pipeline, "_reference_cache", {})
-    _plan, metrics = run_method(micro1, RunConfig(method="full", mu=0.5), backend,
-                                artifacts_dir=tmp_path)
+def test_service_cost_reference_is_a_recorded_stage(backend, tmp_path):
+    instance = make_micro1()
+    config = RunConfig(method="full", mu=0.5)
+    _plan, metrics = run_method(instance, config, backend, artifacts_dir=tmp_path)
     assert [(s.stage, s.status) for s in metrics.stages] == [
         ("reference", "optimal"), ("full", "optimal")]
     doc = json.loads((tmp_path / "metrics.json").read_text())
     assert [s["stage"] for s in doc["stages"]] == ["reference", "full"]
     assert doc["mu"] == 0.5
-    # the second run reads the cached reference
-    _plan, again = run_method(micro1, RunConfig(method="full", mu=0.5), backend)
+    # the second run on the same object reads the reference it keeps
+    _plan, again = run_method(instance, config, backend)
     assert [(s.stage, s.status) for s in again.stages] == [("full", "optimal")]
-    # so does an equal instance read back from its JSON; a changed one misses
-    reread = parse_instance(serialize_instance(micro1))
-    _plan, equal = run_method(reread, RunConfig(method="full", mu=0.5), backend)
-    assert [s.stage for s in equal.stages] == ["full"]
-    _plan, other = run_method(with_beta(micro1, 0.75), RunConfig(method="full", mu=0.5), backend)
-    assert [s.stage for s in other.stages] == ["reference", "full"]
+    # an equal instance read back from its JSON is another object: it records its own,
+    # and so does a copy at another freighter cost scale
+    reread = parse_instance(serialize_instance(instance))
+    assert reread == instance
+    for other in (reread, with_beta(instance, 0.75)):
+        _plan, metrics = run_method(other, config, backend)
+        assert [s.stage for s in metrics.stages] == ["reference", "full"]
+
+
+def test_a_replace_copy_solves_its_own_reference(backend):
+    """The reference is no field of the instance, so ``replace`` does not copy it."""
+    instance = make_micro1()
+    _plan, plain = run_method(instance, RunConfig(method="full"), backend)
+    assert [(s.stage, s.status) for s in plain.stages] == [("full", "optimal")]
+    config = RunConfig(method="full", mu=0.5)
+    copy = replace(instance)
+    assert copy == instance
+    _plan, copied = run_method(copy, config, backend)
+    assert [s.stage for s in copied.stages] == ["reference", "full"]
+    _plan, kept = run_method(instance, config, backend)
+    assert [s.stage for s in kept.stages] == ["full"]
 
 
 class _FirstFullUnprovenBackend:
@@ -576,20 +591,45 @@ class _FirstFullUnprovenBackend:
 
 
 @pytest.mark.parametrize("first_mu", [0.5, 0.0])
-def test_an_unproven_plain_solve_is_not_cached_as_the_reference(backend, micro1, monkeypatch,
-                                                                 first_mu):
-    """Neither writer caches a plain solve it did not prove optimal, so the next service-cost
-    run solves its reference again; once that one is proven, later runs read it."""
-    monkeypatch.setattr(pipeline, "_reference_cache", {})
+def test_an_unproven_plain_solve_is_not_cached_as_the_reference(backend, first_mu):
+    """Neither writer keeps a plain solve it did not prove optimal as the instance's
+    reference, so the next service-cost run solves it again; once that one is proven,
+    later runs read it."""
+    instance = make_micro1()
     unproven = _FirstFullUnprovenBackend(backend)
     config = RunConfig(method="full", mu=0.5)
-    _plan, first = run_method(micro1, RunConfig(method="full", mu=first_mu), unproven)
+    _plan, first = run_method(instance, RunConfig(method="full", mu=first_mu), unproven)
     assert first.stages[0].status == "feasible"
-    _plan, second = run_method(micro1, config, unproven)
+    _plan, second = run_method(instance, config, unproven)
     assert [(s.stage, s.status) for s in second.stages] == [
         ("reference", "optimal"), ("full", "optimal")]
-    _plan, third = run_method(micro1, config, unproven)
+    _plan, third = run_method(instance, config, unproven)
     assert [(s.stage, s.status) for s in third.stages] == [("full", "optimal")]
+
+
+class _CountingBackend:
+    """Solves as ``backend`` does and counts the solves of each formulation."""
+
+    def __init__(self, backend):
+        self._backend = backend
+        self.solves: dict[str, int] = {}
+
+    def solve(self, model, limits):
+        formulation = model.metadata["formulation"]
+        self.solves[formulation] = self.solves.get(formulation, 0) + 1
+        return self._backend.solve(model, limits)
+
+
+def test_a_compare_mu_sweep_solves_one_plain_full_model_per_beta(backend):
+    """Every config of one (instance, beta) runs on one object, so each mu=0.5 run reads
+    the reference its beta's plain run kept: four ``full`` solves, no ``reference``. micro1
+    already has scale 0.5; beta 1 runs on a copy."""
+    counting = _CountingBackend(backend)
+    configs = [RunConfig(method="full", beta=beta, mu=mu) for beta in (0.5, 1.0)
+               for mu in (0.0, 0.5)]
+    rows = compare_methods([("m1", make_micro1())], configs, counting)
+    assert [(row.status, row.proven) for row in rows] == [("ok", True)] * 4
+    assert counting.solves == {"full": 4}
 
 
 def test_stitching_matches_stage_handoff(backend, micro1, tmp_path):
