@@ -28,13 +28,16 @@ so only ``full`` gives a route a departure variable: t3-stopwise times its
 routes as it decodes them (``decode_freighter_routes``), and d3-t3 hands on
 its routes untimed, as (freighter, customers in visit order, latest
 departure L), L being what the route DP lists for the route's column; the
-pipeline times them once d3's transit stage has fixed the drops. The three
-transit stages differ only in the stop predicates they pass: d2-t2 keeps
-pickups a truck can feed and drops a freighter can still serve in time;
-d1-t2 pins the pickup to the truck's stop within the dwell cap after its
-arrival, and d3-t2 pins the drop to the home stop of the package's d3-t3
-route within the dwell cap before that route's L.
-``model_full.decode_transit`` reads all three.
+pipeline times them once d3's transit stage has fixed the drops.
+
+There is one transit stage (``_transit_stage``); its pipelines differ only in
+the end of each ride they pin to a stop and window. d2-t2 pins neither end,
+d1-t2 the pickup to the truck's stop within the dwell cap after its arrival,
+and d3-t2 the drop to the home stop of the package's d3-t3 route within the
+dwell cap before that route's L. A free end keeps the pickups a truck can
+feed or the drops a freighter can still serve in time; obj1 and obj2 price
+only the free ends, obj3 the drops. ``model_full.decode_transit`` reads all
+three.
 
 There is one truck stage (``_build_truck_stage``); d1-t1 and t1-handoff
 differ only in the windows they pass: per package, the drop-in stops it
@@ -186,17 +189,7 @@ def _distance_proxy_terms(mb: ModelBuilder, instance: Instance,
     return terms
 
 
-def _set_transit_objective(mb: ModelBuilder, instance: Instance, objective: T2Objective,
-                           pickup_side: bool, drop_side: bool) -> None:
-    if objective.tag == OBJ1:
-        mb.set_objective(_attach_used_stop_flags(mb, pickup_side, drop_side))
-    elif objective.tag == OBJ2:
-        mb.set_objective(_distance_proxy_terms(mb, instance, pickup_side, drop_side))
-    else:
-        mb.set_objective(_attach_freighter_estimate(mb, instance))
-
-
-# ---- transit-first: the transit model ----------------------------------
+# ---- the transit stage ---------------------------------------------------
 
 
 def _truck_can_feed(instance: Instance):
@@ -225,17 +218,31 @@ def _at_fixed_stop(windows: dict[str, tuple[str, float, float]]):
     return ok
 
 
-def build_d2_t2(instance: Instance, objective: T2Objective) -> MilpModel:
-    """Assign stops/trips to every package before either road tier is solved.
-
-    Pickups are restricted to trips a truck could feed in time; drops are
-    restricted so a freighter can still meet the window's closing.
-    """
-    mb = ModelBuilder("d2-t2")
-    add_transit_flow(mb, instance, lambda cust: f"T2 infeasible: customer {cust.id}",
-                     in_ok=_truck_can_feed(instance), out_ok=_freighter_can_meet(instance))
-    _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=True)
+def _transit_stage(instance: Instance, tag: str, objective: T2Objective, unserved,
+                   pickups: dict[str, tuple[str, float, float]] | None = None,
+                   drops: dict[str, tuple[str, float, float]] | None = None) -> MilpModel:
+    """The transit stage of every pipeline (``add_transit_flow``): ``pickups[i]`` or
+    ``drops[i]`` pins that end of package ``i``'s ride to ``(stop, lo, hi)``
+    (``_at_fixed_stop``). A free end keeps ``_truck_can_feed``'s pickups or
+    ``_freighter_can_meet``'s drops, and only free ends are priced under obj1 and obj2."""
+    in_ok = _truck_can_feed(instance) if pickups is None else _at_fixed_stop(pickups)
+    out_ok = _freighter_can_meet(instance) if drops is None else _at_fixed_stop(drops)
+    mb = ModelBuilder(tag)
+    add_transit_flow(mb, instance, unserved, in_ok=in_ok, out_ok=out_ok)
+    if objective.tag == OBJ1:
+        mb.set_objective(_attach_used_stop_flags(mb, pickups is None, drops is None))
+    elif objective.tag == OBJ2:
+        mb.set_objective(_distance_proxy_terms(mb, instance, pickups is None, drops is None))
+    else:
+        mb.set_objective(_attach_freighter_estimate(mb, instance))
     return mb.build()
+
+
+def build_d2_t2(instance: Instance, objective: T2Objective) -> MilpModel:
+    """Assign stops/trips to every package before either road tier is solved; both
+    ends are free (``_transit_stage``)."""
+    return _transit_stage(instance, "d2-t2", objective,
+                          lambda cust: f"T2 infeasible: customer {cust.id}")
 
 
 # ---- the truck stage ------------------------------------------------------
@@ -499,9 +506,8 @@ def build_d1_t2(instance: Instance, placed: dict[str, tuple[str, str, float]],
 
     ``placed`` is ``decode_t1``'s (stop, truck, minute) per package. The pickup
     is at that stop, on a trip that calls there after the truck's minute and
-    within the dwell cap of it.
+    within the dwell cap of it; the drop is free (``_transit_stage``).
     """
-    mb = ModelBuilder("d1-t2")
     windows = {cid: (stop, t_truck, t_truck + instance.stop(stop).max_dwell)
                for cid, (stop, _, t_truck) in placed.items()}
 
@@ -510,10 +516,7 @@ def build_d1_t2(instance: Instance, placed: dict[str, tuple[str, str, float]],
         return (f"stranded package: customer {cust.id} has no trip through stop "
                 f"{stop} within [{lo:g}, {hi:g}] that can still meet its window")
 
-    add_transit_flow(mb, instance, unserved, in_ok=_at_fixed_stop(windows),
-                     out_ok=_freighter_can_meet(instance))
-    _set_transit_objective(mb, instance, objective, pickup_side=False, drop_side=True)
-    return mb.build()
+    return _transit_stage(instance, "d1-t2", objective, unserved, pickups=windows)
 
 
 # ---- freighter-first pipeline -------------------------------------------
@@ -580,7 +583,7 @@ def build_d3_t2(instance: Instance, routes: list[tuple[str, tuple[str, ...], flo
     in time to be loaded before L and within the dwell cap of it:
     ``L - max_dwell <= t_drop <= L - service_time``. All packages of one route share
     L, so the actual departure ``max(drops) + service`` is at most L and at most
-    ``max_dwell`` after the earliest drop.
+    ``max_dwell`` after the earliest drop. The pickup is free (``_transit_stage``).
     """
     if objective.tag == OBJ3:
         raise ModelError("the freighter-count objective is moot once freighters are fixed")
@@ -589,14 +592,10 @@ def build_d3_t2(instance: Instance, routes: list[tuple[str, tuple[str, ...], flo
         stop = instance.stop(instance.freighter(freighter).home_stop)
         windows.update(dict.fromkeys(
             order, (stop.id, latest - stop.max_dwell, latest - stop.service_time)))
-    mb = ModelBuilder("d3-t2")
 
     def unserved(cust) -> str:
         stop, lo, hi = windows[cust.id]
         return (f"customer {cust.id}: no trip reaches stop {stop} within "
                 f"[{lo:g}, {hi:g}] with a reachable pickup stop")
 
-    add_transit_flow(mb, instance, unserved, in_ok=_truck_can_feed(instance),
-                     out_ok=_at_fixed_stop(windows))
-    _set_transit_objective(mb, instance, objective, pickup_side=True, drop_side=False)
-    return mb.build()
+    return _transit_stage(instance, "d3-t2", objective, unserved, drops=windows)

@@ -171,3 +171,72 @@ def mutate(family: str, instance: Instance, plan: Plan) -> Plan:
         # claim u boards and alights at M on the same trip
         return _swap_itinerary(plan, "u", drop_in_stop="M", drop_in_time=140.0)
     raise ValueError(f"unknown family {family}")
+
+
+def _with_express_line(instance: Instance) -> Instance:
+    """The fixture plus line L2, which runs from A straight to B as trip p3."""
+    express = replace(instance, lines=instance.lines + (Line("L2", ("A", "B")),),
+                      trips=instance.trips + (Trip("p3", "L2", {"A": 150.0, "B": 156.0}, 20.0),))
+    express.validate()
+    return express
+
+
+def _swap_route(plan: Plan, kind: str, vehicle: str, **changes) -> Plan:
+    """``plan`` with the ``kind`` ("truck" or "freighter") route of ``vehicle`` changed."""
+    field = f"{kind}_routes"
+    routes = tuple(replace(r, **changes) if getattr(r, kind) == vehicle else r
+                   for r in getattr(plan, field))
+    return replace(plan, **{field: routes})
+
+
+def _late_truck(instance: Instance, plan: Plan) -> tuple[Instance, Plan]:
+    # d1 reaches A at 155, after p1 has called there at 150
+    plan2 = _swap_itinerary(plan, "u", drop_in_time=155.0)
+    plan2 = _swap_itinerary(plan2, "v", drop_in_time=155.0)
+    return instance, _swap_route(plan2, "truck", "d1", times=(155.0,))
+
+
+def _freighter_revisit(instance: Instance, plan: Plan) -> tuple[Instance, Plan]:
+    # fB drives on from x back to v
+    route = plan.freighter_routes[1]
+    return instance, _swap_route(plan, "freighter", "fB", customers=route.customers + ("v",),
+                                 times=route.times + (route.times[-1] + 30.0,))
+
+
+# One corruption per check of ``validate_plan`` that the family mutations above do not
+# reach: check name -> (code, detail, (instance, plan) -> corrupted (instance, plan)).
+CHECKS = {
+    "drop-in role": ("TIMETABLE", "stop is not a drop-in stop",
+                     lambda i, p: (i, _swap_itinerary(p, "v", drop_in_stop="B"))),
+    "drop-out role": ("TIMETABLE", "stop is not a drop-out stop",
+                      lambda i, p: (i, _swap_itinerary(p, "u", drop_out_stop="A"))),
+    "line visits drop-in": (
+        "TIMETABLE", "trip's line does not visit the drop-in stop",
+        lambda i, p: (_with_express_line(i),
+                      _swap_itinerary(p, "x", trip="p3", drop_in_stop="M"))),
+    "line visits drop-out": (
+        "TIMETABLE", "trip's line does not visit the drop-out stop",
+        lambda i, p: (_with_express_line(i), _swap_itinerary(p, "u", trip="p3"))),
+    "drop-out candidate": (
+        "COVERAGE", "drop-out stop not among the customer's candidates",
+        lambda i, p: (i, _swap_itinerary(p, "v", drop_out_stop="M", drop_out_time=154.0))),
+    "freighter home": ("COVERAGE", "freighter does not serve the drop-out stop",
+                       lambda i, p: (i, _swap_itinerary(p, "u", freighter="fB"))),
+    "freighter route": (
+        "COVERAGE", "assigned freighter route does not visit the customer",
+        lambda i, p: (i, _swap_route(p, "freighter", "fM", customers=(), times=()))),
+    "truck revisit": (
+        "COVERAGE", "truck route revisits a stop",
+        lambda i, p: (i, _swap_route(p, "truck", "d2", stops=("A", "A"),
+                                     times=p.truck_routes[1].times * 2))),
+    "freighter revisit": ("COVERAGE", "freighter route revisits a customer", _freighter_revisit),
+    "route home": ("COVERAGE", "route does not start at the freighter's home stop",
+                   lambda i, p: (i, _swap_route(p, "freighter", "fM", home_stop="B"))),
+    "ride order": ("ORDER", "package picked up after its drop-off",
+                   lambda i, p: (i, _swap_itinerary(p, "u", drop_in_stop="B"))),
+    "drop-in time": (
+        "ORDER", "itinerary drop-in time differs from the truck route",
+        lambda i, p: (i, _swap_itinerary(p, "u",
+                                         drop_in_time=p.itineraries[0].drop_in_time + 1.0))),
+    "late truck": ("ORDER", "truck reaches the stop after the scheduled pickup", _late_truck),
+}

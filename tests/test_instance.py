@@ -266,6 +266,34 @@ def test_invariant_messages():
     with pytest.raises(InstanceError, match="no freighter"):
         no_freighter.validate()
 
+    micro = make_micro1()
+    (a, b), (line,), p1 = micro.stops, micro.lines, micro.trips[0]
+    f1, c1 = micro.freighters[0], micro.customers[0]
+
+    def relined(*stops):
+        return replace(micro, lines=(replace(line, ordered_stops=stops),))
+
+    def candidates(*stops):
+        return replace(micro, customers=(replace(c1, dropout_candidates=frozenset(stops)),))
+
+    broken = {
+        "stop id 'o' is reserved for the CDC nodes": replace(micro, stops=(replace(a, id="o"), b)),
+        "stop id 'o~' is reserved for the CDC nodes": replace(micro, stops=(a, replace(b, id="o~"))),
+        "line L1 has fewer than 2 stops": relined("A"),
+        "line L1 repeats a stop": relined("A", "B", "A"),
+        "line L1 references unknown stop Z": relined("A", "Z"),
+        "trip p1 references unknown line L9": replace(micro, trips=(replace(p1, line="L9"),)),
+        "trip p1: stop_times do not cover line L1": replace(
+            micro, trips=(replace(p1, stop_times={"A": 150.0}),)),
+        "freighter f1: home_stop A is not a drop-out stop": replace(
+            micro, freighters=(replace(f1, home_stop="A"),)),
+        "customer c1: dropout_candidates empty": candidates(),
+        "customer c1: candidate A is not a drop-out stop": candidates("A", "B"),
+    }
+    for message, instance in broken.items():
+        with pytest.raises(InstanceError, match=f"^{re.escape(message)}$"):
+            instance.validate()
+
 
 @pytest.mark.parametrize("name, value, least", [
     ("truck_cost_per_distance", -1.0, "nonnegative"),

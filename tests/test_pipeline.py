@@ -10,7 +10,7 @@ from transitfreight.generate import GenParams, generate_instance
 from transitfreight.instance import (
     Customer, Freighter, Instance, Line, Point, Stop, Trip, Truck, parse_instance,
     serialize_instance, with_beta)
-from transitfreight.milp import ModelError
+from transitfreight.milp import ModelError, SolveResult
 from transitfreight.pipeline import (
     DEFAULT_STAGE_SECONDS,
     PipelineError,
@@ -407,6 +407,33 @@ def test_a_status_no_backend_may_report_fails_its_stage(backend, micro1):
                    _MiscasedStatusBackend(backend))
     assert (exc.value.stage, exc.value.status) == ("t2", "error")
     assert exc.value.cause == "backend error: backend returned unknown status 'Optimal'"
+
+
+class _GivingUpBackend:
+    """Solves as ``backend`` does, but reports ``status`` without an incumbent for every
+    model of the formulation ``tag``."""
+
+    def __init__(self, backend, tag, status):
+        self._backend, self._tag, self._status = backend, tag, status
+
+    def solve(self, model, limits):
+        if model.metadata["formulation"] != self._tag:
+            return self._backend.solve(model, limits)
+        return SolveResult(self._status, [], None, None, 0.0, message="solver gave up")
+
+
+@pytest.mark.parametrize("status, cause", [("timeout", "stage timeout, no incumbent"),
+                                           ("error", "backend error: solver gave up")])
+def test_a_stage_without_an_incumbent_fails_with_its_status(backend, micro1, status, cause):
+    giving_up = _GivingUpBackend(backend, "t1-handoff", status)
+    with pytest.raises(PipelineError) as exc:
+        run_method(micro1, RunConfig(method="d2", t2_obj="obj2"), giving_up)
+    assert (exc.value.stage, exc.value.cause, exc.value.status) == ("t1", cause, status)
+    rows = compare_methods([("micro1", micro1)],
+                           [RunConfig(method="full"), RunConfig(method="d2", t2_obj="obj2")],
+                           giving_up)
+    assert [(r.label(), r.status, r.error, r.worst_stage_status) for r in rows] == [
+        ("full", "ok", "", "optimal"), ("d2-obj2", "failed", f"[t1] {cause}", status)]
 
 
 class _FractionalBackend:

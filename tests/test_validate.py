@@ -41,6 +41,7 @@ from transitfreight.plan import (
 )
 from transitfreight.validate import (
     ValidationInputError,
+    Violation,
     price_routes,
     recompute_costs,
     validate_plan,
@@ -55,6 +56,7 @@ from conftest import (
     generate_micro_instances,
     make_micro1,
 )
+from mutations import CHECKS, tight_fixture
 
 
 def micro1_plan() -> Plan:
@@ -282,6 +284,23 @@ def test_vrptw_unknown_reference_is_a_hard_error(case, names):
     instance, plan = _vrptw_draw_plan(**case)
     with pytest.raises(ValidationInputError, match=names):
         validate_vrptw_plan(instance, plan)
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+def test_each_plan_check_reports_its_code(check):
+    code, detail, corrupt = CHECKS[check]
+    instance, plan = tight_fixture(0)
+    instance, broken = corrupt(instance, plan)
+    assert validate_plan(instance, plan) == []
+    assert (code, detail) in {(v.code, v.detail) for v in validate_plan(instance, broken)}
+
+
+def test_a_violation_prints_its_code_subjects_values_and_detail():
+    assert str(Violation("STOP_DISTINCT", ("u", "M"))) == "STOP_DISTINCT (u, M)"
+    assert (str(Violation("DWELL_IN", ("u", "A"), measured=105.0, bound=100.0))
+            == "DWELL_IN (u, A) measured=105.0 bound=100.0")
+    assert (str(Violation("ORDER", ("u", "fM"), measured=150.0, detail="freighter leaves early"))
+            == "ORDER (u, fM) measured=150.0 bound=None freighter leaves early")
 
 
 def test_a_vehicle_on_two_routes_is_a_coverage_violation(backend):
