@@ -10,7 +10,8 @@ Variable families (structured names carry the index tuples):
   g[d,v]     truck d visits drop-in stop v (the sum of its arcs into v)
   y1[i,s,p]  trip p picks package i up at drop-in stop s
   y2[i,s,p]  trip p drops package i at drop-out stop s
-  l2[u,p]    load of trip p leaving stop u
+  l2[u,p]    load of trip p leaving stop u, only on a trip its riders can
+             overfill
   q[g,i1,..,ik]   freighter class g drives the route that leaves its home stop
                   and serves i1, ..., ik in that order; a class is a set of
                   interchangeable freighters of one stop (``vehicle_classes``)
@@ -35,7 +36,10 @@ Each fragment has one copy, used by every model that needs it:
                          A ride runs forward: where a trip calls at pickup u
                          no earlier than at drop v (u == v included), one
                          row y1[i,u,p] + y2[i,v,p] <= 1 excludes the pair
-  add_trip_loads         l2 along every trip, from the y1/y2 on the builder
+  add_trip_loads         l2 along every trip whose riders (the packages with a
+                         y1 on it) can together exceed its capacity, from the
+                         y1/y2 on the builder; on any other trip no load can
+                         pass the capacity, so it gets no rows
   add_truck_rows         w/t1 arcs, degree balance and times per truck, and
                          r[i,s,d] over given drop-in stops with truck capacity,
                          the g visits and one g[d,s] >= r[i,s,d] row per
@@ -577,18 +581,24 @@ def add_transit_flow(mb: ModelBuilder, instance: Instance, unserved, in_ok=None,
 
 
 def add_trip_loads(mb: ModelBuilder, instance: Instance) -> None:
-    """Load propagation per consecutive stop pair of every trip a package may ride.
+    """Load propagation per consecutive stop pair of every trip its riders can overfill.
 
     Reads the y1 (pickup) and y2 (drop) variables already on the builder;
-    each trip's load starts empty and stays within its capacity.
+    each such trip's load starts empty and stays within its capacity. A
+    trip's riders are the packages with a pickup column on it; when their
+    demands together fit its capacity, no load profile can pass it, so the
+    trip gets no l2 columns and no rows.
     """
     moves: dict[tuple[str, str], list] = {}  # (trip, stop) -> load change terms
+    riders: dict[str, set[str]] = {}
     for family, sign in (("y1", -1.0), ("y2", 1.0)):
         for (cid, sid, pid), var in mb.family_items(family):
             moves.setdefault((pid, sid), []).append((var, sign * instance.customer(cid).demand))
-    ridden = {pid for pid, _ in moves}
+            if family == "y1":
+                riders.setdefault(pid, set()).add(cid)
     for trip in instance.trips:
-        if trip.id not in ridden:
+        demand = sum(instance.customer(cid).demand for cid in riders.get(trip.id, ()))
+        if demand <= trip.capacity + 1e-9:
             continue
         order = instance.line(trip.line).ordered_stops
         for sid in order:

@@ -166,21 +166,22 @@ def _distance_proxy_terms(mb: ModelBuilder, instance: Instance,
     when any package is picked up there in that bucket, and costs the
     CDC-to-stop distance. Packages that share a stop and a dwell window thus
     share one visit, while the same stop used at distant times costs one
-    visit per window. The drop side prices each package's stop-to-customer
-    distance.
+    visit per window. A package is picked up once, so one row per (package,
+    stop, bucket), ``sum_p y1[i,s,p] <= v1[s,b]``, switches the visit on.
+    The drop side prices each package's stop-to-customer distance.
     """
     terms = []
     if pickup_side:
-        picked: dict[tuple[str, int], list] = {}
+        picked: dict[tuple[str, int], dict[str, list]] = {}
         for (i, s, p), var in mb.family_items("y1"):
             t = instance.trip(p).stop_times[s]
             dwell = instance.stop(s).max_dwell
             bucket = int(t // dwell) if dwell > 0 else t
-            picked.setdefault((s, bucket), []).append((var, f"y1[{i},{s},{p}]"))
-        for (s, bucket), entries in sorted(picked.items()):
+            picked.setdefault((s, bucket), {}).setdefault(i, []).append((var, 1.0))
+        for (s, bucket), by_package in sorted(picked.items()):
             visit = mb.binary("v1", s, bucket)
-            for var, name in entries:
-                mb.add([(var, 1.0), (visit, -1.0)], "<=", 0.0, f"visit_in[{name}]")
+            for i, pickups in sorted(by_package.items()):
+                mb.add(pickups + [(visit, -1.0)], "<=", 0.0, f"visit_in[{i},{s},{bucket}]")
             terms.append((visit, euclidean_distance(instance.cdc, instance.stop(s).location)))
     if drop_side:
         for (i, s, p), var in mb.family_items("y2"):

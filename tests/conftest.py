@@ -95,6 +95,26 @@ def generate_micro_instance(seed: int, n_customers: int = 3, n_lines: int = 1) -
         generate_instance(micro_gen_params(seed, n_customers, n_lines)))
 
 
+def cut_trip_capacities(instance: Instance) -> Instance:
+    """Copy of ``instance`` whose trips hold half the demand of their riders, and no less
+    than the largest single demand among them: a trip's riders are the packages with a
+    candidate drop-out stop on its line after one of the line's drop-in stops. A trip
+    with one rider keeps its capacity."""
+    trips = []
+    for trip in instance.trips:
+        order = instance.line(trip.line).ordered_stops
+        first_in = next((k for k, sid in enumerate(order) if instance.stop(sid).is_drop_in),
+                        len(order))
+        demands = [c.demand for c in instance.customers
+                   if c.dropout_candidates.intersection(order[first_in + 1:])]
+        if len(demands) > 1:
+            trip = replace(trip, capacity=max(max(demands), sum(demands) / 2))
+        trips.append(trip)
+    cut = replace(instance, trips=tuple(trips))
+    cut.validate()
+    return cut
+
+
 def generate_micro_instances(count: int, start_seed: int = 0,
                              n_customers=(2, 3, 4), n_lines: int = 1) -> list[Instance]:
     out = []

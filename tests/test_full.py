@@ -36,8 +36,8 @@ from transitfreight.tiers import (
 from transitfreight.validate import validate_plan
 from transitfreight.vrptw import build_vrptw, decode_vrptw
 
-from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, generate_micro_instance,
-                      generate_micro_instances, make_micro1)
+from conftest import (MICRO1_T1, MICRO1_T3, MICRO1_TOTAL, cut_trip_capacities,
+                      generate_micro_instance, generate_micro_instances, make_micro1)
 
 
 def test_full_micro1_optimum(backend, micro1):
@@ -222,6 +222,31 @@ def test_full_matches_oracle_on_dual_role(backend):
     result = solve(build_full(instance), backend)
     assert outcome.feasible and result.status == "optimal"
     assert result.objective == pytest.approx(outcome.cost, abs=1e-4)
+
+
+@pytest.mark.parametrize("n_lines", [1, 2])
+def test_full_matches_the_oracle_where_trip_loads_bind(backend, n_lines):
+    """With trip capacities cut below their riders' demand (``cut_trip_capacities``),
+    every micro draw builds load rows, and ``full`` still equals ``brute_force_optimum``:
+    optimal at its cost, or infeasible where it is. The cut rules out or raises some
+    optima the draws have as drawn."""
+    bound = 0
+    for drawn in generate_micro_instances(12, n_lines=n_lines):
+        instance = cut_trip_capacities(drawn)
+        model = build_full(instance)
+        assert model.family("l2")
+        result = solve(model, backend)
+        outcome = brute_force_optimum(instance)
+        if outcome.feasible:
+            assert result.status == "optimal"
+            plan = decode_full(instance, model, result)
+            assert validate_plan(instance, plan) == []
+            assert plan.costs.total == pytest.approx(outcome.cost, abs=1e-4)
+            bound += outcome.cost > brute_force_optimum(drawn).cost + 1e-6
+        else:
+            assert result.status == "infeasible"
+            bound += 1
+    assert bound >= 1
 
 
 def test_mixed_capacity_freighters_form_separate_classes(backend):

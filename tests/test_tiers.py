@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
@@ -40,7 +41,7 @@ from transitfreight.tiers import (
 from transitfreight.validate import validate_plan
 from transitfreight.vrptw import build_vrptw
 
-from conftest import generate_micro_instances, make_micro1
+from conftest import cut_trip_capacities, generate_micro_instances, make_micro1
 
 SQRT8 = math.sqrt(8.0)
 
@@ -718,6 +719,132 @@ def test_decode_transit_rejects_a_customer_without_a_trip(backend, micro1):
         result.values[col] = 0.0
     with pytest.raises(DecodeError, match="c1"):
         decode_transit(micro1, model, result)
+
+
+@pytest.mark.parametrize("u_demand, split", [(10.0, False), (11.0, True)])
+def test_trip_loads_are_built_only_where_riders_can_overfill_the_trip(backend, u_demand,
+                                                                      split):
+    """With trips of capacity 20, riders whose demand exactly fills each trip give no l2
+    column and may share a trip (one truck visit at A); one unit more of u's demand keeps
+    the load rows, which split them."""
+    shared = shared_trip_fixture()
+    instance = dataclasses.replace(
+        shared,
+        trips=tuple(dataclasses.replace(trip, capacity=20.0) for trip in shared.trips),
+        customers=tuple(dataclasses.replace(c, demand=u_demand) if c.id == "u" else c
+                        for c in shared.customers))
+    instance.validate()
+    model = build_d2_t2(instance, T2Objective("obj2"))
+    assert bool(model.family("l2")) == split
+    assert any(con.name.startswith("load[") for con in model.constraints) == split
+    result = solve(model, backend)
+    assert result.status == "optimal"
+    choices = decode_transit(instance, model, result)
+    assert (choices["u"].trip != choices["v"].trip) == split
+    visits = 2 if split else 1
+    assert result.objective == pytest.approx(visits * 10.0 + 2 * SQRT8, abs=1e-6)
+
+
+def test_obj2_has_one_visit_row_per_package_stop_and_bucket(micro1):
+    """Each package picked up at a stop in one dwell bucket has one ``visit_in`` row,
+    however many trips call there in that bucket: micro1's two trips call at A at 150
+    and 180, both in A's first 300-minute bucket."""
+    for instance in [micro1, make_micro1(extra_trip_time=550.0)] \
+            + generate_micro_instances(6, n_lines=2):
+        model = build_d2_t2(instance, T2Objective("obj2"))
+        keys = {(i, s, int(instance.trip(p).stop_times[s] // instance.stop(s).max_dwell))
+                for i, s, p in model.family("y1")}
+        rows = [con.name for con in model.constraints if con.name.startswith("visit_in[")]
+        assert sorted(rows) == sorted(f"visit_in[{i},{s},{b}]" for i, s, b in keys)
+    visit_in = [con for con in build_d2_t2(micro1, T2Objective("obj2")).constraints
+                if con.name.startswith("visit_in[")]
+    assert [(con.name, len(con.terms)) for con in visit_in] == [("visit_in[c1,A,0]", 3)]
+
+
+# ---- the transit surrogate against enumeration ----------------------------
+
+
+def _surrogate_rides(instance: Instance, cust) -> list:
+    """The rides d2-t2 admits for ``cust``: the oracle's (trip, pickup, drop) options
+    whose pickup a truck leaving the CDC at minute 0 reaches before the trip calls, and
+    whose drop still lets a freighter meet the window's closing."""
+    from transitfreight.bruteforce import _transit_options
+
+    def feedable(opt) -> bool:
+        stop = instance.stop(opt.drop_in)
+        return opt.pickup_time >= (instance.travel_minutes(instance.cdc, stop.location)
+                                   + stop.service_time - 1e-9)
+
+    def meetable(opt) -> bool:
+        stop = instance.stop(opt.drop_out)
+        return (opt.drop_time + instance.travel_minutes(stop.location, cust.location)
+                + stop.service_time + cust.service_time) <= cust.window_hi + 1e-9
+
+    return [opt for opt in _transit_options(instance, cust) if feedable(opt) and meetable(opt)]
+
+
+def _surrogate_prices(instance: Instance, rides: dict) -> dict[str, float]:
+    """obj1-obj3 of one ride per package (``rides``), computed from their definitions:
+    the pickup and the drop stops used; one CDC-to-stop visit per (pickup stop, dwell
+    bucket) plus each package's stop-to-customer distance; and, per (drop stop, period),
+    the freighters of mean capacity its dropped demand needs."""
+    params = instance.cost_params
+    visits = {(r.drop_in, int(r.pickup_time // instance.stop(r.drop_in).max_dwell))
+              for r in rides.values()}
+    obj2 = sum(euclidean_distance(instance.cdc, instance.stop(s).location) for s, _ in visits)
+    obj2 += sum(euclidean_distance(instance.customer(c).location,
+                                   instance.stop(r.drop_out).location)
+                for c, r in rides.items())
+    dropped: dict[tuple[str, int], float] = {}
+    for c, r in rides.items():
+        period = min(int(r.drop_time // params.period_length), params.period_count - 1)
+        dropped[(r.drop_out, period)] = (dropped.get((r.drop_out, period), 0.0)
+                                         + instance.customer(c).demand)
+    mean_capacity = sum(k.capacity for k in instance.freighters) / len(instance.freighters)
+    return {"obj1": len({r.drop_in for r in rides.values()})
+                    + len({r.drop_out for r in rides.values()}),
+            "obj2": obj2,
+            "obj3": sum(math.ceil(load / mean_capacity - 1e-9) for load in dropped.values())}
+
+
+@pytest.mark.parametrize("n_lines", [1, 2])
+@pytest.mark.parametrize("cut", [False, True], ids=["as-drawn", "cut-capacity"])
+def test_transit_surrogate_optimum_matches_enumeration(backend, n_lines, cut):
+    """On guarded micro draws, as drawn and with trip capacities cut below their riders'
+    demand (``cut_trip_capacities``), each d2-t2 optimum under obj1-obj3 is the least
+    surrogate price over every combination of per-package rides that fits the trips
+    (the oracle's load check), and d2-t2 is infeasible exactly where none fits. Only the
+    cut draws have optima that the trip capacities raise or rule out."""
+    from transitfreight.bruteforce import _trip_loads_ok
+
+    checked = bound = 0
+    for instance in generate_micro_instances(16, n_lines=n_lines):
+        if cut:
+            instance = cut_trip_capacities(instance)
+        customers = [c.id for c in instance.customers]
+        demands = {c.id: c.demand for c in instance.customers}
+        options = [_surrogate_rides(instance, c) for c in instance.customers]
+        assert all(options)  # a package without a ride fails the build instead
+        best = {tag: math.inf for tag in ("obj1", "obj2", "obj3")}
+        loose = dict(best)  # the same minimum without the load check
+        for combo in itertools.product(*options):
+            rides = dict(zip(customers, combo))
+            fits = _trip_loads_ok(instance, demands, rides)
+            for tag, price in _surrogate_prices(instance, rides).items():
+                loose[tag] = min(loose[tag], price)
+                if fits:
+                    best[tag] = min(best[tag], price)
+        for tag, least in best.items():
+            result = solve(build_d2_t2(instance, T2Objective(tag)), backend)
+            bound += least > loose[tag] + 1e-9
+            if least == math.inf:
+                assert result.status == "infeasible", tag
+            else:
+                assert result.status == "optimal", tag
+                assert result.objective == pytest.approx(least, abs=1e-6), tag
+                checked += 1
+    assert checked >= 15
+    assert (bound > 0) == cut
 
 
 # ---- rides run forward in every model with a transit flow -----------------
